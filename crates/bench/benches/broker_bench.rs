@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the broker serving layer: batched query
 //! routing through the [`SelectionEngine`] versus the per-query full-scan
 //! baseline, catalog construction versus loading a frozen catalog, and the
-//! effect of the memoized posterior cache on the adaptive uncertainty test.
+//! adaptive uncertainty test with and without its tabulated moments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -76,12 +76,7 @@ fn bench_batch_route(c: &mut Criterion) {
     });
     for threads in [1usize, 4] {
         let algo = AlgoKind::Cori.build(&profiled);
-        let engine = SelectionEngine::new(
-            std::sync::Arc::clone(&catalog),
-            algo,
-            config,
-            broker::DEFAULT_CACHE_CAPACITY,
-        );
+        let engine = SelectionEngine::new(std::sync::Arc::clone(&catalog), algo, config);
         group.bench_with_input(BenchmarkId::new("engine", threads), &threads, |b, &t| {
             b.iter(|| engine.route_batch(black_box(&queries), 77, t))
         });
@@ -203,7 +198,11 @@ fn synthetic_catalog(n: usize) -> (std::sync::Arc<Catalog>, Vec<Vec<TermId>>) {
         })
         .collect();
     let queries: Vec<Vec<TermId>> = (0..20u64)
-        .map(|q| (0..4u64).map(|w| ((q * 53 + w * 17) % VOCAB) as u32).collect())
+        .map(|q| {
+            (0..4u64)
+                .map(|w| ((q * 53 + w * 17) % VOCAB) as u32)
+                .collect()
+        })
         .collect();
     (std::sync::Arc::new(Catalog::build(entries)), queries)
 }
@@ -213,8 +212,7 @@ fn synthetic_catalog(n: usize) -> (std::sync::Arc<Catalog>, Vec<Vec<TermId>>) {
 /// (per-db probability vectors, virtual dispatch per summary); the
 /// `pruned` rows call `route_topk` (batch kernels over the CSR slabs plus
 /// maxscore early termination). `never` mode is pure scoring; `adaptive`
-/// includes the Monte-Carlo choose phase the pruned path must leave
-/// untouched.
+/// includes the (unpruned, closed-form) choose phase.
 fn bench_topk_pruning(c: &mut Criterion) {
     let (catalog, queries) = synthetic_catalog(500);
 
@@ -231,7 +229,6 @@ fn bench_topk_pruning(c: &mut Criterion) {
             std::sync::Arc::clone(&catalog),
             std::sync::Arc::new(selection::Cori::default()),
             config,
-            broker::DEFAULT_CACHE_CAPACITY,
         );
         group.bench_function(BenchmarkId::new("full", mode_name), |b| {
             b.iter(|| {
@@ -370,7 +367,7 @@ fn bench_refresh(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_posterior_cache(c: &mut Criterion) {
+fn bench_uncertainty_test(c: &mut Criterion) {
     let (bed, profiled) = fixture();
     let catalog = std::sync::Arc::new(
         profiled.catalog(
@@ -385,26 +382,20 @@ fn bench_posterior_cache(c: &mut Criterion) {
         mode: ShrinkageMode::Adaptive,
         ..Default::default()
     };
-    let engine = SelectionEngine::new(catalog, algo, config, broker::DEFAULT_CACHE_CAPACITY);
+    let from_grids =
+        SelectionEngine::with_table(std::sync::Arc::clone(&catalog), algo.clone(), config, None);
     let query = &bed.queries[0].terms;
 
-    let mut group = c.benchmark_group("broker/posterior_cache");
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            engine.clear_cache();
-            let mut rng = db_rng(5, 0);
-            engine.route(black_box(query), &mut rng)
-        })
+    let mut group = c.benchmark_group("broker/uncertainty_test");
+    group.bench_function("table_build", |b| {
+        b.iter(|| SelectionEngine::new(std::sync::Arc::clone(&catalog), algo.clone(), config))
     });
-    // Warm the cache once, then measure pure cache-hit routing.
-    let mut rng = db_rng(5, 0);
-    engine.route(query, &mut rng);
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            let mut rng = db_rng(5, 0);
-            engine.route(black_box(query), &mut rng)
-        })
-    });
+    let tabulated = SelectionEngine::new(std::sync::Arc::clone(&catalog), algo.clone(), config);
+    for (name, engine) in [("from_grids", &from_grids), ("tabulated", &tabulated)] {
+        group.bench_function(name, |b| {
+            b.iter(|| engine.route(black_box(query), &mut db_rng(5, 0)))
+        });
+    }
     group.finish();
 }
 
@@ -414,6 +405,6 @@ criterion_group!(
     bench_topk_pruning,
     bench_catalog_build_vs_load,
     bench_refresh,
-    bench_posterior_cache
+    bench_uncertainty_test
 );
 criterion_main!(benches);

@@ -340,15 +340,30 @@ fn selection_figures(opts: &Options) {
                 if let Some(dir) = &opts.csv_dir {
                     write_figure_csv(dir, set, algo.name(), sampler_name, &ks, &series);
                 }
-                // Significance: shrinkage vs plain, pooled over all k.
-                let shr = &per_strategy["Shrinkage"];
-                let plain = &per_strategy["Plain"];
-                let pooled_s: Vec<f64> = shr.iter().flatten().copied().collect();
-                let pooled_p: Vec<f64> = plain.iter().flatten().copied().collect();
-                if pooled_s.len() == pooled_p.len() {
-                    if let Some(t) = paired_t_test(&pooled_s, &pooled_p) {
+                // Significance, pooled over all k: shrinkage vs plain, and
+                // the closed-form decision rule vs the Monte-Carlo rule it
+                // replaced (same scores, only the summary choice differs).
+                let sampled = run_selection(
+                    &bed,
+                    &profiled,
+                    *algo,
+                    Strategy::ShrinkageSampled,
+                    &ks,
+                    opts.seed + 7,
+                );
+                let pooled =
+                    |rk: &[Vec<f64>]| -> Vec<f64> { rk.iter().flatten().copied().collect() };
+                let pooled_s = pooled(&per_strategy["Shrinkage"]);
+                for (versus, other) in [
+                    ("plain", pooled(&per_strategy["Plain"])),
+                    ("Monte-Carlo rule", pooled(&sampled.per_query_rk)),
+                ] {
+                    if pooled_s.len() != other.len() {
+                        continue;
+                    }
+                    if let Some(t) = paired_t_test(&pooled_s, &other) {
                         println!(
-                            "{sampler_name}: shrinkage vs plain mean ΔRk = {:+.4}, t = {:.2}, p = {:.2e}",
+                            "{sampler_name}: shrinkage vs {versus} mean ΔRk = {:+.4}, t = {:.2}, p = {:.2e}",
                             t.mean_diff, t.t, t.p_value
                         );
                     }
@@ -457,20 +472,25 @@ fn table10(opts: &Options) {
                 "FPS"
             };
             for algo in AlgoKind::all() {
-                let run = run_selection(
-                    &bed,
-                    &profiled,
-                    algo,
-                    Strategy::Shrinkage,
-                    &[10],
-                    opts.seed + 13,
-                );
                 // (profiling above is shared across the three algorithms)
+                let [closed, sampled] = [Strategy::Shrinkage, Strategy::ShrinkageSampled]
+                    .map(|rule| run_selection(&bed, &profiled, algo, rule, &[10], opts.seed + 13));
+                // Paired over queries: does the closed form apply shrinkage
+                // at a different rate than the Monte-Carlo rule?
+                let paired =
+                    paired_t_test(&closed.per_query_shrinkage, &sampled.per_query_shrinkage)
+                        .map_or_else(
+                            || "identical".to_string(),
+                            |t| format!("{:+.2} pts, p = {:.2}", t.mean_diff * 100.0, t.p_value),
+                        );
                 rows.push(vec![
                     set.to_string(),
                     sampler_name.to_string(),
                     algo.name().to_string(),
-                    format!("{:.2}%", run.shrinkage_rate * 100.0),
+                    format!("{:.2}%", closed.shrinkage_rate * 100.0),
+                    format!("{:.2}%", sampled.shrinkage_rate * 100.0),
+                    paired,
+                    format!("{:.4} / {:.4}", closed.mean_rk[0], sampled.mean_rk[0]),
                 ]);
                 eprintln!("[table10] {set} {sampler_name} {} done", algo.name());
             }
@@ -478,7 +498,15 @@ fn table10(opts: &Options) {
     }
     print_table(
         "Table 10: query-database pairs for which shrinkage was applied",
-        &["Data Set", "Sampling", "Selection", "Shrinkage Application"],
+        &[
+            "Data Set",
+            "Sampling",
+            "Selection",
+            "Shrinkage Application",
+            "Monte-Carlo rule",
+            "Δ (paired t over queries)",
+            "R10 closed / MC",
+        ],
         &rows,
     );
 }
@@ -685,12 +713,7 @@ fn merging_comparison(opts: &Options) {
         // engine evaluates the whole batch in parallel.
         let names: Vec<String> = bed.databases.iter().map(|d| d.name.clone()).collect();
         let catalog = std::sync::Arc::new(profiled.catalog(&names));
-        let engine = SelectionEngine::new(
-            catalog,
-            algorithm,
-            AdaptiveConfig::default(),
-            broker::DEFAULT_CACHE_CAPACITY,
-        );
+        let engine = SelectionEngine::new(catalog, algorithm, AdaptiveConfig::default());
         let queries: Vec<Vec<u32>> = bed.queries.iter().map(|q| q.terms.clone()).collect();
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let outcomes = engine.route_batch(&queries, opts.seed + 99, threads);

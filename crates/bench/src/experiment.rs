@@ -8,7 +8,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use broker::{Catalog, CatalogEntry, SelectionEngine, DEFAULT_CACHE_CAPACITY};
+use broker::{Catalog, CatalogEntry, SelectionEngine};
 use corpus::TestBed;
 use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting};
 use dbselect_core::hierarchy::{CategoryId, Hierarchy};
@@ -20,8 +20,8 @@ use sampling::{
     RuleClassifier, RuleLearnerConfig, SamplerKind,
 };
 use selection::{
-    AdaptiveConfig, BGloss, Cori, HierarchicalSelector, Lm, RankedDatabase, SelectionAlgorithm,
-    ShrinkageMode,
+    AdaptiveConfig, BGloss, Cori, HierarchicalSelector, Lm, RankedDatabase, Sampled,
+    SelectionAlgorithm, ShrinkageMode,
 };
 use textindex::{Document, TermId};
 
@@ -278,6 +278,10 @@ pub enum Strategy {
     Hierarchical,
     /// Shrinkage applied to every (query, database) pair (ablation).
     Universal,
+    /// Adaptive shrinkage decided by the Monte-Carlo rule the closed form
+    /// replaced: the algorithm runs behind the form-hiding
+    /// [`selection::Sampled`] adapter. The reference column of Table 10.
+    ShrinkageSampled,
 }
 
 impl Strategy {
@@ -288,6 +292,7 @@ impl Strategy {
             Strategy::Shrinkage => "Shrinkage",
             Strategy::Hierarchical => "Hierarchical",
             Strategy::Universal => "Universal",
+            Strategy::ShrinkageSampled => "Shrinkage (Monte-Carlo)",
         }
     }
 }
@@ -299,8 +304,11 @@ pub struct SelectionRun {
     /// Per-query `R_k` values (outer: k, inner: query), for t-tests.
     pub per_query_rk: Vec<Vec<f64>>,
     /// Fraction of (query, database) pairs where shrinkage was applied
-    /// (meaningful for `Strategy::Shrinkage` only).
+    /// (zero for strategies that never choose).
     pub shrinkage_rate: f64,
+    /// The same fraction per query (empty for the hierarchical baseline),
+    /// for paired tests between decision rules.
+    pub per_query_shrinkage: Vec<f64>,
 }
 
 /// Run one (algorithm, strategy) condition over every query of the bed.
@@ -321,8 +329,7 @@ pub fn run_selection(
     let algorithm = algo_kind.build(profiled);
     let k_max = ks.iter().copied().max().unwrap_or(1);
 
-    let mut shrinkage_applied = 0usize;
-    let mut shrinkage_total = 0usize;
+    let mut per_query_shrinkage = Vec::new();
     let rankings: Vec<Vec<RankedDatabase>> = match strategy {
         Strategy::Hierarchical => {
             let hierarchical = HierarchicalSelector::new(
@@ -336,12 +343,19 @@ pub fn run_selection(
                 .map(|query| hierarchical.rank(algorithm.as_ref(), &query.terms, k_max))
                 .collect()
         }
-        Strategy::Plain | Strategy::Shrinkage | Strategy::Universal => {
+        Strategy::Plain
+        | Strategy::Shrinkage
+        | Strategy::Universal
+        | Strategy::ShrinkageSampled => {
             let mode = match strategy {
                 Strategy::Plain => ShrinkageMode::Never,
-                Strategy::Shrinkage => ShrinkageMode::Adaptive,
+                Strategy::Shrinkage | Strategy::ShrinkageSampled => ShrinkageMode::Adaptive,
                 Strategy::Universal => ShrinkageMode::Always,
                 Strategy::Hierarchical => unreachable!("handled above"),
+            };
+            let algorithm = match strategy {
+                Strategy::ShrinkageSampled => Arc::new(Sampled(Arc::clone(&algorithm))),
+                _ => Arc::clone(&algorithm),
             };
             let names: Vec<String> = bed.databases.iter().map(|d| d.name.clone()).collect();
             let catalog = Arc::new(profiled.catalog(&names));
@@ -349,22 +363,16 @@ pub fn run_selection(
                 mode,
                 ..Default::default()
             };
-            let engine = SelectionEngine::new(
-                catalog,
-                Arc::clone(&algorithm),
-                config,
-                DEFAULT_CACHE_CAPACITY,
-            );
+            let engine = SelectionEngine::new(catalog, Arc::clone(&algorithm), config);
             let queries: Vec<Vec<TermId>> = bed.queries.iter().map(|q| q.terms.clone()).collect();
             let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
             let outcomes = engine.route_batch(&queries, seed, threads);
             outcomes
                 .into_iter()
                 .map(|outcome| {
-                    if matches!(strategy, Strategy::Shrinkage | Strategy::Universal) {
-                        shrinkage_applied += outcome.used_shrinkage.iter().filter(|&&b| b).count();
-                        shrinkage_total += outcome.used_shrinkage.len();
-                    }
+                    let applied = outcome.used_shrinkage.iter().filter(|&&b| b).count();
+                    per_query_shrinkage
+                        .push(applied as f64 / outcome.used_shrinkage.len().max(1) as f64);
                     outcome.ranking
                 })
                 .collect()
@@ -391,15 +399,15 @@ pub fn run_selection(
             }
         })
         .collect();
-    let shrinkage_rate = if shrinkage_total > 0 {
-        shrinkage_applied as f64 / shrinkage_total as f64
-    } else {
-        0.0
-    };
+    // Every query faces the same databases, so the mean of the per-query
+    // fractions is the pooled fraction.
+    let shrinkage_rate =
+        per_query_shrinkage.iter().sum::<f64>() / per_query_shrinkage.len().max(1) as f64;
     SelectionRun {
         mean_rk,
         per_query_rk,
         shrinkage_rate,
+        per_query_shrinkage,
     }
 }
 

@@ -86,7 +86,6 @@ fn engine_is_bit_identical_to_adaptive_rank_for_all_algorithms_and_modes() {
                 std::sync::Arc::clone(&catalog),
                 std::sync::Arc::clone(&algorithm),
                 adaptive_config,
-                broker::DEFAULT_CACHE_CAPACITY,
             );
             for threads in [1, 8] {
                 let batched = engine.route_batch(&queries, seed, threads);

@@ -623,7 +623,10 @@ impl Catalog {
         }
         let mut order: Vec<usize> = (0..updates.len()).collect();
         order.sort_by_key(|&i| updates[i].db);
-        if order.windows(2).any(|w| updates[w[0]].db == updates[w[1]].db) {
+        if order
+            .windows(2)
+            .any(|w| updates[w[0]].db == updates[w[1]].db)
+        {
             return Err("duplicate database in update batch");
         }
         let names = self.names.clone();
@@ -631,7 +634,10 @@ impl Catalog {
         let mut shrunk = self.shrunk.clone();
         let mut gammas = self.gammas.clone();
         let touched: Vec<u32> = order.iter().map(|&i| updates[i].db as u32).collect();
-        let old: Vec<&FrozenSummary> = order.iter().map(|&i| &self.unshrunk[updates[i].db]).collect();
+        let old: Vec<&FrozenSummary> = order
+            .iter()
+            .map(|&i| &self.unshrunk[updates[i].db])
+            .collect();
         for u in updates {
             unshrunk[u.db] = u.unshrunk.clone();
             shrunk[u.db] = u.shrunk.clone();
@@ -679,7 +685,8 @@ impl Catalog {
     /// Reassemble a catalog from already-frozen columns — the snapshot
     /// load path. The caller (the v2 codec) has validated each summary and
     /// the posting index individually; this checks only cross-field
-    /// consistency.
+    /// consistency, including that no posting's `sample_df` (which keys the
+    /// uncertainty test's moment table) exceeds its database's sample size.
     pub fn from_raw_parts(
         names: Vec<String>,
         unshrunk: Vec<FrozenSummary>,
@@ -687,12 +694,23 @@ impl Catalog {
         gammas: Vec<f64>,
         mcw: f64,
         index: PostingIndex,
-    ) -> Result<Catalog, &'static str> {
+    ) -> Result<Catalog, String> {
         if unshrunk.len() != names.len()
             || shrunk.len() != names.len()
             || gammas.len() != names.len()
         {
-            return Err("catalog columns disagree on database count");
+            return Err("catalog columns disagree on database count".to_string());
+        }
+        for (&db, &sample_df) in index.dbs.iter().zip(&index.sample_df) {
+            let (name, summary) = names
+                .get(db as usize)
+                .zip(unshrunk.get(db as usize))
+                .ok_or("posting database index out of range")?;
+            if sample_df > summary.sample_size() {
+                return Err(format!(
+                    "database `{name}`: posting sample_df exceeds sample_size"
+                ));
+            }
         }
         let mut index = index;
         if !index.aux_ready() {
@@ -769,7 +787,9 @@ impl Catalog {
     /// The score-bound maxima of `term` ([`TermBound::absent`] when no
     /// database mentions it).
     pub fn term_bound(&self, term: TermId) -> TermBound {
-        self.index.get(term).map_or_else(TermBound::absent, |p| p.bound)
+        self.index
+            .get(term)
+            .map_or_else(TermBound::absent, |p| p.bound)
     }
 
     /// The CSR posting index.
@@ -1118,7 +1138,10 @@ mod tests {
                 i.max_p_tf().to_vec(),
             )
             .unwrap();
-        assert_eq!(&rebuilt, i, "installing the freeze-time aux restores equality");
+        assert_eq!(
+            &rebuilt, i,
+            "installing the freeze-time aux restores equality"
+        );
     }
 
     fn update_from(db: usize, e: &CatalogEntry) -> DbUpdate {
@@ -1159,7 +1182,10 @@ mod tests {
         refreshed_b.set_gamma(-1.8);
         let updates = vec![
             update_from(1, &entry("b", refreshed_b.clone())),
-            update_from(2, &entry("c", sampled_summary(250.0, 60, &[(1, 2), (7, 9)]))),
+            update_from(
+                2,
+                &entry("c", sampled_summary(250.0, 60, &[(1, 2), (7, 9)])),
+            ),
         ];
         let incremental = catalog.apply_updates(&updates).unwrap();
         let mut rebuilt_entries = base.clone();

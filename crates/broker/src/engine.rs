@@ -7,112 +7,52 @@
 //!
 //! * collection statistics (`m`, `mcw`, `cf`) come from the catalog instead
 //!   of per-query scans over every summary map;
-//! * word-posterior grids — which depend only on `(sample_df, |S|, |D̂|, γ)`,
-//!   never on the query — are memoized per (database, term) and shared
-//!   across queries and threads;
+//! * the Section-4 uncertainty test reads word-posterior moments — which
+//!   depend only on `(sample_df, |S|, |D̂|, γ)`, never on the query — from
+//!   an immutable [`MomentTable`], so the summary-choice phase is a scatter
+//!   from the posting slabs plus a few multiplies per (query word,
+//!   database): the same fold `adaptive_rank` applies to fresh grids;
 //! * databases whose unshrunk summary mentions no query word are skipped in
 //!   the scoring phase: their score provably equals the algorithm's default
 //!   score, which the ranker drops. (Databases routed to their shrunk
-//!   summary are always scored, and in `Adaptive` mode the uncertainty test
-//!   still runs for *every* database in order, so the Monte-Carlo RNG stream
-//!   is exactly the one the unbatched path consumes.)
+//!   summary are always scored.)
 //!
 //! The engine owns its catalog and algorithm behind `Arc`s, so a long-lived
 //! serving process (the `dbselectd` daemon) can share one engine across
 //! worker threads and atomically swap catalogs by replacing the engine.
 //!
-//! The posterior cache is lock-striped and *bounded*: each stripe holds at
-//! most `capacity / stripes` grids and evicts in insertion (FIFO) order.
-//! Eviction only costs a rebuild on the next lookup — grid construction is
-//! deterministic, so a re-built grid is bit-identical to the evicted one
-//! and rankings never depend on cache hits, misses, or evictions.
-//!
 //! Batches fan out over queries in contiguous per-worker chunks
-//! ([`sampling::scheduler::fan_out_chunks`]); each query's RNG is derived
-//! from `(base_seed, query_index)` via [`sampling::scheduler::db_rng`], so
-//! results are invariant to the thread count.
+//! ([`sampling::scheduler::fan_out_chunks`]). The `rng` parameters and
+//! per-query seeds remain for algorithms that declare no closed form
+//! (tested by Monte-Carlo sampling); bGlOSS, CORI and LM never draw.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dbselect_core::summary::SummaryView;
-use dbselect_core::uncertainty::WordPosterior;
 use rand::Rng;
 use sampling::scheduler::{db_rng, fan_out_chunks_with};
 use selection::{
-    rank_databases_with_context, score_is_uncertain_with_posteriors, AdaptiveConfig,
-    AdaptiveOutcome, CollectionContext, IndexedView, ProbabilitySpace, RankedDatabase,
-    SelectionAlgorithm, ShrinkageMode, TermBound, TopK,
+    closed_form_distribution, rank_databases_with_context, score_is_uncertain_for_sample,
+    shrinkage_decision, AdaptiveConfig, AdaptiveOutcome, CollectionContext, IndependentTerms,
+    IndexedView, ProbabilitySpace, RankedDatabase, SelectionAlgorithm, ShrinkageMode, TermBound,
+    TopK, WordTerm,
 };
 use textindex::TermId;
 
 use crate::catalog::Catalog;
-
-/// Lock-striping width of the posterior cache.
-const CACHE_SHARDS: usize = 16;
-
-/// Default total posterior-cache capacity (entries across all stripes).
-pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
-
-/// One lock stripe of the posterior cache: the grid map plus the key
-/// insertion order that drives FIFO eviction.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<(u32, TermId), Arc<WordPosterior>>,
-    order: VecDeque<(u32, TermId)>,
-}
-
-/// Posterior-cache counters (for diagnostics, benchmarks, and the
-/// `dbselectd` metrics endpoint).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Grid lookups served from the cache.
-    pub hits: u64,
-    /// Grid lookups that had to build a new posterior.
-    pub misses: u64,
-    /// Grids dropped to keep a stripe within its capacity.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.lookups();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Element-wise sum (for aggregating across engines).
-    pub fn merged(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-        }
-    }
-}
+use crate::moments::MomentTable;
 
 /// Reusable per-worker buffers for [`SelectionEngine::route_with_scratch`].
 ///
-/// Routing a query needs a candidate mask and, in `Adaptive` mode, a
-/// per-word posterior list per database; allocating those fresh per query
-/// dominates the allocator traffic of a batch. A scratch never influences
-/// results — every buffer is cleared and refilled before use — it only
-/// recycles capacity.
+/// Routing a query needs a candidate mask and the top-k path's row
+/// matrices; allocating those fresh per query dominates the allocator
+/// traffic of a batch. A scratch
+/// never influences results — every buffer is cleared and refilled before
+/// use — it only recycles capacity.
 #[derive(Default)]
 pub struct RouteScratch {
     candidates: Vec<bool>,
-    posteriors: Vec<Arc<WordPosterior>>,
     // Buffers of the pruned top-k path (`score_partition_topk`): the
     // db→row map, per-row metadata, the row-major probability matrix,
     // presence masks, and the compacted survivor rows.
@@ -134,40 +74,45 @@ pub struct SelectionEngine {
     catalog: Arc<Catalog>,
     algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>,
     config: AdaptiveConfig,
-    shards: Vec<Mutex<Shard>>,
-    /// Per-stripe entry cap (`usize::MAX` = unbounded).
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Tabulated posterior moments of `algorithm` over `catalog`.
+    moments: Option<Arc<MomentTable>>,
 }
 
 impl SelectionEngine {
-    /// Build an engine for `algorithm` under `config` over `catalog`.
-    ///
-    /// `cache_capacity` bounds the posterior cache (total entries across
-    /// all stripes; `0` means unbounded). Bounding never changes rankings —
-    /// an evicted grid is rebuilt bit-identically on the next lookup.
+    /// Build an engine for `algorithm` under `config` over `catalog`. An
+    /// `Adaptive` engine of a closed-form algorithm tabulates its posterior
+    /// moments here, once (≈ 0.16 ms per database); to share a table
+    /// between engines, use [`with_table`](Self::with_table).
     pub fn new(
         catalog: Arc<Catalog>,
         algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>,
         config: AdaptiveConfig,
-        cache_capacity: usize,
     ) -> Self {
-        let shard_capacity = if cache_capacity == 0 {
-            usize::MAX
-        } else {
-            cache_capacity.div_ceil(CACHE_SHARDS).max(1)
+        let form = match config.mode {
+            ShrinkageMode::Adaptive => algorithm.independent_terms(),
+            _ => None,
         };
+        let grid_points = config.uncertainty.grid_points;
+        let table =
+            form.map(|f| Arc::new(MomentTable::build(&catalog, &[f], grid_points).remove(0)));
+        SelectionEngine::with_table(catalog, algorithm, config, table)
+    }
+
+    /// [`new`](Self::new) with the moment table supplied ([`MomentTable::build`]
+    /// for this catalog, algorithm and grid resolution) or withheld. A table
+    /// changes no decision — a row is the fold of the very grid the
+    /// untabulated path builds — only its cost.
+    pub fn with_table(
+        catalog: Arc<Catalog>,
+        algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>,
+        config: AdaptiveConfig,
+        moments: Option<Arc<MomentTable>>,
+    ) -> Self {
         SelectionEngine {
             catalog,
             algorithm,
             config,
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            moments,
         }
     }
 
@@ -186,67 +131,6 @@ impl SelectionEngine {
     /// The engine's adaptive-selection configuration.
     pub fn config(&self) -> &AdaptiveConfig {
         &self.config
-    }
-
-    /// Posterior-cache counters since construction (or the last
-    /// [`clear_cache`](Self::clear_cache)).
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop all memoized posteriors and reset the counters.
-    pub fn clear_cache(&self) {
-        for shard in &self.shards {
-            let mut guard = shard.lock().expect("posterior cache poisoned");
-            guard.map.clear();
-            guard.order.clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// The memoized word posterior of `(db, term)`. Grid construction is
-    /// deterministic, so a cached grid is bit-identical to a fresh one and
-    /// concurrent builders of the same key agree on the value.
-    fn posterior(&self, db: u32, term: TermId) -> Arc<WordPosterior> {
-        let key = (db, term);
-        let shard = &self.shards[(db as usize ^ term as usize) % CACHE_SHARDS];
-        if let Some(p) = shard
-            .lock()
-            .expect("posterior cache poisoned")
-            .map
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let summary = self.catalog.unshrunk(db as usize);
-        let posterior = Arc::new(WordPosterior::new(
-            summary.sample_df(term),
-            summary.sample_size(),
-            summary.db_size(),
-            self.catalog.gamma(db as usize),
-            self.config.uncertainty.grid_points,
-        ));
-        let mut guard = shard.lock().expect("posterior cache poisoned");
-        if guard.map.contains_key(&key) {
-            // A concurrent builder inserted the same (deterministic) grid.
-            return Arc::clone(&guard.map[&key]);
-        }
-        while guard.map.len() >= self.shard_capacity {
-            let oldest = guard.order.pop_front().expect("order tracks map");
-            guard.map.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        guard.order.push_back(key);
-        guard.map.insert(key, Arc::clone(&posterior));
-        posterior
     }
 
     /// Rank databases for one query. Bit-identical to
@@ -275,16 +159,16 @@ impl SelectionEngine {
     }
 
     /// The Content Summary Selection phase alone: decide, per database,
-    /// whether scoring uses the shrunk summary. In `Adaptive` mode every
-    /// database is tested *in catalog order against one shared `rng`* — the
-    /// Monte-Carlo stream is inherently sequential, which is why the shard
-    /// scatter-gather ([`crate::shard::ShardedEngine`]) runs this phase on
-    /// the full catalog and only scatters the scoring phase.
+    /// whether scoring uses the shrunk summary, against the *full* catalog's
+    /// unshrunk context (which is why [`crate::shard::ShardedEngine`] runs
+    /// this phase on the full engine and scatters only scoring). `rng` is
+    /// drawn from only for algorithms without [`IndependentTerms`]; the
+    /// scratch parameter is vestigial (this phase needs no buffers now).
     pub fn choose_summaries<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         rng: &mut R,
-        scratch: &mut RouteScratch,
+        _scratch: &mut RouteScratch,
     ) -> Vec<bool> {
         let n = self.catalog.len();
 
@@ -296,29 +180,82 @@ impl SelectionEngine {
             ShrinkageMode::Adaptive if query.is_empty() => vec![false; n],
             ShrinkageMode::Adaptive => {
                 let ctx = self.catalog.unshrunk_context(query);
-                // Every database is tested, in order, sharing `rng`: the
-                // Monte-Carlo draws must follow the exact stream of the
-                // unbatched path. The saving here is the posterior cache,
-                // not candidate pruning.
-                (0..n)
-                    .map(|db| {
-                        scratch.posteriors.clear();
-                        scratch
-                            .posteriors
-                            .extend(query.iter().map(|&w| self.posterior(db as u32, w)));
-                        score_is_uncertain_with_posteriors(
-                            self.algorithm.as_ref(),
-                            query,
-                            self.catalog.unshrunk(db),
-                            &scratch.posteriors,
-                            &ctx,
-                            &self.config,
-                            rng,
-                        )
-                    })
-                    .collect()
+                match (self.algorithm.independent_terms(), &self.moments) {
+                    // The tabulated path reads zeros for unsampled words and
+                    // the `p_tf` slab: both are `kernel_ready` guarantees.
+                    (Some(form), Some(table)) if self.catalog.kernel_ready() => {
+                        self.choose_tabulated(query, &ctx, form, table)
+                    }
+                    _ => self.choose_from_grids(query, &ctx, rng),
+                }
             }
         }
+    }
+
+    /// The closed form over tabulated moments, database at a time: each
+    /// query word walks its posting list (ascending by database) beside
+    /// the catalog, so a word is either at its cursor — sampled, with the
+    /// posting's `sample_df` and probabilities — or was never sampled.
+    fn choose_tabulated(
+        &self,
+        query: &[TermId],
+        ctx: &CollectionContext,
+        form: &dyn IndependentTerms,
+        table: &MomentTable,
+    ) -> Vec<bool> {
+        let word = |k| {
+            (
+                form.query_term(query, k, ctx),
+                self.catalog.postings(query[k]),
+                0,
+            )
+        };
+        let mut words: Vec<_> = (0..query.len()).map(word).collect();
+        (0..self.catalog.len())
+            .map(|db| {
+                let unsampled = table.moments(db, 0);
+                let terms = words.iter_mut().map(|(query_term, postings, cursor)| {
+                    let (query_term, j) = (*query_term, *cursor);
+                    let (moments, p_df, p_tf) = match postings {
+                        Some(p) if p.dbs.get(j) == Some(&(db as u32)) => {
+                            *cursor += 1;
+                            (table.moments(db, p.sample_df[j]), p.p_df[j], p.p_tf[j])
+                        }
+                        _ => (unsampled, 0.0, 0.0),
+                    };
+                    WordTerm {
+                        query_term,
+                        moments,
+                        p_df,
+                        p_tf,
+                    }
+                });
+                let evidence = closed_form_distribution(form, self.catalog.unshrunk(db), terms);
+                shrinkage_decision(self.algorithm.as_ref(), &evidence, query.len())
+            })
+            .collect()
+    }
+
+    /// The untabulated path: the library test on fresh grids — Monte-Carlo
+    /// for algorithms without a closed form, every database in catalog
+    /// order against the one `rng` (the stream `adaptive_rank` consumes).
+    fn choose_from_grids<R: Rng + ?Sized>(
+        &self,
+        query: &[TermId],
+        ctx: &CollectionContext,
+        rng: &mut R,
+    ) -> Vec<bool> {
+        let (algorithm, config) = (self.algorithm.as_ref(), &self.config);
+        (0..self.catalog.len())
+            .map(|db| {
+                let s = self.catalog.unshrunk(db);
+                let sample = (s.sample_size(), self.catalog.gamma(db));
+                let sample_df = |w| s.sample_df(w);
+                score_is_uncertain_for_sample(
+                    algorithm, query, s, sample, sample_df, ctx, config, rng,
+                )
+            })
+            .collect()
     }
 
     /// The Scoring + Ranking phase alone, over posting-list candidates,
@@ -380,29 +317,17 @@ impl SelectionEngine {
     /// provably invisible: bounds dominate realized scores, and a database
     /// strictly below the k-th score can never enter the top k.
     ///
-    /// `Adaptive` mode is *never* pruned out of its Monte-Carlo stream: the
-    /// summary-choice phase runs unchanged (same RNG draws as the full
-    /// path); only the deterministic scoring phase prunes, and databases
-    /// routed to their shrunk summary are batch-scored without pruning
-    /// (shrinkage gives every word non-zero probability, so posting-slab
-    /// bounds do not cover them).
+    /// The summary-choice phase is the full path's, unpruned; only the
+    /// scoring phase prunes, and databases routed to their shrunk summary
+    /// are batch-scored without pruning (shrinkage gives every word
+    /// non-zero probability, so posting-slab bounds do not cover them).
     pub fn route_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        self.route_topk_with_scratch(query, k, rng, &mut RouteScratch::default())
-    }
-
-    /// [`route_topk`](Self::route_topk) with caller-provided scratch.
-    pub fn route_topk_with_scratch<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        k: usize,
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> AdaptiveOutcome {
+        let scratch = &mut RouteScratch::default();
         let used_shrinkage = self.choose_summaries(query, rng, scratch);
         let ctx = self.catalog.scoring_context(query, &used_shrinkage);
         let ranking = self.score_partition_topk(query, k, &ctx, &used_shrinkage, None, scratch);
@@ -464,8 +389,8 @@ impl SelectionEngine {
         scratch.row_sizes.clear();
         scratch.row_wcs.clear();
         scratch.matrix.clear();
-        for db in 0..n {
-            if !used_shrinkage[db] {
+        for (db, &shrunk) in used_shrinkage.iter().enumerate() {
+            if !shrunk {
                 continue;
             }
             let s = self.catalog.shrunk(db);
@@ -506,8 +431,8 @@ impl SelectionEngine {
         scratch.row_dbs.clear();
         scratch.row_sizes.clear();
         scratch.row_wcs.clear();
-        for db in 0..n {
-            if used_shrinkage[db] || !scratch.candidates[db] {
+        for (db, &shrunk) in used_shrinkage.iter().enumerate() {
+            if shrunk || !scratch.candidates[db] {
                 continue;
             }
             let s = self.catalog.unshrunk(db);
@@ -599,8 +524,9 @@ impl SelectionEngine {
     }
 
     /// Route a batch of queries over `threads` worker threads. Query `i`
-    /// draws from `db_rng(base_seed, i)`, so the output is independent of
-    /// `threads` and of how queries are distributed over workers. Workers
+    /// is handed `db_rng(base_seed, i)` (drawn from only by algorithms
+    /// without a closed form), so the output is independent of `threads`
+    /// and of how queries are distributed over workers. Workers
     /// take contiguous chunks of the batch (one dispatch per worker, not
     /// per query), which keeps scheduling overhead off the per-query path.
     pub fn route_batch(
@@ -647,7 +573,8 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use selection::{adaptive_rank, BGloss, Cori, Lm, SummaryPair};
+    use selection::{adaptive_rank, BGloss, Cori, Lm, Sampled, SummaryPair};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn bgloss() -> Arc<dyn SelectionAlgorithm + Send + Sync> {
         Arc::new(BGloss)
@@ -695,10 +622,13 @@ mod tests {
             .collect();
         let catalog = Arc::new(Catalog::build(entries.clone()));
         let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
-        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+        // The three served algorithms, plus one without a closed form: the
+        // engine must then consume `adaptive_rank`'s Monte-Carlo stream.
+        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 4] = [
             Arc::new(BGloss),
             Arc::new(Cori::default()),
             Arc::new(Lm::new(0.5, &global)),
+            Arc::new(Sampled(Arc::new(Cori::default()))),
         ];
         for algorithm in algorithms {
             for mode in [
@@ -710,11 +640,13 @@ mod tests {
                     mode,
                     ..Default::default()
                 };
-                let engine = SelectionEngine::new(
+                let tabulated =
+                    SelectionEngine::new(Arc::clone(&catalog), Arc::clone(&algorithm), config);
+                let untabulated = SelectionEngine::with_table(
                     Arc::clone(&catalog),
                     Arc::clone(&algorithm),
                     config,
-                    DEFAULT_CACHE_CAPACITY,
+                    None,
                 );
                 for (qi, query) in queries().iter().enumerate() {
                     let reference = adaptive_rank(
@@ -724,69 +656,113 @@ mod tests {
                         &config,
                         &mut db_rng(7, qi),
                     );
-                    let routed = engine.route(query, &mut db_rng(7, qi));
-                    assert_same_outcome(&reference, &routed);
+                    for engine in [&untabulated, &tabulated] {
+                        let routed = engine.route(query, &mut db_rng(7, qi));
+                        assert_same_outcome(&reference, &routed);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Satellite (d): the served algorithms decide without drawing — an RNG
+    /// handed to the engine comes back in its initial state.
+    #[test]
+    fn served_algorithms_leave_the_rng_untouched() {
+        let catalog = Arc::new(Catalog::build(entries()));
+        let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
+        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+            Arc::new(BGloss),
+            Arc::new(Cori::default()),
+            Arc::new(Lm::new(0.5, &global)),
+        ];
+        for algorithm in algorithms {
+            for tabulate in [false, true] {
+                let (catalog, config) = (Arc::clone(&catalog), AdaptiveConfig::default());
+                let engine = match tabulate {
+                    true => SelectionEngine::new(catalog, Arc::clone(&algorithm), config),
+                    false => {
+                        SelectionEngine::with_table(catalog, Arc::clone(&algorithm), config, None)
+                    }
+                };
+                let mut rng = StdRng::seed_from_u64(5);
+                for query in queries() {
+                    engine.route_topk(&query, 2, &mut rng);
+                    engine.choose_summaries(&query, &mut rng, &mut RouteScratch::default());
+                }
+                assert_eq!(rng, StdRng::seed_from_u64(5), "{}", algorithm.name());
+            }
+        }
+    }
+
+    /// Satellite: degenerate catalogs route to defined answers through the
+    /// tabulated path — identical to `adaptive_rank`, never a panic, and
+    /// non-finite statistics keep `Ŝ(D)`.
+    #[test]
+    fn degenerate_catalogs_route_like_adaptive_rank() {
+        let mut nan_gamma = sampled_summary(700.0, 40, &[(1, 4)]);
+        nan_gamma.set_gamma(f64::NAN);
+        let entries = vec![
+            entry("unsampled", sampled_summary(900.0, 0, &[])),
+            entry("no-documents", sampled_summary(0.0, 0, &[])),
+            entry("one-document", sampled_summary(1.0, 1, &[(1, 1)])),
+            entry("nan-size", sampled_summary(f64::NAN, 30, &[(1, 3), (2, 9)])),
+            entry(
+                "infinite-size",
+                sampled_summary(f64::INFINITY, 30, &[(2, 3)]),
+            ),
+            entry("nan-gamma", nan_gamma),
+            entry(
+                "ordinary",
+                sampled_summary(4_000.0, 100, &[(1, 30), (2, 1)]),
+            ),
+        ];
+        let global = sampled_summary(9_000.0, 300, &[(1, 30), (2, 20)]);
+        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+            Arc::new(BGloss),
+            Arc::new(Cori::default()),
+            Arc::new(Lm::new(0.5, &global)),
+        ];
+        // Known, unknown-to-every-database, duplicated and empty queries.
+        let queries: [&[TermId]; 5] = [&[1, 2], &[77, 78], &[1, 1, 2], &[], &[2]];
+        for catalog_entries in [entries, Vec::new()] {
+            let pairs: Vec<SummaryPair<'_>> = catalog_entries
+                .iter()
+                .map(|e| SummaryPair {
+                    unshrunk: &e.unshrunk,
+                    shrunk: &e.shrunk,
+                })
+                .collect();
+            let catalog = Arc::new(Catalog::build(catalog_entries.clone()));
+            for algorithm in &algorithms {
+                let config = AdaptiveConfig::default();
+                let engine =
+                    SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
+                for query in queries {
+                    let mut rng = StdRng::seed_from_u64(3);
+                    let routed =
+                        engine.choose_summaries(query, &mut rng, &mut RouteScratch::default());
+                    let reference =
+                        adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut rng);
+                    assert_eq!(
+                        routed,
+                        reference.used_shrinkage,
+                        "{} {query:?}",
+                        algorithm.name()
+                    );
+                    // NaN sizes poison every moment: those databases keep Ŝ(D).
+                    if let Some(&nan_size) = routed.get(3) {
+                        assert!(!nan_size, "{} {query:?}", algorithm.name());
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn cached_posteriors_do_not_change_decisions() {
-        let catalog = Arc::new(Catalog::build(entries()));
-        let engine = SelectionEngine::new(
-            catalog,
-            bgloss(),
-            AdaptiveConfig::default(),
-            DEFAULT_CACHE_CAPACITY,
-        );
-        let query = vec![1, 2, 42];
-        let cold = engine.route(&query, &mut StdRng::seed_from_u64(5));
-        let stats = engine.cache_stats();
-        assert!(stats.misses > 0);
-        let warm = engine.route(&query, &mut StdRng::seed_from_u64(5));
-        assert_same_outcome(&cold, &warm);
-        let after = engine.cache_stats();
-        assert_eq!(after.misses, stats.misses, "second pass is fully cached");
-        assert!(after.hits > stats.hits);
-        assert!(after.hit_rate() > 0.0);
-        engine.clear_cache();
-        assert_eq!(engine.cache_stats(), CacheStats::default());
-        let refilled = engine.route(&query, &mut StdRng::seed_from_u64(5));
-        assert_same_outcome(&cold, &refilled);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_without_changing_rankings() {
-        let catalog = Arc::new(Catalog::build(entries()));
-        let unbounded =
-            SelectionEngine::new(Arc::clone(&catalog), bgloss(), AdaptiveConfig::default(), 0);
-        // Tiny capacity: one entry per stripe, so multi-term queries over
-        // four databases must evict constantly.
-        let tiny = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default(), 1);
-        for (qi, query) in queries().iter().enumerate() {
-            let a = unbounded.route(query, &mut db_rng(3, qi));
-            let b = tiny.route(query, &mut db_rng(3, qi));
-            assert_same_outcome(&a, &b);
-        }
-        let stats = tiny.cache_stats();
-        assert!(stats.evictions > 0, "tiny cache must evict: {stats:?}");
-        assert_eq!(unbounded.cache_stats().evictions, 0);
-        // Capacity is enforced: no stripe ever exceeds its cap, so the
-        // resident entry count stays within the configured total.
-        let resident = stats.misses - stats.evictions;
-        assert!(resident <= CACHE_SHARDS as u64);
-    }
-
-    #[test]
     fn batch_results_match_sequential_routing() {
         let catalog = Arc::new(Catalog::build(entries()));
-        let engine = SelectionEngine::new(
-            catalog,
-            bgloss(),
-            AdaptiveConfig::default(),
-            DEFAULT_CACHE_CAPACITY,
-        );
+        let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
         let queries = queries();
         let batched = engine.route_batch(&queries, 99, 4);
         assert_eq!(batched.len(), queries.len());
@@ -799,26 +775,20 @@ mod tests {
     #[test]
     fn batch_observer_sees_every_query() {
         let catalog = Arc::new(Catalog::build(entries()));
-        let engine = SelectionEngine::new(
-            catalog,
-            bgloss(),
-            AdaptiveConfig::default(),
-            DEFAULT_CACHE_CAPACITY,
-        );
+        let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
         let queries = queries();
-        let seen = Mutex::new(vec![false; queries.len()]);
+        let seen: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
         engine.route_batch_observed(&queries, 1, 3, |qi, _elapsed| {
-            seen.lock().unwrap()[qi] = true;
+            seen[qi].store(true, Ordering::Relaxed);
         });
-        assert!(seen.into_inner().unwrap().iter().all(|&s| s));
+        assert!(seen.iter().all(|s| s.load(Ordering::Relaxed)));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Satellite invariant: the engine's batched output is independent
-        /// of the worker-thread count, including the Monte-Carlo draws of
-        /// the Adaptive uncertainty test.
+        /// of the worker-thread count.
         #[test]
         fn thread_count_never_changes_engine_output(
             base_seed in 0u64..1_000_000,
@@ -838,12 +808,7 @@ mod tests {
                 })
                 .collect();
             let catalog = Arc::new(Catalog::build(entries));
-            let engine = SelectionEngine::new(
-                catalog,
-                bgloss(),
-                AdaptiveConfig::default(),
-                DEFAULT_CACHE_CAPACITY,
-            );
+            let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
             let queries: Vec<Vec<TermId>> =
                 vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![4, 4, 2]];
             let single = engine.route_batch(&queries, base_seed, 1);
@@ -861,9 +826,7 @@ mod tests {
 
         /// Tentpole guardrail: `route_topk` is **bit-identical** to
         /// truncating the full ranking, for every algorithm × shrinkage
-        /// mode × k (including k > n), on random catalogs. Adaptive mode
-        /// must consume the exact same Monte-Carlo RNG stream on both
-        /// paths, which `used_shrinkage` equality witnesses.
+        /// mode × k (including k > n), on random catalogs.
         #[test]
         fn route_topk_matches_truncated_full_ranking(
             seed in 0u64..1_000_000,
@@ -903,12 +866,7 @@ mod tests {
                     ShrinkageMode::Never,
                 ] {
                     let config = AdaptiveConfig { mode, ..Default::default() };
-                    let engine = SelectionEngine::new(
-                        Arc::clone(&catalog),
-                        Arc::clone(algorithm),
-                        config,
-                        DEFAULT_CACHE_CAPACITY,
-                    );
+                    let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
                     for (qi, query) in queries.iter().enumerate() {
                         let full = engine.route(query, &mut db_rng(seed, qi));
                         prop_assert!(

@@ -6,8 +6,8 @@
 //! — per-database summary pairs plus a summary-level inverted index — and
 //! serves query batches through a [`SelectionEngine`] that reproduces
 //! [`selection::adaptive_rank`] bit for bit at a fraction of the per-query
-//! cost (posting-list candidate generation, memoized word-posterior grids,
-//! catalog-constant collection statistics).
+//! cost (posting-list candidate generation, tabulated word-posterior
+//! moments, catalog-constant collection statistics).
 //!
 //! The split mirrors the paper's deployment story: summaries are updated
 //! rarely (Section 6's testbeds are profiled once), while queries arrive
@@ -15,11 +15,13 @@
 
 pub mod catalog;
 pub mod engine;
+pub mod moments;
 pub mod shard;
 
 #[cfg(test)]
 pub(crate) mod test_support;
 
 pub use catalog::{Catalog, CatalogEntry, DbUpdate, PostingIndex, Postings};
-pub use engine::{CacheStats, RouteScratch, SelectionEngine, DEFAULT_CACHE_CAPACITY};
+pub use engine::{RouteScratch, SelectionEngine};
+pub use moments::MomentTable;
 pub use shard::{Partitioning, ShardPlan, ShardSet, ShardedEngine};

@@ -15,11 +15,13 @@
 //!    the full catalog and hands the same `CollectionContext` to every
 //!    shard scorer; sub-catalogs even carry the global `mcw` constant so
 //!    no path can accidentally reach a shard-local mean.
-//! 2. **The adaptive RNG stream.** `ShrinkageMode::Adaptive` runs the
-//!    Section-4 uncertainty test for every database *in catalog order
-//!    against one shared RNG* — a sequential stream by construction. The
-//!    scatter therefore covers only the scoring phase; summary choice runs
-//!    on the full engine first, exactly as the unsharded path would.
+//! 2. **The summary choice.** `ShrinkageMode::Adaptive` tests every
+//!    database against the *full* catalog's unshrunk context (and, for
+//!    algorithms without a closed form, in catalog order against one
+//!    shared RNG). The scatter therefore covers only the scoring phase;
+//!    summary choice runs on the full engine first, exactly as the
+//!    unsharded path would. (Shard-local choice for closed-form
+//!    algorithms is a follow-up.)
 //!
 //! With those pinned, each shard's ranking is sorted by
 //! [`selection::ranking_order`] over globally-indexed databases, shards
@@ -38,7 +40,7 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use sampling::scheduler::{db_rng, fan_out, fan_out_chunks_with};
+use sampling::scheduler::fan_out;
 use selection::merge::merge_rankings;
 use selection::{AdaptiveOutcome, CollectionContext, RankedDatabase};
 use textindex::TermId;
@@ -200,12 +202,11 @@ impl ShardSet {
                     .collect();
                 let gammas = dbs.iter().map(|&g| catalog.gamma(g as usize)).collect();
                 let index = PostingIndex::build(&unshrunk);
-                let sub =
-                    Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, catalog.mcw(), index)
-                        .expect("shard columns are aligned by construction");
-                Arc::new(sub)
+                Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, catalog.mcw(), index)
+                    .map(Arc::new)
+                    .map_err(|_| "shard columns failed catalog validation")
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(ShardSet {
             plan,
             members,
@@ -243,8 +244,7 @@ pub struct ShardedEngine {
     full: Arc<SelectionEngine>,
     set: Arc<ShardSet>,
     /// One scorer per shard, sharing the full engine's algorithm `Arc` and
-    /// config. Their posterior caches stay cold — the uncertainty test
-    /// (the only posterior consumer) runs on `full`.
+    /// config. The uncertainty test runs on `full`.
     scorers: Vec<SelectionEngine>,
     /// Worker threads for the per-query scatter (clamped to shard count).
     threads: usize,
@@ -255,13 +255,9 @@ impl ShardedEngine {
     pub fn new(full: Arc<SelectionEngine>, set: Arc<ShardSet>, threads: usize) -> ShardedEngine {
         let scorers = (0..set.shard_count())
             .map(|s| {
-                SelectionEngine::new(
-                    Arc::clone(set.catalog_of(s)),
-                    full.algorithm(),
-                    *full.config(),
-                    // Scorers never touch posteriors; keep their caches tiny.
-                    1,
-                )
+                // Scorers never choose summaries: no moment table.
+                let (catalog, config) = (Arc::clone(set.catalog_of(s)), *full.config());
+                SelectionEngine::with_table(catalog, full.algorithm(), config, None)
             })
             .collect();
         let threads = threads.clamp(1, set.shard_count().max(1));
@@ -273,49 +269,13 @@ impl ShardedEngine {
         }
     }
 
-    /// The monolithic engine this scatter-gather wraps.
-    pub fn inner(&self) -> &SelectionEngine {
-        &self.full
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.scorers.len()
     }
 
-    /// Rank databases for one query; bit-identical to
-    /// [`SelectionEngine::route`] on the full catalog.
-    pub fn route<R: Rng + ?Sized>(&self, query: &[TermId], rng: &mut R) -> AdaptiveOutcome {
-        self.route_with_scratch(query, rng, &mut RouteScratch::default())
-    }
-
-    /// [`route`](Self::route) with reusable scratch (used by the full
-    /// engine's choose phase; shard scorers carry worker-local scratch).
-    pub fn route_with_scratch<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> AdaptiveOutcome {
-        let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
-        let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
-        let per_shard = fan_out(self.scorers.len(), self.threads, |s| {
-            self.score_shard(
-                s,
-                query,
-                &ctx,
-                &used_shrinkage,
-                &mut RouteScratch::default(),
-            )
-        });
-        AdaptiveOutcome {
-            ranking: merge_rankings(&per_shard),
-            used_shrinkage,
-        }
-    }
-
-    /// Rank only the top `k` databases; bit-identical to truncating
-    /// [`route`](Self::route)'s merged ranking to `k` entries.
+    /// Rank the top `k` databases (`usize::MAX` for the full ranking);
+    /// bit-identical to [`SelectionEngine::route_topk`] on the full catalog.
     ///
     /// Each shard computes its *local* top `k` through the pruned kernel
     /// path ([`SelectionEngine::score_partition_topk`]), the partial lists
@@ -331,18 +291,7 @@ impl ShardedEngine {
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        self.route_topk_with_scratch(query, k, rng, &mut RouteScratch::default())
-    }
-
-    /// [`route_topk`](Self::route_topk) with caller-provided scratch for
-    /// the choose phase.
-    pub fn route_topk_with_scratch<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        k: usize,
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> AdaptiveOutcome {
+        let scratch = &mut RouteScratch::default();
         let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
         let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
         let per_shard = fan_out(self.scorers.len(), self.threads, |s| {
@@ -364,9 +313,9 @@ impl ShardedEngine {
     }
 
     /// [`route_topk`](Self::route_topk) with the shard scatter run
-    /// sequentially on the calling thread — the top-k counterpart of
-    /// [`route_sequential`](Self::route_sequential), used by the batch
-    /// handler's per-query workers.
+    /// sequentially on the calling thread — for callers that already
+    /// parallelize across queries (the batch handler's per-query workers)
+    /// and must not nest a per-query scatter inside their own fan-out.
     pub fn route_sequential_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
@@ -387,64 +336,22 @@ impl ShardedEngine {
         }
     }
 
-    /// [`route`](Self::route), but scoring every shard sequentially on
-    /// the calling thread — for callers that already parallelize across
-    /// queries and must not nest a per-query scatter inside their own
-    /// fan-out. Bit-identical to [`route`](Self::route).
-    pub fn route_sequential<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        rng: &mut R,
-        scratch: &mut RouteScratch,
-    ) -> AdaptiveOutcome {
-        let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
-        let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
-        let per_shard: Vec<Vec<RankedDatabase>> = (0..self.scorers.len())
-            .map(|s| self.score_shard(s, query, &ctx, &used_shrinkage, scratch))
-            .collect();
-        AdaptiveOutcome {
-            ranking: merge_rankings(&per_shard),
-            used_shrinkage,
-        }
-    }
-
-    /// Score **one** shard, reporting global database indices — the
-    /// backend half of a *federated* deployment, where each shard lives
-    /// behind a remote daemon and a proxy gathers the partial rankings.
+    /// Score **one** shard to its local top `k`, reporting global database
+    /// indices — the backend half of a *federated* deployment, where each
+    /// shard lives behind a remote daemon and a proxy gathers the partial
+    /// rankings (`k = usize::MAX` for the full partial ranking).
     ///
-    /// Every backend holds the full catalog and runs the identical
-    /// sequential choose phase (same RNG stream for the same seed) plus
-    /// the global collection context, then scores only `shard`'s members.
-    /// Collecting `route_shard` over all shards and merging through
-    /// [`merge_rankings`] is therefore bit-identical to
-    /// [`route`](Self::route) — the same argument as the in-process
-    /// scatter, just with the scatter on the other side of a socket.
+    /// Every backend holds the full catalog and runs the identical choose
+    /// phase plus the global collection context, then scores only
+    /// `shard`'s members through the pruned kernel path. Merging every
+    /// shard's partial list through [`merge_rankings`] and truncating to
+    /// `k` is therefore bit-identical to [`route_topk`](Self::route_topk)
+    /// — the same argument as the in-process scatter, just with the
+    /// scatter on the other side of a socket.
     ///
     /// The returned outcome's `ranking` holds only `shard`'s databases
     /// (sorted by `ranking_order`, global indices); `used_shrinkage`
     /// still covers the full catalog.
-    pub fn route_shard<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        rng: &mut R,
-        shard: usize,
-        scratch: &mut RouteScratch,
-    ) -> AdaptiveOutcome {
-        let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
-        let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
-        let ranking = self.score_shard(shard, query, &ctx, &used_shrinkage, scratch);
-        AdaptiveOutcome {
-            ranking,
-            used_shrinkage,
-        }
-    }
-
-    /// [`route_shard`](Self::route_shard) truncated to the shard-local top
-    /// `k` through the pruned kernel path — what a federated backend
-    /// returns when the proxy forwards a `"k"` request field. Merging all
-    /// shards' partial lists and truncating to `k` reproduces the
-    /// monolithic top `k` bit for bit (see
-    /// [`route_topk`](Self::route_topk)).
     pub fn route_shard_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
@@ -460,47 +367,6 @@ impl ShardedEngine {
             ranking,
             used_shrinkage,
         }
-    }
-
-    /// Route a batch over `threads` workers, parallel across *queries*
-    /// (shards score sequentially inside each query — the scatter and the
-    /// batch fan-out would otherwise fight for the same cores). Query `i`
-    /// draws from `db_rng(base_seed, i)`; results are independent of the
-    /// thread count and bit-identical to
-    /// [`SelectionEngine::route_batch`].
-    pub fn route_batch(
-        &self,
-        queries: &[Vec<TermId>],
-        base_seed: u64,
-        threads: usize,
-    ) -> Vec<AdaptiveOutcome> {
-        fan_out_chunks_with(
-            queries.len(),
-            threads,
-            RouteScratch::default,
-            |qi, scratch| {
-                let mut rng = db_rng(base_seed, qi);
-                self.route_sequential(&queries[qi], &mut rng, scratch)
-            },
-        )
-    }
-
-    /// Score shard `s` against the global context, reporting global
-    /// database indices.
-    fn score_shard(
-        &self,
-        s: usize,
-        query: &[TermId],
-        ctx: &CollectionContext,
-        used_shrinkage: &[bool],
-        scratch: &mut RouteScratch,
-    ) -> Vec<RankedDatabase> {
-        let members = self.set.members_of(s);
-        let local_used: Vec<bool> = members
-            .iter()
-            .map(|&g| used_shrinkage[g as usize])
-            .collect();
-        self.scorers[s].score_partition(query, ctx, &local_used, Some(members), scratch)
     }
 
     /// Shard `s`'s local top `k` against the global context, global
@@ -527,9 +393,9 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::catalog::CatalogEntry;
-    use crate::engine::DEFAULT_CACHE_CAPACITY;
     use crate::test_support::{sampled_summary, shrunk_for};
     use proptest::prelude::*;
+    use sampling::scheduler::db_rng;
     use selection::{AdaptiveConfig, BGloss, Cori, Lm, SelectionAlgorithm, ShrinkageMode};
 
     fn entries(n: usize) -> Vec<CatalogEntry> {
@@ -656,7 +522,6 @@ mod tests {
                     Arc::clone(&catalog),
                     Arc::clone(&algorithm),
                     config,
-                    DEFAULT_CACHE_CAPACITY,
                 ));
                 for shards in [1usize, 2, 4, 9, 16] {
                     let set = Arc::new(
@@ -666,7 +531,7 @@ mod tests {
                     let sharded = ShardedEngine::new(Arc::clone(&full), set, 4);
                     for (qi, query) in queries().iter().enumerate() {
                         let mono = full.route(query, &mut db_rng(11, qi));
-                        let scat = sharded.route(query, &mut db_rng(11, qi));
+                        let scat = sharded.route_topk(query, usize::MAX, &mut db_rng(11, qi));
                         assert_same_outcome(&mono, &scat);
                     }
                 }
@@ -697,7 +562,6 @@ mod tests {
                     Arc::clone(&catalog),
                     Arc::clone(&algorithm),
                     config,
-                    DEFAULT_CACHE_CAPACITY,
                 ));
                 let set = Arc::new(
                     ShardSet::build(&catalog, ShardPlan::contiguous(catalog.len(), 3)).unwrap(),
@@ -709,8 +573,9 @@ mod tests {
                     // fresh RNG — exactly what N remote backends would do.
                     let per_shard: Vec<Vec<RankedDatabase>> = (0..sharded.shard_count())
                         .map(|s| {
-                            let partial = sharded.route_shard(
+                            let partial = sharded.route_shard_topk(
                                 query,
+                                usize::MAX,
                                 &mut db_rng(5, qi),
                                 s,
                                 &mut RouteScratch::default(),
@@ -739,13 +604,17 @@ mod tests {
             Arc::clone(&catalog),
             Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
             AdaptiveConfig::default(),
-            DEFAULT_CACHE_CAPACITY,
         ));
         let set = Arc::new(ShardSet::build(&catalog, ShardPlan::hash(catalog.names(), 3)).unwrap());
         let sharded = ShardedEngine::new(Arc::clone(&full), set, 2);
+        // What the daemon's batch handler does: parallel across queries,
+        // shards scored sequentially inside each (full rankings here).
         let queries = queries();
         let mono = full.route_batch(&queries, 77, 4);
-        let scat = sharded.route_batch(&queries, 77, 4);
+        let scat = sampling::scheduler::fan_out_chunks(queries.len(), 4, |qi| {
+            let scratch = &mut RouteScratch::default();
+            sharded.route_sequential_topk(&queries[qi], usize::MAX, &mut db_rng(77, qi), scratch)
+        });
         assert_eq!(mono.len(), scat.len());
         for (a, b) in mono.iter().zip(&scat) {
             assert_same_outcome(a, b);
@@ -753,172 +622,171 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+            #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Satellite invariant: for any catalog, any shard count, and any
-        /// partitioning, the scatter-gathered merged ranking equals the
-        /// monolithic ranking at `f64::to_bits`, across all 3 algorithms ×
-        /// 3 shrinkage modes.
-        #[test]
-        fn any_partitioning_is_bit_identical(
-            seed in 0u64..1_000_000,
-            db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
-            shards in 1usize..6,
-            scheme in 0usize..3,
-        ) {
-            let entries: Vec<CatalogEntry> = db_sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &db_size)| {
-                    let words: Vec<(TermId, u32)> = (0..4)
-                        .map(|w| (w + 1, ((i as u32 + 2) * (w + 5)) % 80))
-                        .filter(|&(_, sdf)| sdf > 0)
-                        .collect();
-                    let unshrunk = sampled_summary(db_size, 100, &words);
-                    let shrunk = shrunk_for(&unshrunk, &[(2, 0.05), (3, 0.02)]);
-                    CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
-                })
-                .collect();
-            let catalog = Arc::new(Catalog::build(entries));
-            let topics: Vec<String> = (0..catalog.len())
-                .map(|i| format!("T{}/sub{}", i % 3, i))
-                .collect();
-            let plan = match scheme {
-                0 => ShardPlan::contiguous(catalog.len(), shards),
-                1 => ShardPlan::hash(catalog.names(), shards),
-                _ => ShardPlan::topic(&topics, shards),
-            };
-            let set = Arc::new(ShardSet::build(&catalog, plan).unwrap());
-            let global = sampled_summary(
-                130_000.0,
-                900,
-                &[(1, 280), (2, 230), (3, 90), (4, 50)],
-            );
-            let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
-                Arc::new(BGloss),
-                Arc::new(Cori::default()),
-                Arc::new(Lm::new(0.5, &global)),
-            ];
-            let queries: Vec<Vec<TermId>> = vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![]];
-            for algorithm in algorithms {
-                for mode in [
-                    ShrinkageMode::Adaptive,
-                    ShrinkageMode::Always,
-                    ShrinkageMode::Never,
-                ] {
-                    let config = AdaptiveConfig { mode, ..Default::default() };
-                    let full = Arc::new(SelectionEngine::new(
-                        Arc::clone(&catalog),
-                        Arc::clone(&algorithm),
-                        config,
-                        DEFAULT_CACHE_CAPACITY,
-                    ));
-                    let sharded = ShardedEngine::new(Arc::clone(&full), Arc::clone(&set), 3);
-                    for (qi, query) in queries.iter().enumerate() {
-                        let mono = full.route(query, &mut db_rng(seed, qi));
-                        let scat = sharded.route(query, &mut db_rng(seed, qi));
-                        prop_assert_eq!(&mono.used_shrinkage, &scat.used_shrinkage);
-                        prop_assert_eq!(mono.ranking.len(), scat.ranking.len());
-                        for (x, y) in mono.ranking.iter().zip(&scat.ranking) {
-                            prop_assert_eq!(x.index, y.index);
-                            prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+            /// Satellite invariant: for any catalog, any shard count, and any
+            /// partitioning, the scatter-gathered merged ranking equals the
+            /// monolithic ranking at `f64::to_bits`, across all 3 algorithms ×
+            /// 3 shrinkage modes.
+            #[test]
+            fn any_partitioning_is_bit_identical(
+                seed in 0u64..1_000_000,
+                db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
+                shards in 1usize..6,
+                scheme in 0usize..3,
+            ) {
+                let entries: Vec<CatalogEntry> = db_sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &db_size)| {
+                        let words: Vec<(TermId, u32)> = (0..4)
+                            .map(|w| (w + 1, ((i as u32 + 2) * (w + 5)) % 80))
+                            .filter(|&(_, sdf)| sdf > 0)
+                            .collect();
+                        let unshrunk = sampled_summary(db_size, 100, &words);
+                        let shrunk = shrunk_for(&unshrunk, &[(2, 0.05), (3, 0.02)]);
+                        CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                    })
+                    .collect();
+                let catalog = Arc::new(Catalog::build(entries));
+                let topics: Vec<String> = (0..catalog.len())
+                    .map(|i| format!("T{}/sub{}", i % 3, i))
+                    .collect();
+                let plan = match scheme {
+                    0 => ShardPlan::contiguous(catalog.len(), shards),
+                    1 => ShardPlan::hash(catalog.names(), shards),
+                    _ => ShardPlan::topic(&topics, shards),
+                };
+                let set = Arc::new(ShardSet::build(&catalog, plan).unwrap());
+                let global = sampled_summary(
+                    130_000.0,
+                    900,
+                    &[(1, 280), (2, 230), (3, 90), (4, 50)],
+                );
+                let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+                    Arc::new(BGloss),
+                    Arc::new(Cori::default()),
+                    Arc::new(Lm::new(0.5, &global)),
+                ];
+                let queries: Vec<Vec<TermId>> = vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![]];
+                for algorithm in algorithms {
+                    for mode in [
+                        ShrinkageMode::Adaptive,
+                        ShrinkageMode::Always,
+                        ShrinkageMode::Never,
+                    ] {
+                        let config = AdaptiveConfig { mode, ..Default::default() };
+                        let full = Arc::new(SelectionEngine::new(
+                            Arc::clone(&catalog),
+                            Arc::clone(&algorithm),
+                            config,
+    ));
+                        let sharded = ShardedEngine::new(Arc::clone(&full), Arc::clone(&set), 3);
+                        for (qi, query) in queries.iter().enumerate() {
+                            let mono = full.route(query, &mut db_rng(seed, qi));
+                            let scat = sharded.route_topk(query, usize::MAX, &mut db_rng(seed, qi));
+                            prop_assert_eq!(&mono.used_shrinkage, &scat.used_shrinkage);
+                            prop_assert_eq!(mono.ranking.len(), scat.ranking.len());
+                            for (x, y) in mono.ranking.iter().zip(&scat.ranking) {
+                                prop_assert_eq!(x.index, y.index);
+                                prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+                            }
                         }
                     }
                 }
             }
-        }
 
-        /// Tentpole guardrail, sharded variant: per-shard pruned top-k,
-        /// merged and truncated, equals the truncated monolithic ranking at
-        /// `f64::to_bits` for shard counts 1/2/4 across all 3 algorithms ×
-        /// 3 shrinkage modes × every k. Both the in-process scatter
-        /// (`route_topk`) and the federated composition
-        /// (`route_shard_topk` per shard + merge) are checked.
-        #[test]
-        fn sharded_topk_matches_monolithic_truncation(
-            seed in 0u64..1_000_000,
-            db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
-        ) {
-            let entries: Vec<CatalogEntry> = db_sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &db_size)| {
-                    let words: Vec<(TermId, u32)> = (0..4)
-                        .map(|w| (w + 1, ((i as u32 + 2) * (w + 5)) % 80))
-                        .filter(|&(_, sdf)| sdf > 0)
-                        .collect();
-                    let unshrunk = sampled_summary(db_size, 100, &words);
-                    let shrunk = shrunk_for(&unshrunk, &[(2, 0.05), (3, 0.02)]);
-                    CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
-                })
-                .collect();
-            let catalog = Arc::new(Catalog::build(entries));
-            let global = sampled_summary(
-                130_000.0,
-                900,
-                &[(1, 280), (2, 230), (3, 90), (4, 50)],
-            );
-            let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
-                Arc::new(BGloss),
-                Arc::new(Cori::default()),
-                Arc::new(Lm::new(0.5, &global)),
-            ];
-            let queries: Vec<Vec<TermId>> = vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![]];
-            for algorithm in algorithms {
-                for mode in [
-                    ShrinkageMode::Adaptive,
-                    ShrinkageMode::Always,
-                    ShrinkageMode::Never,
-                ] {
-                    let config = AdaptiveConfig { mode, ..Default::default() };
-                    let full = Arc::new(SelectionEngine::new(
-                        Arc::clone(&catalog),
-                        Arc::clone(&algorithm),
-                        config,
-                        DEFAULT_CACHE_CAPACITY,
-                    ));
-                    for shards in [1usize, 2, 4] {
-                        let set = Arc::new(
-                            ShardSet::build(
-                                &catalog,
-                                ShardPlan::contiguous(catalog.len(), shards),
-                            )
-                            .unwrap(),
-                        );
-                        let sharded =
-                            ShardedEngine::new(Arc::clone(&full), Arc::clone(&set), 2);
-                        for (qi, query) in queries.iter().enumerate() {
-                            let mono = full.route(query, &mut db_rng(seed, qi));
-                            for k in 1..=catalog.len() + 1 {
-                                let want = &mono.ranking[..k.min(mono.ranking.len())];
-                                let scat = sharded.route_topk(query, k, &mut db_rng(seed, qi));
-                                prop_assert_eq!(&scat.used_shrinkage, &mono.used_shrinkage);
-                                prop_assert_eq!(scat.ranking.len(), want.len());
-                                for (x, y) in scat.ranking.iter().zip(want) {
-                                    prop_assert_eq!(x.index, y.index);
-                                    prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
-                                }
-                                // Federated composition: backends each
-                                // return their shard-local top k.
-                                let partials: Vec<Vec<RankedDatabase>> = (0..shards)
-                                    .map(|s| {
-                                        sharded
-                                            .route_shard_topk(
-                                                query,
-                                                k,
-                                                &mut db_rng(seed, qi),
-                                                s,
-                                                &mut RouteScratch::default(),
-                                            )
-                                            .ranking
-                                    })
-                                    .collect();
-                                let mut merged = merge_rankings(&partials);
-                                merged.truncate(k);
-                                prop_assert_eq!(merged.len(), want.len());
-                                for (x, y) in merged.iter().zip(want) {
-                                    prop_assert_eq!(x.index, y.index);
-                                    prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+            /// Tentpole guardrail, sharded variant: per-shard pruned top-k,
+            /// merged and truncated, equals the truncated monolithic ranking at
+            /// `f64::to_bits` for shard counts 1/2/4 across all 3 algorithms ×
+            /// 3 shrinkage modes × every k. Both the in-process scatter
+            /// (`route_topk`) and the federated composition
+            /// (`route_shard_topk` per shard + merge) are checked.
+            #[test]
+            fn sharded_topk_matches_monolithic_truncation(
+                seed in 0u64..1_000_000,
+                db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
+            ) {
+                let entries: Vec<CatalogEntry> = db_sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &db_size)| {
+                        let words: Vec<(TermId, u32)> = (0..4)
+                            .map(|w| (w + 1, ((i as u32 + 2) * (w + 5)) % 80))
+                            .filter(|&(_, sdf)| sdf > 0)
+                            .collect();
+                        let unshrunk = sampled_summary(db_size, 100, &words);
+                        let shrunk = shrunk_for(&unshrunk, &[(2, 0.05), (3, 0.02)]);
+                        CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                    })
+                    .collect();
+                let catalog = Arc::new(Catalog::build(entries));
+                let global = sampled_summary(
+                    130_000.0,
+                    900,
+                    &[(1, 280), (2, 230), (3, 90), (4, 50)],
+                );
+                let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+                    Arc::new(BGloss),
+                    Arc::new(Cori::default()),
+                    Arc::new(Lm::new(0.5, &global)),
+                ];
+                let queries: Vec<Vec<TermId>> = vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![]];
+                for algorithm in algorithms {
+                    for mode in [
+                        ShrinkageMode::Adaptive,
+                        ShrinkageMode::Always,
+                        ShrinkageMode::Never,
+                    ] {
+                        let config = AdaptiveConfig { mode, ..Default::default() };
+                        let full = Arc::new(SelectionEngine::new(
+                            Arc::clone(&catalog),
+                            Arc::clone(&algorithm),
+                            config,
+    ));
+                        for shards in [1usize, 2, 4] {
+                            let set = Arc::new(
+                                ShardSet::build(
+                                    &catalog,
+                                    ShardPlan::contiguous(catalog.len(), shards),
+                                )
+                                .unwrap(),
+                            );
+                            let sharded =
+                                ShardedEngine::new(Arc::clone(&full), Arc::clone(&set), 2);
+                            for (qi, query) in queries.iter().enumerate() {
+                                let mono = full.route(query, &mut db_rng(seed, qi));
+                                for k in 1..=catalog.len() + 1 {
+                                    let want = &mono.ranking[..k.min(mono.ranking.len())];
+                                    let scat = sharded.route_topk(query, k, &mut db_rng(seed, qi));
+                                    prop_assert_eq!(&scat.used_shrinkage, &mono.used_shrinkage);
+                                    prop_assert_eq!(scat.ranking.len(), want.len());
+                                    for (x, y) in scat.ranking.iter().zip(want) {
+                                        prop_assert_eq!(x.index, y.index);
+                                        prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+                                    }
+                                    // Federated composition: backends each
+                                    // return their shard-local top k.
+                                    let partials: Vec<Vec<RankedDatabase>> = (0..shards)
+                                        .map(|s| {
+                                            sharded
+                                                .route_shard_topk(
+                                                    query,
+                                                    k,
+                                                    &mut db_rng(seed, qi),
+                                                    s,
+                                                    &mut RouteScratch::default(),
+                                                )
+                                                .ranking
+                                        })
+                                        .collect();
+                                    let mut merged = merge_rankings(&partials);
+                                    merged.truncate(k);
+                                    prop_assert_eq!(merged.len(), want.len());
+                                    for (x, y) in merged.iter().zip(want) {
+                                        prop_assert_eq!(x.index, y.index);
+                                        prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+                                    }
                                 }
                             }
                         }
@@ -926,5 +794,4 @@ mod tests {
                 }
             }
         }
-    }
 }

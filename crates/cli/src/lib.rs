@@ -18,7 +18,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use broker::{Catalog, CatalogEntry, SelectionEngine, DEFAULT_CACHE_CAPACITY};
+use broker::{Catalog, CatalogEntry, SelectionEngine};
 use dbselect_core::category_summary::CategoryWeighting;
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::summary::ContentSummary;
@@ -357,12 +357,8 @@ pub fn select(
         mode: shrinkage,
         ..Default::default()
     };
-    let engine = SelectionEngine::new(
-        catalog,
-        Arc::clone(&algorithm),
-        config,
-        DEFAULT_CACHE_CAPACITY,
-    );
+    // One query: folding its few posterior grids beats tabulating them all.
+    let engine = SelectionEngine::with_table(catalog, Arc::clone(&algorithm), config, None);
     let mut rng = StdRng::seed_from_u64(seed);
     let outcome = engine.route(&query, &mut rng);
 
@@ -433,12 +429,7 @@ pub fn route(snapshot: &ServingSnapshot, query_lines: &[String], options: &Route
         mode: options.shrinkage,
         ..Default::default()
     };
-    let engine = SelectionEngine::new(
-        Arc::clone(&catalog),
-        Arc::clone(&algorithm),
-        config,
-        DEFAULT_CACHE_CAPACITY,
-    );
+    let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(&algorithm), config);
 
     // Tokenize every line up front so the batch can be routed in parallel.
     let parsed: Vec<(String, Vec<u32>, Vec<String>)> = query_lines
@@ -679,8 +670,8 @@ pub fn refresh(
     drop(reference);
 
     let mut scheduler = RefreshScheduler::new(session.len(), options.budget, options.seed);
-    for db in 0..session.len() {
-        scheduler.set_eligible(db, spec_for_db[db].is_some());
+    for (db, spec) in spec_for_db.iter().enumerate().take(session.len()) {
+        scheduler.set_eligible(db, spec.is_some());
         scheduler.set_coverage(db, session.coverage(db));
     }
 
@@ -763,7 +754,12 @@ pub fn refresh(
         let bytes = std::fs::metadata(&delta_path).map(|m| m.len()).unwrap_or(0);
         let names: Vec<&str> = picks
             .iter()
-            .map(|&db| spec_for_db[db].expect("picked databases have specs").name.as_str())
+            .map(|&db| {
+                spec_for_db[db]
+                    .expect("picked databases have specs")
+                    .name
+                    .as_str()
+            })
             .collect();
         let _ = writeln!(
             out,

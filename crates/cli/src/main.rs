@@ -13,7 +13,6 @@
 //! dbselect serve (--catalog CATALOG | --tenants DIR) [--addr HOST:PORT]
 //!                [--workers N] [--queue N] [--shards N] [--tenant-quota N]
 //!                [--deadline-ms N] [--keep-alive-requests N] [--idle-timeout-ms N]
-//!                [--cache N]
 //! dbselect inspect --store STORE [--db NAME]
 //! ```
 
@@ -72,7 +71,7 @@ USAGE:
                  [--addr HOST:PORT]
                  [--workers N] [--queue N] [--shards N] [--tenant-quota N]
                  [--deadline-ms N] [--keep-alive-requests N] [--idle-timeout-ms N]
-                 [--cache N] [--retry-after-ms N] [--reactor | --legacy-threaded]
+                 [--retry-after-ms N] [--reactor | --legacy-threaded]
                  [--refresh-interval-ms N]
                  [--proxy-retries N] [--hedge-ms N] [--breaker-threshold N]
                  [--breaker-cooldown-ms N] [--health-interval-ms N]
@@ -436,11 +435,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--idle-timeout-ms expects an integer".to_string())?;
                 config.idle_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--cache" => {
-                config.cache_capacity = next_value(&mut it, "--cache")?
-                    .parse()
-                    .map_err(|_| "--cache expects an integer (0 = unbounded)".to_string())?;
             }
             "--shards" => {
                 config.shards = next_value(&mut it, "--shards")?

@@ -89,8 +89,9 @@ impl FrozenSummary {
 
     /// Reassemble a frozen summary from decoded columns — the snapshot
     /// load path. Validates the structural invariants a codec cannot
-    /// express (strictly ascending terms, equal column lengths) so corrupt
-    /// input is rejected instead of silently mis-searching.
+    /// express (strictly ascending terms, equal column lengths, no word in
+    /// more sample documents than the sample holds) so corrupt input is
+    /// rejected instead of silently mis-searching.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         db_size: f64,
@@ -109,6 +110,9 @@ impl FrozenSummary {
         }
         if terms.windows(2).any(|w| w[0] >= w[1]) {
             return Err("frozen summary terms not strictly ascending");
+        }
+        if sample_df.iter().any(|&s| s > sample_size) {
+            return Err("frozen summary sample_df exceeds sample_size");
         }
         Ok(FrozenSummary {
             db_size,
@@ -357,6 +361,19 @@ mod tests {
             vec![0.1, 0.2],
             vec![0.1, 0.2],
             vec![1, 1],
+        )
+        .is_err());
+        // A word in more sample documents than were sampled.
+        assert!(FrozenSummary::from_raw_parts(
+            1.0,
+            1,
+            1.0,
+            0.0,
+            0.0,
+            vec![1, 2],
+            vec![0.1, 0.2],
+            vec![0.1, 0.2],
+            vec![1, 2],
         )
         .is_err());
         // Ragged columns.

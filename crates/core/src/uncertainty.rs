@@ -17,15 +17,26 @@
 //! deviation exceeds the mean, the sample-based score is deemed unreliable
 //! and the shrunk content summary is used instead (Figure 3).
 //!
-//! Exhaustive enumeration over all `|D|ⁿ` combinations is infeasible; as the
-//! paper notes, almost all combinations have negligible probability and the
-//! moments converge after a few hundred random combinations. We therefore
-//! discretize each word's posterior on a log-spaced grid and Monte-Carlo
-//! sample combinations until the running mean and variance stabilize.
+//! Exhaustive enumeration over all `|D|ⁿ` combinations is infeasible, but
+//! Section 4 also gives the way out: for "a large class of database
+//! selection algorithms that assume independence between the query words
+//! ... we can calculate the variance for each query word separately, and
+//! then combine them into the final score variance." Each word's posterior
+//! is discretized on a log-spaced grid ([`WordPosterior`]); a score that is
+//! a product or a mean of independent per-word terms then has its mean and
+//! variance in closed form from three numbers per word ([`WordMoments`],
+//! folded by [`IndependentScore`]) — deterministic, no sampling.
+//!
+//! [`score_distribution`] — Monte-Carlo sampling of combinations until the
+//! running moments stabilize — remains as the estimator for algorithms that
+//! declare no such form, and as the reference the closed form is tested
+//! against.
 
 use rand::Rng;
 
-/// Tuning knobs for the Monte-Carlo moment estimation.
+/// Tuning knobs for the score-distribution estimation. Only
+/// `grid_points` matters to the closed form; the rest steer the
+/// Monte-Carlo estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct UncertaintyConfig {
     /// Hard cap on sampled `d₁ … dₙ` combinations.
@@ -118,23 +129,42 @@ impl WordPosterior {
     /// Draw one candidate document frequency.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).unwrap())
-        {
-            Ok(i) | Err(i) => self.support[i.min(self.support.len() - 1)],
-        }
+        // First grid point whose cumulative mass reaches `u` (NaN masses
+        // from degenerate input compare false and fall through to the end).
+        let i = self.cumulative.partition_point(|&c| c < u);
+        self.support[i.min(self.support.len() - 1)]
+    }
+
+    /// The discretized posterior itself: `(d, P(d))` per grid point.
+    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let mut prev = 0.0;
+        self.support
+            .iter()
+            .zip(&self.cumulative)
+            .map(move |(&d, &c)| {
+                let mass = c - prev;
+                prev = c;
+                (d, mass)
+            })
     }
 
     /// Posterior mean (used in tests and diagnostics).
     pub fn mean(&self) -> f64 {
-        let mut prev = 0.0;
-        let mut mean = 0.0;
-        for (d, c) in self.support.iter().zip(&self.cumulative) {
-            mean += d * (c - prev);
-            prev = *c;
+        self.points().map(|(d, mass)| d * mass).sum()
+    }
+
+    /// Moments of `basis` over this posterior, for a database of `db_size`
+    /// documents — exact over the discretized support.
+    pub fn moments(&self, db_size: f64, basis: TermBasis) -> WordMoments {
+        let d_max = db_size.max(1.0);
+        let mut moments = WordMoments::default();
+        for (d, mass) in self.points() {
+            let (u, g) = basis.eval(d / d_max);
+            moments.present += u * mass;
+            moments.mean += g * mass;
+            moments.second += g * g * mass;
         }
-        mean
+        moments
     }
 }
 
@@ -230,7 +260,7 @@ impl ScoreDistribution {
 /// `score_fn` receives one `p_k = d_k/|D|` per query word and returns the
 /// selection score the base algorithm would assign under those frequencies.
 /// Posteriors are accepted through [`std::borrow::Borrow`] so callers may
-/// pass owned grids or cached `Arc`s interchangeably.
+/// pass owned or borrowed grids interchangeably.
 pub fn score_distribution<R: Rng + ?Sized, P: std::borrow::Borrow<WordPosterior>>(
     posteriors: &[P],
     db_size: f64,
@@ -417,85 +447,213 @@ mod tests {
     }
 }
 
-impl WordPosterior {
-    /// First and second moments `(E[d], E[d²])` of the posterior —
-    /// exact over the discretized support.
-    pub fn raw_moments(&self) -> (f64, f64) {
-        let mut prev = 0.0;
-        let mut m1 = 0.0;
-        let mut m2 = 0.0;
-        for (d, c) in self.support.iter().zip(&self.cumulative) {
-            let p = c - prev;
-            m1 += d * p;
-            m2 += d * d * p;
-            prev = *c;
+/// What a closed-form score reads off one word's true frequency fraction
+/// `p = d/|D|`: a presence indicator `u(p) ∈ {0, 1}` and a magnitude `g(p)`
+/// with `g(p) = 0` wherever `u(p) = 0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TermBasis {
+    /// `g(p) = p`, present when `p > 0` (bGlOSS, LM).
+    Fraction,
+    /// A saturating document frequency `df/(df + pivot)` with
+    /// `df = p·db_size`, present when `round(df) ≥ 1` (CORI's `T`).
+    Saturating {
+        /// The database size `|D̂|` that turns `p` back into a frequency.
+        db_size: f64,
+        /// The saturation constant (CORI's `50 + 150·cw/mcw`).
+        pivot: f64,
+    },
+}
+
+impl TermBasis {
+    /// `(u(p), g(p))`.
+    pub fn eval(self, p: f64) -> (f64, f64) {
+        match self {
+            TermBasis::Fraction => (f64::from(p > 0.0), p),
+            TermBasis::Saturating { db_size, pivot } => {
+                let df = p * db_size;
+                if df.round() < 1.0 {
+                    (0.0, 0.0)
+                } else {
+                    (1.0, df / (df + pivot))
+                }
+            }
         }
-        (m1, m2)
     }
 }
 
-/// Exact score-distribution moments for *product-form* scores over
-/// independent words — the shortcut Section 4 describes: "for a large class
-/// of database selection algorithms that assume independence between the
-/// query words ... we can calculate the variance for each query word
-/// separately, and then combine them into the final score variance."
-///
-/// The score is `scale · Π_k (a_k·p_k + b_k)` with `p_k = d_k/|D|`
-/// (bGlOSS: `scale = |D|, a = 1, b = 0`; LM: `scale = 1,
-/// a_k = λ·conversion_k, b_k = (1−λ)·p̂(w_k|G)`). By independence,
-/// `E[Π f_k] = Π E[f_k]` and `E[(Π f_k)²] = Π E[f_k²]`, giving the mean and
-/// variance in closed form — no Monte-Carlo sampling, no randomness.
-pub fn product_score_distribution<P: std::borrow::Borrow<WordPosterior>>(
-    posteriors: &[P],
-    db_size: f64,
-    scale: f64,
-    coefficients: &[(f64, f64)],
-) -> ScoreDistribution {
-    assert_eq!(posteriors.len(), coefficients.len());
-    let d_max = db_size.max(1.0);
-    let mut mean = scale;
-    let mut second = scale * scale;
-    for (posterior, &(a, b)) in posteriors.iter().zip(coefficients) {
-        let (m1, m2) = posterior.borrow().raw_moments();
-        let (p1, p2) = (m1 / d_max, m2 / (d_max * d_max));
-        // E[a·p + b] and E[(a·p + b)²].
-        mean *= a * p1 + b;
-        second *= a * a * p2 + 2.0 * a * b * p1 + b * b;
+/// The three numbers a closed-form score needs per word: moments of a
+/// [`TermBasis`] over the word's posterior. They depend only on
+/// `(sample_df, |S|, |D̂|, γ)` and the basis — never on the query.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WordMoments {
+    /// `P(u = 1)`.
+    pub present: f64,
+    /// `E[g]`.
+    pub mean: f64,
+    /// `E[g²]`.
+    pub second: f64,
+}
+
+/// One query word's term `f(p) = intercept + presence·u(p) + slope·g(p)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TermCoefficients {
+    /// The constant part (LM's `(1−λ)·p̂(w|G)`).
+    pub intercept: f64,
+    /// Weight of the presence indicator (CORI's default belief).
+    pub presence: f64,
+    /// Weight of the magnitude.
+    pub slope: f64,
+}
+
+impl TermCoefficients {
+    /// `(E[f], E[f²])`, using `u² = u` and `u·g = g`.
+    fn moments(&self, word: &WordMoments) -> (f64, f64) {
+        let (b, c, a) = (self.intercept, self.presence, self.slope);
+        let first = b + c * word.present + a * word.mean;
+        let second = b * b
+            + (c * c + 2.0 * b * c) * word.present
+            + 2.0 * a * (b + c) * word.mean
+            + a * a * word.second;
+        (first, second)
     }
-    let variance = (second - mean * mean).max(0.0);
-    ScoreDistribution {
-        mean,
-        std_dev: variance.sqrt(),
-        draws: 0,
+}
+
+/// How independent per-word terms combine into a score.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Combine {
+    /// `scale · Π_k f_k` (bGlOSS: `scale = |D|`; LM: `scale = 1`).
+    Product {
+        /// The constant factor in front of the product.
+        scale: f64,
+    },
+    /// `(1/n) · Σ_k f_k` (CORI).
+    Mean,
+}
+
+/// Running closed-form moments of a score over independent words. By
+/// independence `E[Π f_k] = Π E[f_k]` and `E[(Π f_k)²] = Π E[f_k²]`; for a
+/// mean, expectations and variances add.
+#[derive(Debug, Clone, Copy)]
+pub struct IndependentScore {
+    combine: Combine,
+    /// Product: `Π E[f_k]`. Mean: `Σ E[f_k]`.
+    first: f64,
+    /// Product: `Π E[f_k²]`. Mean: `Σ Var[f_k]`.
+    second: f64,
+    /// The same fold over `f_k(0)`: the score of a database matching no
+    /// query word.
+    default: f64,
+    words: usize,
+}
+
+impl IndependentScore {
+    /// An empty fold.
+    pub fn new(combine: Combine) -> Self {
+        let unit = match combine {
+            Combine::Product { .. } => 1.0,
+            Combine::Mean => 0.0,
+        };
+        IndependentScore {
+            combine,
+            first: unit,
+            second: unit,
+            default: unit,
+            words: 0,
+        }
+    }
+
+    /// Fold in one query word.
+    pub fn push(&mut self, term: TermCoefficients, word: &WordMoments) {
+        let (first, second) = term.moments(word);
+        match self.combine {
+            Combine::Product { .. } => {
+                self.first *= first;
+                self.second *= second;
+                self.default *= term.intercept;
+            }
+            Combine::Mean => {
+                self.first += first;
+                self.second += second - first * first;
+                self.default += term.intercept;
+            }
+        }
+        self.words += 1;
+    }
+
+    /// Moments of the *evidence*: the score above its default. Subtracting
+    /// the constant default shifts the mean and leaves the variance alone.
+    pub fn finish(self) -> ScoreDistribution {
+        let (mean, variance, default) = match self.combine {
+            Combine::Product { scale } => {
+                let mean = scale * self.first;
+                let variance = scale * scale * self.second - mean * mean;
+                (mean, variance, scale * self.default)
+            }
+            Combine::Mean => {
+                let n = self.words.max(1) as f64;
+                (self.first / n, self.second / (n * n), self.default / n)
+            }
+        };
+        ScoreDistribution {
+            mean: mean - default,
+            std_dev: variance.max(0.0).sqrt(),
+            draws: 0,
+        }
     }
 }
 
 #[cfg(test)]
-mod product_tests {
+mod closed_form_tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn raw_moments_match_definition_on_small_support() {
-        // Small db → exact integer support; verify against brute force.
-        let post = WordPosterior::new(2, 10, 20.0, -1.5, 64);
-        let (m1, m2) = post.raw_moments();
-        assert!(m1 > 0.0 && m2 >= m1 * m1 - 1e-9);
-        // Var >= 0 and E[d²] >= E[d]² (Jensen).
-        assert!(m2 + 1e-12 >= m1 * m1);
+    const BARE: TermCoefficients = TermCoefficients {
+        intercept: 0.0,
+        presence: 0.0,
+        slope: 1.0,
+    };
+
+    fn product(posteriors: &[WordPosterior], db_size: f64, scale: f64) -> ScoreDistribution {
+        let mut score = IndependentScore::new(Combine::Product { scale });
+        for p in posteriors {
+            score.push(BARE, &p.moments(db_size, TermBasis::Fraction));
+        }
+        score.finish()
     }
 
     #[test]
-    fn exact_moments_agree_with_monte_carlo_for_bgloss() {
+    fn points_sum_to_one_and_moments_obey_jensen() {
+        let post = WordPosterior::new(2, 10, 20.0, -1.5, 64);
+        let total: f64 = post.points().map(|(_, mass)| mass).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+        let m = post.moments(20.0, TermBasis::Fraction);
+        assert!(m.mean > 0.0 && m.second + 1e-12 >= m.mean * m.mean);
+        assert!((m.present - 1.0).abs() < 1e-12, "a sampled word is present");
+        assert!((m.mean * 20.0 - post.mean()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn saturating_basis_vanishes_for_absent_words() {
+        let basis = TermBasis::Saturating {
+            db_size: 100.0,
+            pivot: 200.0,
+        };
+        assert_eq!(basis.eval(0.0), (0.0, 0.0));
+        assert_eq!(basis.eval(0.004), (0.0, 0.0), "round(0.4) < 1");
+        assert_eq!(basis.eval(0.5), (1.0, 50.0 / 250.0));
+        let absent = WordPosterior::new(0, 50, 100.0, -2.0, 160).moments(100.0, basis);
+        assert!(absent.present > 0.0 && absent.present < 1.0);
+        assert!(absent.mean < absent.present, "T < 1 wherever present");
+    }
+
+    #[test]
+    fn closed_form_agrees_with_monte_carlo_for_a_product() {
         let posteriors = vec![
             WordPosterior::new(5, 100, 2000.0, -2.0, 160),
             WordPosterior::new(0, 100, 2000.0, -2.0, 160),
         ];
-        let coeffs = vec![(1.0, 0.0); 2];
-        let exact = product_score_distribution(&posteriors, 2000.0, 2000.0, &coeffs);
-        // Monte-Carlo estimate of the same score.
-        let mut rng = StdRng::seed_from_u64(5);
+        let exact = product(&posteriors, 2000.0, 2000.0);
         let config = UncertaintyConfig {
             max_draws: 60_000,
             check_every: 60_000,
@@ -505,7 +663,7 @@ mod product_tests {
             &posteriors,
             2000.0,
             |p| 2000.0 * p.iter().product::<f64>(),
-            &mut rng,
+            &mut StdRng::seed_from_u64(5),
             &config,
         );
         let mean_err = (exact.mean - mc.mean).abs() / exact.mean.max(1e-12);
@@ -517,26 +675,41 @@ mod product_tests {
             exact.std_dev,
             mc.std_dev
         );
+        assert_eq!(exact.draws, 0, "no sampling involved");
     }
 
     #[test]
-    fn affine_coefficients_shift_the_mean() {
-        let posteriors = vec![WordPosterior::new(10, 100, 1000.0, -2.0, 160)];
-        let bare = product_score_distribution(&posteriors, 1000.0, 1.0, &[(1.0, 0.0)]);
-        let smoothed = product_score_distribution(&posteriors, 1000.0, 1.0, &[(0.5, 0.2)]);
-        assert!((smoothed.mean - (0.5 * bare.mean + 0.2)).abs() < 1e-12);
-        assert!(
-            smoothed.std_dev < bare.std_dev,
-            "smoothing shrinks dispersion"
-        );
+    fn intercepts_shift_the_default_not_the_evidence() {
+        let word =
+            WordPosterior::new(10, 100, 1000.0, -2.0, 160).moments(1000.0, TermBasis::Fraction);
+        let smoothed = TermCoefficients {
+            intercept: 0.2,
+            presence: 0.0,
+            slope: 0.5,
+        };
+        for combine in [Combine::Product { scale: 1.0 }, Combine::Mean] {
+            let mut bare = IndependentScore::new(combine);
+            bare.push(BARE, &word);
+            let mut shifted = IndependentScore::new(combine);
+            shifted.push(smoothed, &word);
+            let (bare, shifted) = (bare.finish(), shifted.finish());
+            assert!((shifted.mean - 0.5 * bare.mean).abs() < 1e-12);
+            assert!((shifted.std_dev - 0.5 * bare.std_dev).abs() < 1e-12);
+        }
     }
 
     #[test]
-    fn exact_distribution_is_deterministic() {
-        let posteriors = vec![WordPosterior::new(3, 100, 5000.0, -1.8, 160)];
-        let a = product_score_distribution(&posteriors, 5000.0, 5000.0, &[(1.0, 0.0)]);
-        let b = product_score_distribution(&posteriors, 5000.0, 5000.0, &[(1.0, 0.0)]);
-        assert_eq!(a, b);
-        assert_eq!(a.draws, 0, "no sampling involved");
+    fn a_mean_of_words_averages_means_and_shrinks_dispersion() {
+        let word =
+            WordPosterior::new(3, 100, 5000.0, -1.8, 160).moments(5000.0, TermBasis::Fraction);
+        let mut one = IndependentScore::new(Combine::Mean);
+        one.push(BARE, &word);
+        let mut four = IndependentScore::new(Combine::Mean);
+        for _ in 0..4 {
+            four.push(BARE, &word);
+        }
+        let (one, four) = (one.finish(), four.finish());
+        assert!((one.mean - four.mean).abs() < 1e-15);
+        assert!((four.std_dev - one.std_dev / 2.0).abs() < 1e-15, "σ/√n");
     }
 }

@@ -44,7 +44,11 @@ impl RefreshScheduler {
     /// round. The seed only chooses where the round-robin cursor starts,
     /// so two runs with the same seed replay the same schedule.
     pub fn new(n: usize, budget: usize, seed: u64) -> RefreshScheduler {
-        let cursor = if n == 0 { 0 } else { (seed % n as u64) as usize };
+        let cursor = if n == 0 {
+            0
+        } else {
+            (seed % n as u64) as usize
+        };
         RefreshScheduler {
             budget,
             cursor,
@@ -107,8 +111,7 @@ impl RefreshScheduler {
         let rotated = |db: usize| (db + n - self.cursor) % n;
         // `self.round` is already the round being scheduled, so staleness
         // is `round - last` here (a database picked last round carries 1).
-        let prio =
-            |db: usize| ((self.round - self.last[db]) as f64) * (2.0 - self.coverage[db]);
+        let prio = |db: usize| ((self.round - self.last[db]) as f64) * (2.0 - self.coverage[db]);
         let mut order: Vec<usize> = (0..n).filter(|&db| self.eligible[db]).collect();
         order.sort_by(|&a, &b| {
             prio(b)

@@ -12,9 +12,10 @@
 //! shrinkage (Section 6.2, "Adaptive vs. Universal").
 
 use dbselect_core::summary::SummaryView;
+use dbselect_core::uncertainty::{Combine, TermBasis, TermCoefficients};
 use textindex::TermId;
 
-use crate::context::{CollectionContext, SelectionAlgorithm};
+use crate::context::{CollectionContext, IndependentTerms, SelectionAlgorithm};
 
 /// The bGlOSS scorer (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,20 +50,40 @@ impl SelectionAlgorithm for BGloss {
         0.0
     }
 
-    /// bGlOSS is the canonical product form: `|D| · Π p_k`.
-    fn product_form(
-        &self,
-        query: &[TermId],
-        summary: &dyn SummaryView,
-        _ctx: &CollectionContext,
-    ) -> Option<(f64, Vec<(f64, f64)>)> {
-        Some((summary.db_size(), vec![(1.0, 0.0); query.len()]))
+    fn independent_terms(&self) -> Option<&dyn IndependentTerms> {
+        Some(self)
     }
 
     /// bGlOSS has a batch kernel (see [`crate::topk`]), unlocking the
     /// pruned top-k serving path.
     fn score_kernel(&self) -> Option<&dyn crate::topk::ScoreKernel> {
         Some(self)
+    }
+}
+
+/// bGlOSS is the canonical product of independent terms: `|D| · Π p_k`.
+impl IndependentTerms for BGloss {
+    fn combine(&self, summary: &dyn SummaryView) -> Combine {
+        Combine::Product {
+            scale: summary.db_size(),
+        }
+    }
+
+    fn basis(&self, _summary: &dyn SummaryView, _ctx: &CollectionContext) -> TermBasis {
+        TermBasis::Fraction
+    }
+
+    fn query_term(
+        &self,
+        _query: &[TermId],
+        _k: usize,
+        _ctx: &CollectionContext,
+    ) -> TermCoefficients {
+        TermCoefficients {
+            intercept: 0.0,
+            presence: 0.0,
+            slope: 1.0,
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! ranking routine.
 
 use dbselect_core::summary::SummaryView;
+use dbselect_core::uncertainty::{Combine, TermBasis, TermCoefficients};
 use textindex::TermId;
 
 /// Collection-level statistics a selection algorithm may need.
@@ -118,18 +119,12 @@ pub trait SelectionAlgorithm {
         std_dev > mean
     }
 
-    /// If this algorithm's score is a *product form*
-    /// `scale · Π_k (a_k·p_k + b_k)` over independent per-word document
-    /// frequency fractions, return `(scale, [(a_k, b_k)])` so the adaptive
-    /// test can use exact moments instead of Monte-Carlo sampling (the
-    /// Section-4 independence shortcut). `None` for sum-form scores.
-    fn product_form(
-        &self,
-        query: &[TermId],
-        summary: &dyn SummaryView,
-        ctx: &CollectionContext,
-    ) -> Option<(f64, Vec<(f64, f64)>)> {
-        let _ = (query, summary, ctx);
+    /// The algorithm's score as a product or mean of independent per-word
+    /// terms, if it has that shape (see [`IndependentTerms`]). Declaring it
+    /// makes the adaptive test closed-form (the Section-4 independence
+    /// shortcut); algorithms without it (the default) are tested by
+    /// Monte-Carlo sampling.
+    fn independent_terms(&self) -> Option<&dyn IndependentTerms> {
         None
     }
 
@@ -153,6 +148,39 @@ pub trait SelectionAlgorithm {
     /// [`Self::score_with_p`] row by row.
     fn score_kernel(&self) -> Option<&dyn crate::topk::ScoreKernel> {
         None
+    }
+}
+
+/// A score that factors over independent query words (Section 4): with
+/// `p_k = d_k/|D|` the true document-frequency fraction of word `k`,
+///
+/// ```text
+/// s(q, D) = combine_k ( intercept_k + presence_k·u(p_k) + slope_k·g(p_k) )
+/// ```
+///
+/// where `(u, g)` is the database's [`TermBasis`] and `combine` a product
+/// or a mean. The description must agree with
+/// [`SelectionAlgorithm::score_with_df_fractions`] for every `p`, and its
+/// value at `p = 0` with [`SelectionAlgorithm::default_score`].
+pub trait IndependentTerms {
+    /// How the per-word terms combine for `summary`'s database.
+    fn combine(&self, summary: &dyn SummaryView) -> Combine;
+
+    /// The per-word basis for `summary`'s database. May read `ctx.m` and
+    /// `ctx.mcw` but not `ctx.cf`: the basis is a property of the
+    /// (database, collection) pair, so its posterior moments can be
+    /// tabulated once per catalog.
+    fn basis(&self, summary: &dyn SummaryView, ctx: &CollectionContext) -> TermBasis;
+
+    /// The coefficients of query word `k`, as far as they do not depend on
+    /// the database.
+    fn query_term(&self, query: &[TermId], k: usize, ctx: &CollectionContext) -> TermCoefficients;
+
+    /// The database-dependent factor of a word's slope, given the
+    /// probabilities `summary` itself reports for the word (`p_df`, `p_tf`).
+    fn slope_scale(&self, p_df: f64, p_tf: f64, summary: &dyn SummaryView) -> f64 {
+        let _ = (p_df, p_tf, summary);
+        1.0
     }
 }
 

@@ -15,9 +15,10 @@
 //! [`CollectionContext::build`]).
 
 use dbselect_core::summary::SummaryView;
+use dbselect_core::uncertainty::{Combine, TermBasis, TermCoefficients};
 use textindex::TermId;
 
-use crate::context::{CollectionContext, SelectionAlgorithm};
+use crate::context::{CollectionContext, IndependentTerms, SelectionAlgorithm};
 
 /// The CORI scorer with its classic constants.
 #[derive(Debug, Clone, Copy)]
@@ -36,6 +37,52 @@ impl Default for Cori {
             default_belief: 0.4,
             df_base: 50.0,
             df_scale: 150.0,
+        }
+    }
+}
+
+impl Cori {
+    /// The `50 + 150·cw(D)/mcw` part of `T`'s denominator.
+    fn denom_extra(&self, summary: &dyn SummaryView, ctx: &CollectionContext) -> f64 {
+        let cw_ratio = if ctx.mcw > 0.0 {
+            summary.word_count() / ctx.mcw
+        } else {
+            1.0
+        };
+        self.df_base + self.df_scale * cw_ratio
+    }
+
+    /// `I` of query word `k`. With `cf = 0` no database effectively
+    /// contains the word; `I = 0` avoids `log(∞)` (T-weighted, so the term
+    /// vanishes).
+    fn idf(k: usize, ctx: &CollectionContext) -> f64 {
+        let m = ctx.m as f64;
+        match ctx.cf.get(k).copied().unwrap_or(0) {
+            0 => 0.0,
+            cf => ((m + 0.5) / f64::from(cf)).ln() / (m + 1.0).ln(),
+        }
+    }
+}
+
+/// CORI is a *mean* of independent per-word beliefs
+/// `1[round(df) ≥ 1]·(0.4 + 0.6·T(df)·I_k)`.
+impl IndependentTerms for Cori {
+    fn combine(&self, _summary: &dyn SummaryView) -> Combine {
+        Combine::Mean
+    }
+
+    fn basis(&self, summary: &dyn SummaryView, ctx: &CollectionContext) -> TermBasis {
+        TermBasis::Saturating {
+            db_size: summary.db_size(),
+            pivot: self.denom_extra(summary, ctx),
+        }
+    }
+
+    fn query_term(&self, _query: &[TermId], k: usize, ctx: &CollectionContext) -> TermCoefficients {
+        TermCoefficients {
+            intercept: 0.0,
+            presence: self.default_belief,
+            slope: (1.0 - self.default_belief) * Self::idf(k, ctx),
         }
     }
 }
@@ -69,13 +116,7 @@ impl SelectionAlgorithm for Cori {
         if query.is_empty() {
             return 0.0;
         }
-        let cw_ratio = if ctx.mcw > 0.0 {
-            summary.word_count() / ctx.mcw
-        } else {
-            1.0
-        };
-        let denom_extra = self.df_base + self.df_scale * cw_ratio;
-        let m = ctx.m as f64;
+        let denom_extra = self.denom_extra(summary, ctx);
         let mut score = 0.0;
         for (k, &pw) in p.iter().enumerate().take(query.len()) {
             let df = pw * summary.db_size();
@@ -92,17 +133,13 @@ impl SelectionAlgorithm for Cori {
                 continue;
             }
             let t = df / (df + denom_extra);
-            let cf = ctx.cf.get(k).copied().unwrap_or(0);
-            // With cf = 0 no database effectively contains the word; use
-            // I = 0 to avoid log(∞) (T-weighted, so the term vanishes).
-            let i = if cf > 0 {
-                ((m + 0.5) / f64::from(cf)).ln() / (m + 1.0).ln()
-            } else {
-                0.0
-            };
-            score += self.default_belief + (1.0 - self.default_belief) * t * i;
+            score += self.default_belief + (1.0 - self.default_belief) * t * Self::idf(k, ctx);
         }
         score / query.len() as f64
+    }
+
+    fn independent_terms(&self) -> Option<&dyn IndependentTerms> {
+        Some(self)
     }
 
     /// CORI has a batch kernel (see [`crate::topk`]), unlocking the pruned

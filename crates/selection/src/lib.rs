@@ -7,8 +7,8 @@
 //!   shrinkage approach is compared against;
 //! * [`adaptive`] — the paper's contribution: Figure 3's adaptive,
 //!   per-(query, database) choice between the sample-based summary `Ŝ(D)`
-//!   and the shrunk summary `R̂(D)`, driven by score-uncertainty
-//!   estimation.
+//!   and the shrunk summary `R̂(D)`, driven by the closed-form score
+//!   uncertainty of Section 4.
 //!
 //! All scoring is done through [`dbselect_core::summary::SummaryView`], so
 //! the same algorithm code runs over approximate, perfect, shrunk, and
@@ -25,13 +25,14 @@ pub mod redde;
 pub mod topk;
 
 pub use adaptive::{
-    adaptive_rank, score_is_uncertain, score_is_uncertain_with_posteriors, AdaptiveConfig,
-    AdaptiveOutcome, ShrinkageMode, SummaryPair,
+    adaptive_rank, closed_form_distribution, evidence_distribution, score_is_uncertain,
+    score_is_uncertain_for_sample, score_is_uncertain_with_posteriors, shrinkage_decision,
+    AdaptiveConfig, AdaptiveOutcome, Sampled, ShrinkageMode, SummaryPair, WordTerm,
 };
 pub use bgloss::BGloss;
 pub use context::{
-    rank_databases, rank_databases_with_context, ranking_order, CollectionContext, IndexedView,
-    RankedDatabase, SelectionAlgorithm,
+    rank_databases, rank_databases_with_context, ranking_order, CollectionContext,
+    IndependentTerms, IndexedView, RankedDatabase, SelectionAlgorithm,
 };
 pub use cori::Cori;
 pub use hierarchical::HierarchicalSelector;

@@ -15,9 +15,10 @@
 use std::collections::HashMap;
 
 use dbselect_core::summary::{ContentSummary, SummaryView};
+use dbselect_core::uncertainty::{Combine, TermBasis, TermCoefficients};
 use textindex::TermId;
 
-use crate::context::{CollectionContext, SelectionAlgorithm};
+use crate::context::{CollectionContext, IndependentTerms, SelectionAlgorithm};
 
 /// The LM scorer, carrying the global ("Root") language model.
 #[derive(Debug, Clone)]
@@ -47,16 +48,45 @@ impl Lm {
     pub fn global_p(&self, word: TermId) -> f64 {
         self.global.get(&word).copied().unwrap_or(0.0)
     }
+}
 
-    /// The per-word conversion from document-frequency fractions to LM's
-    /// token-probability space (see `score_with_df_fractions`).
-    fn df_to_tf_ratio(&self, summary: &dyn SummaryView, word: TermId, fallback: f64) -> f64 {
-        let observed_df = summary.p_df(word);
-        if observed_df > 0.0 && summary.p_tf(word) > 0.0 {
-            summary.p_tf(word) / observed_df
-        } else {
-            fallback
+/// The per-word conversion from document-frequency fractions to LM's
+/// token-probability space: the summary's own `p_tf/p_df` ratio for the
+/// word, falling back to `1/avg_doc_len` (one occurrence per containing
+/// document) for words the summary lacks. Bounded by 1, so a converted
+/// fraction `p·ratio` is always a probability.
+fn df_to_tf_ratio(p_df: f64, p_tf: f64, summary: &dyn SummaryView) -> f64 {
+    let ratio = if p_df > 0.0 && p_tf > 0.0 {
+        p_tf / p_df
+    } else if summary.word_count() > 0.0 {
+        summary.db_size() / summary.word_count()
+    } else {
+        1.0
+    };
+    ratio.min(1.0)
+}
+
+/// LM is a product of independent affine terms
+/// `λ·ratio_k·p_k + (1−λ)·p̂(w_k|G)`.
+impl IndependentTerms for Lm {
+    fn combine(&self, _summary: &dyn SummaryView) -> Combine {
+        Combine::Product { scale: 1.0 }
+    }
+
+    fn basis(&self, _summary: &dyn SummaryView, _ctx: &CollectionContext) -> TermBasis {
+        TermBasis::Fraction
+    }
+
+    fn query_term(&self, query: &[TermId], k: usize, _ctx: &CollectionContext) -> TermCoefficients {
+        TermCoefficients {
+            intercept: (1.0 - self.lambda) * self.global_p(query[k]),
+            presence: 0.0,
+            slope: self.lambda,
         }
+    }
+
+    fn slope_scale(&self, p_df: f64, p_tf: f64, summary: &dyn SummaryView) -> f64 {
+        df_to_tf_ratio(p_df, p_tf, summary)
     }
 }
 
@@ -89,10 +119,8 @@ impl SelectionAlgorithm for Lm {
 
     /// The uncertainty machinery substitutes *document*-frequency fractions
     /// `d_k/|D|`, but LM probabilities live in token space (`tf / Σtf`,
-    /// roughly two orders of magnitude smaller). Convert with the summary's
-    /// own per-word `p_tf/p_df` ratio, falling back to `1/avg_doc_len`
-    /// (i.e. assuming one occurrence per containing document) for words the
-    /// summary lacks.
+    /// roughly two orders of magnitude smaller); convert each with
+    /// [`df_to_tf_ratio`].
     fn score_with_df_fractions(
         &self,
         query: &[TermId],
@@ -100,41 +128,16 @@ impl SelectionAlgorithm for Lm {
         summary: &dyn SummaryView,
         ctx: &CollectionContext,
     ) -> f64 {
-        let fallback = if summary.word_count() > 0.0 {
-            summary.db_size() / summary.word_count()
-        } else {
-            1.0
-        };
         let converted: Vec<f64> = query
             .iter()
             .zip(p_df)
-            .map(|(&w, &pdf)| (pdf * self.df_to_tf_ratio(summary, w, fallback)).min(1.0))
+            .map(|(&w, &p)| p * df_to_tf_ratio(summary.p_df(w), summary.p_tf(w), summary))
             .collect();
         self.score_with_p(query, &converted, summary, ctx)
     }
 
-    /// LM is an affine product over the word probabilities:
-    /// `Π (λ·ratio_k·p_k + (1−λ)·p̂(w_k|G))`.
-    fn product_form(
-        &self,
-        query: &[TermId],
-        summary: &dyn SummaryView,
-        _ctx: &CollectionContext,
-    ) -> Option<(f64, Vec<(f64, f64)>)> {
-        let fallback = if summary.word_count() > 0.0 {
-            summary.db_size() / summary.word_count()
-        } else {
-            1.0
-        };
-        let coefficients = query
-            .iter()
-            .map(|&w| {
-                let a = self.lambda * self.df_to_tf_ratio(summary, w, fallback);
-                let b = (1.0 - self.lambda) * self.global_p(w);
-                (a, b)
-            })
-            .collect();
-        Some((1.0, coefficients))
+    fn independent_terms(&self) -> Option<&dyn IndependentTerms> {
+        Some(self)
     }
 
     /// LM has a batch kernel (see [`crate::topk`]), unlocking the pruned

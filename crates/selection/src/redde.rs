@@ -32,7 +32,8 @@ use textindex::{Document, InvertedIndex, SearchEngine, TermId};
 
 use dbselect_core::summary::SummaryView;
 
-use crate::context::{CollectionContext, RankedDatabase, SelectionAlgorithm};
+use crate::bgloss::BGloss;
+use crate::context::{CollectionContext, IndependentTerms, RankedDatabase, SelectionAlgorithm};
 
 /// Configuration for ReDDE.
 #[derive(Debug, Clone, Copy)]
@@ -190,6 +191,11 @@ impl SelectionAlgorithm for Redde {
         _ctx: &CollectionContext,
     ) -> f64 {
         0.0
+    }
+
+    /// The fallback is bGlOSS's product, so it shares bGlOSS's closed form.
+    fn independent_terms(&self) -> Option<&dyn IndependentTerms> {
+        Some(&BGloss)
     }
 }
 

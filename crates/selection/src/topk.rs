@@ -252,15 +252,15 @@ impl ScoreKernel for Cori {
             let denom_extra = self.df_base + self.df_scale * cw_ratio;
             let row = &p[r * qlen..r * qlen + qlen];
             let mut score = 0.0;
-            for k in 0..qlen {
-                let df = row[k] * ds;
+            for (&p_k, &term_const) in row.iter().zip(&prep.term_const) {
+                let df = p_k * ds;
                 // A select, not a branch: the skipped arm contributes +0.0,
                 // which cannot perturb a non-negative accumulator.
                 score += if df.round() < 1.0 {
                     0.0
                 } else {
                     let t = df / (df + denom_extra);
-                    self.default_belief + (1.0 - self.default_belief) * t * prep.term_const[k]
+                    self.default_belief + (1.0 - self.default_belief) * t * term_const
                 };
             }
             *o = score / qlen as f64;
@@ -420,8 +420,8 @@ impl ScoreKernel for Lm {
             }
             let row = &p[r * qlen..r * qlen + qlen];
             let mut acc = 1.0;
-            for k in 0..qlen {
-                acc *= self.lambda * row[k] + prep.term_const[k];
+            for (&p_k, &term_const) in row.iter().zip(&prep.term_const) {
+                acc *= self.lambda * p_k + term_const;
             }
             *o = acc;
         }
@@ -692,14 +692,11 @@ mod tests {
             cf: vec![1, 1],
             mcw: 100.0,
         };
-        let bounds = [
-            TermBound {
-                max_df: 10.0,
-                max_p_df: 0.5,
-                max_p_tf: 0.2,
-            };
-            2
-        ];
+        let bounds = [TermBound {
+            max_df: 10.0,
+            max_p_df: 0.5,
+            max_p_tf: 0.2,
+        }; 2];
         let prep = ScoreKernel::prepare(&BGloss, &query, &ctx, &bounds, 10.0);
         assert_eq!(ScoreKernel::upper_bound(&BGloss, &prep, 0b01, 1000.0), 0.0);
         assert!(ScoreKernel::upper_bound(&BGloss, &prep, 0b11, 1000.0) > 0.0);
@@ -707,17 +704,11 @@ mod tests {
 
     #[test]
     fn top_k_heap_keeps_the_best_entries() {
-        let entries: Vec<RankedDatabase> = [
-            (0, 0.5),
-            (1, 0.9),
-            (2, 0.1),
-            (3, 0.9),
-            (4, 0.7),
-            (5, 0.3),
-        ]
-        .iter()
-        .map(|&(index, score)| RankedDatabase { index, score })
-        .collect();
+        let entries: Vec<RankedDatabase> =
+            [(0, 0.5), (1, 0.9), (2, 0.1), (3, 0.9), (4, 0.7), (5, 0.3)]
+                .iter()
+                .map(|&(index, score)| RankedDatabase { index, score })
+                .collect();
         let mut heap = TopK::new(3);
         assert!(heap.worst_score().is_none(), "no θ before the heap fills");
         for &e in &entries {

@@ -35,10 +35,11 @@
 //!   fails a request.
 //!
 //! Rankings served over HTTP are bit-identical to
-//! `broker::SelectionEngine::route` in both modes: `/route` draws its
-//! RNG from `db_rng(seed, index)` exactly like `dbselect route` does for
-//! the query at `index` of a batch, and scores are serialized with
-//! shortest-roundtrip `f64` formatting ([`json`]).
+//! `broker::SelectionEngine::route` in both modes, and scores are
+//! serialized with shortest-roundtrip `f64` formatting ([`json`]). The
+//! `seed` and `index` request fields still seed `db_rng(seed, index)`, but
+//! the uncertainty test is closed-form and no served algorithm draws from
+//! it: they no longer influence rankings.
 
 pub mod client;
 pub mod http;
@@ -101,7 +102,8 @@ pub struct ServerConfig {
     /// How long a kept-alive connection may sit idle between requests
     /// before the daemon closes it.
     pub idle_timeout: Duration,
-    /// Posterior-cache capacity per engine (0 = unbounded).
+    /// Inert: it bounded the posterior cache that [`broker::MomentTable`]
+    /// replaced, and stays only until the benchmark harness stops reading it.
     pub cache_capacity: usize,
     /// Honor the `X-Debug-Sleep-Ms` request header (tests and load
     /// generators only — lets a client hold a worker deterministically).
@@ -143,7 +145,7 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(10),
             keep_alive_requests: 100,
             idle_timeout: Duration::from_secs(5),
-            cache_capacity: broker::DEFAULT_CACHE_CAPACITY,
+            cache_capacity: 0,
             debug_sleep: false,
             mode: ServeMode::Reactor,
             shards: 1,
@@ -1066,7 +1068,6 @@ fn handle_metrics(shared: &Shared) -> Response {
     let tenant = shared.default_tenant();
     let state = tenant.current();
     let mut body = shared.metrics.render(
-        state.cache_stats(),
         tenant.generation.load(Ordering::SeqCst),
         state.databases(),
         state.load_seconds(),
@@ -1083,7 +1084,6 @@ fn handle_metrics(shared: &Shared) -> Response {
             tenant.generation.load(Ordering::SeqCst),
             state.databases(),
             tenant.in_flight.load(Ordering::SeqCst),
-            state.cache_stats(),
         ));
     }
     Response::text(200, body)
@@ -1241,6 +1241,14 @@ fn check_shard(state: &ServingState, shard: usize) -> Result<(), Response> {
     Ok(())
 }
 
+/// Feed an `Adaptive` request's summary choices into the live Table 10.
+fn record_choices(shared: &Shared, params: &RouteParams, outcome: &selection::AdaptiveOutcome) {
+    if params.mode == ShrinkageMode::Adaptive {
+        let algo = params.algo.index();
+        shared.metrics.record_choices(algo, &outcome.used_shrinkage);
+    }
+}
+
 fn handle_route(
     shared: &Shared,
     tenant: &Tenant,
@@ -1319,6 +1327,7 @@ fn handle_route(
                 .engine(params.algo, params.mode)
                 .route_topk(&query, params.k, &mut rng),
         };
+        record_choices(shared, &params, &outcome);
         return Response::json(
             200,
             Json::obj(vec![
@@ -1351,6 +1360,7 @@ fn handle_route(
             .engine(params.algo, params.mode)
             .route_topk(&query, params.k, &mut rng),
     };
+    record_choices(shared, &params, &outcome);
 
     Response::json(
         200,
@@ -1463,6 +1473,9 @@ fn handle_route_batch(
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
         return Response::error(504, "deadline exceeded mid-batch");
     }
+    for outcome in outcomes.iter().flatten() {
+        record_choices(shared, &params, outcome);
+    }
 
     let results = Json::Arr(
         outcomes
@@ -1508,11 +1521,7 @@ fn handle_route_batch(
 /// generations observed by readers only ever increase. `force` bypasses
 /// the staleness check (re-basing a chain legitimately resets its
 /// numbering).
-fn install_state(
-    tenant: &Tenant,
-    next: ServingState,
-    force: bool,
-) -> Result<u64, (u64, u64)> {
+fn install_state(tenant: &Tenant, next: ServingState, force: bool) -> Result<u64, (u64, u64)> {
     let mut slot = tenant.state.write().expect("tenant state lock poisoned");
     let serving = slot.catalog_generation();
     if !force && next.catalog_generation() < serving {

@@ -174,7 +174,15 @@ pub struct Metrics {
     /// `EAGAIN`/`EWOULDBLOCK` results across reactor reads, writes, and
     /// accepts — each one is a syscall that found no progress to make.
     pub eagain_total: AtomicU64,
+    /// The live Table 10, per algorithm ([`ALGO_LABELS`] order):
+    /// (query, database) uncertainty tests decided by `Adaptive` requests …
+    pub uncertainty_tests_total: [AtomicU64; ALGO_LABELS.len()],
+    /// … and how many of them chose the shrunk summary.
+    pub shrinkage_applied_total: [AtomicU64; ALGO_LABELS.len()],
 }
+
+/// `algo` label values, in `state::Algo::all` order.
+pub const ALGO_LABELS: [&str; 3] = ["bgloss", "cori", "lm"];
 
 /// Reactor connection states, in gauge order.
 pub const CONN_STATES: [&str; 5] = ["reading", "executing", "writing", "idle", "draining"];
@@ -208,7 +216,17 @@ impl Metrics {
             connections_state: Default::default(),
             reactor_wakeups_total: AtomicU64::new(0),
             eagain_total: AtomicU64::new(0),
+            uncertainty_tests_total: Default::default(),
+            shrinkage_applied_total: Default::default(),
         }
+    }
+
+    /// Count one `Adaptive` request's choices for [`ALGO_LABELS`]`[algo]`.
+    pub fn record_choices(&self, algo: usize, used_shrinkage: &[bool]) {
+        let applied = used_shrinkage.iter().filter(|&&used| used).count();
+        self.uncertainty_tests_total[algo]
+            .fetch_add(used_shrinkage.len() as u64, Ordering::Relaxed);
+        self.shrinkage_applied_total[algo].fetch_add(applied as u64, Ordering::Relaxed);
     }
 
     /// Move one connection between state gauges; `None` on either side
@@ -232,33 +250,35 @@ impl Metrics {
             .or_insert(0) += 1;
     }
 
-    /// Render the Prometheus text exposition. `cache` is the aggregated
-    /// posterior-cache counters of the current catalog's engines;
+    /// Render the Prometheus text exposition.
     /// `generation`/`databases`/`load_seconds`/`snapshot_bytes` describe
     /// the currently served catalog and how it was loaded.
     pub fn render(
         &self,
-        cache: broker::CacheStats,
         generation: u64,
         databases: usize,
         load_seconds: f64,
         snapshot_bytes: u64,
     ) -> String {
         let mut out = self.render_core();
-        out.push_str(&format!(
-            "# TYPE dbselectd_posterior_cache_hits_total counter\n\
-             dbselectd_posterior_cache_hits_total {}\n\
-             # TYPE dbselectd_posterior_cache_misses_total counter\n\
-             dbselectd_posterior_cache_misses_total {}\n\
-             # TYPE dbselectd_posterior_cache_evictions_total counter\n\
-             dbselectd_posterior_cache_evictions_total {}\n\
-             # TYPE dbselectd_posterior_cache_hit_rate gauge\n\
-             dbselectd_posterior_cache_hit_rate {}\n",
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.hit_rate(),
-        ));
+        for (family, counters) in [
+            (
+                "dbselectd_uncertainty_tests_total",
+                &self.uncertainty_tests_total,
+            ),
+            (
+                "dbselectd_shrinkage_applied_total",
+                &self.shrinkage_applied_total,
+            ),
+        ] {
+            out.push_str(&format!("# TYPE {family} counter\n"));
+            for (algo, counter) in ALGO_LABELS.iter().zip(counters) {
+                out.push_str(&format!(
+                    "{family}{{algo=\"{algo}\"}} {}\n",
+                    counter.load(Ordering::Relaxed)
+                ));
+            }
+        }
         out.push_str(&format!(
             "# TYPE dbselectd_catalog_generation gauge\n\
              dbselectd_catalog_generation {generation}\n\
@@ -413,7 +433,6 @@ pub fn render_tenant(
     generation: u64,
     databases: usize,
     in_flight: u64,
-    cache: broker::CacheStats,
 ) -> String {
     let tenant = escape_label_value(name);
     let mut out = String::new();
@@ -448,13 +467,9 @@ pub fn render_tenant(
          dbselectd_tenant_quota_rejected_total{{tenant=\"{tenant}\"}} {}\n\
          dbselectd_tenant_in_flight{{tenant=\"{tenant}\"}} {in_flight}\n\
          dbselectd_tenant_catalog_generation{{tenant=\"{tenant}\"}} {generation}\n\
-         dbselectd_tenant_catalog_databases{{tenant=\"{tenant}\"}} {databases}\n\
-         dbselectd_tenant_posterior_cache_hits_total{{tenant=\"{tenant}\"}} {}\n\
-         dbselectd_tenant_posterior_cache_misses_total{{tenant=\"{tenant}\"}} {}\n",
+         dbselectd_tenant_catalog_databases{{tenant=\"{tenant}\"}} {databases}\n",
         metrics.reload_total.load(Ordering::Relaxed),
         metrics.quota_rejected_total.load(Ordering::Relaxed),
-        cache.hits,
-        cache.misses,
     ));
     out
 }
@@ -467,9 +482,7 @@ pub const TENANT_TYPE_HEADERS: &str = "# TYPE dbselectd_tenant_requests_total co
      # TYPE dbselectd_tenant_quota_rejected_total counter\n\
      # TYPE dbselectd_tenant_in_flight gauge\n\
      # TYPE dbselectd_tenant_catalog_generation gauge\n\
-     # TYPE dbselectd_tenant_catalog_databases gauge\n\
-     # TYPE dbselectd_tenant_posterior_cache_hits_total counter\n\
-     # TYPE dbselectd_tenant_posterior_cache_misses_total counter\n";
+     # TYPE dbselectd_tenant_catalog_databases gauge\n";
 
 #[cfg(test)]
 mod tests {
@@ -540,20 +553,14 @@ mod tests {
         m.record("route", 200);
         m.record("healthz", 200);
         m.route_latency.observe(5_000);
-        let text = m.render(
-            broker::CacheStats {
-                hits: 3,
-                misses: 1,
-                evictions: 0,
-            },
-            2,
-            7,
-            0.012345,
-            4096,
-        );
+        m.record_choices(1, &[true, false, false, true]);
+        let text = m.render(2, 7, 0.012345, 4096);
         assert!(text.contains("dbselectd_requests_total{endpoint=\"route\",status=\"200\"} 2"));
         assert!(text.contains("dbselectd_request_duration_seconds_count{endpoint=\"route\"} 1"));
-        assert!(text.contains("dbselectd_posterior_cache_hit_rate 0.75"));
+        assert!(text.contains("dbselectd_uncertainty_tests_total{algo=\"cori\"} 4"));
+        assert!(text.contains("dbselectd_shrinkage_applied_total{algo=\"cori\"} 2"));
+        assert!(text.contains("dbselectd_uncertainty_tests_total{algo=\"lm\"} 0"));
+        assert!(!text.contains("posterior_cache"));
         assert!(text.contains("dbselectd_catalog_generation 2"));
         assert!(text.contains("dbselectd_catalog_databases 7"));
         assert!(text.contains("dbselectd_catalog_load_seconds 0.012345"));
@@ -593,14 +600,7 @@ mod tests {
         tm.record("route", 200);
         tm.route_latency.observe(5_000);
         tm.reload_total.fetch_add(2, Ordering::Relaxed);
-        let text = render_tenant(
-            "evil\"t\nenant\\x",
-            &tm,
-            3,
-            6,
-            1,
-            broker::CacheStats::default(),
-        );
+        let text = render_tenant("evil\"t\nenant\\x", &tm, 3, 6, 1);
         // Every sample line still parses: the raw newline in the tenant
         // name must have been escaped, so no line starts mid-label.
         for line in text.lines() {
@@ -627,12 +627,12 @@ mod tests {
         m.transition(Some(ConnState::Reading), Some(ConnState::Executing));
         m.transition(Some(ConnState::Executing), Some(ConnState::Writing));
         m.transition(Some(ConnState::Writing), Some(ConnState::Idle));
-        let text = m.render(broker::CacheStats::default(), 1, 1, 0.0, 0);
+        let text = m.render(1, 1, 0.0, 0);
         assert!(text.contains("dbselectd_connections_state{state=\"idle\"} 1"));
         assert!(text.contains("dbselectd_connections_state{state=\"reading\"} 0"));
         assert!(text.contains("dbselectd_connections_state{state=\"writing\"} 0"));
         m.transition(Some(ConnState::Idle), None);
-        let text = m.render(broker::CacheStats::default(), 1, 1, 0.0, 0);
+        let text = m.render(1, 1, 0.0, 0);
         assert!(text.contains("dbselectd_connections_state{state=\"idle\"} 0"));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A [`ServingState`] freezes everything a request needs: the serving
 //! snapshot's sidecar tables (term dictionary, category paths, LM's
-//! global model), the columnar broker [`Catalog`], and one
-//! [`SelectionEngine`] per (algorithm, shrinkage mode) pair so posterior
-//! caches persist across requests. States are shared as
+//! global model), the columnar broker [`Catalog`], one
+//! [`SelectionEngine`] per (algorithm, shrinkage mode) pair, and the
+//! [`MomentTable`]s the `Adaptive` engines' uncertainty test reads (built
+//! here, once per generation, off the request path). States are shared as
 //! `Arc<ServingState>`; `/admin/reload` builds a fresh state off to the
 //! side and swaps the `Arc` — in-flight requests keep routing against the
 //! generation they started with, so a swap never fails them.
@@ -23,7 +24,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use broker::{Catalog, SelectionEngine, ShardPlan, ShardSet, ShardedEngine};
+use broker::{Catalog, MomentTable, SelectionEngine, ShardPlan, ShardSet, ShardedEngine};
 use selection::{AdaptiveConfig, BGloss, Cori, Lm, SelectionAlgorithm, ShrinkageMode};
 use store::catalog::StoredCatalog;
 use store::snapshot::ServingSnapshot;
@@ -58,7 +59,8 @@ impl Algo {
         [Algo::BGloss, Algo::Cori, Algo::Lm]
     }
 
-    fn index(self) -> usize {
+    /// Position in [`Algo::all`] (and in `metrics::ALGO_LABELS`).
+    pub(crate) fn index(self) -> usize {
         match self {
             Algo::BGloss => 0,
             Algo::Cori => 1,
@@ -126,6 +128,9 @@ pub struct ServingState {
 
 impl ServingState {
     /// Build a state from a serving snapshot (already in final form).
+    /// `cache_capacity` is inert (it sized the posterior cache the
+    /// [`MomentTable`] replaced) and goes once the benchmark harness, which
+    /// passes it, has been moved off it.
     pub fn from_snapshot(snapshot: ServingSnapshot, source: String, cache_capacity: usize) -> Self {
         ServingState::from_snapshot_sharded(snapshot, source, cache_capacity, 1)
     }
@@ -137,7 +142,7 @@ impl ServingState {
     pub fn from_snapshot_sharded(
         snapshot: ServingSnapshot,
         source: String,
-        cache_capacity: usize,
+        _cache_capacity: usize,
         shards: usize,
     ) -> Self {
         let ServingSnapshot {
@@ -148,22 +153,32 @@ impl ServingState {
         } = snapshot;
         let catalog = Arc::new(catalog);
         let global: HashMap<TermId, f64> = lm_global.into_iter().collect();
+        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+            Arc::new(BGloss),
+            Arc::new(Cori::default()),
+            Arc::new(Lm::from_global_map(0.5, global)),
+        ];
+        // One pass over the full catalog's posterior grids. Derived, never
+        // persisted: CORI's rows depend on `mcw`, which every refresh moves.
+        let config = AdaptiveConfig::default();
+        let forms: Vec<_> = algorithms
+            .iter()
+            .map(|a| {
+                a.independent_terms()
+                    .expect("served algorithms are closed-form")
+            })
+            .collect();
+        let tables = MomentTable::build(&catalog, &forms, config.uncertainty.grid_points);
         let mut engines = Vec::with_capacity(9);
-        for algo in Algo::all() {
-            let algorithm: Arc<dyn SelectionAlgorithm + Send + Sync> = match algo {
-                Algo::BGloss => Arc::new(BGloss),
-                Algo::Cori => Arc::new(Cori::default()),
-                Algo::Lm => Arc::new(Lm::from_global_map(0.5, global.clone())),
-            };
+        for (algorithm, table) in algorithms.iter().zip(tables) {
+            let table = Arc::new(table);
             for mode in MODES {
-                engines.push(Arc::new(SelectionEngine::new(
+                let table = (mode == ShrinkageMode::Adaptive).then(|| Arc::clone(&table));
+                engines.push(Arc::new(SelectionEngine::with_table(
                     Arc::clone(&catalog),
-                    Arc::clone(&algorithm),
-                    AdaptiveConfig {
-                        mode,
-                        ..Default::default()
-                    },
-                    cache_capacity,
+                    Arc::clone(algorithm),
+                    AdaptiveConfig { mode, ..config },
+                    table,
                 )));
             }
         }
@@ -228,7 +243,12 @@ impl ServingState {
         let (snapshot, checksum, snapshot_bytes, catalog_generation) =
             if std::path::Path::new(path).is_dir() {
                 let chain = store::delta::load_chain(std::path::Path::new(path))?;
-                (chain.snapshot, chain.checksum, chain.bytes, chain.generation)
+                (
+                    chain.snapshot,
+                    chain.checksum,
+                    chain.bytes,
+                    chain.generation,
+                )
             } else {
                 let (snapshot, checksum) = ServingSnapshot::load_any_with_checksum(path)?;
                 let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -334,14 +354,5 @@ impl ServingState {
             }
         }
         (query, unknown)
-    }
-
-    /// Posterior-cache counters aggregated over every engine.
-    pub fn cache_stats(&self) -> broker::CacheStats {
-        self.engines
-            .iter()
-            .fold(broker::CacheStats::default(), |acc, e| {
-                acc.merged(&e.cache_stats())
-            })
     }
 }

@@ -196,7 +196,11 @@ fn topk_bodies_are_byte_identical_to_the_full_ranking_prefix() {
         ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
     );
 
-    let queries = ["heart blood surgery", "soccer goal keeper", "stock market yield goal"];
+    let queries = [
+        "heart blood surgery",
+        "soccer goal keeper",
+        "stock market yield goal",
+    ];
     for algo in ["bgloss", "cori", "lm"] {
         for mode in ["adaptive", "always", "never"] {
             for (qi, line) in queries.iter().enumerate() {
@@ -296,17 +300,35 @@ fn healthz_metrics_and_errors() {
     assert_eq!(health.get("databases").unwrap().as_u64(), Some(6));
     assert_eq!(health.get("generation").unwrap().as_u64(), Some(1));
 
-    // Exercise a routing request so latency/cache metrics move.
-    let (status, _, _) = post(addr, "/route", r#"{"query":"heart blood"}"#);
+    // Exercise routing so the latency and live-Table-10 metrics move: one
+    // adaptive CORI request (6 uncertainty tests), one adaptive 3-query
+    // bGlOSS batch (18), and a `never` request that tests nothing.
+    let (status, _, body) = post(addr, "/route", r#"{"query":"heart blood"}"#);
+    assert_eq!(status, 200);
+    let applied = body.matches("\"shrinkage_used\":true").count();
+    let (status, _, _) = post(
+        addr,
+        "/route_batch",
+        r#"{"queries":["heart","goal","blood surgery"],"algo":"bgloss"}"#,
+    );
+    assert_eq!(status, 200);
+    let (status, _, _) = post(
+        addr,
+        "/route",
+        r#"{"query":"heart","algo":"lm","shrinkage":"never"}"#,
+    );
     assert_eq!(status, 200);
 
     let (status, head, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(head.contains("text/plain"));
     for family in [
-        "dbselectd_requests_total{endpoint=\"route\",status=\"200\"} 1",
-        "dbselectd_request_duration_seconds_count{endpoint=\"route\"} 1",
-        "dbselectd_posterior_cache_misses_total",
+        "dbselectd_requests_total{endpoint=\"route\",status=\"200\"} 2",
+        "dbselectd_request_duration_seconds_count{endpoint=\"route\"} 2",
+        "dbselectd_uncertainty_tests_total{algo=\"cori\"} 6\n",
+        "dbselectd_uncertainty_tests_total{algo=\"bgloss\"} 18\n",
+        "dbselectd_uncertainty_tests_total{algo=\"lm\"} 0\n",
+        "dbselectd_shrinkage_applied_total{algo=\"lm\"} 0\n",
         "dbselectd_queue_depth",
         "dbselectd_catalog_generation 1",
         "dbselectd_catalog_databases 6",
@@ -314,6 +336,19 @@ fn healthz_metrics_and_errors() {
     ] {
         assert!(body.contains(family), "missing {family} in:\n{body}");
     }
+    // Every ranked database of the CORI request reported its choice, so
+    // the applied counter is at least what the response showed.
+    let cori_applied: usize = body
+        .lines()
+        .find_map(|l| l.strip_prefix("dbselectd_shrinkage_applied_total{algo=\"cori\"} "))
+        .expect("applied family")
+        .parse()
+        .unwrap();
+    assert!(
+        (applied..=6).contains(&cori_applied),
+        "{cori_applied} vs {applied}"
+    );
+    assert!(!body.contains("posterior_cache"));
 
     let (status, _, _) = get(addr, "/nope");
     assert_eq!(status, 404);

@@ -94,7 +94,7 @@ fn probe(session: &mut RefreshSession, db: usize, round: u64, seed: u64) -> Cont
     }
     let mut summary =
         ContentSummary::from_sample(docs.iter(), 800.0 + 31.0 * round as f64 + seed as f64);
-    if (db + seed as usize) % 2 == 0 {
+    if (db + seed as usize).is_multiple_of(2) {
         summary.set_gamma(-1.4 - 0.07 * round as f64);
     }
     summary
@@ -145,14 +145,19 @@ fn route_fingerprint(state: &ServingState, queries: &[Vec<String>]) -> Vec<(usiz
 }
 
 fn fingerprint_queries() -> Vec<Vec<String>> {
-    ["heart blood surgery", "goal keeper stadium", "stock yield", "virus immune protein blood"]
-        .iter()
-        .map(|q| q.split_whitespace().map(str::to_string).collect())
-        .collect()
+    [
+        "heart blood surgery",
+        "goal keeper stadium",
+        "stock yield",
+        "virus immune protein blood",
+    ]
+    .iter()
+    .map(|q| q.split_whitespace().map(str::to_string).collect())
+    .collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Satellite 4, end to end: for random refresh schedules, the state
     /// loaded by replaying `base + deltas` routes bit-identically to a
@@ -261,13 +266,24 @@ fn broken_chains_keep_the_old_generation_serving_and_count_the_failure() {
 
     let (status, _, body) = post(addr, "/admin/reload", "");
     assert_eq!(status, 400, "corrupt chain must answer 400: {body}");
-    assert!(body.contains("delta-000002.snap"), "body names the file: {body}");
-    assert!(body.contains("chain delta 2"), "body names the position: {body}");
+    assert!(
+        body.contains("delta-000002.snap"),
+        "body names the file: {body}"
+    );
+    assert!(
+        body.contains("chain delta 2"),
+        "body names the position: {body}"
+    );
 
     // Provable rollback: the old generation still serves, bit for bit.
     let (_, _, health) = get(addr, "/healthz");
     assert_eq!(
-        Json::parse(&health).unwrap().get("generation").unwrap().as_u64().unwrap(),
+        Json::parse(&health)
+            .unwrap()
+            .get("generation")
+            .unwrap()
+            .as_u64()
+            .unwrap(),
         1
     );
     let (status, _, after) = post(addr, "/route", route_body);
@@ -291,7 +307,12 @@ fn broken_chains_keep_the_old_generation_serving_and_count_the_failure() {
     let (status, _, body) = post(addr, "/admin/reload", "");
     assert_eq!(status, 200, "repaired chain reloads: {body}");
     assert_eq!(
-        Json::parse(&body).unwrap().get("generation").unwrap().as_u64().unwrap(),
+        Json::parse(&body)
+            .unwrap()
+            .get("generation")
+            .unwrap()
+            .as_u64()
+            .unwrap(),
         2
     );
 

@@ -158,8 +158,9 @@ impl DeltaRecord {
                 }
             }
             let gamma = read_f64(&mut cr)?;
-            let unshrunk = read_frozen(&mut cr)?;
-            let shrunk = read_frozen(&mut cr)?;
+            let numbered = |e: io::Error| io::Error::new(e.kind(), format!("database #{db}: {e}"));
+            let unshrunk = read_frozen(&mut cr).map_err(numbered)?;
+            let shrunk = read_frozen(&mut cr).map_err(numbered)?;
             patches.push(DbPatch {
                 db,
                 gamma,
@@ -296,7 +297,9 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
         for term in &record.appended_terms {
             let id = snapshot.dict.intern(term);
             if id as usize != snapshot.dict.len() - 1 {
-                return Err(wrap(corrupt("delta appends a term the dictionary already has")));
+                return Err(wrap(corrupt(
+                    "delta appends a term the dictionary already has",
+                )));
             }
         }
         let updates: Vec<DbUpdate> = record
@@ -309,7 +312,11 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
                 shrunk: p.shrunk,
             })
             .collect();
-        snapshot.catalog = snapshot.catalog.apply_updates(&updates).map_err(corrupt).map_err(wrap)?;
+        snapshot.catalog = snapshot
+            .catalog
+            .apply_updates(&updates)
+            .map_err(corrupt)
+            .map_err(wrap)?;
         bytes += std::fs::metadata(&path)?.len();
         tip = digest;
         generation = number;
@@ -432,7 +439,11 @@ impl ChainWriter {
     /// terms interned since the previous chain file (id order), and
     /// `patches` the touched databases, ascending. Returns the new tip
     /// generation.
-    pub fn append(&mut self, appended_terms: Vec<String>, patches: Vec<DbPatch>) -> io::Result<u64> {
+    pub fn append(
+        &mut self,
+        appended_terms: Vec<String>,
+        patches: Vec<DbPatch>,
+    ) -> io::Result<u64> {
         let record = DeltaRecord {
             parent: self.tip,
             generation: self.generation + 1,

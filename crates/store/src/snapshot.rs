@@ -477,13 +477,16 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
         gammas.push(read_f64(r)?);
     }
     let mcw = read_f64(r)?;
+    // A summary that fails validation is reported with its database.
+    let named =
+        |name: &String, e: io::Error| io::Error::new(e.kind(), format!("database `{name}`: {e}"));
     let mut unshrunk = Vec::new();
-    for _ in 0..n {
-        unshrunk.push(read_frozen(r)?);
+    for name in &names {
+        unshrunk.push(read_frozen(r).map_err(|e| named(name, e))?);
     }
     let mut shrunk = Vec::new();
-    for _ in 0..n {
-        shrunk.push(read_frozen(r)?);
+    for name in &names {
+        shrunk.push(read_frozen(r).map_err(|e| named(name, e))?);
     }
 
     let term_count = read_len(r)?;
@@ -506,6 +509,8 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
         // maximum below any posting it covers would let the pruned top-k
         // path silently drop a true top-k entry. Reject such files.
         for (pos, window) in index.offsets().windows(2).enumerate() {
+            // `at` walks three parallel slabs, two of them behind accessors.
+            #[allow(clippy::needless_range_loop)]
             for at in window[0] as usize..window[1] as usize {
                 let db = index.dbs()[at] as usize;
                 let size = unshrunk[db].db_size();
@@ -538,8 +543,8 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
         lm_global.push((t, p));
     }
 
-    let catalog =
-        Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, mcw, index).map_err(corrupt)?;
+    let catalog = Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, mcw, index)
+        .map_err(|e| corrupt(&e))?;
     Ok(ServingSnapshot {
         dict,
         categories,
@@ -745,6 +750,112 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         assert!(ServingSnapshot::read_from(&mut bytes.as_slice()).is_err());
+    }
+
+    /// Recompute the trailing checksum of a (mutated) v2/v3 file, so the
+    /// mutation reaches the structural validators instead of dying at the
+    /// digest comparison.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - 8;
+        let mut cw = ChecksumWriter::new(io::sink());
+        cw.write_all(&bytes[8..end]).unwrap();
+        bytes[end..].copy_from_slice(&cw.digest().to_le_bytes());
+    }
+
+    #[test]
+    fn sample_df_beyond_sample_size_is_rejected_naming_the_database() {
+        // An in-memory store may claim anything; the file boundary may not:
+        // `sample_df` keys the uncertainty test's moment table.
+        let mut store = fixture_store();
+        let mut words = std::collections::HashMap::new();
+        words.insert(
+            0u32,
+            dbselect_core::summary::WordStats {
+                sample_df: 9,
+                df: 40.0,
+                tf: 80.0,
+            },
+        );
+        store.databases[1].summary = ContentSummary::new(120.0, 2, words);
+        let frozen = StoredCatalog::freeze(store, CategoryWeighting::BySize);
+        let mut bytes = Vec::new();
+        ServingSnapshot::from_stored(&frozen)
+            .write_to(&mut bytes)
+            .unwrap();
+        let Err(err) = ServingSnapshot::read_from(&mut bytes.as_slice()) else {
+            panic!("sample_df 9 of a 2-document sample must not load");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(message.contains("soccer-db"), "{message}");
+        assert!(message.contains("sample_df"), "{message}");
+    }
+
+    /// Trust-boundary fuzz behind the checksum: every single-byte mutation
+    /// of the file, re-sealed, is either rejected or loads into a catalog
+    /// whose `sample_df`s respect their sample sizes, whose moment tables
+    /// stay within one row per posting (plus the absent row per database),
+    /// and which routes every dictionary term without panicking.
+    #[test]
+    fn resealed_single_byte_mutations_never_panic_or_balloon_the_moment_table() {
+        use broker::{MomentTable, RouteScratch, SelectionEngine};
+        use rand::SeedableRng;
+        use selection::{AdaptiveConfig, BGloss, Cori, SelectionAlgorithm};
+        use std::sync::Arc;
+
+        let mut pristine = Vec::new();
+        fixture_snapshot().write_to(&mut pristine).unwrap();
+        let mut accepted = 0usize;
+        for position in 8..pristine.len() - 8 {
+            for xor in [0x01u8, 0x80, 0xff] {
+                let mut bytes = pristine.clone();
+                bytes[position] ^= xor;
+                reseal(&mut bytes);
+                let Ok(snapshot) = ServingSnapshot::read_from(&mut bytes.as_slice()) else {
+                    continue;
+                };
+                accepted += 1;
+                let catalog = Arc::new(snapshot.catalog);
+                for db in 0..catalog.len() {
+                    let s = catalog.unshrunk(db);
+                    assert!(s.sample_df_column().iter().all(|&d| d <= s.sample_size()));
+                }
+                let cori = Cori::default();
+                let forms = [
+                    BGloss.independent_terms().unwrap(),
+                    cori.independent_terms().unwrap(),
+                ];
+                let tables: Vec<_> = MomentTable::build(&catalog, &forms, 160)
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect();
+                let postings = catalog.posting_index().dbs().len();
+                for table in &tables {
+                    assert!(table.rows() <= postings + catalog.len(), "at {position}");
+                }
+                let query: Vec<TermId> = (0..snapshot.dict.len() as TermId).collect();
+                for (algorithm, table) in [
+                    (
+                        Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
+                        Arc::clone(&tables[0]),
+                    ),
+                    (Arc::new(cori), Arc::clone(&tables[1])),
+                ] {
+                    let engine = SelectionEngine::with_table(
+                        Arc::clone(&catalog),
+                        algorithm,
+                        AdaptiveConfig::default(),
+                        Some(table),
+                    );
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+                    let _ = engine.choose_summaries(&query, &mut rng, &mut RouteScratch::default());
+                }
+            }
+        }
+        assert!(
+            accepted > 0,
+            "value-only mutations (a γ, a probability) must load"
+        );
     }
 
     proptest! {

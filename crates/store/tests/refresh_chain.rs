@@ -35,7 +35,9 @@ fn fixture_store() -> CollectionStore {
         let docs: Vec<Document> = docs
             .iter()
             .enumerate()
-            .map(|(i, toks)| Document::from_tokens(i as u32, toks.iter().map(|&t| ids[t]).collect()))
+            .map(|(i, toks)| {
+                Document::from_tokens(i as u32, toks.iter().map(|&t| ids[t]).collect())
+            })
             .collect();
         let mut summary = ContentSummary::from_sample(docs.iter(), size);
         if let Some(g) = gamma {
@@ -52,11 +54,29 @@ fn fixture_store() -> CollectionStore {
         dict,
         hierarchy,
         databases: vec![
-            db("cardio", heart, 900.0, Some(-1.8), &[&[0, 1, 2], &[0, 0, 11]]),
+            db(
+                "cardio",
+                heart,
+                900.0,
+                Some(-1.8),
+                &[&[0, 1, 2], &[0, 0, 11]],
+            ),
             db("surgery", heart, 400.0, None, &[&[1, 2, 15], &[2, 11]]),
-            db("goal-net", soccer, 1500.0, Some(-2.1), &[&[3, 4, 5], &[12, 13, 3]]),
+            db(
+                "goal-net",
+                soccer,
+                1500.0,
+                Some(-2.1),
+                &[&[3, 4, 5], &[12, 13, 3]],
+            ),
             db("terrace", soccer, 300.0, None, &[&[4, 13]]),
-            db("tickerwire", finance, 2500.0, Some(-1.6), &[&[6, 7, 14], &[6, 14]]),
+            db(
+                "tickerwire",
+                finance,
+                2500.0,
+                Some(-1.6),
+                &[&[6, 7, 14], &[6, 14]],
+            ),
             db("pathogen", path_, 700.0, None, &[&[8, 9, 10], &[8, 15]]),
         ],
     }
@@ -65,16 +85,14 @@ fn fixture_store() -> CollectionStore {
 /// A synthetic re-probe summary for `db`: drifts term content, may
 /// intern brand-new vocabulary, may change the size estimate and γ.
 fn probe(session: &mut RefreshSession, db: usize, round: u64) -> ContentSummary {
-    let fresh = session
-        .dict_mut()
-        .intern(&format!("drift-{db}-r{round}"));
+    let fresh = session.dict_mut().intern(&format!("drift-{db}-r{round}"));
     let old_terms: Vec<u32> = session.summary(db).iter().map(|(t, _)| t).collect();
     let mut docs = vec![Document::from_tokens(0, vec![fresh, fresh])];
     for (i, &t) in old_terms.iter().enumerate().skip(round as usize % 2) {
         docs.push(Document::from_tokens(1 + i as u32, vec![t, fresh]));
     }
     let mut summary = ContentSummary::from_sample(docs.iter(), 1000.0 + 37.0 * round as f64);
-    if db % 2 == 0 {
+    if db.is_multiple_of(2) {
         summary.set_gamma(-1.5 - 0.1 * round as f64);
     }
     summary
@@ -251,6 +269,35 @@ fn chain_errors_carry_path_and_generation_context() {
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&nochain).ok();
+}
+
+/// Trust boundary: a delta whose re-probed summary claims a word in more
+/// sample documents than the sample holds is refused at load — `sample_df`
+/// keys the serving moment table — naming the chain member and database.
+#[test]
+fn delta_with_sample_df_beyond_sample_size_is_rejected() {
+    let dir = temp_chain("sampledf");
+    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
+    let mut session = RefreshSession::new(stored);
+    let mut writer = ChainWriter::create(&dir, &session.freeze_full()).unwrap();
+    let mut words = std::collections::HashMap::new();
+    words.insert(
+        0u32,
+        dbselect_core::summary::WordStats {
+            sample_df: 7,
+            df: 70.0,
+            tf: 90.0,
+        },
+    );
+    let patch = session.apply_probe(4, ContentSummary::new(300.0, 3, words));
+    writer.append_round(session.dict(), vec![patch]).unwrap();
+    let err = delta::load_chain(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(msg.contains("delta-000001.snap"), "{msg}");
+    assert!(msg.contains("database #4"), "{msg}");
+    assert!(msg.contains("sample_df"), "{msg}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

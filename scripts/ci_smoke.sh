@@ -65,6 +65,14 @@ smoke_pass() {
     # --- metrics respond and count the served request ---------------------
     curl -sf "http://$ADDR/metrics" > "$WORK/metrics1.txt"
     grep 'dbselectd_requests_total{endpoint="route",status="200"} 1' "$WORK/metrics1.txt"
+    # The live Table 10: that one adaptive CORI request ran one uncertainty
+    # test per database; no other algorithm has been asked anything yet.
+    grep -E '^dbselectd_uncertainty_tests_total\{algo="cori"\} [1-9][0-9]*$' "$WORK/metrics1.txt"
+    grep -E '^dbselectd_shrinkage_applied_total\{algo="cori"\} [0-9]+$' "$WORK/metrics1.txt"
+    grep '^dbselectd_uncertainty_tests_total{algo="lm"} 0$' "$WORK/metrics1.txt"
+    if grep -q 'posterior_cache' "$WORK/metrics1.txt"; then
+        echo "posterior-cache metrics should be gone"; exit 1
+    fi
 
     # --- catalog gauges are exported, with a real load time and size ------
     grep '^dbselectd_catalog_generation 1$' "$WORK/metrics1.txt"
