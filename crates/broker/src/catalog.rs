@@ -6,7 +6,9 @@
 //!
 //! * every summary becomes a [`FrozenSummary`] — term-sorted parallel
 //!   arrays answering `p̂(w|D)` by binary search over contiguous memory
-//!   instead of hash-bucket chasing;
+//!   instead of hash-bucket chasing — and shrunk summaries over one
+//!   vocabulary (all of them, under one hierarchy root) hold one term
+//!   column between them;
 //! * the **summary-level inverted index** is stored CSR-style: one sorted
 //!   term-id array, an offsets array, and flat parallel slabs holding, for
 //!   every `(term, database)` pair whose unshrunk summary mentions the
@@ -16,7 +18,9 @@
 //!
 //! Collection-level statistics that a per-query scan used to recompute —
 //! `m`, `mcw`, and the effective `cf(w)` counts of Section 5.3 — become
-//! catalog constants or single index lookups. The columnar form is also
+//! catalog constants or single index lookups, and a request makes each
+//! lookup once (`QueryPlan`, `ShrunkRows`): the public per-query
+//! methods are wrappers over that plan code. The columnar form is also
 //! exactly what the v2 snapshot serializes: `store::snapshot` dumps and
 //! reloads these arrays verbatim, so a daemon start or `/admin/reload`
 //! rebuilds nothing.
@@ -146,7 +150,7 @@ impl PostingIndex {
                 cursors[pos] += 1;
                 dbs[at] = db as u32;
                 p_df[at] = s.p_df_column()[i];
-                sample_df[at] = s.sample_df_column()[i];
+                sample_df[at] = s.sample_df_at(i);
                 let eff = s.effectively_contains(*t);
                 effective[at] = eff;
                 effective_counts[pos] += u32::from(eff);
@@ -347,7 +351,7 @@ impl PostingIndex {
                 contribs.entry(t).or_default().push((
                     db,
                     s.p_df_column()[i],
-                    s.sample_df_column()[i],
+                    s.sample_df_at(i),
                     s.effectively_contains(t),
                 ));
             }
@@ -468,11 +472,16 @@ impl PostingIndex {
         }
     }
 
-    /// The postings of `term`, if any database mentions it.
-    pub fn get(&self, term: TermId) -> Option<Postings<'_>> {
-        let pos = self.terms.binary_search(&term).ok()?;
+    /// The row of `term` in the index, if any database mentions it — the
+    /// one binary search a request pays per query word (`QueryPlan`).
+    pub(crate) fn row(&self, term: TermId) -> Option<usize> {
+        self.terms.binary_search(&term).ok()
+    }
+
+    /// The postings of row `pos` (see [`Self::row`]).
+    pub(crate) fn postings_at(&self, pos: usize) -> Postings<'_> {
         let (lo, hi) = (self.offsets[pos] as usize, self.offsets[pos + 1] as usize);
-        Some(Postings {
+        Postings {
             dbs: &self.dbs[lo..hi],
             p_df: &self.p_df[lo..hi],
             sample_df: &self.sample_df[lo..hi],
@@ -484,7 +493,12 @@ impl PostingIndex {
                 max_p_df: self.max_p_df.get(pos).copied().unwrap_or(0.0),
                 max_p_tf: self.max_p_tf.get(pos).copied().unwrap_or(0.0),
             },
-        })
+        }
+    }
+
+    /// The postings of `term`, if any database mentions it.
+    pub fn get(&self, term: TermId) -> Option<Postings<'_>> {
+        self.row(term).map(|pos| self.postings_at(pos))
     }
 
     /// Number of distinct indexed terms.
@@ -549,12 +563,52 @@ impl PostingIndex {
     }
 }
 
+/// What one request resolves about its query words, once: each word's row
+/// in the posting index, which choose → context → score all read
+/// (`effective_count`, the posting slices, the [`TermBound`]). Plain
+/// indices into one catalog's index, so the buffer is recyclable across
+/// requests and generations.
+#[derive(Debug, Default)]
+pub(crate) struct QueryPlan {
+    /// Posting-index row per query word ([`ABSENT`] when no database
+    /// mentions it).
+    rows: Vec<u32>,
+}
+
+/// "Not stored" in a [`QueryPlan`] row or a shrunk-column position.
+const ABSENT: u32 = u32::MAX;
+/// A shrunk column whose positions this request has not resolved yet.
+const UNRESOLVED: u32 = u32::MAX - 1;
+
+/// The databases a request scores with `R̂(D)`, gathered once: per
+/// database a row of the query words' probabilities, read at positions
+/// resolved once per *distinct* term column. Feeds both the scoring
+/// context's `cf` and the kernels' row matrix.
+#[derive(Debug, Default)]
+pub(crate) struct ShrunkRows {
+    pub(crate) dbs: Vec<u32>,
+    pub(crate) sizes: Vec<f64>,
+    pub(crate) word_counts: Vec<f64>,
+    /// Row-major `p̂(w|D)`, `dbs.len() × query.len()`.
+    pub(crate) p_df: Vec<f64>,
+    /// Row-major `p_tf(w|D)`; filled only when asked for.
+    pub(crate) p_tf: Vec<f64>,
+    /// `positions[column * query.len() + k]`.
+    positions: Vec<u32>,
+}
+
 /// A profiled collection frozen for serving.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     names: Vec<String>,
     unshrunk: Vec<FrozenSummary>,
+    /// Shrunk summaries over one vocabulary hold one term column between
+    /// them (interned by [`Self::intern_shrunk_columns`]).
     shrunk: Vec<FrozenSummary>,
+    /// Which distinct term column each shrunk summary holds.
+    shrunk_column: Vec<u32>,
+    /// One database per distinct shrunk term column, in first-seen order.
+    column_owners: Vec<u32>,
     /// γ per database (the Appendix-A fit, or the generic −2 fallback),
     /// resolved once so the hot path never re-inspects the summary.
     gammas: Vec<f64>,
@@ -587,25 +641,74 @@ impl Catalog {
             unshrunk.push(FrozenSummary::from_unshrunk(&e.unshrunk));
             shrunk.push(FrozenSummary::from_shrunk(&e.shrunk));
         }
+        let index = PostingIndex::build(&unshrunk);
+        Catalog::assemble(names, unshrunk, shrunk, gammas, None, index)
+    }
+
+    /// The one place a catalog is put together: interns the shrunk term
+    /// columns and folds the derived constants. `mcw` is recomputed unless
+    /// supplied (a snapshot's, or a shard's copy of the global value).
+    fn assemble(
+        names: Vec<String>,
+        unshrunk: Vec<FrozenSummary>,
+        mut shrunk: Vec<FrozenSummary>,
+        gammas: Vec<f64>,
+        mcw: Option<f64>,
+        index: PostingIndex,
+    ) -> Catalog {
         // Same summation order as `CollectionContext::build` over views in
         // database order, so the constant is bit-identical to the scan.
-        let mcw = if unshrunk.is_empty() {
-            0.0
-        } else {
-            unshrunk.iter().map(|s| s.word_count()).sum::<f64>() / unshrunk.len() as f64
-        };
-        let index = PostingIndex::build(&unshrunk);
-        let (min_word_count, kernel_safe) = Self::summary_stats(&unshrunk);
+        let mcw = mcw.unwrap_or_else(|| {
+            if unshrunk.is_empty() {
+                0.0
+            } else {
+                unshrunk.iter().map(|s| s.word_count()).sum::<f64>() / unshrunk.len() as f64
+            }
+        });
+        let min_word_count = unshrunk
+            .iter()
+            .map(|s| s.word_count())
+            .fold(f64::INFINITY, f64::min);
+        let kernel_safe = unshrunk
+            .iter()
+            .all(|s| s.default_p_df() == 0.0 && s.default_p_tf() == 0.0);
+        let (shrunk_column, column_owners) = Self::intern_shrunk_columns(&mut shrunk);
         Catalog {
             names,
             unshrunk,
             shrunk,
+            shrunk_column,
+            column_owners,
             gammas,
             mcw,
-            min_word_count,
+            min_word_count: if min_word_count.is_finite() {
+                min_word_count
+            } else {
+                0.0
+            },
             kernel_safe,
             index,
         }
+    }
+
+    /// Make shrunk summaries with equal term columns hold one copy (a
+    /// pointer compare when they already do, one `memcmp` otherwise), and
+    /// number the distinct columns. Summaries over a vocabulary of their
+    /// own simply keep their private column.
+    fn intern_shrunk_columns(shrunk: &mut [FrozenSummary]) -> (Vec<u32>, Vec<u32>) {
+        let mut column_of = Vec::with_capacity(shrunk.len());
+        let mut owners: Vec<u32> = Vec::new();
+        for db in 0..shrunk.len() {
+            let (earlier, rest) = shrunk.split_at_mut(db);
+            let found = owners
+                .iter()
+                .position(|&owner| rest[0].share_terms(&earlier[owner as usize]));
+            column_of.push(found.unwrap_or(owners.len()) as u32);
+            if found.is_none() {
+                owners.push(db as u32);
+            }
+        }
+        (column_of, owners)
     }
 
     /// Apply a batch of per-database refresh updates, rebuilding **only**
@@ -616,7 +719,8 @@ impl Catalog {
     /// with the exact summation [`Self::build`] uses. The result is
     /// bit-identical to a full `build` over the updated entries, at a
     /// cost proportional to the touched vocabulary instead of the
-    /// catalog.
+    /// catalog. Untouched databases keep sharing their term column; a
+    /// replacement over the same vocabulary joins it.
     pub fn apply_updates(&self, updates: &[DbUpdate]) -> Result<Catalog, &'static str> {
         if updates.iter().any(|u| u.db >= self.len()) {
             return Err("update database index out of range");
@@ -629,7 +733,6 @@ impl Catalog {
         {
             return Err("duplicate database in update batch");
         }
-        let names = self.names.clone();
         let mut unshrunk = self.unshrunk.clone();
         let mut shrunk = self.shrunk.clone();
         let mut gammas = self.gammas.clone();
@@ -644,42 +747,14 @@ impl Catalog {
             gammas[u.db] = u.gamma;
         }
         let index = self.index.update_dbs(&touched, &old, &unshrunk);
-        // Same summation order as `build`, so the constant stays
-        // bit-identical to a from-scratch freeze.
-        let mcw = if unshrunk.is_empty() {
-            0.0
-        } else {
-            unshrunk.iter().map(|s| s.word_count()).sum::<f64>() / unshrunk.len() as f64
-        };
-        let (min_word_count, kernel_safe) = Self::summary_stats(&unshrunk);
-        Ok(Catalog {
-            names,
+        Ok(Catalog::assemble(
+            self.names.clone(),
             unshrunk,
             shrunk,
             gammas,
-            mcw,
-            min_word_count,
-            kernel_safe,
+            None,
             index,
-        })
-    }
-
-    /// The recomputed-not-persisted per-catalog constants: the smallest
-    /// unshrunk word count and the zero-default invariant check.
-    fn summary_stats(unshrunk: &[FrozenSummary]) -> (f64, bool) {
-        let min_word_count = unshrunk
-            .iter()
-            .map(|s| s.word_count())
-            .fold(f64::INFINITY, f64::min);
-        let min_word_count = if min_word_count.is_finite() {
-            min_word_count
-        } else {
-            0.0
-        };
-        let kernel_safe = unshrunk
-            .iter()
-            .all(|s| s.default_p_df() == 0.0 && s.default_p_tf() == 0.0);
-        (min_word_count, kernel_safe)
+        ))
     }
 
     /// Reassemble a catalog from already-frozen columns — the snapshot
@@ -718,17 +793,14 @@ impl Catalog {
             // them from the summaries, bit-identical to freeze-time values.
             index.recompute_aux(&unshrunk);
         }
-        let (min_word_count, kernel_safe) = Self::summary_stats(&unshrunk);
-        Ok(Catalog {
+        Ok(Catalog::assemble(
             names,
             unshrunk,
             shrunk,
             gammas,
-            mcw,
-            min_word_count,
-            kernel_safe,
+            Some(mcw),
             index,
-        })
+        ))
     }
 
     /// Number of databases.
@@ -754,6 +826,35 @@ impl Catalog {
     /// The frozen shrunk summary `R̂(D)` of database `db`.
     pub fn shrunk(&self, db: usize) -> &FrozenSummary {
         &self.shrunk[db]
+    }
+
+    /// Distinct term columns held by the shrunk summaries: 1 when they all
+    /// mix one hierarchy root's vocabulary, up to [`Self::len`] when a
+    /// refresh has splintered it.
+    pub fn shrunk_term_columns(&self) -> usize {
+        self.column_owners.len()
+    }
+
+    /// Bytes of column data the catalog holds — summaries and posting
+    /// index, a shared term column counted once.
+    pub fn resident_bytes(&self) -> usize {
+        let terms = |s: &FrozenSummary| s.len() * size_of::<TermId>();
+        let i = &self.index;
+        let per_term = i.terms.len() + i.offsets.len() + i.effective_counts.len();
+        let per_term_f64 = i.max_df.len() + i.max_p_df.len() + i.max_p_tf.len();
+        self.unshrunk
+            .iter()
+            .map(|s| s.value_bytes() + terms(s))
+            .sum::<usize>()
+            + self.shrunk.iter().map(|s| s.value_bytes()).sum::<usize>()
+            + self
+                .column_owners
+                .iter()
+                .map(|&db| terms(&self.shrunk[db as usize]))
+                .sum::<usize>()
+            + (per_term + i.dbs.len() + i.sample_df.len()) * size_of::<u32>()
+            + (per_term_f64 + i.p_df.len() + i.p_tf.len()) * size_of::<f64>()
+            + i.effective.len()
     }
 
     /// The resolved power-law exponent γ of database `db`.
@@ -784,14 +885,6 @@ impl Catalog {
         self.kernel_safe && self.index.aux_ready()
     }
 
-    /// The score-bound maxima of `term` ([`TermBound::absent`] when no
-    /// database mentions it).
-    pub fn term_bound(&self, term: TermId) -> TermBound {
-        self.index
-            .get(term)
-            .map_or_else(TermBound::absent, |p| p.bound)
-    }
-
     /// The CSR posting index.
     pub fn posting_index(&self) -> &PostingIndex {
         &self.index
@@ -807,57 +900,47 @@ impl Catalog {
         self.index.len()
     }
 
+    /// Look every word of `query` up in the posting index — the only
+    /// search a request makes there; everything below reads `plan`.
+    pub(crate) fn plan(&self, query: &[TermId], plan: &mut QueryPlan) {
+        plan.rows.clear();
+        plan.rows.extend(
+            query
+                .iter()
+                .map(|&w| self.index.row(w).map_or(ABSENT, |row| row as u32)),
+        );
+    }
+
+    /// The postings of the plan's `k`-th word, if any database mentions it.
+    pub(crate) fn planned_postings(&self, plan: &QueryPlan, k: usize) -> Option<Postings<'_>> {
+        let row = plan.rows[k];
+        (row != ABSENT).then(|| self.index.postings_at(row as usize))
+    }
+
+    /// The score-bound maxima of `term` ([`TermBound::absent`] when no
+    /// database mentions it) — what a `QueryPlan` of the one word reads
+    /// off its postings.
+    pub fn term_bound(&self, term: TermId) -> TermBound {
+        self.index
+            .get(term)
+            .map_or_else(TermBound::absent, |p| p.bound)
+    }
+
     /// The collection context a full scan would compute over every
     /// *unshrunk* view — what the Section-4 uncertainty test scores against.
     /// `cf` is read off per-term effective counts; `m` and `mcw` are
     /// catalog constants.
     pub fn unshrunk_context(&self, query: &[TermId]) -> CollectionContext {
-        let cf = query
-            .iter()
-            .map(|w| self.index.get(*w).map_or(0, |p| p.effective_count))
-            .collect();
-        CollectionContext {
-            m: self.len(),
-            cf,
-            mcw: self.mcw,
-        }
+        let mut plan = QueryPlan::default();
+        self.plan(query, &mut plan);
+        self.planned_unshrunk_context(&plan)
     }
 
-    /// The collection context over the per-database *chosen* views: for
-    /// databases keeping `Ŝ(D)` the effective flag comes from the posting
-    /// index; databases switched to `R̂(D)` are probed directly (a shrunk
-    /// summary may effectively contain words its sample never saw).
-    ///
-    /// When any database uses shrinkage, each query word costs one pass
-    /// over its flat posting slices (subtracting the shrunk databases'
-    /// effective entries from the precomputed count) plus one binary-search
-    /// probe per shrunk database — all `u32` arithmetic, so the counts are
-    /// exactly those of a from-scratch scan.
-    pub fn scoring_context(&self, query: &[TermId], used_shrinkage: &[bool]) -> CollectionContext {
-        debug_assert_eq!(used_shrinkage.len(), self.len());
-        let any_shrunk = used_shrinkage.iter().any(|&u| u);
-        let cf = query
-            .iter()
-            .map(|w| {
-                let mut count = 0u32;
-                if let Some(p) = self.index.get(*w) {
-                    count = p.effective_count;
-                    if any_shrunk {
-                        for (&db, &eff) in p.dbs.iter().zip(p.effective) {
-                            if eff && used_shrinkage[db as usize] {
-                                count -= 1;
-                            }
-                        }
-                    }
-                }
-                if any_shrunk {
-                    for (i, &used) in used_shrinkage.iter().enumerate() {
-                        if used {
-                            count += u32::from(self.shrunk[i].effectively_contains(*w));
-                        }
-                    }
-                }
-                count
+    pub(crate) fn planned_unshrunk_context(&self, plan: &QueryPlan) -> CollectionContext {
+        let cf = (0..plan.rows.len())
+            .map(|k| {
+                self.planned_postings(plan, k)
+                    .map_or(0, |p| p.effective_count)
             })
             .collect();
         CollectionContext {
@@ -867,25 +950,126 @@ impl Catalog {
         }
     }
 
+    /// Gather the query words' probabilities for every database with
+    /// `used_shrinkage[db]` into `rows` (`p_tf` too when `token_space`).
+    /// A word's position is searched once per distinct term column — once
+    /// per request when the shrunk summaries share their vocabulary — and
+    /// every (database, word) read after that is one indexed load.
+    pub(crate) fn gather_shrunk(
+        &self,
+        query: &[TermId],
+        used_shrinkage: &[bool],
+        token_space: bool,
+        rows: &mut ShrunkRows,
+    ) {
+        debug_assert_eq!(used_shrinkage.len(), self.len());
+        let qlen = query.len();
+        rows.dbs.clear();
+        rows.sizes.clear();
+        rows.word_counts.clear();
+        rows.p_df.clear();
+        rows.p_tf.clear();
+        let shrunk = used_shrinkage.iter().filter(|&&used| used).count();
+        if shrunk == 0 {
+            return;
+        }
+        // Exact room up front: a fresh buffer allocates once per column, a
+        // recycled one not at all.
+        rows.dbs.reserve(shrunk);
+        rows.sizes.reserve(shrunk);
+        rows.word_counts.reserve(shrunk);
+        rows.p_df.reserve(shrunk * qlen);
+        if token_space {
+            rows.p_tf.reserve(shrunk * qlen);
+        }
+        rows.positions.clear();
+        rows.positions
+            .resize(self.column_owners.len() * qlen, UNRESOLVED);
+        for (db, _) in used_shrinkage.iter().enumerate().filter(|(_, &used)| used) {
+            let s = &self.shrunk[db];
+            rows.dbs.push(db as u32);
+            rows.sizes.push(s.db_size());
+            rows.word_counts.push(s.word_count());
+            let column = self.shrunk_column[db] as usize * qlen;
+            let positions = &mut rows.positions[column..column + qlen];
+            if positions.first() == Some(&UNRESOLVED) {
+                for (slot, &w) in positions.iter_mut().zip(query) {
+                    *slot = s.position(w).map_or(ABSENT, |i| i as u32);
+                }
+            }
+            for &position in positions.iter() {
+                let position = (position != ABSENT).then_some(position as usize);
+                rows.p_df.push(s.p_df_at(position));
+                if token_space {
+                    rows.p_tf.push(s.p_tf_at(position));
+                }
+            }
+        }
+    }
+
+    /// The collection context over the per-database *chosen* views: for
+    /// databases keeping `Ŝ(D)` the effective flag comes from the posting
+    /// index; databases switched to `R̂(D)` are probed directly (a shrunk
+    /// summary may effectively contain words its sample never saw).
+    /// Wraps the plan code the engine runs: a `QueryPlan`, the
+    /// `ShrunkRows` gather, then the count over both.
+    pub fn scoring_context(&self, query: &[TermId], used_shrinkage: &[bool]) -> CollectionContext {
+        let (mut plan, mut rows) = (QueryPlan::default(), ShrunkRows::default());
+        self.plan(query, &mut plan);
+        self.gather_shrunk(query, used_shrinkage, false, &mut rows);
+        self.planned_scoring_context(&plan, used_shrinkage, &rows)
+    }
+
+    /// When any database uses shrinkage, each query word costs one pass
+    /// over its flat posting slices (subtracting the shrunk databases'
+    /// effective entries from the precomputed count) plus one pass over the
+    /// gathered shrunk rows — all `u32` arithmetic, so the counts are
+    /// exactly those of a from-scratch scan.
+    pub(crate) fn planned_scoring_context(
+        &self,
+        plan: &QueryPlan,
+        used_shrinkage: &[bool],
+        rows: &ShrunkRows,
+    ) -> CollectionContext {
+        let mut ctx = self.planned_unshrunk_context(plan);
+        let qlen = plan.rows.len();
+        if rows.dbs.is_empty() || qlen == 0 {
+            return ctx;
+        }
+        for (k, count) in ctx.cf.iter_mut().enumerate() {
+            if let Some(p) = self.planned_postings(plan, k) {
+                for (&db, &eff) in p.dbs.iter().zip(p.effective) {
+                    *count -= u32::from(eff && used_shrinkage[db as usize]);
+                }
+            }
+            // `SummaryView::effectively_contains`, on the gathered values.
+            for (row, &size) in rows.p_df.chunks_exact(qlen).zip(&rows.sizes) {
+                *count += u32::from((size * row[k]).round() >= 1.0);
+            }
+        }
+        ctx
+    }
+
     /// Candidate mask: `true` for databases whose unshrunk summary mentions
     /// at least one query word. A database outside the mask that scores with
     /// its unshrunk summary provably lands exactly on its default score
     /// (every query word has `p̂ = 0`) and would be dropped by the ranker, so
     /// the engine skips scoring it. Databases scoring with shrunk summaries
     /// are never skipped — shrinkage gives every word non-zero probability.
+    /// Wraps a `QueryPlan` and the mask the engine fills from it.
     pub fn candidates(&self, query: &[TermId]) -> Vec<bool> {
-        let mut mask = Vec::new();
-        self.candidates_into(query, &mut mask);
+        let (mut plan, mut mask) = (QueryPlan::default(), Vec::new());
+        self.plan(query, &mut plan);
+        self.planned_candidates(&plan, &mut mask);
         mask
     }
 
-    /// [`Self::candidates`] into a reusable buffer (cleared and refilled),
-    /// so batch routing allocates the mask once per worker, not per query.
-    pub fn candidates_into(&self, query: &[TermId], mask: &mut Vec<bool>) {
+    /// [`Self::candidates`] into a reusable buffer (cleared and refilled).
+    pub(crate) fn planned_candidates(&self, plan: &QueryPlan, mask: &mut Vec<bool>) {
         mask.clear();
         mask.resize(self.len(), false);
-        for w in query {
-            if let Some(p) = self.index.get(*w) {
+        for k in 0..plan.rows.len() {
+            if let Some(p) = self.planned_postings(plan, k) {
                 for &db in p.dbs {
                     mask[db as usize] = true;
                 }
@@ -981,8 +1165,10 @@ mod tests {
         assert_eq!(c.candidates(&[2]), vec![true, false, false]);
         assert_eq!(c.candidates(&[]), vec![false, false, false]);
         assert_eq!(c.candidates(&[99]), vec![false, false, false]);
-        let mut mask = vec![true; 7];
-        c.candidates_into(&[1], &mut mask);
+        // The reusable-buffer form clears whatever the buffer held.
+        let (mut plan, mut mask) = (QueryPlan::default(), vec![true; 7]);
+        c.plan(&[1], &mut plan);
+        c.planned_candidates(&plan, &mut mask);
         assert_eq!(mask, vec![true, true, false]);
     }
 
@@ -1164,6 +1350,66 @@ mod tests {
             assert_eq!(a.shrunk(db), b.shrunk(db), "shrunk {db}");
         }
         assert_eq!(a.posting_index(), b.posting_index());
+        assert_eq!(a.shrunk_term_columns(), b.shrunk_term_columns());
+        assert_eq!(a.resident_bytes(), b.resident_bytes());
+    }
+
+    /// Whether two databases' shrunk summaries hold the very same column.
+    fn share_a_column(a: (&Catalog, usize), b: (&Catalog, usize)) -> bool {
+        std::ptr::eq(a.0.shrunk(a.1).terms(), b.0.shrunk(b.1).terms())
+    }
+
+    #[test]
+    fn shrunk_summaries_over_one_vocabulary_hold_one_column() {
+        // `entry` mixes in a component over words {1, 2, 7}; every sample
+        // here stays inside it, so all three vocabularies coincide.
+        let c = catalog();
+        assert_eq!(c.shrunk_term_columns(), 1);
+        assert!(share_a_column((&c, 0), (&c, 1)) && share_a_column((&c, 0), (&c, 2)));
+        assert_eq!(c.shrunk(2).terms(), &[1, 2, 7]);
+        // Shared once, and no `sample_df` bytes for shrunk summaries:
+        // 3 terms × (4 + 3 × 16) bytes, against 3 × 3 × 24 held apart.
+        let shrunk_bytes = 3 * 4 + 3 * 3 * 16;
+        let unshrunk_bytes = (2 + 1) * 24;
+        let i = c.posting_index();
+        let index_bytes = (i.terms().len() * 2 + i.offsets().len()) * 4
+            + i.terms().len() * 3 * 8
+            + i.dbs().len() * (4 + 8 + 4 + 1 + 8);
+        assert_eq!(
+            c.resident_bytes(),
+            shrunk_bytes + unshrunk_bytes + index_bytes
+        );
+    }
+
+    #[test]
+    fn apply_updates_keeps_untouched_columns_shared() {
+        let base = vec![
+            entry("a", sampled_summary(1000.0, 100, &[(1, 50), (2, 3)])),
+            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
+            entry("c", sampled_summary(200.0, 50, &[])),
+        ];
+        let catalog = Catalog::build(base.clone());
+        // b re-probed inside the shared vocabulary joins the column the
+        // untouched databases never let go of...
+        let inside = entry("b", sampled_summary(640.0, 90, &[(2, 7), (7, 1)]));
+        let joined = catalog.apply_updates(&[update_from(1, &inside)]).unwrap();
+        assert_eq!(joined.shrunk_term_columns(), 1);
+        for db in 0..3 {
+            assert!(share_a_column((&joined, db), (&catalog, 0)), "db {db}");
+        }
+        // ...and one whose sample brings a new word (9) gets a column of
+        // its own, leaving the others' sharing as it was.
+        let outside = entry("b", sampled_summary(640.0, 90, &[(2, 7), (9, 4)]));
+        let split = catalog.apply_updates(&[update_from(1, &outside)]).unwrap();
+        assert_eq!(split.shrunk_term_columns(), 2);
+        assert!(share_a_column((&split, 0), (&catalog, 0)));
+        assert!(share_a_column((&split, 2), (&catalog, 0)));
+        assert_eq!(split.shrunk(1).terms(), &[1, 2, 7, 9]);
+        for (updated, replacement) in [(&joined, inside), (&split, outside)] {
+            let mut rebuilt = base.clone();
+            rebuilt[1] = replacement;
+            assert_catalogs_identical(updated, &Catalog::build(rebuilt));
+        }
     }
 
     #[test]

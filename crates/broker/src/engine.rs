@@ -17,6 +17,14 @@
 //!   score, which the ranker drops. (Databases routed to their shrunk
 //!   summary are always scored.)
 //!
+//! A request resolves each fact once (`catalog::QueryPlan`): one
+//! posting-index search per query word, one search per word per *distinct*
+//! shrunk term column, and one gather of the shrunk databases' rows that
+//! feeds both the scoring context and the kernels. [`route_topk`]
+//! recycles every buffer of that per thread.
+//!
+//! [`route_topk`]: SelectionEngine::route_topk
+//!
 //! The engine owns its catalog and algorithm behind `Arc`s, so a long-lived
 //! serving process (the `dbselectd` daemon) can share one engine across
 //! worker threads and atomically swap catalogs by replacing the engine.
@@ -26,12 +34,13 @@
 //! per-query seeds remain for algorithms that declare no closed form
 //! (tested by Monte-Carlo sampling); bGlOSS, CORI and LM never draw.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dbselect_core::summary::SummaryView;
 use rand::Rng;
-use sampling::scheduler::{db_rng, fan_out_chunks_with};
+use sampling::scheduler::{db_rng, fan_out_chunks};
 use selection::{
     closed_form_distribution, rank_databases_with_context, score_is_uncertain_for_sample,
     shrinkage_decision, AdaptiveConfig, AdaptiveOutcome, CollectionContext, IndependentTerms,
@@ -40,18 +49,20 @@ use selection::{
 };
 use textindex::TermId;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, QueryPlan, ShrunkRows};
 use crate::moments::MomentTable;
 
-/// Reusable per-worker buffers for [`SelectionEngine::route_with_scratch`].
-///
-/// Routing a query needs a candidate mask and the top-k path's row
-/// matrices; allocating those fresh per query dominates the allocator
-/// traffic of a batch. A scratch
-/// never influences results — every buffer is cleared and refilled before
+/// Reusable buffers for routing: a query's plan, its shrunk rows, a
+/// candidate mask and the top-k path's row matrices. Allocating those
+/// fresh per query dominates the allocator traffic of serving, so the
+/// engines route on one scratch per thread. A scratch never
+/// influences results — every buffer is cleared and refilled before
 /// use — it only recycles capacity.
 #[derive(Default)]
 pub struct RouteScratch {
+    plan: QueryPlan,
+    /// The rows of the databases scored with `R̂(D)`.
+    shrunk: ShrunkRows,
     candidates: Vec<bool>,
     // Buffers of the pruned top-k path (`score_partition_topk`): the
     // db→row map, per-row metadata, the row-major probability matrix,
@@ -67,6 +78,17 @@ pub struct RouteScratch {
     compact_sizes: Vec<f64>,
     compact_wcs: Vec<f64>,
     scores: Vec<f64>,
+}
+
+thread_local! {
+    static ROUTE_SCRATCH: RefCell<RouteScratch> = RefCell::default();
+}
+
+/// Run `f` on this thread's scratch: a serving worker (or a batch worker,
+/// for its whole chunk) allocates its buffers once, not once per request.
+/// `f` must not route through another engine on the same thread.
+pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut RouteScratch) -> T) -> T {
+    ROUTE_SCRATCH.with_borrow_mut(f)
 }
 
 /// A query-serving engine over a frozen catalog.
@@ -133,42 +155,63 @@ impl SelectionEngine {
         &self.config
     }
 
-    /// Rank databases for one query. Bit-identical to
-    /// [`selection::adaptive_rank`] over the catalog's summary pairs with
-    /// the same `rng`.
+    /// Rank databases for one query — [`route_topk`](Self::route_topk)
+    /// with no cut-off. Bit-identical to [`selection::adaptive_rank`] over
+    /// the catalog's summary pairs with the same `rng`.
     pub fn route<R: Rng + ?Sized>(&self, query: &[TermId], rng: &mut R) -> AdaptiveOutcome {
-        self.route_with_scratch(query, rng, &mut RouteScratch::default())
+        self.route_topk(query, usize::MAX, rng)
     }
 
-    /// [`route`](Self::route) with caller-provided scratch buffers, so a
-    /// worker routing many queries reuses allocations instead of paying
-    /// them per query. Results are identical for any scratch history.
-    pub fn route_with_scratch<R: Rng + ?Sized>(
+    /// Plan `query`, choose the summaries, gather the shrunk rows and
+    /// count the scoring context — everything before scoring, each lookup
+    /// made once. Leaves the plan and the gathered rows in `scratch` for
+    /// [`Self::score_planned`].
+    pub(crate) fn choose_with_context<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         rng: &mut R,
         scratch: &mut RouteScratch,
-    ) -> AdaptiveOutcome {
-        let used_shrinkage = self.choose_summaries(query, rng, scratch);
-        let ctx = self.catalog.scoring_context(query, &used_shrinkage);
-        let ranking = self.score_partition(query, &ctx, &used_shrinkage, None, scratch);
-        AdaptiveOutcome {
-            ranking,
-            used_shrinkage,
-        }
+    ) -> (Vec<bool>, CollectionContext) {
+        self.catalog.plan(query, &mut scratch.plan);
+        let used_shrinkage = self.choose_planned(query, &scratch.plan, rng);
+        self.gather_shrunk(query, &used_shrinkage, scratch);
+        let ctx =
+            self.catalog
+                .planned_scoring_context(&scratch.plan, &used_shrinkage, &scratch.shrunk);
+        (used_shrinkage, ctx)
+    }
+
+    /// [`Catalog::gather_shrunk`] in the probability space this engine's
+    /// kernel scores in.
+    fn gather_shrunk(&self, query: &[TermId], used_shrinkage: &[bool], scratch: &mut RouteScratch) {
+        let token_space = self
+            .algorithm
+            .score_kernel()
+            .is_some_and(|kernel| kernel.space() == ProbabilitySpace::TokenFrequency);
+        self.catalog
+            .gather_shrunk(query, used_shrinkage, token_space, &mut scratch.shrunk);
     }
 
     /// The Content Summary Selection phase alone: decide, per database,
     /// whether scoring uses the shrunk summary, against the *full* catalog's
     /// unshrunk context (which is why [`crate::shard::ShardedEngine`] runs
     /// this phase on the full engine and scatters only scoring). `rng` is
-    /// drawn from only for algorithms without [`IndependentTerms`]; the
-    /// scratch parameter is vestigial (this phase needs no buffers now).
+    /// drawn from only for algorithms without [`IndependentTerms`].
     pub fn choose_summaries<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         rng: &mut R,
-        _scratch: &mut RouteScratch,
+        scratch: &mut RouteScratch,
+    ) -> Vec<bool> {
+        self.catalog.plan(query, &mut scratch.plan);
+        self.choose_planned(query, &scratch.plan, rng)
+    }
+
+    fn choose_planned<R: Rng + ?Sized>(
+        &self,
+        query: &[TermId],
+        plan: &QueryPlan,
+        rng: &mut R,
     ) -> Vec<bool> {
         let n = self.catalog.len();
 
@@ -179,12 +222,12 @@ impl SelectionEngine {
             ShrinkageMode::Never => vec![false; n],
             ShrinkageMode::Adaptive if query.is_empty() => vec![false; n],
             ShrinkageMode::Adaptive => {
-                let ctx = self.catalog.unshrunk_context(query);
+                let ctx = self.catalog.planned_unshrunk_context(plan);
                 match (self.algorithm.independent_terms(), &self.moments) {
                     // The tabulated path reads zeros for unsampled words and
                     // the `p_tf` slab: both are `kernel_ready` guarantees.
                     (Some(form), Some(table)) if self.catalog.kernel_ready() => {
-                        self.choose_tabulated(query, &ctx, form, table)
+                        self.choose_tabulated(query, plan, &ctx, form, table)
                     }
                     _ => self.choose_from_grids(query, &ctx, rng),
                 }
@@ -199,6 +242,7 @@ impl SelectionEngine {
     fn choose_tabulated(
         &self,
         query: &[TermId],
+        plan: &QueryPlan,
         ctx: &CollectionContext,
         form: &dyn IndependentTerms,
         table: &MomentTable,
@@ -206,7 +250,7 @@ impl SelectionEngine {
         let word = |k| {
             (
                 form.query_term(query, k, ctx),
-                self.catalog.postings(query[k]),
+                self.catalog.planned_postings(plan, k),
                 0,
             )
         };
@@ -258,8 +302,9 @@ impl SelectionEngine {
             .collect()
     }
 
-    /// The Scoring + Ranking phase alone, over posting-list candidates,
-    /// against a caller-supplied collection context.
+    /// The Scoring + Ranking phase through the per-view scorer, over
+    /// posting-list candidates of the plan in `scratch` — what
+    /// [`Self::score_planned`] falls back to without a kernel.
     ///
     /// `ctx` must be the context of the collection the ranking is *about* —
     /// for monolithic routing that is this engine's own
@@ -273,7 +318,7 @@ impl SelectionEngine {
     /// partition scored here and merged by
     /// [`selection::merge::merge_rankings`] is bit-identical to the
     /// monolithic ranking.
-    pub fn score_partition(
+    fn rank_partition(
         &self,
         query: &[TermId],
         ctx: &CollectionContext,
@@ -283,7 +328,8 @@ impl SelectionEngine {
     ) -> Vec<RankedDatabase> {
         let n = self.catalog.len();
         debug_assert_eq!(used_shrinkage.len(), n);
-        self.catalog.candidates_into(query, &mut scratch.candidates);
+        self.catalog
+            .planned_candidates(&scratch.plan, &mut scratch.candidates);
         let candidates = &scratch.candidates;
         let items = (0..n).filter_map(|db| {
             let index = global_indices.map_or(db, |g| g[db] as usize);
@@ -305,9 +351,10 @@ impl SelectionEngine {
     }
 
     /// Rank only the top `k` databases for one query. **Bit-identical**
-    /// (`f64::to_bits`) to truncating [`route`](Self::route)'s full ranking
-    /// to its first `k` entries, for every algorithm, shrinkage mode, seed,
-    /// and `k` — the non-negotiable guardrail of the pruned path.
+    /// (`f64::to_bits`) to the first `k` entries of
+    /// [`selection::adaptive_rank`]'s ranking, for every algorithm,
+    /// shrinkage mode, seed, and `k` — the non-negotiable guardrail of the
+    /// pruned path.
     ///
     /// When the algorithm exposes a [`selection::ScoreKernel`], scoring
     /// runs through the batch kernels with maxscore-style early
@@ -321,38 +368,58 @@ impl SelectionEngine {
     /// scoring phase prunes, and databases routed to their shrunk summary
     /// are batch-scored without pruning (shrinkage gives every word
     /// non-zero probability, so posting-slab bounds do not cover them).
+    ///
+    /// Buffers come from this thread's recycled scratch: after a thread's
+    /// first request the only allocations are the ones returned (the
+    /// choices, the ranking) and a handful of query-length vectors.
     pub fn route_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        let scratch = &mut RouteScratch::default();
-        let used_shrinkage = self.choose_summaries(query, rng, scratch);
-        let ctx = self.catalog.scoring_context(query, &used_shrinkage);
-        let ranking = self.score_partition_topk(query, k, &ctx, &used_shrinkage, None, scratch);
-        AdaptiveOutcome {
-            ranking,
-            used_shrinkage,
-        }
+        with_scratch(|scratch| {
+            let (used_shrinkage, ctx) = self.choose_with_context(query, rng, scratch);
+            let ranking = self.score_planned(query, k, &ctx, &used_shrinkage, None, scratch);
+            AdaptiveOutcome {
+                ranking,
+                used_shrinkage,
+            }
+        })
     }
 
-    /// The top-k counterpart of [`score_partition`](Self::score_partition):
-    /// returns exactly the first `min(k, len)` entries the full partition
-    /// ranking would have, bit for bit.
+    /// The scoring phase alone, to the top `k`: returns exactly the first
+    /// `min(k, len)` entries the full partition ranking would have, bit
+    /// for bit. Plans the query and gathers the shrunk rows itself, then
+    /// runs the code [`route_topk`](Self::route_topk) runs.
+    pub fn score_partition_topk(
+        &self,
+        query: &[TermId],
+        k: usize,
+        ctx: &CollectionContext,
+        used_shrinkage: &[bool],
+        global_indices: Option<&[u32]>,
+        scratch: &mut RouteScratch,
+    ) -> Vec<RankedDatabase> {
+        self.catalog.plan(query, &mut scratch.plan);
+        self.gather_shrunk(query, used_shrinkage, scratch);
+        self.score_planned(query, k, ctx, used_shrinkage, global_indices, scratch)
+    }
+
+    /// Score against the plan and the gathered shrunk rows in `scratch`.
     ///
     /// Falls back to scoring the full partition (then truncating) when the
     /// algorithm has no kernel, the query is empty, or the catalog lacks
     /// the kernel invariants ([`Catalog::kernel_ready`]). Otherwise:
     ///
-    /// 1. databases scored with their *shrunk* summary are gathered into a
-    ///    flat row matrix and batch-scored — no pruning, but no per-entry
+    /// 1. the gathered rows of the databases scored with their *shrunk*
+    ///    summary are batch-scored — no pruning, but no per-entry
     ///    allocation or virtual dispatch either;
     /// 2. unshrunk candidates are scattered from the posting slabs into a
     ///    zeroed row matrix plus per-row presence masks, upper-bound
     ///    filtered against the heap's current k-th score, and only the
     ///    survivors are batch-scored.
-    pub fn score_partition_topk(
+    pub(crate) fn score_planned(
         &self,
         query: &[TermId],
         k: usize,
@@ -368,7 +435,7 @@ impl SelectionEngine {
             Some(kernel) if !query.is_empty() && self.catalog.kernel_ready() => kernel,
             _ => {
                 let mut full =
-                    self.score_partition(query, ctx, used_shrinkage, global_indices, scratch);
+                    self.rank_partition(query, ctx, used_shrinkage, global_indices, scratch);
                 full.truncate(k);
                 return full;
             }
@@ -377,44 +444,35 @@ impl SelectionEngine {
         debug_assert_eq!(used_shrinkage.len(), n);
         let qlen = query.len();
         let space = kernel.space();
-        let bounds: Vec<TermBound> = query.iter().map(|&w| self.catalog.term_bound(w)).collect();
+        let bound = |k| {
+            let postings = self.catalog.planned_postings(&scratch.plan, k);
+            postings.map_or_else(TermBound::absent, |p| p.bound)
+        };
+        let bounds: Vec<TermBound> = (0..qlen).map(bound).collect();
         let prep = kernel.prepare(query, ctx, &bounds, self.catalog.min_word_count());
         let mut heap = TopK::new(k.min(n));
-        self.catalog.candidates_into(query, &mut scratch.candidates);
+        self.catalog
+            .planned_candidates(&scratch.plan, &mut scratch.candidates);
 
-        // Phase A: shrunk-scored databases. Gathered per summary (shrunk
+        // Phase A: shrunk-scored databases, gathered already (shrunk
         // probabilities are not in the posting slabs) and batch-scored
         // without pruning, so Always mode gets the kernel win only.
-        scratch.row_dbs.clear();
-        scratch.row_sizes.clear();
-        scratch.row_wcs.clear();
-        scratch.matrix.clear();
-        for (db, &shrunk) in used_shrinkage.iter().enumerate() {
-            if !shrunk {
-                continue;
-            }
-            let s = self.catalog.shrunk(db);
-            scratch.row_dbs.push(db as u32);
-            scratch.row_sizes.push(s.db_size());
-            scratch.row_wcs.push(s.word_count());
-            for &w in query {
-                scratch.matrix.push(match space {
-                    ProbabilitySpace::DocumentFrequency => s.p_df(w),
-                    ProbabilitySpace::TokenFrequency => s.p_tf(w),
-                });
-            }
-        }
+        let shrunk = &scratch.shrunk;
+        let shrunk_matrix = match space {
+            ProbabilitySpace::DocumentFrequency => &shrunk.p_df,
+            ProbabilitySpace::TokenFrequency => &shrunk.p_tf,
+        };
+        debug_assert_eq!(shrunk_matrix.len(), shrunk.dbs.len() * qlen);
         scratch.scores.clear();
-        scratch.scores.resize(scratch.row_dbs.len(), 0.0);
+        scratch.scores.resize(shrunk.dbs.len(), 0.0);
         kernel.score_rows(
             &prep,
-            &scratch.matrix,
-            &scratch.row_sizes,
-            &scratch.row_wcs,
+            shrunk_matrix,
+            &shrunk.sizes,
+            &shrunk.word_counts,
             &mut scratch.scores,
         );
-        for (r, &db) in scratch.row_dbs.iter().enumerate() {
-            let score = scratch.scores[r];
+        for (&db, &score) in shrunk.dbs.iter().zip(&scratch.scores) {
             if score > prep.drop_threshold {
                 let index = global_indices.map_or(db as usize, |g| g[db as usize] as usize);
                 heap.push(RankedDatabase { index, score });
@@ -446,8 +504,8 @@ impl SelectionEngine {
         scratch.matrix.resize(rows * qlen, 0.0);
         scratch.masks.clear();
         scratch.masks.resize(rows, 0);
-        for (kpos, &w) in query.iter().enumerate() {
-            if let Some(p) = self.catalog.postings(w) {
+        for kpos in 0..qlen {
+            if let Some(p) = self.catalog.planned_postings(&scratch.plan, kpos) {
                 let slab = match space {
                     ProbabilitySpace::DocumentFrequency => p.p_df,
                     ProbabilitySpace::TokenFrequency => p.p_tf,
@@ -550,18 +608,12 @@ impl SelectionEngine {
         threads: usize,
         observe: impl Fn(usize, std::time::Duration) + Sync,
     ) -> Vec<AdaptiveOutcome> {
-        fan_out_chunks_with(
-            queries.len(),
-            threads,
-            RouteScratch::default,
-            |qi, scratch| {
-                let started = Instant::now();
-                let mut rng = db_rng(base_seed, qi);
-                let outcome = self.route_with_scratch(&queries[qi], &mut rng, scratch);
-                observe(qi, started.elapsed());
-                outcome
-            },
-        )
+        fan_out_chunks(queries.len(), threads, |qi| {
+            let started = Instant::now();
+            let outcome = self.route(&queries[qi], &mut db_rng(base_seed, qi));
+            observe(qi, started.elapsed());
+            outcome
+        })
     }
 }
 
@@ -658,6 +710,86 @@ mod tests {
                     );
                     for engine in [&untabulated, &tabulated] {
                         let routed = engine.route(query, &mut db_rng(7, qi));
+                        assert_same_outcome(&reference, &routed);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A catalog whose shrunk summaries mix two different category models
+    /// (two hierarchy roots, in effect) and arrive interleaved: the two
+    /// vocabularies are interned as two columns, positions are resolved per
+    /// column, and every route still equals `adaptive_rank` bit for bit.
+    #[test]
+    fn two_shrunk_vocabularies_route_like_adaptive_rank_over_two_columns() {
+        let health = [(1, 0.05), (2, 0.02), (5, 0.01), (7, 0.01)];
+        let sports = [(1, 0.03), (3, 0.04), (9, 0.02)];
+        type Spec<'a> = (f64, &'a [(TermId, u32)], &'a [(TermId, f64)]);
+        let specs: [Spec<'_>; 5] = [
+            (320.0, &[(1, 150), (2, 140)], &health),
+            (90_000.0, &[(1, 3), (9, 1)], &sports),
+            (5_000.0, &[(2, 80), (5, 40)], &health),
+            (2_000.0, &[(3, 60)], &sports),
+            (700.0, &[], &health),
+        ];
+        let entries: Vec<CatalogEntry> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(db_size, words, component))| {
+                let unshrunk = sampled_summary(db_size, 300, words);
+                let shrunk = shrunk_for(&unshrunk, component);
+                CatalogEntry {
+                    name: format!("db{i}"),
+                    unshrunk,
+                    shrunk,
+                }
+            })
+            .collect();
+        let pairs: Vec<SummaryPair<'_>> = entries
+            .iter()
+            .map(|e| SummaryPair {
+                unshrunk: &e.unshrunk,
+                shrunk: &e.shrunk,
+            })
+            .collect();
+        let catalog = Arc::new(Catalog::build(entries.clone()));
+        assert_eq!(catalog.shrunk_term_columns(), 2);
+        assert_eq!(catalog.shrunk(0).terms(), &[1, 2, 5, 7]);
+        assert_eq!(catalog.shrunk(1).terms(), &[1, 3, 9]);
+
+        let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
+        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+            Arc::new(BGloss),
+            Arc::new(Cori::default()),
+            Arc::new(Lm::new(0.5, &global)),
+        ];
+        // Words of one vocabulary only, of both, of neither, and repeated.
+        let queries: [&[TermId]; 5] = [&[1, 2], &[3, 9, 5], &[7], &[42, 1], &[9, 9, 2]];
+        for algorithm in &algorithms {
+            for mode in [
+                ShrinkageMode::Adaptive,
+                ShrinkageMode::Always,
+                ShrinkageMode::Never,
+            ] {
+                let config = AdaptiveConfig {
+                    mode,
+                    ..Default::default()
+                };
+                let engine =
+                    SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
+                for (qi, query) in queries.iter().enumerate() {
+                    let mut reference = adaptive_rank(
+                        algorithm.as_ref(),
+                        query,
+                        &pairs,
+                        &config,
+                        &mut db_rng(7, qi),
+                    );
+                    let full = reference.ranking.clone();
+                    for k in 1..=catalog.len() + 1 {
+                        reference.ranking = full[..k.min(full.len())].to_vec();
+                        let routed = engine.route_topk(query, k, &mut db_rng(7, qi));
                         assert_same_outcome(&reference, &routed);
                     }
                 }
@@ -825,8 +957,9 @@ mod tests {
         }
 
         /// Tentpole guardrail: `route_topk` is **bit-identical** to
-        /// truncating the full ranking, for every algorithm × shrinkage
-        /// mode × k (including k > n), on random catalogs.
+        /// truncating the reference `adaptive_rank` ranking, for every
+        /// algorithm × shrinkage mode × k (including k > n), on random
+        /// catalogs.
         #[test]
         fn route_topk_matches_truncated_full_ranking(
             seed in 0u64..1_000_000,
@@ -845,7 +978,11 @@ mod tests {
                     CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
                 })
                 .collect();
-            let catalog = Arc::new(Catalog::build(entries));
+            let pairs: Vec<SummaryPair<'_>> = entries
+                .iter()
+                .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
+                .collect();
+            let catalog = Arc::new(Catalog::build(entries.clone()));
             prop_assert!(catalog.kernel_ready(), "built catalogs expose kernel aux columns");
             let global = sampled_summary(
                 200_000.0,
@@ -868,7 +1005,13 @@ mod tests {
                     let config = AdaptiveConfig { mode, ..Default::default() };
                     let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
                     for (qi, query) in queries.iter().enumerate() {
-                        let full = engine.route(query, &mut db_rng(seed, qi));
+                        let full = adaptive_rank(
+                            algorithm.as_ref(),
+                            query,
+                            &pairs,
+                            &config,
+                            &mut db_rng(seed, qi),
+                        );
                         prop_assert!(
                             engine.route_topk(query, 0, &mut db_rng(seed, qi)).ranking.is_empty()
                         );

@@ -46,7 +46,7 @@ use selection::{AdaptiveOutcome, CollectionContext, RankedDatabase};
 use textindex::TermId;
 
 use crate::catalog::{Catalog, PostingIndex};
-use crate::engine::{RouteScratch, SelectionEngine};
+use crate::engine::{with_scratch, RouteScratch, SelectionEngine};
 
 /// How databases are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -291,18 +291,12 @@ impl ShardedEngine {
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        let scratch = &mut RouteScratch::default();
-        let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
-        let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
+        let (used_shrinkage, ctx) =
+            with_scratch(|scratch| self.full.choose_with_context(query, rng, scratch));
         let per_shard = fan_out(self.scorers.len(), self.threads, |s| {
-            self.score_shard_topk(
-                s,
-                query,
-                k,
-                &ctx,
-                &used_shrinkage,
-                &mut RouteScratch::default(),
-            )
+            with_scratch(|scratch| {
+                self.score_shard_topk(s, query, k, &ctx, &used_shrinkage, scratch)
+            })
         });
         let mut ranking = merge_rankings(&per_shard);
         ranking.truncate(k);
@@ -321,19 +315,10 @@ impl ShardedEngine {
         query: &[TermId],
         k: usize,
         rng: &mut R,
-        scratch: &mut RouteScratch,
     ) -> AdaptiveOutcome {
-        let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
-        let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
-        let per_shard: Vec<Vec<RankedDatabase>> = (0..self.scorers.len())
-            .map(|s| self.score_shard_topk(s, query, k, &ctx, &used_shrinkage, scratch))
-            .collect();
-        let mut ranking = merge_rankings(&per_shard);
-        ranking.truncate(k);
-        AdaptiveOutcome {
-            ranking,
-            used_shrinkage,
-        }
+        let mut outcome = self.route_shards_topk(query, k, rng, 0..self.scorers.len());
+        outcome.ranking.truncate(k);
+        outcome
     }
 
     /// Score **one** shard to its local top `k`, reporting global database
@@ -358,15 +343,29 @@ impl ShardedEngine {
         k: usize,
         rng: &mut R,
         shard: usize,
-        scratch: &mut RouteScratch,
     ) -> AdaptiveOutcome {
-        let used_shrinkage = self.full.choose_summaries(query, rng, scratch);
-        let ctx = self.full.catalog().scoring_context(query, &used_shrinkage);
-        let ranking = self.score_shard_topk(shard, query, k, &ctx, &used_shrinkage, scratch);
-        AdaptiveOutcome {
-            ranking,
-            used_shrinkage,
-        }
+        self.route_shards_topk(query, k, rng, shard..shard + 1)
+    }
+
+    /// Choose on the full catalog, then score `shards` one after another
+    /// on this thread's scratch and merge their local top-`k` lists.
+    fn route_shards_topk<R: Rng + ?Sized>(
+        &self,
+        query: &[TermId],
+        k: usize,
+        rng: &mut R,
+        shards: std::ops::Range<usize>,
+    ) -> AdaptiveOutcome {
+        with_scratch(|scratch| {
+            let (used_shrinkage, ctx) = self.full.choose_with_context(query, rng, scratch);
+            let per_shard: Vec<Vec<RankedDatabase>> = shards
+                .map(|s| self.score_shard_topk(s, query, k, &ctx, &used_shrinkage, scratch))
+                .collect();
+            AdaptiveOutcome {
+                ranking: merge_rankings(&per_shard),
+                used_shrinkage,
+            }
+        })
     }
 
     /// Shard `s`'s local top `k` against the global context, global
@@ -573,13 +572,8 @@ mod tests {
                     // fresh RNG — exactly what N remote backends would do.
                     let per_shard: Vec<Vec<RankedDatabase>> = (0..sharded.shard_count())
                         .map(|s| {
-                            let partial = sharded.route_shard_topk(
-                                query,
-                                usize::MAX,
-                                &mut db_rng(5, qi),
-                                s,
-                                &mut RouteScratch::default(),
-                            );
+                            let partial =
+                                sharded.route_shard_topk(query, usize::MAX, &mut db_rng(5, qi), s);
                             assert_eq!(
                                 partial.used_shrinkage, mono.used_shrinkage,
                                 "choose phase must be shard-invariant"
@@ -612,8 +606,7 @@ mod tests {
         let queries = queries();
         let mono = full.route_batch(&queries, 77, 4);
         let scat = sampling::scheduler::fan_out_chunks(queries.len(), 4, |qi| {
-            let scratch = &mut RouteScratch::default();
-            sharded.route_sequential_topk(&queries[qi], usize::MAX, &mut db_rng(77, qi), scratch)
+            sharded.route_sequential_topk(&queries[qi], usize::MAX, &mut db_rng(77, qi))
         });
         assert_eq!(mono.len(), scat.len());
         for (a, b) in mono.iter().zip(&scat) {
@@ -775,7 +768,6 @@ mod tests {
                                                     k,
                                                     &mut db_rng(seed, qi),
                                                     s,
-                                                    &mut RouteScratch::default(),
                                                 )
                                                 .ranking
                                         })

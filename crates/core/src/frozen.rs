@@ -19,12 +19,19 @@
 //! zeros). Rankings computed over frozen views are therefore identical,
 //! `f64::to_bits` for `f64::to_bits`, to rankings over the originals.
 
+use std::sync::Arc;
+
 use textindex::TermId;
 
 use crate::shrinkage::ShrunkSummary;
 use crate::summary::{ContentSummary, SummaryView};
 
 /// A summary frozen into term-sorted parallel arrays.
+///
+/// The term column sits behind an `Arc` so summaries over one vocabulary
+/// can hold it once ([`Self::share_terms`]): after shrinkage every `R̂(D)`
+/// under one hierarchy root stores exactly the same key set, and a catalog
+/// of them would otherwise repeat it per database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenSummary {
     db_size: f64,
@@ -36,13 +43,46 @@ pub struct FrozenSummary {
     /// Token-level default, same convention.
     default_p_tf: f64,
     /// Strictly ascending term ids; the index into the value columns.
-    terms: Vec<TermId>,
+    terms: Arc<[TermId]>,
     p_df: Vec<f64>,
     p_tf: Vec<f64>,
+    /// Parallel to `terms`, or empty when every value is zero (every
+    /// shrunk summary): [`Self::assemble`] normalises, so equality never
+    /// sees which shape the column arrived in.
     sample_df: Vec<u32>,
 }
 
 impl FrozenSummary {
+    /// The one constructor: every summary passes through here, which is
+    /// what keeps the elided `sample_df` column a single representation.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        db_size: f64,
+        sample_size: u32,
+        word_count: f64,
+        default_p_df: f64,
+        default_p_tf: f64,
+        terms: Arc<[TermId]>,
+        p_df: Vec<f64>,
+        p_tf: Vec<f64>,
+        mut sample_df: Vec<u32>,
+    ) -> FrozenSummary {
+        if sample_df.iter().all(|&d| d == 0) {
+            sample_df = Vec::new();
+        }
+        FrozenSummary {
+            db_size,
+            sample_size,
+            word_count,
+            default_p_df,
+            default_p_tf,
+            terms,
+            p_df,
+            p_tf,
+            sample_df,
+        }
+    }
+
     /// Freeze a database content summary.
     pub fn from_unshrunk(s: &ContentSummary) -> FrozenSummary {
         let mut terms: Vec<TermId> = s.iter().map(|(t, _)| t).collect();
@@ -53,17 +93,17 @@ impl FrozenSummary {
             .iter()
             .map(|&t| s.word(t).expect("term from iter").sample_df)
             .collect();
-        FrozenSummary {
-            db_size: s.db_size(),
-            sample_size: s.sample_size(),
-            word_count: s.total_tf(),
-            default_p_df: 0.0,
-            default_p_tf: 0.0,
-            terms,
+        FrozenSummary::assemble(
+            s.db_size(),
+            s.sample_size(),
+            s.total_tf(),
+            0.0,
+            0.0,
+            terms.into(),
             p_df,
             p_tf,
             sample_df,
-        }
+        )
     }
 
     /// Freeze a shrunk summary by materializing the mixture over its full
@@ -73,25 +113,25 @@ impl FrozenSummary {
         let terms = s.full_vocabulary();
         let p_df = terms.iter().map(|&t| SummaryView::p_df(s, t)).collect();
         let p_tf = terms.iter().map(|&t| SummaryView::p_tf(s, t)).collect();
-        let sample_df = vec![0; terms.len()];
-        FrozenSummary {
-            db_size: s.db_size(),
-            sample_size: 0,
-            word_count: s.word_count(),
-            default_p_df: s.lambdas()[0] * s.uniform_p(),
-            default_p_tf: s.lambdas_tf()[0] * s.uniform_p(),
-            terms,
+        FrozenSummary::assemble(
+            s.db_size(),
+            0,
+            s.word_count(),
+            s.lambdas()[0] * s.uniform_p(),
+            s.lambdas_tf()[0] * s.uniform_p(),
+            terms.into(),
             p_df,
             p_tf,
-            sample_df,
-        }
+            Vec::new(),
+        )
     }
 
     /// Reassemble a frozen summary from decoded columns — the snapshot
     /// load path. Validates the structural invariants a codec cannot
     /// express (strictly ascending terms, equal column lengths, no word in
     /// more sample documents than the sample holds) so corrupt input is
-    /// rejected instead of silently mis-searching.
+    /// rejected instead of silently mis-searching. `sample_df` is checked
+    /// as decoded, before an all-zero column is dropped.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         db_size: f64,
@@ -114,21 +154,49 @@ impl FrozenSummary {
         if sample_df.iter().any(|&s| s > sample_size) {
             return Err("frozen summary sample_df exceeds sample_size");
         }
-        Ok(FrozenSummary {
+        Ok(FrozenSummary::assemble(
             db_size,
             sample_size,
             word_count,
             default_p_df,
             default_p_tf,
-            terms,
+            terms.into(),
             p_df,
             p_tf,
             sample_df,
-        })
+        ))
     }
 
-    fn position(&self, term: TermId) -> Option<usize> {
+    /// Hold `other`'s term column in place of this summary's own when the
+    /// two are equal; `false` (and no change) when the vocabularies differ.
+    pub fn share_terms(&mut self, other: &FrozenSummary) -> bool {
+        let same = Arc::ptr_eq(&self.terms, &other.terms) || self.terms == other.terms;
+        if same {
+            self.terms = Arc::clone(&other.terms);
+        }
+        same
+    }
+
+    /// Bytes of column data this summary holds, the term column apart
+    /// (it may be shared; see [`Self::share_terms`]).
+    pub fn value_bytes(&self) -> usize {
+        (self.p_df.len() + self.p_tf.len()) * size_of::<f64>()
+            + self.sample_df.len() * size_of::<u32>()
+    }
+
+    /// The index of `term` in the columns, if stored.
+    pub fn position(&self, term: TermId) -> Option<usize> {
         self.terms.binary_search(&term).ok()
+    }
+
+    /// `p̂(w|D)` of the word at `position` (the default when `None`).
+    pub fn p_df_at(&self, position: Option<usize>) -> f64 {
+        position.map_or(self.default_p_df, |i| self.p_df[i])
+    }
+
+    /// Token probability of the word at `position` (the default when `None`).
+    pub fn p_tf_at(&self, position: Option<usize>) -> f64 {
+        position.map_or(self.default_p_tf, |i| self.p_tf[i])
     }
 
     /// Estimated database size `|D̂|`.
@@ -148,19 +216,24 @@ impl FrozenSummary {
 
     /// `p̂(w|D)` under the document-frequency model.
     pub fn p_df(&self, term: TermId) -> f64 {
-        self.position(term)
-            .map_or(self.default_p_df, |i| self.p_df[i])
+        self.p_df_at(self.position(term))
     }
 
     /// `p̂(w|D)` under the term-frequency model.
     pub fn p_tf(&self, term: TermId) -> f64 {
-        self.position(term)
-            .map_or(self.default_p_tf, |i| self.p_tf[i])
+        self.p_tf_at(self.position(term))
     }
 
     /// Number of *sample* documents containing `term` (0 when absent).
     pub fn sample_df(&self, term: TermId) -> u32 {
-        self.position(term).map_or(0, |i| self.sample_df[i])
+        self.position(term).map_or(0, |i| self.sample_df_at(i))
+    }
+
+    /// `sample_df` of the `i`-th stored term (`i < len()`); 0 throughout
+    /// when the column is elided.
+    pub fn sample_df_at(&self, i: usize) -> u32 {
+        debug_assert!(i < self.len());
+        self.sample_df.get(i).copied().unwrap_or(0)
     }
 
     /// Number of explicitly stored terms.
@@ -186,11 +259,6 @@ impl FrozenSummary {
     /// The `p_tf` value column, parallel to [`Self::terms`].
     pub fn p_tf_column(&self) -> &[f64] {
         &self.p_tf
-    }
-
-    /// The `sample_df` column, parallel to [`Self::terms`].
-    pub fn sample_df_column(&self) -> &[u32] {
-        &self.sample_df
     }
 
     /// The stored default `p_df` for absent terms.
@@ -404,9 +472,71 @@ mod tests {
             f.terms().to_vec(),
             f.p_df_column().to_vec(),
             f.p_tf_column().to_vec(),
-            f.sample_df_column().to_vec(),
+            (0..f.len()).map(|i| f.sample_df_at(i)).collect(),
         )
         .unwrap();
         assert_eq!(f, rebuilt);
+    }
+
+    /// What a snapshot writer emits for `f` and a reader hands back: the
+    /// `sample_df` column spelled out, zeros included.
+    fn reloaded(f: &FrozenSummary) -> FrozenSummary {
+        FrozenSummary::from_raw_parts(
+            f.db_size(),
+            f.sample_size(),
+            f.word_count(),
+            f.default_p_df(),
+            f.default_p_tf(),
+            f.terms().to_vec(),
+            f.p_df_column().to_vec(),
+            f.p_tf_column().to_vec(),
+            (0..f.len()).map(|i| f.sample_df_at(i)).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn equality_does_not_see_the_elided_column() {
+        // A shrunk summary never carries sample counts; an unshrunk one
+        // whose counts all happen to be zero must behave the same way.
+        let db = sample_summary(&[vec![1, 2], vec![1, 3]], 100.0);
+        let comp = Arc::new(SummaryComponent {
+            p_df: [(1u32, 0.5f64), (4, 0.2)].into_iter().collect(),
+            p_tf: [(1u32, 0.4f64), (4, 0.3)].into_iter().collect(),
+        });
+        let shrunk = FrozenSummary::from_shrunk(&shrink(&db, &[comp], &ShrinkageConfig::default()));
+        let zero = WordStats {
+            sample_df: 0,
+            df: 3.0,
+            tf: 4.0,
+        };
+        let words = [(5u32, zero), (9, zero)].into_iter().collect();
+        let unshrunk = FrozenSummary::from_unshrunk(&ContentSummary::new(50.0, 2, words));
+        for f in [&shrunk, &unshrunk] {
+            assert_eq!(f, &reloaded(f));
+            assert_eq!(f.value_bytes(), f.len() * 16, "no sample_df bytes held");
+            assert!(f.terms().iter().all(|&t| f.sample_df(t) == 0));
+        }
+        // A column with any non-zero count is kept whole.
+        let counted = FrozenSummary::from_unshrunk(&db);
+        assert_eq!(counted.value_bytes(), counted.len() * 20);
+        assert_eq!(counted, reloaded(&counted));
+        assert_eq!(counted.sample_df(1), 2);
+    }
+
+    #[test]
+    fn term_columns_are_shared_only_when_equal() {
+        let a = FrozenSummary::from_unshrunk(&sample_summary(&[vec![1, 2]], 10.0));
+        let mut same = FrozenSummary::from_unshrunk(&sample_summary(&[vec![2, 1, 1]], 99.0));
+        let mut other = FrozenSummary::from_unshrunk(&sample_summary(&[vec![1, 3]], 10.0));
+        assert!(same.share_terms(&a));
+        assert!(std::ptr::eq(same.terms(), a.terms()));
+        assert!(!other.share_terms(&a));
+        assert_eq!(other.terms(), &[1, 3]);
+        // Sharing changes where the column lives, never what it says.
+        assert_eq!(
+            same,
+            FrozenSummary::from_unshrunk(&sample_summary(&[vec![2, 1, 1]], 99.0))
+        );
     }
 }

@@ -96,48 +96,6 @@ pub fn fan_out_chunks<T: Send>(
     out.into_iter().flatten().collect()
 }
 
-/// [`fan_out_chunks`] with per-worker scratch state: each worker calls
-/// `init()` once and threads the resulting value through every
-/// `work(index, &mut scratch)` call of its chunk. Scratch exists to let
-/// workers reuse allocations across items; it must never influence
-/// results — `work` has to produce the same output for any scratch
-/// history, which is what keeps the output identical across thread
-/// counts and to [`fan_out_chunks`].
-pub fn fan_out_chunks_with<T: Send, S>(
-    n: usize,
-    threads: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(usize, &mut S) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        let mut scratch = init();
-        return (0..n).map(|i| work(i, &mut scratch)).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let work = &work;
-                let init = &init;
-                let start = w * chunk;
-                let end = ((w + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    (start..end)
-                        .map(|i| work(i, &mut scratch))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.push(handle.join().expect("fan_out_chunks_with worker panicked"));
-        }
-    });
-    out.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,24 +120,6 @@ mod tests {
                 assert_eq!(
                     fan_out_chunks(n, threads, |i| i * 7 + 1),
                     fan_out(n, threads, |i| i * 7 + 1),
-                    "n={n} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_chunks_with_matches_plain_chunks() {
-        for n in [0usize, 1, 5, 97] {
-            for threads in [1usize, 3, 8, 200] {
-                let with_scratch =
-                    fan_out_chunks_with(n, threads, Vec::<usize>::new, |i, scratch| {
-                        scratch.push(i);
-                        i * 7 + 1
-                    });
-                assert_eq!(
-                    with_scratch,
-                    fan_out_chunks(n, threads, |i| i * 7 + 1),
                     "n={n} threads={threads}"
                 );
             }

@@ -102,14 +102,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => render_string(s, out),
+            Json::Num(n) => write_number(out, *n),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -126,7 +120,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(key, out);
+                    write_string(out, key);
                     out.push(':');
                     value.render_into(out);
                 }
@@ -136,7 +130,19 @@ impl Json {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Append `n` as a JSON number: shortest-roundtrip digits, `null` when not
+/// finite. The one number format of every body the daemon writes, whether
+/// through a [`Json`] tree or straight into a response buffer.
+pub(crate) fn write_number(out: &mut String, n: f64) {
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string (see [`write_number`]).
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

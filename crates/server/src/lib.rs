@@ -14,7 +14,8 @@
 //!   and enforces every deadline — request, idle, write grace, linger —
 //!   through a coarse [`timer::TimerWheel`] instead of per-syscall OS
 //!   timeouts. Thousands of idle keep-alive connections cost one fd and
-//!   a few hundred bytes each; no thread is pinned by an open socket.
+//!   about a kilobyte of read buffer each; no thread is pinned by an open
+//!   socket.
 //! - **Workers** only execute parsed requests: the reactor offers each
 //!   complete request to a [`queue::BoundedQueue`] (a full queue is
 //!   answered `503` + `Retry-After` — admission control at the parse
@@ -28,15 +29,17 @@
 //!   thread-per-connection workers popping whole connections, per-syscall
 //!   deadline re-arming via [`DeadlineStream`] — as a one-release escape
 //!   hatch while the reactor soaks.
-//! - Routing endpoints resolve the current [`state::ServingState`]
-//!   through an `RwLock<Arc<_>>`. `/admin/reload` builds the *next*
-//!   state off to the side and swaps the `Arc`, so in-flight requests
-//!   finish against the generation they started with and a reload never
-//!   fails a request.
+//! - Routing endpoints resolve the current [`state::ServingState`] and
+//!   its generation as one pair under one `RwLock`. `/admin/reload`
+//!   builds the *next* state off to the side and swaps the pair, so
+//!   in-flight requests finish against — and label their response with —
+//!   the generation they started with, and a reload never fails a request.
 //!
 //! Rankings served over HTTP are bit-identical to
 //! `broker::SelectionEngine::route` in both modes, and scores are
-//! serialized with shortest-roundtrip `f64` formatting ([`json`]). The
+//! serialized with shortest-roundtrip `f64` formatting ([`json`]): routing
+//! responses are written straight into the body (`write_ranking`), never
+//! through a [`json::Json`] tree. The
 //! `seed` and `index` request fields still seed `db_rng(seed, index)`, but
 //! the uncertainty test is closed-form and no served algorithm draws from
 //! it: they no longer influence rankings.
@@ -54,6 +57,7 @@ pub mod timer;
 
 pub use proxy::{HedgePolicy, ProxyConfig};
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead as _, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -64,7 +68,9 @@ use std::time::{Duration, Instant};
 use sampling::scheduler::{db_rng, fan_out_chunks};
 use selection::ShrinkageMode;
 
-use crate::http::{read_request, write_response, HttpError, Limits, Request, Response};
+use crate::http::{
+    read_request, serialize_response, write_response, HttpError, Limits, Request, Response,
+};
 use crate::json::Json;
 use crate::metrics::{Metrics, TenantMetrics};
 use crate::poller::Wakeup;
@@ -268,8 +274,10 @@ impl Write for DeadlineStream {
 /// rather than in [`ServingState`] so they survive the tenant's reloads.
 pub(crate) struct Tenant {
     pub(crate) name: String,
-    pub(crate) state: RwLock<Arc<ServingState>>,
-    pub(crate) generation: AtomicU64,
+    /// The serving state and its generation (1 at boot, +1 per swap), one
+    /// pair under one lock: a reader can never see a state with another
+    /// generation's number.
+    state: RwLock<(Arc<ServingState>, u64)>,
     /// Routing requests currently executing against this tenant
     /// (admission quota gauge).
     pub(crate) in_flight: AtomicU64,
@@ -280,15 +288,16 @@ impl Tenant {
     fn new(name: String, state: ServingState) -> Tenant {
         Tenant {
             name,
-            state: RwLock::new(Arc::new(state)),
-            generation: AtomicU64::new(1),
+            state: RwLock::new((Arc::new(state), 1)),
             in_flight: AtomicU64::new(0),
             metrics: TenantMetrics::default(),
         }
     }
 
-    pub(crate) fn current(&self) -> Arc<ServingState> {
-        Arc::clone(&self.state.read().expect("tenant state lock poisoned"))
+    /// The serving state and the generation it was installed as.
+    pub(crate) fn current(&self) -> (Arc<ServingState>, u64) {
+        let slot = self.state.read().expect("tenant state lock poisoned");
+        (Arc::clone(&slot.0), slot.1)
     }
 }
 
@@ -740,11 +749,9 @@ fn execute_task(shared: &Shared, task: &Task) -> Completion {
         || !request.wants_keep_alive()
         || shutting_down
         || shared.stop.load(Ordering::SeqCst);
-    let mut bytes = Vec::new();
-    write_response(&mut bytes, &response, close).expect("serializing into a Vec cannot fail");
     Completion {
         token: task.token,
-        bytes: Some(bytes),
+        bytes: Some(serialize_response(&response, close)),
         close,
     }
 }
@@ -997,16 +1004,12 @@ fn tenant_timed(
 }
 
 fn handle_healthz(shared: &Shared) -> Response {
-    let tenant = shared.default_tenant();
-    let state = tenant.current();
+    let (state, generation) = shared.default_tenant().current();
     Response::json(
         200,
         Json::obj(vec![
             ("status".to_string(), Json::Str("ok".to_string())),
-            (
-                "generation".to_string(),
-                Json::Num(tenant.generation.load(Ordering::SeqCst) as f64),
-            ),
+            ("generation".to_string(), Json::Num(generation as f64)),
             ("databases".to_string(), Json::Num(state.databases() as f64)),
             ("terms".to_string(), Json::Num(state.terms() as f64)),
             (
@@ -1034,13 +1037,10 @@ fn handle_readyz(shared: &Shared) -> Response {
             .tenants
             .iter()
             .map(|tenant| {
-                let state = tenant.current();
+                let (state, generation) = tenant.current();
                 Json::obj(vec![
                     ("tenant".to_string(), Json::Str(tenant.name.clone())),
-                    (
-                        "generation".to_string(),
-                        Json::Num(tenant.generation.load(Ordering::SeqCst) as f64),
-                    ),
+                    ("generation".to_string(), Json::Num(generation as f64)),
                     (
                         "catalog_generation".to_string(),
                         Json::Num(state.catalog_generation() as f64),
@@ -1065,10 +1065,9 @@ fn handle_readyz(shared: &Shared) -> Response {
 }
 
 fn handle_metrics(shared: &Shared) -> Response {
-    let tenant = shared.default_tenant();
-    let state = tenant.current();
+    let (state, generation) = shared.default_tenant().current();
     let mut body = shared.metrics.render(
-        tenant.generation.load(Ordering::SeqCst),
+        generation,
         state.databases(),
         state.load_seconds(),
         state.snapshot_bytes(),
@@ -1077,12 +1076,12 @@ fn handle_metrics(shared: &Shared) -> Response {
     // user input (file stems), so their label values are escaped.
     body.push_str(metrics::TENANT_TYPE_HEADERS);
     for tenant in &shared.tenants {
-        let state = tenant.current();
+        let (state, generation) = tenant.current();
         body.push_str(&metrics::render_tenant(
             &tenant.name,
             &tenant.metrics,
-            tenant.generation.load(Ordering::SeqCst),
-            state.databases(),
+            generation,
+            state.catalog(),
             tenant.in_flight.load(Ordering::SeqCst),
         ));
     }
@@ -1155,65 +1154,85 @@ pub(crate) fn parse_body(request: &Request) -> Result<Json, Response> {
     Json::parse(text).map_err(|e| Response::error(400, &format!("invalid JSON: {e}")))
 }
 
-fn ranking_json(state: &ServingState, outcome: &selection::AdaptiveOutcome, k: usize) -> Json {
-    Json::Arr(
-        outcome
-            .ranking
-            .iter()
-            .take(k)
-            .enumerate()
-            .map(|(rank, r)| {
-                Json::obj(vec![
-                    ("rank".to_string(), Json::Num((rank + 1) as f64)),
-                    (
-                        "database".to_string(),
-                        Json::Str(state.name(r.index).to_string()),
-                    ),
-                    ("category".to_string(), Json::Str(state.category(r.index))),
-                    ("score".to_string(), Json::Num(r.score)),
-                    (
-                        "shrinkage_used".to_string(),
-                        Json::Bool(outcome.used_shrinkage[r.index]),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+/// How a ranking entry leads: its 1-based `rank`, or — one shard's partial
+/// ranking for a proxy (`"shard": i` requests) — the **global** catalog
+/// `index`, so the proxy can k-way-merge partial rankings from different
+/// backends and re-derive ranks.
+#[derive(Clone, Copy)]
+enum Lead {
+    Rank,
+    Index,
 }
 
-/// Render one shard's partial ranking for a proxy (`"shard": i`
-/// requests): entries carry the **global** catalog `index` instead of a
-/// rank, so the proxy can k-way-merge partial rankings from different
-/// backends and re-derive ranks. Truncation to `k` is per shard — the
-/// global top-k of the merged ranking is contained in the per-shard
-/// top-k lists.
-fn partial_ranking_json(
+/// Append the first `k` entries of `outcome`'s ranking to a response body
+/// as a JSON array — the one writer behind `/route`, its shard-partial
+/// form and `/route_batch`. (Truncation of a partial is per shard: the
+/// global top-k of the merged ranking is contained in the per-shard top-k
+/// lists.) Ranks and indices are written as integers, which reads the same
+/// as the `f64` rendering of a [`Json`] tree for every value below 2^53.
+fn write_ranking(
+    out: &mut String,
     state: &ServingState,
     outcome: &selection::AdaptiveOutcome,
     k: usize,
-) -> Json {
-    Json::Arr(
-        outcome
-            .ranking
-            .iter()
-            .take(k)
-            .map(|r| {
-                Json::obj(vec![
-                    ("index".to_string(), Json::Num(r.index as f64)),
-                    (
-                        "database".to_string(),
-                        Json::Str(state.name(r.index).to_string()),
-                    ),
-                    ("category".to_string(), Json::Str(state.category(r.index))),
-                    ("score".to_string(), Json::Num(r.score)),
-                    (
-                        "shrinkage_used".to_string(),
-                        Json::Bool(outcome.used_shrinkage[r.index]),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+    lead: Lead,
+) {
+    out.push('[');
+    for (at, r) in outcome.ranking.iter().take(k).enumerate() {
+        out.push_str(if at == 0 { "{" } else { ",{" });
+        let _ = match lead {
+            Lead::Rank => write!(out, "\"rank\":{}", at + 1),
+            Lead::Index => write!(out, "\"index\":{}", r.index),
+        };
+        out.push_str(",\"database\":");
+        json::write_string(out, state.name(r.index));
+        out.push_str(",\"category\":");
+        json::write_string(out, state.category_path(r.index));
+        out.push_str(",\"score\":");
+        json::write_number(out, r.score);
+        out.push_str(",\"shrinkage_used\":");
+        out.push_str(if outcome.used_shrinkage[r.index] {
+            "true}"
+        } else {
+            "false}"
+        });
+    }
+    out.push(']');
+}
+
+/// Append `"unknown":[..],"ranking":[..]` — the tail every routed query's
+/// object ends with.
+fn write_routed(
+    out: &mut String,
+    state: &ServingState,
+    unknown: &[String],
+    outcome: &selection::AdaptiveOutcome,
+    k: usize,
+    lead: Lead,
+) {
+    out.push_str("\"unknown\":[");
+    for (at, word) in unknown.iter().enumerate() {
+        if at > 0 {
+            out.push(',');
+        }
+        json::write_string(out, word);
+    }
+    out.push_str("],\"ranking\":");
+    write_ranking(out, state, outcome, k, lead);
+}
+
+/// Open a routing response body: `{"generation":g,` plus, for the answer
+/// to a `"shard": s` request, `"shards":n,"shard":s,` — and say how that
+/// body's ranking entries lead. Sized for a top-10 ranking, so the common
+/// response never regrows its buffer.
+fn open_body(state: &ServingState, generation: u64, shard: Option<usize>) -> (String, Lead) {
+    let mut out = String::with_capacity(2048);
+    let _ = write!(out, "{{\"generation\":{generation},");
+    let Some(shard) = shard else {
+        return (out, Lead::Rank);
+    };
+    let _ = write!(out, "\"shards\":{},\"shard\":{shard},", state.shard_count());
+    (out, Lead::Index)
 }
 
 /// Parse the optional `shard` field (proxy-to-backend requests only).
@@ -1239,6 +1258,39 @@ fn check_shard(state: &ServingState, shard: usize) -> Result<(), Response> {
         ));
     }
     Ok(())
+}
+
+/// Route query `index` of a request on `state`, with the RNG `db_rng(seed,
+/// index)` the CLI hands the same query (so results match it for every
+/// thread count). `k` reaches the engines' pruned top-k path — truncation
+/// is not a serialization detail.
+///
+/// A sharded state prefers its scatter-gather engine: the ranking is
+/// bit-identical, only the scoring parallelism differs — `scatter` fans a
+/// query's shards out over threads, and is off inside a batch, whose
+/// fan-out over queries already owns the cores. With `shard` set
+/// (proxy-to-backend) only that shard is scored, to its shard-local top
+/// `k`, but with the choose phase and scoring context computed over the
+/// full catalog — merging every shard's partial ranking reconstructs the
+/// monolithic ranking bit-for-bit.
+fn route_query(
+    state: &ServingState,
+    params: &RouteParams,
+    shard: Option<usize>,
+    query: &[textindex::TermId],
+    index: usize,
+    scatter: bool,
+) -> selection::AdaptiveOutcome {
+    let (k, rng) = (params.k, &mut db_rng(params.seed, index));
+    match (shard, state.sharded_engine(params.algo, params.mode)) {
+        (Some(s), Some(sharded)) => sharded.route_shard_topk(query, k, rng, s),
+        (None, Some(sharded)) if scatter => sharded.route_topk(query, k, rng),
+        (None, Some(sharded)) => sharded.route_sequential_topk(query, k, rng),
+        // shards == 1: shard 0 *is* the whole catalog.
+        (_, None) => state
+            .engine(params.algo, params.mode)
+            .route_topk(query, k, rng),
+    }
 }
 
 /// Feed an `Adaptive` request's summary choices into the live Table 10.
@@ -1298,88 +1350,24 @@ fn handle_route(
         Err(response) => return response,
     };
 
-    let state = tenant.current();
+    let (state, generation) = tenant.current();
     let (query, unknown) = state.analyze(&words);
     if Instant::now() >= deadline {
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
         return Response::error(504, "deadline exceeded");
     }
-    let mut rng = db_rng(params.seed, index);
-
-    // Shard-partial serving (proxy-to-backend): route only the requested
-    // shard, but with the choose phase and scoring context computed over
-    // the full catalog — merging every shard's partial ranking
-    // reconstructs the monolithic ranking bit-for-bit.
     if let Some(s) = shard {
         if let Err(response) = check_shard(&state, s) {
             return response;
         }
-        let outcome = match state.sharded_engine(params.algo, params.mode) {
-            Some(sharded) => sharded.route_shard_topk(
-                &query,
-                params.k,
-                &mut rng,
-                s,
-                &mut broker::RouteScratch::default(),
-            ),
-            // shards == 1: shard 0 *is* the whole catalog.
-            None => state
-                .engine(params.algo, params.mode)
-                .route_topk(&query, params.k, &mut rng),
-        };
-        record_choices(shared, &params, &outcome);
-        return Response::json(
-            200,
-            Json::obj(vec![
-                (
-                    "generation".to_string(),
-                    Json::Num(tenant.generation.load(Ordering::SeqCst) as f64),
-                ),
-                ("shards".to_string(), Json::Num(state.shard_count() as f64)),
-                ("shard".to_string(), Json::Num(s as f64)),
-                (
-                    "unknown".to_string(),
-                    Json::Arr(unknown.into_iter().map(Json::Str).collect()),
-                ),
-                (
-                    "ranking".to_string(),
-                    partial_ranking_json(&state, &outcome, params.k),
-                ),
-            ])
-            .render(),
-        );
     }
-
-    // Prefer the scatter-gather engine when this state is sharded: the
-    // ranking is bit-identical, only the scoring parallelism differs.
-    // `k` reaches the engines' pruned top-k path here — truncation is no
-    // longer a serialization detail.
-    let outcome = match state.sharded_engine(params.algo, params.mode) {
-        Some(sharded) => sharded.route_topk(&query, params.k, &mut rng),
-        None => state
-            .engine(params.algo, params.mode)
-            .route_topk(&query, params.k, &mut rng),
-    };
+    let outcome = route_query(&state, &params, shard, &query, index, true);
     record_choices(shared, &params, &outcome);
 
-    Response::json(
-        200,
-        Json::obj(vec![
-            (
-                "generation".to_string(),
-                Json::Num(tenant.generation.load(Ordering::SeqCst) as f64),
-            ),
-            (
-                "unknown".to_string(),
-                Json::Arr(unknown.into_iter().map(Json::Str).collect()),
-            ),
-            (
-                "ranking".to_string(),
-                ranking_json(&state, &outcome, params.k),
-            ),
-        ])
-        .render(),
-    )
+    let (mut body, lead) = open_body(&state, generation, shard);
+    write_routed(&mut body, &state, &unknown, &outcome, params.k, lead);
+    body.push('}');
+    Response::json(200, body)
 }
 
 fn handle_route_batch(
@@ -1418,7 +1406,7 @@ fn handle_route_batch(
         Err(response) => return response,
     };
 
-    let state = tenant.current();
+    let (state, generation) = tenant.current();
     if let Some(s) = shard {
         if let Err(response) = check_shard(&state, s) {
             return response;
@@ -1434,40 +1422,14 @@ fn handle_route_batch(
     }
     let queries: Vec<Vec<textindex::TermId>> = analyzed.iter().map(|(q, _)| q.clone()).collect();
 
-    let engine = state.engine(params.algo, params.mode);
-    let sharded = state.sharded_engine(params.algo, params.mode);
-    // Chunked fan-out, deadline-checked per query: query `i` draws from
-    // `db_rng(seed, i)` regardless of chunking, so results match
-    // `route_batch` (and the CLI) for every thread count. With a sharded
-    // state, shards score sequentially *inside* each query — the batch
-    // fan-out already owns the cores.
+    // Chunked fan-out, deadline-checked per query.
     let expired = AtomicBool::new(false);
     let outcomes = fan_out_chunks(queries.len(), threads, |qi| {
         if expired.load(Ordering::Relaxed) || Instant::now() >= deadline {
             expired.store(true, Ordering::Relaxed);
             return None;
         }
-        let mut rng = db_rng(params.seed, qi);
-        Some(match (shard, sharded) {
-            // Shard-partial serving for a proxy: same choose phase, only
-            // the requested shard scored (to its shard-local top k).
-            (Some(s), Some(se)) => se.route_shard_topk(
-                &queries[qi],
-                params.k,
-                &mut rng,
-                s,
-                &mut broker::RouteScratch::default(),
-            ),
-            // shards == 1: shard 0 is the whole catalog.
-            (Some(_), None) => engine.route_topk(&queries[qi], params.k, &mut rng),
-            (None, Some(se)) => se.route_sequential_topk(
-                &queries[qi],
-                params.k,
-                &mut rng,
-                &mut broker::RouteScratch::default(),
-            ),
-            (None, None) => engine.route_topk(&queries[qi], params.k, &mut rng),
-        })
+        Some(route_query(&state, &params, shard, &queries[qi], qi, false))
     });
     if expired.load(Ordering::Relaxed) {
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
@@ -1477,36 +1439,16 @@ fn handle_route_batch(
         record_choices(shared, &params, outcome);
     }
 
-    let results = Json::Arr(
-        outcomes
-            .iter()
-            .zip(&analyzed)
-            .map(|(outcome, (_, unknown))| {
-                let outcome = outcome.as_ref().expect("non-expired batch is complete");
-                let ranking = match shard {
-                    Some(_) => partial_ranking_json(&state, outcome, params.k),
-                    None => ranking_json(&state, outcome, params.k),
-                };
-                Json::obj(vec![
-                    (
-                        "unknown".to_string(),
-                        Json::Arr(unknown.iter().cloned().map(Json::Str).collect()),
-                    ),
-                    ("ranking".to_string(), ranking),
-                ])
-            })
-            .collect(),
-    );
-    let mut fields = vec![(
-        "generation".to_string(),
-        Json::Num(tenant.generation.load(Ordering::SeqCst) as f64),
-    )];
-    if let Some(s) = shard {
-        fields.push(("shards".to_string(), Json::Num(state.shard_count() as f64)));
-        fields.push(("shard".to_string(), Json::Num(s as f64)));
+    let (mut body, lead) = open_body(&state, generation, shard);
+    body.push_str("\"results\":[");
+    for (at, (outcome, (_, unknown))) in outcomes.iter().zip(&analyzed).enumerate() {
+        let outcome = outcome.as_ref().expect("non-expired batch is complete");
+        body.push_str(if at == 0 { "{" } else { ",{" });
+        write_routed(&mut body, &state, unknown, outcome, params.k, lead);
+        body.push('}');
     }
-    fields.push(("results".to_string(), results));
-    Response::json(200, Json::obj(fields).render())
+    body.push_str("]}");
+    Response::json(200, body)
 }
 
 /// Install `next` as `tenant`'s serving state — unless doing so would
@@ -1523,12 +1465,12 @@ fn handle_route_batch(
 /// numbering).
 fn install_state(tenant: &Tenant, next: ServingState, force: bool) -> Result<u64, (u64, u64)> {
     let mut slot = tenant.state.write().expect("tenant state lock poisoned");
-    let serving = slot.catalog_generation();
+    let serving = slot.0.catalog_generation();
     if !force && next.catalog_generation() < serving {
-        return Err((serving, tenant.generation.load(Ordering::SeqCst)));
+        return Err((serving, slot.1));
     }
-    *slot = Arc::new(next);
-    Ok(tenant.generation.fetch_add(1, Ordering::SeqCst) + 1)
+    *slot = (Arc::new(next), slot.1 + 1);
+    Ok(slot.1)
 }
 
 fn handle_reload(shared: &Shared, tenant: &Tenant, request: &Request) -> Response {
@@ -1553,7 +1495,7 @@ fn handle_reload(shared: &Shared, tenant: &Tenant, request: &Request) -> Respons
         };
         (path, force)
     };
-    let path = path.unwrap_or_else(|| tenant.current().source().to_string());
+    let path = path.unwrap_or_else(|| tenant.current().0.source().to_string());
 
     // Build the next generation entirely off to the side; only this
     // tenant's write lock is touched, and only for the Arc swap — routing
@@ -1654,7 +1596,7 @@ fn refresh_loop(shared: &Shared, interval: Duration) {
             slept += slice;
         }
         for tenant in &shared.tenants {
-            let current = tenant.current();
+            let (current, _) = tenant.current();
             let source = current.source().to_string();
             if !std::path::Path::new(&source).is_dir() {
                 continue;
@@ -1693,5 +1635,195 @@ fn refresh_loop(shared: &Shared, interval: Duration) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use broker::{Catalog, CatalogEntry};
+    use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
+    use dbselect_core::summary::ContentSummary;
+    use selection::{AdaptiveOutcome, RankedDatabase};
+    use store::snapshot::ServingSnapshot;
+
+    use super::*;
+
+    /// Twelve databases whose names and categories need every escape the
+    /// JSON writer knows, and some it must pass through untouched.
+    fn hostile_state() -> ServingState {
+        let labels = [
+            ("plain", "Health/Heart"),
+            ("quo\"te", "a \"quoted\" path"),
+            ("back\\slash", "C:\\dir\\sub"),
+            ("line\nbreak\r", "tab\there"),
+            ("ctl\u{1}\u{1f}", "\u{0}nul"),
+            ("μετα—search", "Ψυχή/数据库"),
+            ("emoji 🗄", "🗂/📁"),
+            ("", ""),
+            ("</script>", "a/b"),
+            ("\u{7f}del", "\u{80}c1"),
+            ("mixed\"\\\n\u{2}é", "\\\"\\"),
+            ("trailing\\", "\"\""),
+        ];
+        let entries = labels.iter().map(|(name, _)| {
+            let unshrunk = ContentSummary::new(100.0, 10, HashMap::new());
+            let shrunk = shrink(&unshrunk, &[], &ShrinkageConfig::default());
+            CatalogEntry {
+                name: name.to_string(),
+                unshrunk,
+                shrunk,
+            }
+        });
+        let snapshot = ServingSnapshot {
+            dict: textindex::TermDict::new(),
+            categories: labels.iter().map(|(_, c)| c.to_string()).collect(),
+            lm_global: Vec::new(),
+            catalog: Catalog::build(entries),
+        };
+        ServingState::from_snapshot(snapshot, String::new(), 0)
+    }
+
+    /// The rendering `write_ranking` replaced — a `Json` tree per entry —
+    /// kept as the oracle its bytes are checked against.
+    fn ranking_tree(state: &ServingState, outcome: &AdaptiveOutcome, k: usize, lead: Lead) -> Json {
+        let entry = |(at, r): (usize, &RankedDatabase)| {
+            let lead = match lead {
+                Lead::Rank => ("rank".to_string(), Json::Num((at + 1) as f64)),
+                Lead::Index => ("index".to_string(), Json::Num(r.index as f64)),
+            };
+            Json::obj(vec![
+                lead,
+                (
+                    "database".to_string(),
+                    Json::Str(state.name(r.index).to_string()),
+                ),
+                ("category".to_string(), Json::Str(state.category(r.index))),
+                ("score".to_string(), Json::Num(r.score)),
+                (
+                    "shrinkage_used".to_string(),
+                    Json::Bool(outcome.used_shrinkage[r.index]),
+                ),
+            ])
+        };
+        Json::Arr(
+            outcome
+                .ranking
+                .iter()
+                .take(k)
+                .enumerate()
+                .map(entry)
+                .collect(),
+        )
+    }
+
+    fn routed_tree(
+        state: &ServingState,
+        unknown: &[String],
+        outcome: &AdaptiveOutcome,
+        k: usize,
+        lead: Lead,
+    ) -> Vec<(String, Json)> {
+        vec![
+            (
+                "unknown".to_string(),
+                Json::Arr(unknown.iter().cloned().map(Json::Str).collect()),
+            ),
+            ("ranking".to_string(), ranking_tree(state, outcome, k, lead)),
+        ]
+    }
+
+    #[test]
+    fn bodies_are_byte_identical_to_the_json_tree_rendering() {
+        let state = hostile_state();
+        let n = state.databases();
+        let scores = [
+            0.5,
+            -0.0,
+            1e-300,
+            f64::MIN_POSITIVE / 2.0,
+            123456789.125,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0 / 3.0,
+            2e22,
+            0.1 + 0.2,
+            7.0,
+        ];
+        let full = AdaptiveOutcome {
+            // Not in catalog order, so `index` and `rank` disagree.
+            ranking: (0..n)
+                .map(|at| RankedDatabase {
+                    index: (at * 5 + 3) % n,
+                    score: scores[at],
+                })
+                .collect(),
+            used_shrinkage: (0..n).map(|db| db % 3 == 0).collect(),
+        };
+        let empty = AdaptiveOutcome {
+            ranking: Vec::new(),
+            used_shrinkage: vec![false; n],
+        };
+        let unknowns: [Vec<String>; 3] = [
+            Vec::new(),
+            vec!["plain".to_string()],
+            vec![
+                "quo\"te".to_string(),
+                "back\\slash\n".to_string(),
+                "\u{3}μ".to_string(),
+                String::new(),
+            ],
+        ];
+        for outcome in [&full, &empty] {
+            for lead in [Lead::Rank, Lead::Index] {
+                for k in [1, 10, n, n + 5, usize::MAX] {
+                    let mut written = String::new();
+                    write_ranking(&mut written, &state, outcome, k, lead);
+                    let tree = ranking_tree(&state, outcome, k, lead).render();
+                    assert_eq!(written, tree, "k={k}");
+                    assert!(Json::parse(&written).is_ok(), "not even JSON: {written}");
+
+                    // The three response shapes: `/route`, its
+                    // shard-partial form, and a `/route_batch` of two.
+                    for unknown in &unknowns {
+                        let shard = matches!(lead, Lead::Index).then_some(2);
+                        let mut fields = vec![("generation".to_string(), Json::Num(7.0))];
+                        if let Some(shard) = shard {
+                            let shards = state.shard_count() as f64;
+                            fields.push(("shards".to_string(), Json::Num(shards)));
+                            fields.push(("shard".to_string(), Json::Num(shard as f64)));
+                        }
+                        let routed = routed_tree(&state, unknown, outcome, k, lead);
+
+                        let (mut single, _) = open_body(&state, 7, shard);
+                        write_routed(&mut single, &state, unknown, outcome, k, lead);
+                        single.push('}');
+                        let mut tree = fields.clone();
+                        tree.extend(routed.clone());
+                        assert_eq!(single, Json::obj(tree).render());
+
+                        let (mut batch, _) = open_body(&state, 7, shard);
+                        batch.push_str("\"results\":[{");
+                        write_routed(&mut batch, &state, unknown, outcome, k, lead);
+                        batch.push_str("},{");
+                        write_routed(&mut batch, &state, &[], &empty, k, lead);
+                        batch.push_str("}]}");
+                        let mut tree = fields;
+                        let second = routed_tree(&state, &[], &empty, k, lead);
+                        tree.push((
+                            "results".to_string(),
+                            Json::Arr(vec![Json::obj(routed), Json::obj(second)]),
+                        ));
+                        assert_eq!(batch, Json::obj(tree).render());
+                    }
+                }
+            }
+        }
+        // Non-finite scores came out as `null`, as the tree renders them.
+        let mut written = String::new();
+        write_ranking(&mut written, &state, &full, n, Lead::Rank);
+        assert_eq!(written.matches("\"score\":null").count(), 3);
     }
 }

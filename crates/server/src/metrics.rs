@@ -424,14 +424,15 @@ impl TenantMetrics {
     }
 }
 
-/// Render one tenant's families. `# TYPE` headers are emitted by the
+/// Render one tenant's families — its request counters and the gauges of
+/// the catalog generation it serves. `# TYPE` headers are emitted by the
 /// caller once per family (Prometheus rejects duplicate headers), so this
 /// yields sample lines only.
 pub fn render_tenant(
     name: &str,
     metrics: &TenantMetrics,
     generation: u64,
-    databases: usize,
+    catalog: &broker::Catalog,
     in_flight: u64,
 ) -> String {
     let tenant = escape_label_value(name);
@@ -467,9 +468,14 @@ pub fn render_tenant(
          dbselectd_tenant_quota_rejected_total{{tenant=\"{tenant}\"}} {}\n\
          dbselectd_tenant_in_flight{{tenant=\"{tenant}\"}} {in_flight}\n\
          dbselectd_tenant_catalog_generation{{tenant=\"{tenant}\"}} {generation}\n\
-         dbselectd_tenant_catalog_databases{{tenant=\"{tenant}\"}} {databases}\n",
+         dbselectd_tenant_catalog_databases{{tenant=\"{tenant}\"}} {}\n\
+         dbselectd_shrunk_term_columns{{tenant=\"{tenant}\"}} {}\n\
+         dbselectd_catalog_resident_bytes{{tenant=\"{tenant}\"}} {}\n",
         metrics.reload_total.load(Ordering::Relaxed),
         metrics.quota_rejected_total.load(Ordering::Relaxed),
+        catalog.len(),
+        catalog.shrunk_term_columns(),
+        catalog.resident_bytes(),
     ));
     out
 }
@@ -482,7 +488,9 @@ pub const TENANT_TYPE_HEADERS: &str = "# TYPE dbselectd_tenant_requests_total co
      # TYPE dbselectd_tenant_quota_rejected_total counter\n\
      # TYPE dbselectd_tenant_in_flight gauge\n\
      # TYPE dbselectd_tenant_catalog_generation gauge\n\
-     # TYPE dbselectd_tenant_catalog_databases gauge\n";
+     # TYPE dbselectd_tenant_catalog_databases gauge\n\
+     # TYPE dbselectd_shrunk_term_columns gauge\n\
+     # TYPE dbselectd_catalog_resident_bytes gauge\n";
 
 #[cfg(test)]
 mod tests {
@@ -600,12 +608,13 @@ mod tests {
         tm.record("route", 200);
         tm.route_latency.observe(5_000);
         tm.reload_total.fetch_add(2, Ordering::Relaxed);
-        let text = render_tenant("evil\"t\nenant\\x", &tm, 3, 6, 1);
+        let catalog = broker::Catalog::build(Vec::new());
+        let text = render_tenant("evil\"t\nenant\\x", &tm, 3, &catalog, 1);
         // Every sample line still parses: the raw newline in the tenant
         // name must have been escaped, so no line starts mid-label.
         for line in text.lines() {
             assert!(
-                line.starts_with("dbselectd_tenant_"),
+                line.starts_with("dbselectd_") && line.contains("{tenant=\"evil"),
                 "broken exposition line: {line:?}"
             );
         }

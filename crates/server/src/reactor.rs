@@ -36,7 +36,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::http::{try_parse, write_response, ParseStatus, Response};
+use crate::http::{serialize_response, try_parse, ParseStatus, Response};
 use crate::metrics::ConnState;
 use crate::poller::{new_poller, Event, Interest, Poller};
 use crate::timer::TimerWheel;
@@ -50,11 +50,14 @@ use crate::{
 const TICK: Duration = Duration::from_millis(20);
 const SLOTS: usize = 512;
 
-/// Bytes read per `read` call. Also the increment in which a pipelining
-/// client can grow `rbuf` past one complete request — parsing after every
-/// chunk stops reading as soon as a request completes, so kernel-buffer
-/// backpressure (not memory) absorbs over-eager senders.
+/// Most bytes offered to one `read` call. Also the increment in which a
+/// pipelining client can grow `rbuf` past one complete request — parsing
+/// after every chunk stops reading as soon as a request completes, so
+/// kernel-buffer backpressure (not memory) absorbs over-eager senders.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Least room offered to one `read` call (a typical request fits).
+const READ_MIN: usize = 1024;
 
 const WAKE_TOKEN: u64 = u64::MAX;
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
@@ -392,7 +395,6 @@ impl Reactor<'_> {
 
     /// Pull bytes until `EAGAIN`, a complete request, or EOF.
     fn on_readable(&mut self, slot: usize) {
-        let mut scratch = [0u8; READ_CHUNK];
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
@@ -402,9 +404,17 @@ impl Reactor<'_> {
                 // socket bytes wait in the kernel until it comes back.
                 return;
             }
-            let n = match conn.stream.read(&mut scratch) {
+            // The socket reads straight into `rbuf`'s tail: room as large
+            // as what has arrived so far (within the two bounds) is
+            // zeroed, filled, and the unfilled rest dropped again.
+            let filled = conn.rbuf.len();
+            let room = filled.clamp(READ_MIN, READ_CHUNK);
+            conn.rbuf.resize(filled + room, 0);
+            let read = conn.stream.read(&mut conn.rbuf[filled..]);
+            conn.rbuf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+            match read {
                 Ok(0) => break, // EOF
-                Ok(n) => n,
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.eagain();
                     return;
@@ -414,18 +424,15 @@ impl Reactor<'_> {
                     self.close(slot);
                     return;
                 }
-            };
+            }
             if conn.phase == Phase::Idle {
                 // First byte of the next request on a kept-alive
                 // connection stamps a fresh deadline (threaded parity:
                 // the post-`fill_buf` re-stamp).
                 let deadline = Instant::now() + self.shared.config.deadline;
                 conn.deadline = deadline;
-                conn.rbuf.extend_from_slice(&scratch[..n]);
                 self.set_phase(slot, Phase::Reading);
                 self.arm(slot, deadline);
-            } else {
-                conn.rbuf.extend_from_slice(&scratch[..n]);
             }
             self.advance_parse(slot);
         }
@@ -511,8 +518,7 @@ impl Reactor<'_> {
     /// requests a lingering close (unread request bytes would make a
     /// plain close RST the response away).
     fn respond(&mut self, slot: usize, response: &Response, partial_read: bool) {
-        let mut bytes = Vec::new();
-        write_response(&mut bytes, response, true).expect("serializing into a Vec cannot fail");
+        let bytes = serialize_response(response, true);
         let linger = partial_read
             || self.conns[slot]
                 .as_ref()

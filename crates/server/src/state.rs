@@ -332,8 +332,13 @@ impl ServingState {
     }
 
     /// Full category path of a database.
+    pub fn category_path(&self, index: usize) -> &str {
+        &self.categories[index]
+    }
+
+    /// [`category_path`](Self::category_path), owned.
     pub fn category(&self, index: usize) -> String {
-        self.categories[index].clone()
+        self.category_path(index).to_string()
     }
 
     /// Tokenize query words against the dictionary, deduplicating and

@@ -333,6 +333,9 @@ fn healthz_metrics_and_errors() {
         "dbselectd_catalog_generation 1",
         "dbselectd_catalog_databases 6",
         "dbselectd_uptime_seconds",
+        // One hierarchy root: every shrunk summary holds the one column.
+        "dbselectd_shrunk_term_columns{tenant=\"default\"} 1\n",
+        "dbselectd_catalog_resident_bytes{tenant=\"default\"} ",
     ] {
         assert!(body.contains(family), "missing {family} in:\n{body}");
     }
@@ -349,6 +352,17 @@ fn healthz_metrics_and_errors() {
         "{cori_applied} vs {applied}"
     );
     assert!(!body.contains("posterior_cache"));
+    // The gauge is the catalog's own count: columns held once, not the
+    // bytes of the file they were loaded from.
+    let resident: usize = body
+        .lines()
+        .find_map(|l| l.strip_prefix("dbselectd_catalog_resident_bytes{tenant=\"default\"} "))
+        .expect("resident family")
+        .parse()
+        .unwrap();
+    let reference = ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0);
+    assert_eq!(resident, reference.catalog().resident_bytes());
+    assert!(resident > 0);
 
     let (status, _, _) = get(addr, "/nope");
     assert_eq!(status, 404);
@@ -473,6 +487,94 @@ fn reload_swaps_catalogs_without_failing_inflight_requests() {
             .as_u64(),
         Some(2)
     );
+
+    shutdown(addr, handle);
+    std::fs::remove_file(&path_a).ok();
+    std::fs::remove_file(&path_b).ok();
+}
+
+/// A response's `generation` names the catalog its ranking was computed
+/// on. Two catalogs whose databases carry different names are swapped back
+/// and forth (odd generations serve the plain names, even ones the `-b`
+/// names) under a `/route` hammer; a handler that resolved its state before
+/// a swap and read the generation after it would pair a plain-named
+/// ranking with an even label.
+#[test]
+fn every_response_is_labelled_with_the_generation_that_ranked_it() {
+    let path_a = temp_path("label-a");
+    let path_b = temp_path("label-b");
+    fixture_catalog(1.0).save(&path_a).unwrap();
+    let mut renamed = common::fixture_store(1.0);
+    for db in &mut renamed.databases {
+        db.name.push_str("-b");
+    }
+    store::catalog::StoredCatalog::freeze(
+        renamed,
+        dbselect_core::category_summary::CategoryWeighting::BySize,
+    )
+    .save(&path_b)
+    .unwrap();
+
+    let state = ServingState::load(path_a.to_str().unwrap(), 0).unwrap();
+    let (addr, handle) = start(
+        ServerConfig {
+            workers: 4,
+            queue_capacity: 128,
+            keep_alive_requests: usize::MAX,
+            ..Default::default()
+        },
+        state,
+    );
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let hammers: Vec<_> = (0..3)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let body = r#"{"query":"heart blood surgery goal","k":3}"#;
+                let request = format!(
+                    "POST /route HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut reader = BufReader::new(stream);
+                let mut generations = std::collections::BTreeSet::new();
+                while !stop.load(Ordering::Relaxed) {
+                    reader.get_mut().write_all(request.as_bytes()).unwrap();
+                    let (status, _, body) = read_one_response(&mut reader);
+                    assert_eq!(status, 200, "{body}");
+                    let parsed = Json::parse(&body).unwrap();
+                    let generation = parsed.get("generation").unwrap().as_u64().unwrap();
+                    let ranking = parse_ranking(parsed.get("ranking").unwrap());
+                    assert!(!ranking.is_empty());
+                    for (database, _, _) in &ranking {
+                        assert_eq!(
+                            database.ends_with("-b"),
+                            generation.is_multiple_of(2),
+                            "generation {generation} labels a ranking of the other catalog: {body}"
+                        );
+                    }
+                    generations.insert(generation);
+                }
+                generations.len()
+            })
+        })
+        .collect();
+
+    for swap in 0..200 {
+        let path = if swap % 2 == 0 { &path_b } else { &path_a };
+        let (status, _, body) = post(
+            addr,
+            "/admin/reload",
+            &format!(r#"{{"path":"{}"}}"#, path.display()),
+        );
+        assert_eq!(status, 200, "{body}");
+    }
+    stop.store(true, Ordering::Relaxed);
+    for hammer in hammers {
+        let seen = hammer.join().expect("hammer thread");
+        assert!(seen > 2, "a hammer saw only {seen} generations");
+    }
 
     shutdown(addr, handle);
     std::fs::remove_file(&path_a).ok();

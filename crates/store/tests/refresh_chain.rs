@@ -119,6 +119,7 @@ fn assert_catalogs_bit_identical(a: &Catalog, b: &Catalog) {
         assert_eq!(a.shrunk(db), b.shrunk(db));
     }
     assert_eq!(a.posting_index(), b.posting_index());
+    assert_eq!(a.shrunk_term_columns(), b.shrunk_term_columns());
 }
 
 /// Build a 3-round chain in `dir`, touching `budget` databases per round
@@ -195,6 +196,27 @@ fn deltas_write_only_touched_databases() {
             "delta {generation} is {delta} bytes vs base {base}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn untouched_databases_share_their_term_column_after_replay() {
+    // Three one-database rounds: each re-probe interns a word the pinned
+    // epoch never saw, so databases 0..3 end up with a vocabulary — a term
+    // column — of their own, while 3..6 still hold the base's single one.
+    let dir = temp_chain("columns");
+    let session = build_chain(&dir, 1);
+    let base = ServingSnapshot::load(dir.join(delta::BASE_FILE)).unwrap();
+    assert_eq!(base.catalog.shrunk_term_columns(), 1);
+    let replayed = delta::load_chain(&dir).unwrap().snapshot.catalog;
+    assert_eq!(replayed.shrunk_term_columns(), 4);
+    for db in 4..6 {
+        assert!(std::ptr::eq(
+            replayed.shrunk(db).terms(),
+            replayed.shrunk(3).terms()
+        ));
+    }
+    assert_catalogs_bit_identical(&replayed, &session.freeze_full().catalog);
     std::fs::remove_dir_all(&dir).ok();
 }
 

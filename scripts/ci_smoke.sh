@@ -80,6 +80,10 @@ smoke_pass() {
     grep '^dbselectd_catalog_snapshot_bytes ' "$WORK/metrics1.txt"
     SNAP_BYTES=$(stat -c %s "$WORK/col.snapshot" 2>/dev/null || stat -f %z "$WORK/col.snapshot")
     grep "^dbselectd_catalog_snapshot_bytes $SNAP_BYTES\$" "$WORK/metrics1.txt"
+    # One hierarchy root: every shrunk summary holds the one interned term
+    # column, and the catalog reports what it keeps resident.
+    grep '^dbselectd_shrunk_term_columns{tenant="default"} 1$' "$WORK/metrics1.txt"
+    grep -E '^dbselectd_catalog_resident_bytes\{tenant="default"\} [1-9][0-9]*$' "$WORK/metrics1.txt"
 
     # --- connection gauges: both modes track open connections -------------
     # The scraping connection itself is open and mid-request, so the
