@@ -116,17 +116,11 @@ fn bench_catalog_build_vs_load(c: &mut Criterion) {
         store,
         dbselect_core::category_summary::CategoryWeighting::BySize,
     );
-    let mut v1_bytes = Vec::new();
-    frozen.write_to(&mut v1_bytes).unwrap();
     let snapshot = ServingSnapshot::from_stored(&frozen);
     let mut v2_bytes = Vec::new();
     snapshot.write_to(&mut v2_bytes).unwrap();
 
-    eprintln!(
-        "[fixture] v1 {} bytes, v2 {} bytes",
-        v1_bytes.len(),
-        v2_bytes.len()
-    );
+    eprintln!("[fixture] v2 {} bytes", v2_bytes.len());
     let mut group = c.benchmark_group("broker/catalog");
     group.bench_function("build_postings_from_summaries", |b| {
         b.iter(|| Catalog::build(black_box(entries.clone())))
@@ -135,14 +129,6 @@ fn bench_catalog_build_vs_load(c: &mut Criterion) {
     // arrays — no shrunk-summary reassembly, no posting reconstruction.
     group.bench_function("load_frozen_no_em", |b| {
         b.iter(|| ServingSnapshot::read_from(&mut black_box(v2_bytes.as_slice())).unwrap())
-    });
-    // The legacy path a v1 file still takes: decode, rebuild shrunk
-    // summaries from the recorded λ fit, rebuild postings.
-    group.bench_function("load_v1_rebuild", |b| {
-        b.iter(|| {
-            let frozen = StoredCatalog::read_from(&mut black_box(v1_bytes.as_slice())).unwrap();
-            frozen.to_catalog()
-        })
     });
     group.finish();
 }

@@ -119,9 +119,8 @@ pub struct Postings<'a> {
 impl PostingIndex {
     /// Build the index from frozen unshrunk summaries. Iterating databases
     /// in ascending order keeps every term's postings sorted by database
-    /// index without an explicit sort. (`pub(crate)` so the shard planner
-    /// can index its sub-catalogs.)
-    pub(crate) fn build(unshrunk: &[FrozenSummary]) -> PostingIndex {
+    /// index without an explicit sort.
+    fn build(unshrunk: &[FrozenSummary]) -> PostingIndex {
         let mut terms: Vec<TermId> = unshrunk.iter().flat_map(|s| s.terms()).copied().collect();
         terms.sort_unstable();
         terms.dedup();
@@ -647,7 +646,7 @@ impl Catalog {
 
     /// The one place a catalog is put together: interns the shrunk term
     /// columns and folds the derived constants. `mcw` is recomputed unless
-    /// supplied (a snapshot's, or a shard's copy of the global value).
+    /// supplied (a snapshot's).
     fn assemble(
         names: Vec<String>,
         unshrunk: Vec<FrozenSummary>,

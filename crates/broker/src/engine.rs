@@ -44,40 +44,108 @@ use sampling::scheduler::{db_rng, fan_out_chunks};
 use selection::{
     closed_form_distribution, rank_databases_with_context, score_is_uncertain_for_sample,
     shrinkage_decision, AdaptiveConfig, AdaptiveOutcome, CollectionContext, IndependentTerms,
-    IndexedView, ProbabilitySpace, RankedDatabase, SelectionAlgorithm, ShrinkageMode, TermBound,
-    TopK, WordTerm,
+    IndexedView, PreparedKernel, ProbabilitySpace, RankedDatabase, ScoreKernel, SelectionAlgorithm,
+    ShrinkageMode, TermBound, TopK, WordTerm,
 };
 use textindex::TermId;
 
 use crate::catalog::{Catalog, QueryPlan, ShrunkRows};
 use crate::moments::MomentTable;
 
-/// Reusable buffers for routing: a query's plan, its shrunk rows, a
-/// candidate mask and the top-k path's row matrices. Allocating those
-/// fresh per query dominates the allocator traffic of serving, so the
-/// engines route on one scratch per thread. A scratch never
-/// influences results — every buffer is cleared and refilled before
-/// use — it only recycles capacity.
+/// Reusable buffers for routing. Allocating them fresh per query dominates
+/// the allocator traffic of serving, so the engines route on one scratch
+/// per thread. A scratch never influences results — every buffer is
+/// cleared and refilled before use — it only recycles capacity.
 #[derive(Default)]
 pub struct RouteScratch {
+    pub(crate) planned: Planned,
+    pub(crate) buffers: ScoreBuffers,
+}
+
+/// What a request resolves before scoring, once, on the full catalog: the
+/// query's plan, the rows of the databases scored with `R̂(D)`, and the
+/// candidate mask. Scoring only reads it, so every shard view of a
+/// scattered query shares the one copy.
+#[derive(Default)]
+pub(crate) struct Planned {
     plan: QueryPlan,
-    /// The rows of the databases scored with `R̂(D)`.
     shrunk: ShrunkRows,
     candidates: Vec<bool>,
-    // Buffers of the pruned top-k path (`score_partition_topk`): the
-    // db→row map, per-row metadata, the row-major probability matrix,
-    // presence masks, and the compacted survivor rows.
+}
+
+/// What scoring writes — one per scoring thread: the db→row map, per-row
+/// metadata, the row-major probability matrix and presence masks of the
+/// unshrunk candidates, and the rows picked for a batch.
+#[derive(Default)]
+pub(crate) struct ScoreBuffers {
     row_of: Vec<u32>,
     row_dbs: Vec<u32>,
     row_sizes: Vec<f64>,
     row_wcs: Vec<f64>,
     matrix: Vec<f64>,
     masks: Vec<u64>,
-    survivors: Vec<u32>,
-    compact: Vec<f64>,
-    compact_sizes: Vec<f64>,
-    compact_wcs: Vec<f64>,
+    picked: Vec<u32>,
+    batch: Batch,
+}
+
+/// Row-major probabilities beside their rows' sizes, word counts and
+/// database indices — the shape of both the gathered shrunk rows and the
+/// scattered unshrunk candidates.
+struct Rows<'a> {
+    p: &'a [f64],
+    sizes: &'a [f64],
+    word_counts: &'a [f64],
+    dbs: &'a [u32],
+}
+
+/// Picked rows copied side by side for one `score_rows` call, and its
+/// output.
+#[derive(Default)]
+struct Batch {
+    p: Vec<f64>,
+    sizes: Vec<f64>,
+    word_counts: Vec<f64>,
     scores: Vec<f64>,
+}
+
+impl Batch {
+    /// Batch-score the `picked` rows of `rows` and offer every score the
+    /// ranker would keep to `heap`.
+    fn score_picked(
+        &mut self,
+        kernel: &dyn ScoreKernel,
+        prep: &PreparedKernel,
+        rows: &Rows<'_>,
+        picked: &[u32],
+        heap: &mut TopK,
+    ) {
+        let qlen = prep.query_len();
+        self.p.clear();
+        self.sizes.clear();
+        self.word_counts.clear();
+        for &row in picked {
+            let row = row as usize;
+            self.p
+                .extend_from_slice(&rows.p[row * qlen..row * qlen + qlen]);
+            self.sizes.push(rows.sizes[row]);
+            self.word_counts.push(rows.word_counts[row]);
+        }
+        self.scores.clear();
+        self.scores.resize(picked.len(), 0.0);
+        kernel.score_rows(
+            prep,
+            &self.p,
+            &self.sizes,
+            &self.word_counts,
+            &mut self.scores,
+        );
+        for (&row, &score) in picked.iter().zip(&self.scores) {
+            if score > prep.drop_threshold {
+                let index = rows.dbs[row as usize] as usize;
+                heap.push(RankedDatabase { index, score });
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -143,9 +211,7 @@ impl SelectionEngine {
         &self.catalog
     }
 
-    /// The engine's selection algorithm (shared; shard scorers built from
-    /// this engine score with the *same* `Arc`, so float behavior cannot
-    /// drift between the monolithic and sharded paths).
+    /// The engine's selection algorithm (shared).
     pub fn algorithm(&self) -> Arc<dyn SelectionAlgorithm + Send + Sync> {
         Arc::clone(&self.algorithm)
     }
@@ -164,47 +230,50 @@ impl SelectionEngine {
 
     /// Plan `query`, choose the summaries, gather the shrunk rows and
     /// count the scoring context — everything before scoring, each lookup
-    /// made once. Leaves the plan and the gathered rows in `scratch` for
-    /// [`Self::score_planned`].
+    /// made once, all of it on the full catalog. Leaves `planned` ready for
+    /// [`Self::score_planned`], over the whole catalog or any part of it.
     pub(crate) fn choose_with_context<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         rng: &mut R,
-        scratch: &mut RouteScratch,
+        planned: &mut Planned,
     ) -> (Vec<bool>, CollectionContext) {
-        self.catalog.plan(query, &mut scratch.plan);
-        let used_shrinkage = self.choose_planned(query, &scratch.plan, rng);
-        self.gather_shrunk(query, &used_shrinkage, scratch);
+        self.catalog.plan(query, &mut planned.plan);
+        let used_shrinkage = self.choose_planned(query, &planned.plan, rng);
+        self.gather_planned(query, &used_shrinkage, planned);
         let ctx =
             self.catalog
-                .planned_scoring_context(&scratch.plan, &used_shrinkage, &scratch.shrunk);
+                .planned_scoring_context(&planned.plan, &used_shrinkage, &planned.shrunk);
         (used_shrinkage, ctx)
     }
 
-    /// [`Catalog::gather_shrunk`] in the probability space this engine's
-    /// kernel scores in.
-    fn gather_shrunk(&self, query: &[TermId], used_shrinkage: &[bool], scratch: &mut RouteScratch) {
+    /// What scoring reads besides the plan: the shrunk rows
+    /// ([`Catalog::gather_shrunk`], in the probability space this engine's
+    /// kernel scores in) and the candidate mask.
+    fn gather_planned(&self, query: &[TermId], used_shrinkage: &[bool], planned: &mut Planned) {
         let token_space = self
             .algorithm
             .score_kernel()
             .is_some_and(|kernel| kernel.space() == ProbabilitySpace::TokenFrequency);
         self.catalog
-            .gather_shrunk(query, used_shrinkage, token_space, &mut scratch.shrunk);
+            .gather_shrunk(query, used_shrinkage, token_space, &mut planned.shrunk);
+        self.catalog
+            .planned_candidates(&planned.plan, &mut planned.candidates);
     }
 
     /// The Content Summary Selection phase alone: decide, per database,
-    /// whether scoring uses the shrunk summary, against the *full* catalog's
-    /// unshrunk context (which is why [`crate::shard::ShardedEngine`] runs
-    /// this phase on the full engine and scatters only scoring). `rng` is
-    /// drawn from only for algorithms without [`IndependentTerms`].
+    /// whether scoring uses the shrunk summary, against the catalog's
+    /// unshrunk context. `rng` is drawn from only for algorithms without
+    /// [`IndependentTerms`].
     pub fn choose_summaries<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         rng: &mut R,
         scratch: &mut RouteScratch,
     ) -> Vec<bool> {
-        self.catalog.plan(query, &mut scratch.plan);
-        self.choose_planned(query, &scratch.plan, rng)
+        let plan = &mut scratch.planned.plan;
+        self.catalog.plan(query, plan);
+        self.choose_planned(query, plan, rng)
     }
 
     fn choose_planned<R: Rng + ?Sized>(
@@ -302,52 +371,39 @@ impl SelectionEngine {
             .collect()
     }
 
-    /// The Scoring + Ranking phase through the per-view scorer, over
-    /// posting-list candidates of the plan in `scratch` — what
-    /// [`Self::score_planned`] falls back to without a kernel.
-    ///
-    /// `ctx` must be the context of the collection the ranking is *about* —
-    /// for monolithic routing that is this engine's own
-    /// [`Catalog::scoring_context`]; for a shard scorer it is the context of
-    /// the **full** catalog, because scores depend on `(m, cf, mcw)` and
-    /// shard-local statistics would change every float. `used_shrinkage` is
-    /// indexed by this engine's local database order; `global_indices`, when
-    /// given, maps each local database to the index reported in the ranking
-    /// (a shard reporting positions in the unsharded catalog). Per-database
-    /// scores are pure functions of `(algorithm, query, view, ctx)`, so a
-    /// partition scored here and merged by
-    /// [`selection::merge::merge_rankings`] is bit-identical to the
-    /// monolithic ranking.
+    /// The Scoring + Ranking phase through the per-view scorer, over the
+    /// posting-list candidates among `members` (every database when
+    /// `None`) — what [`Self::score_planned`] falls back to without a
+    /// kernel.
     fn rank_partition(
         &self,
         query: &[TermId],
         ctx: &CollectionContext,
         used_shrinkage: &[bool],
-        global_indices: Option<&[u32]>,
-        scratch: &mut RouteScratch,
+        members: Option<&[u32]>,
+        candidates: &[bool],
     ) -> Vec<RankedDatabase> {
-        let n = self.catalog.len();
-        debug_assert_eq!(used_shrinkage.len(), n);
-        self.catalog
-            .planned_candidates(&scratch.plan, &mut scratch.candidates);
-        let candidates = &scratch.candidates;
-        let items = (0..n).filter_map(|db| {
-            let index = global_indices.map_or(db, |g| g[db] as usize);
-            if used_shrinkage[db] {
-                Some(IndexedView {
-                    index,
-                    view: self.catalog.shrunk(db) as &dyn SummaryView,
-                })
-            } else if candidates[db] {
-                Some(IndexedView {
-                    index,
-                    view: self.catalog.unshrunk(db) as &dyn SummaryView,
-                })
+        let item = |index: usize| {
+            let view: &dyn SummaryView = if used_shrinkage[index] {
+                self.catalog.shrunk(index)
+            } else if candidates[index] {
+                self.catalog.unshrunk(index)
             } else {
-                None
+                return None;
+            };
+            Some(IndexedView { index, view })
+        };
+        let algorithm = self.algorithm.as_ref();
+        match members {
+            None => {
+                let items = (0..self.catalog.len()).filter_map(item);
+                rank_databases_with_context(algorithm, query, items, ctx)
             }
-        });
-        rank_databases_with_context(self.algorithm.as_ref(), query, items, ctx)
+            Some(members) => {
+                let items = members.iter().filter_map(|&db| item(db as usize));
+                rank_databases_with_context(algorithm, query, items, ctx)
+            }
+        }
     }
 
     /// Rank only the top `k` databases for one query. **Bit-identical**
@@ -378,9 +434,10 @@ impl SelectionEngine {
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        with_scratch(|scratch| {
-            let (used_shrinkage, ctx) = self.choose_with_context(query, rng, scratch);
-            let ranking = self.score_planned(query, k, &ctx, &used_shrinkage, None, scratch);
+        with_scratch(|RouteScratch { planned, buffers }| {
+            let (used_shrinkage, ctx) = self.choose_with_context(query, rng, planned);
+            let ranking =
+                self.score_planned(query, k, &ctx, &used_shrinkage, None, planned, buffers);
             AdaptiveOutcome {
                 ranking,
                 used_shrinkage,
@@ -388,29 +445,38 @@ impl SelectionEngine {
         })
     }
 
-    /// The scoring phase alone, to the top `k`: returns exactly the first
-    /// `min(k, len)` entries the full partition ranking would have, bit
-    /// for bit. Plans the query and gathers the shrunk rows itself, then
-    /// runs the code [`route_topk`](Self::route_topk) runs.
+    /// The scoring phase alone, to the top `k`, of the databases listed in
+    /// `members` (ascending catalog indices; every database when `None`):
+    /// exactly the first `min(k, len)` entries a full ranking of those
+    /// databases would have, bit for bit. Plans the query and gathers the
+    /// shrunk rows itself, then runs the code
+    /// [`route_topk`](Self::route_topk) runs.
+    ///
+    /// `ctx` and `used_shrinkage` describe the whole catalog whatever
+    /// `members` is: a score is a pure function of `(algorithm, query,
+    /// view, ctx)`, so rankings of disjoint member lists merge
+    /// ([`selection::merge::merge_rankings`]) into the full ranking.
     pub fn score_partition_topk(
         &self,
         query: &[TermId],
         k: usize,
         ctx: &CollectionContext,
         used_shrinkage: &[bool],
-        global_indices: Option<&[u32]>,
+        members: Option<&[u32]>,
         scratch: &mut RouteScratch,
     ) -> Vec<RankedDatabase> {
-        self.catalog.plan(query, &mut scratch.plan);
-        self.gather_shrunk(query, used_shrinkage, scratch);
-        self.score_planned(query, k, ctx, used_shrinkage, global_indices, scratch)
+        let RouteScratch { planned, buffers } = scratch;
+        self.catalog.plan(query, &mut planned.plan);
+        self.gather_planned(query, used_shrinkage, planned);
+        self.score_planned(query, k, ctx, used_shrinkage, members, planned, buffers)
     }
 
-    /// Score against the plan and the gathered shrunk rows in `scratch`.
+    /// Score `members` (every database when `None`) against what
+    /// [`Self::choose_with_context`] left in `planned`.
     ///
-    /// Falls back to scoring the full partition (then truncating) when the
-    /// algorithm has no kernel, the query is empty, or the catalog lacks
-    /// the kernel invariants ([`Catalog::kernel_ready`]). Otherwise:
+    /// Falls back to scoring every listed database (then truncating) when
+    /// the algorithm has no kernel, the query is empty, or the catalog
+    /// lacks the kernel invariants ([`Catalog::kernel_ready`]). Otherwise:
     ///
     /// 1. the gathered rows of the databases scored with their *shrunk*
     ///    summary are batch-scored — no pruning, but no per-entry
@@ -419,63 +485,90 @@ impl SelectionEngine {
     ///    zeroed row matrix plus per-row presence masks, upper-bound
     ///    filtered against the heap's current k-th score, and only the
     ///    survivors are batch-scored.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn score_planned(
         &self,
         query: &[TermId],
         k: usize,
         ctx: &CollectionContext,
         used_shrinkage: &[bool],
-        global_indices: Option<&[u32]>,
-        scratch: &mut RouteScratch,
+        members: Option<&[u32]>,
+        planned: &Planned,
+        buf: &mut ScoreBuffers,
     ) -> Vec<RankedDatabase> {
-        if k == 0 {
+        let n = self.catalog.len();
+        debug_assert_eq!(used_shrinkage.len(), n);
+        let listed = members.map_or(n, <[u32]>::len);
+        if k == 0 || listed == 0 {
             return Vec::new();
         }
+        let Planned {
+            plan,
+            shrunk,
+            candidates,
+        } = planned;
         let kernel = match self.algorithm.score_kernel() {
             Some(kernel) if !query.is_empty() && self.catalog.kernel_ready() => kernel,
             _ => {
-                let mut full =
-                    self.rank_partition(query, ctx, used_shrinkage, global_indices, scratch);
+                let mut full = self.rank_partition(query, ctx, used_shrinkage, members, candidates);
                 full.truncate(k);
                 return full;
             }
         };
-        let n = self.catalog.len();
-        debug_assert_eq!(used_shrinkage.len(), n);
         let qlen = query.len();
         let space = kernel.space();
         let bound = |k| {
-            let postings = self.catalog.planned_postings(&scratch.plan, k);
+            let postings = self.catalog.planned_postings(plan, k);
             postings.map_or_else(TermBound::absent, |p| p.bound)
         };
         let bounds: Vec<TermBound> = (0..qlen).map(bound).collect();
         let prep = kernel.prepare(query, ctx, &bounds, self.catalog.min_word_count());
-        let mut heap = TopK::new(k.min(n));
-        self.catalog
-            .planned_candidates(&scratch.plan, &mut scratch.candidates);
+        let mut heap = TopK::new(k.min(listed));
 
         // Phase A: shrunk-scored databases, gathered already (shrunk
         // probabilities are not in the posting slabs) and batch-scored
         // without pruning, so Always mode gets the kernel win only.
-        let shrunk = &scratch.shrunk;
-        let shrunk_matrix = match space {
-            ProbabilitySpace::DocumentFrequency => &shrunk.p_df,
-            ProbabilitySpace::TokenFrequency => &shrunk.p_tf,
+        let shrunk_rows = Rows {
+            p: match space {
+                ProbabilitySpace::DocumentFrequency => &shrunk.p_df,
+                ProbabilitySpace::TokenFrequency => &shrunk.p_tf,
+            },
+            sizes: &shrunk.sizes,
+            word_counts: &shrunk.word_counts,
+            dbs: &shrunk.dbs,
         };
-        debug_assert_eq!(shrunk_matrix.len(), shrunk.dbs.len() * qlen);
-        scratch.scores.clear();
-        scratch.scores.resize(shrunk.dbs.len(), 0.0);
-        kernel.score_rows(
-            &prep,
-            shrunk_matrix,
-            &shrunk.sizes,
-            &shrunk.word_counts,
-            &mut scratch.scores,
-        );
-        for (&db, &score) in shrunk.dbs.iter().zip(&scratch.scores) {
-            if score > prep.drop_threshold {
-                let index = global_indices.map_or(db as usize, |g| g[db as usize] as usize);
-                heap.push(RankedDatabase { index, score });
+        debug_assert_eq!(shrunk_rows.p.len(), shrunk.dbs.len() * qlen);
+        match members {
+            // Every gathered row, scored where it lies.
+            None => {
+                let scores = &mut buf.batch.scores;
+                scores.clear();
+                scores.resize(shrunk.dbs.len(), 0.0);
+                kernel.score_rows(
+                    &prep,
+                    shrunk_rows.p,
+                    shrunk_rows.sizes,
+                    shrunk_rows.word_counts,
+                    scores,
+                );
+                for (&db, &score) in shrunk.dbs.iter().zip(scores.iter()) {
+                    if score > prep.drop_threshold {
+                        let index = db as usize;
+                        heap.push(RankedDatabase { index, score });
+                    }
+                }
+            }
+            // The members' rows: both lists ascend, so one cursor finds them.
+            Some(members) => {
+                buf.picked.clear();
+                let mut row = 0;
+                for &db in members.iter().filter(|&&db| used_shrinkage[db as usize]) {
+                    let ahead = shrunk.dbs[row..].iter().position(|&d| d == db);
+                    row += ahead.expect("every shrunk database was gathered");
+                    buf.picked.push(row as u32);
+                }
+                buf.batch
+                    .score_picked(kernel, &prep, &shrunk_rows, &buf.picked, &mut heap);
             }
         }
 
@@ -484,38 +577,52 @@ impl SelectionEngine {
         // zeroed matrix; absent (row, word) cells stay 0.0, which is
         // exactly the unshrunk summaries' default (`Catalog::kernel_ready`
         // guarantees it).
-        scratch.row_of.clear();
-        scratch.row_of.resize(n, u32::MAX);
-        scratch.row_dbs.clear();
-        scratch.row_sizes.clear();
-        scratch.row_wcs.clear();
-        for (db, &shrunk) in used_shrinkage.iter().enumerate() {
-            if shrunk || !scratch.candidates[db] {
-                continue;
+        buf.row_of.clear();
+        buf.row_of.resize(n, u32::MAX);
+        buf.row_dbs.clear();
+        buf.row_sizes.clear();
+        buf.row_wcs.clear();
+        let mut add_row = |db: usize| {
+            if used_shrinkage[db] || !candidates[db] {
+                return;
             }
             let s = self.catalog.unshrunk(db);
-            scratch.row_of[db] = scratch.row_dbs.len() as u32;
-            scratch.row_dbs.push(db as u32);
-            scratch.row_sizes.push(s.db_size());
-            scratch.row_wcs.push(s.word_count());
+            buf.row_of[db] = buf.row_dbs.len() as u32;
+            buf.row_dbs.push(db as u32);
+            buf.row_sizes.push(s.db_size());
+            buf.row_wcs.push(s.word_count());
+        };
+        match members {
+            None => (0..n).for_each(add_row),
+            Some(members) => members.iter().for_each(|&db| add_row(db as usize)),
         }
-        let rows = scratch.row_dbs.len();
-        scratch.matrix.clear();
-        scratch.matrix.resize(rows * qlen, 0.0);
-        scratch.masks.clear();
-        scratch.masks.resize(rows, 0);
+        let rows = buf.row_dbs.len();
+        buf.matrix.clear();
+        buf.matrix.resize(rows * qlen, 0.0);
+        buf.masks.clear();
+        buf.masks.resize(rows, 0);
         for kpos in 0..qlen {
-            if let Some(p) = self.catalog.planned_postings(&scratch.plan, kpos) {
+            if let Some(p) = self.catalog.planned_postings(plan, kpos) {
                 let slab = match space {
                     ProbabilitySpace::DocumentFrequency => p.p_df,
                     ProbabilitySpace::TokenFrequency => p.p_tf,
                 };
-                for (j, &db) in p.dbs.iter().enumerate() {
-                    let row = scratch.row_of[db as usize];
+                // Postings ascend by database: none outside the members'
+                // span can belong to a member.
+                let span = match members {
+                    None => 0..p.dbs.len(),
+                    Some(members) => {
+                        let (first, last) = (members[0], members[listed - 1]);
+                        p.dbs.partition_point(|&db| db < first)
+                            ..p.dbs.partition_point(|&db| db <= last)
+                    }
+                };
+                for (&db, &value) in p.dbs[span.clone()].iter().zip(&slab[span]) {
+                    let row = buf.row_of[db as usize];
                     if row != u32::MAX {
-                        scratch.matrix[row as usize * qlen + kpos] = slab[j];
+                        buf.matrix[row as usize * qlen + kpos] = value;
                         if kpos < 64 {
-                            scratch.masks[row as usize] |= 1 << kpos;
+                            buf.masks[row as usize] |= 1 << kpos;
                         }
                     }
                 }
@@ -523,16 +630,20 @@ impl SelectionEngine {
         }
 
         // Blocked prune-then-score: filter a block of rows against the
-        // current k-th score, compact the survivors, batch-score them.
-        // Skipping requires *strictly* `ub < worst` — a bound equal to the
-        // k-th score can still displace it on the index tiebreak.
+        // current k-th score, batch-score the survivors. Skipping requires
+        // *strictly* `ub < worst` — a bound equal to the k-th score can
+        // still displace it on the index tiebreak.
         const BLOCK: usize = 128;
-        let mut start = 0;
-        while start < rows {
-            let end = (start + BLOCK).min(rows);
-            scratch.survivors.clear();
-            for row in start..end {
-                let ub = kernel.upper_bound(&prep, scratch.masks[row], scratch.row_sizes[row]);
+        let candidate_rows = Rows {
+            p: &buf.matrix,
+            sizes: &buf.row_sizes,
+            word_counts: &buf.row_wcs,
+            dbs: &buf.row_dbs,
+        };
+        for start in (0..rows).step_by(BLOCK) {
+            buf.picked.clear();
+            for row in start..(start + BLOCK).min(rows) {
+                let ub = kernel.upper_bound(&prep, buf.masks[row], buf.row_sizes[row]);
                 if ub <= prep.drop_threshold {
                     // The row cannot clear the ranker's drop filter.
                     continue;
@@ -542,41 +653,12 @@ impl SelectionEngine {
                         continue;
                     }
                 }
-                scratch.survivors.push(row as u32);
+                buf.picked.push(row as u32);
             }
-            if scratch.survivors.is_empty() {
-                start = end;
-                continue;
+            if !buf.picked.is_empty() {
+                buf.batch
+                    .score_picked(kernel, &prep, &candidate_rows, &buf.picked, &mut heap);
             }
-            scratch.compact.clear();
-            scratch.compact_sizes.clear();
-            scratch.compact_wcs.clear();
-            for &row in &scratch.survivors {
-                let row = row as usize;
-                scratch
-                    .compact
-                    .extend_from_slice(&scratch.matrix[row * qlen..row * qlen + qlen]);
-                scratch.compact_sizes.push(scratch.row_sizes[row]);
-                scratch.compact_wcs.push(scratch.row_wcs[row]);
-            }
-            scratch.scores.clear();
-            scratch.scores.resize(scratch.survivors.len(), 0.0);
-            kernel.score_rows(
-                &prep,
-                &scratch.compact,
-                &scratch.compact_sizes,
-                &scratch.compact_wcs,
-                &mut scratch.scores,
-            );
-            for (i, &row) in scratch.survivors.iter().enumerate() {
-                let score = scratch.scores[i];
-                if score > prep.drop_threshold {
-                    let db = scratch.row_dbs[row as usize] as usize;
-                    let index = global_indices.map_or(db, |g| g[db] as usize);
-                    heap.push(RankedDatabase { index, score });
-                }
-            }
-            start = end;
         }
         heap.into_sorted()
     }

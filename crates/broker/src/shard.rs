@@ -1,34 +1,24 @@
-//! Shard scatter-gather: partition a frozen [`Catalog`] into sub-catalogs
-//! and score them in parallel without changing a single ranking bit.
+//! Shard scatter-gather: score one frozen [`Catalog`] as several member
+//! lists in parallel without changing a single ranking bit.
 //!
-//! BENCH_server.json run 5 showed `/route` throughput is scoring-bound:
-//! with connection lifecycle off the hot path, one core saturates on
-//! posterior math and per-candidate scoring. Scoring is also embarrassingly
-//! parallel *per database* — every score is a pure function of
-//! `(algorithm, query, summary view, CollectionContext)` — so a shard of
-//! the catalog can score its databases on its own core and the merged
-//! ranking is exactly the monolithic one, provided two things never become
-//! shard-local:
+//! Scoring is embarrassingly parallel *per database* — every score is a
+//! pure function of `(algorithm, query, summary view, CollectionContext)`
+//! — so a shard can score its databases on its own core (or, federated,
+//! behind its own daemon) and the merged ranking is exactly the monolithic
+//! one. A shard is a *view*: an ascending list of database indices into
+//! the one catalog. Nothing is copied per shard, and the two things that
+//! must describe the whole collection do so by construction — there is one
+//! [`CollectionContext`] (`m`, `cf(w)`, `mcw`) and one summary choice per
+//! query, both made by the full engine before the scatter
+//! ([`SelectionEngine::choose_with_context`]); the shards only read them.
+//! (What in-process sharding costs and buys is measured by `benchmark/`,
+//! rows `broker.shard.*` — see `benchmark/README.md`.)
 //!
-//! 1. **The collection context.** `m`, `cf(w)`, and `mcw` are statistics
-//!    of the *whole* collection. [`ShardedEngine`] computes them once from
-//!    the full catalog and hands the same `CollectionContext` to every
-//!    shard scorer; sub-catalogs even carry the global `mcw` constant so
-//!    no path can accidentally reach a shard-local mean.
-//! 2. **The summary choice.** `ShrinkageMode::Adaptive` tests every
-//!    database against the *full* catalog's unshrunk context (and, for
-//!    algorithms without a closed form, in catalog order against one
-//!    shared RNG). The scatter therefore covers only the scoring phase;
-//!    summary choice runs on the full engine first, exactly as the
-//!    unsharded path would. (Shard-local choice for closed-form
-//!    algorithms is a follow-up.)
-//!
-//! With those pinned, each shard's ranking is sorted by
-//! [`selection::ranking_order`] over globally-indexed databases, shards
-//! partition the index space, and [`selection::merge::merge_rankings`]
-//! reconstructs the monolithic sort bit for bit (`f64::to_bits` scores
-//! included) — asserted by the proptest below across all three algorithms
-//! and all three shrinkage modes.
+//! Each shard's ranking is sorted by [`selection::ranking_order`] over
+//! catalog indices, shards partition the index space, and
+//! [`selection::merge::merge_rankings`] reconstructs the monolithic sort
+//! bit for bit (`f64::to_bits` scores included) — asserted by the proptest
+//! below across all three algorithms and all three shrinkage modes.
 //!
 //! [`ShardPlan`] decides who lives where: contiguous blocks (the default —
 //! preserves locality of catalog order), name-hash (stable under
@@ -42,10 +32,9 @@ use std::sync::Arc;
 use rand::Rng;
 use sampling::scheduler::fan_out;
 use selection::merge::merge_rankings;
-use selection::{AdaptiveOutcome, CollectionContext, RankedDatabase};
+use selection::{AdaptiveOutcome, RankedDatabase};
 use textindex::TermId;
 
-use crate::catalog::{Catalog, PostingIndex};
 use crate::engine::{with_scratch, RouteScratch, SelectionEngine};
 
 /// How databases are assigned to shards.
@@ -74,35 +63,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A validated database → shard assignment.
+/// A validated database → shard assignment, with each shard's member list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// `assignments[db] = shard`, each `< shards`.
+    /// `assignments[db] = shard`, each `< members.len()`.
     assignments: Vec<u32>,
-    shards: usize,
+    /// `members[s]` = the databases of shard `s`, ascending — every
+    /// shard's order is a subsequence of catalog order.
+    members: Vec<Vec<u32>>,
 }
 
 impl ShardPlan {
+    /// `assignments` (each `< shards`) with the member lists they imply.
+    fn new(assignments: Vec<u32>, shards: usize) -> ShardPlan {
+        let mut members = vec![Vec::new(); shards];
+        for (db, &s) in assignments.iter().enumerate() {
+            members[s as usize].push(db as u32);
+        }
+        ShardPlan {
+            assignments,
+            members,
+        }
+    }
+
     /// Contiguous block partitioning of `n_dbs` databases.
     pub fn contiguous(n_dbs: usize, shards: usize) -> ShardPlan {
         let shards = shards.max(1);
         let block = n_dbs.div_ceil(shards).max(1);
-        ShardPlan {
-            assignments: (0..n_dbs).map(|db| (db / block) as u32).collect(),
-            shards,
-        }
+        ShardPlan::new((0..n_dbs).map(|db| (db / block) as u32).collect(), shards)
     }
 
     /// Name-hash partitioning: stable under catalog reordering.
     pub fn hash(names: &[String], shards: usize) -> ShardPlan {
         let shards = shards.max(1);
-        ShardPlan {
-            assignments: names
-                .iter()
-                .map(|n| (fnv1a(n.as_bytes()) % shards as u64) as u32)
-                .collect(),
-            shards,
-        }
+        let shard_of = |n: &String| (fnv1a(n.as_bytes()) % shards as u64) as u32;
+        ShardPlan::new(names.iter().map(shard_of).collect(), shards)
     }
 
     /// Topic-subtree partitioning over classification paths (one per
@@ -119,10 +114,7 @@ impl ShardPlan {
             let pos = distinct.binary_search(t).expect("topic collected above");
             (pos % shards) as u32
         };
-        ShardPlan {
-            assignments: topics.drain(..).map(|t| shard_of(&t)).collect(),
-            shards,
-        }
+        ShardPlan::new(topics.drain(..).map(|t| shard_of(&t)).collect(), shards)
     }
 
     /// An explicit assignment, validated.
@@ -136,15 +128,12 @@ impl ShardPlan {
         if assignments.iter().any(|&s| s as usize >= shards) {
             return Err("shard assignment out of range");
         }
-        Ok(ShardPlan {
-            assignments,
-            shards,
-        })
+        Ok(ShardPlan::new(assignments, shards))
     }
 
     /// Number of shards (some may be empty).
     pub fn shard_count(&self) -> usize {
-        self.shards
+        self.members.len()
     }
 
     /// The raw assignment column.
@@ -152,158 +141,93 @@ impl ShardPlan {
         &self.assignments
     }
 
-    /// Per-shard member lists, each ascending in global database index —
-    /// the order sub-catalogs are built in, which keeps every shard's local
-    /// order a subsequence of catalog order.
-    pub fn members(&self) -> Vec<Vec<u32>> {
-        let mut members = vec![Vec::new(); self.shards];
-        for (db, &s) in self.assignments.iter().enumerate() {
-            members[s as usize].push(db as u32);
-        }
-        members
+    /// Per-shard member lists, each ascending in catalog index.
+    pub fn members(&self) -> &[Vec<u32>] {
+        &self.members
     }
 }
 
-/// A catalog partitioned into per-shard sub-catalogs. Algorithm-agnostic
-/// and cheap to share: each serving mode's [`ShardedEngine`] borrows the
-/// same `ShardSet` behind an `Arc` instead of re-slicing the columns nine
-/// times.
-#[derive(Debug, Clone)]
-pub struct ShardSet {
-    plan: ShardPlan,
-    /// `members[s]` = global database indices of shard `s`, ascending.
-    members: Vec<Vec<u32>>,
-    /// The sub-catalog of each shard. Carries the **global** `mcw`: a
-    /// shard must never observe a shard-local collection constant.
-    catalogs: Vec<Arc<Catalog>>,
-}
-
-impl ShardSet {
-    /// Slice `catalog` according to `plan`.
-    pub fn build(catalog: &Catalog, plan: ShardPlan) -> Result<ShardSet, &'static str> {
-        if plan.assignments.len() != catalog.len() {
-            return Err("shard plan covers a different database count");
-        }
-        let members = plan.members();
-        let catalogs = members
-            .iter()
-            .map(|dbs| {
-                let names = dbs
-                    .iter()
-                    .map(|&g| catalog.names()[g as usize].clone())
-                    .collect();
-                let unshrunk: Vec<_> = dbs
-                    .iter()
-                    .map(|&g| catalog.unshrunk(g as usize).clone())
-                    .collect();
-                let shrunk = dbs
-                    .iter()
-                    .map(|&g| catalog.shrunk(g as usize).clone())
-                    .collect();
-                let gammas = dbs.iter().map(|&g| catalog.gamma(g as usize)).collect();
-                let index = PostingIndex::build(&unshrunk);
-                Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, catalog.mcw(), index)
-                    .map(Arc::new)
-                    .map_err(|_| "shard columns failed catalog validation")
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(ShardSet {
-            plan,
-            members,
-            catalogs,
-        })
-    }
-
-    /// The plan this set was sliced by.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.catalogs.len()
-    }
-
-    /// Global database indices of shard `s`, ascending.
-    pub fn members_of(&self, s: usize) -> &[u32] {
-        &self.members[s]
-    }
-
-    /// The sub-catalog of shard `s`.
-    pub fn catalog_of(&self, s: usize) -> &Arc<Catalog> {
-        &self.catalogs[s]
-    }
-}
-
-/// The scatter-gather engine: summary choice on the full catalog, scoring
-/// fanned out over shard scorers, rankings gathered through
-/// [`merge_rankings`]. Rankings are bit-identical to the wrapped
-/// [`SelectionEngine`]'s for every query, seed, algorithm, and shrinkage
-/// mode.
+/// The scatter-gather engine: summary choice, shrunk-row gather and
+/// collection context once on the full catalog, scoring fanned out over
+/// the plan's member lists, rankings gathered through [`merge_rankings`].
+/// Rankings are bit-identical to the wrapped [`SelectionEngine`]'s for
+/// every query, algorithm, and shrinkage mode.
 pub struct ShardedEngine {
     full: Arc<SelectionEngine>,
-    set: Arc<ShardSet>,
-    /// One scorer per shard, sharing the full engine's algorithm `Arc` and
-    /// config. The uncertainty test runs on `full`.
-    scorers: Vec<SelectionEngine>,
+    plan: Arc<ShardPlan>,
     /// Worker threads for the per-query scatter (clamped to shard count).
     threads: usize,
 }
 
 impl ShardedEngine {
-    /// Wrap `full` with scatter-gather scoring over `set`.
-    pub fn new(full: Arc<SelectionEngine>, set: Arc<ShardSet>, threads: usize) -> ShardedEngine {
-        let scorers = (0..set.shard_count())
-            .map(|s| {
-                // Scorers never choose summaries: no moment table.
-                let (catalog, config) = (Arc::clone(set.catalog_of(s)), *full.config());
-                SelectionEngine::with_table(catalog, full.algorithm(), config, None)
-            })
-            .collect();
-        let threads = threads.clamp(1, set.shard_count().max(1));
-        ShardedEngine {
-            full,
-            set,
-            scorers,
-            threads,
+    /// Wrap `full` with scatter-gather scoring over `plan`'s shards, which
+    /// must assign exactly the databases of `full`'s catalog.
+    pub fn new(
+        full: Arc<SelectionEngine>,
+        plan: Arc<ShardPlan>,
+        threads: usize,
+    ) -> Result<ShardedEngine, &'static str> {
+        if plan.assignments.len() != full.catalog().len() {
+            return Err("shard plan covers a different database count");
         }
+        let threads = threads.clamp(1, plan.shard_count());
+        Ok(ShardedEngine {
+            full,
+            plan,
+            threads,
+        })
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.scorers.len()
+        self.plan.shard_count()
     }
 
     /// Rank the top `k` databases (`usize::MAX` for the full ranking);
     /// bit-identical to [`SelectionEngine::route_topk`] on the full catalog.
     ///
     /// Each shard computes its *local* top `k` through the pruned kernel
-    /// path ([`SelectionEngine::score_partition_topk`]), the partial lists
-    /// merge through [`merge_rankings`], and the merge is truncated to `k`.
-    /// Correct because every entry of the global top `k` is, a fortiori,
-    /// within its own shard's top `k` — so no survivor is ever pruned on
-    /// the shard that owns it, and [`merge_rankings`] of the truncated
-    /// per-shard lists agrees with the truncated full merge on the first
-    /// `k` entries.
+    /// path ([`SelectionEngine::score_planned`] over its member list), the
+    /// partial lists merge through [`merge_rankings`], and the merge is
+    /// truncated to `k`. Correct because every entry of the global top `k`
+    /// is, a fortiori, within its own shard's top `k` — so no survivor is
+    /// ever pruned on the shard that owns it, and [`merge_rankings`] of the
+    /// truncated per-shard lists agrees with the truncated full merge on
+    /// the first `k` entries.
+    ///
+    /// The scatter's threads ([`fan_out`] spawns them; none is the caller)
+    /// share the caller's plan and shrunk rows and score on buffers of
+    /// their own.
     pub fn route_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        let (used_shrinkage, ctx) =
-            with_scratch(|scratch| self.full.choose_with_context(query, rng, scratch));
-        let per_shard = fan_out(self.scorers.len(), self.threads, |s| {
-            with_scratch(|scratch| {
-                self.score_shard_topk(s, query, k, &ctx, &used_shrinkage, scratch)
-            })
-        });
-        let mut ranking = merge_rankings(&per_shard);
-        ranking.truncate(k);
-        AdaptiveOutcome {
-            ranking,
-            used_shrinkage,
-        }
+        with_scratch(|RouteScratch { planned, .. }| {
+            let (used_shrinkage, ctx) = self.full.choose_with_context(query, rng, planned);
+            let planned = &*planned;
+            let per_shard = fan_out(self.shard_count(), self.threads, |s| {
+                let members = Some(self.plan.members[s].as_slice());
+                with_scratch(|RouteScratch { buffers, .. }| {
+                    self.full.score_planned(
+                        query,
+                        k,
+                        &ctx,
+                        &used_shrinkage,
+                        members,
+                        planned,
+                        buffers,
+                    )
+                })
+            });
+            let mut ranking = merge_rankings(&per_shard);
+            ranking.truncate(k);
+            AdaptiveOutcome {
+                ranking,
+                used_shrinkage,
+            }
+        })
     }
 
     /// [`route_topk`](Self::route_topk) with the shard scatter run
@@ -316,15 +240,15 @@ impl ShardedEngine {
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
-        let mut outcome = self.route_shards_topk(query, k, rng, 0..self.scorers.len());
+        let mut outcome = self.route_shards_topk(query, k, rng, 0..self.shard_count());
         outcome.ranking.truncate(k);
         outcome
     }
 
-    /// Score **one** shard to its local top `k`, reporting global database
-    /// indices — the backend half of a *federated* deployment, where each
-    /// shard lives behind a remote daemon and a proxy gathers the partial
-    /// rankings (`k = usize::MAX` for the full partial ranking).
+    /// Score **one** shard to its local top `k` — the backend half of a
+    /// *federated* deployment, where each shard lives behind a remote
+    /// daemon and a proxy gathers the partial rankings (`k = usize::MAX`
+    /// for the full partial ranking).
     ///
     /// Every backend holds the full catalog and runs the identical choose
     /// phase plus the global collection context, then scores only
@@ -335,8 +259,8 @@ impl ShardedEngine {
     /// scatter on the other side of a socket.
     ///
     /// The returned outcome's `ranking` holds only `shard`'s databases
-    /// (sorted by `ranking_order`, global indices); `used_shrinkage`
-    /// still covers the full catalog.
+    /// (sorted by `ranking_order`); `used_shrinkage` still covers the full
+    /// catalog.
     pub fn route_shard_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
@@ -356,10 +280,22 @@ impl ShardedEngine {
         rng: &mut R,
         shards: std::ops::Range<usize>,
     ) -> AdaptiveOutcome {
-        with_scratch(|scratch| {
-            let (used_shrinkage, ctx) = self.full.choose_with_context(query, rng, scratch);
-            let per_shard: Vec<Vec<RankedDatabase>> = shards
-                .map(|s| self.score_shard_topk(s, query, k, &ctx, &used_shrinkage, scratch))
+        with_scratch(|RouteScratch { planned, buffers }| {
+            let (used_shrinkage, ctx) = self.full.choose_with_context(query, rng, planned);
+            let per_shard: Vec<Vec<RankedDatabase>> = self.plan.members[shards]
+                .iter()
+                .map(|members| {
+                    let members = Some(members.as_slice());
+                    self.full.score_planned(
+                        query,
+                        k,
+                        &ctx,
+                        &used_shrinkage,
+                        members,
+                        planned,
+                        buffers,
+                    )
+                })
                 .collect();
             AdaptiveOutcome {
                 ranking: merge_rankings(&per_shard),
@@ -367,31 +303,12 @@ impl ShardedEngine {
             }
         })
     }
-
-    /// Shard `s`'s local top `k` against the global context, global
-    /// database indices.
-    fn score_shard_topk(
-        &self,
-        s: usize,
-        query: &[TermId],
-        k: usize,
-        ctx: &CollectionContext,
-        used_shrinkage: &[bool],
-        scratch: &mut RouteScratch,
-    ) -> Vec<RankedDatabase> {
-        let members = self.set.members_of(s);
-        let local_used: Vec<bool> = members
-            .iter()
-            .map(|&g| used_shrinkage[g as usize])
-            .collect();
-        self.scorers[s].score_partition_topk(query, k, ctx, &local_used, Some(members), scratch)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::CatalogEntry;
+    use crate::catalog::{Catalog, CatalogEntry};
     use crate::test_support::{sampled_summary, shrunk_for};
     use proptest::prelude::*;
     use sampling::scheduler::db_rng;
@@ -523,11 +440,8 @@ mod tests {
                     config,
                 ));
                 for shards in [1usize, 2, 4, 9, 16] {
-                    let set = Arc::new(
-                        ShardSet::build(&catalog, ShardPlan::contiguous(catalog.len(), shards))
-                            .unwrap(),
-                    );
-                    let sharded = ShardedEngine::new(Arc::clone(&full), set, 4);
+                    let plan = Arc::new(ShardPlan::contiguous(catalog.len(), shards));
+                    let sharded = ShardedEngine::new(Arc::clone(&full), plan, 4).unwrap();
                     for (qi, query) in queries().iter().enumerate() {
                         let mono = full.route(query, &mut db_rng(11, qi));
                         let scat = sharded.route_topk(query, usize::MAX, &mut db_rng(11, qi));
@@ -562,10 +476,8 @@ mod tests {
                     Arc::clone(&algorithm),
                     config,
                 ));
-                let set = Arc::new(
-                    ShardSet::build(&catalog, ShardPlan::contiguous(catalog.len(), 3)).unwrap(),
-                );
-                let sharded = ShardedEngine::new(Arc::clone(&full), set, 2);
+                let plan = Arc::new(ShardPlan::contiguous(catalog.len(), 3));
+                let sharded = ShardedEngine::new(Arc::clone(&full), plan, 2).unwrap();
                 for (qi, query) in queries().iter().enumerate() {
                     let mono = full.route(query, &mut db_rng(5, qi));
                     // Each shard routed independently, each with its own
@@ -599,8 +511,10 @@ mod tests {
             Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
             AdaptiveConfig::default(),
         ));
-        let set = Arc::new(ShardSet::build(&catalog, ShardPlan::hash(catalog.names(), 3)).unwrap());
-        let sharded = ShardedEngine::new(Arc::clone(&full), set, 2);
+        let plan = Arc::new(ShardPlan::hash(catalog.names(), 3));
+        let sharded = ShardedEngine::new(Arc::clone(&full), plan, 2).unwrap();
+        let short = Arc::new(ShardPlan::contiguous(catalog.len() - 1, 3));
+        assert!(ShardedEngine::new(Arc::clone(&full), short, 2).is_err());
         // What the daemon's batch handler does: parallel across queries,
         // shards scored sequentially inside each (full rankings here).
         let queries = queries();
@@ -650,7 +564,7 @@ mod tests {
                     1 => ShardPlan::hash(catalog.names(), shards),
                     _ => ShardPlan::topic(&topics, shards),
                 };
-                let set = Arc::new(ShardSet::build(&catalog, plan).unwrap());
+                let plan = Arc::new(plan);
                 let global = sampled_summary(
                     130_000.0,
                     900,
@@ -674,7 +588,8 @@ mod tests {
                             Arc::clone(&algorithm),
                             config,
     ));
-                        let sharded = ShardedEngine::new(Arc::clone(&full), Arc::clone(&set), 3);
+                        let sharded =
+                            ShardedEngine::new(Arc::clone(&full), Arc::clone(&plan), 3).unwrap();
                         for (qi, query) in queries.iter().enumerate() {
                             let mono = full.route(query, &mut db_rng(seed, qi));
                             let scat = sharded.route_topk(query, usize::MAX, &mut db_rng(seed, qi));
@@ -738,15 +653,8 @@ mod tests {
                             config,
     ));
                         for shards in [1usize, 2, 4] {
-                            let set = Arc::new(
-                                ShardSet::build(
-                                    &catalog,
-                                    ShardPlan::contiguous(catalog.len(), shards),
-                                )
-                                .unwrap(),
-                            );
-                            let sharded =
-                                ShardedEngine::new(Arc::clone(&full), Arc::clone(&set), 2);
+                            let plan = Arc::new(ShardPlan::contiguous(catalog.len(), shards));
+                            let sharded = ShardedEngine::new(Arc::clone(&full), plan, 2).unwrap();
                             for (qi, query) in queries.iter().enumerate() {
                                 let mono = full.route(query, &mut db_rng(seed, qi));
                                 for k in 1..=catalog.len() + 1 {

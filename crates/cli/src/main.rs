@@ -71,8 +71,7 @@ USAGE:
                  [--addr HOST:PORT]
                  [--workers N] [--queue N] [--shards N] [--tenant-quota N]
                  [--deadline-ms N] [--keep-alive-requests N] [--idle-timeout-ms N]
-                 [--retry-after-ms N] [--reactor | --legacy-threaded]
-                 [--refresh-interval-ms N]
+                 [--retry-after-ms N] [--refresh-interval-ms N]
                  [--proxy-retries N] [--hedge-ms N] [--breaker-threshold N]
                  [--breaker-cooldown-ms N] [--health-interval-ms N]
   dbselect inspect --store STORE [--db NAME]
@@ -106,10 +105,9 @@ the catalog, POST /admin/shutdown exits cleanly. Connections are
 persistent (HTTP/1.1 keep-alive): --keep-alive-requests caps requests
 per connection, --idle-timeout-ms bounds the wait between them, and
 --deadline-ms bounds each request end to end, reads and writes included.
-By default connection I/O runs on an event-driven reactor (--reactor)
-that multiplexes every socket on one thread while --workers threads
-execute requests; --legacy-threaded restores the thread-per-connection
-path. Both serve bit-identical responses. --refresh-interval-ms N polls
+Connection I/O runs on an event-driven reactor that multiplexes every
+socket on one thread while --workers threads execute requests.
+--refresh-interval-ms N polls
 each tenant's source every N ms and hot-swaps newer delta-chain
 generations in automatically (no /admin/reload needed); swaps are kept
 strictly monotone and a broken chain leaves the serving generation
@@ -136,7 +134,7 @@ backends are fenced by per-backend circuit breakers
 --health-interval-ms closes it again). When some — but not all —
 shards fail, the proxy degrades gracefully: it merges what it has and
 marks the response `\"degraded\": true` with the missing shard ids.
---retry-after-ms sets the Retry-After hint on 503s in every serve mode.
+--retry-after-ms sets the Retry-After hint on 503s, catalog or proxy.
 ";
 
 fn cmd_index(args: &[String]) -> Result<(), String> {
@@ -499,8 +497,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 config.refresh_interval = Some(std::time::Duration::from_millis(ms));
             }
             "--debug-sleep" => config.debug_sleep = true,
-            "--reactor" => config.mode = server::ServeMode::Reactor,
-            "--legacy-threaded" => config.mode = server::ServeMode::Threaded,
             other => return Err(format!("unknown serve option `{other}`")),
         }
     }

@@ -6,10 +6,10 @@
 //! aggressive about connection reuse: a pooled connection that fails in
 //! any way — the backend restarted, the idle socket was reaped, the
 //! response came back torn — is thrown away and the request transparently
-//! retried once on a fresh connection. Deadlines are enforced the same
-//! way the server side does it ([`crate::DeadlineStream`]'s pattern): the
-//! socket timeout is re-armed against the absolute deadline before every
-//! read and write, so a dribbling backend cannot reset the clock.
+//! retried once on a fresh connection. The client blocks (it runs on a
+//! worker, never on the reactor), so its deadlines are socket timeouts:
+//! re-armed against the absolute deadline before every read and write, so
+//! a dribbling backend cannot reset the clock.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -46,9 +46,10 @@ fn bad(detail: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
 }
 
-/// The client-side twin of the server's `DeadlineStream`: re-arms the
-/// socket timeout against an absolute deadline before every syscall, so
-/// total time on the wire is bounded by the deadline, not per-`recv`.
+/// A `TcpStream` that re-arms the socket timeout against an absolute
+/// deadline before every syscall. `set_read_timeout` alone bounds each
+/// `recv`, not the total; through this wrapper the time on the wire is
+/// bounded by the deadline.
 struct DeadlineIo {
     stream: TcpStream,
     deadline: Instant,

@@ -2,21 +2,21 @@
 //!
 //! `dbselectd` is std-only (the vendored compat-crate constraint rules out
 //! hyper et al.), so this module implements exactly the slice of HTTP/1.1
-//! the daemon needs: parse one request from a buffered reader with strict
-//! size limits, and write one response whose `Connection` header tells the
-//! client whether the connection stays open. Persistence policy
+//! the daemon needs: parse the first request out of the bytes a connection
+//! has received so far, with strict size limits ([`try_parse`]), and
+//! serialize one response whose `Connection` header tells the client
+//! whether the connection stays open. Persistence policy
 //! ([`Request::wants_keep_alive`]) follows RFC 7230 §6.3: HTTP/1.1
 //! defaults to keep-alive, HTTP/1.0 to close, and an explicit
 //! `Connection: close` / `keep-alive` token always wins.
 //!
 //! The parser is the daemon's exposure to untrusted bytes, so its contract
-//! is: **never panic, never allocate unboundedly** — every malformed,
-//! oversized, or truncated input maps to an [`HttpError`], which the
-//! serving loop turns into a 4xx status. A proptest fuzz suite
-//! (`tests/http_fuzz.rs`) holds the no-panic property over arbitrary byte
-//! streams.
+//! is: **never panic, never allocate unboundedly** — every malformed or
+//! oversized input maps to an [`HttpError`], which the reactor turns into
+//! a 4xx status. A proptest fuzz suite (`tests/http_fuzz.rs`) holds the
+//! no-panic property over arbitrary byte streams.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Parser limits. Exceeding any of them is a [`HttpError::TooLarge`].
 #[derive(Debug, Clone, Copy)]
@@ -42,54 +42,30 @@ impl Default for Limits {
     }
 }
 
-/// Everything that can go wrong while reading a request.
+/// Why the received bytes can never become a request.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The connection closed cleanly before the first byte of a request.
-    Closed,
     /// Syntactically invalid request (maps to 400).
     Malformed(&'static str),
     /// A size limit was exceeded (maps to 413).
     TooLarge(&'static str),
-    /// Transport error; `WouldBlock`/`TimedOut` mean the read deadline
-    /// expired (maps to 408).
-    Io(io::Error),
 }
 
 impl HttpError {
-    /// The HTTP status this error reports to the client (`None`: the
-    /// connection is gone, nothing to write).
-    pub fn status(&self) -> Option<u16> {
+    /// The HTTP status this error reports to the client.
+    pub fn status(&self) -> u16 {
         match self {
-            HttpError::Closed => None,
-            HttpError::Malformed(_) => Some(400),
-            HttpError::TooLarge(_) => Some(413),
-            HttpError::Io(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Some(408)
-            }
-            HttpError::Io(_) => None,
+            HttpError::Malformed(_) => 400,
+            HttpError::TooLarge(_) => 413,
         }
     }
 
     /// Human-readable detail for the error body.
     pub fn detail(&self) -> String {
         match self {
-            HttpError::Closed => "connection closed".to_string(),
             HttpError::Malformed(why) => format!("malformed request: {why}"),
             HttpError::TooLarge(what) => format!("request too large: {what}"),
-            HttpError::Io(e) => format!("i/o: {e}"),
         }
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -147,45 +123,7 @@ impl Request {
     }
 }
 
-/// Read one `\n`-terminated line of at most `max` bytes, stripping the
-/// trailing `\r\n` / `\n`. `Ok(None)` means clean EOF before any byte.
-fn read_line<R: BufRead>(
-    r: &mut R,
-    max: usize,
-    oversize: &'static str,
-) -> Result<Option<Vec<u8>>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let available = match r.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        if available.is_empty() {
-            if line.is_empty() {
-                return Ok(None);
-            }
-            return Err(HttpError::Malformed("unexpected end of stream"));
-        }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(available.len(), |i| i + 1);
-        if line.len() + take > max + 2 {
-            return Err(HttpError::TooLarge(oversize));
-        }
-        line.extend_from_slice(&available[..take]);
-        r.consume(take);
-        if newline.is_some() {
-            while matches!(line.last(), Some(b'\n') | Some(b'\r')) {
-                line.pop();
-            }
-            return Ok(Some(line));
-        }
-    }
-}
-
-/// Validate a request line (`METHOD SP TARGET SP HTTP/1.x`). Shared by
-/// the streaming and incremental parsers so their acceptance is
-/// identical by construction.
+/// Validate a request line (`METHOD SP TARGET SP HTTP/1.x`).
 fn parse_request_line(line: Vec<u8>) -> Result<(String, String, u8), HttpError> {
     let line =
         String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 request line"))?;
@@ -248,50 +186,6 @@ fn declared_body_len(request: &Request, limits: &Limits) -> Result<usize, HttpEr
     Ok(body_len)
 }
 
-/// Parse one request from `r` under `limits`.
-pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Request, HttpError> {
-    // Request line: METHOD SP TARGET SP HTTP/1.x
-    let line = match read_line(r, limits.max_request_line, "request line")? {
-        None => return Err(HttpError::Closed),
-        Some(line) => line,
-    };
-    let (method, target, version_minor) = parse_request_line(line)?;
-
-    // Header fields until the empty line.
-    let mut headers: Vec<(String, String)> = Vec::new();
-    loop {
-        let line = read_line(r, limits.max_header_line, "header line")?
-            .ok_or(HttpError::Malformed("stream ended inside headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= limits.max_headers {
-            return Err(HttpError::TooLarge("too many headers"));
-        }
-        headers.push(parse_header_line(line)?);
-    }
-
-    let request = Request {
-        method,
-        target,
-        version_minor,
-        headers,
-        body: Vec::new(),
-    };
-    let body_len = declared_body_len(&request, limits)?;
-    let mut body = vec![0u8; body_len];
-    if body_len > 0 {
-        r.read_exact(&mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                HttpError::Malformed("truncated body")
-            } else {
-                HttpError::Io(e)
-            }
-        })?;
-    }
-    Ok(Request { body, ..request })
-}
-
 /// Progress of [`try_parse`] over a partially received buffer.
 #[derive(Debug)]
 pub enum ParseStatus {
@@ -309,11 +203,11 @@ pub enum ParseStatus {
     },
 }
 
-/// Split the next `\n`-terminated line out of `buf[*pos..]`, mirroring
-/// [`read_line`]'s limit accounting exactly: a line may span at most
-/// `max + 2` bytes including its terminator, and accumulating that many
-/// bytes *without* seeing a terminator is already oversize. `Ok(None)`
-/// means the line is still incomplete (and within limits).
+/// Split the next `\n`-terminated line out of `buf[*pos..]`, stripping
+/// the trailing `\r\n` / `\n`. A line may span at most `max + 2` bytes
+/// including its terminator, and accumulating that many bytes *without*
+/// seeing a terminator is already oversize. `Ok(None)` means the line is
+/// still incomplete (and within limits).
 fn split_line(
     buf: &[u8],
     pos: &mut usize,
@@ -340,16 +234,13 @@ fn split_line(
 
 /// Incrementally parse the first request out of `buf`.
 ///
-/// This is the nonblocking-reactor counterpart of [`read_request`]: the
-/// reactor appends whatever bytes the socket had ready and re-asks. It is
-/// a pure function of the buffer — no parser state is carried between
-/// calls — so resuming after any split point is trivially equivalent to
-/// parsing the concatenation (held as a property over every byte
-/// boundary by `tests/http_incremental.rs`). Validation is shared with
-/// `read_request` ([`parse_request_line`], [`parse_header_line`],
-/// [`declared_body_len`]), so the two parsers accept and reject
-/// identical inputs; end-of-stream handling is the caller's concern
-/// here (EOF mid-buffer means the request can never complete).
+/// The reactor appends whatever bytes the socket had ready and re-asks.
+/// This is a pure function of the buffer — no parser state is carried
+/// between calls — so resuming after any split point is trivially
+/// equivalent to parsing the concatenation (held as a property over every
+/// byte boundary by `tests/http_incremental.rs`). End-of-stream handling
+/// is the caller's concern (EOF mid-buffer means the request can never
+/// complete).
 pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpError> {
     let mut pos = 0usize;
     let Some(line) = split_line(buf, &mut pos, limits.max_request_line, "request line")? else {
@@ -483,9 +374,9 @@ pub fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     out
 }
 
-/// Send [`serialize_response`]'s bytes in one call: the threaded path's
-/// stream is an unbuffered `DeadlineStream`, so every piece written
-/// separately would cost its own timeout-arm + send syscall pair.
+/// Send [`serialize_response`]'s bytes to a blocking writer in one call.
+/// (The reactor writes the serialized buffer itself, resuming on `EAGAIN`;
+/// this is for callers that hold a plain stream.)
 pub fn write_response<W: Write>(w: &mut W, response: &Response, close: bool) -> io::Result<()> {
     w.write_all(&serialize_response(response, close))?;
     w.flush()
@@ -494,10 +385,16 @@ pub fn write_response<W: Write>(w: &mut W, response: &Response, close: bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// The one request `bytes` holds, whole.
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(bytes), &Limits::default())
+        match try_parse(bytes, &Limits::default())? {
+            ParseStatus::Complete { request, consumed } => {
+                assert_eq!(consumed, bytes.len());
+                Ok(request)
+            }
+            ParseStatus::NeedMore => panic!("incomplete: {:?}", String::from_utf8_lossy(bytes)),
+        }
     }
 
     #[test]
@@ -561,12 +458,27 @@ mod tests {
             b"GET / HTTP/1.1\r\nbroken header\r\n\r\n",
             b"GET / HTTP/1.1\r\n: empty\r\n\r\n",
             b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
             b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             b"\xff\xfe / HTTP/1.1\r\n\r\n",
         ] {
             let err = parse(bytes).unwrap_err();
-            assert!(err.status().is_some(), "{err:?} must map to a status");
+            assert_eq!(err.status(), 400, "{err:?}");
+        }
+    }
+
+    /// A prefix of a valid request is neither a request nor an error: what
+    /// an end of stream there means (a silent close before the first byte,
+    /// `400 truncated request` after it) is the reactor's call.
+    #[test]
+    fn truncated_inputs_need_more() {
+        for bytes in [
+            &b""[..],
+            b"GET / HT",
+            b"GET / HTTP/1.1\r\nHost: x\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+        ] {
+            let status = try_parse(bytes, &Limits::default());
+            assert!(matches!(status, Ok(ParseStatus::NeedMore)), "{status:?}");
         }
     }
 
@@ -578,11 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_closed() {
-        assert!(matches!(parse(b"").unwrap_err(), HttpError::Closed));
-    }
-
-    #[test]
     fn limits_are_enforced() {
         let tiny = Limits {
             max_request_line: 16,
@@ -591,16 +498,16 @@ mod tests {
             max_body: 8,
         };
         let long_line = b"GET /aaaaaaaaaaaaaaaaaaaaaaaaaaaa HTTP/1.1\r\n\r\n";
-        let err = read_request(&mut BufReader::new(&long_line[..]), &tiny).unwrap_err();
-        assert_eq!(err.status(), Some(413));
+        let err = try_parse(long_line, &tiny).unwrap_err();
+        assert_eq!(err.status(), 413);
 
         let many = b"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\n\r\n";
-        let err = read_request(&mut BufReader::new(&many[..]), &tiny).unwrap_err();
-        assert_eq!(err.status(), Some(413));
+        let err = try_parse(many, &tiny).unwrap_err();
+        assert_eq!(err.status(), 413);
 
         let big = b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789";
-        let err = read_request(&mut BufReader::new(&big[..]), &tiny).unwrap_err();
-        assert_eq!(err.status(), Some(413));
+        let err = try_parse(big, &tiny).unwrap_err();
+        assert_eq!(err.status(), 413);
     }
 
     #[test]

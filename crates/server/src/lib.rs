@@ -1,21 +1,20 @@
 //! `dbselectd` — a networked metasearch daemon.
 //!
 //! A std-only TCP server with a hand-rolled HTTP/1.1 layer ([`http`])
-//! serving database-selection requests against a loaded
-//! [`store::catalog::StoredCatalog`]. Since the reactor refactor the
-//! daemon separates **connection I/O** from **request execution**:
+//! serving database-selection requests against a loaded serving snapshot
+//! ([`state::ServingState`]). The daemon separates **connection I/O** from
+//! **request execution**:
 //!
-//! - The **reactor** ([`reactor`], the default serve mode) runs a
-//!   single-threaded readiness loop ([`poller`]: epoll on Linux,
-//!   `poll(2)` fallback elsewhere) over the nonblocking listener and all
-//!   accepted sockets. It owns every connection's state machine
-//!   (reading → executing → writing → idle / draining), parses requests
-//!   incrementally ([`http::try_parse`]), resumes writes on `EAGAIN`,
-//!   and enforces every deadline — request, idle, write grace, linger —
-//!   through a coarse [`timer::TimerWheel`] instead of per-syscall OS
-//!   timeouts. Thousands of idle keep-alive connections cost one fd and
-//!   about a kilobyte of read buffer each; no thread is pinned by an open
-//!   socket.
+//! - The **reactor** ([`reactor`]) runs a single-threaded readiness loop
+//!   ([`poller`]: epoll on Linux, `poll(2)` elsewhere) over the
+//!   nonblocking listener and all accepted sockets. It owns every
+//!   connection's state machine (reading → executing → writing → idle /
+//!   draining), parses requests incrementally ([`http::try_parse`]),
+//!   resumes writes on `EAGAIN`, and enforces every deadline — request,
+//!   idle, write grace, linger — through a coarse [`timer::TimerWheel`]
+//!   instead of per-syscall OS timeouts. Thousands of idle keep-alive
+//!   connections cost one fd and about a kilobyte of read buffer each; no
+//!   thread is pinned by an open socket.
 //! - **Workers** only execute parsed requests: the reactor offers each
 //!   complete request to a [`queue::BoundedQueue`] (a full queue is
 //!   answered `503` + `Retry-After` — admission control at the parse
@@ -24,11 +23,6 @@
 //!   the reactor's wakeup pipe. A handler panic is caught per-request,
 //!   counted in `dbselectd_worker_panics_total`, aborts only that
 //!   connection, and never shrinks the pool.
-//! - The **legacy threaded path** (`ServeMode::Threaded`,
-//!   `--legacy-threaded`) keeps the previous architecture — accept loop,
-//!   thread-per-connection workers popping whole connections, per-syscall
-//!   deadline re-arming via [`DeadlineStream`] — as a one-release escape
-//!   hatch while the reactor soaks.
 //! - Routing endpoints resolve the current [`state::ServingState`] and
 //!   its generation as one pair under one `RwLock`. `/admin/reload`
 //!   builds the *next* state off to the side and swaps the pair, so
@@ -36,13 +30,12 @@
 //!   the generation they started with, and a reload never fails a request.
 //!
 //! Rankings served over HTTP are bit-identical to
-//! `broker::SelectionEngine::route` in both modes, and scores are
-//! serialized with shortest-roundtrip `f64` formatting ([`json`]): routing
-//! responses are written straight into the body (`write_ranking`), never
-//! through a [`json::Json`] tree. The
-//! `seed` and `index` request fields still seed `db_rng(seed, index)`, but
-//! the uncertainty test is closed-form and no served algorithm draws from
-//! it: they no longer influence rankings.
+//! `broker::SelectionEngine::route`, and scores are serialized with
+//! shortest-roundtrip `f64` formatting ([`json`]): routing responses are
+//! written straight into the body (`write_ranking`), never through a
+//! [`json::Json`] tree. The `seed` and `index` request fields still seed
+//! `db_rng(seed, index)`, but the uncertainty test is closed-form and no
+//! served algorithm draws from it: they no longer influence rankings.
 
 pub mod client;
 pub mod http;
@@ -58,8 +51,8 @@ pub mod timer;
 pub use proxy::{HedgePolicy, ProxyConfig};
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead as _, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -68,26 +61,12 @@ use std::time::{Duration, Instant};
 use sampling::scheduler::{db_rng, fan_out_chunks};
 use selection::ShrinkageMode;
 
-use crate::http::{
-    read_request, serialize_response, write_response, HttpError, Limits, Request, Response,
-};
+use crate::http::{serialize_response, Limits, Request, Response};
 use crate::json::Json;
 use crate::metrics::{Metrics, TenantMetrics};
 use crate::poller::Wakeup;
 use crate::queue::{BoundedQueue, CompletionQueue};
 use crate::state::{parse_shrinkage, Algo, ServingState};
-
-/// How the daemon maps connections onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// Event-driven: one reactor thread owns all connection I/O, a fixed
-    /// worker pool executes requests (the default).
-    #[default]
-    Reactor,
-    /// Thread-per-connection escape hatch (`--legacy-threaded`): workers
-    /// pop whole connections and serve them with blocking I/O.
-    Threaded,
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -114,9 +93,6 @@ pub struct ServerConfig {
     /// Honor the `X-Debug-Sleep-Ms` request header (tests and load
     /// generators only — lets a client hold a worker deterministically).
     pub debug_sleep: bool,
-    /// Connection handling: event-driven reactor (default) or the legacy
-    /// thread-per-connection path.
-    pub mode: ServeMode,
     /// Catalog shards per tenant: `> 1` scatters each `/route` query's
     /// scoring phase across this many contiguous catalog shards
     /// ([`broker::ShardedEngine`]); `<= 1` serves monolithically. Either
@@ -153,7 +129,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(5),
             cache_capacity: 0,
             debug_sleep: false,
-            mode: ServeMode::Reactor,
             shards: 1,
             tenant_quota: 0,
             retry_after: Duration::from_secs(1),
@@ -165,6 +140,12 @@ impl Default for ServerConfig {
 
 /// Maximum queries accepted in one `/route_batch` request.
 pub(crate) const MAX_BATCH: usize = 10_000;
+
+/// Maximum words accepted in one query, as sent (before analysis drops
+/// and deduplicates any). Analysis and planning are linear in it and run
+/// on a worker between deadline checks; no query the paper's test beds
+/// pose comes within two orders of magnitude.
+pub(crate) const MAX_QUERY_WORDS: usize = 1024;
 
 /// The configured `Retry-After` value as a header string: whole seconds,
 /// rounded up, never below 1 (a `Retry-After: 0` invites an immediate
@@ -178,26 +159,14 @@ pub(crate) fn retry_after_value(config: &ServerConfig) -> String {
         .to_string()
 }
 
-/// Write-timeout bound on the accept thread's `503` rejection: the
-/// response fits any socket buffer, so this only stops a pathological
-/// client from head-of-line-blocking `accept()`.
-const REJECT_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-
 /// Floor on the write budget for a response reporting a deadline or
 /// parse error after the request deadline already passed — without it the
 /// `504`/`408` body could never be flushed.
 const ERROR_WRITE_GRACE: Duration = Duration::from_secs(2);
 
-/// Bounds on the lingering close's drain phase (see [`lingering_close`]).
+/// Bounds on the lingering close's drain phase (`reactor`'s `Draining`).
 const LINGER_DRAIN: Duration = Duration::from_millis(500);
 const LINGER_DRAIN_MAX: usize = 64 * 1024;
-
-/// One admitted connection, carrying its first request's deadline
-/// (legacy threaded mode).
-struct Job {
-    stream: TcpStream,
-    deadline: Instant,
-}
 
 /// One parsed request handed from the reactor to the worker pool.
 pub(crate) struct Task {
@@ -222,47 +191,6 @@ pub(crate) struct Completion {
     /// Close the connection after flushing (mirrors the serialized
     /// `Connection: close` header).
     pub(crate) close: bool,
-}
-
-/// A `TcpStream` wrapper that re-arms the socket timeout against a
-/// deadline before **every** read and write. `set_read_timeout` alone
-/// bounds each `recv` syscall, not the total: a slowloris client feeding
-/// one byte per poll (or draining its response equally slowly) resets the
-/// clock forever. Going through this wrapper, the total time a worker can
-/// spend on one request's socket I/O is bounded by the deadline.
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Instant,
-}
-
-impl DeadlineStream {
-    /// Time left until the deadline, as a non-zero duration
-    /// (`set_read_timeout` rejects zero), or `TimedOut`.
-    fn remaining(&self) -> io::Result<Duration> {
-        let now = Instant::now();
-        if now >= self.deadline {
-            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline exceeded"));
-        }
-        Ok(self.deadline - now)
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.stream.set_read_timeout(Some(self.remaining()?))?;
-        self.stream.read(buf)
-    }
-}
-
-impl Write for DeadlineStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.stream.set_write_timeout(Some(self.remaining()?))?;
-        self.stream.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.stream.flush()
-    }
 }
 
 /// One named catalog hosted by the daemon: its own serving state,
@@ -335,8 +263,7 @@ fn admit<'a>(shared: &Shared, tenant: &'a Tenant) -> Result<InFlightGuard<'a>, R
     Ok(InFlightGuard(tenant))
 }
 
-/// State shared between the I/O side (reactor or accept loop) and the
-/// workers.
+/// State shared between the reactor and the workers.
 pub(crate) struct Shared {
     /// Hosted tenants, ascending by name (binary-searchable).
     pub(crate) tenants: Vec<Arc<Tenant>>,
@@ -344,14 +271,11 @@ pub(crate) struct Shared {
     /// named `default` when present, else the first.
     pub(crate) default_tenant: usize,
     pub(crate) metrics: Metrics,
-    /// Legacy threaded mode: admitted connections awaiting a worker.
-    queue: BoundedQueue<Job>,
-    /// Reactor mode: parsed requests awaiting execution.
+    /// Parsed requests awaiting execution.
     pub(crate) tasks: BoundedQueue<Task>,
-    /// Reactor mode: finished responses awaiting the reactor.
+    /// Finished responses awaiting the reactor.
     pub(crate) completions: CompletionQueue<Completion>,
-    /// Reactor mode: the doorbell workers ring after posting a
-    /// completion.
+    /// The doorbell workers ring after posting a completion.
     pub(crate) wakeup: Wakeup,
     pub(crate) stop: AtomicBool,
     pub(crate) config: ServerConfig,
@@ -452,13 +376,11 @@ impl Server {
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let queue = BoundedQueue::new(config.queue_capacity);
         let tasks = BoundedQueue::new(config.queue_capacity);
         let shared = Arc::new(Shared {
             tenants,
             default_tenant,
             metrics: Metrics::new(),
-            queue,
             tasks,
             completions: CompletionQueue::new(),
             wakeup: Wakeup::new()?,
@@ -476,12 +398,14 @@ impl Server {
         self.shared.addr
     }
 
-    /// Run the daemon on the calling thread until `/admin/shutdown`.
-    /// Spawns the worker pool (and, in proxy mode, the backend health
-    /// checker); joins them before returning, so when `run` returns every
-    /// admitted request has been answered.
+    /// Run the daemon on the calling thread until `/admin/shutdown`:
+    /// connection I/O here ([`reactor::run`]), execution on the worker pool,
+    /// completions routed back through the wakeup pipe. Spawns the pool
+    /// (and the backend health checker or the background refresher, when
+    /// configured) and joins them before returning, so when `run` returns
+    /// every admitted request has been answered.
     pub fn run(self) -> io::Result<()> {
-        let shared = Arc::clone(&self.shared);
+        let Server { listener, shared } = self;
         let health = shared.proxy.as_ref().map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || proxy::health_loop(&shared))
@@ -495,32 +419,12 @@ impl Server {
             }
             _ => None,
         };
-        let result = match self.shared.config.mode {
-            ServeMode::Reactor => self.run_reactor(),
-            ServeMode::Threaded => self.run_threaded(),
-        };
-        // `stop` is already set on the shutdown path; set it on error
-        // exits too so no helper thread outlives the listener.
-        shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = health {
-            let _ = handle.join();
-        }
-        if let Some(handle) = refresher {
-            let _ = handle.join();
-        }
-        result
-    }
-
-    /// Reactor mode: connection I/O on this thread, execution on the
-    /// worker pool, completions routed back through the wakeup pipe.
-    fn run_reactor(self) -> io::Result<()> {
-        let workers: Vec<_> = (0..self.shared.config.workers.max(1))
+        let workers: Vec<_> = (0..shared.config.workers.max(1))
             .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                // Belt and braces as in threaded mode: `execute_loop`
-                // catches panics per task, but if one ever escapes the
-                // plumbing, count it and re-enter — the pool never
-                // shrinks.
+                let shared = Arc::clone(&shared);
+                // Belt and braces: `execute_loop` catches panics per task,
+                // but if one ever escapes the plumbing, count it and
+                // re-enter — the pool never shrinks.
                 std::thread::spawn(move || loop {
                     match std::panic::catch_unwind(AssertUnwindSafe(|| execute_loop(&shared))) {
                         Ok(()) => break,
@@ -535,156 +439,24 @@ impl Server {
             })
             .collect();
 
-        let result = reactor::run(self.listener, &self.shared);
+        let result = reactor::run(listener, &shared);
 
+        // `stop` is already set on the shutdown path; set it on error
+        // exits too so no helper thread outlives the listener.
+        shared.stop.store(true, Ordering::SeqCst);
         // The reactor only returns once every connection is closed; any
         // queued task belongs to a connection it already dropped, so
         // closing the queue and joining loses no answered request.
-        self.shared.tasks.close();
-        self.shared.queue.close();
-        for worker in workers {
-            let _ = worker.join();
+        shared.tasks.close();
+        for handle in workers.into_iter().chain(health).chain(refresher) {
+            let _ = handle.join();
         }
         result
     }
-
-    /// Legacy threaded mode: the accept loop on this thread, whole
-    /// connections popped and served by the worker pool.
-    fn run_threaded(self) -> io::Result<()> {
-        let workers: Vec<_> = (0..self.shared.config.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                // Belt and braces: `worker_loop` already catches panics
-                // per connection, but if one ever escapes (queue or
-                // metrics plumbing), count it and re-enter the loop — the
-                // pool never shrinks.
-                std::thread::spawn(move || loop {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))) {
-                        Ok(()) => break,
-                        Err(_) => {
-                            shared
-                                .metrics
-                                .worker_panics_total
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        for accepted in self.listener.incoming() {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match accepted {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            // Nagle + the peer's delayed ACK would add ~40ms to every
-            // response on a kept-alive connection (the body segment sits
-            // behind the header segment waiting for an ACK that the
-            // client delays). Closing the socket flushed it before;
-            // persistent connections need the explicit opt-out.
-            let _ = stream.set_nodelay(true);
-            let job = Job {
-                stream,
-                deadline: Instant::now() + self.shared.config.deadline,
-            };
-            // The gauge is one atomic incremented here and decremented at
-            // pop: publishing `try_push`'s depth (or re-reading `len()`
-            // after pop) lets concurrent updates land out of order and
-            // leave the gauge stale. Incrementing *before* the push and
-            // undoing on rejection means a pop can never decrement ahead
-            // of its push's increment.
-            self.shared
-                .metrics
-                .queue_depth
-                .fetch_add(1, Ordering::Relaxed);
-            if let Err(job) = self.shared.queue.try_push(job) {
-                self.shared
-                    .metrics
-                    .queue_depth
-                    .fetch_sub(1, Ordering::Relaxed);
-                // Admission control: reject at the door, before reading a
-                // single request byte. The write is bounded so a client
-                // that stalls its receive window cannot block `accept()`
-                // for everyone else.
-                self.shared
-                    .metrics
-                    .rejected_total
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared.metrics.record("admission", 503);
-                let mut stream = job.stream;
-                let _ = stream.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
-                let response = Response::error(503, "queue full")
-                    .with_header("Retry-After", retry_after_value(&self.shared.config));
-                let _ = write_response(&mut stream, &response, true);
-            }
-        }
-
-        self.shared.queue.close();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        Ok(())
-    }
 }
 
-/// Close a connection whose request was **not** fully read without
-/// destroying the response we just wrote: dropping a socket with unread
-/// bytes in its receive buffer makes the kernel send `RST`, and an `RST`
-/// discards any response data the client has not consumed yet — the
-/// client sees `ECONNRESET` instead of its `504`/`408`. So: shut down the
-/// write side (the `FIN` delivers the response), then drain what the
-/// client keeps sending, bounded in both time and bytes so a hostile
-/// sender cannot pin the worker here.
-fn lingering_close(stream: TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut drain = DeadlineStream {
-        stream,
-        deadline: Instant::now() + LINGER_DRAIN,
-    };
-    let mut scratch = [0u8; 4096];
-    let mut drained = 0usize;
-    loop {
-        match drain.read(&mut scratch) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => {
-                drained += n;
-                if drained >= LINGER_DRAIN_MAX {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        shared
-            .metrics
-            .open_connections
-            .fetch_add(1, Ordering::Relaxed);
-        // A panic anywhere in the connection (handler bugs, injected via
-        // `X-Debug-Panic` in tests) drops that connection only: it is
-        // counted, the socket closes by drop, and this worker moves on to
-        // the next job.
-        if std::panic::catch_unwind(AssertUnwindSafe(|| serve_connection(shared, job))).is_err() {
-            shared
-                .metrics
-                .worker_panics_total
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        shared
-            .metrics
-            .open_connections
-            .fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Reactor-mode worker loop: execute parsed requests, post serialized
-/// responses back, ring the doorbell. A panic in the handler is caught
+/// The worker loop: execute parsed requests, post serialized responses
+/// back, ring the doorbell. A panic in the handler is caught
 /// per-task; the connection gets an abort completion (dropped without a
 /// response) and the worker lives on.
 fn execute_loop(shared: &Shared) {
@@ -712,9 +484,8 @@ fn execute_loop(shared: &Shared) {
 }
 
 /// Execute one parsed request: debug hooks, dispatch, metrics, response
-/// serialization, and the keep-alive-vs-close decision — everything the
-/// threaded path does between `read_request` and `write_response`, minus
-/// the socket.
+/// serialization, and the keep-alive-vs-close decision — everything
+/// between the reactor's parse and its write.
 fn execute_task(shared: &Shared, task: &Task) -> Completion {
     let request = &task.request;
     if shared.config.debug_sleep {
@@ -753,140 +524,6 @@ fn execute_task(shared: &Shared, task: &Task) -> Completion {
         token: task.token,
         bytes: Some(serialize_response(&response, close)),
         close,
-    }
-}
-
-/// Serve one connection: the HTTP/1.1 keep-alive loop.
-///
-/// State machine per connection: `idle-wait → read → dispatch → write`,
-/// repeated until the client asks to close (`Connection: close`, or
-/// HTTP/1.0 without opt-in), the per-connection request cap is reached,
-/// the idle wait times out, the daemon is draining for shutdown, or any
-/// read/write fails its deadline. The final response always carries
-/// `Connection: close`; all I/O goes through [`DeadlineStream`], so every
-/// exit path frees the worker within one request deadline (plus the
-/// bounded error-write grace).
-fn serve_connection(shared: &Shared, job: Job) {
-    let Job { stream, deadline } = job;
-    shared
-        .metrics
-        .connections_total
-        .fetch_add(1, Ordering::Relaxed);
-
-    let reader_stream = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(DeadlineStream {
-        stream: reader_stream,
-        deadline,
-    });
-    let mut writer = DeadlineStream { stream, deadline };
-    let max_requests = shared.config.keep_alive_requests.max(1);
-    let mut deadline = deadline;
-    let mut served = 0usize;
-
-    loop {
-        if served == 0 {
-            // The first deadline was stamped at accept: a connection that
-            // waited out its whole deadline in the queue is answered 504
-            // without reading the request.
-            if Instant::now() >= deadline {
-                shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.record("queue", 504);
-                writer.deadline = Instant::now() + ERROR_WRITE_GRACE;
-                let _ = write_response(
-                    &mut writer,
-                    &Response::error(504, "deadline exceeded"),
-                    true,
-                );
-                // The request was never read; close gently or the RST
-                // eats the 504.
-                lingering_close(writer.stream);
-                return;
-            }
-        } else {
-            // Between requests on a kept-alive connection: stop reusing
-            // when draining for shutdown, otherwise wait at most
-            // `idle_timeout` for the next request's first byte, then
-            // stamp a fresh deadline for it. An idle timeout or client
-            // close here ends the connection silently — there is no
-            // request to answer.
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            reader.get_mut().deadline = Instant::now() + shared.config.idle_timeout;
-            match reader.fill_buf() {
-                Ok([]) | Err(_) => return,
-                Ok(_) => {}
-            }
-            deadline = Instant::now() + shared.config.deadline;
-            writer.deadline = deadline;
-        }
-        reader.get_mut().deadline = deadline;
-
-        let request = match read_request(&mut reader, &shared.limits) {
-            Ok(request) => request,
-            Err(HttpError::Closed) => return,
-            Err(err) => {
-                let Some(status) = err.status() else { return };
-                if status == 408 {
-                    shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.metrics.record("parse", status);
-                // After a read timeout the write deadline has passed too;
-                // grant the bounded grace so the error body can flush.
-                writer.deadline = writer.deadline.max(Instant::now() + ERROR_WRITE_GRACE);
-                let _ = write_response(&mut writer, &Response::error(status, &err.detail()), true);
-                // The request was only partially read (that is why it
-                // failed); close gently or the RST eats the error body.
-                lingering_close(writer.stream);
-                return;
-            }
-        };
-        served += 1;
-
-        if shared.config.debug_sleep {
-            if request.header("x-debug-panic").is_some() {
-                panic!("panic injected by X-Debug-Panic");
-            }
-            if let Some(ms) = request
-                .header("x-debug-sleep-ms")
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                std::thread::sleep(Duration::from_millis(ms.min(60_000)));
-            }
-        }
-
-        let started = Instant::now();
-        let (endpoint, response) = dispatch(shared, &request, deadline);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        match endpoint {
-            "route" => shared.metrics.route_latency.observe(elapsed),
-            "route_batch" => shared.metrics.batch_latency.observe(elapsed),
-            _ => {}
-        }
-        shared.metrics.record(endpoint, response.status);
-
-        let shutting_down = endpoint == "shutdown" && response.status == 200;
-        let close = !request.wants_keep_alive()
-            || served >= max_requests
-            || shutting_down
-            || shared.stop.load(Ordering::SeqCst);
-        // The dispatch may have consumed the whole deadline (a handler
-        // 504); keep at least the grace so the response still flushes.
-        writer.deadline = writer.deadline.max(Instant::now() + ERROR_WRITE_GRACE);
-        let write_ok = write_response(&mut writer, &response, close).is_ok();
-
-        if shutting_down {
-            shared.stop.store(true, Ordering::SeqCst);
-            // The accept loop is blocked in `accept`; a throwaway
-            // connection wakes it so it can observe the stop flag.
-            let _ = TcpStream::connect(shared.addr);
-        }
-        if close || !write_ok {
-            return;
-        }
     }
 }
 
@@ -1132,10 +769,21 @@ pub(crate) fn parse_route_params(body: &Json) -> Result<RouteParams, Response> {
     })
 }
 
-/// A query is either a string (split on whitespace) or an array of words.
+/// A query is either a string (split on whitespace) or an array of words,
+/// of at most [`MAX_QUERY_WORDS`] words either way.
 fn parse_query_words(value: &Json) -> Result<Vec<String>, String> {
+    let too_many = || format!("query exceeds {MAX_QUERY_WORDS} words");
     match value {
-        Json::Str(line) => Ok(line.split_whitespace().map(str::to_string).collect()),
+        Json::Str(line) => {
+            // One word past the limit settles it; the rest is never copied.
+            let words = line.split_whitespace().take(MAX_QUERY_WORDS + 1);
+            let words: Vec<String> = words.map(str::to_string).collect();
+            if words.len() > MAX_QUERY_WORDS {
+                return Err(too_many());
+            }
+            Ok(words)
+        }
+        Json::Arr(items) if items.len() > MAX_QUERY_WORDS => Err(too_many()),
         Json::Arr(items) => items
             .iter()
             .map(|w| {

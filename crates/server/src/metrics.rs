@@ -165,8 +165,7 @@ pub struct Metrics {
     pub catalog_load_failures_total: AtomicU64,
     /// Currently open client connections (accepted, not yet closed).
     pub open_connections: AtomicU64,
-    /// Connections per reactor state, indexed by [`ConnState`]. The
-    /// legacy threaded path leaves these at zero.
+    /// Connections per reactor state, indexed by [`ConnState`].
     pub connections_state: [AtomicU64; CONN_STATES.len()],
     /// Times the reactor's poll wait returned (readiness, doorbell, or
     /// timer tick).

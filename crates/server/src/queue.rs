@@ -1,9 +1,8 @@
 //! The daemon's bounded admission queue and the reactor's completion
 //! mailbox.
 //!
-//! The accept loop (threaded mode) or the reactor (parsed requests)
-//! pushes work with [`BoundedQueue::try_push`], which **fails immediately
-//! when the queue is full** — that failure is the admission-control
+//! The reactor pushes parsed requests with [`BoundedQueue::try_push`],
+//! which **fails immediately when the queue is full** — that failure is the admission-control
 //! signal the caller turns into `503` + `Retry-After`. Workers block on
 //! [`BoundedQueue::pop`]. Closing the queue lets workers drain what was
 //! already admitted, then return `None` so they can exit.

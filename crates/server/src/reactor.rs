@@ -234,8 +234,9 @@ impl Reactor<'_> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        // Nagle + delayed ACK would add ~40ms per kept-alive response;
-        // same opt-out as the threaded path.
+        // Nagle + the peer's delayed ACK would add ~40ms to every
+        // response on a kept-alive connection (the body segment sits
+        // behind the header segment waiting for an ACK the client delays).
         let _ = stream.set_nodelay(true);
 
         let slot = self.free.pop().unwrap_or_else(|| {
@@ -246,8 +247,9 @@ impl Reactor<'_> {
         self.gens[slot] = self.gens[slot].wrapping_add(1);
         let gen = self.gens[slot];
         let now = Instant::now();
-        // The first request's deadline is stamped at accept, exactly like
-        // the threaded path stamps its `Job`.
+        // The first request's deadline is stamped at accept: a client
+        // that connects and sends nothing holds its slot for one deadline,
+        // not forever.
         let deadline = now + self.shared.config.deadline;
 
         let fd = stream.as_raw_fd();
@@ -427,8 +429,9 @@ impl Reactor<'_> {
             }
             if conn.phase == Phase::Idle {
                 // First byte of the next request on a kept-alive
-                // connection stamps a fresh deadline (threaded parity:
-                // the post-`fill_buf` re-stamp).
+                // connection stamps a fresh deadline: the time spent idle
+                // between requests is the idle timer's, not this
+                // request's.
                 let deadline = Instant::now() + self.shared.config.deadline;
                 conn.deadline = deadline;
                 self.set_phase(slot, Phase::Reading);
@@ -438,8 +441,8 @@ impl Reactor<'_> {
         }
 
         // EOF. An idle or empty connection closed cleanly; a request cut
-        // off mid-bytes can never complete — tell the (probably gone)
-        // client, mirroring the threaded path's truncated-read 400.
+        // off mid-bytes can never complete — tell the client, which may
+        // have shut down only its write side and still be reading.
         let Some(conn) = self.conns[slot].as_ref() else {
             return;
         };
@@ -474,9 +477,12 @@ impl Reactor<'_> {
                     deadline: conn.deadline,
                     force_close,
                 };
-                // Same inc-before-push/undo-on-reject dance as the
-                // threaded accept loop, for the same gauge-ordering
-                // reason.
+                // The gauge is one atomic incremented here and decremented
+                // at pop. Incrementing *before* the push and undoing on
+                // rejection means a pop can never decrement ahead of its
+                // push's increment; publishing `try_push`'s depth instead
+                // would let concurrent updates land out of order and leave
+                // the gauge stale.
                 shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
                 match shared.tasks.try_push(task) {
                     Ok(_) => {
@@ -485,8 +491,9 @@ impl Reactor<'_> {
                         self.set_interest(slot, None);
                     }
                     Err(_) => {
-                        // Admission control: in reactor mode the door is
-                        // the parse boundary, not accept.
+                        // Admission control: the door is the parse
+                        // boundary — a connection costs a slab slot, only a
+                        // complete request costs a queue slot.
                         shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         shared
                             .metrics
@@ -500,14 +507,8 @@ impl Reactor<'_> {
                 }
             }
             Err(err) => {
-                // `try_parse` is pure, so the error is always mappable to
-                // a status (400/413), never I/O.
-                let Some(status) = err.status() else {
-                    self.close(slot);
-                    return;
-                };
-                shared.metrics.record("parse", status);
-                let response = Response::error(status, &err.detail());
+                shared.metrics.record("parse", err.status());
+                let response = Response::error(err.status(), &err.detail());
                 self.respond(slot, &response, true);
             }
         }
@@ -527,8 +528,8 @@ impl Reactor<'_> {
     }
 
     /// Begin flushing `bytes`; the write budget is the request deadline
-    /// floored by the error-write grace (threaded parity: the response
-    /// must be flushable even when the deadline itself has passed).
+    /// floored by the error-write grace: a `504`/`408` is written *because*
+    /// the deadline passed, and must still be flushable.
     fn start_write(&mut self, slot: usize, bytes: Vec<u8>, close: bool, linger: bool) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
@@ -605,8 +606,8 @@ impl Reactor<'_> {
         let now = Instant::now();
         if !conn.rbuf.is_empty() {
             // The next pipelined request is already buffered; its
-            // deadline starts now (threaded parity: `fill_buf` would have
-            // returned instantly and re-stamped).
+            // deadline starts now, when the daemon turns to it — not while
+            // it waited behind the response just flushed.
             let deadline = now + self.shared.config.deadline;
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
@@ -685,8 +686,9 @@ impl Reactor<'_> {
             return;
         }
         match completion.bytes {
-            // Handler panic: drop the connection without a response
-            // (threaded parity — the panicked worker's connection drops).
+            // Handler panic: drop the connection without a response —
+            // what the handler got through before it panicked is unknown,
+            // so there is nothing truthful to say.
             None => self.close(slot),
             Some(bytes) => self.start_write(slot, bytes, completion.close, false),
         }
@@ -705,7 +707,7 @@ impl Reactor<'_> {
         match conn.phase {
             Phase::Reading => {
                 // The request deadline passed before the request finished
-                // arriving: 408, like the threaded path's read timeout.
+                // arriving (a slow or stalled sender): 408.
                 let metrics = &self.shared.metrics;
                 metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
                 metrics.record("parse", 408);

@@ -24,7 +24,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use broker::{Catalog, MomentTable, SelectionEngine, ShardPlan, ShardSet, ShardedEngine};
+use broker::{Catalog, MomentTable, SelectionEngine, ShardPlan, ShardedEngine};
 use selection::{AdaptiveConfig, BGloss, Cori, Lm, SelectionAlgorithm, ShrinkageMode};
 use store::catalog::StoredCatalog;
 use store::snapshot::ServingSnapshot;
@@ -104,12 +104,10 @@ pub struct ServingState {
     analyzer: Analyzer,
     /// `engines[algo.index() * 3 + mode_index(mode)]`.
     engines: Vec<Arc<SelectionEngine>>,
-    /// The shard partition when this state serves scatter-gather, shared
-    /// by every sharded engine below. `None` ⇒ monolithic serving.
-    shard_set: Option<Arc<ShardSet>>,
     /// Scatter-gather wrapper per engine slot (same indexing as
-    /// `engines`); empty when serving monolithically.
-    sharded: Vec<Option<ShardedEngine>>,
+    /// `engines`), all over one [`ShardPlan`] of the one catalog; empty
+    /// when serving monolithically.
+    sharded: Vec<ShardedEngine>,
     /// The path this state was loaded from (default for reloads).
     source: String,
     /// Wall-clock seconds spent loading and freezing this generation.
@@ -182,26 +180,15 @@ impl ServingState {
                 )));
             }
         }
-        let shard_set = if shards > 1 && !catalog.is_empty() {
-            let plan = ShardPlan::contiguous(catalog.len(), shards);
-            Some(Arc::new(
-                ShardSet::build(&catalog, plan).expect("contiguous plan always covers the catalog"),
-            ))
+        let sharded = if shards > 1 && !catalog.is_empty() {
+            let plan = Arc::new(ShardPlan::contiguous(catalog.len(), shards));
+            let scatter = |engine: &Arc<SelectionEngine>| {
+                ShardedEngine::new(Arc::clone(engine), Arc::clone(&plan), shards)
+                    .expect("a contiguous plan over the catalog covers it")
+            };
+            engines.iter().map(scatter).collect()
         } else {
-            None
-        };
-        let sharded = match &shard_set {
-            Some(set) => engines
-                .iter()
-                .map(|engine| {
-                    Some(ShardedEngine::new(
-                        Arc::clone(engine),
-                        Arc::clone(set),
-                        set.shard_count(),
-                    ))
-                })
-                .collect(),
-            None => Vec::new(),
+            Vec::new()
         };
         ServingState {
             dict,
@@ -209,7 +196,6 @@ impl ServingState {
             catalog,
             analyzer: Analyzer::english(),
             engines,
-            shard_set,
             sharded,
             source,
             load_seconds: 0.0,
@@ -272,13 +258,12 @@ impl ServingState {
     /// built with `shards > 1`.
     pub fn sharded_engine(&self, algo: Algo, mode: ShrinkageMode) -> Option<&ShardedEngine> {
         self.sharded
-            .get(algo.index() * MODES.len() + mode_index(mode))?
-            .as_ref()
+            .get(algo.index() * MODES.len() + mode_index(mode))
     }
 
     /// Number of shards this state scores across (1 ⇒ monolithic).
     pub fn shard_count(&self) -> usize {
-        self.shard_set.as_ref().map_or(1, |s| s.shard_count())
+        self.sharded.first().map_or(1, ShardedEngine::shard_count)
     }
 
     /// The served catalog.

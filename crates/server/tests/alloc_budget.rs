@@ -1,4 +1,5 @@
-//! The `/route` hot path's allocation budget.
+//! The `/route` hot path's allocation budget, and what sharding keeps
+//! resident.
 //!
 //! After warm-up, one `adaptive` `k:10` request through the reactor — socket
 //! read, HTTP and JSON parse, analysis, choose → context → score, body
@@ -7,18 +8,28 @@
 //! scratch is recycled per thread and the response body is written straight
 //! into one `String`, so a per-request `RouteScratch::default()` (fifteen
 //! buffers) or a `Json` response tree (a node and a key `String` per field)
-//! would blow the budget and fail here.
+//! would blow the budget and fail here. A `--shards N` daemon additionally
+//! pays for the scatter (threads spawned per query, their buffers), and
+//! nothing per shard besides.
+//!
+//! A sharded state is the one catalog plus a member list per shard, so the
+//! bytes a state keeps live must not depend on the shard count.
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use common::fixture_catalog;
+use common::{fixture_catalog, fixture_store};
+use dbselect_core::category_summary::CategoryWeighting;
 use server::state::ServingState;
-use server::{ServeMode, Server, ServerConfig};
+use server::{Server, ServerConfig};
+use store::catalog::StoredCatalog;
+use store::snapshot::ServingSnapshot;
+use store::StoredDatabase;
 
 /// Most allocations one warmed-up request may make, process-wide. Measured
 /// at 45 when this budget was set, against 129 at the parent of that commit
@@ -27,33 +38,49 @@ use server::{ServeMode, Server, ServerConfig};
 /// a per-request scratch alone adds fifteen.
 const BUDGET: u64 = 52;
 
+/// The same for a `--shards 2` daemon, whose scatter spawns two threads
+/// per query. Measured at 75 when this budget was set, against 84 at the
+/// parent of that commit, which planned the query and gathered the shrunk
+/// rows again on every shard and copied the summary choices into a
+/// per-shard vector.
+const SHARDED_BUDGET: u64 = 80;
+
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, process-wide.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The counters are process-wide: the tests of this file take turns.
+static TURN: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic and
-// touches no allocator state.
+// upholds the `GlobalAlloc` contract; the counters are relaxed atomics and
+// touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: as in `alloc`; `ptr` came from this allocator, i.e. `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: as in `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -62,13 +89,77 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The fixture frozen for serving over `shards` shards.
+fn sharded_state(shards: usize) -> ServingState {
+    let snapshot = ServingSnapshot::from_stored(&fixture_catalog(1.0));
+    ServingState::from_snapshot_sharded(snapshot, String::new(), 0, shards)
+}
+
+/// The fixture's six databases sixteen times over: beside 96 databases'
+/// columns, the few machine words a state spends per engine are noise.
+fn wide_catalog() -> StoredCatalog {
+    let mut store = fixture_store(1.0);
+    let originals = store.databases.clone();
+    for copy in 1..16 {
+        store
+            .databases
+            .extend(originals.iter().map(|db| StoredDatabase {
+                name: format!("{}-{copy}", db.name),
+                ..db.clone()
+            }));
+    }
+    StoredCatalog::freeze(store, CategoryWeighting::BySize)
+}
+
 #[test]
 fn a_warm_route_request_stays_within_its_allocation_budget() {
-    let state = ServingState::from_frozen(fixture_catalog(1.0), String::new(), 0);
+    for (shards, budget) in [(1, BUDGET), (2, SHARDED_BUDGET)] {
+        let least = warm_route_allocations(shards, budget);
+        eprintln!("allocations per warmed-up /route request, {shards} shard(s): {least}");
+        assert!(
+            least <= budget,
+            "{least} allocations per request exceed the budget of {budget} ({shards} shard(s))"
+        );
+    }
+}
+
+/// Sharding a state adds member lists, not sub-catalogs: what a 4-shard
+/// state keeps live is what the 1-shard state keeps, to within a tenth of
+/// the catalog's own column bytes. (A copy of the catalog per shard set
+/// would add all of them.)
+#[test]
+fn a_sharded_state_keeps_one_catalog_resident() {
+    let _turn = TURN.lock().expect("no test panics holding the turn");
+    let frozen = wide_catalog();
+    let live_bytes_of = |shards: usize| {
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        let snapshot = ServingSnapshot::from_stored(&frozen);
+        let state = ServingState::from_snapshot_sharded(snapshot, String::new(), 0, shards);
+        let live = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        assert_eq!(state.shard_count(), shards);
+        (live, state.catalog().resident_bytes())
+    };
+    // Once unmeasured: whatever the first build initialises for the process.
+    live_bytes_of(1);
+    let (monolithic, resident) = live_bytes_of(1);
+    let (sharded, _) = live_bytes_of(4);
+    eprintln!("live bytes: 1 shard {monolithic}, 4 shards {sharded}; catalog {resident}");
+    assert!(
+        sharded <= monolithic + resident / 10,
+        "4 shards keep {sharded} bytes live, 1 shard {monolithic}: more than a tenth \
+         of the catalog's {resident} apart"
+    );
+}
+
+/// The least number of allocations one warmed-up `adaptive` `k:10` request
+/// costs a daemon serving the fixture over `shards` shards, sampled for
+/// longer while that is above `budget`.
+fn warm_route_allocations(shards: usize, budget: u64) -> u64 {
+    let _turn = TURN.lock().expect("no test panics holding the turn");
+    let state = sharded_state(shards);
     let config = ServerConfig {
         workers: 1,
         keep_alive_requests: usize::MAX,
-        mode: ServeMode::Reactor,
         ..ServerConfig::default()
     };
     let daemon = Server::bind(config, state).expect("bind");
@@ -119,18 +210,25 @@ fn a_warm_route_request_stays_within_its_allocation_budget() {
     // The least over many exchanges: a stray allocation elsewhere in the
     // process (the test harness) can only add to one sample, never hide a
     // per-request cost.
-    let least = (0..200)
+    let mut least = (0..200)
         .map(|_| exchange(&mut stream))
         .min()
         .expect("samples");
-    eprintln!("allocations per warmed-up /route request: {least}");
-    assert!(
-        least <= BUDGET,
-        "{least} allocations per request exceed the budget of {BUDGET}"
-    );
+    // A scatter's cost also depends on how its threads happen to share the
+    // shards (each one that scores allocates its own buffers), which a
+    // burst of contention on the machine can skew for every sample of a few
+    // milliseconds: outlast the burst before calling it a regression.
+    for _ in 0..20 {
+        if least <= budget {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        least = (0..200).fold(least, |least, _| least.min(exchange(&mut stream)));
+    }
 
     let shutdown = "POST /admin/shutdown HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
     stream.write_all(shutdown.as_bytes()).expect("write");
     let _ = stream.read(&mut buffer);
     handle.join().expect("daemon exits cleanly");
+    least
 }

@@ -89,16 +89,8 @@ pub fn temp_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// Start a daemon on an OS-assigned port; returns its address and the
-/// accept-loop thread (joined after `/admin/shutdown`).
-///
-/// CI runs the whole integration suite against both connection paths:
-/// `DBSELECTD_TEST_MODE=threaded` flips every daemon started here onto
-/// the legacy thread-per-connection path. Tests that genuinely require
-/// one specific path bind the server directly instead.
-pub fn start(mut config: ServerConfig, state: ServingState) -> (SocketAddr, JoinHandle<()>) {
-    if std::env::var("DBSELECTD_TEST_MODE").as_deref() == Ok("threaded") {
-        config.mode = server::ServeMode::Threaded;
-    }
+/// thread running it (joined after `/admin/shutdown`).
+pub fn start(config: ServerConfig, state: ServingState) -> (SocketAddr, JoinHandle<()>) {
     let daemon = Server::bind(config, state).expect("bind");
     let addr = daemon.local_addr();
     let handle = std::thread::spawn(move || daemon.run().expect("run"));
@@ -107,12 +99,9 @@ pub fn start(mut config: ServerConfig, state: ServingState) -> (SocketAddr, Join
 
 /// [`start`], hosting one named tenant per `(name, state)` entry.
 pub fn start_tenants(
-    mut config: ServerConfig,
+    config: ServerConfig,
     states: Vec<(String, ServingState)>,
 ) -> (SocketAddr, JoinHandle<()>) {
-    if std::env::var("DBSELECTD_TEST_MODE").as_deref() == Ok("threaded") {
-        config.mode = server::ServeMode::Threaded;
-    }
     let daemon = Server::bind_tenants(config, states).expect("bind tenants");
     let addr = daemon.local_addr();
     let handle = std::thread::spawn(move || daemon.run().expect("run"));

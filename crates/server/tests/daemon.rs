@@ -379,6 +379,48 @@ fn healthz_metrics_and_errors() {
     shutdown(addr, handle);
 }
 
+/// A query is capped at 1024 words as sent, string or array, on every
+/// path a query arrives by: over the cap is a `400` naming the limit,
+/// answered before analysis — no uncertainty test is ever counted for it.
+#[test]
+fn over_long_queries_answer_400_naming_the_limit() {
+    let (addr, handle) = start(
+        ServerConfig::default(),
+        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+    );
+    let line = |words: usize| vec!["heart"; words].join(" ");
+    let array = |words: usize| format!("[{}]", vec![r#""heart""#; words].join(","));
+
+    for (path, body) in [
+        ("/route", format!(r#"{{"query":"{}"}}"#, line(1025))),
+        ("/route", format!(r#"{{"query":{}}}"#, array(1025))),
+        (
+            "/route",
+            format!(r#"{{"query":{},"shard":0}}"#, array(1025)),
+        ),
+        (
+            "/route_batch",
+            format!(r#"{{"queries":["heart",{}]}}"#, array(1025)),
+        ),
+    ] {
+        let (status, _, response) = post(addr, path, &body);
+        assert_eq!(status, 400, "{path}: {response}");
+        assert_eq!(response, r#"{"error":"query exceeds 1024 words"}"#);
+    }
+    let (_, _, metrics) = get(addr, "/metrics");
+    assert!(
+        metrics.contains("dbselectd_uncertainty_tests_total{algo=\"cori\"} 0\n"),
+        "an over-long query reached routing:\n{metrics}"
+    );
+
+    // The cap itself is served, either way of writing it.
+    for query in [format!("\"{}\"", line(1024)), array(1024)] {
+        let (status, _, response) = post(addr, "/route", &format!(r#"{{"query":{query}}}"#));
+        assert_eq!(status, 200, "{response}");
+    }
+    shutdown(addr, handle);
+}
+
 #[test]
 fn reload_swaps_catalogs_without_failing_inflight_requests() {
     let path_a = temp_path("gen-a");
@@ -828,73 +870,140 @@ fn missed_deadline_answers_504() {
     shutdown(addr, handle);
 }
 
-/// Boot a daemon with an explicitly pinned connection path, bypassing
-/// `common::start`'s `DBSELECTD_TEST_MODE` override.
-fn start_pinned(
-    mode: server::ServeMode,
-    config: ServerConfig,
-    state: ServingState,
-) -> (SocketAddr, JoinHandle<()>) {
-    let daemon = server::Server::bind(ServerConfig { mode, ..config }, state).expect("bind");
-    let addr = daemon.local_addr();
-    let handle = std::thread::spawn(move || daemon.run().expect("run"));
-    (addr, handle)
-}
-
+/// Seven raw requests — a route, a batch, a probe, and the four ways a
+/// request fails before reaching a handler's happy path (unknown path,
+/// wrong method, bad JSON, and a request line the reactor's own parser
+/// rejects) — each against the exact status line and body owed. Routed
+/// bodies are rendered here from the in-process ranking through a `Json`
+/// tree.
 #[test]
-fn reactor_and_threaded_paths_serve_identical_bytes() {
+fn raw_requests_draw_the_expected_status_line_and_body() {
     let frozen = fixture_catalog(1.0);
-    let (reactor_addr, reactor_handle) = start_pinned(
-        server::ServeMode::Reactor,
-        ServerConfig::default(),
-        ServingState::from_frozen(frozen.clone(), "mem".into(), 0),
-    );
-    let (threaded_addr, threaded_handle) = start_pinned(
-        server::ServeMode::Threaded,
+    let reference = ServingState::from_frozen(frozen.clone(), "mem".into(), 0);
+    let (addr, handle) = start(
         ServerConfig::default(),
         ServingState::from_frozen(frozen, "mem".into(), 0),
     );
 
+    let routed = |line: &str, algo: Algo, seed: u64, index: usize, k: usize| {
+        let (query, unknown) = reference.analyze(&words(line));
+        let outcome = reference
+            .engine(algo, selection::ShrinkageMode::Adaptive)
+            .route(&query, &mut db_rng(seed, index));
+        let entry = |(at, r): (usize, &selection::RankedDatabase)| {
+            Json::obj(vec![
+                ("rank".to_string(), Json::Num((at + 1) as f64)),
+                (
+                    "database".to_string(),
+                    Json::Str(reference.name(r.index).to_string()),
+                ),
+                (
+                    "category".to_string(),
+                    Json::Str(reference.category(r.index)),
+                ),
+                ("score".to_string(), Json::Num(r.score)),
+                (
+                    "shrinkage_used".to_string(),
+                    Json::Bool(outcome.used_shrinkage[r.index]),
+                ),
+            ])
+        };
+        let ranking = outcome.ranking.iter().take(k).enumerate().map(entry);
+        vec![
+            (
+                "unknown".to_string(),
+                Json::Arr(unknown.into_iter().map(Json::Str).collect()),
+            ),
+            ("ranking".to_string(), Json::Arr(ranking.collect())),
+        ]
+    };
+    let generation = ("generation".to_string(), Json::Num(1.0));
+
     let route_body = r#"{"query":"heart blood surgery","algo":"lm","seed":7}"#;
+    let mut route_expected = vec![generation.clone()];
+    route_expected.extend(routed("heart blood surgery", Algo::Lm, 7, 0, usize::MAX));
+
     let batch_body = r#"{"queries":["soccer goal","stock market yield"],"algo":"cori","k":4}"#;
+    let results = ["soccer goal", "stock market yield"]
+        .iter()
+        .enumerate()
+        .map(|(qi, line)| Json::obj(routed(line, Algo::Cori, 42, qi, 4)))
+        .collect();
+    let batch_expected = vec![generation, ("results".to_string(), Json::Arr(results))];
+
     let bad_json = r#"{"query": nope}"#;
-    let raw_requests = [
-        format!(
-            "POST /route HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{route_body}",
-            route_body.len()
+    let json_error = Json::parse(bad_json).expect_err("not JSON");
+
+    let close = "Host: t\r\nConnection: close\r\n";
+    let table = [
+        (
+            format!(
+                "POST /route HTTP/1.1\r\n{close}Content-Length: {}\r\n\r\n{route_body}",
+                route_body.len()
+            ),
+            "HTTP/1.1 200 OK",
+            Json::obj(route_expected).render(),
         ),
-        format!(
-            "POST /route_batch HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{batch_body}",
-            batch_body.len()
+        (
+            format!(
+                "POST /route_batch HTTP/1.1\r\n{close}Content-Length: {}\r\n\r\n{batch_body}",
+                batch_body.len()
+            ),
+            "HTTP/1.1 200 OK",
+            Json::obj(batch_expected).render(),
         ),
-        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
-        "GET /no-such-endpoint HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
-        "GET /route HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
-        format!(
-            "POST /route HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{bad_json}",
-            bad_json.len()
+        (
+            format!("GET /healthz HTTP/1.1\r\n{close}\r\n"),
+            "HTTP/1.1 200 OK",
+            format!(
+                r#"{{"status":"ok","generation":1,"databases":{},"terms":{},"tenants":1,"shards":1}}"#,
+                reference.databases(),
+                reference.terms()
+            ),
         ),
-        // Malformed request line: rejected by the parser itself, so this
-        // exercises the reactor's own error path against the threaded one.
-        "BLARG\r\n\r\n".to_string(),
+        (
+            format!("GET /no-such-endpoint HTTP/1.1\r\n{close}\r\n"),
+            "HTTP/1.1 404 Not Found",
+            r#"{"error":"no such endpoint"}"#.to_string(),
+        ),
+        (
+            format!("GET /route HTTP/1.1\r\n{close}\r\n"),
+            "HTTP/1.1 405 Method Not Allowed",
+            r#"{"error":"method not allowed"}"#.to_string(),
+        ),
+        (
+            format!(
+                "POST /route HTTP/1.1\r\n{close}Content-Length: {}\r\n\r\n{bad_json}",
+                bad_json.len()
+            ),
+            "HTTP/1.1 400 Bad Request",
+            Json::obj(vec![(
+                "error".to_string(),
+                Json::Str(format!("invalid JSON: {json_error}")),
+            )])
+            .render(),
+        ),
+        // Rejected by the HTTP parser itself: the reactor answers, no
+        // worker ever sees it.
+        (
+            "BLARG\r\n\r\n".to_string(),
+            "HTTP/1.1 400 Bad Request",
+            r#"{"error":"malformed request: request line is not `METHOD TARGET VERSION`"}"#
+                .to_string(),
+        ),
     ];
-    for raw in &raw_requests {
-        let from_reactor = exchange(reactor_addr, raw);
-        let from_threaded = exchange(threaded_addr, raw);
-        assert_eq!(
-            from_reactor, from_threaded,
-            "responses diverged between connection paths for request {raw:?}"
-        );
+    for (raw, status_line, body) in &table {
+        let (_, head, served) = exchange(addr, raw);
+        assert_eq!(head.lines().next(), Some(*status_line), "{raw:?}");
+        assert_eq!(&served, body, "{raw:?}");
     }
-    shutdown(reactor_addr, reactor_handle);
-    shutdown(threaded_addr, threaded_handle);
+    shutdown(addr, handle);
 }
 
 #[test]
 fn reactor_holds_hundreds_of_idle_connections_with_a_tiny_worker_pool() {
     const IDLE_CONNS: usize = 200;
-    let (addr, handle) = start_pinned(
-        server::ServeMode::Reactor,
+    let (addr, handle) = start(
         ServerConfig {
             workers: 2,
             idle_timeout: Duration::from_secs(30),

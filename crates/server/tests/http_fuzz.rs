@@ -3,9 +3,8 @@
 //! that map to 4xx responses instead.
 
 use proptest::prelude::*;
-use std::io::BufReader;
 
-use server::http::{read_request, Limits};
+use server::http::{try_parse, Limits, ParseStatus};
 use server::json::Json;
 
 /// Tight limits so the generators can exceed them cheaply.
@@ -34,10 +33,8 @@ proptest! {
     /// Arbitrary bytes: garbage, truncations, binary — never a panic.
     #[test]
     fn http_parser_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let mut reader = BufReader::new(bytes.as_slice());
-        let _ = read_request(&mut reader, &small_limits());
-        let mut reader = BufReader::new(bytes.as_slice());
-        let _ = read_request(&mut reader, &Limits::default());
+        let _ = try_parse(&bytes, &small_limits());
+        let _ = try_parse(&bytes, &Limits::default());
     }
 
     /// Request-shaped input (plausible method/target/headers/body in any
@@ -67,8 +64,7 @@ proptest! {
             raw.truncate(cut);
         }
 
-        let mut reader = BufReader::new(raw.as_slice());
-        if let Ok(request) = read_request(&mut reader, &small_limits()) {
+        if let Ok(ParseStatus::Complete { request, .. }) = try_parse(&raw, &small_limits()) {
             // A request only parses when the declared body arrived whole.
             if let Some(len) = declared_len {
                 prop_assert_eq!(request.body.len(), len);

@@ -1,13 +1,11 @@
-//! Property tests pinning the reactor's incremental parser to the
-//! streaming one: a valid pipelined request stream must parse to the
-//! same requests whether it arrives in one buffer, one byte at a time
-//! (every split boundary), or in random chunks — and must match what the
-//! threaded path's `read_request` reads off the same stream.
+//! Property tests of the reactor's incremental parser: a valid pipelined
+//! request stream must parse to the same requests whether it arrives in
+//! one buffer (the oracle), one byte at a time (every split boundary), or
+//! in random chunks.
 
 use proptest::prelude::*;
-use std::io::BufReader;
 
-use server::http::{read_request, try_parse, Limits, ParseStatus, Request};
+use server::http::{try_parse, Limits, ParseStatus, Request};
 
 /// A generated request, pre-serialization.
 #[derive(Debug, Clone)]
@@ -116,19 +114,11 @@ fn parse_incremental(stream: &[u8], chunk_sizes: &[usize], limits: &Limits) -> V
     requests
 }
 
-/// Read the same stream with the threaded path's blocking parser.
-fn parse_streaming(stream: &[u8], count: usize, limits: &Limits) -> Vec<Request> {
-    let mut reader = BufReader::new(stream);
-    (0..count)
-        .map(|_| read_request(&mut reader, limits).expect("streaming parser must accept stream"))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Byte-at-a-time arrival — every possible split boundary — parses
-    /// identically to the one-shot and streaming parsers.
+    /// identically to the whole buffer.
     #[test]
     fn every_byte_boundary_parses_identically(
         requests in prop::collection::vec(gen_request(), 1..4),
@@ -141,9 +131,6 @@ proptest! {
 
         let byte_wise = parse_incremental(&stream, &[1], &limits);
         prop_assert_eq!(&byte_wise, &one_shot, "byte-at-a-time must match one-shot");
-
-        let streaming = parse_streaming(&stream, requests.len(), &limits);
-        prop_assert_eq!(&streaming, &one_shot, "streaming parser must match one-shot");
 
         // Parsed structure matches what was generated.
         for (parsed, generated) in one_shot.iter().zip(&requests) {

@@ -78,9 +78,6 @@ fn shard_backend() -> (SocketAddr, JoinHandle<()>) {
 
 /// Start a proxy daemon over `backends` on an OS-assigned port.
 fn start_proxy(mut config: ServerConfig, proxy: ProxyConfig) -> (SocketAddr, JoinHandle<()>) {
-    if std::env::var("DBSELECTD_TEST_MODE").as_deref() == Ok("threaded") {
-        config.mode = server::ServeMode::Threaded;
-    }
     config.proxy = Some(proxy);
     let daemon = Server::bind_proxy(config).expect("bind proxy");
     let addr = daemon.local_addr();

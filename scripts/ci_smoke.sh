@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # CI smoke test for dbselectd: index a tiny fixture, freeze a catalog,
-# then run the full serve/route/fault/reload/shutdown battery against
-# BOTH connection paths — the event-driven reactor (default) and the
-# legacy thread-per-connection fallback — and finish with a 10k
-# idle-connection smoke against the reactor.
+# run the full serve/route/fault/reload/shutdown battery, then top-k,
+# a 10k idle-connection soak, multi-tenant, federated-proxy and
+# live-refresh passes.
 set -euo pipefail
 
 DBSELECT=${DBSELECT:-./target/release/dbselect}
@@ -38,16 +37,16 @@ printf 'heart blood\n' > "$WORK/queries.txt"
 "$DBSELECT" route --catalog "$WORK/col.catalog" --queries "$WORK/queries.txt" \
     | tee "$WORK/cli.txt"
 
-# One full smoke battery against a daemon serving with $1 on $2.
+# One full smoke battery against a daemon serving on $1.
 smoke_pass() {
-    local mode_flag=$1 ADDR=$2
-    echo "=== smoke pass: $mode_flag on $ADDR ==="
+    local ADDR=$1
+    echo "=== smoke pass on $ADDR ==="
 
     # Short deadline/idle-timeout so the fault-injection phase below
     # finishes quickly; both are still far above any healthy request's
     # needs.
     "$DBSELECT" serve --catalog "$WORK/col.snapshot" --addr "$ADDR" \
-        --deadline-ms 2000 --idle-timeout-ms 500 "$mode_flag" &
+        --deadline-ms 2000 --idle-timeout-ms 500 &
     SERVE_PID=$!
     for _ in $(seq 1 50); do
         curl -sf "http://$ADDR/healthz" > /dev/null 2>&1 && break
@@ -85,7 +84,7 @@ smoke_pass() {
     grep '^dbselectd_shrunk_term_columns{tenant="default"} 1$' "$WORK/metrics1.txt"
     grep -E '^dbselectd_catalog_resident_bytes\{tenant="default"\} [1-9][0-9]*$' "$WORK/metrics1.txt"
 
-    # --- connection gauges: both modes track open connections -------------
+    # --- connection gauges ------------------------------------------------
     # The scraping connection itself is open and mid-request, so the
     # gauge is at least 1 at scrape time.
     grep -E '^dbselectd_open_connections [1-9][0-9]*$' "$WORK/metrics1.txt"
@@ -93,15 +92,10 @@ smoke_pass() {
         grep "^dbselectd_connections_state{state=\"$state\"} " "$WORK/metrics1.txt"
     done
     grep '^dbselectd_eagain_total ' "$WORK/metrics1.txt"
-    if [ "$mode_flag" = --reactor ]; then
-        # The reactor's loop has demonstrably turned …
-        grep -E '^dbselectd_reactor_wakeups_total [1-9][0-9]*$' "$WORK/metrics1.txt"
-        # … and the scraping request is the one executing connection.
-        grep 'dbselectd_connections_state{state="executing"} 1' "$WORK/metrics1.txt"
-    else
-        # The threaded path never spins a reactor.
-        grep '^dbselectd_reactor_wakeups_total 0$' "$WORK/metrics1.txt"
-    fi
+    # The reactor's loop has demonstrably turned …
+    grep -E '^dbselectd_reactor_wakeups_total [1-9][0-9]*$' "$WORK/metrics1.txt"
+    # … and the scraping request is the one executing connection.
+    grep 'dbselectd_connections_state{state="executing"} 1' "$WORK/metrics1.txt"
 
     # --- fault injection: slow clients must not wedge or panic the pool ---
     python3 "$(dirname "$0")/fault_inject.py" "$ADDR" 2.0
@@ -119,11 +113,10 @@ smoke_pass() {
     echo
     wait "$SERVE_PID"
     SERVE_PID=
-    echo "=== smoke pass $mode_flag: ok ==="
+    echo "=== smoke pass: ok ==="
 }
 
-smoke_pass --reactor          "${ADDR:-127.0.0.1:7731}"
-smoke_pass --legacy-threaded  "${ADDR2:-127.0.0.1:7732}"
+smoke_pass "${ADDR:-127.0.0.1:7731}"
 
 # --- top-k pruning: daemon k=3 equals the CLI's truncated ranking ---------
 # Five databases with distinct document frequencies for the query terms,
@@ -179,12 +172,11 @@ topk_pass --shards 2
 echo "=== top-k pruning diff: ok ==="
 
 # --- 10k idle keep-alive connections on a fixed worker pool ---------------
-# Reactor only: the whole point of the refactor is that parked
-# connections cost a slab slot, not a thread. A long idle timeout keeps
-# them parked for the duration; the worker pool stays at the default.
+# Parked connections cost a slab slot, not a thread. A long idle timeout
+# keeps them parked for the duration; the worker pool stays at the default.
 ADDR3=${ADDR3:-127.0.0.1:7733}
 "$DBSELECT" serve --catalog "$WORK/col.snapshot" --addr "$ADDR3" \
-    --deadline-ms 5000 --idle-timeout-ms 120000 --reactor &
+    --deadline-ms 5000 --idle-timeout-ms 120000 &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
     curl -sf "http://$ADDR3/healthz" > /dev/null 2>&1 && break

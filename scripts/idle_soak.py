@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Idle-connection soak against a running dbselectd (reactor mode).
+"""Idle-connection soak against a running dbselectd.
 
 Parks COUNT established keep-alive connections — each serves one real
 /healthz request first, so the daemon tracks it as a genuine idle
