@@ -640,6 +640,23 @@ impl Catalog {
             unshrunk.push(FrozenSummary::from_unshrunk(&e.unshrunk));
             shrunk.push(FrozenSummary::from_shrunk(&e.shrunk));
         }
+        Catalog::from_frozen(names, unshrunk, shrunk, gammas)
+    }
+
+    /// [`Self::build`] over summaries already frozen (per database, in
+    /// catalog order): builds the posting index and the derived columns.
+    pub fn from_frozen(
+        names: Vec<String>,
+        unshrunk: Vec<FrozenSummary>,
+        shrunk: Vec<FrozenSummary>,
+        gammas: Vec<f64>,
+    ) -> Self {
+        assert!(
+            unshrunk.len() == names.len()
+                && shrunk.len() == names.len()
+                && gammas.len() == names.len(),
+            "one name, summary pair and γ per database"
+        );
         let index = PostingIndex::build(&unshrunk);
         Catalog::assemble(names, unshrunk, shrunk, gammas, None, index)
     }

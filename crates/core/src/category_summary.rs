@@ -53,69 +53,98 @@ struct Aggregate {
 
 impl Aggregate {
     fn add(&mut self, summary: &ContentSummary, weighting: CategoryWeighting) {
-        match weighting {
-            CategoryWeighting::BySize => {
-                for (term, stats) in summary.iter() {
-                    *self.acc_df.entry(term).or_insert(0.0) += stats.df;
-                    *self.acc_tf.entry(term).or_insert(0.0) += stats.tf;
-                }
-                self.denom_df += summary.db_size();
-                self.denom_tf += summary.total_tf();
-            }
-            CategoryWeighting::Uniform => {
-                for (term, _) in summary.iter() {
-                    *self.acc_df.entry(term).or_insert(0.0) += summary.p_df(term);
-                    *self.acc_tf.entry(term).or_insert(0.0) += summary.p_tf(term);
-                }
-                self.denom_df += 1.0;
-                self.denom_tf += 1.0;
-            }
-        }
+        let (denom_df, denom_tf) = contributions(summary, weighting, |term, df, tf| {
+            *self.acc_df.entry(term).or_insert(0.0) += df;
+            *self.acc_tf.entry(term).or_insert(0.0) += tf;
+        });
+        self.denom_df += denom_df;
+        self.denom_tf += denom_tf;
         self.size += summary.db_size();
         self.n_dbs += 1;
     }
 
-    /// `self - other`, clamping tiny negative residue from float error.
-    fn subtract(&self, other: &Aggregate) -> Aggregate {
-        let mut acc_df = self.acc_df.clone();
-        for (term, v) in &other.acc_df {
-            let slot = acc_df.entry(*term).or_insert(0.0);
-            *slot = (*slot - v).max(0.0);
+    /// The component of `self − other` (the raw component when `other` is
+    /// empty).
+    fn minus(&self, other: &Aggregate) -> SummaryComponent {
+        let (mut p_df, mut p_tf) = (self.acc_df.clone(), self.acc_tf.clone());
+        for (&term, &v) in &other.acc_df {
+            take(&mut p_df, term, v);
         }
-        let mut acc_tf = self.acc_tf.clone();
-        for (term, v) in &other.acc_tf {
-            let slot = acc_tf.entry(*term).or_insert(0.0);
-            *slot = (*slot - v).max(0.0);
+        for (&term, &v) in &other.acc_tf {
+            take(&mut p_tf, term, v);
         }
-        Aggregate {
-            acc_df,
-            acc_tf,
-            denom_df: (self.denom_df - other.denom_df).max(0.0),
-            denom_tf: (self.denom_tf - other.denom_tf).max(0.0),
-            size: (self.size - other.size).max(0.0),
-            n_dbs: self.n_dbs.saturating_sub(other.n_dbs),
+        SummaryComponent {
+            p_df: scaled(p_df, self.denom_df - other.denom_df),
+            p_tf: scaled(p_tf, self.denom_tf - other.denom_tf),
         }
     }
 
-    fn to_component(&self) -> SummaryComponent {
-        let p_df = if self.denom_df > 0.0 {
-            self.acc_df
-                .iter()
-                .map(|(&t, &v)| (t, v / self.denom_df))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-        let p_tf = if self.denom_tf > 0.0 {
-            self.acc_tf
-                .iter()
-                .map(|(&t, &v)| (t, v / self.denom_tf))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-        SummaryComponent { p_df, p_tf }
+    /// The component of `self` minus one member database's contribution
+    /// — what `minus` of a one-database aggregate gives, without building
+    /// that aggregate.
+    fn minus_database(
+        &self,
+        summary: &ContentSummary,
+        weighting: CategoryWeighting,
+    ) -> SummaryComponent {
+        let (mut p_df, mut p_tf) = (self.acc_df.clone(), self.acc_tf.clone());
+        let (denom_df, denom_tf) = contributions(summary, weighting, |term, df, tf| {
+            take(&mut p_df, term, df);
+            take(&mut p_tf, term, tf);
+        });
+        SummaryComponent {
+            p_df: scaled(p_df, self.denom_df - denom_df),
+            p_tf: scaled(p_tf, self.denom_tf - denom_tf),
+        }
     }
+}
+
+/// Feed `visit` what `summary` adds to a category aggregate per word —
+/// `(word, df, tf)` estimates under `BySize`, `(word, p_df, p_tf)` under
+/// `Uniform` — and return what it adds to the `(df, tf)` denominators.
+fn contributions(
+    summary: &ContentSummary,
+    weighting: CategoryWeighting,
+    mut visit: impl FnMut(TermId, f64, f64),
+) -> (f64, f64) {
+    match weighting {
+        CategoryWeighting::BySize => {
+            for (term, stats) in summary.iter() {
+                visit(term, stats.df, stats.tf);
+            }
+            (summary.db_size(), summary.total_tf())
+        }
+        CategoryWeighting::Uniform => {
+            for (term, p_df, p_tf) in summary.probabilities() {
+                visit(term, p_df, p_tf);
+            }
+            (1.0, 1.0)
+        }
+    }
+}
+
+/// Subtract `v` from `term`'s accumulated value (0 when absent), clamping
+/// tiny negative residue from float error. Aggregated values are sums
+/// from `+0.0`, never `-0.0`, so this is the same difference whether `v`
+/// was itself accumulated or not.
+fn take(acc: &mut HashMap<TermId, f64>, term: TermId, v: f64) {
+    let left = acc.entry(term).or_insert(0.0);
+    *left = (*left - v).max(0.0);
+}
+
+/// `acc / denom` per word, the denominator clamped at 0 like the values;
+/// empty when it is not positive. Takes `acc` by value: a component is
+/// made from a copy of an aggregate's map (one memcpy of the table, no
+/// word hashed again), adjusted in place.
+fn scaled(mut acc: HashMap<TermId, f64>, denom: f64) -> HashMap<TermId, f64> {
+    let denom = denom.max(0.0);
+    if denom <= 0.0 {
+        return HashMap::new();
+    }
+    for v in acc.values_mut() {
+        *v /= denom;
+    }
+    acc
 }
 
 /// One mixture component for shrinkage: the word distributions of a category
@@ -228,9 +257,9 @@ impl CategorySummaries {
             } else {
                 // The database's own category minus the database itself —
                 // necessarily computed per database.
-                let mut own = Aggregate::default();
-                own.add(db_summary, self.weighting);
-                components.push(Arc::new(self.aggregates[c].subtract(&own).to_component()));
+                components.push(Arc::new(
+                    self.aggregates[c].minus_database(db_summary, self.weighting),
+                ));
             }
         }
         components
@@ -242,14 +271,12 @@ impl CategorySummaries {
         if let Some(cached) = self.edge_cache.borrow().get(&(node, child)) {
             return Arc::clone(cached);
         }
-        let component = if node == child {
-            self.aggregates[node].to_component()
+        let minus = if node == child {
+            &Aggregate::default()
         } else {
-            self.aggregates[node]
-                .subtract(&self.aggregates[child])
-                .to_component()
+            &self.aggregates[child]
         };
-        let component = Arc::new(component);
+        let component = Arc::new(self.aggregates[node].minus(minus));
         self.edge_cache
             .borrow_mut()
             .insert((node, child), Arc::clone(&component));
@@ -374,7 +401,7 @@ mod tests {
         let sports = cs.category_summary(1_usize.min(h.len() - 1));
         // `Heart` aggregates exist, but a fresh empty aggregate is safe.
         let _ = sports;
-        let empty = Aggregate::default().to_component();
+        let empty = Aggregate::default().minus(&Aggregate::default());
         assert!(empty.p_df.is_empty());
     }
 }

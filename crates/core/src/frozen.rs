@@ -10,19 +10,24 @@
 //! search over contiguous memory, so scoring chases no hash buckets and the
 //! whole summary serializes as a straight array dump.
 //!
-//! Freezing is **bit-preserving**: every stored probability is computed
-//! through the source summary's own lookup path at freeze time, and absent
-//! terms fall back to a precomputed default — `0.0` for a content summary,
-//! `λ_0 · uniform_p` for a shrunk mixture (the exact value
-//! [`ShrunkSummary::mix`] produces when no component knows the word,
-//! because λ-weighted additions of absent keys are skipped, not added as
-//! zeros). Rankings computed over frozen views are therefore identical,
-//! `f64::to_bits` for `f64::to_bits`, to rankings over the originals.
+//! Freezing is **bit-preserving**: a content summary's values come from
+//! its own lookup path, a shrunk summary's from a [`ShrunkMixer`] that
+//! performs, per word, exactly the floating-point operations of
+//! `ShrunkSummary::mix` in exactly its order. Absent terms fall back to a
+//! precomputed default — `0.0` for a content summary, `λ_0 · uniform_p`
+//! for a shrunk mixture (the exact value the lazy mixture produces when no
+//! component knows the word, because λ-weighted additions of absent keys
+//! are skipped, not added as zeros). Rankings computed over frozen views
+//! are therefore identical, `f64::to_bits` for `f64::to_bits`, to rankings
+//! over the originals.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use textindex::TermId;
 
+use crate::category_summary::SummaryComponent;
+use crate::shrinkage::ProbabilityModel::{self, DocumentFrequency, TermFrequency};
 use crate::shrinkage::ShrunkSummary;
 use crate::summary::{ContentSummary, SummaryView};
 
@@ -107,23 +112,18 @@ impl FrozenSummary {
     }
 
     /// Freeze a shrunk summary by materializing the mixture over its full
-    /// (df ∪ tf) vocabulary. Words outside that vocabulary mix to exactly
-    /// `λ_0 · uniform_p` per model, which becomes the stored default.
+    /// vocabulary (see [`ShrunkMixer`]).
     pub fn from_shrunk(s: &ShrunkSummary) -> FrozenSummary {
-        let terms = s.full_vocabulary();
-        let p_df = terms.iter().map(|&t| SummaryView::p_df(s, t)).collect();
-        let p_tf = terms.iter().map(|&t| SummaryView::p_tf(s, t)).collect();
-        FrozenSummary::assemble(
-            s.db_size(),
-            0,
-            s.word_count(),
-            s.lambdas()[0] * s.uniform_p(),
-            s.lambdas_tf()[0] * s.uniform_p(),
-            terms.into(),
-            p_df,
-            p_tf,
-            Vec::new(),
-        )
+        let (lambdas_df, lambdas_tf) = (s.lambdas(), s.lambdas_tf());
+        let mut mixer = ShrunkMixer::default();
+        mixer.start(&s.components, lambdas_df, lambdas_tf, s.uniform_p());
+        mixer.add(
+            pairs(&s.db_p_df),
+            DocumentFrequency,
+            lambdas_df.last().copied(),
+        );
+        mixer.add(pairs(&s.db_p_tf), TermFrequency, lambdas_tf.last().copied());
+        mixer.finish(s.db_size(), s.word_count())
     }
 
     /// Reassemble a frozen summary from decoded columns — the snapshot
@@ -272,6 +272,165 @@ impl FrozenSummary {
     }
 }
 
+/// One word's slot in a [`ShrunkMixer`]'s scratch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    p_df: f64,
+    p_tf: f64,
+    /// The word is in the summary being mixed.
+    present: bool,
+}
+
+/// Freezes shrunk summaries `R̂(D)` (Eq. 2) over a dense scratch indexed
+/// by term id, reusable across databases.
+///
+/// Every word the database or any of its components knows, under either
+/// model, starts at `λ_0 · uniform_p`; the components then add `λ_i·p̂(w|C_i)`
+/// one after another, root first, to the words they know (a component
+/// whose `λ_i` is 0 adds nothing, though its words still join the
+/// vocabulary), and the database adds `λ_{m+1}·p̂(w|D)` last. That is the
+/// lazy mixture's sequence of operations for every word, so each frozen
+/// value is its value bit for bit — at the price of one pass over each map
+/// instead of a hash probe per (model, map, word). The scratch grows to
+/// the largest term id it meets, so ids interned after a dictionary was
+/// sized are covered.
+#[derive(Debug, Default)]
+pub struct ShrunkMixer {
+    slots: Vec<Slot>,
+    /// One past the largest term id of the summary being mixed.
+    end: usize,
+    /// Number of words of the summary being mixed.
+    len: usize,
+    /// `λ_0 · uniform_p` per model: every word's starting value, and the
+    /// frozen defaults.
+    base_df: f64,
+    base_tf: f64,
+}
+
+impl ShrunkMixer {
+    /// Freeze the shrunk summary of the database summarised by `db` under
+    /// its category `components` (root first) and fitted λ vectors: bit
+    /// for bit `FrozenSummary::from_shrunk(&ShrunkSummary::from_parts(db,
+    /// components, lambdas_df, lambdas_tf, uniform_p))`, without building
+    /// that summary's maps.
+    pub fn freeze(
+        &mut self,
+        db: &ContentSummary,
+        components: &[Arc<SummaryComponent>],
+        lambdas_df: &[f64],
+        lambdas_tf: &[f64],
+        uniform_p: f64,
+    ) -> FrozenSummary {
+        self.start(components, lambdas_df, lambdas_tf, uniform_p);
+        let own = db.probabilities();
+        self.add(
+            own.map(|(t, p, _)| (t, p)),
+            DocumentFrequency,
+            lambdas_df.last().copied(),
+        );
+        let own = db.probabilities();
+        self.add(
+            own.map(|(t, _, p)| (t, p)),
+            TermFrequency,
+            lambdas_tf.last().copied(),
+        );
+        self.finish(db.db_size(), db.total_tf())
+    }
+
+    /// Set the starting values and mix in the category components.
+    fn start(
+        &mut self,
+        components: &[Arc<SummaryComponent>],
+        lambdas_df: &[f64],
+        lambdas_tf: &[f64],
+        uniform_p: f64,
+    ) {
+        assert_eq!(
+            lambdas_df.len(),
+            components.len() + 2,
+            "λ vector must cover uniform + components + database"
+        );
+        assert_eq!(lambdas_df.len(), lambdas_tf.len());
+        self.base_df = lambdas_df[0] * uniform_p;
+        self.base_tf = lambdas_tf[0] * uniform_p;
+        for (i, c) in components.iter().enumerate() {
+            let weight = |l: f64| (l != 0.0).then_some(l);
+            self.add(pairs(&c.p_df), DocumentFrequency, weight(lambdas_df[i + 1]));
+            self.add(pairs(&c.p_tf), TermFrequency, weight(lambdas_tf[i + 1]));
+        }
+    }
+
+    /// Add `λ · p` to `model`'s value of every word in `probabilities`;
+    /// with no weight the words only join the vocabulary.
+    fn add(
+        &mut self,
+        probabilities: impl Iterator<Item = (TermId, f64)>,
+        model: ProbabilityModel,
+        lambda: Option<f64>,
+    ) {
+        for (term, p) in probabilities {
+            let slot = self.touch(term);
+            match (lambda, model) {
+                (None, _) => {}
+                (Some(l), DocumentFrequency) => slot.p_df += l * p,
+                (Some(l), TermFrequency) => slot.p_tf += l * p,
+            }
+        }
+    }
+
+    /// `term`'s slot, entering the word at the starting values on first
+    /// sight.
+    fn touch(&mut self, term: TermId) -> &mut Slot {
+        let i = term as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        let slot = &mut self.slots[i];
+        if !slot.present {
+            *slot = Slot {
+                p_df: self.base_df,
+                p_tf: self.base_tf,
+                present: true,
+            };
+            self.len += 1;
+            self.end = self.end.max(i + 1);
+        }
+        slot
+    }
+
+    /// Read the mixed words out in ascending term order, leaving the
+    /// scratch empty for the next summary.
+    fn finish(&mut self, db_size: f64, word_count: f64) -> FrozenSummary {
+        let mut terms = Vec::with_capacity(self.len);
+        let mut p_df = Vec::with_capacity(self.len);
+        let mut p_tf = Vec::with_capacity(self.len);
+        for (term, slot) in self.slots[..self.end].iter_mut().enumerate() {
+            if std::mem::take(&mut slot.present) {
+                terms.push(term as TermId);
+                p_df.push(slot.p_df);
+                p_tf.push(slot.p_tf);
+            }
+        }
+        self.end = 0;
+        self.len = 0;
+        FrozenSummary::assemble(
+            db_size,
+            0,
+            word_count,
+            self.base_df,
+            self.base_tf,
+            terms.into(),
+            p_df,
+            p_tf,
+            Vec::new(),
+        )
+    }
+}
+
+fn pairs(map: &HashMap<TermId, f64>) -> impl Iterator<Item = (TermId, f64)> + '_ {
+    map.iter().map(|(&t, &p)| (t, p))
+}
+
 impl SummaryView for FrozenSummary {
     fn db_size(&self) -> f64 {
         self.db_size
@@ -347,8 +506,8 @@ mod tests {
     #[test]
     fn frozen_shrunk_captures_tf_only_component_keys() {
         // A component with a key only in its tf map (the df denominator
-        // degenerated): full_vocabulary must include it so the frozen view
-        // stores its non-default p_tf.
+        // degenerated): the frozen vocabulary must include it so the frozen
+        // view stores its non-default p_tf.
         let db = sample_summary(&[vec![1]], 10.0);
         let comp = Arc::new(SummaryComponent {
             p_df: HashMap::new(),

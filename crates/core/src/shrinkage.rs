@@ -72,11 +72,12 @@ pub struct ShrunkSummary {
     lambdas_df: Vec<f64>,
     /// Mixture weights fit on the term-frequency model, same order.
     lambdas_tf: Vec<f64>,
-    /// The database's own probabilities under both models.
-    db_p_df: HashMap<TermId, f64>,
-    db_p_tf: HashMap<TermId, f64>,
+    /// The database's own probabilities under both models (read by
+    /// [`crate::frozen::ShrunkMixer`] too).
+    pub(crate) db_p_df: HashMap<TermId, f64>,
+    pub(crate) db_p_tf: HashMap<TermId, f64>,
     /// Category components, root first, shared across sibling databases.
-    components: Vec<Arc<SummaryComponent>>,
+    pub(crate) components: Vec<Arc<SummaryComponent>>,
 }
 
 impl ShrunkSummary {
@@ -141,24 +142,6 @@ impl ShrunkSummary {
         let mut seen: HashSet<TermId> = self.db_p_df.keys().copied().collect();
         for comp in &self.components {
             seen.extend(comp.p_df.keys().copied());
-        }
-        let mut v: Vec<TermId> = seen.into_iter().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// The union vocabulary across **both** probability models: every word
-    /// with a non-default probability under either the document-frequency
-    /// or the term-frequency mixture, ascending. [`Self::vocabulary`] covers
-    /// only the df model; a category component can carry tf-only keys when
-    /// its df denominator degenerates to zero (and vice versa), and
-    /// freezing a shrunk summary into arrays must capture those too.
-    pub fn full_vocabulary(&self) -> Vec<TermId> {
-        let mut seen: HashSet<TermId> = self.db_p_df.keys().copied().collect();
-        seen.extend(self.db_p_tf.keys().copied());
-        for comp in &self.components {
-            seen.extend(comp.p_df.keys().copied());
-            seen.extend(comp.p_tf.keys().copied());
         }
         let mut v: Vec<TermId> = seen.into_iter().collect();
         v.sort_unstable();

@@ -178,19 +178,35 @@ impl ContentSummary {
     /// The estimated fraction of documents containing `term`:
     /// `p̂(w|D) = df / |D̂|` (0 for absent words).
     pub fn p_df(&self, term: TermId) -> f64 {
-        if self.db_size == 0.0 {
-            return 0.0;
-        }
-        self.words.get(&term).map_or(0.0, |w| w.df / self.db_size)
+        self.words
+            .get(&term)
+            .map_or(0.0, |w| ratio(w.df, self.db_size))
     }
 
     /// The estimated token-level probability `tf(w) / Σ tf` used by the LM
     /// algorithm (0 for absent words).
     pub fn p_tf(&self, term: TermId) -> f64 {
-        if self.total_tf == 0.0 {
-            return 0.0;
-        }
-        self.words.get(&term).map_or(0.0, |w| w.tf / self.total_tf)
+        self.words
+            .get(&term)
+            .map_or(0.0, |w| ratio(w.tf, self.total_tf))
+    }
+
+    /// `(term, p_df, p_tf)` for every word, in arbitrary order: the values
+    /// [`Self::p_df`] and [`Self::p_tf`] return, without a lookup per word.
+    pub fn probabilities(&self) -> impl Iterator<Item = (TermId, f64, f64)> + '_ {
+        self.words
+            .iter()
+            .map(|(&t, w)| (t, ratio(w.df, self.db_size), ratio(w.tf, self.total_tf)))
+    }
+}
+
+/// `count / total`, or 0 when the total is: a degenerate summary has no
+/// probability mass to hand out.
+fn ratio(count: f64, total: f64) -> f64 {
+    if total == 0.0 {
+        0.0
+    } else {
+        count / total
     }
 }
 

@@ -2,7 +2,7 @@
 //! category aggregation, the EM mixture weights, frequency estimation, and
 //! the uncertainty posteriors.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -11,11 +11,12 @@ use rand::SeedableRng;
 
 use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting, SummaryComponent};
 use dbselect_core::freqest::{fit_mandelbrot, linear_regression, FrequencyEstimator};
+use dbselect_core::frozen::{FrozenSummary, ShrunkMixer};
 use dbselect_core::hierarchy::Hierarchy;
-use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
-use dbselect_core::summary::{ContentSummary, SummaryView};
+use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
+use dbselect_core::summary::{ContentSummary, SummaryView, WordStats};
 use dbselect_core::uncertainty::WordPosterior;
-use textindex::Document;
+use textindex::{Document, TermId};
 
 fn sample_docs() -> impl Strategy<Value = Vec<Vec<u32>>> {
     prop::collection::vec(prop::collection::vec(0u32..40, 1..25), 1..15)
@@ -23,6 +24,73 @@ fn sample_docs() -> impl Strategy<Value = Vec<Vec<u32>>> {
 
 fn component_entries() -> impl Strategy<Value = Vec<(u32, f64)>> {
     prop::collection::vec((0u32..60, 1e-6..0.9f64), 0..30)
+}
+
+/// A summary over words `(term, df kind, tf kind)`: zero sizes, zero
+/// frequencies and empty word lists all occur, so category components get
+/// clamped-to-zero keys and (when every database under a category has
+/// size 0 but tokens) tf-only keys.
+fn degenerate_summary(size: u8, words: &[(u32, u8, u8)]) -> ContentSummary {
+    let words = words
+        .iter()
+        .map(|&(t, df, tf)| {
+            let stats = WordStats {
+                sample_df: 1,
+                df: [0.0, 1.0, 2.5, 40.0][df as usize],
+                tf: [0.0, 1.0, 3.0, 90.0][tf as usize],
+            };
+            (t, stats)
+        })
+        .collect();
+    ContentSummary::new([0.0, 7.0, 120.0, 3000.0][size as usize], 3, words)
+}
+
+fn words(terms: std::ops::Range<u32>) -> impl Strategy<Value = Vec<(u32, u8, u8)>> {
+    prop::collection::vec((terms, 0u8..4, 0u8..4), 0..12)
+}
+
+/// The dense-scratch mixer against the lazy Eq. 2 mixture it replaces:
+/// the vocabulary is every key of the database and of every component
+/// under either model, and every value and default is the lazy one.
+fn assert_mixer_matches_lazy_mixture(
+    mixer: &mut ShrunkMixer,
+    db: &ContentSummary,
+    components: &[Arc<SummaryComponent>],
+    lambdas: (&[f64], &[f64]),
+) -> Result<(), TestCaseError> {
+    let uniform_p = 1.0 / 97.0;
+    let frozen = mixer.freeze(db, components, lambdas.0, lambdas.1, uniform_p);
+    let lazy = ShrunkSummary::from_parts(
+        db,
+        components,
+        lambdas.0.to_vec(),
+        lambdas.1.to_vec(),
+        uniform_p,
+    );
+    let vocabulary: BTreeSet<TermId> = db
+        .iter()
+        .map(|(t, _)| t)
+        .chain(
+            components
+                .iter()
+                .flat_map(|c| c.p_df.keys().chain(c.p_tf.keys()).copied()),
+        )
+        .collect();
+    prop_assert_eq!(
+        frozen.terms(),
+        &vocabulary.into_iter().collect::<Vec<_>>()[..]
+    );
+    for (i, &t) in frozen.terms().iter().enumerate() {
+        prop_assert_eq!(frozen.p_df_column()[i].to_bits(), lazy.p_df(t).to_bits());
+        prop_assert_eq!(frozen.p_tf_column()[i].to_bits(), lazy.p_tf(t).to_bits());
+    }
+    let absent = TermId::MAX;
+    prop_assert_eq!(frozen.default_p_df().to_bits(), lazy.p_df(absent).to_bits());
+    prop_assert_eq!(frozen.default_p_tf().to_bits(), lazy.p_tf(absent).to_bits());
+    prop_assert_eq!(frozen.db_size().to_bits(), lazy.db_size().to_bits());
+    prop_assert_eq!(frozen.word_count().to_bits(), lazy.word_count().to_bits());
+    prop_assert_eq!(FrozenSummary::from_shrunk(&lazy), frozen);
+    Ok(())
 }
 
 proptest! {
@@ -161,6 +229,58 @@ proptest! {
             prop_assert!((0.0..=db_size).contains(&d));
             if sample_df > 0 {
                 prop_assert!(d >= 1.0, "observed word drew zero frequency");
+            }
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases; enough of them that signed-zero weights meet words no
+    // weighted component knows.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    /// One mixer, reused across every database of a random hierarchy and
+    /// then a re-probe whose terms lie beyond every other id (a refresh
+    /// interns new words), freezes exactly the lazy mixture — with zero
+    /// λs, both weightings, with and without overlap subtraction.
+    #[test]
+    fn mixer_freezes_the_lazy_mixture_bit_for_bit(
+        parents in prop::collection::vec(0usize..1000, 0..7),
+        dbs in prop::collection::vec((0usize..1000, 0u8..4, words(0..40)), 1..7),
+        probe in (0u8..4, words(40..400)),
+        lambdas in prop::collection::vec((0u8..6, 0.0f64..1.0), 16),
+        modes in (0u8..2, 0u8..2),
+    ) {
+        let mut hierarchy = Hierarchy::new("Root");
+        for (i, &p) in parents.iter().enumerate() {
+            hierarchy.add_child(p % (i + 1), format!("C{i}"));
+        }
+        let summaries: Vec<(usize, ContentSummary)> = dbs
+            .iter()
+            .map(|(c, size, w)| (c % hierarchy.len(), degenerate_summary(*size, w)))
+            .collect();
+        let refs: Vec<_> = summaries.iter().map(|(c, s)| (*c, s)).collect();
+        let weighting = [CategoryWeighting::BySize, CategoryWeighting::Uniform][modes.0 as usize];
+        let categories = CategorySummaries::build(&hierarchy, &refs, weighting);
+        // λ_i drawn from the pool, a third of them zero: a catalog file
+        // may carry any weight in [0, 1], `-0.0` included, and only a
+        // signed zero shows whether a zero-weight addition was skipped.
+        let lambda = |i: usize| match lambdas[i % lambdas.len()] {
+            (0, _) => 0.0,
+            (1, _) => -0.0,
+            (_, l) => l,
+        };
+        let mut mixer = ShrunkMixer::default();
+        let (probe_size, probe_words) = &probe;
+        let probe = degenerate_summary(*probe_size, probe_words);
+        for (db, (category, summary)) in summaries.iter().enumerate() {
+            let components =
+                categories.components_for(&hierarchy, *category, summary, modes.1 == 1);
+            let df: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + i)).collect();
+            let tf: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + 2 * i + 1)).collect();
+            assert_mixer_matches_lazy_mixture(&mut mixer, summary, &components, (&df, &tf))?;
+            if db == 0 {
+                // A re-probe of database 0 under its pinned components.
+                assert_mixer_matches_lazy_mixture(&mut mixer, &probe, &components, (&tf, &df))?;
             }
         }
     }

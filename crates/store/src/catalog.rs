@@ -6,26 +6,25 @@
 //! weights are computed off-line for each database"). [`StoredCatalog`]
 //! therefore embeds the collection store and records, per database, the
 //! fitted mixture weights under both probability models plus the weighting
-//! policy they were fit under. Loading rebuilds the category components
-//! (cheap, deterministic aggregation) and reassembles every
-//! [`ShrunkSummary`] via [`ShrunkSummary::from_parts`] — **no EM re-run**
-//! — then freezes the result into a serving [`Catalog`].
+//! policy they were fit under. Freezing a loaded catalog aggregates the
+//! category components once (deterministic, EM-free, but a pass over every
+//! database's vocabulary per level of its category path) and mixes every
+//! shrunk summary from them and the recorded λs — **no EM re-run**.
 //!
-//! The round trip is bit-exact: `from_parts` with recorded λs reproduces
-//! the same probabilities `shrink` produced, so a routed query against a
+//! The round trip is bit-exact: mixing with the recorded λs reproduces the
+//! same probabilities `shrink` produced, so a routed query against a
 //! loaded catalog ranks identically to one against the freshly built
 //! catalog.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use broker::{Catalog, CatalogEntry};
-use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting};
-use dbselect_core::hierarchy::CategoryId;
+use broker::Catalog;
+use dbselect_core::category_summary::CategoryWeighting;
 use dbselect_core::shrinkage::ShrunkSummary;
-use dbselect_core::summary::ContentSummary;
 
-use crate::codec::{corrupt, read_f64, read_len, read_u32, write_f64, write_u32};
+use crate::codec::{corrupt, read_f64, read_u32, write_f64, write_u32};
+use crate::refresh::Epoch;
 use crate::CollectionStore;
 
 /// Magic bytes + format version for catalog files.
@@ -67,58 +66,47 @@ impl StoredCatalog {
     /// aggregation only, no EM. Bit-identical to
     /// [`CollectionStore::shrink_all`] with the frozen weighting.
     pub fn rebuild_shrunk(&self) -> Vec<ShrunkSummary> {
-        let refs: Vec<(CategoryId, &ContentSummary)> = self
-            .store
-            .databases
-            .iter()
-            .map(|db| (db.classification, &db.summary))
-            .collect();
-        let categories = CategorySummaries::build(&self.store.hierarchy, &refs, self.weighting);
-        // Same dummy-category probability `shrink_all` uses.
-        let uniform_p = 1.0 / self.store.dict.len().max(1) as f64;
+        let epoch = Epoch::pin(self);
         self.store
             .databases
             .iter()
+            .zip(&epoch.components)
             .zip(self.lambdas_df.iter().zip(&self.lambdas_tf))
-            .map(|(db, (ldf, ltf))| {
-                let comps = categories.components_for(
-                    &self.store.hierarchy,
-                    db.classification,
-                    &db.summary,
-                    true,
-                );
-                ShrunkSummary::from_parts(&db.summary, &comps, ldf.clone(), ltf.clone(), uniform_p)
+            .map(|((db, comps), (ldf, ltf))| {
+                let uniform_p = epoch.config.uniform_p;
+                ShrunkSummary::from_parts(&db.summary, comps, ldf.clone(), ltf.clone(), uniform_p)
             })
             .collect()
     }
 
     /// Freeze into a serving [`Catalog`].
     pub fn to_catalog(&self) -> Catalog {
-        let shrunk = self.rebuild_shrunk();
-        let entries = self
-            .store
-            .databases
-            .iter()
-            .zip(shrunk)
-            .map(|(db, shrunk)| CatalogEntry {
-                name: db.name.clone(),
-                unshrunk: db.summary.clone(),
-                shrunk,
-            })
-            .collect::<Vec<_>>();
-        Catalog::build(entries)
+        Epoch::pin(self).catalog(self)
     }
 
     /// Serialize into `w`: catalog magic, embedded collection store,
     /// weighting tag, then the per-database λ vectors.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        if self.lambdas_df.len() != self.store.databases.len()
-            || self.lambdas_tf.len() != self.store.databases.len()
-        {
+        let n = self.store.databases.len();
+        if self.lambdas_df.len() != n || self.lambdas_tf.len() != n {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "one λ vector pair per database required",
             ));
+        }
+        for (db, (ldf, ltf)) in self.lambdas_df.iter().zip(&self.lambdas_tf).enumerate() {
+            if ldf.len() != ltf.len() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "df/tf λ vectors must have equal length",
+                ));
+            }
+            if Some(ldf.len()) != lambda_len(&self.store, db) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "λ vector length disagrees with the database's category path",
+                ));
+            }
         }
         w.write_all(CATALOG_MAGIC)?;
         self.store.write_to(w)?;
@@ -128,12 +116,6 @@ impl StoredCatalog {
         };
         write_u32(w, tag)?;
         for (ldf, ltf) in self.lambdas_df.iter().zip(&self.lambdas_tf) {
-            if ldf.len() != ltf.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "df/tf λ vectors must have equal length",
-                ));
-            }
             write_u32(w, ldf.len() as u32)?;
             for &l in ldf {
                 write_f64(w, l)?;
@@ -160,10 +142,12 @@ impl StoredCatalog {
         };
         let mut lambdas_df = Vec::with_capacity(store.databases.len());
         let mut lambdas_tf = Vec::with_capacity(store.databases.len());
-        for _ in 0..store.databases.len() {
-            let len = read_len(r)?;
-            if len < 2 {
-                return Err(corrupt("λ vector must cover uniform + database"));
+        for db in 0..store.databases.len() {
+            let len = read_u32(r)? as usize;
+            if Some(len) != lambda_len(&store, db) {
+                return Err(corrupt(
+                    "λ vector length disagrees with the database's category path",
+                ));
             }
             let mut read_vec = || -> io::Result<Vec<f64>> {
                 (0..len)
@@ -206,12 +190,20 @@ impl StoredCatalog {
     }
 }
 
+/// The λ-vector length database `db` of `store` needs: uniform + one per
+/// category on its path + the database itself (`None` when its category
+/// is not in the hierarchy).
+fn lambda_len(store: &CollectionStore, db: usize) -> Option<usize> {
+    let category = store.databases[db].classification;
+    (category < store.hierarchy.len()).then(|| store.hierarchy.path_from_root(category).len() + 2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::StoredDatabase;
     use dbselect_core::hierarchy::Hierarchy;
-    use dbselect_core::summary::SummaryView;
+    use dbselect_core::summary::{ContentSummary, SummaryView};
     use textindex::{Document, TermDict};
 
     fn profiled_store() -> CollectionStore {
@@ -334,6 +326,38 @@ mod tests {
         let mut bytes = Vec::new();
         profiled_store().write_to(&mut bytes).unwrap();
         assert!(StoredCatalog::read_from(&mut bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn lambda_vectors_must_fit_the_category_path() {
+        let mut frozen = StoredCatalog::freeze(profiled_store(), CategoryWeighting::BySize);
+        // One weight too many for Root/Health/Heart, set through the public
+        // fields: the writer refuses to persist it...
+        frozen.lambdas_df[0].push(0.0);
+        frozen.lambdas_tf[0].push(0.0);
+        let err = frozen.write_to(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // ...and a file that carries it anyway (the writer's layout, encoded
+        // by hand) is refused by every loader instead of panicking when the
+        // shrunk summaries are mixed.
+        let mut bytes = CATALOG_MAGIC.to_vec();
+        frozen.store.write_to(&mut bytes).unwrap();
+        write_u32(&mut bytes, 0).unwrap();
+        for (ldf, ltf) in frozen.lambdas_df.iter().zip(&frozen.lambdas_tf) {
+            write_u32(&mut bytes, ldf.len() as u32).unwrap();
+            for &l in ldf.iter().chain(ltf) {
+                write_f64(&mut bytes, l).unwrap();
+            }
+        }
+        let path =
+            std::env::temp_dir().join(format!("dbsel-lambda-len-{}.cat", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = StoredCatalog::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("category path"), "{err}");
+        let err = crate::snapshot::ServingSnapshot::load_any(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

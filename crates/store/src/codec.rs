@@ -50,11 +50,7 @@ pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 pub fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
-    let v = f64::from_le_bytes(buf);
-    if v.is_nan() {
-        return Err(corrupt("NaN float field"));
-    }
-    Ok(v)
+    decode_f64(buf)
 }
 
 /// Read a length-prefixed UTF-8 string.
@@ -72,6 +68,67 @@ pub fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
         return Err(corrupt("length field exceeds sanity cap"));
     }
     Ok(len as usize)
+}
+
+/// Bytes a column writer encodes, or a column reader decodes, per
+/// `write_all` / `read_exact`.
+const COLUMN_CHUNK: usize = 64 * 1024;
+
+/// Write a column of fixed-width values (each already little-endian
+/// encoded): the bytes are gathered in `buf` (cleared first, reused across
+/// columns) and handed on in [`COLUMN_CHUNK`]-sized writes, not one write
+/// per value. The bytes written are exactly those of the values in order.
+pub fn write_column<W: Write, const N: usize>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    values: impl IntoIterator<Item = [u8; N]>,
+) -> io::Result<()> {
+    buf.clear();
+    for v in values {
+        buf.extend_from_slice(&v);
+        if buf.len() >= COLUMN_CHUNK {
+            w.write_all(buf)?;
+            buf.clear();
+        }
+    }
+    w.write_all(buf)
+}
+
+/// Read a column of `len` fixed-width values, decoding each with `decode`,
+/// in bounded [`COLUMN_CHUNK`]-sized `read_exact`s: the column grows only
+/// as bytes arrive, so a corrupt length cannot trigger an oversized
+/// allocation.
+pub fn read_column<R: Read, T, const N: usize>(
+    r: &mut R,
+    len: usize,
+    mut decode: impl FnMut([u8; N]) -> io::Result<T>,
+) -> io::Result<Vec<T>> {
+    let per_chunk = COLUMN_CHUNK / N;
+    let mut buf = vec![0u8; len.min(per_chunk) * N];
+    let mut out = Vec::new();
+    let mut remaining = len;
+    while remaining > 0 {
+        let take = remaining.min(per_chunk);
+        let bytes = &mut buf[..take * N];
+        r.read_exact(bytes)?;
+        out.reserve(take);
+        for value in bytes.chunks_exact(N) {
+            out.push(decode(
+                value.try_into().expect("chunks_exact yields N bytes"),
+            )?);
+        }
+        remaining -= take;
+    }
+    Ok(out)
+}
+
+/// Decode a little-endian `f64`, rejecting NaN (see [`read_f64`]).
+pub fn decode_f64(bytes: [u8; 8]) -> io::Result<f64> {
+    let v = f64::from_le_bytes(bytes);
+    if v.is_nan() {
+        return Err(corrupt("NaN float field"));
+    }
+    Ok(v)
 }
 
 /// An `InvalidData` error for corrupt input.
@@ -328,6 +385,58 @@ mod tests {
             }
             assert_eq!(pieces.digest(), whole.digest(), "chunk size {step}");
         }
+    }
+
+    #[test]
+    fn column_writes_and_reads_match_per_value_ones_byte_for_byte() {
+        // Odd lengths and a leading string put the columns off the digest's
+        // 8-byte word grid; the long column spans several chunks.
+        let terms: Vec<u32> = (0..(3 * COLUMN_CHUNK as u32 / 4 + 5)).collect();
+        let probabilities: Vec<f64> = (0..7).map(|i| f64::from(i) / 3.0).collect();
+        let mut per_value = ChecksumWriter::new(Vec::new());
+        write_str(&mut per_value, "abc").unwrap();
+        terms
+            .iter()
+            .for_each(|&t| write_u32(&mut per_value, t).unwrap());
+        probabilities
+            .iter()
+            .for_each(|&p| write_f64(&mut per_value, p).unwrap());
+        let mut per_column = ChecksumWriter::new(Vec::new());
+        let mut buf = Vec::new();
+        write_str(&mut per_column, "abc").unwrap();
+        write_column(
+            &mut per_column,
+            &mut buf,
+            terms.iter().map(|t| t.to_le_bytes()),
+        )
+        .unwrap();
+        let floats = probabilities.iter().map(|p| p.to_le_bytes());
+        write_column(&mut per_column, &mut buf, floats).unwrap();
+        assert_eq!(per_column.digest(), per_value.digest());
+        let bytes = per_value.into_inner();
+        assert_eq!(per_column.into_inner(), bytes);
+
+        let mut r = ChecksumReader::new(bytes.as_slice());
+        assert_eq!(read_str(&mut r).unwrap(), "abc");
+        let read_terms = read_column(&mut r, terms.len(), |b| Ok(u32::from_le_bytes(b))).unwrap();
+        assert_eq!(read_terms, terms);
+        let read_probabilities = read_column(&mut r, probabilities.len(), decode_f64).unwrap();
+        assert_eq!(read_probabilities, probabilities);
+        let mut whole = ChecksumReader::new(bytes.as_slice());
+        std::io::copy(&mut whole, &mut std::io::sink()).unwrap();
+        assert_eq!(r.digest(), whole.digest());
+    }
+
+    #[test]
+    fn column_reads_reject_nan_and_short_input_without_trusting_the_length() {
+        let mut bytes = Vec::new();
+        write_f64(&mut bytes, 1.5).unwrap();
+        write_f64(&mut bytes, f64::NAN).unwrap();
+        assert!(read_column(&mut bytes.as_slice(), 2, decode_f64).is_err());
+        // A length far beyond the input fails on the missing bytes, having
+        // buffered no more than one chunk.
+        let short = read_column(&mut &bytes[..8], MAX_LEN as usize, decode_f64);
+        assert_eq!(short.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

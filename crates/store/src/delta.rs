@@ -117,11 +117,12 @@ impl DeltaRecord {
             write_str(&mut cw, term)?;
         }
         write_u32(&mut cw, self.patches.len() as u32)?;
+        let mut buf = Vec::new();
         for p in &self.patches {
             write_u32(&mut cw, p.db)?;
             write_f64(&mut cw, p.gamma)?;
-            write_frozen(&mut cw, &p.unshrunk)?;
-            write_frozen(&mut cw, &p.shrunk)?;
+            write_frozen(&mut cw, &mut buf, &p.unshrunk)?;
+            write_frozen(&mut cw, &mut buf, &p.shrunk)?;
         }
         let digest = cw.digest();
         write_u64(w, digest)?;

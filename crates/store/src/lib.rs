@@ -8,8 +8,11 @@
 //! selection stage needs — the term dictionary, the topic hierarchy, and
 //! one classified [`ContentSummary`] per database — in a small, versioned
 //! binary format. Shrunk summaries are *not* stored: shrinkage is
-//! deterministic given the store, so [`CollectionStore::shrink_all`]
-//! reconstructs them on load in milliseconds.
+//! deterministic given the store, so [`CollectionStore::shrink_all`] can
+//! always reconstruct them — by re-running the EM fit, which is the
+//! expensive offline step (about 0.4 s per 100 databases of the
+//! benchmark's test bed on one core). [`catalog::StoredCatalog`] records
+//! the fit so that everything downstream of it runs no EM.
 //!
 //! ```
 //! use store::{CollectionStore, StoredDatabase};
@@ -229,10 +232,7 @@ impl CollectionStore {
             .map(|db| (db.classification, &db.summary))
             .collect();
         let categories = CategorySummaries::build(&self.hierarchy, &refs, weighting);
-        let config = ShrinkageConfig {
-            uniform_p: 1.0 / self.dict.len().max(1) as f64,
-            ..Default::default()
-        };
+        let config = self.shrinkage_config();
         self.databases
             .iter()
             .map(|db| {
@@ -245,6 +245,15 @@ impl CollectionStore {
                 shrink(&db.summary, &comps, &config)
             })
             .collect()
+    }
+
+    /// The EM configuration every fit over this store uses: the dummy
+    /// category's `p̂(w|C_0)` is `1/|V|` of the store's dictionary.
+    pub(crate) fn shrinkage_config(&self) -> ShrinkageConfig {
+        ShrinkageConfig {
+            uniform_p: 1.0 / self.dict.len().max(1) as f64,
+            ..Default::default()
+        }
     }
 
     /// The Root category summary (LM's global model), rebuilt from the

@@ -33,17 +33,125 @@
 use std::sync::Arc;
 
 use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting, SummaryComponent};
-use dbselect_core::frozen::FrozenSummary;
-use dbselect_core::hierarchy::CategoryId;
-use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
+use dbselect_core::frozen::{FrozenSummary, ShrunkMixer};
+use dbselect_core::hierarchy::{CategoryId, Hierarchy};
+use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
 use dbselect_core::summary::ContentSummary;
 use textindex::{TermDict, TermId};
 
-use broker::{Catalog, CatalogEntry};
+use broker::Catalog;
 
 use crate::catalog::StoredCatalog;
 use crate::delta::DbPatch;
 use crate::snapshot::ServingSnapshot;
+
+/// The model a freeze pins from a stored catalog, built from **one**
+/// category aggregation: each database's category components, the EM
+/// configuration (`uniform_p` = `1/|V|` of the stored dictionary), LM's
+/// global model and the category paths. [`ServingSnapshot::from_stored`]
+/// pins one and freezes through it once; a [`RefreshSession`] keeps it.
+#[derive(Debug)]
+pub(crate) struct Epoch {
+    /// Per database: the path-edge remainders plus its leaf remainder,
+    /// exactly as [`CategorySummaries::components_for`] computes them.
+    pub(crate) components: Vec<Vec<Arc<SummaryComponent>>>,
+    /// The EM configuration of every fit under this epoch.
+    pub(crate) config: ShrinkageConfig,
+    /// `(term, p̂(w|G))` of the Root summary under `BySize` weighting,
+    /// ascending — whatever weighting the λs were fitted under.
+    lm_global: Vec<(TermId, f64)>,
+    /// Full category path per database.
+    categories: Vec<String>,
+}
+
+impl Epoch {
+    /// Pin the epoch of `stored` as it is now.
+    pub(crate) fn pin(stored: &StoredCatalog) -> Epoch {
+        let store = &stored.store;
+        let refs: Vec<(CategoryId, &ContentSummary)> = store
+            .databases
+            .iter()
+            .map(|db| (db.classification, &db.summary))
+            .collect();
+        let summaries = CategorySummaries::build(&store.hierarchy, &refs, stored.weighting);
+        let components = store
+            .databases
+            .iter()
+            .map(|db| {
+                summaries.components_for(&store.hierarchy, db.classification, &db.summary, true)
+            })
+            .collect();
+        let root = match stored.weighting {
+            CategoryWeighting::BySize => summaries.category_summary(Hierarchy::ROOT),
+            CategoryWeighting::Uniform => store.root_summary(CategoryWeighting::BySize),
+        };
+        let mut lm_global: Vec<(TermId, f64)> =
+            root.probabilities().map(|(t, _, p_tf)| (t, p_tf)).collect();
+        lm_global.sort_unstable_by_key(|&(t, _)| t);
+        let categories = store
+            .databases
+            .iter()
+            .map(|db| store.hierarchy.full_name(db.classification))
+            .collect();
+        Epoch {
+            components,
+            config: store.shrinkage_config(),
+            lm_global,
+            categories,
+        }
+    }
+
+    /// Freeze one database under this epoch: its sample summary, and its
+    /// shrunk summary mixed from the pinned components and `lambdas`.
+    fn freeze_db(
+        &self,
+        mixer: &mut ShrunkMixer,
+        db: usize,
+        summary: &ContentSummary,
+        lambdas: (&[f64], &[f64]),
+    ) -> DbPatch {
+        DbPatch {
+            db: db as u32,
+            gamma: summary.gamma().unwrap_or(-2.0),
+            unshrunk: FrozenSummary::from_unshrunk(summary),
+            shrunk: mixer.freeze(
+                summary,
+                &self.components[db],
+                lambdas.0,
+                lambdas.1,
+                self.config.uniform_p,
+            ),
+        }
+    }
+
+    /// The serving catalog of `stored` under this epoch, every shrunk
+    /// summary mixed through one scratch.
+    pub(crate) fn catalog(&self, stored: &StoredCatalog) -> Catalog {
+        let mut mixer = ShrunkMixer::default();
+        let n = stored.store.databases.len();
+        let (mut names, mut gammas) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut unshrunk, mut shrunk) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (i, db) in stored.store.databases.iter().enumerate() {
+            let lambdas = (&stored.lambdas_df[i][..], &stored.lambdas_tf[i][..]);
+            let patch = self.freeze_db(&mut mixer, i, &db.summary, lambdas);
+            names.push(db.name.clone());
+            gammas.push(patch.gamma);
+            unshrunk.push(patch.unshrunk);
+            shrunk.push(patch.shrunk);
+        }
+        Catalog::from_frozen(names, unshrunk, shrunk, gammas)
+    }
+
+    /// The full serving snapshot of `stored` under this epoch.
+    pub(crate) fn snapshot(&self, stored: &StoredCatalog) -> ServingSnapshot {
+        ServingSnapshot {
+            dict: stored.store.dict.clone(),
+            categories: self.categories.clone(),
+            lm_global: self.lm_global.clone(),
+            catalog: self.catalog(stored),
+        }
+    }
+}
 
 /// A refresh epoch over a frozen v1 catalog: applies re-probe results
 /// one database at a time and can freeze the full current state for
@@ -51,63 +159,16 @@ use crate::snapshot::ServingSnapshot;
 #[derive(Debug)]
 pub struct RefreshSession {
     stored: StoredCatalog,
-    /// Pinned per-database category components (base epoch).
-    components: Vec<Vec<Arc<SummaryComponent>>>,
-    /// Pinned shrinkage config — `uniform_p` is `1/|V|` of the *base*
-    /// dictionary, even after probes grow the dictionary.
-    config: ShrinkageConfig,
-    /// Pinned global model (Root summary under BySize, the same model
-    /// [`ServingSnapshot::from_stored`] freezes).
-    lm_global: Vec<(TermId, f64)>,
-    /// Full category path per database (fixed; classification does not
-    /// change under refresh).
-    categories: Vec<String>,
+    /// Pinned at session start. `uniform_p` stays `1/|V|` of the *base*
+    /// dictionary even after probes grow the dictionary.
+    epoch: Epoch,
 }
 
 impl RefreshSession {
     /// Pin the epoch model of `stored` and start a session.
     pub fn new(stored: StoredCatalog) -> RefreshSession {
-        let refs: Vec<(CategoryId, &ContentSummary)> = stored
-            .store
-            .databases
-            .iter()
-            .map(|db| (db.classification, &db.summary))
-            .collect();
-        let summaries = CategorySummaries::build(&stored.store.hierarchy, &refs, stored.weighting);
-        let components = stored
-            .store
-            .databases
-            .iter()
-            .map(|db| {
-                summaries.components_for(
-                    &stored.store.hierarchy,
-                    db.classification,
-                    &db.summary,
-                    true,
-                )
-            })
-            .collect();
-        let config = ShrinkageConfig {
-            uniform_p: 1.0 / stored.store.dict.len().max(1) as f64,
-            ..Default::default()
-        };
-        let root = stored.store.root_summary(CategoryWeighting::BySize);
-        let mut lm_global: Vec<(TermId, f64)> =
-            root.iter().map(|(t, _)| (t, root.p_tf(t))).collect();
-        lm_global.sort_unstable_by_key(|&(t, _)| t);
-        let categories = stored
-            .store
-            .databases
-            .iter()
-            .map(|db| stored.store.hierarchy.full_name(db.classification))
-            .collect();
-        RefreshSession {
-            stored,
-            components,
-            config,
-            lm_global,
-            categories,
-        }
+        let epoch = Epoch::pin(&stored);
+        RefreshSession { stored, epoch }
     }
 
     /// Number of databases under refresh.
@@ -163,15 +224,13 @@ impl RefreshSession {
     /// delta patch that takes a serving catalog from the previous state
     /// to this one.
     pub fn apply_probe(&mut self, db: usize, summary: ContentSummary) -> DbPatch {
-        let fitted = shrink(&summary, &self.components[db], &self.config);
-        self.stored.lambdas_df[db] = fitted.lambdas().to_vec();
-        self.stored.lambdas_tf[db] = fitted.lambdas_tf().to_vec();
-        let patch = DbPatch {
-            db: db as u32,
-            gamma: summary.gamma().unwrap_or(-2.0),
-            unshrunk: FrozenSummary::from_unshrunk(&summary),
-            shrunk: FrozenSummary::from_shrunk(&fitted),
-        };
+        let fitted = shrink(&summary, &self.epoch.components[db], &self.epoch.config);
+        let lambdas = (fitted.lambdas(), fitted.lambdas_tf());
+        let patch = self
+            .epoch
+            .freeze_db(&mut ShrunkMixer::default(), db, &summary, lambdas);
+        self.stored.lambdas_df[db] = lambdas.0.to_vec();
+        self.stored.lambdas_tf[db] = lambdas.1.to_vec();
         self.stored.store.databases[db].summary = summary;
         patch
     }
@@ -182,32 +241,6 @@ impl RefreshSession {
     /// [`ServingSnapshot::from_stored`], so a `dbselect freeze` output
     /// can serve as a chain base.
     pub fn freeze_full(&self) -> ServingSnapshot {
-        let entries: Vec<CatalogEntry> = self
-            .stored
-            .store
-            .databases
-            .iter()
-            .enumerate()
-            .map(|(i, db)| {
-                let shrunk = ShrunkSummary::from_parts(
-                    &db.summary,
-                    &self.components[i],
-                    self.stored.lambdas_df[i].clone(),
-                    self.stored.lambdas_tf[i].clone(),
-                    self.config.uniform_p,
-                );
-                CatalogEntry {
-                    name: db.name.clone(),
-                    unshrunk: db.summary.clone(),
-                    shrunk,
-                }
-            })
-            .collect();
-        ServingSnapshot {
-            dict: self.stored.store.dict.clone(),
-            categories: self.categories.clone(),
-            lm_global: self.lm_global.clone(),
-            catalog: Catalog::build(entries),
-        }
+        self.epoch.snapshot(&self.stored)
     }
 }

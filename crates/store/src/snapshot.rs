@@ -61,15 +61,15 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use broker::{Catalog, PostingIndex};
-use dbselect_core::category_summary::CategoryWeighting;
 use dbselect_core::frozen::FrozenSummary;
 use textindex::{TermDict, TermId};
 
 use crate::catalog::StoredCatalog;
 use crate::codec::{
-    corrupt, read_f64, read_len, read_str, read_u32, read_u64, write_f64, write_str, write_u32,
-    write_u64, ChecksumReader, ChecksumWriter,
+    corrupt, decode_f64, read_column, read_f64, read_len, read_str, read_u32, read_u64,
+    write_column, write_f64, write_str, write_u32, write_u64, ChecksumReader, ChecksumWriter,
 };
+use crate::refresh::Epoch;
 
 /// Magic bytes + format version for serving snapshots (the "v3" catalog
 /// format with kernel aux columns; v1 is [`StoredCatalog`]'s `DBSCAT`).
@@ -94,29 +94,11 @@ pub struct ServingSnapshot {
 
 impl ServingSnapshot {
     /// Freeze a v1 [`StoredCatalog`] into serving form — the one-time
-    /// migration / `dbselect freeze` path. Runs the v1 rebuild (category
-    /// aggregation, `from_parts` shrunk summaries, posting construction)
-    /// once; everything downstream reads arrays.
+    /// migration / `dbselect freeze` path. Aggregates the categories once
+    /// and mixes every shrunk summary from the recorded λs (no EM), then
+    /// builds the posting index; everything downstream reads arrays.
     pub fn from_stored(stored: &StoredCatalog) -> ServingSnapshot {
-        let catalog = stored.to_catalog();
-        let categories = stored
-            .store
-            .databases
-            .iter()
-            .map(|db| stored.store.hierarchy.full_name(db.classification))
-            .collect();
-        // The Root summary under BySize weighting is the global model both
-        // the CLI and the daemon hand to `Lm::new` — freeze its p_tf map.
-        let root = stored.store.root_summary(CategoryWeighting::BySize);
-        let mut lm_global: Vec<(TermId, f64)> =
-            root.iter().map(|(t, _)| (t, root.p_tf(t))).collect();
-        lm_global.sort_unstable_by_key(|&(t, _)| t);
-        ServingSnapshot {
-            dict: stored.store.dict.clone(),
-            categories,
-            lm_global,
-            catalog,
-        }
+        Epoch::pin(stored).snapshot(stored)
     }
 
     /// Serialize into `w` (magic, checksummed payload, trailing digest).
@@ -163,53 +145,45 @@ impl ServingSnapshot {
             write_f64(&mut cw, self.catalog.gamma(db))?;
         }
         write_f64(&mut cw, self.catalog.mcw())?;
+        let mut buf = Vec::new();
         for db in 0..n {
-            write_frozen(&mut cw, self.catalog.unshrunk(db))?;
+            write_frozen(&mut cw, &mut buf, self.catalog.unshrunk(db))?;
         }
         for db in 0..n {
-            write_frozen(&mut cw, self.catalog.shrunk(db))?;
+            write_frozen(&mut cw, &mut buf, self.catalog.shrunk(db))?;
         }
 
         write_u32(&mut cw, index.len() as u32)?;
-        for &t in index.terms() {
-            write_u32(&mut cw, t)?;
-        }
-        for &o in index.offsets() {
-            write_u32(&mut cw, o)?;
-        }
+        write_u32_column(&mut cw, &mut buf, index.terms())?;
+        write_u32_column(&mut cw, &mut buf, index.offsets())?;
         write_u32(&mut cw, index.dbs().len() as u32)?;
-        for &db in index.dbs() {
-            write_u32(&mut cw, db)?;
-        }
-        for &p in index.p_df() {
-            write_f64(&mut cw, p)?;
-        }
-        for &s in index.sample_df() {
-            write_u32(&mut cw, s)?;
-        }
-        for &e in index.effective() {
-            cw.write_all(&[u8::from(e)])?;
-        }
+        write_u32_column(&mut cw, &mut buf, index.dbs())?;
+        write_f64_column(&mut cw, &mut buf, index.p_df())?;
+        write_u32_column(&mut cw, &mut buf, index.sample_df())?;
+        let effective = index.effective().iter().map(|&e| [u8::from(e)]);
+        write_column(&mut cw, &mut buf, effective)?;
         if version >= 3 {
-            for &p in index.p_tf() {
-                write_f64(&mut cw, p)?;
-            }
-            for &m in index.max_df() {
-                write_f64(&mut cw, m)?;
-            }
-            for &m in index.max_p_df() {
-                write_f64(&mut cw, m)?;
-            }
-            for &m in index.max_p_tf() {
-                write_f64(&mut cw, m)?;
+            for column in [
+                index.p_tf(),
+                index.max_df(),
+                index.max_p_df(),
+                index.max_p_tf(),
+            ] {
+                write_f64_column(&mut cw, &mut buf, column)?;
             }
         }
 
         write_u32(&mut cw, self.lm_global.len() as u32)?;
-        for &(t, p) in &self.lm_global {
-            write_u32(&mut cw, t)?;
-            write_f64(&mut cw, p)?;
-        }
+        write_column(
+            &mut cw,
+            &mut buf,
+            self.lm_global.iter().map(|&(t, p)| {
+                let mut pair = [0u8; 12];
+                pair[..4].copy_from_slice(&t.to_le_bytes());
+                pair[4..].copy_from_slice(&p.to_le_bytes());
+                pair
+            }),
+        )?;
 
         let digest = cw.digest();
         write_u64(w, digest)
@@ -346,91 +320,40 @@ pub(crate) fn with_path_context(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
-pub(crate) fn write_frozen<W: Write>(w: &mut W, s: &FrozenSummary) -> io::Result<()> {
+pub(crate) fn write_frozen<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    s: &FrozenSummary,
+) -> io::Result<()> {
     write_f64(w, s.db_size())?;
     write_u32(w, s.sample_size())?;
     write_f64(w, s.word_count())?;
     write_f64(w, s.default_p_df())?;
     write_f64(w, s.default_p_tf())?;
     write_u32(w, s.len() as u32)?;
-    for &t in s.terms() {
-        write_u32(w, t)?;
-    }
-    for &p in s.p_df_column() {
-        write_f64(w, p)?;
-    }
-    for &p in s.p_tf_column() {
-        write_f64(w, p)?;
-    }
+    write_u32_column(w, buf, s.terms())?;
+    write_f64_column(w, buf, s.p_df_column())?;
+    write_f64_column(w, buf, s.p_tf_column())?;
     // An elided (all-zero) column is written out in full: the format
     // does not know about the in-memory elision.
-    for i in 0..s.len() {
-        write_u32(w, s.sample_df_at(i))?;
-    }
-    Ok(())
+    let sample_df = (0..s.len()).map(|i| s.sample_df_at(i).to_le_bytes());
+    write_column(w, buf, sample_df)
 }
 
-/// Chunked-column readers: the wide slabs dominate decode time, so read
-/// them through a fixed stack buffer (one `read_exact` per ~1k elements
-/// instead of one per element) and convert in place. The buffer is
-/// bounded, so a corrupt length still can't trigger an oversized
-/// allocation — the `Vec` only grows as bytes actually arrive.
-const COLUMN_CHUNK: usize = 1024;
+fn write_u32_column<W: Write>(w: &mut W, buf: &mut Vec<u8>, values: &[u32]) -> io::Result<()> {
+    write_column(w, buf, values.iter().map(|v| v.to_le_bytes()))
+}
 
-fn read_f64_column<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f64>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; COLUMN_CHUNK * 8];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(COLUMN_CHUNK);
-        let bytes = &mut buf[..take * 8];
-        r.read_exact(bytes)?;
-        for chunk in bytes.chunks_exact(8) {
-            let v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            if v.is_nan() {
-                return Err(corrupt("NaN float field"));
-            }
-            out.push(v);
-        }
-        remaining -= take;
-    }
-    Ok(out)
+fn write_f64_column<W: Write>(w: &mut W, buf: &mut Vec<u8>, values: &[f64]) -> io::Result<()> {
+    write_column(w, buf, values.iter().map(|v| v.to_le_bytes()))
 }
 
 fn read_u32_column<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; COLUMN_CHUNK * 4];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(COLUMN_CHUNK);
-        let bytes = &mut buf[..take * 4];
-        r.read_exact(bytes)?;
-        for chunk in bytes.chunks_exact(4) {
-            out.push(u32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
-        }
-        remaining -= take;
-    }
-    Ok(out)
+    read_column(r, len, |b| Ok(u32::from_le_bytes(b)))
 }
 
-fn read_bool_column<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<bool>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; COLUMN_CHUNK];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(COLUMN_CHUNK);
-        let bytes = &mut buf[..take];
-        r.read_exact(bytes)?;
-        for &b in bytes.iter() {
-            match b {
-                0 => out.push(false),
-                1 => out.push(true),
-                _ => return Err(corrupt("effective flag must be 0 or 1")),
-            }
-        }
-        remaining -= take;
-    }
-    Ok(out)
+fn read_f64_column<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f64>> {
+    read_column(r, len, decode_f64)
 }
 
 pub(crate) fn read_frozen<R: Read>(r: &mut R) -> io::Result<FrozenSummary> {
@@ -498,7 +421,11 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
     let dbs = read_u32_column(r, slab_len)?;
     let p_df = read_f64_column(r, slab_len)?;
     let sample_df = read_u32_column(r, slab_len)?;
-    let effective = read_bool_column(r, slab_len)?;
+    let effective = read_column(r, slab_len, |[b]| match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(corrupt("effective flag must be 0 or 1")),
+    })?;
     let mut index =
         PostingIndex::from_raw_parts(n, terms, offsets, dbs, p_df, sample_df, effective)
             .map_err(corrupt)?;
@@ -530,20 +457,20 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
     }
 
     let lm_len = read_len(r)?;
-    let mut lm_global: Vec<(TermId, f64)> = Vec::new();
-    for _ in 0..lm_len {
-        let t = read_u32(r)?;
-        if let Some(&(prev, _)) = lm_global.last() {
-            if t <= prev {
-                return Err(corrupt("global model terms not strictly ascending"));
-            }
+    let mut prev: Option<TermId> = None;
+    let lm_global = read_column(r, lm_len, |pair: [u8; 12]| {
+        let (t, p) = pair.split_at(4);
+        let t = TermId::from_le_bytes(t.try_into().expect("4-byte term"));
+        if prev.is_some_and(|prev| t <= prev) {
+            return Err(corrupt("global model terms not strictly ascending"));
         }
-        let p = read_f64(r)?;
+        prev = Some(t);
+        let p = decode_f64(p.try_into().expect("8-byte probability"))?;
         if p < 0.0 {
             return Err(corrupt("negative global model probability"));
         }
-        lm_global.push((t, p));
-    }
+        Ok((t, p))
+    })?;
 
     let catalog = Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, mcw, index)
         .map_err(|e| corrupt(&e))?;
@@ -559,6 +486,7 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
 mod tests {
     use super::*;
     use crate::{CollectionStore, StoredDatabase};
+    use dbselect_core::category_summary::CategoryWeighting;
     use dbselect_core::hierarchy::Hierarchy;
     use dbselect_core::summary::ContentSummary;
     use proptest::prelude::*;
@@ -644,6 +572,25 @@ mod tests {
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
         assert_catalogs_bit_identical(&restored.catalog, &snapshot.catalog);
+    }
+
+    /// Golden bytes: payload digests recorded before the dense-scratch
+    /// mixer replaced the per-term freeze. The `Uniform` catalog still
+    /// freezes LM's global model under `BySize` weighting.
+    #[test]
+    fn from_stored_bytes_match_their_recorded_digests() {
+        let digests: Vec<u64> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
+            .into_iter()
+            .map(|weighting| {
+                let frozen = StoredCatalog::freeze(fixture_store(), weighting);
+                let mut bytes = Vec::new();
+                ServingSnapshot::from_stored(&frozen)
+                    .write_to(&mut bytes)
+                    .unwrap();
+                u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
+            })
+            .collect();
+        assert_eq!(digests, [0x2aed_6381_49c6_2753, 0xcf62_dc65_6319_28d9]);
     }
 
     #[test]

@@ -86,7 +86,9 @@ fn fixture_store() -> CollectionStore {
 /// intern brand-new vocabulary, may change the size estimate and γ.
 fn probe(session: &mut RefreshSession, db: usize, round: u64) -> ContentSummary {
     let fresh = session.dict_mut().intern(&format!("drift-{db}-r{round}"));
-    let old_terms: Vec<u32> = session.summary(db).iter().map(|(t, _)| t).collect();
+    // Sorted: which term the odd rounds skip must not depend on hash order.
+    let mut old_terms: Vec<u32> = session.summary(db).iter().map(|(t, _)| t).collect();
+    old_terms.sort_unstable();
     let mut docs = vec![Document::from_tokens(0, vec![fresh, fresh])];
     for (i, &t) in old_terms.iter().enumerate().skip(round as usize % 2) {
         docs.push(Document::from_tokens(1 + i as u32, vec![t, fresh]));
@@ -371,6 +373,55 @@ fn untouched_databases_never_change_under_refresh() {
             after.catalog.gamma(db).to_bits()
         );
     }
+}
+
+/// The payload digest a snapshot's `write_to` seals its bytes with.
+fn payload_digest(snapshot: &ServingSnapshot) -> u64 {
+    let mut bytes = Vec::new();
+    snapshot.write_to(&mut bytes).unwrap();
+    u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
+}
+
+/// The trailing payload digest of a chain member on disk.
+fn file_digest(path: &Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap();
+    u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
+}
+
+/// Golden bytes: the digests below were recorded from the freeze path as
+/// it stood before the dense-scratch mixer replaced the per-term lookups.
+/// Snapshot and delta bytes are a format; no rewrite of how they are
+/// computed may move a single one.
+#[test]
+fn frozen_and_chained_bytes_match_their_recorded_digests() {
+    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
+    let from_stored = payload_digest(&ServingSnapshot::from_stored(&stored));
+    let session = RefreshSession::new(stored);
+    let at_zero = payload_digest(&session.freeze_full());
+
+    let dir = temp_chain("golden");
+    let session = build_chain(&dir, 2);
+    let members: Vec<u64> = std::iter::once(dir.join(delta::BASE_FILE))
+        .chain((1..=3).map(|g| dir.join(delta::delta_file_name(g))))
+        .map(|path| file_digest(&path))
+        .collect();
+    let after_three = payload_digest(&session.freeze_full());
+    std::fs::remove_dir_all(&dir).ok();
+
+    const BASE: u64 = 0xea93_8749_8f34_b4d9;
+    assert_eq!(
+        [from_stored, at_zero, after_three],
+        [BASE, BASE, 0xebdf_2ae9_ef28_9267]
+    );
+    assert_eq!(
+        members,
+        [
+            BASE,
+            0x9521_3e69_d21c_b005,
+            0x8b75_9f0d_ae6f_d32a,
+            0x326a_2d31_0e36_f3e4
+        ]
+    );
 }
 
 #[test]

@@ -32,6 +32,11 @@ printf 'the keeper saved a goal before the stadium crowd\n'   > "$WORK/soccer/b.
 
 # --- freeze a v2 serving snapshot; it must route like the v1 catalog ------
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"
+# Freezing is a pure function of the catalog: a second process, with its
+# own hash seeds, must write the same bytes (no hash-map order may leak
+# into a snapshot).
+"$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot.again"
+cmp "$WORK/col.snapshot" "$WORK/col.snapshot.again"
 
 printf 'heart blood\n' > "$WORK/queries.txt"
 "$DBSELECT" route --catalog "$WORK/col.catalog" --queries "$WORK/queries.txt" \
