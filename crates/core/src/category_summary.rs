@@ -14,10 +14,14 @@
 //! path are first made disjoint: `Ŝ(C_i)` has all the data used to construct
 //! `Ŝ(C_{i+1})` subtracted, and the leaf category has `D`'s own data
 //! subtracted (Section 3.2, "to avoid this overlap ...").
+//!
+//! Every aggregate and component is a term-sorted column. An aggregate is
+//! summed in a dense scratch over term ids, one member database after
+//! another in the order given, so each word's sums are the same
+//! floating-point sequence whatever the layout; subtraction is a sorted
+//! merge.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use textindex::TermId;
 
@@ -34,15 +38,18 @@ pub enum CategoryWeighting {
     Uniform,
 }
 
-/// Additive per-category accumulator. For `BySize`, `acc_df(w)` sums
-/// absolute `df` estimates and `denom_df` sums database sizes; for
-/// `Uniform`, `acc_df(w)` sums `p̂(w|D)` values and `denom_df` counts
-/// databases. Either way `p̂(w|C) = acc_df(w) / denom_df`, and aggregates
-/// stay additive so overlap subtraction is exact.
+/// Additive per-category accumulator, as term-sorted columns. For
+/// `BySize`, `acc_df(w)` sums absolute `df` estimates and `denom_df` sums
+/// database sizes; for `Uniform`, `acc_df(w)` sums `p̂(w|D)` values and
+/// `denom_df` counts databases. Either way `p̂(w|C) = acc_df(w) / denom_df`,
+/// and aggregates stay additive so overlap subtraction is exact. Every
+/// word a member database knows has a row, even when its sums are 0.
 #[derive(Debug, Clone, Default)]
 struct Aggregate {
-    acc_df: HashMap<TermId, f64>,
-    acc_tf: HashMap<TermId, f64>,
+    /// Strictly ascending; `acc_df` and `acc_tf` are parallel to it.
+    terms: Vec<TermId>,
+    acc_df: Vec<f64>,
+    acc_tf: Vec<f64>,
     denom_df: f64,
     denom_tf: f64,
     /// Total estimated documents under the category (for the hierarchical
@@ -52,31 +59,14 @@ struct Aggregate {
 }
 
 impl Aggregate {
-    fn add(&mut self, summary: &ContentSummary, weighting: CategoryWeighting) {
-        let (denom_df, denom_tf) = contributions(summary, weighting, |term, df, tf| {
-            *self.acc_df.entry(term).or_insert(0.0) += df;
-            *self.acc_tf.entry(term).or_insert(0.0) += tf;
-        });
-        self.denom_df += denom_df;
-        self.denom_tf += denom_tf;
-        self.size += summary.db_size();
-        self.n_dbs += 1;
-    }
-
     /// The component of `self − other` (the raw component when `other` is
     /// empty).
     fn minus(&self, other: &Aggregate) -> SummaryComponent {
-        let (mut p_df, mut p_tf) = (self.acc_df.clone(), self.acc_tf.clone());
-        for (&term, &v) in &other.acc_df {
-            take(&mut p_df, term, v);
-        }
-        for (&term, &v) in &other.acc_tf {
-            take(&mut p_tf, term, v);
-        }
-        SummaryComponent {
-            p_df: scaled(p_df, self.denom_df - other.denom_df),
-            p_tf: scaled(p_tf, self.denom_tf - other.denom_tf),
-        }
+        let rows = other.terms.iter().zip(&other.acc_df).zip(&other.acc_tf);
+        self.subtract(
+            rows.map(|((&t, &df), &tf)| (t, df, tf)),
+            (other.denom_df, other.denom_tf),
+        )
     }
 
     /// The component of `self` minus one member database's contribution
@@ -87,15 +77,71 @@ impl Aggregate {
         summary: &ContentSummary,
         weighting: CategoryWeighting,
     ) -> SummaryComponent {
-        let (mut p_df, mut p_tf) = (self.acc_df.clone(), self.acc_tf.clone());
-        let (denom_df, denom_tf) = contributions(summary, weighting, |term, df, tf| {
-            take(&mut p_df, term, df);
-            take(&mut p_tf, term, tf);
-        });
-        SummaryComponent {
-            p_df: scaled(p_df, self.denom_df - denom_df),
-            p_tf: scaled(p_tf, self.denom_tf - denom_tf),
+        let mut rows = Vec::with_capacity(summary.vocabulary_size());
+        let denoms = contributions(summary, weighting, |t, df, tf| rows.push((t, df, tf)));
+        rows.sort_unstable_by_key(|&(t, _, _)| t);
+        self.subtract(rows.into_iter(), denoms)
+    }
+
+    /// `self` less `(word, df, tf)` rows (ascending, each word once) and
+    /// their denominators, scaled into a component: a sorted merge over
+    /// the union of the two key sets. A word only `self` has keeps its
+    /// sums; every other word takes `(left − v).max(0)`, `left` being 0
+    /// when `self` lacks it.
+    fn subtract(
+        &self,
+        rows: impl Iterator<Item = (TermId, f64, f64)>,
+        denoms: (f64, f64),
+    ) -> SummaryComponent {
+        let len = self.terms.len();
+        let (mut terms, mut df, mut tf) = (
+            Vec::with_capacity(len),
+            Vec::with_capacity(len),
+            Vec::with_capacity(len),
+        );
+        let mut i = 0;
+        for (term, v_df, v_tf) in rows {
+            while i < len && self.terms[i] < term {
+                terms.push(self.terms[i]);
+                df.push(self.acc_df[i]);
+                tf.push(self.acc_tf[i]);
+                i += 1;
+            }
+            let (left_df, left_tf) = if i < len && self.terms[i] == term {
+                i += 1;
+                (self.acc_df[i - 1], self.acc_tf[i - 1])
+            } else {
+                (0.0, 0.0)
+            };
+            terms.push(term);
+            df.push(take(left_df, v_df));
+            tf.push(take(left_tf, v_tf));
         }
+        terms.extend_from_slice(&self.terms[i..]);
+        df.extend_from_slice(&self.acc_df[i..]);
+        tf.extend_from_slice(&self.acc_tf[i..]);
+        SummaryComponent {
+            p_df: Column::scaled(terms.clone(), df, self.denom_df - denoms.0),
+            p_tf: Column::scaled(terms, tf, self.denom_tf - denoms.1),
+        }
+    }
+
+    /// The aggregate as a [`ContentSummary`] with Equation-1 semantics.
+    fn summary(&self) -> ContentSummary {
+        let words = self
+            .terms
+            .iter()
+            .zip(self.acc_df.iter().zip(&self.acc_tf))
+            .map(|(&term, (&df, &tf))| {
+                let stats = WordStats {
+                    sample_df: 0,
+                    df,
+                    tf,
+                };
+                (term, stats)
+            })
+            .collect();
+        ContentSummary::new(self.size, 0, words)
     }
 }
 
@@ -123,28 +169,140 @@ fn contributions(
     }
 }
 
-/// Subtract `v` from `term`'s accumulated value (0 when absent), clamping
-/// tiny negative residue from float error. Aggregated values are sums
-/// from `+0.0`, never `-0.0`, so this is the same difference whether `v`
-/// was itself accumulated or not.
-fn take(acc: &mut HashMap<TermId, f64>, term: TermId, v: f64) {
-    let left = acc.entry(term).or_insert(0.0);
-    *left = (*left - v).max(0.0);
+/// `left − v`, clamping tiny negative residue from float error. Aggregated
+/// values are sums from `+0.0`, never `-0.0`, so this is the same
+/// difference whether `left` was itself accumulated or is an absent
+/// word's 0.
+fn take(left: f64, v: f64) -> f64 {
+    (left - v).max(0.0)
 }
 
-/// `acc / denom` per word, the denominator clamped at 0 like the values;
-/// empty when it is not positive. Takes `acc` by value: a component is
-/// made from a copy of an aggregate's map (one memcpy of the table, no
-/// word hashed again), adjusted in place.
-fn scaled(mut acc: HashMap<TermId, f64>, denom: f64) -> HashMap<TermId, f64> {
-    let denom = denom.max(0.0);
-    if denom <= 0.0 {
-        return HashMap::new();
+/// One word's slot in an [`Accumulator`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    df: f64,
+    tf: f64,
+    /// The word has been visited in the aggregate being built.
+    present: bool,
+}
+
+/// Builds [`Aggregate`]s over a dense scratch indexed by term id, reused
+/// across categories. Member databases are added in the order given, so
+/// every word's sums see the `+=` sequence a per-word map would; the
+/// touched words are read out ascending and the scratch is left empty.
+#[derive(Debug, Default)]
+struct Accumulator {
+    slots: Vec<Slot>,
+    touched: Vec<TermId>,
+}
+
+impl Accumulator {
+    fn aggregate<'a>(
+        &mut self,
+        members: impl IntoIterator<Item = &'a ContentSummary>,
+        weighting: CategoryWeighting,
+    ) -> Aggregate {
+        let mut agg = Aggregate::default();
+        for summary in members {
+            let (slots, touched) = (&mut self.slots, &mut self.touched);
+            let (denom_df, denom_tf) = contributions(summary, weighting, |term, df, tf| {
+                let i = term as usize;
+                if i >= slots.len() {
+                    slots.resize(i + 1, Slot::default());
+                }
+                let slot = &mut slots[i];
+                if !slot.present {
+                    *slot = Slot {
+                        df: 0.0,
+                        tf: 0.0,
+                        present: true,
+                    };
+                    touched.push(term);
+                }
+                slot.df += df;
+                slot.tf += tf;
+            });
+            agg.denom_df += denom_df;
+            agg.denom_tf += denom_tf;
+            agg.size += summary.db_size();
+            agg.n_dbs += 1;
+        }
+        self.touched.sort_unstable();
+        agg.acc_df.reserve_exact(self.touched.len());
+        agg.acc_tf.reserve_exact(self.touched.len());
+        for &term in &self.touched {
+            let slot = &mut self.slots[term as usize];
+            slot.present = false;
+            agg.acc_df.push(slot.df);
+            agg.acc_tf.push(slot.tf);
+        }
+        agg.terms = std::mem::take(&mut self.touched);
+        agg
     }
-    for v in acc.values_mut() {
-        *v /= denom;
+}
+
+/// One probability model's column of a [`SummaryComponent`]: strictly
+/// ascending term ids with a parallel `p̂(w|C)` column. Only words in the
+/// column have a probability (an absent word is not a stored 0).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Column {
+    pub(crate) terms: Vec<TermId>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl Column {
+    /// `acc / denom` per word, the denominator clamped at 0 like the
+    /// values; empty when it is not positive.
+    fn scaled(terms: Vec<TermId>, mut acc: Vec<f64>, denom: f64) -> Column {
+        let denom = denom.max(0.0);
+        if denom <= 0.0 {
+            return Column::default();
+        }
+        for v in &mut acc {
+            *v /= denom;
+        }
+        Column { terms, values: acc }
     }
-    acc
+
+    /// The probability of `term`, if the column has it.
+    pub fn get(&self, term: TermId) -> Option<f64> {
+        let i = self.terms.binary_search(&term).ok()?;
+        Some(self.values[i])
+    }
+
+    /// The column's words, ascending.
+    pub fn keys(&self) -> std::slice::Iter<'_, TermId> {
+        self.terms.iter()
+    }
+
+    /// `(word, probability)`, ascending by word.
+    pub fn iter(&self) -> impl Iterator<Item = (TermId, f64)> + '_ {
+        self.terms.iter().copied().zip(self.values.iter().copied())
+    }
+
+    /// True when the column has no word.
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+}
+
+/// Collects `(word, probability)` pairs in any order; a repeated word
+/// keeps its last probability, as a map insert would.
+impl FromIterator<(TermId, f64)> for Column {
+    fn from_iter<I: IntoIterator<Item = (TermId, f64)>>(pairs: I) -> Column {
+        let mut pairs: Vec<(TermId, f64)> = pairs.into_iter().collect();
+        pairs.sort_by_key(|&(t, _)| t);
+        let mut column = Column::default();
+        for (term, p) in pairs {
+            if column.terms.last() == Some(&term) {
+                *column.values.last_mut().expect("parallel to terms") = p;
+            } else {
+                column.terms.push(term);
+                column.values.push(p);
+            }
+        }
+        column
+    }
 }
 
 /// One mixture component for shrinkage: the word distributions of a category
@@ -152,25 +310,29 @@ fn scaled(mut acc: HashMap<TermId, f64>, denom: f64) -> HashMap<TermId, f64> {
 #[derive(Debug, Clone, Default)]
 pub struct SummaryComponent {
     /// `p̂(w|C)` under the document-frequency model.
-    pub p_df: HashMap<TermId, f64>,
+    pub p_df: Column,
     /// `p̂(w|C)` under the term-frequency (LM) model.
-    pub p_tf: HashMap<TermId, f64>,
+    pub p_tf: Column,
 }
 
 /// Category summaries for an entire classified database collection.
 ///
 /// Shrinkage components that do not depend on a particular database — the
-/// "category remainder" of each (parent, child) edge — are cached and shared
-/// (`Arc`) across all databases below that edge, so the per-database cost of
-/// shrinking a large collection stays proportional to the database's own
-/// vocabulary rather than the global one.
+/// "category remainder" of each (parent, child) edge — are built once, when
+/// the aggregates are, and shared (`Arc`) across all databases below that
+/// edge, so the per-database cost of shrinking a large collection stays
+/// proportional to its leaf category's vocabulary rather than the global
+/// one.
 #[derive(Debug, Clone)]
 pub struct CategorySummaries {
     aggregates: Vec<Aggregate>,
     weighting: CategoryWeighting,
-    /// Cache of edge components: key `(node, child)` is `agg(node) −
-    /// agg(child)`; key `(node, node)` is the raw (unsubtracted) component.
-    edge_cache: RefCell<HashMap<(CategoryId, CategoryId), Arc<SummaryComponent>>>,
+    /// Indexed by category: `agg(parent) − agg(category)`, `None` for the
+    /// root.
+    edges: Vec<Option<Arc<SummaryComponent>>>,
+    /// Indexed by category: its raw component, made on first use (only the
+    /// overlap ablation asks for one) and then shared like the edges.
+    raw: Vec<OnceLock<Arc<SummaryComponent>>>,
 }
 
 impl CategorySummaries {
@@ -182,17 +344,43 @@ impl CategorySummaries {
         databases: &[(CategoryId, &ContentSummary)],
         weighting: CategoryWeighting,
     ) -> Self {
-        let mut aggregates = vec![Aggregate::default(); hierarchy.len()];
+        let mut members: Vec<Vec<&ContentSummary>> = vec![Vec::new(); hierarchy.len()];
         for &(category, summary) in databases {
             for node in hierarchy.path_from_root(category) {
-                aggregates[node].add(summary, weighting);
+                members[node].push(summary);
             }
         }
+        let mut scratch = Accumulator::default();
+        let aggregates: Vec<Aggregate> = members
+            .into_iter()
+            .map(|m| scratch.aggregate(m, weighting))
+            .collect();
+        let edges = hierarchy
+            .ids()
+            .map(|c| {
+                let parent = hierarchy.parent(c)?;
+                Some(Arc::new(aggregates[parent].minus(&aggregates[c])))
+            })
+            .collect();
         CategorySummaries {
+            raw: vec![OnceLock::new(); aggregates.len()],
             aggregates,
             weighting,
-            edge_cache: RefCell::new(HashMap::new()),
+            edges,
         }
+    }
+
+    /// The Root category summary of `databases` — what
+    /// `build(..).category_summary(Hierarchy::ROOT)` returns (every
+    /// database is under the root), without aggregating any other
+    /// category.
+    pub fn root_summary<'a>(
+        databases: impl IntoIterator<Item = &'a ContentSummary>,
+        weighting: CategoryWeighting,
+    ) -> ContentSummary {
+        Accumulator::default()
+            .aggregate(databases, weighting)
+            .summary()
     }
 
     /// The aggregation weighting in use.
@@ -210,23 +398,7 @@ impl CategorySummaries {
     /// databases. Always uses Equation-1 semantics (`df` sums, size sums),
     /// which is how \[17\] defines category summaries.
     pub fn category_summary(&self, category: CategoryId) -> ContentSummary {
-        let agg = &self.aggregates[category];
-        let words = agg
-            .acc_df
-            .iter()
-            .map(|(&term, &df)| {
-                let tf = agg.acc_tf.get(&term).copied().unwrap_or(0.0);
-                (
-                    term,
-                    WordStats {
-                        sample_df: 0,
-                        df,
-                        tf,
-                    },
-                )
-            })
-            .collect();
-        ContentSummary::new(agg.size, 0, words)
+        self.aggregates[category].summary()
     }
 
     /// The shrinkage components for a database classified under
@@ -234,9 +406,9 @@ impl CategorySummaries {
     /// `root = C_1, …, C_m = db_category`, in root-first order.
     ///
     /// With `subtract_overlap` (the paper's method), `C_i`'s component
-    /// excludes everything counted under `C_{i+1}`, and the leaf component
-    /// excludes `db_summary` itself. Without it (ablation), raw category
-    /// summaries are used.
+    /// excludes everything counted under `C_{i+1}` (a shared edge
+    /// component), and the leaf component excludes `db_summary` itself.
+    /// Without it (ablation), raw category summaries are used.
     pub fn components_for(
         &self,
         hierarchy: &Hierarchy,
@@ -246,41 +418,18 @@ impl CategorySummaries {
     ) -> Vec<Arc<SummaryComponent>> {
         let path = hierarchy.path_from_root(db_category);
         if !subtract_overlap {
-            return path.iter().map(|&c| self.cached_edge(c, c)).collect();
+            let raw = |c: CategoryId| {
+                let component = || Arc::new(self.aggregates[c].minus(&Aggregate::default()));
+                Arc::clone(self.raw[c].get_or_init(component))
+            };
+            return path.into_iter().map(raw).collect();
         }
-        let mut components = Vec::with_capacity(path.len());
-        for (i, &c) in path.iter().enumerate() {
-            if i + 1 < path.len() {
-                // Category minus its on-path child: shared by every
-                // database below that child.
-                components.push(self.cached_edge(c, path[i + 1]));
-            } else {
-                // The database's own category minus the database itself —
-                // necessarily computed per database.
-                components.push(Arc::new(
-                    self.aggregates[c].minus_database(db_summary, self.weighting),
-                ));
-            }
-        }
-        components
-    }
-
-    /// The cached component for `node − child` (or the raw component when
-    /// `node == child`).
-    fn cached_edge(&self, node: CategoryId, child: CategoryId) -> Arc<SummaryComponent> {
-        if let Some(cached) = self.edge_cache.borrow().get(&(node, child)) {
-            return Arc::clone(cached);
-        }
-        let minus = if node == child {
-            &Aggregate::default()
-        } else {
-            &self.aggregates[child]
-        };
-        let component = Arc::new(self.aggregates[node].minus(minus));
-        self.edge_cache
-            .borrow_mut()
-            .insert((node, child), Arc::clone(&component));
-        component
+        let leaf = self.aggregates[db_category].minus_database(db_summary, self.weighting);
+        path[1..]
+            .iter()
+            .map(|&child| Arc::clone(self.edges[child].as_ref().expect("a child has a parent")))
+            .chain([Arc::new(leaf)])
+            .collect()
     }
 }
 
@@ -345,7 +494,7 @@ mod tests {
         );
         let comps = cs.components_for(&h, health, &d2, false);
         // Health component (index 1 on path Root→Health) averages the ps.
-        let p = comps[1].p_df[&7];
+        let p = comps[1].p_df.get(7).unwrap();
         assert!((p - (0.5 + 1.0 / 15.0) / 2.0).abs() < 1e-12);
     }
 
@@ -363,12 +512,12 @@ mod tests {
         let comps = cs.components_for(&h, heart, &d1, true);
         assert_eq!(comps.len(), 3);
         // Heart minus D1 itself: empty (D1 is the only Heart database).
-        assert!(comps[2].p_df.values().all(|&v| v == 0.0));
+        assert!(comps[2].p_df.iter().all(|(_, v)| v == 0.0));
         // Health minus Heart: only D2's data → p(7) = 2/30, p(9) = 3/30.
-        assert!((comps[1].p_df[&7] - 2.0 / 30.0).abs() < 1e-12);
-        assert!((comps[1].p_df[&9] - 0.1).abs() < 1e-12);
+        assert!((comps[1].p_df.get(7).unwrap() - 2.0 / 30.0).abs() < 1e-12);
+        assert!((comps[1].p_df.get(9).unwrap() - 0.1).abs() < 1e-12);
         // Root minus Health: nothing left.
-        assert!(comps[0].p_df.values().all(|&v| v == 0.0));
+        assert!(comps[0].p_df.iter().all(|(_, v)| v == 0.0));
     }
 
     #[test]
@@ -379,7 +528,25 @@ mod tests {
         let comps = cs.components_for(&h, heart, &d1, false);
         // Every level sees D1's data.
         for c in &comps {
-            assert!((c.p_df[&7] - 0.5).abs() < 1e-12);
+            assert!((c.p_df.get(7).unwrap() - 0.5).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn edge_and_raw_components_are_shared_across_databases() {
+        let (h, _, heart) = two_level_hierarchy();
+        let d1 = summary(&[(7, 5)], 10);
+        let d2 = summary(&[(7, 2), (9, 3)], 30);
+        let cs =
+            CategorySummaries::build(&h, &[(heart, &d1), (heart, &d2)], CategoryWeighting::BySize);
+        for subtract in [true, false] {
+            let (a, b) = (
+                cs.components_for(&h, heart, &d1, subtract),
+                cs.components_for(&h, heart, &d2, subtract),
+            );
+            // Root and Health are shared; the leaf is shared only raw.
+            assert!(Arc::ptr_eq(&a[0], &b[0]) && Arc::ptr_eq(&a[1], &b[1]));
+            assert_eq!(Arc::ptr_eq(&a[2], &b[2]), !subtract);
         }
     }
 
@@ -390,18 +557,71 @@ mod tests {
         let cs = CategorySummaries::build(&h, &[(health, &d2)], CategoryWeighting::BySize);
         let comps = cs.components_for(&h, health, &d2, false);
         // p_tf(7) = 2 occurrences / 5 tokens.
-        assert!((comps[1].p_tf[&7] - 0.4).abs() < 1e-12);
+        assert!((comps[1].p_tf.get(7).unwrap() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn empty_category_yields_empty_component() {
-        let (h, _, heart) = two_level_hierarchy();
+        let (mut h, _, heart) = two_level_hierarchy();
+        let sports = h.add_child(Hierarchy::ROOT, "Sports");
         let d1 = summary(&[(7, 5)], 10);
         let cs = CategorySummaries::build(&h, &[(heart, &d1)], CategoryWeighting::BySize);
-        let sports = cs.category_summary(1_usize.min(h.len() - 1));
-        // `Heart` aggregates exist, but a fresh empty aggregate is safe.
-        let _ = sports;
-        let empty = Aggregate::default().minus(&Aggregate::default());
-        assert!(empty.p_df.is_empty());
+        assert_eq!(cs.database_count(sports), 0);
+        assert_eq!(cs.category_summary(sports).vocabulary_size(), 0);
+        assert_eq!(cs.category_summary(sports).db_size(), 0.0);
+        // Raw: Root, then the empty Sports summary.
+        let raw = cs.components_for(&h, sports, &d1, false);
+        assert_eq!(raw.len(), 2);
+        assert!(raw[0].p_df.get(7).is_some());
+        assert!(raw[1].p_df.is_empty() && raw[1].p_tf.is_empty());
+        // Subtracted: Root minus (empty) Sports is all of Root; Sports
+        // minus any database has nothing left — its denominator is not
+        // positive, so both columns are empty.
+        let subtracted = cs.components_for(&h, sports, &d1, true);
+        assert_eq!(subtracted[0].p_df, raw[0].p_df);
+        assert_eq!(subtracted[0].p_tf, raw[0].p_tf);
+        assert!(subtracted[1].p_df.is_empty() && subtracted[1].p_tf.is_empty());
+    }
+
+    #[test]
+    fn zero_token_database_has_an_empty_tf_column_only() {
+        let (h, health, _) = two_level_hierarchy();
+        let stats = WordStats {
+            sample_df: 1,
+            df: 5.0,
+            tf: 0.0,
+        };
+        let d = ContentSummary::new(10.0, 2, [(7, stats)].into_iter().collect());
+        assert_eq!(d.total_tf(), 0.0);
+        let cs = CategorySummaries::build(&h, &[(health, &d)], CategoryWeighting::BySize);
+        let health_raw = &cs.components_for(&h, health, &d, false)[1];
+        assert_eq!(health_raw.p_df.iter().collect::<Vec<_>>(), [(7, 0.5)]);
+        assert!(health_raw.p_tf.is_empty());
+    }
+
+    #[test]
+    fn root_summary_is_the_built_root_category() {
+        let (h, health, heart) = two_level_hierarchy();
+        let d1 = summary(&[(7, 5), (3, 1)], 10);
+        let d2 = summary(&[(7, 2), (9, 3)], 30);
+        for weighting in [CategoryWeighting::BySize, CategoryWeighting::Uniform] {
+            let built = CategorySummaries::build(&h, &[(heart, &d1), (health, &d2)], weighting)
+                .category_summary(Hierarchy::ROOT);
+            let root = CategorySummaries::root_summary([&d1, &d2], weighting);
+            assert_eq!(root.db_size().to_bits(), built.db_size().to_bits());
+            assert_eq!(root.total_tf().to_bits(), built.total_tf().to_bits());
+            assert_eq!(root.vocabulary_size(), built.vocabulary_size());
+            for (term, stats) in built.iter() {
+                assert_eq!(root.word(term), Some(stats));
+            }
+        }
+    }
+
+    #[test]
+    fn columns_collect_like_a_map() {
+        let column: Column = [(9, 0.1), (2, 0.5), (9, 0.3)].into_iter().collect();
+        assert_eq!(column.keys().copied().collect::<Vec<_>>(), [2, 9]);
+        assert_eq!(column.get(9), Some(0.3));
+        assert_eq!(column.get(4), None);
     }
 }

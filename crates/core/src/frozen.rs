@@ -1,10 +1,11 @@
 //! Columnar, immutable summary views for the serving hot path.
 //!
-//! [`ContentSummary`] and [`ShrunkSummary`] answer `p̂(w|D)` lookups from
-//! hash maps — the right shape while summaries are being *built* (sampling
-//! inserts words in arbitrary order, EM mixes lazily over shared category
-//! components), but the wrong shape for *serving*, where summaries are
-//! frozen and every query walks thousands of probability lookups. A
+//! [`ContentSummary`] and [`ShrunkSummary`] answer `p̂(w|D)` lookups from a
+//! hash map and per-component searches — the right shape while summaries
+//! are being *built* (sampling inserts words in arbitrary order, the lazy
+//! mixture spans shared category components), but the wrong shape for
+//! *serving*, where summaries are frozen and every query walks thousands
+//! of probability lookups. A
 //! [`FrozenSummary`] stores the same numbers as term-sorted parallel arrays
 //! (term ids, `p_df`, `p_tf`, `sample_df`) and answers lookups by binary
 //! search over contiguous memory, so scoring chases no hash buckets and the
@@ -21,7 +22,6 @@
 //! are therefore identical, `f64::to_bits` for `f64::to_bits`, to rankings
 //! over the originals.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use textindex::TermId;
@@ -118,11 +118,11 @@ impl FrozenSummary {
         let mut mixer = ShrunkMixer::default();
         mixer.start(&s.components, lambdas_df, lambdas_tf, s.uniform_p());
         mixer.add(
-            pairs(&s.db_p_df),
+            s.db_p_df.iter(),
             DocumentFrequency,
             lambdas_df.last().copied(),
         );
-        mixer.add(pairs(&s.db_p_tf), TermFrequency, lambdas_tf.last().copied());
+        mixer.add(s.db_p_tf.iter(), TermFrequency, lambdas_tf.last().copied());
         mixer.finish(s.db_size(), s.word_count())
     }
 
@@ -290,9 +290,9 @@ struct Slot {
 /// whose `λ_i` is 0 adds nothing, though its words still join the
 /// vocabulary), and the database adds `λ_{m+1}·p̂(w|D)` last. That is the
 /// lazy mixture's sequence of operations for every word, so each frozen
-/// value is its value bit for bit — at the price of one pass over each map
-/// instead of a hash probe per (model, map, word). The scratch grows to
-/// the largest term id it meets, so ids interned after a dictionary was
+/// value is its value bit for bit — at the price of one pass over each
+/// column instead of a search per (model, column, word). The scratch grows
+/// to the largest term id it meets, so ids interned after a dictionary was
 /// sized are covered.
 #[derive(Debug, Default)]
 pub struct ShrunkMixer {
@@ -355,8 +355,8 @@ impl ShrunkMixer {
         self.base_tf = lambdas_tf[0] * uniform_p;
         for (i, c) in components.iter().enumerate() {
             let weight = |l: f64| (l != 0.0).then_some(l);
-            self.add(pairs(&c.p_df), DocumentFrequency, weight(lambdas_df[i + 1]));
-            self.add(pairs(&c.p_tf), TermFrequency, weight(lambdas_tf[i + 1]));
+            self.add(c.p_df.iter(), DocumentFrequency, weight(lambdas_df[i + 1]));
+            self.add(c.p_tf.iter(), TermFrequency, weight(lambdas_tf[i + 1]));
         }
     }
 
@@ -425,10 +425,6 @@ impl ShrunkMixer {
             Vec::new(),
         )
     }
-}
-
-fn pairs(map: &HashMap<TermId, f64>) -> impl Iterator<Item = (TermId, f64)> + '_ {
-    map.iter().map(|(&t, &p)| (t, p))
 }
 
 impl SummaryView for FrozenSummary {
@@ -510,7 +506,7 @@ mod tests {
         // view stores its non-default p_tf.
         let db = sample_summary(&[vec![1]], 10.0);
         let comp = Arc::new(SummaryComponent {
-            p_df: HashMap::new(),
+            p_df: Default::default(),
             p_tf: [(8u32, 0.25f64)].into_iter().collect(),
         });
         let shrunk = shrink(&db, &[comp], &ShrinkageConfig::default());

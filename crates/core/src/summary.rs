@@ -194,9 +194,18 @@ impl ContentSummary {
     /// `(term, p_df, p_tf)` for every word, in arbitrary order: the values
     /// [`Self::p_df`] and [`Self::p_tf`] return, without a lookup per word.
     pub fn probabilities(&self) -> impl Iterator<Item = (TermId, f64, f64)> + '_ {
-        self.words
-            .iter()
-            .map(|(&t, w)| (t, ratio(w.df, self.db_size), ratio(w.tf, self.total_tf)))
+        self.words_with_probabilities()
+            .map(|(t, _, p_df, p_tf)| (t, p_df, p_tf))
+    }
+
+    /// [`Self::probabilities`] with each word's statistics beside them.
+    pub(crate) fn words_with_probabilities(
+        &self,
+    ) -> impl Iterator<Item = (TermId, &WordStats, f64, f64)> + '_ {
+        self.words.iter().map(|(&t, w)| {
+            let (p_df, p_tf) = (ratio(w.df, self.db_size), ratio(w.tf, self.total_tf));
+            (t, w, p_df, p_tf)
+        })
     }
 }
 

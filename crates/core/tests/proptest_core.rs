@@ -2,7 +2,7 @@
 //! category aggregation, the EM mixture weights, frequency estimation, and
 //! the uncertainty posteriors.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -294,8 +294,8 @@ fn shrunk_summary_view_is_consistent_with_iteration() {
     ];
     let summary = ContentSummary::from_sample(docs.iter(), 100.0);
     let comp = Arc::new(SummaryComponent {
-        p_df: HashMap::from([(2, 0.4), (9, 0.2)]),
-        p_tf: HashMap::from([(2, 0.4), (9, 0.2)]),
+        p_df: [(2, 0.4), (9, 0.2)].into_iter().collect(),
+        p_tf: [(2, 0.4), (9, 0.2)].into_iter().collect(),
     });
     let shrunk = shrink(&summary, &[comp], &ShrinkageConfig::default());
     for (term, p) in shrunk.iter_df() {

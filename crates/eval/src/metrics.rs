@@ -240,9 +240,10 @@ mod tests {
         ];
         let mut summary = ContentSummary::from_sample(docs.iter(), 2.0);
         summary.set_db_size(100.0);
+        let entries = [(1, 0.9), (5, 0.9), (2, 0.4), (3, 0.000001)];
         let comp = SummaryComponent {
-            p_df: HashMap::from([(1, 0.9), (5, 0.9), (2, 0.4), (3, 0.000001)]),
-            p_tf: HashMap::from([(1, 0.9), (5, 0.9), (2, 0.4), (3, 0.000001)]),
+            p_df: entries.into_iter().collect(),
+            p_tf: entries.into_iter().collect(),
         };
         let shrunk = shrink(
             &summary,

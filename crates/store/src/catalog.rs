@@ -7,9 +7,10 @@
 //! therefore embeds the collection store and records, per database, the
 //! fitted mixture weights under both probability models plus the weighting
 //! policy they were fit under. Freezing a loaded catalog aggregates the
-//! category components once (deterministic, EM-free, but a pass over every
-//! database's vocabulary per level of its category path) and mixes every
-//! shrunk summary from them and the recorded λs — **no EM re-run**.
+//! category components once (deterministic, EM-free: one pass over every
+//! database's vocabulary per level of its category path, into term-sorted
+//! columns) and mixes every shrunk summary from them and the recorded λs —
+//! **no EM re-run**.
 //!
 //! The round trip is bit-exact: mixing with the recorded λs reproduces the
 //! same probabilities `shrink` produced, so a routed query against a
@@ -21,7 +22,7 @@ use std::path::Path;
 
 use broker::Catalog;
 use dbselect_core::category_summary::CategoryWeighting;
-use dbselect_core::shrinkage::ShrunkSummary;
+use dbselect_core::shrinkage::{LambdaFitter, ShrunkSummary};
 
 use crate::codec::{corrupt, read_f64, read_u32, write_f64, write_u32};
 use crate::refresh::Epoch;
@@ -47,13 +48,19 @@ pub struct StoredCatalog {
 
 impl StoredCatalog {
     /// Run the shrinkage EM once over `store` and record the fitted
-    /// weights. This is the offline step; everything downstream
+    /// weights — the λs [`CollectionStore::shrink_all`] fits, without its
+    /// shrunk summaries. This is the offline step; everything downstream
     /// ([`save`](Self::save), [`load`](Self::load),
     /// [`to_catalog`](Self::to_catalog)) reuses the recorded fit.
     pub fn freeze(store: CollectionStore, weighting: CategoryWeighting) -> Self {
-        let shrunk = store.shrink_all(weighting);
-        let lambdas_df = shrunk.iter().map(|s| s.lambdas().to_vec()).collect();
-        let lambdas_tf = shrunk.iter().map(|s| s.lambdas_tf().to_vec()).collect();
+        let categories = store.categories(weighting);
+        let config = store.shrinkage_config();
+        let mut fitter = LambdaFitter::default();
+        let (lambdas_df, lambdas_tf) = store
+            .databases
+            .iter()
+            .map(|db| fitter.fit(&db.summary, &store.components(&categories, db), &config))
+            .unzip();
         StoredCatalog {
             store,
             weighting,

@@ -10,9 +10,10 @@
 //! binary format. Shrunk summaries are *not* stored: shrinkage is
 //! deterministic given the store, so [`CollectionStore::shrink_all`] can
 //! always reconstruct them — by re-running the EM fit, which is the
-//! expensive offline step (about 0.4 s per 100 databases of the
-//! benchmark's test bed on one core). [`catalog::StoredCatalog`] records
-//! the fit so that everything downstream of it runs no EM.
+//! expensive offline step (0.23–0.24 s per 100 databases of the
+//! benchmark's test bed, measured on one core of a 2-vCPU Xeon container).
+//! [`catalog::StoredCatalog`] records the fit so that everything downstream
+//! of it runs no EM.
 //!
 //! ```
 //! use store::{CollectionStore, StoredDatabase};
@@ -53,8 +54,9 @@ pub mod snapshot;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting};
+use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting, SummaryComponent};
 use dbselect_core::hierarchy::{CategoryId, Hierarchy};
 use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
 use dbselect_core::summary::{ContentSummary, WordStats};
@@ -175,7 +177,7 @@ impl CollectionStore {
             if classification >= hierarchy.len() {
                 return Err(corrupt("classification refers to unknown category"));
             }
-            let summary = read_summary(r, dict.len() as u32)?;
+            let summary = read_summary(r, dict.len() as u32, &name)?;
             let n_docs = read_len(r)?;
             let mut sample_docs = Vec::with_capacity(n_docs);
             for _ in 0..n_docs {
@@ -226,25 +228,33 @@ impl CollectionStore {
     /// Reconstruct the shrunk summaries (Definition 4) for every database —
     /// deterministic given the store contents.
     pub fn shrink_all(&self, weighting: CategoryWeighting) -> Vec<ShrunkSummary> {
+        let categories = self.categories(weighting);
+        let config = self.shrinkage_config();
+        self.databases
+            .iter()
+            .map(|db| shrink(&db.summary, &self.components(&categories, db), &config))
+            .collect()
+    }
+
+    /// The category aggregation (Equation 1) of every stored database.
+    pub(crate) fn categories(&self, weighting: CategoryWeighting) -> CategorySummaries {
         let refs: Vec<(CategoryId, &ContentSummary)> = self
             .databases
             .iter()
             .map(|db| (db.classification, &db.summary))
             .collect();
-        let categories = CategorySummaries::build(&self.hierarchy, &refs, weighting);
-        let config = self.shrinkage_config();
-        self.databases
-            .iter()
-            .map(|db| {
-                let comps = categories.components_for(
-                    &self.hierarchy,
-                    db.classification,
-                    &db.summary,
-                    true,
-                );
-                shrink(&db.summary, &comps, &config)
-            })
-            .collect()
+        CategorySummaries::build(&self.hierarchy, &refs, weighting)
+    }
+
+    /// The shrinkage components of `db` under `categories`: its path-edge
+    /// remainders, shared with every database below each edge, and its own
+    /// leaf remainder.
+    pub(crate) fn components(
+        &self,
+        categories: &CategorySummaries,
+        db: &StoredDatabase,
+    ) -> Vec<Arc<SummaryComponent>> {
+        categories.components_for(&self.hierarchy, db.classification, &db.summary, true)
     }
 
     /// The EM configuration every fit over this store uses: the dummy
@@ -257,15 +267,9 @@ impl CollectionStore {
     }
 
     /// The Root category summary (LM's global model), rebuilt from the
-    /// stored summaries.
+    /// stored summaries; no other category is aggregated.
     pub fn root_summary(&self, weighting: CategoryWeighting) -> ContentSummary {
-        let refs: Vec<(CategoryId, &ContentSummary)> = self
-            .databases
-            .iter()
-            .map(|db| (db.classification, &db.summary))
-            .collect();
-        CategorySummaries::build(&self.hierarchy, &refs, weighting)
-            .category_summary(Hierarchy::ROOT)
+        CategorySummaries::root_summary(self.databases.iter().map(|db| &db.summary), weighting)
     }
 }
 
@@ -294,15 +298,25 @@ fn write_summary<W: Write>(w: &mut W, summary: &ContentSummary) -> io::Result<()
     Ok(())
 }
 
-fn read_summary<R: Read>(r: &mut R, dict_len: u32) -> io::Result<ContentSummary> {
-    let db_size = read_f64(r)?;
-    if db_size < 0.0 {
-        return Err(corrupt("negative database size"));
-    }
+/// Read database `name`'s summary. Sizes and frequencies must be finite
+/// and non-negative, γ finite: one `+∞` would load, poison every EM fit
+/// over its categories (the first E-step makes each β NaN) and still
+/// freeze into a loadable snapshot.
+fn read_summary<R: Read>(r: &mut R, dict_len: u32, name: &str) -> io::Result<ContentSummary> {
+    let statistic = |what: &str, v: f64, non_negative: bool| {
+        if !v.is_finite() {
+            return Err(corrupt(&format!("database {name:?}: non-finite {what}")));
+        }
+        if non_negative && v < 0.0 {
+            return Err(corrupt(&format!("database {name:?}: negative {what}")));
+        }
+        Ok(v)
+    };
+    let db_size = statistic("database size", read_f64(r)?, true)?;
     let sample_size = read_u32(r)?;
     let gamma = match read_u32(r)? {
         0 => None,
-        1 => Some(read_f64(r)?),
+        1 => Some(statistic("gamma", read_f64(r)?, false)?),
         _ => return Err(corrupt("invalid gamma flag")),
     };
     let vocab = read_len(r)?;
@@ -313,11 +327,8 @@ fn read_summary<R: Read>(r: &mut R, dict_len: u32) -> io::Result<ContentSummary>
             return Err(corrupt("summary term outside dictionary"));
         }
         let sample_df = read_u32(r)?;
-        let df = read_f64(r)?;
-        let tf = read_f64(r)?;
-        if df < 0.0 || tf < 0.0 {
-            return Err(corrupt("negative frequency"));
-        }
+        let df = statistic("frequency", read_f64(r)?, true)?;
+        let tf = statistic("frequency", read_f64(r)?, true)?;
         if words
             .insert(term, WordStats { sample_df, df, tf })
             .is_some()
@@ -470,6 +481,46 @@ mod tests {
         }
         assert!(CollectionStore::load(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_statistics_are_rejected_naming_the_database() {
+        let infinite = |store: &mut CollectionStore, field: usize, v: f64| {
+            let summary = &mut store.databases[1].summary;
+            match field {
+                0 => summary.set_db_size(v),
+                1 => summary.set_gamma(v),
+                _ => {
+                    let (term, stats) = summary.iter().next().map(|(t, s)| (t, *s)).unwrap();
+                    let stats = if field == 2 {
+                        WordStats { df: v, ..stats }
+                    } else {
+                        WordStats { tf: v, ..stats }
+                    };
+                    summary.set_word(term, stats);
+                }
+            }
+        };
+        for field in 0..4 {
+            for v in [f64::INFINITY, f64::NEG_INFINITY] {
+                let mut store = sample_store();
+                infinite(&mut store, field, v);
+                let mut bytes = Vec::new();
+                store.write_to(&mut bytes).unwrap();
+                let err = CollectionStore::read_from(&mut bytes.as_slice()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "field {field}");
+                assert!(err.to_string().contains("\"soccer-db\""), "{err}");
+                assert!(err.to_string().contains("non-finite"), "{err}");
+            }
+        }
+        // Finite negative statistics are still refused, by name too.
+        let mut store = sample_store();
+        infinite(&mut store, 2, -1.0);
+        let mut bytes = Vec::new();
+        store.write_to(&mut bytes).unwrap();
+        let err = CollectionStore::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("soccer-db"), "{err}");
+        assert!(err.to_string().contains("negative"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! A [`RefreshSession`] instead **pins the epoch model** at session
 //! start:
 //!
-//! * the per-database category components (path-edge aggregates plus the
+//! * the per-database category components (path-edge remainders plus the
 //!   leaf remainder, exactly as [`CategorySummaries::components_for`]
 //!   computed them from the base store),
 //! * the uniform-model probability `1/|V|` of the base dictionary, and
@@ -29,13 +29,15 @@
 //! epoch. Re-basing the epoch (folding refreshed samples back into the
 //! shared aggregates) is a full `dbselect freeze`, which starts a new
 //! chain.
+//!
+//! [`CategorySummaries::components_for`]: dbselect_core::category_summary::CategorySummaries::components_for
 
 use std::sync::Arc;
 
-use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting, SummaryComponent};
+use dbselect_core::category_summary::{CategoryWeighting, SummaryComponent};
 use dbselect_core::frozen::{FrozenSummary, ShrunkMixer};
-use dbselect_core::hierarchy::{CategoryId, Hierarchy};
-use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
+use dbselect_core::hierarchy::Hierarchy;
+use dbselect_core::shrinkage::{LambdaFitter, ShrinkageConfig};
 use dbselect_core::summary::ContentSummary;
 use textindex::{TermDict, TermId};
 
@@ -53,7 +55,7 @@ use crate::snapshot::ServingSnapshot;
 #[derive(Debug)]
 pub(crate) struct Epoch {
     /// Per database: the path-edge remainders plus its leaf remainder,
-    /// exactly as [`CategorySummaries::components_for`] computes them.
+    /// exactly as `CategorySummaries::components_for` computes them.
     pub(crate) components: Vec<Vec<Arc<SummaryComponent>>>,
     /// The EM configuration of every fit under this epoch.
     pub(crate) config: ShrinkageConfig,
@@ -68,21 +70,14 @@ impl Epoch {
     /// Pin the epoch of `stored` as it is now.
     pub(crate) fn pin(stored: &StoredCatalog) -> Epoch {
         let store = &stored.store;
-        let refs: Vec<(CategoryId, &ContentSummary)> = store
-            .databases
-            .iter()
-            .map(|db| (db.classification, &db.summary))
-            .collect();
-        let summaries = CategorySummaries::build(&store.hierarchy, &refs, stored.weighting);
+        let categories = store.categories(stored.weighting);
         let components = store
             .databases
             .iter()
-            .map(|db| {
-                summaries.components_for(&store.hierarchy, db.classification, &db.summary, true)
-            })
+            .map(|db| store.components(&categories, db))
             .collect();
         let root = match stored.weighting {
-            CategoryWeighting::BySize => summaries.category_summary(Hierarchy::ROOT),
+            CategoryWeighting::BySize => categories.category_summary(Hierarchy::ROOT),
             CategoryWeighting::Uniform => store.root_summary(CategoryWeighting::BySize),
         };
         let mut lm_global: Vec<(TermId, f64)> =
@@ -224,13 +219,14 @@ impl RefreshSession {
     /// delta patch that takes a serving catalog from the previous state
     /// to this one.
     pub fn apply_probe(&mut self, db: usize, summary: ContentSummary) -> DbPatch {
-        let fitted = shrink(&summary, &self.epoch.components[db], &self.epoch.config);
-        let lambdas = (fitted.lambdas(), fitted.lambdas_tf());
+        let (lambdas_df, lambdas_tf) =
+            LambdaFitter::default().fit(&summary, &self.epoch.components[db], &self.epoch.config);
+        let lambdas = (&lambdas_df[..], &lambdas_tf[..]);
         let patch = self
             .epoch
             .freeze_db(&mut ShrunkMixer::default(), db, &summary, lambdas);
-        self.stored.lambdas_df[db] = lambdas.0.to_vec();
-        self.stored.lambdas_tf[db] = lambdas.1.to_vec();
+        self.stored.lambdas_df[db] = lambdas_df;
+        self.stored.lambdas_tf[db] = lambdas_tf;
         self.stored.store.databases[db].summary = summary;
         patch
     }

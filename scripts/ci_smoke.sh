@@ -29,6 +29,11 @@ printf 'the keeper saved a goal before the stadium crowd\n'   > "$WORK/soccer/b.
     med=Health/Medicine="$WORK/med" \
     soccer=Sports/Soccer="$WORK/soccer"
 "$DBSELECT" catalog --store "$WORK/col.store" --out "$WORK/col.catalog"
+# Fitting the λs (the EM over the category columns) is a pure function of
+# the store: a second process, with its own hash seeds, must write the same
+# catalog bytes.
+"$DBSELECT" catalog --store "$WORK/col.store" --out "$WORK/col.catalog.again"
+cmp "$WORK/col.catalog" "$WORK/col.catalog.again"
 
 # --- freeze a v2 serving snapshot; it must route like the v1 catalog ------
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"

@@ -206,6 +206,71 @@ fn pipeline_is_deterministic_given_seeds() {
     }
 }
 
+/// Golden bytes on a generated test bed: the digests of a frozen catalog
+/// (its λ vectors included) and of the snapshot payload frozen from it,
+/// recorded before category aggregates became term-sorted columns and EM
+/// ran over a flat row slab. The fixture's databases share category
+/// paths and their summaries have over a thousand words on average, so
+/// the category sums run over many databases in catalog order (visiting
+/// them in any other order moves these digests) and EM runs over long
+/// rows; the hand-built store fixtures have a handful of words.
+#[test]
+fn generated_testbed_catalog_and_snapshot_bytes_match_their_recorded_digests() {
+    use store::catalog::StoredCatalog;
+    use store::codec::ChecksumWriter;
+    use store::snapshot::ServingSnapshot;
+    use store::{CollectionStore, StoredDatabase};
+
+    let mut config = TestBedConfig::tiny(30);
+    config.num_databases = 24;
+    let bed = config.build();
+    let mut rng = StdRng::seed_from_u64(30);
+    let pipeline = PipelineConfig {
+        frequency_estimation: true,
+        ..Default::default()
+    };
+    let databases: Vec<StoredDatabase> = bed
+        .databases
+        .iter()
+        .map(|tdb| {
+            let profile = profile_qbs(&tdb.db, &bed.seed_lexicon, &pipeline, &mut rng);
+            StoredDatabase {
+                name: tdb.name.clone(),
+                classification: tdb.category,
+                summary: profile.summary,
+                sample_docs: Vec::new(),
+            }
+        })
+        .collect();
+    let store = CollectionStore {
+        dict: bed.dict.clone(),
+        hierarchy: bed.hierarchy.clone(),
+        databases,
+    };
+    let digests: Vec<(u64, u64)> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
+        .into_iter()
+        .map(|weighting| {
+            let frozen = StoredCatalog::freeze(store.clone(), weighting);
+            let mut catalog = ChecksumWriter::new(std::io::sink());
+            frozen.write_to(&mut catalog).unwrap();
+            let mut snapshot = Vec::new();
+            ServingSnapshot::from_stored(&frozen)
+                .write_to(&mut snapshot)
+                .unwrap();
+            let payload = u64::from_le_bytes(snapshot[snapshot.len() - 8..].try_into().unwrap());
+            (catalog.digest(), payload)
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            (0x32ce_ba65_7717_a982, 0x47d3_b5bd_ac8e_1c02),
+            (0xe398_4222_5df1_3b74, 0xf1ed_0cce_7780_08ae),
+        ],
+        "{digests:#x?}"
+    );
+}
+
 #[test]
 fn fps_pipeline_runs_end_to_end() {
     let mut bed = TestBedConfig::tiny(41).build();
