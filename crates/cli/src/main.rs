@@ -105,8 +105,10 @@ the catalog, POST /admin/shutdown exits cleanly. Connections are
 persistent (HTTP/1.1 keep-alive): --keep-alive-requests caps requests
 per connection, --idle-timeout-ms bounds the wait between them, and
 --deadline-ms bounds each request end to end, reads and writes included.
-Connection I/O runs on an event-driven reactor that multiplexes every
-socket on one thread while --workers threads execute requests.
+Connection I/O runs on --workers event-driven reactors; each new
+connection goes to the one holding the fewest, which multiplexes its
+sockets and runs their /route requests itself; as many pool threads
+execute every other request.
 --refresh-interval-ms N polls
 each tenant's source every N ms and hot-swaps newer delta-chain
 generations in automatically (no /admin/reload needed); swaps are kept
@@ -118,8 +120,8 @@ untouched (counted in dbselectd_catalog_load_failures_total).
 /t/<name>/route_batch and /t/<name>/admin/reload; bare paths alias the
 tenant named `default` (or the first, by name). --tenant-quota caps
 in-flight routing requests per tenant (503 + Retry-After beyond it);
---shards N scatters each query's scoring phase across N catalog shards
-and merges — rankings stay bit-identical to --shards 1.
+--shards N scores each query shard by shard over N catalog shards and
+merges — rankings stay bit-identical to --shards 1.
 
 `serve --proxy --backends A,B,..` starts a federated proxy instead of a
 catalog engine: /route and /route_batch scatter to the listed shard

@@ -2,32 +2,45 @@
 //!
 //! A std-only TCP server with a hand-rolled HTTP/1.1 layer ([`http`])
 //! serving database-selection requests against a loaded serving snapshot
-//! ([`state::ServingState`]). The daemon separates **connection I/O** from
-//! **request execution**:
+//! ([`state::ServingState`]). `POST /route` — the request every query of
+//! the paper's metasearcher makes — runs to completion on the thread that
+//! read it; everything else is handed to a worker pool:
 //!
-//! - The **reactor** ([`reactor`]) runs a single-threaded readiness loop
-//!   ([`poller`]: epoll on Linux, `poll(2)` elsewhere) over the
-//!   nonblocking listener and all accepted sockets. It owns every
-//!   connection's state machine (reading → executing → writing → idle /
-//!   draining), parses requests incrementally ([`http::try_parse`]),
-//!   resumes writes on `EAGAIN`, and enforces every deadline — request,
-//!   idle, write grace, linger — through a coarse [`timer::TimerWheel`]
+//! - **Reactors** ([`reactor`]): `workers` readiness loops ([`poller`]:
+//!   epoll on Linux, `poll(2)` elsewhere), each registered on its own
+//!   clone of the nonblocking listener. Whichever reactor accepts a
+//!   connection places it on the reactor holding the fewest (itself on a
+//!   tie), so keep-alive connections, which stay on their reactor for
+//!   life, spread evenly over all of them. A reactor owns its connections'
+//!   state machines (reading → writing → idle / draining, with executing
+//!   in between for pool requests), parses requests incrementally
+//!   ([`http::try_parse`]), resumes writes on `EAGAIN`, and enforces every
+//!   deadline — request, idle, write grace, linger — through a coarse
+//!   [`timer::TimerWheel`] holding about one live entry per slab slot,
 //!   instead of per-syscall OS timeouts. Thousands of idle keep-alive
 //!   connections cost one fd and about a kilobyte of read buffer each; no
 //!   thread is pinned by an open socket.
-//! - **Workers** only execute parsed requests: the reactor offers each
-//!   complete request to a [`queue::BoundedQueue`] (a full queue is
-//!   answered `503` + `Retry-After` — admission control at the parse
-//!   boundary), a worker dispatches it against the catalog, serializes
-//!   the response, and posts it to a [`queue::CompletionQueue`], ringing
-//!   the reactor's wakeup pipe. A handler panic is caught per-request,
-//!   counted in `dbselectd_worker_panics_total`, aborts only that
-//!   connection, and never shrinks the pool.
+//! - **Inline `/route`**: a complete `/route` (bare or `/t/<tenant>/`) is
+//!   executed by the reactor that parsed it — dispatch, metrics,
+//!   serialization — and its response written at once, with no queue, no
+//!   wakeup and no hand-off. Pipelined requests are served in a loop, one
+//!   read's worth per readiness event. The tenant quota bounds how many
+//!   run at once.
+//! - **Workers** execute everything else (`/route_batch`, probes,
+//!   `/metrics`, admin, the whole proxy tier): the reactor offers the
+//!   request to a [`queue::BoundedQueue`] (a full queue is answered with
+//!   `503` and `Retry-After` — admission control at the parse boundary),
+//!   a worker runs it and posts the response to its reactor's
+//!   [`queue::CompletionQueue`], ringing that reactor's wakeup pipe.
 //! - Routing endpoints resolve the current [`state::ServingState`] and
 //!   its generation as one pair under one `RwLock`. `/admin/reload`
 //!   builds the *next* state off to the side and swaps the pair, so
 //!   in-flight requests finish against — and label their response with —
 //!   the generation they started with, and a reload never fails a request.
+//!
+//! A handler panic, inline or pooled, is caught per request, counted in
+//! `dbselectd_worker_panics_total`, aborts only that connection, and never
+//! loses a thread.
 //!
 //! Rankings served over HTTP are bit-identical to
 //! `broker::SelectionEngine::route`, and scores are serialized with
@@ -52,7 +65,7 @@ pub use proxy::{HedgePolicy, ProxyConfig};
 
 use std::fmt::Write as _;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -73,9 +86,15 @@ use crate::state::{parse_shrinkage, Algo, ServingState};
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7700` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads serving requests.
+    /// Reactor threads, and as many pool threads. Each reactor runs the
+    /// `/route`s of the connections placed on it (the fewest-loaded
+    /// reactor takes each new one), so up to this many `/route`s are
+    /// computed at once when the connections spread over them; the pool
+    /// runs every other request.
     pub workers: usize,
-    /// Admission-queue capacity; connections beyond it get `503`.
+    /// Pool admission-queue capacity: a pool request arriving while it is
+    /// full gets `503`. `/route` never queues (it runs on its reactor);
+    /// the tenant quota is what bounds it.
     pub queue_capacity: usize,
     /// Per-request deadline: measured from accept for a connection's
     /// first request, re-stamped when a later request's first byte
@@ -93,15 +112,15 @@ pub struct ServerConfig {
     /// Honor the `X-Debug-Sleep-Ms` request header (tests and load
     /// generators only — lets a client hold a worker deterministically).
     pub debug_sleep: bool,
-    /// Catalog shards per tenant: `> 1` scatters each `/route` query's
-    /// scoring phase across this many contiguous catalog shards
-    /// ([`broker::ShardedEngine`]); `<= 1` serves monolithically. Either
-    /// way the served ranking is bit-identical.
+    /// Catalog shards per tenant: `> 1` scores each query shard by shard
+    /// over this many contiguous catalog shards ([`broker::ShardedEngine`])
+    /// and answers a proxy's per-shard requests; `<= 1` serves
+    /// monolithically. Either way the served ranking is bit-identical.
     pub shards: usize,
     /// Per-tenant admission quota: maximum in-flight routing requests per
     /// tenant before the daemon answers `503` + `Retry-After` (0 =
-    /// unlimited). One hot tenant exhausting the worker pool cannot take
-    /// quota from the others.
+    /// unlimited). One hot tenant occupying the reactors or the pool cannot
+    /// take quota from the others.
     pub tenant_quota: usize,
     /// The `Retry-After` hint on every 503 this daemon originates
     /// (admission rejections, quota rejections, proxy all-shards-down).
@@ -143,8 +162,8 @@ pub(crate) const MAX_BATCH: usize = 10_000;
 
 /// Maximum words accepted in one query, as sent (before analysis drops
 /// and deduplicates any). Analysis and planning are linear in it and run
-/// on a worker between deadline checks; no query the paper's test beds
-/// pose comes within two orders of magnitude.
+/// on a reactor or worker between deadline checks; no query the paper's
+/// test beds pose comes within two orders of magnitude.
 pub(crate) const MAX_QUERY_WORDS: usize = 1024;
 
 /// The configured `Retry-After` value as a header string: whole seconds,
@@ -168,8 +187,10 @@ const ERROR_WRITE_GRACE: Duration = Duration::from_secs(2);
 const LINGER_DRAIN: Duration = Duration::from_millis(500);
 const LINGER_DRAIN_MAX: usize = 64 * 1024;
 
-/// One parsed request handed from the reactor to the worker pool.
+/// One parsed request handed from a reactor to the worker pool.
 pub(crate) struct Task {
+    /// Index of the reactor owning the connection (its [`Mailbox`]).
+    pub(crate) reactor: usize,
     /// The owning connection's reactor token (slot | generation).
     pub(crate) token: u64,
     pub(crate) request: Request,
@@ -185,12 +206,20 @@ pub(crate) struct Task {
 /// A worker's answer, routed back to the connection by token.
 pub(crate) struct Completion {
     pub(crate) token: u64,
-    /// The fully serialized response, or `None` when the handler
-    /// panicked — the connection is dropped without a response.
-    pub(crate) bytes: Option<Vec<u8>>,
-    /// Close the connection after flushing (mirrors the serialized
-    /// `Connection: close` header).
-    pub(crate) close: bool,
+    /// What [`execute_caught`] returned: the fully serialized response and
+    /// whether to close after flushing it (mirroring its `Connection`
+    /// header), or `None` when the handler panicked — the connection is
+    /// dropped without a response.
+    pub(crate) reply: Option<(Vec<u8>, bool)>,
+}
+
+/// How other threads reach one reactor: the pool's finished responses,
+/// connections another reactor accepted and placed here, and the doorbell
+/// that pops the reactor out of its wait to collect them.
+pub(crate) struct Mailbox {
+    pub(crate) completions: CompletionQueue<Completion>,
+    pub(crate) incoming: CompletionQueue<TcpStream>,
+    pub(crate) wakeup: Wakeup,
 }
 
 /// One named catalog hosted by the daemon: its own serving state,
@@ -263,7 +292,7 @@ fn admit<'a>(shared: &Shared, tenant: &'a Tenant) -> Result<InFlightGuard<'a>, R
     Ok(InFlightGuard(tenant))
 }
 
-/// State shared between the reactor and the workers.
+/// State shared between the reactors and the workers.
 pub(crate) struct Shared {
     /// Hosted tenants, ascending by name (binary-searchable).
     pub(crate) tenants: Vec<Arc<Tenant>>,
@@ -271,12 +300,10 @@ pub(crate) struct Shared {
     /// named `default` when present, else the first.
     pub(crate) default_tenant: usize,
     pub(crate) metrics: Metrics,
-    /// Parsed requests awaiting execution.
+    /// Parsed pool requests awaiting execution.
     pub(crate) tasks: BoundedQueue<Task>,
-    /// Finished responses awaiting the reactor.
-    pub(crate) completions: CompletionQueue<Completion>,
-    /// The doorbell workers ring after posting a completion.
-    pub(crate) wakeup: Wakeup,
+    /// One per reactor, indexed by [`Task::reactor`].
+    pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) stop: AtomicBool,
     pub(crate) config: ServerConfig,
     pub(crate) limits: Limits,
@@ -299,6 +326,32 @@ impl Shared {
             .binary_search_by(|t| t.name.as_str().cmp(name))
             .ok()
             .map(|i| &self.tenants[i])
+    }
+
+    /// Set the stop flag and ring every reactor, so that none sleeps
+    /// through the shutdown in a wait with no timer armed.
+    pub(crate) fn halt(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for mailbox in &self.mailboxes {
+            mailbox.wakeup.notify();
+        }
+    }
+
+    /// Whether `request` runs to completion on the reactor that parsed it:
+    /// a catalog `POST /route` or `POST /t/<tenant>/route`. The pool takes
+    /// the rest — and a `/route` carrying `X-Debug-Sleep-Ms`, whose point is
+    /// to hold a pool thread.
+    pub(crate) fn runs_inline(&self, request: &Request) -> bool {
+        if self.proxy.is_some() || request.method != "POST" {
+            return false;
+        }
+        let path = request.path();
+        let route = path == "/route"
+            || path
+                .strip_prefix("/t/")
+                .and_then(|rest| rest.split_once('/'))
+                .is_some_and(|(_, sub)| sub == "route");
+        route && !(self.config.debug_sleep && request.header("x-debug-sleep-ms").is_some())
     }
 }
 
@@ -377,13 +430,22 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let tasks = BoundedQueue::new(config.queue_capacity);
+        let reactors = config.workers.max(1);
+        let mailboxes = (0..reactors)
+            .map(|_| {
+                Ok(Mailbox {
+                    completions: CompletionQueue::new(),
+                    incoming: CompletionQueue::new(),
+                    wakeup: Wakeup::new()?,
+                })
+            })
+            .collect::<io::Result<_>>()?;
         let shared = Arc::new(Shared {
             tenants,
             default_tenant,
-            metrics: Metrics::new(),
+            metrics: Metrics::with_reactors(reactors),
             tasks,
-            completions: CompletionQueue::new(),
-            wakeup: Wakeup::new()?,
+            mailboxes,
             stop: AtomicBool::new(false),
             config,
             limits: Limits::default(),
@@ -398,14 +460,23 @@ impl Server {
         self.shared.addr
     }
 
-    /// Run the daemon on the calling thread until `/admin/shutdown`:
-    /// connection I/O here ([`reactor::run`]), execution on the worker pool,
-    /// completions routed back through the wakeup pipe. Spawns the pool
-    /// (and the backend health checker or the background refresher, when
-    /// configured) and joins them before returning, so when `run` returns
-    /// every admitted request has been answered.
+    /// Run the daemon until `/admin/shutdown`: `workers` reactors
+    /// ([`reactor::run`], the first on the calling thread), each serving
+    /// the connections placed on it and the `/route`s they carry, and a
+    /// pool of as many workers for every other request, whose completions
+    /// go back through the owning reactor's wakeup pipe. Spawns the
+    /// reactors, the pool (and the backend health checker or the
+    /// background refresher, when configured) and joins them before
+    /// returning, so when `run` returns every admitted request has been
+    /// answered.
     pub fn run(self) -> io::Result<()> {
         let Server { listener, shared } = self;
+        // Every clone is one more fd on the same listening socket; make
+        // them all before any thread starts, so a failure leaves nothing
+        // to stop.
+        let clones = (1..shared.mailboxes.len())
+            .map(|_| listener.try_clone())
+            .collect::<io::Result<Vec<_>>>()?;
         let health = shared.proxy.as_ref().map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || proxy::health_loop(&shared))
@@ -438,15 +509,35 @@ impl Server {
                 })
             })
             .collect();
+        // Whichever reactor returns first — the shutdown drain or an
+        // error — halts the rest, so no helper thread outlives the
+        // listener.
+        let reactors: Vec<_> = clones
+            .into_iter()
+            .enumerate()
+            .map(|(at, listener)| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let result = reactor::run(listener, &shared, at + 1);
+                    shared.halt();
+                    result
+                })
+            })
+            .collect();
+        let mut result = reactor::run(listener, &shared, 0);
+        shared.halt();
+        for handle in reactors {
+            let joined = handle
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked")));
+            result = result.and(joined);
+        }
 
-        let result = reactor::run(listener, &shared);
-
-        // `stop` is already set on the shutdown path; set it on error
-        // exits too so no helper thread outlives the listener.
-        shared.stop.store(true, Ordering::SeqCst);
-        // The reactor only returns once every connection is closed; any
-        // queued task belongs to a connection it already dropped, so
-        // closing the queue and joining loses no answered request.
+        // A reactor only returns once every connection it owned is closed;
+        // any queued task belongs to a connection already dropped, so
+        // closing the queue and joining loses no answered request. (A
+        // connection placed on a reactor that had already returned was
+        // never admitted; it closes when `shared` drops.)
         shared.tasks.close();
         for handle in workers.into_iter().chain(health).chain(refresher) {
             let _ = handle.join();
@@ -456,38 +547,55 @@ impl Server {
 }
 
 /// The worker loop: execute parsed requests, post serialized responses
-/// back, ring the doorbell. A panic in the handler is caught
-/// per-task; the connection gets an abort completion (dropped without a
-/// response) and the worker lives on.
+/// back to the owning reactor, ring its doorbell. A panicked request's
+/// connection gets an abort completion (dropped without a response) and
+/// the worker lives on.
 fn execute_loop(shared: &Shared) {
     while let Some(task) = shared.tasks.pop() {
         shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let token = task.token;
-        let completion =
-            match std::panic::catch_unwind(AssertUnwindSafe(|| execute_task(shared, &task))) {
-                Ok(completion) => completion,
-                Err(_) => {
-                    shared
-                        .metrics
-                        .worker_panics_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    Completion {
-                        token,
-                        bytes: None,
-                        close: true,
-                    }
-                }
-            };
-        shared.completions.push(completion);
-        shared.wakeup.notify();
+        let reply = execute_caught(shared, &task.request, task.deadline, task.force_close);
+        let mailbox = &shared.mailboxes[task.reactor];
+        mailbox.completions.push(Completion {
+            token: task.token,
+            reply,
+        });
+        mailbox.wakeup.notify();
     }
+}
+
+/// [`execute`] under `catch_unwind`, for the pool and the reactors alike:
+/// `None` when the handler panicked (counted in
+/// `dbselectd_worker_panics_total`; what it got through before it panicked
+/// is unknown, so the connection is dropped without a response).
+pub(crate) fn execute_caught(
+    shared: &Shared,
+    request: &Request,
+    deadline: Instant,
+    force_close: bool,
+) -> Option<(Vec<u8>, bool)> {
+    let run = || execute(shared, request, deadline, force_close);
+    let caught = std::panic::catch_unwind(AssertUnwindSafe(run));
+    if caught.is_err() {
+        shared
+            .metrics
+            .worker_panics_total
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    caught.ok()
 }
 
 /// Execute one parsed request: debug hooks, dispatch, metrics, response
 /// serialization, and the keep-alive-vs-close decision — everything
-/// between the reactor's parse and its write.
-fn execute_task(shared: &Shared, task: &Task) -> Completion {
-    let request = &task.request;
+/// between the reactor's parse and its write. `force_close` says the
+/// reactor already knows the connection closes after this response
+/// (keep-alive request cap reached). Returns the serialized response and
+/// whether the connection closes after it.
+fn execute(
+    shared: &Shared,
+    request: &Request,
+    deadline: Instant,
+    force_close: bool,
+) -> (Vec<u8>, bool) {
     if shared.config.debug_sleep {
         if request.header("x-debug-panic").is_some() {
             panic!("panic injected by X-Debug-Panic");
@@ -501,7 +609,7 @@ fn execute_task(shared: &Shared, task: &Task) -> Completion {
     }
 
     let started = Instant::now();
-    let (endpoint, response) = dispatch(shared, request, task.deadline);
+    let (endpoint, response) = dispatch(shared, request, deadline);
     let elapsed = started.elapsed().as_nanos() as u64;
     match endpoint {
         "route" => shared.metrics.route_latency.observe(elapsed),
@@ -512,23 +620,17 @@ fn execute_task(shared: &Shared, task: &Task) -> Completion {
 
     let shutting_down = endpoint == "shutdown" && response.status == 200;
     if shutting_down {
-        // The wakeup rung for this completion also pops the reactor out
-        // of its wait to observe the flag.
-        shared.stop.store(true, Ordering::SeqCst);
+        shared.halt();
     }
-    let close = task.force_close
+    let close = force_close
         || !request.wants_keep_alive()
         || shutting_down
         || shared.stop.load(Ordering::SeqCst);
-    Completion {
-        token: task.token,
-        bytes: Some(serialize_response(&response, close)),
-        close,
-    }
+    (serialize_response(&response, close), close)
 }
 
 /// The `/admin/shutdown` success body, shared between catalog and proxy
-/// dispatch (`execute_task` keys the stop flag off endpoint + status).
+/// dispatch (`execute` keys the stop flag off endpoint + status).
 pub(crate) fn shutdown_response() -> Response {
     Response::json(
         200,
@@ -913,10 +1015,10 @@ fn check_shard(state: &ServingState, shard: usize) -> Result<(), Response> {
 /// thread count). `k` reaches the engines' pruned top-k path — truncation
 /// is not a serialization detail.
 ///
-/// A sharded state prefers its scatter-gather engine: the ranking is
-/// bit-identical, only the scoring parallelism differs — `scatter` fans a
-/// query's shards out over threads, and is off inside a batch, whose
-/// fan-out over queries already owns the cores. With `shard` set
+/// A sharded state scores its shards one after another on the calling
+/// thread, which is a reactor or a batch's fan-out worker: neither may
+/// spawn a scatter per query (and in-process, the scatter loses anyway).
+/// The ranking is bit-identical either way. With `shard` set
 /// (proxy-to-backend) only that shard is scored, to its shard-local top
 /// `k`, but with the choose phase and scoring context computed over the
 /// full catalog — merging every shard's partial ranking reconstructs the
@@ -927,12 +1029,10 @@ fn route_query(
     shard: Option<usize>,
     query: &[textindex::TermId],
     index: usize,
-    scatter: bool,
 ) -> selection::AdaptiveOutcome {
     let (k, rng) = (params.k, &mut db_rng(params.seed, index));
     match (shard, state.sharded_engine(params.algo, params.mode)) {
         (Some(s), Some(sharded)) => sharded.route_shard_topk(query, k, rng, s),
-        (None, Some(sharded)) if scatter => sharded.route_topk(query, k, rng),
         (None, Some(sharded)) => sharded.route_sequential_topk(query, k, rng),
         // shards == 1: shard 0 *is* the whole catalog.
         (_, None) => state
@@ -960,7 +1060,8 @@ fn handle_route(
         Err(response) => return response,
     };
     // Post-admission sleep hook (tests only): unlike `X-Debug-Sleep-Ms`,
-    // which runs before dispatch, this holds the tenant's quota slot.
+    // which sends the request to the pool and sleeps before dispatch, this
+    // holds the tenant's quota slot — and the reactor running it.
     if shared.config.debug_sleep {
         if let Some(ms) = request
             .header("x-debug-route-sleep-ms")
@@ -1009,7 +1110,7 @@ fn handle_route(
             return response;
         }
     }
-    let outcome = route_query(&state, &params, shard, &query, index, true);
+    let outcome = route_query(&state, &params, shard, &query, index);
     record_choices(shared, &params, &outcome);
 
     let (mut body, lead) = open_body(&state, generation, shard);
@@ -1077,7 +1178,7 @@ fn handle_route_batch(
             expired.store(true, Ordering::Relaxed);
             return None;
         }
-        Some(route_query(&state, &params, shard, &queries[qi], qi, false))
+        Some(route_query(&state, &params, shard, &queries[qi], qi))
     });
     if expired.load(Ordering::Relaxed) {
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);

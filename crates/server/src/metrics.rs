@@ -145,19 +145,20 @@ pub struct Metrics {
     pub route_latency: Histogram,
     /// `/route_batch` handler latency.
     pub batch_latency: Histogram,
-    /// Current depth of the admission queue.
+    /// Current depth of the pool's admission queue (`/route` never queues).
     pub queue_depth: AtomicU64,
-    /// Connections rejected because the queue was full (503s).
+    /// Requests rejected with 503: pool requests meeting a full queue, and
+    /// routing requests over their tenant's quota.
     pub rejected_total: AtomicU64,
     /// Requests that exceeded their deadline (504s) or timed out reading
     /// (408s).
     pub timeout_total: AtomicU64,
     /// Successful catalog reloads.
     pub reload_total: AtomicU64,
-    /// Connections served by workers (each may carry many requests).
+    /// Connections accepted (each may carry many requests).
     pub connections_total: AtomicU64,
-    /// Handler panics caught by the worker pool; the connection dropped
-    /// but the worker survived.
+    /// Handler panics caught on a pool worker or on a reactor running a
+    /// `/route`; the connection dropped but the thread survived.
     pub worker_panics_total: AtomicU64,
     /// Catalog loads (admin reloads or background refresh polls) that
     /// failed — missing file, corrupt snapshot, broken delta chain. The
@@ -167,9 +168,16 @@ pub struct Metrics {
     pub open_connections: AtomicU64,
     /// Connections per reactor state, indexed by [`ConnState`].
     pub connections_state: [AtomicU64; CONN_STATES.len()],
+    /// Open connections per reactor, counted from the moment one is
+    /// placed on it: what accepting reactors balance new connections on.
+    pub reactor_connections: Box<[AtomicU64]>,
     /// Times the reactor's poll wait returned (readiness, doorbell, or
     /// timer tick).
     pub reactor_wakeups_total: AtomicU64,
+    /// Entries in the reactors' timer wheels, summed, superseded ones
+    /// included: about one per slab slot (per peak concurrent connection),
+    /// however many requests and connections the slots have served.
+    pub reactor_timers: AtomicU64,
     /// `EAGAIN`/`EWOULDBLOCK` results across reactor reads, writes, and
     /// accepts — each one is a syscall that found no progress to make.
     pub eagain_total: AtomicU64,
@@ -197,8 +205,14 @@ pub enum ConnState {
 }
 
 impl Metrics {
-    /// A fresh registry; `started` anchors the uptime gauge.
+    /// A fresh registry for a single reactor; `started` anchors the uptime
+    /// gauge.
     pub fn new() -> Self {
+        Metrics::with_reactors(1)
+    }
+
+    /// A fresh registry for a daemon running `reactors` reactors.
+    pub fn with_reactors(reactors: usize) -> Self {
         Metrics {
             started: Instant::now(),
             requests: Mutex::new(BTreeMap::new()),
@@ -213,7 +227,9 @@ impl Metrics {
             catalog_load_failures_total: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             connections_state: Default::default(),
+            reactor_connections: (0..reactors.max(1)).map(|_| AtomicU64::new(0)).collect(),
             reactor_wakeups_total: AtomicU64::new(0),
+            reactor_timers: AtomicU64::new(0),
             eagain_total: AtomicU64::new(0),
             uncertainty_tests_total: Default::default(),
             shrinkage_applied_total: Default::default(),
@@ -359,14 +375,24 @@ impl Metrics {
                 gauge.load(Ordering::Relaxed),
             ));
         }
+        out.push_str("# TYPE dbselectd_reactor_connections gauge\n");
+        for (reactor, gauge) in self.reactor_connections.iter().enumerate() {
+            out.push_str(&format!(
+                "dbselectd_reactor_connections{{reactor=\"{reactor}\"}} {}\n",
+                gauge.load(Ordering::Relaxed),
+            ));
+        }
         out.push_str(&format!(
             "# TYPE dbselectd_reactor_wakeups_total counter\n\
              dbselectd_reactor_wakeups_total {}\n\
+             # TYPE dbselectd_reactor_timers gauge\n\
+             dbselectd_reactor_timers {}\n\
              # TYPE dbselectd_eagain_total counter\n\
              dbselectd_eagain_total {}\n\
              # TYPE dbselectd_uptime_seconds gauge\n\
              dbselectd_uptime_seconds {:.3}\n",
             self.reactor_wakeups_total.load(Ordering::Relaxed),
+            self.reactor_timers.load(Ordering::Relaxed),
             self.eagain_total.load(Ordering::Relaxed),
             self.started.elapsed().as_secs_f64(),
         ));
@@ -577,6 +603,8 @@ mod tests {
         assert!(text.contains("dbselectd_catalog_load_failures_total 0"));
         assert!(text.contains("dbselectd_open_connections 0"));
         assert!(text.contains("dbselectd_reactor_wakeups_total 0"));
+        assert!(text.contains("dbselectd_reactor_timers 0"));
+        assert!(text.contains("dbselectd_reactor_connections{reactor=\"0\"} 0"));
         assert!(text.contains("dbselectd_eagain_total 0"));
         for state in CONN_STATES {
             assert!(

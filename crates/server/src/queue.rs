@@ -88,7 +88,8 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Nonblocking MPSC mailbox for worker → reactor completions.
+/// Nonblocking MPSC mailbox into a reactor: worker completions, and
+/// connections another reactor placed on it.
 pub struct CompletionQueue<T> {
     items: Mutex<VecDeque<T>>,
 }

@@ -1,39 +1,70 @@
-//! The connection reactor: one thread owning all connection I/O.
+//! A connection reactor: one thread owning the I/O of the connections
+//! placed on it, and running the `/route`s they carry.
+//!
+//! `Server::run` starts one reactor per worker, each registered on its own
+//! clone of the listener, so every reactor waiting when a connection
+//! arrives wakes, and one of them accepts it. A connection stays on one
+//! reactor for life, and a keep-alive one may carry thousands of requests,
+//! so the accepting reactor does not simply keep it: it places it on the
+//! reactor holding the fewest connections, itself on a tie (it is awake,
+//! which a reactor busy running a long `/route` is not), through that
+//! reactor's mailbox. Per-reactor counts move at placement, so a burst
+//! one reactor drains still spreads evenly.
 //!
 //! Connections live in a slab, addressed by generation-tagged tokens
-//! (`slot | gen << 32`) so a completion or timer firing for a connection
-//! that has since closed — and whose slot was reused — is recognized as
-//! stale and dropped instead of poking the new tenant (the classic
-//! fd-reuse ABA). Each connection is a small state machine:
+//! (`slot | gen << 32`) so an event or completion for a connection that
+//! has since closed — and whose slot was reused — is recognized as stale
+//! and dropped instead of poking the new tenant (the classic fd-reuse
+//! ABA). Each connection is a small state machine:
 //!
 //! ```text
-//!              ┌────────────────────────────┐
-//!   accept ──► │ Reading ──► Executing ──►  │ Writing ──► Idle
-//!              │   ▲   (worker pool, via    │   │           │
-//!              │   │    task + completion   │   │           │ next request
-//!              │   │    queues + wakeup)    │   │           ▼ (or leftover
-//!              │   └────────────────────────┼───┴──────── Reading  bytes)
-//!              │ parse error / 408 / 503 ──►│ Writing ──► Draining ──► closed
-//!              └────────────────────────────┘  (lingering close)
+//!             ┌──────────── /route: executed here, written at once ───────────┐
+//!             │                                                               ▼
+//!  accept ──► Reading ──► Executing ──── completion + wakeup ────────────► Writing ──► Idle
+//!             ▲  ▲        (any other request: task queue, worker pool)       │          │
+//!             │  └──────────────────── pipelined bytes ──────────────────────┘          │
+//!             └────────────────────────────── next request ─────────────────────────────┘
+//!  parse error / 408 / 503 ──► Writing ──► Draining ──► closed   (lingering close)
 //! ```
+//!
+//! Several complete requests in one read are served in a loop, never by
+//! recursion, and in order: a pool request stops the loop until its
+//! completion is written. A read that completes a request is the last one
+//! for that readiness event — whatever the socket still holds waits for
+//! the next, which the level-triggered poller reports — so a client that
+//! pipelines without pause gets one read's worth of requests (at most
+//! `READ_CHUNK` bytes) served per turn of the loop, and the reactor's
+//! other connections, timers, completions and accepts get their turn in
+//! between.
 //!
 //! Every deadline — request read, idle reap, write grace, linger bound —
 //! is an absolute [`TimerWheel`] entry; there are no per-syscall OS
-//! timeouts anywhere on this path. Timers cancel lazily: arming bumps the
-//! connection's `timer_gen`, and a fired entry whose generation no longer
-//! matches is ignored.
+//! timeouts anywhere on this path. A connection keeps the deadline it
+//! currently enforces (`due`); its slab slot keeps the due time of the
+//! slot's one live wheel entry. Arming a due no earlier than the live
+//! entry's pushes nothing: the entry fires, finds the later due and
+//! re-arms for it. Only an earlier due pushes a new entry, bumping the
+//! slot's `timer_gen` so that the superseded one is ignored when it fires.
+//! So a keep-alive connection extends its idle reap in place however many
+//! requests it serves, and a connection accepted into a freed slot takes
+//! over the entry its predecessor left. The read deadline is armed only
+//! when a request is still incomplete after the read that started it (and
+//! at accept, for a connection that never sends one), and the write grace
+//! only when a write meets `EAGAIN`. The wheel therefore holds about one
+//! entry per slot, i.e. per peak concurrent connection.
 //!
-//! Interest discipline: a connection waits in at most one direction.
-//! While `Executing` its fd is deregistered entirely — a level-triggered
-//! poller would otherwise spin on a peer hangup until the worker finishes
-//! — and responses are first written optimistically, registering write
-//! interest only after a real `EAGAIN`.
+//! Interest discipline: a connection waits in at most one direction. A
+//! pool request's fd is deregistered while it executes — a
+//! level-triggered poller would otherwise spin on a peer hangup until the
+//! worker finishes — and every response is written optimistically,
+//! switching to write interest only after a real `EAGAIN`. An inline
+//! `/route` keeps its read registration throughout: the reactor does not
+//! wait while it runs.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd as _;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::http::{serialize_response, try_parse, ParseStatus, Response};
@@ -41,7 +72,8 @@ use crate::metrics::ConnState;
 use crate::poller::{new_poller, Event, Interest, Poller};
 use crate::timer::TimerWheel;
 use crate::{
-    retry_after_value, Completion, Shared, Task, ERROR_WRITE_GRACE, LINGER_DRAIN, LINGER_DRAIN_MAX,
+    execute_caught, retry_after_value, Completion, Shared, Task, ERROR_WRITE_GRACE, LINGER_DRAIN,
+    LINGER_DRAIN_MAX,
 };
 
 /// Timer-wheel granularity. Every deadline the daemon enforces is tens of
@@ -50,10 +82,12 @@ use crate::{
 const TICK: Duration = Duration::from_millis(20);
 const SLOTS: usize = 512;
 
-/// Most bytes offered to one `read` call. Also the increment in which a
-/// pipelining client can grow `rbuf` past one complete request — parsing
-/// after every chunk stops reading as soon as a request completes, so
-/// kernel-buffer backpressure (not memory) absorbs over-eager senders.
+/// Most bytes offered to one `read` call, and so the most pipelined
+/// request bytes one readiness event serves: a read that completes a
+/// request ends the event. `rbuf` holds at most one such chunk beyond the
+/// request being assembled (a pool request stops the serving loop with
+/// the rest of its chunk buffered, and reading waits for its completion),
+/// so kernel-buffer backpressure, not memory, absorbs over-eager senders.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Least room offered to one `read` call (a typical request fits).
@@ -72,13 +106,14 @@ fn split_token(token: u64) -> (usize, u32) {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Accumulating request bytes; the request deadline is armed.
+    /// Accumulating request bytes; the request deadline is armed while
+    /// they stay incomplete. An inline `/route` also executes here.
     Reading,
-    /// A parsed request is queued or running on a worker; fd
-    /// deregistered, no timer (the worker enforces the deadline, the
-    /// write timer takes over at completion).
+    /// A parsed pool request is queued or running on a worker; fd
+    /// deregistered, no timer (the worker enforces the deadline).
     Executing,
-    /// Flushing a serialized response; write-grace timer armed.
+    /// Flushing a serialized response; the write grace is armed once a
+    /// write blocks.
     Writing,
     /// Kept-alive between requests; idle timer armed.
     Idle,
@@ -116,9 +151,8 @@ struct Conn {
     served: usize,
     /// Current request's absolute deadline.
     deadline: Instant,
-    /// Lazy timer cancellation: only a firing with the latest generation
-    /// is honored.
-    timer_gen: u64,
+    /// The deadline the current phase enforces (`None`: none).
+    due: Option<Instant>,
     close_after_write: bool,
     /// Close via the Draining phase (response written after a partial
     /// request read — unread bytes would otherwise trigger an RST).
@@ -127,32 +161,54 @@ struct Conn {
     drained: usize,
 }
 
+/// What a slab slot keeps across the connections it holds.
+#[derive(Default)]
+struct Slot {
+    /// Bumped on every (re)allocation; tags the slot's tokens.
+    gen: u32,
+    /// Generation of the slot's live wheel entry: a firing entry with any
+    /// other was superseded by an earlier due, and is ignored.
+    timer_gen: u64,
+    /// Due time of the live entry while it is in the wheel. A connection
+    /// that closes leaves it there for the slot's next connection, which
+    /// arms no entry while its own deadline is later.
+    entry_due: Option<Instant>,
+}
+
 struct Reactor<'a> {
     shared: &'a Shared,
+    /// This reactor's index: its mailbox, and what its pool tasks carry.
+    index: usize,
     poller: Box<dyn Poller>,
     conns: Vec<Option<Conn>>,
-    /// Per-slot generation counter; bumped on every (re)allocation.
-    gens: Vec<u32>,
+    /// Per-slot state that outlives a connection, indexed like `conns`.
+    slots: Vec<Slot>,
     free: Vec<usize>,
     timer: TimerWheel,
+    /// This reactor's share of `dbselectd_reactor_timers`, as last added.
+    timers_published: usize,
     open: usize,
 }
 
-/// Run the reactor until shutdown: returns once every connection has
-/// closed. Workers must already be consuming `shared.tasks`.
-pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()> {
+/// Run reactor `index` until shutdown: returns once every connection
+/// placed on it has closed. Workers must already be consuming
+/// `shared.tasks`.
+pub(crate) fn run(listener: TcpListener, shared: &Shared, index: usize) -> io::Result<()> {
     listener.set_nonblocking(true)?;
+    let mailbox = &shared.mailboxes[index];
     let mut poller = new_poller()?;
     poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::Read)?;
-    poller.register(shared.wakeup.read_fd(), WAKE_TOKEN, Interest::Read)?;
+    poller.register(mailbox.wakeup.read_fd(), WAKE_TOKEN, Interest::Read)?;
 
     let mut reactor = Reactor {
         shared,
+        index,
         poller,
         conns: Vec::new(),
-        gens: Vec::new(),
+        slots: Vec::new(),
         free: Vec::new(),
         timer: TimerWheel::new(TICK, SLOTS, Instant::now()),
+        timers_published: 0,
         open: 0,
     };
     let mut events: Vec<Event> = Vec::new();
@@ -167,13 +223,14 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
             }
             // Connections not owed a response close now; Executing and
             // Writing ones finish flushing first (and close then, since
-            // `stop` forces `close` on every completion).
+            // `stop` forces `close` on every response).
             reactor.close_quiescent();
             if reactor.open == 0 {
                 return Ok(());
             }
         }
 
+        reactor.publish_timers();
         let timeout = reactor.timer.next_timeout(Instant::now());
         reactor.poller.wait(&mut events, timeout)?;
         shared
@@ -181,9 +238,13 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
             .reactor_wakeups_total
             .fetch_add(1, Ordering::Relaxed);
 
-        for event in std::mem::take(&mut events) {
+        let mut rung = false;
+        for event in events.drain(..) {
             match event.token {
-                WAKE_TOKEN => shared.wakeup.drain(),
+                WAKE_TOKEN => {
+                    mailbox.wakeup.drain();
+                    rung = true;
+                }
                 LISTEN_TOKEN => {
                     if accepting {
                         reactor.accept_all(&listener);
@@ -193,13 +254,23 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()>
             }
         }
 
-        while let Some(completion) = shared.completions.pop() {
-            reactor.on_completion(completion);
+        // A worker (or a placing reactor) pushes before it rings, so a
+        // delivery this drain misses rings the doorbell again. A
+        // connection placed here during shutdown is admitted only to be
+        // closed at the top of the loop.
+        if rung {
+            while let Some(stream) = mailbox.incoming.pop() {
+                reactor.admit(stream);
+            }
+            while let Some(completion) = mailbox.completions.pop() {
+                reactor.on_completion(completion);
+            }
         }
 
-        reactor.timer.advance(Instant::now(), &mut expired);
-        for (tok, timer_gen) in expired.drain(..) {
-            reactor.on_timer(tok, timer_gen);
+        let now = Instant::now();
+        reactor.timer.advance(now, &mut expired);
+        for (slot, timer_gen) in expired.drain(..) {
+            reactor.on_timer(slot, timer_gen, now);
         }
     }
 }
@@ -212,11 +283,24 @@ impl Reactor<'_> {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accept until the backlog is dry.
+    /// Bring this reactor's share of the timers gauge up to date.
+    fn publish_timers(&mut self) {
+        let live = self.timer.len();
+        if live != self.timers_published {
+            let delta = (live as u64).wrapping_sub(self.timers_published as u64);
+            self.shared
+                .metrics
+                .reactor_timers
+                .fetch_add(delta, Ordering::Relaxed);
+            self.timers_published = live;
+        }
+    }
+
+    /// Accept until the backlog is dry, placing each connection.
     fn accept_all(&mut self, listener: &TcpListener) {
         loop {
             match listener.accept() {
-                Ok((stream, _)) => self.admit(stream),
+                Ok((stream, _)) => self.place(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.eagain();
                     return;
@@ -230,8 +314,33 @@ impl Reactor<'_> {
         }
     }
 
+    /// Hand an accepted connection to the reactor holding the fewest,
+    /// keeping it when this one is among them. The count moves here, not
+    /// at admission, so the next placement already sees it.
+    fn place(&mut self, stream: TcpStream) {
+        let counts = &self.shared.metrics.reactor_connections;
+        let load = |at: usize| counts[at].load(Ordering::Relaxed);
+        let mine = load(self.index);
+        let target = (0..counts.len())
+            .map(|at| (load(at), at))
+            .min()
+            .filter(|&(least, _)| least < mine)
+            .map_or(self.index, |(_, at)| at);
+        counts[target].fetch_add(1, Ordering::Relaxed);
+        if target == self.index {
+            self.admit(stream);
+        } else {
+            let mailbox = &self.shared.mailboxes[target];
+            mailbox.incoming.push(stream);
+            mailbox.wakeup.notify();
+        }
+    }
+
+    /// Take a connection placed on this reactor into the slab, or drop it
+    /// when it cannot be watched.
     fn admit(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
+            self.shed();
             return;
         }
         // Nagle + the peer's delayed ACK would add ~40ms to every
@@ -241,11 +350,11 @@ impl Reactor<'_> {
 
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
-            self.gens.push(0);
+            self.slots.push(Slot::default());
             self.conns.len() - 1
         });
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-        let gen = self.gens[slot];
+        let gen = self.slots[slot].gen.wrapping_add(1);
+        self.slots[slot].gen = gen;
         let now = Instant::now();
         // The first request's deadline is stamped at accept: a client
         // that connects and sends nothing holds its slot for one deadline,
@@ -260,6 +369,7 @@ impl Reactor<'_> {
         {
             // Out of epoll watches — shed the connection.
             self.free.push(slot);
+            self.shed();
             return;
         }
         self.conns[slot] = Some(Conn {
@@ -272,7 +382,7 @@ impl Reactor<'_> {
             wpos: 0,
             served: 0,
             deadline,
-            timer_gen: 0,
+            due: None,
             close_after_write: false,
             linger_after_write: false,
             drained: 0,
@@ -298,6 +408,12 @@ impl Reactor<'_> {
         metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
         self.open -= 1;
         self.free.push(slot);
+        self.shed();
+    }
+
+    /// Take one connection off this reactor's placement count.
+    fn shed(&self) {
+        self.shared.metrics.reactor_connections[self.index].fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Close every connection the daemon owes nothing to (shutdown
@@ -314,22 +430,30 @@ impl Reactor<'_> {
         }
     }
 
-    /// Arm the connection's (single) timer for `due`, invalidating any
-    /// previously armed one.
+    /// Make `due` the connection's deadline. A live wheel entry due no
+    /// later stays and re-arms for `due` when it fires, so extending a
+    /// deadline pushes nothing; an earlier `due` pushes a new entry and
+    /// supersedes the live one.
     fn arm(&mut self, slot: usize, due: Instant) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        conn.timer_gen += 1;
+        conn.due = Some(due);
+        let entry = &mut self.slots[slot];
+        if entry.entry_due.is_some_and(|live| live <= due) {
+            return;
+        }
+        entry.timer_gen += 1;
+        entry.entry_due = Some(due);
         self.timer
-            .arm(due, token(slot, conn.gen), conn.timer_gen, Instant::now());
+            .arm(due, slot as u64, entry.timer_gen, Instant::now());
     }
 
-    /// Invalidate the connection's armed timer (lazy: the wheel entry
-    /// stays and is dropped when it fires with a stale generation).
+    /// Drop the connection's deadline. A live entry stays in the wheel and
+    /// lapses when it fires.
     fn cancel_timer(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].as_mut() {
-            conn.timer_gen += 1;
+            conn.due = None;
         }
     }
 
@@ -386,6 +510,7 @@ impl Reactor<'_> {
             Phase::Writing => {
                 if event.writable || event.hangup {
                     self.flush(slot);
+                    self.advance_parse(slot);
                 }
             }
             Phase::Draining => self.on_drain(slot),
@@ -395,7 +520,8 @@ impl Reactor<'_> {
         }
     }
 
-    /// Pull bytes until `EAGAIN`, a complete request, or EOF.
+    /// Pull bytes until `EAGAIN`, a short read, a read that completes a
+    /// request, or EOF.
     fn on_readable(&mut self, slot: usize) {
         loop {
             let Some(conn) = self.conns[slot].as_mut() else {
@@ -414,9 +540,9 @@ impl Reactor<'_> {
             conn.rbuf.resize(filled + room, 0);
             let read = conn.stream.read(&mut conn.rbuf[filled..]);
             conn.rbuf.truncate(filled + read.as_ref().map_or(0, |&n| n));
-            match read {
+            let n = match read {
                 Ok(0) => break, // EOF
-                Ok(_) => {}
+                Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.eagain();
                     return;
@@ -426,18 +552,28 @@ impl Reactor<'_> {
                     self.close(slot);
                     return;
                 }
-            }
+            };
+            let served = conn.served;
             if conn.phase == Phase::Idle {
                 // First byte of the next request on a kept-alive
                 // connection stamps a fresh deadline: the time spent idle
                 // between requests is the idle timer's, not this
                 // request's.
-                let deadline = Instant::now() + self.shared.config.deadline;
-                conn.deadline = deadline;
+                conn.deadline = Instant::now() + self.shared.config.deadline;
                 self.set_phase(slot, Phase::Reading);
-                self.arm(slot, deadline);
             }
             self.advance_parse(slot);
+            let completed = self.conns[slot]
+                .as_ref()
+                .is_none_or(|conn| conn.served != served);
+            if n < room || completed {
+                // Either the socket held less than was asked for — it is
+                // drained, and the level-triggered poller reports what
+                // comes next (EOF included) without a read that only says
+                // `EAGAIN` — or this read completed a request, and the
+                // rest waits its turn behind the reactor's other work.
+                return;
+            }
         }
 
         // EOF. An idle or empty connection closed cleanly; a request cut
@@ -455,62 +591,88 @@ impl Reactor<'_> {
         self.respond(slot, &response, false);
     }
 
-    /// Try to complete a request out of `rbuf`; on success hand it to the
-    /// worker pool (or answer `503` when the pool's queue is full).
+    /// Serve what `rbuf` holds, in order: each complete `/route` runs here
+    /// and its response is written at once, and the loop goes on while
+    /// that leaves the connection Reading with bytes buffered; any other
+    /// request goes to the worker pool (or is answered `503` when the
+    /// pool's queue is full) and stops the loop until its completion.
     fn advance_parse(&mut self, slot: usize) {
         let shared = self.shared;
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
-        if conn.phase != Phase::Reading {
-            return;
-        }
-        match try_parse(&conn.rbuf, &shared.limits) {
-            Ok(ParseStatus::NeedMore) => {}
-            Ok(ParseStatus::Complete { request, consumed }) => {
-                conn.rbuf.drain(..consumed);
-                conn.served += 1;
-                let force_close = conn.served >= shared.config.keep_alive_requests.max(1);
-                let task = Task {
-                    token: token(slot, conn.gen),
-                    request,
-                    deadline: conn.deadline,
-                    force_close,
-                };
-                // The gauge is one atomic incremented here and decremented
-                // at pop. Incrementing *before* the push and undoing on
-                // rejection means a pop can never decrement ahead of its
-                // push's increment; publishing `try_push`'s depth instead
-                // would let concurrent updates land out of order and leave
-                // the gauge stale.
-                shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-                match shared.tasks.try_push(task) {
-                    Ok(_) => {
-                        self.set_phase(slot, Phase::Executing);
-                        self.cancel_timer(slot);
-                        self.set_interest(slot, None);
-                    }
-                    Err(_) => {
-                        // Admission control: the door is the parse
-                        // boundary — a connection costs a slab slot, only a
-                        // complete request costs a queue slot.
-                        shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        shared
-                            .metrics
-                            .rejected_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.metrics.record("admission", 503);
-                        let response = Response::error(503, "queue full")
-                            .with_header("Retry-After", retry_after_value(&shared.config));
-                        self.respond(slot, &response, false);
-                    }
+        loop {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return;
+            };
+            if conn.phase != Phase::Reading {
+                return;
+            }
+            let (request, consumed) = match try_parse(&conn.rbuf, &shared.limits) {
+                Ok(ParseStatus::NeedMore) => {
+                    // Still incomplete after the read that started it: now
+                    // the deadline needs a timer.
+                    let deadline = conn.deadline;
+                    self.arm(slot, deadline);
+                    return;
+                }
+                Ok(ParseStatus::Complete { request, consumed }) => (request, consumed),
+                Err(err) => {
+                    shared.metrics.record("parse", err.status());
+                    let response = Response::error(err.status(), &err.detail());
+                    self.respond(slot, &response, true);
+                    return;
+                }
+            };
+            conn.rbuf.drain(..consumed);
+            conn.served += 1;
+            let force_close = conn.served >= shared.config.keep_alive_requests.max(1);
+            let deadline = conn.deadline;
+            let tok = token(slot, conn.gen);
+            self.cancel_timer(slot);
+
+            if shared.runs_inline(&request) {
+                match execute_caught(shared, &request, deadline, force_close) {
+                    Some((bytes, close)) => self.start_write(slot, bytes, close, false),
+                    // Handler panic: drop the connection without a
+                    // response, as the pool does.
+                    None => self.close(slot),
+                }
+                continue;
+            }
+
+            let task = Task {
+                reactor: self.index,
+                token: tok,
+                request,
+                deadline,
+                force_close,
+            };
+            // The gauge is one atomic incremented here and decremented
+            // at pop. Incrementing *before* the push and undoing on
+            // rejection means a pop can never decrement ahead of its
+            // push's increment; publishing `try_push`'s depth instead
+            // would let concurrent updates land out of order and leave
+            // the gauge stale.
+            shared.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+            match shared.tasks.try_push(task) {
+                Ok(_) => {
+                    self.set_phase(slot, Phase::Executing);
+                    self.set_interest(slot, None);
+                }
+                Err(_) => {
+                    // Admission control: the door is the parse
+                    // boundary — a connection costs a slab slot, only a
+                    // complete request costs a queue slot.
+                    shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    shared
+                        .metrics
+                        .rejected_total
+                        .fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.record("admission", 503);
+                    let response = Response::error(503, "queue full")
+                        .with_header("Retry-After", retry_after_value(&shared.config));
+                    self.respond(slot, &response, false);
                 }
             }
-            Err(err) => {
-                shared.metrics.record("parse", err.status());
-                let response = Response::error(err.status(), &err.detail());
-                self.respond(slot, &response, true);
-            }
+            return;
         }
     }
 
@@ -527,9 +689,8 @@ impl Reactor<'_> {
         self.start_write(slot, bytes, true, linger);
     }
 
-    /// Begin flushing `bytes`; the write budget is the request deadline
-    /// floored by the error-write grace: a `504`/`408` is written *because*
-    /// the deadline passed, and must still be flushable.
+    /// Begin flushing `bytes`, with no timer: the write grace is armed
+    /// only if the optimistic write blocks.
     fn start_write(&mut self, slot: usize, bytes: Vec<u8>, close: bool, linger: bool) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
@@ -538,12 +699,8 @@ impl Reactor<'_> {
         conn.wpos = 0;
         conn.close_after_write = close;
         conn.linger_after_write = linger;
-        let due = conn.deadline.max(Instant::now() + ERROR_WRITE_GRACE);
+        conn.due = None;
         self.set_phase(slot, Phase::Writing);
-        // No read interest while writing: a level-triggered poller would
-        // spin on buffered request bytes we are not ready to parse.
-        self.set_interest(slot, None);
-        self.arm(slot, due);
         self.flush(slot);
     }
 
@@ -568,7 +725,19 @@ impl Reactor<'_> {
                 }
                 Ok(n) => conn.wpos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // The first block of this response arms the write
+                    // grace: the request deadline floored by
+                    // `ERROR_WRITE_GRACE`, since a `504`/`408` is written
+                    // *because* the deadline passed and must still be
+                    // flushable.
+                    let grace = conn
+                        .due
+                        .is_none()
+                        .then(|| conn.deadline.max(Instant::now() + ERROR_WRITE_GRACE));
                     self.eagain();
+                    if let Some(due) = grace {
+                        self.arm(slot, due);
+                    }
                     self.set_interest(slot, Some(Interest::Write));
                     return;
                 }
@@ -582,7 +751,8 @@ impl Reactor<'_> {
     }
 
     /// The response is fully flushed: close, drain, or return to the
-    /// keep-alive cycle.
+    /// keep-alive cycle. A buffered next request leaves the connection
+    /// Reading for whoever flushed to parse.
     fn write_done(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
@@ -608,15 +778,9 @@ impl Reactor<'_> {
             // The next pipelined request is already buffered; its
             // deadline starts now, when the daemon turns to it — not while
             // it waited behind the response just flushed.
-            let deadline = now + self.shared.config.deadline;
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            conn.deadline = deadline;
+            conn.deadline = now + self.shared.config.deadline;
             self.set_phase(slot, Phase::Reading);
             self.set_interest(slot, Some(Interest::Read));
-            self.arm(slot, deadline);
-            self.advance_parse(slot);
         } else {
             let idle_due = now + self.shared.config.idle_timeout;
             self.set_phase(slot, Phase::Idle);
@@ -676,7 +840,7 @@ impl Reactor<'_> {
 
     /// A worker finished a request: route the serialized response back to
     /// the connection, unless the connection is gone or its slot was
-    /// reused (stale token).
+    /// reused (stale token), then serve whatever was pipelined behind it.
     fn on_completion(&mut self, completion: Completion) {
         let (slot, gen) = split_token(completion.token);
         let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
@@ -685,24 +849,40 @@ impl Reactor<'_> {
         if conn.gen != gen || conn.phase != Phase::Executing {
             return;
         }
-        match completion.bytes {
+        match completion.reply {
             // Handler panic: drop the connection without a response —
             // what the handler got through before it panicked is unknown,
             // so there is nothing truthful to say.
             None => self.close(slot),
-            Some(bytes) => self.start_write(slot, bytes, completion.close, false),
+            Some((bytes, close)) => {
+                self.start_write(slot, bytes, close, false);
+                self.advance_parse(slot);
+            }
         }
     }
 
-    /// An armed deadline fired (and is current — stale generations were
-    /// filtered by the caller's match against `timer_gen`).
-    fn on_timer(&mut self, tok: u64, timer_gen: u64) {
-        let (slot, gen) = split_token(tok);
-        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+    /// Slot `slot`'s wheel entry fired at `now`. A superseded entry, or
+    /// one whose slot holds no connection, is ignored; a deadline the
+    /// slot's connection extended (or a later connection brought) since
+    /// the entry was pushed re-arms; a deadline that has passed acts on
+    /// the phase.
+    fn on_timer(&mut self, slot: u64, timer_gen: u64, now: Instant) {
+        let slot = slot as usize;
+        let entry = &mut self.slots[slot];
+        if entry.timer_gen != timer_gen {
+            return;
+        }
+        entry.entry_due = None;
+        let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if conn.gen != gen || conn.timer_gen != timer_gen {
-            return; // cancelled or superseded
+        match conn.due {
+            None => return,
+            Some(due) if due > now => {
+                self.arm(slot, due);
+                return;
+            }
+            Some(_) => conn.due = None,
         }
         match conn.phase {
             Phase::Reading => {
@@ -719,8 +899,7 @@ impl Reactor<'_> {
             // The write grace is spent; nothing more the daemon owes.
             Phase::Writing => self.close(slot),
             Phase::Draining => self.close(slot),
-            // Executing arms no timer; a current-generation firing here
-            // cannot happen.
+            // Executing wants no deadline; a passed one cannot be current.
             Phase::Executing => {}
         }
     }

@@ -2,9 +2,14 @@
 //! deadline, idle timeout, write grace, linger bound) hashed into coarse
 //! slots so arming, firing, and lazy cancellation are all O(1).
 //!
-//! Cancellation is lazy by design: the reactor never removes an entry,
-//! it bumps the connection's `timer_gen` instead, and a firing entry
-//! whose generation no longer matches is simply dropped. A timer due
+//! Cancellation is lazy by design: the wheel never removes an entry
+//! before it is due. The reactor keeps one live entry per slab slot,
+//! tokened by the slot index and tagged with the slot's `timer_gen`; an
+//! earlier due pushes a new entry and bumps the generation, and a firing
+//! entry whose generation no longer matches is simply dropped. A later
+//! due pushes nothing: when the live entry fires, the reactor finds the
+//! slot's connection — possibly a later one than the entry was pushed
+//! for — wanting a later time, and re-arms for it. A timer due
 //! beyond one wheel rotation parks in its slot and is re-armed on each
 //! visit until its absolute due time arrives (implicit rounds), so no
 //! separate overflow list is needed.

@@ -54,9 +54,9 @@ smoke_pass() {
 
     # Short deadline/idle-timeout so the fault-injection phase below
     # finishes quickly; both are still far above any healthy request's
-    # needs.
+    # needs. The keep-alive cap leaves room for the pipelining check.
     "$DBSELECT" serve --catalog "$WORK/col.snapshot" --addr "$ADDR" \
-        --deadline-ms 2000 --idle-timeout-ms 500 &
+        --deadline-ms 2000 --idle-timeout-ms 500 --keep-alive-requests 1000 &
     SERVE_PID=$!
     for _ in $(seq 1 50); do
         curl -sf "http://$ADDR/healthz" > /dev/null 2>&1 && break
@@ -106,6 +106,37 @@ smoke_pass() {
     grep -E '^dbselectd_reactor_wakeups_total [1-9][0-9]*$' "$WORK/metrics1.txt"
     # … and the scraping request is the one executing connection.
     grep 'dbselectd_connections_state{state="executing"} 1' "$WORK/metrics1.txt"
+    # Each of the default four reactors reports the connections placed on it.
+    for reactor in 0 1 2 3; do
+        grep "^dbselectd_reactor_connections{reactor=\"$reactor\"} " "$WORK/metrics1.txt"
+    done
+
+    # --- /route runs on the reactor that read it: 200 pipelined on one ----
+    # connection come back byte-identical, and the timer wheel keeps a
+    # couple of entries per connection, not three per request.
+    python3 - "$ADDR" <<'EOF'
+import socket, sys, urllib.request
+addr = sys.argv[1]
+host, port = addr.rsplit(":", 1)
+body = b'{"query":"heart blood"}'
+request = b"POST /route HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+sock = socket.create_connection((host, int(port)), timeout=10)
+sock.sendall(request * 200)
+reader = sock.makefile("rb")
+bodies = []
+for _ in range(200):
+    head = b"".join(iter(reader.readline, b"\r\n"))
+    assert head.startswith(b"HTTP/1.1 200 "), head
+    length = next(int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length:"))
+    bodies.append(reader.read(length))
+assert all(b == bodies[0] for b in bodies), "pipelined bodies differ"
+metrics = urllib.request.urlopen("http://%s/metrics" % addr, timeout=10).read().decode()
+timers = next(int(l.split()[1]) for l in metrics.splitlines()
+              if l.startswith("dbselectd_reactor_timers "))
+assert timers <= 50, "%d timer-wheel entries after 200 requests" % timers
+print("  pipelined: 200 identical bodies; %d timer-wheel entries" % timers)
+EOF
 
     # --- fault injection: slow clients must not wedge or panic the pool ---
     python3 "$(dirname "$0")/fault_inject.py" "$ADDR" 2.0
