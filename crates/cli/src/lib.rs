@@ -86,22 +86,32 @@ impl Default for IndexOptions {
     }
 }
 
+/// `err` with `path` in front of its message.
+fn naming(path: &Path, err: io::Error) -> io::Error {
+    io::Error::new(err.kind(), format!("{}: {err}", path.display()))
+}
+
 /// Read every regular file in `dir` (sorted by name for determinism) as one
-/// document.
+/// document. Bytes that are not UTF-8 are decoded lossily, so a Latin-1
+/// file keeps its ASCII words; a directory or file that cannot be read is
+/// an error naming it.
 fn read_documents(
     dir: &Path,
     analyzer: &Analyzer,
     dict: &mut TermDict,
 ) -> io::Result<Vec<Document>> {
-    let mut paths: Vec<_> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_file())
-        .collect();
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|e| naming(dir, e))? {
+        let path = entry.map_err(|e| naming(dir, e))?.path();
+        if path.is_file() {
+            paths.push(path);
+        }
+    }
     paths.sort();
     let mut docs = Vec::with_capacity(paths.len());
     for (i, path) in paths.iter().enumerate() {
-        let text = std::fs::read_to_string(path).unwrap_or_default();
+        let bytes = std::fs::read(path).map_err(|e| naming(path, e))?;
+        let text = String::from_utf8_lossy(&bytes);
         docs.push(Document::from_text(i as u32, &text, analyzer, dict));
     }
     Ok(docs)
@@ -1118,6 +1128,31 @@ mod tests {
             dir: root.join("nothing").to_string_lossy().into_owned(),
         };
         assert!(build_store(&[spec], &IndexOptions::default()).is_err());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn non_utf8_files_keep_their_ascii_words() {
+        let root = temp_root("latin1");
+        let dir = root.join("latin1");
+        std::fs::create_dir_all(&dir).unwrap();
+        // "café" in Latin-1: the 0xE9 byte is not UTF-8.
+        std::fs::write(dir.join("doc.txt"), b"caf\xe9 cardiology arrhythmia\n").unwrap();
+        let spec = DbSpec {
+            name: "latin1".into(),
+            category: "Health".into(),
+            dir: dir.to_string_lossy().into_owned(),
+        };
+        let options = IndexOptions {
+            full: true,
+            ..Default::default()
+        };
+        let store = build_store(&[spec], &options).unwrap();
+        let summary = &store.databases[0].summary;
+        for word in Analyzer::english().analyze("cardiology arrhythmia") {
+            let term = store.dict.lookup(&word).expect("the word was indexed");
+            assert_eq!(summary.word(term).map(|w| w.sample_df), Some(1), "{word}");
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 }

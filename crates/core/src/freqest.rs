@@ -75,7 +75,13 @@ pub struct MandelbrotCheckpoint {
 /// Compute the rank/frequency curve of a sample summary: words sorted by
 /// descending sample document frequency, rank starting at 1.
 pub fn sample_rank_frequency(summary: &ContentSummary) -> Vec<(f64, f64)> {
-    let mut dfs: Vec<u32> = summary.iter().map(|(_, s)| s.sample_df).collect();
+    rank_frequency(summary.iter().map(|(_, s)| s.sample_df))
+}
+
+/// The rank/frequency curve of sample document frequencies given in any
+/// order: sorted descending, rank starting at 1.
+fn rank_frequency(sample_dfs: impl IntoIterator<Item = u32>) -> Vec<(f64, f64)> {
+    let mut dfs: Vec<u32> = sample_dfs.into_iter().collect();
     dfs.sort_unstable_by(|a, b| b.cmp(a));
     dfs.iter()
         .enumerate()
@@ -85,10 +91,22 @@ pub fn sample_rank_frequency(summary: &ContentSummary) -> Vec<(f64, f64)> {
 
 /// Take a checkpoint: fit the Mandelbrot law to `summary`'s current sample.
 pub fn checkpoint(summary: &ContentSummary) -> Option<MandelbrotCheckpoint> {
-    let curve = sample_rank_frequency(summary);
-    let (alpha, log_beta) = fit_mandelbrot(&curve)?;
+    checkpoint_from_sample_dfs(
+        summary.sample_size(),
+        summary.iter().map(|(_, s)| s.sample_df),
+    )
+}
+
+/// [`checkpoint`] without a summary: the fit for a sample of `sample_size`
+/// documents whose words have the sample document frequencies
+/// `sample_dfs`, in any order (the curve sorts them, so it is the same fit).
+pub fn checkpoint_from_sample_dfs(
+    sample_size: u32,
+    sample_dfs: impl IntoIterator<Item = u32>,
+) -> Option<MandelbrotCheckpoint> {
+    let (alpha, log_beta) = fit_mandelbrot(&rank_frequency(sample_dfs))?;
     Some(MandelbrotCheckpoint {
-        sample_size: summary.sample_size(),
+        sample_size,
         alpha,
         log_beta,
     })

@@ -18,6 +18,7 @@
 
 pub mod classifier;
 pub mod fps;
+mod idset;
 pub mod parallel;
 pub mod pipeline;
 pub mod probes;

@@ -60,21 +60,58 @@ mod tests {
         (bed, dbs)
     }
 
+    /// Every statistic of two lists of profiles agrees, floats bit for bit.
+    fn assert_same_profiles(a: &[DatabaseProfile], b: &[DatabaseProfile]) {
+        assert_eq!(a.len(), b.len());
+        let words = |p: &DatabaseProfile| {
+            let mut words: Vec<(TermId, u32, u64, u64)> = p
+                .summary
+                .iter()
+                .map(|(t, s)| (t, s.sample_df, s.df.to_bits(), s.tf.to_bits()))
+                .collect();
+            words.sort_unstable();
+            words
+        };
+        let checkpoints = |p: &DatabaseProfile| {
+            p.sample
+                .checkpoints
+                .iter()
+                .map(|c| (c.sample_size, c.alpha.to_bits(), c.log_beta.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(words(x), words(y));
+            assert_eq!(x.summary.db_size().to_bits(), y.summary.db_size().to_bits());
+            assert_eq!(
+                x.summary.gamma().map(f64::to_bits),
+                y.summary.gamma().map(f64::to_bits)
+            );
+            assert_eq!(x.sample.exact_df, y.sample.exact_df);
+            assert_eq!(checkpoints(x), checkpoints(y));
+            assert_eq!(x.sample.queries_sent, y.sample.queries_sent);
+            assert_eq!(x.sample.docs, y.sample.docs);
+            assert_eq!(x.classification, y.classification);
+        }
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
-        let (bed, dbs) = fixture();
+        let (mut bed, dbs) = fixture();
         let config = PipelineConfig {
             frequency_estimation: true,
             ..Default::default()
         };
-        let one = profile_qbs_many(&dbs, &bed.seed_lexicon, &config, 99, 1);
-        let four = profile_qbs_many(&dbs, &bed.seed_lexicon, &config, 99, 4);
-        assert_eq!(one.len(), four.len());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.summary.db_size(), b.summary.db_size());
-            assert_eq!(a.summary.vocabulary_size(), b.summary.vocabulary_size());
-            assert_eq!(a.sample.docs, b.sample.docs);
-        }
+        assert_same_profiles(
+            &profile_qbs_many(&dbs, &bed.seed_lexicon, &config, 99, 1),
+            &profile_qbs_many(&dbs, &bed.seed_lexicon, &config, 99, 4),
+        );
+        let mut rng = StdRng::seed_from_u64(61);
+        let examples = bed.training_documents(5, &mut rng);
+        let classifier = ProbeClassifier::train(&bed.hierarchy, &examples, 6);
+        assert_same_profiles(
+            &profile_fps_many(&dbs, &bed.hierarchy, &classifier, &config, 99, 1),
+            &profile_fps_many(&dbs, &bed.hierarchy, &classifier, &config, 99, 4),
+        );
     }
 
     #[test]

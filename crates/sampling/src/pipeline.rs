@@ -90,7 +90,9 @@ pub fn profile_fps<R: Rng + ?Sized>(
     }
 }
 
-/// Build the content summary from a sample per the pipeline configuration.
+/// Build the content summary from a sample per the pipeline configuration:
+/// the raw summary once, from the sample's running counts, then (with
+/// frequency estimation) the size and frequency estimates.
 pub fn summarize<R: Rng + ?Sized>(
     db: &dyn RemoteDatabase,
     sample: &DocumentSample,

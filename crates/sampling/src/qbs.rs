@@ -8,11 +8,10 @@
 //! > when the document sample contains 300 documents \[or\] when 500
 //! > consecutive queries retrieve no new documents."*
 
-use std::collections::HashSet;
-
 use rand::Rng;
-use textindex::{DocId, RemoteDatabase, TermId};
+use textindex::{RemoteDatabase, TermId};
 
+use crate::idset::IdSet;
 use crate::sample::DocumentSample;
 
 /// Configuration of the QBS sampler (defaults are the paper's settings).
@@ -52,11 +51,11 @@ pub fn qbs_sample<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> DocumentSample {
     let mut sample = DocumentSample::default();
-    let mut seen_docs: HashSet<DocId> = HashSet::new();
-    let mut queried: HashSet<TermId> = HashSet::new();
+    let mut seen_docs = IdSet::default();
+    let mut queried = IdSet::default();
     // Candidate query words harvested from retrieved documents.
     let mut candidates: Vec<TermId> = Vec::new();
-    let mut candidate_set: HashSet<TermId> = HashSet::new();
+    let mut candidate_set = IdSet::default();
     let mut consecutive_failures = 0usize;
     let mut next_checkpoint = config.checkpoint_interval;
 
@@ -96,13 +95,13 @@ pub fn qbs_sample<R: Rng + ?Sized>(
             let doc = db
                 .fetch(doc_id)
                 .expect("database returned an id it cannot serve");
-            // Harvest this document's words as future query candidates.
-            for term in doc.distinct_terms() {
-                if !queried.contains(&term) && candidate_set.insert(term) {
+            // Count the document, and harvest its words as future query
+            // candidates.
+            for term in sample.push(doc.clone()) {
+                if !queried.contains(term) && candidate_set.insert(term) {
                     candidates.push(term);
                 }
             }
-            sample.docs.push(doc.clone());
             new_docs += 1;
         }
         if new_docs == 0 {
@@ -117,6 +116,7 @@ pub fn qbs_sample<R: Rng + ?Sized>(
     }
     // Final checkpoint at the terminal sample size.
     sample.take_checkpoint();
+    sample.release_scratch();
     sample
 }
 
@@ -125,7 +125,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use textindex::{Document, IndexedDatabase};
+    use std::collections::HashSet;
+    use textindex::{DocId, Document, IndexedDatabase};
 
     /// A database of 120 docs with a Zipfian-ish vocabulary: term t appears
     /// in every doc whose index is divisible by (t+1).

@@ -45,12 +45,10 @@ pub fn sample_resample<R: Rng + ?Sized>(
     if sample.is_empty() {
         return 0.0;
     }
-    let summary = sample.raw_summary();
     // Eligible words: frequent enough in the sample.
-    let mut eligible: Vec<(u32, u32)> = summary // (term, sample_df)
-        .iter()
-        .filter(|(_, s)| s.sample_df >= config.min_sample_df)
-        .map(|(t, s)| (t, s.sample_df))
+    let mut eligible: Vec<(u32, u32)> = sample // (term, sample_df)
+        .sample_dfs()
+        .filter(|&(_, df)| df >= config.min_sample_df)
         .collect();
     if eligible.is_empty() {
         return sample_size;

@@ -4,12 +4,25 @@
 //! retrieval model the sampling algorithms in the paper assume: a query's
 //! "number of matches" is the number of documents containing every query
 //! word, and the engine returns the top-ranked matches.
+//!
+//! [`SearchEngine::search`] is the samplers' inner loop (every QBS and FPS
+//! probe runs it), so it keeps no map and sorts only what it returns. The
+//! index hands back the matches ascending, and each query term's posting
+//! list ascends too, so a term's scores are added by one merge walk into a
+//! `Vec` aligned with the matches. Terms are walked in query order, so each
+//! document's score is the `+=` sequence a per-document map gave it, and a
+//! term's idf is computed once: a pure function of the term, the same bits.
+//! The top `k` are then picked with `select_nth_unstable_by` and only they
+//! are sorted. Score descending, then document id ascending, is a strict
+//! total order (ids are distinct, scores are never NaN), so picking then
+//! sorting gives the list a full sort gives.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::dict::TermId;
 use crate::document::DocId;
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, PostingList};
 
 /// Result of one search: the total match count plus the ranked top documents.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,45 +98,69 @@ impl<'a> SearchEngine<'a> {
                 scores: Vec::new(),
             };
         }
-        let n = self.index.num_docs() as f64;
-        let avg_len = if n > 0.0 {
-            self.index.total_tokens() as f64 / n
-        } else {
-            1.0
-        };
-        let mut scores: HashMap<DocId, f64> = matches.iter().map(|&d| (d, 0.0)).collect();
+        let avg_len = self.avg_len();
+        let mut scores = vec![0.0; matches.len()];
         for &term in terms {
-            let Some(list) = self.index.posting_list(term) else {
-                continue;
-            };
-            let df = list.document_frequency() as f64;
-            for &(doc, tf) in &list.postings {
-                let Some(score) = scores.get_mut(&doc) else {
-                    continue;
-                };
-                let tf = f64::from(tf);
-                *score += match self.ranking {
-                    RankingModel::TfIdf => tf * (1.0 + n / df).ln(),
-                    RankingModel::Bm25 { k1, b } => {
-                        // The non-negative "plus" idf variant, standard in
-                        // practice (plain Robertson idf can go negative for
-                        // very common terms).
-                        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-                        let doc_len = f64::from(self.index.doc_length(doc));
-                        let norm = k1 * (1.0 - b + b * doc_len / avg_len);
-                        idf * tf * (k1 + 1.0) / (tf + norm)
-                    }
-                };
+            let list = self
+                .index
+                .posting_list(term)
+                .expect("a query term with matches has postings");
+            let idf = self.idf(list);
+            let mut postings = list.postings.iter();
+            for (score, &doc) in scores.iter_mut().zip(&matches) {
+                let &(_, tf) = postings
+                    .find(|&&(d, _)| d == doc)
+                    .expect("a match is in every query term's postings");
+                *score += self.weight(idf, tf, doc, avg_len);
             }
         }
-        let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
+        let mut ranked: Vec<(DocId, f64)> = matches.into_iter().zip(scores).collect();
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k - 1, by_rank);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(by_rank);
         let (doc_ids, scores) = ranked.into_iter().unzip();
         SearchResult {
             total_matches,
             doc_ids,
             scores,
+        }
+    }
+
+    /// Mean document length, BM25's normaliser (1 for an empty index).
+    fn avg_len(&self) -> f64 {
+        let n = self.index.num_docs() as f64;
+        if n > 0.0 {
+            self.index.total_tokens() as f64 / n
+        } else {
+            1.0
+        }
+    }
+
+    /// The idf of the term whose postings are `list`.
+    fn idf(&self, list: &PostingList) -> f64 {
+        let n = self.index.num_docs() as f64;
+        let df = list.document_frequency() as f64;
+        match self.ranking {
+            RankingModel::TfIdf => (1.0 + n / df).ln(),
+            // The non-negative "plus" idf variant, standard in practice
+            // (plain Robertson idf can go negative for very common terms).
+            RankingModel::Bm25 { .. } => ((n - df + 0.5) / (df + 0.5) + 1.0).ln(),
+        }
+    }
+
+    /// What one posting `(doc, tf)` of a term with `idf` adds to the
+    /// document's score.
+    fn weight(&self, idf: f64, tf: u32, doc: DocId, avg_len: f64) -> f64 {
+        let tf = f64::from(tf);
+        match self.ranking {
+            RankingModel::TfIdf => tf * idf,
+            RankingModel::Bm25 { k1, b } => {
+                let doc_len = f64::from(self.index.doc_length(doc));
+                let norm = k1 * (1.0 - b + b * doc_len / avg_len);
+                idf * tf * (k1 + 1.0) / (tf + norm)
+            }
         }
     }
 
@@ -133,12 +170,7 @@ impl<'a> SearchEngine<'a> {
     /// query in one document (the conjunctive `search`) would return almost
     /// nothing.
     pub fn search_disjunctive(&self, terms: &[TermId], k: usize) -> SearchResult {
-        let n = self.index.num_docs() as f64;
-        let avg_len = if n > 0.0 {
-            self.index.total_tokens() as f64 / n
-        } else {
-            1.0
-        };
+        let avg_len = self.avg_len();
         let mut scores: HashMap<DocId, f64> = HashMap::new();
         let mut distinct_terms: Vec<TermId> = terms.to_vec();
         distinct_terms.sort_unstable();
@@ -147,24 +179,14 @@ impl<'a> SearchEngine<'a> {
             let Some(list) = self.index.posting_list(term) else {
                 continue;
             };
-            let df = list.document_frequency() as f64;
+            let idf = self.idf(list);
             for &(doc, tf) in &list.postings {
-                let tf = f64::from(tf);
-                let contribution = match self.ranking {
-                    RankingModel::TfIdf => tf * (1.0 + n / df).ln(),
-                    RankingModel::Bm25 { k1, b } => {
-                        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-                        let doc_len = f64::from(self.index.doc_length(doc));
-                        let norm = k1 * (1.0 - b + b * doc_len / avg_len);
-                        idf * tf * (k1 + 1.0) / (tf + norm)
-                    }
-                };
-                *scores.entry(doc).or_insert(0.0) += contribution;
+                *scores.entry(doc).or_insert(0.0) += self.weight(idf, tf, doc, avg_len);
             }
         }
         let total_matches = scores.len();
         let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked.sort_by(by_rank);
         ranked.truncate(k);
         let (doc_ids, scores) = ranked.into_iter().unzip();
         SearchResult {
@@ -179,6 +201,13 @@ impl<'a> SearchEngine<'a> {
     pub fn match_count(&self, term: TermId) -> usize {
         self.index.document_frequency(term)
     }
+}
+
+/// Rank order: score descending, then document id ascending.
+fn by_rank(a: &(DocId, f64), b: &(DocId, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("scores are never NaN")
+        .then(a.0.cmp(&b.0))
 }
 
 #[cfg(test)]
@@ -361,5 +390,100 @@ mod disjunctive_tests {
         let engine = SearchEngine::new(&idx);
         let r = engine.search_disjunctive(&[], 10);
         assert_eq!(r.total_matches, 0);
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::document::Document;
+    use proptest::prelude::*;
+
+    /// The search [`SearchEngine::search`] replaced: every match scored in
+    /// a map, then all of them sorted. Its results are the oracle.
+    fn search_with_a_map(engine: &SearchEngine<'_>, terms: &[TermId], k: usize) -> SearchResult {
+        let index = engine.index;
+        let matches = index.conjunctive_match(terms);
+        let total_matches = matches.len();
+        if matches.is_empty() || k == 0 {
+            return SearchResult {
+                total_matches,
+                doc_ids: Vec::new(),
+                scores: Vec::new(),
+            };
+        }
+        let n = index.num_docs() as f64;
+        let avg_len = if n > 0.0 {
+            index.total_tokens() as f64 / n
+        } else {
+            1.0
+        };
+        let mut scores: HashMap<DocId, f64> = matches.iter().map(|&d| (d, 0.0)).collect();
+        for &term in terms {
+            let Some(list) = index.posting_list(term) else {
+                continue;
+            };
+            let df = list.document_frequency() as f64;
+            for &(doc, tf) in &list.postings {
+                let Some(score) = scores.get_mut(&doc) else {
+                    continue;
+                };
+                let tf = f64::from(tf);
+                *score += match engine.ranking {
+                    RankingModel::TfIdf => tf * (1.0 + n / df).ln(),
+                    RankingModel::Bm25 { k1, b } => {
+                        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
+                        let doc_len = f64::from(index.doc_length(doc));
+                        let norm = k1 * (1.0 - b + b * doc_len / avg_len);
+                        idf * tf * (k1 + 1.0) / (tf + norm)
+                    }
+                };
+            }
+        }
+        let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        let (doc_ids, scores) = ranked.into_iter().unzip();
+        SearchResult {
+            total_matches,
+            doc_ids,
+            scores,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random indexes over six words (so many documents tie), queries
+        /// with absent and repeated words, both ranking models, and `k`
+        /// below, at and above the match count.
+        #[test]
+        fn search_equals_the_map_and_full_sort_it_replaced(
+            docs in prop::collection::vec(prop::collection::vec(0u32..6, 0..8), 1..40),
+            query in prop::collection::vec(0u32..7, 0..4),
+        ) {
+            let documents: Vec<Document> = docs
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| Document::from_tokens(i as u32, t))
+                .collect();
+            let index = InvertedIndex::build(&documents);
+            let m = index.conjunctive_match(&query).len();
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for ranking in [
+                RankingModel::TfIdf,
+                RankingModel::bm25(),
+                RankingModel::Bm25 { k1: 2.0, b: 0.3 },
+            ] {
+                let engine = SearchEngine::with_ranking(&index, ranking);
+                for k in [0, 1, m.saturating_sub(1), m, m + 5] {
+                    let got = engine.search(&query, k);
+                    let want = search_with_a_map(&engine, &query, k);
+                    prop_assert_eq!(got.total_matches, want.total_matches);
+                    prop_assert_eq!(&got.doc_ids, &want.doc_ids);
+                    prop_assert_eq!(bits(&got.scores), bits(&want.scores));
+                }
+            }
+        }
     }
 }

@@ -35,6 +35,18 @@ printf 'the keeper saved a goal before the stadium crowd\n'   > "$WORK/soccer/b.
 "$DBSELECT" catalog --store "$WORK/col.store" --out "$WORK/col.catalog.again"
 cmp "$WORK/col.catalog" "$WORK/col.catalog.again"
 
+# Profiling by sampling (QBS, size and frequency estimation) is a pure
+# function of the files and the seed, whatever the thread count: one
+# profiling thread and two, in separate processes with their own hash
+# seeds, must write the same store, and the store must fit a catalog.
+for threads in 1 2; do
+    "$DBSELECT" index --out "$WORK/qbs$threads.store" --threads "$threads" \
+        med=Health/Medicine="$WORK/med" \
+        soccer=Sports/Soccer="$WORK/soccer"
+done
+cmp "$WORK/qbs1.store" "$WORK/qbs2.store"
+"$DBSELECT" catalog --store "$WORK/qbs1.store" --out "$WORK/qbs.catalog"
+
 # --- freeze a v2 serving snapshot; it must route like the v1 catalog ------
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"
 # Freezing is a pure function of the catalog: a second process, with its
