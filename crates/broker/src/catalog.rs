@@ -4,11 +4,12 @@
 //! `Ŝ(D)`, a shrunk summary `R̂(D)`, and a fitted power-law exponent γ.
 //! [`Catalog::build`] freezes those into an immutable, query-serving form:
 //!
-//! * every summary becomes a [`FrozenSummary`] — term-sorted parallel
-//!   arrays answering `p̂(w|D)` by binary search over contiguous memory
-//!   instead of hash-bucket chasing — and shrunk summaries over one
-//!   vocabulary (all of them, under one hierarchy root) hold one term
-//!   column between them;
+//! * every sample summary becomes a [`FrozenSummary`] — term-sorted
+//!   parallel arrays answering `p̂(w|D)` by binary search over contiguous
+//!   memory instead of hash-bucket chasing;
+//! * the shrunk summaries stay in factored form ([`ShrunkSummaries`]):
+//!   the category aggregates once per catalog, per database its λ pair,
+//!   and a value `p̂_R(w|D)` computed only when a request reads it;
 //! * the **summary-level inverted index** is stored CSR-style: one sorted
 //!   term-id array, an offsets array, and flat parallel slabs holding, for
 //!   every `(term, database)` pair whose unshrunk summary mentions the
@@ -21,15 +22,14 @@
 //! catalog constants or single index lookups, and a request makes each
 //! lookup once (`QueryPlan`, `ShrunkRows`): the public per-query
 //! methods are wrappers over that plan code. The columnar form is also
-//! exactly what the v2 snapshot serializes: `store::snapshot` dumps and
-//! reloads these arrays verbatim, so a daemon start or `/admin/reload`
-//! rebuilds nothing.
+//! what the v4 snapshot serializes: `store::snapshot` dumps and reloads
+//! these arrays, so a daemon start or `/admin/reload` rebuilds nothing.
 //!
 //! Freezing is bit-preserving (see [`dbselect_core::frozen`]): rankings
 //! over the columnar catalog equal rankings over the source summaries,
 //! `f64::to_bits` for `f64::to_bits`.
 
-use dbselect_core::frozen::FrozenSummary;
+use dbselect_core::frozen::{FrozenSummary, MixScratch, OwnWord, ShrunkSummaries, ShrunkView};
 use dbselect_core::shrinkage::ShrunkSummary;
 use dbselect_core::summary::{ContentSummary, SummaryView};
 use selection::{CollectionContext, TermBound};
@@ -42,7 +42,7 @@ pub struct CatalogEntry {
     pub name: String,
     /// The sample-based summary `Ŝ(D)`.
     pub unshrunk: ContentSummary,
-    /// The shrinkage-based summary `R̂(D)`.
+    /// The shrinkage-based summary `R̂(D)`: a mixture over `unshrunk`.
     pub shrunk: ShrunkSummary,
 }
 
@@ -57,8 +57,8 @@ pub struct DbUpdate {
     pub gamma: f64,
     /// The re-probed sample summary `Ŝ(D)`, frozen.
     pub unshrunk: FrozenSummary,
-    /// The re-fitted shrinkage summary `R̂(D)`, frozen.
-    pub shrunk: FrozenSummary,
+    /// The λ pair re-fitted against the database's pinned components.
+    pub lambdas: (Vec<f64>, Vec<f64>),
 }
 
 /// The CSR posting index over the unshrunk summaries: for every term, the
@@ -78,6 +78,8 @@ pub struct PostingIndex {
     /// Sample document frequency per posting (drives the word-posterior
     /// grid of Section 4).
     sample_df: Vec<u32>,
+    /// The posting's index in its database's sample summary columns.
+    positions: Vec<u32>,
     /// Whether the database "effectively" contains the word under the
     /// Section-5.3 rounding rule `round(|D̂|·p̂(w|D)) ≥ 1`.
     effective: Vec<bool>,
@@ -88,7 +90,7 @@ pub struct PostingIndex {
     p_tf: Vec<f64>,
     /// Per-term `max_D fl(p̂(w|D)·|D|)` — score-bound material (see
     /// [`selection::TermBound`]). Recomputable from the summaries
-    /// ([`Self::recompute_aux`]), persisted by v3 snapshots.
+    /// ([`Self::recompute_aux`]), persisted by snapshots.
     max_df: Vec<f64>,
     /// Per-term `max_D p̂(w|D)`.
     max_p_df: Vec<f64>,
@@ -105,6 +107,8 @@ pub struct Postings<'a> {
     pub p_df: &'a [f64],
     /// Sample document frequency per database.
     pub sample_df: &'a [u32],
+    /// The word's index in each database's sample summary columns.
+    pub positions: &'a [u32],
     /// Effective-containment flag per database.
     pub effective: &'a [bool],
     /// Number of effective entries — the unshrunk `cf(w)`.
@@ -140,6 +144,7 @@ impl PostingIndex {
         let mut dbs = vec![0u32; total];
         let mut p_df = vec![0f64; total];
         let mut sample_df = vec![0u32; total];
+        let mut positions = vec![0u32; total];
         let mut effective = vec![false; total];
         let mut effective_counts = vec![0u32; terms.len()];
         for (db, s) in unshrunk.iter().enumerate() {
@@ -148,8 +153,9 @@ impl PostingIndex {
                 let at = cursors[pos] as usize;
                 cursors[pos] += 1;
                 dbs[at] = db as u32;
-                p_df[at] = s.p_df_column()[i];
+                p_df[at] = s.p_at(i).0;
                 sample_df[at] = s.sample_df_at(i);
+                positions[at] = i as u32;
                 let eff = s.effectively_contains(*t);
                 effective[at] = eff;
                 effective_counts[pos] += u32::from(eff);
@@ -161,6 +167,7 @@ impl PostingIndex {
             dbs,
             p_df,
             sample_df,
+            positions,
             effective,
             effective_counts,
             p_tf: Vec::new(),
@@ -213,7 +220,7 @@ impl PostingIndex {
             && self.max_p_tf.len() == self.terms.len()
     }
 
-    /// Install persisted auxiliary columns (the v3 snapshot load path),
+    /// Install persisted auxiliary columns (the snapshot load path),
     /// validating lengths against the core columns.
     pub fn set_aux(
         &mut self,
@@ -243,7 +250,9 @@ impl PostingIndex {
     /// corrupt input is rejected instead of causing panics or garbage
     /// lookups. `effective_counts` is recomputed rather than trusted. The
     /// auxiliary columns start empty; callers install them with
-    /// [`Self::set_aux`] (v3 snapshots) or recompute them (older formats).
+    /// [`Self::set_aux`] (snapshots) or [`Catalog::from_raw_parts`]
+    /// recomputes them.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         n_dbs: usize,
         terms: Vec<TermId>,
@@ -251,6 +260,7 @@ impl PostingIndex {
         dbs: Vec<u32>,
         p_df: Vec<f64>,
         sample_df: Vec<u32>,
+        positions: Vec<u32>,
         effective: Vec<bool>,
     ) -> Result<PostingIndex, &'static str> {
         if terms.windows(2).any(|w| w[0] >= w[1]) {
@@ -269,6 +279,7 @@ impl PostingIndex {
         if dbs.len() != total
             || p_df.len() != total
             || sample_df.len() != total
+            || positions.len() != total
             || effective.len() != total
         {
             return Err("posting slabs disagree with offsets");
@@ -295,6 +306,7 @@ impl PostingIndex {
             dbs,
             p_df,
             sample_df,
+            positions,
             effective,
             effective_counts,
             p_tf: Vec::new(),
@@ -342,15 +354,19 @@ impl PostingIndex {
 
         // Fresh postings per affected term, ascending by database because
         // `touched` is ascending.
-        let mut contribs: std::collections::BTreeMap<TermId, Vec<(u32, f64, u32, bool)>> =
+        // A touched database's fresh posting: database, `p_df`,
+        // `sample_df`, position, effective flag.
+        type Fresh = (u32, f64, u32, u32, bool);
+        let mut contribs: std::collections::BTreeMap<TermId, Vec<Fresh>> =
             std::collections::BTreeMap::new();
         for &db in touched {
             let s = &unshrunk[db as usize];
             for (i, &t) in s.terms().iter().enumerate() {
                 contribs.entry(t).or_default().push((
                     db,
-                    s.p_df_column()[i],
+                    s.p_at(i).0,
                     s.sample_df_at(i),
+                    i as u32,
                     s.effectively_contains(t),
                 ));
             }
@@ -361,6 +377,7 @@ impl PostingIndex {
         let mut dbs = Vec::with_capacity(self.dbs.len());
         let mut p_df = Vec::with_capacity(self.p_df.len());
         let mut sample_df = Vec::with_capacity(self.sample_df.len());
+        let mut positions = Vec::with_capacity(self.positions.len());
         let mut effective = Vec::with_capacity(self.effective.len());
         let mut effective_counts = Vec::with_capacity(self.effective_counts.len());
         let mut p_tf = Vec::with_capacity(self.p_tf.len());
@@ -386,6 +403,7 @@ impl PostingIndex {
                 dbs.extend_from_slice(&self.dbs[lo..hi]);
                 p_df.extend_from_slice(&self.p_df[lo..hi]);
                 sample_df.extend_from_slice(&self.sample_df[lo..hi]);
+                positions.extend_from_slice(&self.positions[lo..hi]);
                 effective.extend_from_slice(&self.effective[lo..hi]);
                 p_tf.extend_from_slice(&self.p_tf[lo..hi]);
                 effective_counts.push(self.effective_counts[oi]);
@@ -401,8 +419,7 @@ impl PostingIndex {
                 } else {
                     (0, 0)
                 };
-                let fresh: &[(u32, f64, u32, bool)] =
-                    contribs.get(&term).map_or(&[], Vec::as_slice);
+                let fresh: &[Fresh] = contribs.get(&term).map_or(&[], Vec::as_slice);
                 let row_start = dbs.len();
                 let mut si = lo;
                 let mut fi = 0usize;
@@ -418,15 +435,17 @@ impl PostingIndex {
                             dbs.push(self.dbs[si]);
                             p_df.push(self.p_df[si]);
                             sample_df.push(self.sample_df[si]);
+                            positions.push(self.positions[si]);
                             effective.push(self.effective[si]);
                             p_tf.push(self.p_tf[si]);
                             si += 1;
                         }
                         _ => {
-                            let (db, pd, sd, eff) = fresh[fi];
+                            let (db, pd, sd, position, eff) = fresh[fi];
                             dbs.push(db);
                             p_df.push(pd);
                             sample_df.push(sd);
+                            positions.push(position);
                             effective.push(eff);
                             p_tf.push(unshrunk[db as usize].p_tf(term));
                             fi += 1;
@@ -462,6 +481,7 @@ impl PostingIndex {
             dbs,
             p_df,
             sample_df,
+            positions,
             effective,
             effective_counts,
             p_tf,
@@ -484,6 +504,7 @@ impl PostingIndex {
             dbs: &self.dbs[lo..hi],
             p_df: &self.p_df[lo..hi],
             sample_df: &self.sample_df[lo..hi],
+            positions: &self.positions[lo..hi],
             effective: &self.effective[lo..hi],
             effective_count: self.effective_counts[pos],
             p_tf: self.p_tf.get(lo..hi).unwrap_or(&[]),
@@ -535,6 +556,11 @@ impl PostingIndex {
         &self.sample_df
     }
 
+    /// The slab of each posting's index in its database's sample summary.
+    pub fn positions(&self) -> &[u32] {
+        &self.positions
+    }
+
     /// The effective-containment slab.
     pub fn effective(&self) -> &[bool] {
         &self.effective
@@ -574,15 +600,13 @@ pub(crate) struct QueryPlan {
     rows: Vec<u32>,
 }
 
-/// "Not stored" in a [`QueryPlan`] row or a shrunk-column position.
+/// "Not stored" in a [`QueryPlan`] row.
 const ABSENT: u32 = u32::MAX;
-/// A shrunk column whose positions this request has not resolved yet.
-const UNRESOLVED: u32 = u32::MAX - 1;
 
 /// The databases a request scores with `R̂(D)`, gathered once: per
-/// database a row of the query words' probabilities, read at positions
-/// resolved once per *distinct* term column. Feeds both the scoring
-/// context's `cf` and the kernels' row matrix.
+/// database a row of the query words' probabilities, each computed from
+/// the factored mixture with the words resolved once per request. Feeds
+/// both the scoring context's `cf` and the kernels' row matrix.
 #[derive(Debug, Default)]
 pub(crate) struct ShrunkRows {
     pub(crate) dbs: Vec<u32>,
@@ -590,10 +614,15 @@ pub(crate) struct ShrunkRows {
     pub(crate) word_counts: Vec<f64>,
     /// Row-major `p̂(w|D)`, `dbs.len() × query.len()`.
     pub(crate) p_df: Vec<f64>,
-    /// Row-major `p_tf(w|D)`; filled only when asked for.
+    /// Row-major `p_tf(w|D)`.
     pub(crate) p_tf: Vec<f64>,
-    /// `positions[column * query.len() + k]`.
-    positions: Vec<u32>,
+    /// The query words, resolved against the category columns.
+    mix: MixScratch,
+    /// Per catalog database: its row in `dbs`, or [`ABSENT`].
+    slots: Vec<u32>,
+    /// Row-major, `dbs.len() × query.len()`: each query word as the
+    /// database's sample has it, read off the word's postings.
+    words: Vec<OwnWord>,
 }
 
 /// A profiled collection frozen for serving.
@@ -601,13 +630,8 @@ pub(crate) struct ShrunkRows {
 pub struct Catalog {
     names: Vec<String>,
     unshrunk: Vec<FrozenSummary>,
-    /// Shrunk summaries over one vocabulary hold one term column between
-    /// them (interned by [`Self::intern_shrunk_columns`]).
-    shrunk: Vec<FrozenSummary>,
-    /// Which distinct term column each shrunk summary holds.
-    shrunk_column: Vec<u32>,
-    /// One database per distinct shrunk term column, in first-seen order.
-    column_owners: Vec<u32>,
+    /// Every `R̂(D)`, factored: category columns once, λs per database.
+    shrunk: ShrunkSummaries,
     /// γ per database (the Appendix-A fit, or the generic −2 fallback),
     /// resolved once so the hot path never re-inspects the summary.
     gammas: Vec<f64>,
@@ -619,36 +643,34 @@ pub struct Catalog {
     /// Smallest unshrunk `cw(D)` — the CORI upper bound's denominator
     /// floor. Always recomputed (O(n), cheap), never persisted.
     min_word_count: f64,
-    /// Whether every unshrunk summary reports `0.0` for absent terms —
-    /// the invariant the kernels' zero-filled scatter matrix relies on.
-    /// True for every summary `FrozenSummary::from_unshrunk` produces;
-    /// checked so a hand-crafted snapshot cannot break bit-identity.
-    kernel_safe: bool,
     index: PostingIndex,
 }
 
 impl Catalog {
-    /// Freeze a profiled collection.
+    /// Freeze a profiled collection whose shrunk summaries are arbitrary
+    /// lazy mixtures (their distinct components are held once each).
     pub fn build(entries: impl IntoIterator<Item = CatalogEntry>) -> Self {
-        let mut names = Vec::new();
-        let mut unshrunk = Vec::new();
-        let mut shrunk = Vec::new();
-        let mut gammas = Vec::new();
-        for e in entries {
-            names.push(e.name);
-            gammas.push(e.unshrunk.gamma().unwrap_or(-2.0));
-            unshrunk.push(FrozenSummary::from_unshrunk(&e.unshrunk));
-            shrunk.push(FrozenSummary::from_shrunk(&e.shrunk));
-        }
-        Catalog::from_frozen(names, unshrunk, shrunk, gammas)
+        let entries: Vec<CatalogEntry> = entries.into_iter().collect();
+        let shrunk = ShrunkSummaries::from_mixtures(entries.iter().map(|e| &e.shrunk));
+        let gammas = entries
+            .iter()
+            .map(|e| e.unshrunk.gamma().unwrap_or(-2.0))
+            .collect();
+        let unshrunk = entries
+            .iter()
+            .map(|e| FrozenSummary::from_unshrunk(&e.unshrunk))
+            .collect();
+        let names = entries.into_iter().map(|e| e.name).collect();
+        Catalog::from_parts(names, unshrunk, shrunk, gammas)
     }
 
-    /// [`Self::build`] over summaries already frozen (per database, in
-    /// catalog order): builds the posting index and the derived columns.
-    pub fn from_frozen(
+    /// A catalog over frozen sample summaries and their factored shrunk
+    /// summaries (per database, in catalog order): builds the posting
+    /// index and the derived columns.
+    pub fn from_parts(
         names: Vec<String>,
         unshrunk: Vec<FrozenSummary>,
-        shrunk: Vec<FrozenSummary>,
+        shrunk: ShrunkSummaries,
         gammas: Vec<f64>,
     ) -> Self {
         assert!(
@@ -658,43 +680,33 @@ impl Catalog {
             "one name, summary pair and γ per database"
         );
         let index = PostingIndex::build(&unshrunk);
-        Catalog::assemble(names, unshrunk, shrunk, gammas, None, index)
+        Catalog::assemble(names, unshrunk, shrunk, gammas, index)
     }
 
-    /// The one place a catalog is put together: interns the shrunk term
-    /// columns and folds the derived constants. `mcw` is recomputed unless
-    /// supplied (a snapshot's).
+    /// The one place a catalog is put together: folds the derived
+    /// constants.
     fn assemble(
         names: Vec<String>,
         unshrunk: Vec<FrozenSummary>,
-        mut shrunk: Vec<FrozenSummary>,
+        shrunk: ShrunkSummaries,
         gammas: Vec<f64>,
-        mcw: Option<f64>,
         index: PostingIndex,
     ) -> Catalog {
         // Same summation order as `CollectionContext::build` over views in
         // database order, so the constant is bit-identical to the scan.
-        let mcw = mcw.unwrap_or_else(|| {
-            if unshrunk.is_empty() {
-                0.0
-            } else {
-                unshrunk.iter().map(|s| s.word_count()).sum::<f64>() / unshrunk.len() as f64
-            }
-        });
+        let mcw = if unshrunk.is_empty() {
+            0.0
+        } else {
+            unshrunk.iter().map(|s| s.word_count()).sum::<f64>() / unshrunk.len() as f64
+        };
         let min_word_count = unshrunk
             .iter()
             .map(|s| s.word_count())
             .fold(f64::INFINITY, f64::min);
-        let kernel_safe = unshrunk
-            .iter()
-            .all(|s| s.default_p_df() == 0.0 && s.default_p_tf() == 0.0);
-        let (shrunk_column, column_owners) = Self::intern_shrunk_columns(&mut shrunk);
         Catalog {
             names,
             unshrunk,
             shrunk,
-            shrunk_column,
-            column_owners,
             gammas,
             mcw,
             min_word_count: if min_word_count.is_finite() {
@@ -702,41 +714,21 @@ impl Catalog {
             } else {
                 0.0
             },
-            kernel_safe,
             index,
         }
     }
 
-    /// Make shrunk summaries with equal term columns hold one copy (a
-    /// pointer compare when they already do, one `memcmp` otherwise), and
-    /// number the distinct columns. Summaries over a vocabulary of their
-    /// own simply keep their private column.
-    fn intern_shrunk_columns(shrunk: &mut [FrozenSummary]) -> (Vec<u32>, Vec<u32>) {
-        let mut column_of = Vec::with_capacity(shrunk.len());
-        let mut owners: Vec<u32> = Vec::new();
-        for db in 0..shrunk.len() {
-            let (earlier, rest) = shrunk.split_at_mut(db);
-            let found = owners
-                .iter()
-                .position(|&owner| rest[0].share_terms(&earlier[owner as usize]));
-            column_of.push(found.unwrap_or(owners.len()) as u32);
-            if found.is_none() {
-                owners.push(db as u32);
-            }
-        }
-        (column_of, owners)
-    }
-
     /// Apply a batch of per-database refresh updates, rebuilding **only**
-    /// the touched columns: replaced summaries slot into the per-db
-    /// arrays, the posting index re-merges only rows a touched database
-    /// participates in ([`PostingIndex::update_dbs`]), and the catalog
-    /// constants (`mcw`, `min_word_count`, `kernel_safe`) are re-folded
-    /// with the exact summation [`Self::build`] uses. The result is
-    /// bit-identical to a full `build` over the updated entries, at a
-    /// cost proportional to the touched vocabulary instead of the
-    /// catalog. Untouched databases keep sharing their term column; a
-    /// replacement over the same vocabulary joins it.
+    /// the touched columns: replaced sample summaries slot into the
+    /// per-db array, the λ pairs into the factored shrunk summaries (whose
+    /// components stay as pinned: a database keeps subtracting the sample
+    /// its leaf remainder was built from), the posting index re-merges
+    /// only rows a touched database participates in
+    /// ([`PostingIndex::update_dbs`]), and the catalog constants (`mcw`,
+    /// `min_word_count`) are re-folded with the exact summation
+    /// [`Self::build`] uses. The result is bit-identical to a full build
+    /// over the updated state, at a cost proportional to the touched
+    /// vocabulary instead of the catalog; the category columns are shared.
     pub fn apply_updates(&self, updates: &[DbUpdate]) -> Result<Catalog, &'static str> {
         if updates.iter().any(|u| u.db >= self.len()) {
             return Err("update database index out of range");
@@ -758,8 +750,8 @@ impl Catalog {
             .map(|&i| &self.unshrunk[updates[i].db])
             .collect();
         for u in updates {
+            shrunk.refit(u.db, u.lambdas.clone(), &self.unshrunk[u.db])?;
             unshrunk[u.db] = u.unshrunk.clone();
-            shrunk[u.db] = u.shrunk.clone();
             gammas[u.db] = u.gamma;
         }
         let index = self.index.update_dbs(&touched, &old, &unshrunk);
@@ -768,22 +760,24 @@ impl Catalog {
             unshrunk,
             shrunk,
             gammas,
-            None,
             index,
         ))
     }
 
     /// Reassemble a catalog from already-frozen columns — the snapshot
-    /// load path. The caller (the v2 codec) has validated each summary and
-    /// the posting index individually; this checks only cross-field
-    /// consistency, including that no posting's `sample_df` (which keys the
-    /// uncertainty test's moment table) exceeds its database's sample size.
+    /// load path. The caller (the v4 codec) has validated each summary,
+    /// the mixtures and the posting index individually; this checks only
+    /// cross-field consistency, including that the postings and the
+    /// sample words correspond one to one, that no posting's `sample_df`
+    /// (which keys the uncertainty test's moment table) exceeds its
+    /// database's sample size and that the term maxima dominate their
+    /// postings (they are pruning bounds; a bare index gets them
+    /// recomputed).
     pub fn from_raw_parts(
         names: Vec<String>,
         unshrunk: Vec<FrozenSummary>,
-        shrunk: Vec<FrozenSummary>,
+        shrunk: ShrunkSummaries,
         gammas: Vec<f64>,
-        mcw: f64,
         index: PostingIndex,
     ) -> Result<Catalog, String> {
         if unshrunk.len() != names.len()
@@ -792,31 +786,56 @@ impl Catalog {
         {
             return Err("catalog columns disagree on database count".to_string());
         }
-        for (&db, &sample_df) in index.dbs.iter().zip(&index.sample_df) {
-            let (name, summary) = names
-                .get(db as usize)
-                .zip(unshrunk.get(db as usize))
-                .ok_or("posting database index out of range")?;
-            if sample_df > summary.sample_size() {
-                return Err(format!(
-                    "database `{name}`: posting sample_df exceeds sample_size"
-                ));
-            }
+        // Each posting must match a distinct word of its database's sample
+        // (checked below; a row holds a database once), and the counts must
+        // agree: serving decides from the postings alone whether a
+        // database has a word, so every sampled word needs its posting.
+        let words: usize = unshrunk.iter().map(FrozenSummary::len).sum();
+        if index.dbs.len() != words {
+            return Err("posting index disagrees with the sample summaries on word count".into());
         }
         let mut index = index;
         if !index.aux_ready() {
-            // Snapshots predating the auxiliary columns (v1/v2): derive
-            // them from the summaries, bit-identical to freeze-time values.
+            // A bare index: derive the columns from the summaries,
+            // bit-identical to freeze-time values.
             index.recompute_aux(&unshrunk);
         }
-        Ok(Catalog::assemble(
-            names,
-            unshrunk,
-            shrunk,
-            gammas,
-            Some(mcw),
-            index,
-        ))
+        for (pos, window) in index.offsets.windows(2).enumerate() {
+            for at in window[0] as usize..window[1] as usize {
+                let db = index.dbs[at] as usize;
+                let (name, summary) = names
+                    .get(db)
+                    .zip(unshrunk.get(db))
+                    .ok_or("posting database index out of range")?;
+                if index.sample_df[at] > summary.sample_size() {
+                    return Err(format!(
+                        "database `{name}`: posting sample_df exceeds sample_size"
+                    ));
+                }
+                // Serving reads a sampled word's probabilities off its
+                // posting: they must be the sample summary's own.
+                let position = index.positions[at] as usize;
+                let same = summary.terms().get(position) == Some(&index.terms[pos]) && {
+                    let (p_df, p_tf) = summary.p_at(position);
+                    summary.sample_df_at(position) == index.sample_df[at]
+                        && p_df.to_bits() == index.p_df[at].to_bits()
+                        && p_tf.to_bits() == index.p_tf[at].to_bits()
+                };
+                if !same {
+                    return Err(format!(
+                        "database `{name}`: posting disagrees with the sample summary"
+                    ));
+                }
+                let p_df = index.p_df[at];
+                if index.max_p_df[pos] < p_df
+                    || index.max_p_tf[pos] < index.p_tf[at]
+                    || index.max_df[pos] < p_df * summary.db_size()
+                {
+                    return Err("term maxima do not dominate postings".to_string());
+                }
+            }
+        }
+        Ok(Catalog::assemble(names, unshrunk, shrunk, gammas, index))
     }
 
     /// Number of databases.
@@ -839,36 +858,29 @@ impl Catalog {
         &self.unshrunk[db]
     }
 
-    /// The frozen shrunk summary `R̂(D)` of database `db`.
-    pub fn shrunk(&self, db: usize) -> &FrozenSummary {
-        &self.shrunk[db]
+    /// The shrunk summary `R̂(D)` of database `db`, evaluated on demand.
+    pub fn shrunk(&self, db: usize) -> ShrunkView<'_> {
+        self.shrunk.view(db, &self.unshrunk[db])
     }
 
-    /// Distinct term columns held by the shrunk summaries: 1 when they all
-    /// mix one hierarchy root's vocabulary, up to [`Self::len`] when a
-    /// refresh has splintered it.
-    pub fn shrunk_term_columns(&self) -> usize {
-        self.column_owners.len()
+    /// Every database's `R̂(D)`, factored.
+    pub fn shrunk_summaries(&self) -> &ShrunkSummaries {
+        &self.shrunk
     }
 
-    /// Bytes of column data the catalog holds — summaries and posting
-    /// index, a shared term column counted once.
+    /// Bytes of column data the catalog holds: sample summaries, the
+    /// factored shrunk summaries (category columns included) and the
+    /// posting index.
     pub fn resident_bytes(&self) -> usize {
-        let terms = |s: &FrozenSummary| s.len() * size_of::<TermId>();
         let i = &self.index;
         let per_term = i.terms.len() + i.offsets.len() + i.effective_counts.len();
         let per_term_f64 = i.max_df.len() + i.max_p_df.len() + i.max_p_tf.len();
         self.unshrunk
             .iter()
-            .map(|s| s.value_bytes() + terms(s))
+            .map(FrozenSummary::resident_bytes)
             .sum::<usize>()
-            + self.shrunk.iter().map(|s| s.value_bytes()).sum::<usize>()
-            + self
-                .column_owners
-                .iter()
-                .map(|&db| terms(&self.shrunk[db as usize]))
-                .sum::<usize>()
-            + (per_term + i.dbs.len() + i.sample_df.len()) * size_of::<u32>()
+            + self.shrunk.resident_bytes()
+            + (per_term + i.dbs.len() + i.sample_df.len() + i.positions.len()) * size_of::<u32>()
             + (per_term_f64 + i.p_df.len() + i.p_tf.len()) * size_of::<f64>()
             + i.effective.len()
     }
@@ -895,10 +907,10 @@ impl Catalog {
     }
 
     /// Whether the pruned top-k kernels may serve this catalog: requires
-    /// the auxiliary posting columns and the zero-default invariant the
-    /// kernels' zero-filled gather relies on.
+    /// the auxiliary posting columns (every sample summary reports `0.0`
+    /// for absent words, which the kernels' zero-filled gather relies on).
     pub fn kernel_ready(&self) -> bool {
-        self.kernel_safe && self.index.aux_ready()
+        self.index.aux_ready()
     }
 
     /// The CSR posting index.
@@ -966,61 +978,63 @@ impl Catalog {
         }
     }
 
-    /// Gather the query words' probabilities for every database with
-    /// `used_shrinkage[db]` into `rows` (`p_tf` too when `token_space`).
-    /// A word's position is searched once per distinct term column — once
-    /// per request when the shrunk summaries share their vocabulary — and
-    /// every (database, word) read after that is one indexed load.
+    /// Gather the query words' probabilities, under both models, for
+    /// every database with `used_shrinkage[db]` into `rows`. The words are
+    /// resolved against the category columns once per request (the
+    /// posting rows come from `plan`); every (database, word) value is
+    /// then mixed from the database's λs, the request's component cells
+    /// and the word's posting, if the database has one. Both models cost
+    /// one vector operation, so the token row is always filled.
     pub(crate) fn gather_shrunk(
         &self,
+        plan: &QueryPlan,
         query: &[TermId],
         used_shrinkage: &[bool],
-        token_space: bool,
         rows: &mut ShrunkRows,
     ) {
         debug_assert_eq!(used_shrinkage.len(), self.len());
-        let qlen = query.len();
+        let q = query.len();
         rows.dbs.clear();
         rows.sizes.clear();
         rows.word_counts.clear();
         rows.p_df.clear();
         rows.p_tf.clear();
-        let shrunk = used_shrinkage.iter().filter(|&&used| used).count();
-        if shrunk == 0 {
+        rows.slots.clear();
+        rows.slots.resize(self.len(), ABSENT);
+        for (db, _) in used_shrinkage.iter().enumerate().filter(|(_, &used)| used) {
+            rows.slots[db] = rows.dbs.len() as u32;
+            rows.dbs.push(db as u32);
+            rows.sizes.push(self.unshrunk[db].db_size());
+            rows.word_counts.push(self.unshrunk[db].word_count());
+        }
+        if rows.dbs.is_empty() {
             return;
         }
-        // Exact room up front: a fresh buffer allocates once per column, a
-        // recycled one not at all.
-        rows.dbs.reserve(shrunk);
-        rows.sizes.reserve(shrunk);
-        rows.word_counts.reserve(shrunk);
-        rows.p_df.reserve(shrunk * qlen);
-        if token_space {
-            rows.p_tf.reserve(shrunk * qlen);
-        }
-        rows.positions.clear();
-        rows.positions
-            .resize(self.column_owners.len() * qlen, UNRESOLVED);
-        for (db, _) in used_shrinkage.iter().enumerate().filter(|(_, &used)| used) {
-            let s = &self.shrunk[db];
-            rows.dbs.push(db as u32);
-            rows.sizes.push(s.db_size());
-            rows.word_counts.push(s.word_count());
-            let column = self.shrunk_column[db] as usize * qlen;
-            let positions = &mut rows.positions[column..column + qlen];
-            if positions.first() == Some(&UNRESOLVED) {
-                for (slot, &w) in positions.iter_mut().zip(query) {
-                    *slot = s.position(w).map_or(ABSENT, |i| i as u32);
-                }
-            }
-            for &position in positions.iter() {
-                let position = (position != ABSENT).then_some(position as usize);
-                rows.p_df.push(s.p_df_at(position));
-                if token_space {
-                    rows.p_tf.push(s.p_tf_at(position));
+        // Each word's postings scattered into the rows of the databases
+        // being mixed: a database the postings skip lacks the word.
+        rows.words.clear();
+        rows.words.resize(rows.dbs.len() * q, OwnWord::ABSENT);
+        for k in 0..q {
+            let Some(postings) = self.planned_postings(plan, k) else {
+                continue;
+            };
+            for (i, &db) in postings.dbs.iter().enumerate() {
+                let slot = rows.slots[db as usize];
+                if slot != ABSENT {
+                    let own = &self.unshrunk[db as usize];
+                    let (df, tf) = own.raw_column()[postings.positions[i] as usize];
+                    rows.words[slot as usize * q + k] = OwnWord {
+                        p: [postings.p_df[i], postings.p_tf[i]],
+                        raw: [df, tf],
+                    };
                 }
             }
         }
+        self.shrunk.prepare(query, &mut rows.mix);
+        rows.p_df.resize(rows.dbs.len() * q, 0.0);
+        rows.p_tf.resize(rows.dbs.len() * q, 0.0);
+        let (words, scratch) = (&rows.words, &rows.mix);
+        (self.shrunk).mix_rows(&rows.dbs, words, scratch, &mut rows.p_df, &mut rows.p_tf);
     }
 
     /// The collection context over the per-database *chosen* views: for
@@ -1032,7 +1046,7 @@ impl Catalog {
     pub fn scoring_context(&self, query: &[TermId], used_shrinkage: &[bool]) -> CollectionContext {
         let (mut plan, mut rows) = (QueryPlan::default(), ShrunkRows::default());
         self.plan(query, &mut plan);
-        self.gather_shrunk(query, used_shrinkage, false, &mut rows);
+        self.gather_shrunk(&plan, query, used_shrinkage, &mut rows);
         self.planned_scoring_context(&plan, used_shrinkage, &rows)
     }
 
@@ -1098,6 +1112,9 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::test_support::{entry, sampled_summary};
+    use dbselect_core::category_summary::SummaryComponent;
+    use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
+    use std::sync::Arc;
 
     fn catalog() -> Catalog {
         // db 0: words 1, 2; db 1: word 1 only; db 2: empty sample.
@@ -1223,6 +1240,7 @@ mod tests {
             index.dbs().to_vec(),
             index.p_df().to_vec(),
             index.sample_df().to_vec(),
+            index.positions().to_vec(),
             index.effective().to_vec(),
         )
         .unwrap();
@@ -1252,6 +1270,7 @@ mod tests {
                 dbs,
                 i.p_df().to_vec(),
                 i.sample_df().to_vec(),
+                i.positions().to_vec(),
                 i.effective().to_vec(),
             )
         };
@@ -1312,6 +1331,7 @@ mod tests {
             i.dbs().to_vec(),
             i.p_df().to_vec(),
             i.sample_df().to_vec(),
+            i.positions().to_vec(),
             i.effective().to_vec(),
         )
         .unwrap();
@@ -1351,7 +1371,7 @@ mod tests {
             db,
             gamma: e.unshrunk.gamma().unwrap_or(-2.0),
             unshrunk: FrozenSummary::from_unshrunk(&e.unshrunk),
-            shrunk: FrozenSummary::from_shrunk(&e.shrunk),
+            lambdas: (e.shrunk.lambdas().to_vec(), e.shrunk.lambdas_tf().to_vec()),
         }
     }
 
@@ -1363,69 +1383,90 @@ mod tests {
         for db in 0..a.len() {
             assert_eq!(a.gamma(db).to_bits(), b.gamma(db).to_bits(), "gamma {db}");
             assert_eq!(a.unshrunk(db), b.unshrunk(db), "unshrunk {db}");
-            assert_eq!(a.shrunk(db), b.shrunk(db), "shrunk {db}");
+            let (x, y) = (a.shrunk(db), b.shrunk(db));
+            for t in (0..12).chain([u32::MAX - 1]) {
+                assert_eq!(x.p_df(t).to_bits(), y.p_df(t).to_bits(), "shrunk {db}");
+                assert_eq!(x.p_tf(t).to_bits(), y.p_tf(t).to_bits(), "shrunk {db}");
+            }
         }
+        assert_eq!(a.shrunk_summaries(), b.shrunk_summaries());
         assert_eq!(a.posting_index(), b.posting_index());
-        assert_eq!(a.shrunk_term_columns(), b.shrunk_term_columns());
         assert_eq!(a.resident_bytes(), b.resident_bytes());
     }
 
-    /// Whether two databases' shrunk summaries hold the very same column.
-    fn share_a_column(a: (&Catalog, usize), b: (&Catalog, usize)) -> bool {
-        std::ptr::eq(a.0.shrunk(a.1).terms(), b.0.shrunk(b.1).terms())
+    /// Entries whose shrunk summaries all mix the one `component`.
+    fn sharing(
+        summaries: Vec<ContentSummary>,
+        component: &Arc<SummaryComponent>,
+    ) -> Vec<CatalogEntry> {
+        let config = ShrinkageConfig::default();
+        summaries
+            .into_iter()
+            .enumerate()
+            .map(|(i, unshrunk)| CatalogEntry {
+                name: format!("db{i}"),
+                shrunk: shrink(&unshrunk, &[Arc::clone(component)], &config),
+                unshrunk,
+            })
+            .collect()
     }
 
     #[test]
-    fn shrunk_summaries_over_one_vocabulary_hold_one_column() {
-        // `entry` mixes in a component over words {1, 2, 7}; every sample
-        // here stays inside it, so all three vocabularies coincide.
-        let c = catalog();
-        assert_eq!(c.shrunk_term_columns(), 1);
-        assert!(share_a_column((&c, 0), (&c, 1)) && share_a_column((&c, 0), (&c, 2)));
-        assert_eq!(c.shrunk(2).terms(), &[1, 2, 7]);
-        // Shared once, and no `sample_df` bytes for shrunk summaries:
-        // 3 terms × (4 + 3 × 16) bytes, against 3 × 3 × 24 held apart.
-        let shrunk_bytes = 3 * 4 + 3 * 3 * 16;
-        let unshrunk_bytes = (2 + 1) * 24;
-        let i = c.posting_index();
-        let index_bytes = (i.terms().len() * 2 + i.offsets().len()) * 4
-            + i.terms().len() * 3 * 8
-            + i.dbs().len() * (4 + 8 + 4 + 1 + 8);
-        assert_eq!(
-            c.resident_bytes(),
-            shrunk_bytes + unshrunk_bytes + index_bytes
-        );
+    fn resident_bytes_count_every_column_once() {
+        // However many databases mix one component, the catalog holds it
+        // once: a database adds its sample summary, its λs and its
+        // component list, never a column of the component's size.
+        let component: Arc<SummaryComponent> = Arc::new(SummaryComponent {
+            p_df: (0..500).map(|t| (t, 0.001)).collect(),
+            p_tf: (0..500).map(|t| (t, 0.001)).collect(),
+        });
+        let sample = |i: u32| sampled_summary(100.0 * f64::from(i + 1), 50, &[(i, 5)]);
+        let shrunk_bytes = |n: u32| {
+            let c = Catalog::build(sharing((0..n).map(sample).collect(), &component));
+            let i = c.posting_index();
+            let index_bytes = (i.terms().len() * 2 + i.offsets().len()) * 4
+                + i.terms().len() * 3 * 8
+                + i.dbs().len() * (4 + 8 + 4 + 4 + 1 + 8);
+            let unshrunk_bytes: usize =
+                (0..c.len()).map(|db| c.unshrunk(db).resident_bytes()).sum();
+            let shrunk = c.shrunk_summaries().resident_bytes();
+            assert_eq!(c.resident_bytes(), unshrunk_bytes + shrunk + index_bytes);
+            shrunk
+        };
+        let (one, two, four) = (shrunk_bytes(1), shrunk_bytes(2), shrunk_bytes(4));
+        assert!(one > 500 * 2 * 12, "the column is counted: {one}");
+        assert_eq!(four - two, 2 * (two - one), "a constant per database");
+        // λs, component list, mixture record: a few hundred bytes, where
+        // a column of the component's size is 12 000.
+        assert!(two - one < 1_000, "no per-database column: {}", two - one);
     }
 
     #[test]
     fn apply_updates_keeps_untouched_columns_shared() {
+        let component: Arc<SummaryComponent> = Arc::new(SummaryComponent {
+            p_df: [(1, 0.05), (2, 0.02), (7, 0.01)].into_iter().collect(),
+            p_tf: [(1, 0.05), (2, 0.02), (7, 0.01)].into_iter().collect(),
+        });
         let base = vec![
-            entry("a", sampled_summary(1000.0, 100, &[(1, 50), (2, 3)])),
-            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
-            entry("c", sampled_summary(200.0, 50, &[])),
+            sampled_summary(1000.0, 100, &[(1, 50), (2, 3)]),
+            sampled_summary(500.0, 80, &[(1, 10)]),
+            sampled_summary(200.0, 50, &[]),
         ];
-        let catalog = Catalog::build(base.clone());
-        // b re-probed inside the shared vocabulary joins the column the
-        // untouched databases never let go of...
-        let inside = entry("b", sampled_summary(640.0, 90, &[(2, 7), (7, 1)]));
-        let joined = catalog.apply_updates(&[update_from(1, &inside)]).unwrap();
-        assert_eq!(joined.shrunk_term_columns(), 1);
-        for db in 0..3 {
-            assert!(share_a_column((&joined, db), (&catalog, 0)), "db {db}");
-        }
-        // ...and one whose sample brings a new word (9) gets a column of
-        // its own, leaving the others' sharing as it was.
-        let outside = entry("b", sampled_summary(640.0, 90, &[(2, 7), (9, 4)]));
-        let split = catalog.apply_updates(&[update_from(1, &outside)]).unwrap();
-        assert_eq!(split.shrunk_term_columns(), 2);
-        assert!(share_a_column((&split, 0), (&catalog, 0)));
-        assert!(share_a_column((&split, 2), (&catalog, 0)));
-        assert_eq!(split.shrunk(1).terms(), &[1, 2, 7, 9]);
-        for (updated, replacement) in [(&joined, inside), (&split, outside)] {
-            let mut rebuilt = base.clone();
-            rebuilt[1] = replacement;
-            assert_catalogs_identical(updated, &Catalog::build(rebuilt));
-        }
+        let catalog = Catalog::build(sharing(base.clone(), &component));
+        // b re-probed, with a word (9) no column has: only its sample and
+        // λs change; the mixture's columns are the ones every database
+        // already shared.
+        let mut rebuilt = base;
+        rebuilt[1] = sampled_summary(640.0, 90, &[(2, 7), (9, 4)]);
+        let entries = sharing(rebuilt, &component);
+        let updated = catalog
+            .apply_updates(&[update_from(1, &entries[1])])
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            updated.shrunk_summaries().categories(),
+            catalog.shrunk_summaries().categories()
+        ));
+        assert_catalogs_identical(&updated, &Catalog::build(entries));
     }
 
     #[test]
@@ -1544,15 +1585,15 @@ mod tests {
             c.posting_index().dbs().to_vec(),
             c.posting_index().p_df().to_vec(),
             c.posting_index().sample_df().to_vec(),
+            c.posting_index().positions().to_vec(),
             c.posting_index().effective().to_vec(),
         )
         .unwrap();
         let rebuilt = Catalog::from_raw_parts(
             c.names().to_vec(),
             (0..c.len()).map(|db| c.unshrunk(db).clone()).collect(),
-            (0..c.len()).map(|db| c.shrunk(db).clone()).collect(),
+            c.shrunk_summaries().clone(),
             c.gammas().to_vec(),
-            c.mcw(),
             index,
         )
         .unwrap();

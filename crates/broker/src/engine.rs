@@ -248,15 +248,9 @@ impl SelectionEngine {
     }
 
     /// What scoring reads besides the plan: the shrunk rows
-    /// ([`Catalog::gather_shrunk`], in the probability space this engine's
-    /// kernel scores in) and the candidate mask.
+    /// ([`Catalog::gather_shrunk`]) and the candidate mask.
     fn gather_planned(&self, query: &[TermId], used_shrinkage: &[bool], planned: &mut Planned) {
-        let token_space = self
-            .algorithm
-            .score_kernel()
-            .is_some_and(|kernel| kernel.space() == ProbabilitySpace::TokenFrequency);
-        self.catalog
-            .gather_shrunk(query, used_shrinkage, token_space, &mut planned.shrunk);
+        (self.catalog).gather_shrunk(&planned.plan, query, used_shrinkage, &mut planned.shrunk);
         self.catalog
             .planned_candidates(&planned.plan, &mut planned.candidates);
     }
@@ -383,9 +377,15 @@ impl SelectionEngine {
         members: Option<&[u32]>,
         candidates: &[bool],
     ) -> Vec<RankedDatabase> {
+        // Shrunk views are computed on demand; hold them while ranking.
+        let shrunk: Vec<_> = used_shrinkage
+            .iter()
+            .enumerate()
+            .map(|(db, &used)| used.then(|| self.catalog.shrunk(db)))
+            .collect();
         let item = |index: usize| {
-            let view: &dyn SummaryView = if used_shrinkage[index] {
-                self.catalog.shrunk(index)
+            let view: &dyn SummaryView = if let Some(view) = &shrunk[index] {
+                view
             } else if candidates[index] {
                 self.catalog.unshrunk(index)
             } else {
@@ -703,7 +703,7 @@ impl SelectionEngine {
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, CatalogEntry};
-    use crate::test_support::{entry, sampled_summary, shrunk_for};
+    use crate::test_support::{entry, hierarchical, sampled_summary, shrunk_for};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -800,9 +800,9 @@ mod tests {
     }
 
     /// A catalog whose shrunk summaries mix two different category models
-    /// (two hierarchy roots, in effect) and arrive interleaved: the two
-    /// vocabularies are interned as two columns, positions are resolved per
-    /// column, and every route still equals `adaptive_rank` bit for bit.
+    /// (two hierarchy roots, in effect) and arrive interleaved: each
+    /// database's mixture reads its own column, and every route still
+    /// equals `adaptive_rank` bit for bit.
     #[test]
     fn two_shrunk_vocabularies_route_like_adaptive_rank_over_two_columns() {
         let health = [(1, 0.05), (2, 0.02), (5, 0.01), (7, 0.01)];
@@ -836,9 +836,6 @@ mod tests {
             })
             .collect();
         let catalog = Arc::new(Catalog::build(entries.clone()));
-        assert_eq!(catalog.shrunk_term_columns(), 2);
-        assert_eq!(catalog.shrunk(0).terms(), &[1, 2, 5, 7]);
-        assert_eq!(catalog.shrunk(1).terms(), &[1, 3, 9]);
 
         let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
         let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
@@ -1034,6 +1031,63 @@ mod tests {
                 for (x, y) in a.ranking.iter().zip(&b.ranking) {
                     prop_assert_eq!(x.index, y.index);
                     prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+                }
+            }
+        }
+
+        /// The same guardrail on the catalog form serving loads: shrunk
+        /// summaries factored over a category hierarchy (edge and leaf
+        /// remainders computed per request), against `adaptive_rank` over
+        /// the lazy mixtures of the same components and λs.
+        #[test]
+        fn route_topk_matches_full_ranking_on_a_hierarchical_catalog(
+            seed in 0u64..1_000_000,
+            db_sizes in proptest::collection::vec(0.0f64..80_000.0, 1..8),
+        ) {
+            let summaries = db_sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &db_size)| {
+                    let words: Vec<(TermId, u32)> = (0..6)
+                        .map(|w| (w + 1 + i as u32 % 3, ((i as u32 + 2) * (w + 3) * 13) % 95))
+                        .filter(|&(_, sdf)| sdf > 0)
+                        .collect();
+                    sampled_summary(db_size, 100, &words)
+                })
+                .collect();
+            let (entries, catalog) = hierarchical(summaries);
+            let pairs: Vec<SummaryPair<'_>> = entries
+                .iter()
+                .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
+                .collect();
+            let catalog = Arc::new(catalog);
+            let global = sampled_summary(200_000.0, 500, &[(1, 40), (2, 30), (3, 20), (8, 5)]);
+            let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+                Arc::new(BGloss),
+                Arc::new(Cori::default()),
+                Arc::new(Lm::new(0.5, &global)),
+            ];
+            let queries: Vec<Vec<TermId>> =
+                vec![vec![1, 3], vec![2, 4, 9], vec![8], vec![], vec![4, 4, 2, 1, 7]];
+            for algorithm in &algorithms {
+                for mode in [ShrinkageMode::Adaptive, ShrinkageMode::Always] {
+                    let config = AdaptiveConfig { mode, ..Default::default() };
+                    let engine =
+                        SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
+                    for (qi, query) in queries.iter().enumerate() {
+                        let full =
+                            adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut db_rng(seed, qi));
+                        for k in [1, 3, usize::MAX] {
+                            let pruned = engine.route_topk(query, k, &mut db_rng(seed, qi));
+                            prop_assert_eq!(&pruned.used_shrinkage, &full.used_shrinkage);
+                            let want = &full.ranking[..k.min(full.ranking.len())];
+                            prop_assert_eq!(pruned.ranking.len(), want.len());
+                            for (x, y) in pruned.ranking.iter().zip(want) {
+                                prop_assert_eq!(x.index, y.index);
+                                prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -18,7 +18,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use broker::{Catalog, CatalogEntry, SelectionEngine};
+use broker::SelectionEngine;
 use dbselect_core::category_summary::CategoryWeighting;
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::summary::ContentSummary;
@@ -100,6 +100,13 @@ fn read_documents(
     analyzer: &Analyzer,
     dict: &mut TermDict,
 ) -> io::Result<Vec<Document>> {
+    Ok(analyze_texts(read_texts(dir)?, analyzer, dict))
+}
+
+/// Every regular file in `dir`, sorted by name, as text — read in full
+/// before any word is interned, so a failed read leaves a dictionary as
+/// it was.
+fn read_texts(dir: &Path) -> io::Result<Vec<String>> {
     let mut paths = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(|e| naming(dir, e))? {
         let path = entry.map_err(|e| naming(dir, e))?.path();
@@ -108,13 +115,22 @@ fn read_documents(
         }
     }
     paths.sort();
-    let mut docs = Vec::with_capacity(paths.len());
-    for (i, path) in paths.iter().enumerate() {
-        let bytes = std::fs::read(path).map_err(|e| naming(path, e))?;
-        let text = String::from_utf8_lossy(&bytes);
-        docs.push(Document::from_text(i as u32, &text, analyzer, dict));
-    }
-    Ok(docs)
+    paths
+        .iter()
+        .map(|path| {
+            let bytes = std::fs::read(path).map_err(|e| naming(path, e))?;
+            Ok(String::from_utf8_lossy(&bytes).into_owned())
+        })
+        .collect()
+}
+
+/// One document per text, its words interned into `dict`.
+fn analyze_texts(texts: Vec<String>, analyzer: &Analyzer, dict: &mut TermDict) -> Vec<Document> {
+    texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| Document::from_text(i as u32, text, analyzer, dict))
+        .collect()
 }
 
 /// `dbselect index`: profile the given directories and build a store.
@@ -348,20 +364,11 @@ pub fn select(
         return select_redde(store, &query, k, out);
     }
 
-    // One-shot serving: freeze a catalog for this store and route through
-    // the broker engine (bit-identical to scoring every summary directly).
-    let shrunk = store.shrink_all(CategoryWeighting::BySize);
-    let entries: Vec<CatalogEntry> = store
-        .databases
-        .iter()
-        .zip(shrunk)
-        .map(|(db, shrunk)| CatalogEntry {
-            name: db.name.clone(),
-            unshrunk: db.summary.clone(),
-            shrunk,
-        })
-        .collect();
-    let catalog = Arc::new(Catalog::build(entries));
+    // One-shot serving: freeze the store as `dbselect freeze` does and
+    // route through the broker engine, on the catalog a daemon would serve
+    // (bit-identical to scoring every summary directly).
+    let frozen = StoredCatalog::freeze(store.clone(), CategoryWeighting::BySize);
+    let catalog = Arc::new(frozen.to_catalog());
     let algorithm = build_algorithm(store, algo);
     let config = AdaptiveConfig {
         mode: shrinkage,
@@ -411,10 +418,10 @@ impl Default for RouteOptions {
 }
 
 /// `dbselect route`: serve a batch of queries (one per line) against a
-/// serving snapshot (v2, or a v1 catalog already migrated through
-/// [`ServingSnapshot::load_any`]). The shrunk summaries come pre-frozen
-/// from the snapshot — no EM, no rebuild at serving time. Returns the
-/// rendered report.
+/// serving snapshot (v4, or a v1 catalog already migrated through
+/// [`ServingSnapshot::load_any`]). The shrunk summaries come factored
+/// from the snapshot — no EM, no mixing at load; a shrunk value is
+/// computed when a query reads it. Returns the rendered report.
 pub fn route(snapshot: &ServingSnapshot, query_lines: &[String], options: &RouteOptions) -> String {
     let mut out = String::new();
     if options.algo == CliAlgorithm::Redde {
@@ -637,9 +644,15 @@ impl Default for RefreshOptions {
 /// drifted content is picked up); catalog databases without a spec stay
 /// frozen at their base summaries.
 ///
-/// Returns the per-round report: which databases each round touched, the
-/// round's wall time, and the delta's size on disk — the evidence that
-/// refresh cost scales with the touched set, not the catalog.
+/// A picked database whose directory cannot be read (or holds no
+/// document) is skipped for the round and reported; it stays eligible
+/// and keeps aging, and a round whose every pick is skipped appends
+/// nothing.
+///
+/// Returns the per-round report: which databases each round touched (and
+/// skipped), the round's wall time, and the delta's size on disk — the
+/// evidence that refresh cost scales with the touched set, not the
+/// catalog.
 pub fn refresh(
     catalog_path: &str,
     chain_dir: &Path,
@@ -715,18 +728,38 @@ pub fn refresh(
 
         // Re-read the picked databases' directories (content may have
         // drifted since the last probe), interning new vocabulary into
-        // the session dictionary.
-        let mut reloaded = Vec::with_capacity(picks.len());
+        // the session dictionary. A database whose directory cannot be
+        // read, or holds no document, sits this round out: it is reported
+        // and keeps aging, and the rest of the round goes ahead.
+        let (mut refreshed, mut reloaded) = (Vec::new(), Vec::new());
         for &db in &picks {
             let spec = spec_for_db[db].expect("scheduler only picks eligible databases");
-            let docs = read_documents(Path::new(&spec.dir), &analyzer, session.dict_mut())?;
-            if docs.is_empty() {
-                return Err(io::Error::new(
+            let texts = read_texts(Path::new(&spec.dir)).and_then(|texts| match texts.is_empty() {
+                true => Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!("{}: no readable documents in {}", spec.name, spec.dir),
-                ));
+                    format!("no readable documents in {}", spec.dir),
+                )),
+                false => Ok(texts),
+            });
+            match texts {
+                Ok(texts) => {
+                    let docs = analyze_texts(texts, &analyzer, session.dict_mut());
+                    reloaded.push(IndexedDatabase::new(spec.name.clone(), docs));
+                    refreshed.push(db);
+                }
+                Err(e) => {
+                    scheduler.defer(db);
+                    let _ = writeln!(out, "round {}: skipped {}: {e}", round + 1, spec.name);
+                }
             }
-            reloaded.push(IndexedDatabase::new(spec.name.clone(), docs));
+        }
+        if refreshed.is_empty() {
+            let _ = writeln!(
+                out,
+                "round {}: every pick skipped; nothing appended",
+                round + 1
+            );
+            continue;
         }
 
         let summaries: Vec<ContentSummary> = if options.full {
@@ -754,15 +787,15 @@ pub fn refresh(
                 .collect()
         };
 
-        let mut patches = Vec::with_capacity(picks.len());
-        for (&db, summary) in picks.iter().zip(summaries) {
+        let mut patches = Vec::with_capacity(refreshed.len());
+        for (&db, summary) in refreshed.iter().zip(summaries) {
             patches.push(session.apply_probe(db, summary));
             scheduler.set_coverage(db, session.coverage(db));
         }
         let generation = writer.append_round(session.dict(), patches)?;
         let delta_path = chain_dir.join(store::delta::delta_file_name(generation));
         let bytes = std::fs::metadata(&delta_path).map(|m| m.len()).unwrap_or(0);
-        let names: Vec<&str> = picks
+        let names: Vec<&str> = refreshed
             .iter()
             .map(|&db| {
                 spec_for_db[db]
@@ -922,7 +955,7 @@ mod tests {
         )
         .unwrap();
 
-        // Freeze the shrinkage fit into a v1 catalog, migrate it to a v2
+        // Freeze the shrinkage fit into a v1 catalog, migrate it to a v4
         // snapshot on disk, and reload both ways: `load_any` must route
         // the legacy file and the snapshot identically.
         let path = root.join("collection.catalog");
@@ -986,7 +1019,7 @@ mod tests {
         assert!(single.contains("latency per query: p50"), "{single}");
 
         // The legacy v1 catalog file routes identically to its migrated
-        // v2 snapshot.
+        // v4 snapshot.
         let from_v1 = ServingSnapshot::load_any(&path).unwrap();
         let v1_report = route(&from_v1, &lines, &options);
         assert_eq!(strip(&report, "2 threads"), strip(&v1_report, "2 threads"));
@@ -1090,6 +1123,71 @@ mod tests {
         };
         let err = refresh(&catalog_path, &root.join("x-chain"), &[bogus], &options).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn refresh_skips_an_unreadable_database_and_keeps_the_round() {
+        let root = temp_root("refresh-skip");
+        write_corpus(&root);
+        let specs = specs(&root);
+        let store = build_store(
+            &specs,
+            &IndexOptions {
+                full: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let catalog_path = root.join("collection.catalog");
+        StoredCatalog::freeze(store, CategoryWeighting::BySize)
+            .save(&catalog_path)
+            .unwrap();
+        let catalog_path = catalog_path.to_string_lossy().into_owned();
+        std::fs::write(root.join("heart/doc9.txt"), "Arrhythmia monitoring").unwrap();
+        let options = RefreshOptions {
+            rounds: 1,
+            budget: 2,
+            seed: 3,
+            full: true,
+            ..Default::default()
+        };
+
+        // The reference: a chain refreshing the heart database alone.
+        let heart_only: Vec<DbSpec> = specs
+            .iter()
+            .filter(|s| s.name == "heart-db")
+            .cloned()
+            .collect();
+        let reference = root.join("reference-chain");
+        refresh(&catalog_path, &reference, &heart_only, &options).unwrap();
+
+        // Both databases picked, but the soccer directory is gone after the
+        // base was written: the round refreshes heart-db, reports the skip,
+        // and appends the very delta the heart-only run appended — the
+        // failed read interned nothing.
+        std::fs::remove_dir_all(root.join("soccer")).unwrap();
+        let chain = root.join("chain");
+        let report = refresh(&catalog_path, &chain, &specs, &options).unwrap();
+        assert!(report.contains("round 1: skipped soccer-db"), "{report}");
+        assert!(report.contains("refreshed heart-db in"), "{report}");
+        let replayed = store::delta::load_chain(&chain).unwrap();
+        let expected = store::delta::load_chain(&reference).unwrap();
+        assert_eq!(replayed.generation, 1);
+        assert_eq!(replayed.checksum, expected.checksum);
+        assert_eq!(
+            replayed.snapshot.value_digest(),
+            expected.snapshot.value_digest()
+        );
+
+        // Every pick failing appends nothing.
+        std::fs::remove_dir_all(root.join("heart")).unwrap();
+        let empty = root.join("empty-chain");
+        let report = refresh(&catalog_path, &empty, &specs, &options).unwrap();
+        assert!(report.contains("skipped heart-db"), "{report}");
+        assert!(report.contains("every pick skipped"), "{report}");
+        assert_eq!(store::delta::chain_tip_generation(&empty).unwrap(), 0);
 
         std::fs::remove_dir_all(&root).ok();
     }

@@ -81,11 +81,13 @@ fitted λ weights) into a serving catalog; `route` loads the catalog — no
 EM at serving time — and evaluates a file of queries (one per line) in
 parallel. Rankings are independent of --threads.
 
-`freeze` writes a v2 serving snapshot: the columnar catalog (frozen
-summaries, posting index, γ exponents, LM global model) in final serving
-form, so loading is a checksummed array read with no rebuilding. It
+`freeze` writes a v4 serving snapshot: the columnar catalog (sample
+columns, fitted λ pairs, the category aggregates the shrunk summaries
+mix, posting index, γ exponents, LM global model) in serving form, so
+loading is a checksummed array read with no EM and no mixing. It
 accepts a v1 catalog (migration) or a store (EM + freeze in one step).
-`route` and `serve` accept either format and detect it by magic bytes.
+`route` and `serve` accept either format and detect it by magic bytes;
+a retired v2/v3 snapshot is refused — re-freeze its v1 catalog.
 
 `refresh` runs live summary refresh: each round, a budgeted scheduler
 picks the stalest / least-covered databases named by a spec, re-probes
@@ -284,7 +286,7 @@ fn cmd_freeze(args: &[String]) -> Result<(), String> {
     snapshot.save(&out).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(
-        "froze {} databases ({} terms, {} posting terms) -> {out} ({bytes} bytes, v3 snapshot)",
+        "froze {} databases ({} terms, {} posting terms) -> {out} ({bytes} bytes, v4 snapshot)",
         snapshot.catalog.len(),
         snapshot.dict.len(),
         snapshot.catalog.posting_index().len(),

@@ -44,8 +44,8 @@ pub enum CategoryWeighting {
 /// `denom_df` counts databases. Either way `p̂(w|C) = acc_df(w) / denom_df`,
 /// and aggregates stay additive so overlap subtraction is exact. Every
 /// word a member database knows has a row, even when its sums are 0.
-#[derive(Debug, Clone, Default)]
-struct Aggregate {
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Aggregate {
     /// Strictly ascending; `acc_df` and `acc_tf` are parallel to it.
     terms: Vec<TermId>,
     acc_df: Vec<f64>,
@@ -59,6 +59,65 @@ struct Aggregate {
 }
 
 impl Aggregate {
+    /// Reassemble an aggregate from its parts — the snapshot load path.
+    /// Rejects ragged columns and terms that are not strictly ascending.
+    pub fn from_raw_parts(
+        n_dbs: usize,
+        denoms: (f64, f64),
+        size: f64,
+        terms: Vec<TermId>,
+        acc_df: Vec<f64>,
+        acc_tf: Vec<f64>,
+    ) -> Result<Aggregate, &'static str> {
+        if acc_df.len() != terms.len() || acc_tf.len() != terms.len() {
+            return Err("category aggregate columns disagree on length");
+        }
+        if terms.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("category aggregate terms not strictly ascending");
+        }
+        Ok(Aggregate {
+            terms,
+            acc_df,
+            acc_tf,
+            denom_df: denoms.0,
+            denom_tf: denoms.1,
+            size,
+            n_dbs,
+        })
+    }
+
+    /// Number of databases aggregated.
+    pub fn n_dbs(&self) -> usize {
+        self.n_dbs
+    }
+
+    /// The `(df, tf)` denominators: summed sizes and token counts under
+    /// `BySize`, the database count under `Uniform`.
+    pub fn denoms(&self) -> (f64, f64) {
+        (self.denom_df, self.denom_tf)
+    }
+
+    /// Total estimated documents under the category.
+    pub fn size(&self) -> f64 {
+        self.size
+    }
+
+    /// The aggregated words, strictly ascending.
+    pub fn terms(&self) -> &[TermId] {
+        &self.terms
+    }
+
+    /// Per word (parallel to [`Self::terms`]): the summed `df` estimates
+    /// (`BySize`) or `p̂(w|D)`s (`Uniform`).
+    pub fn acc_df(&self) -> &[f64] {
+        &self.acc_df
+    }
+
+    /// Per word: the summed `tf` estimates or token probabilities.
+    pub fn acc_tf(&self) -> &[f64] {
+        &self.acc_tf
+    }
+
     /// The component of `self − other` (the raw component when `other` is
     /// empty).
     fn minus(&self, other: &Aggregate) -> SummaryComponent {
@@ -173,7 +232,7 @@ fn contributions(
 /// values are sums from `+0.0`, never `-0.0`, so this is the same
 /// difference whether `left` was itself accumulated or is an absent
 /// word's 0.
-fn take(left: f64, v: f64) -> f64 {
+pub(crate) fn take(left: f64, v: f64) -> f64 {
     (left - v).max(0.0)
 }
 
@@ -307,7 +366,7 @@ impl FromIterator<(TermId, f64)> for Column {
 
 /// One mixture component for shrinkage: the word distributions of a category
 /// (or category remainder, after overlap subtraction).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SummaryComponent {
     /// `p̂(w|C)` under the document-frequency model.
     pub p_df: Column,
@@ -318,18 +377,17 @@ pub struct SummaryComponent {
 /// Category summaries for an entire classified database collection.
 ///
 /// Shrinkage components that do not depend on a particular database — the
-/// "category remainder" of each (parent, child) edge — are built once, when
-/// the aggregates are, and shared (`Arc`) across all databases below that
-/// edge, so the per-database cost of shrinking a large collection stays
-/// proportional to its leaf category's vocabulary rather than the global
-/// one.
+/// "category remainder" of each (parent, child) edge — are made on first
+/// use and shared (`Arc`) across all databases below that edge, so the
+/// per-database cost of shrinking a large collection stays proportional
+/// to its leaf category's vocabulary rather than the global one.
 #[derive(Debug, Clone)]
 pub struct CategorySummaries {
     aggregates: Vec<Aggregate>,
     weighting: CategoryWeighting,
-    /// Indexed by category: `agg(parent) − agg(category)`, `None` for the
-    /// root.
-    edges: Vec<Option<Arc<SummaryComponent>>>,
+    /// Indexed by category: `agg(parent) − agg(category)`, made on first
+    /// use (never for the root).
+    edges: Vec<OnceLock<Arc<SummaryComponent>>>,
     /// Indexed by category: its raw component, made on first use (only the
     /// overlap ablation asks for one) and then shared like the edges.
     raw: Vec<OnceLock<Arc<SummaryComponent>>>,
@@ -355,19 +413,17 @@ impl CategorySummaries {
             .into_iter()
             .map(|m| scratch.aggregate(m, weighting))
             .collect();
-        let edges = hierarchy
-            .ids()
-            .map(|c| {
-                let parent = hierarchy.parent(c)?;
-                Some(Arc::new(aggregates[parent].minus(&aggregates[c])))
-            })
-            .collect();
         CategorySummaries {
+            edges: vec![OnceLock::new(); aggregates.len()],
             raw: vec![OnceLock::new(); aggregates.len()],
             aggregates,
             weighting,
-            edges,
         }
+    }
+
+    /// Every category's aggregate, indexed by category id.
+    pub fn aggregates(&self) -> &[Aggregate] {
+        &self.aggregates
     }
 
     /// The Root category summary of `databases` — what
@@ -425,12 +481,29 @@ impl CategorySummaries {
             return path.into_iter().map(raw).collect();
         }
         let leaf = self.aggregates[db_category].minus_database(db_summary, self.weighting);
-        path[1..]
-            .iter()
-            .map(|&child| Arc::clone(self.edges[child].as_ref().expect("a child has a parent")))
-            .chain([Arc::new(leaf)])
-            .collect()
+        let edge = |pair: &[CategoryId]| {
+            let (parent, child) = (pair[0], pair[1]);
+            let component = || Arc::new(self.aggregates[parent].minus(&self.aggregates[child]));
+            Arc::clone(self.edges[child].get_or_init(component))
+        };
+        path.windows(2).map(edge).chain([Arc::new(leaf)]).collect()
     }
+}
+
+/// The shrinkage components of a database whose category path (root
+/// first) has the aggregates `path`, its leaf remainder subtracting
+/// `basis`: what [`CategorySummaries::components_for`] returns with
+/// overlap subtraction, from the path's aggregates alone.
+pub fn path_components(
+    path: &[&Aggregate],
+    basis: &ContentSummary,
+    weighting: CategoryWeighting,
+) -> Vec<Arc<SummaryComponent>> {
+    let leaf = path.last().expect("a category path has a leaf");
+    path.windows(2)
+        .map(|pair| Arc::new(pair[0].minus(pair[1])))
+        .chain([Arc::new(leaf.minus_database(basis, weighting))])
+        .collect()
 }
 
 #[cfg(test)]

@@ -211,7 +211,7 @@ impl ContentSummary {
 
 /// `count / total`, or 0 when the total is: a degenerate summary has no
 /// probability mass to hand out.
-fn ratio(count: f64, total: f64) -> f64 {
+pub(crate) fn ratio(count: f64, total: f64) -> f64 {
     if total == 0.0 {
         0.0
     } else {

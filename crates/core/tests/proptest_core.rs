@@ -11,7 +11,9 @@ use rand::SeedableRng;
 
 use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting, SummaryComponent};
 use dbselect_core::freqest::{fit_mandelbrot, linear_regression, FrequencyEstimator};
-use dbselect_core::frozen::{FrozenSummary, ShrunkMixer};
+use dbselect_core::frozen::{
+    CategoryColumns, FrozenSummary, MixScratch, MixedSummary, OwnWord, ShrunkMixer, ShrunkSummaries,
+};
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
 use dbselect_core::summary::{ContentSummary, SummaryView, WordStats};
@@ -77,19 +79,19 @@ fn assert_mixer_matches_lazy_mixture(
         )
         .collect();
     prop_assert_eq!(
-        frozen.terms(),
+        &frozen.terms[..],
         &vocabulary.into_iter().collect::<Vec<_>>()[..]
     );
-    for (i, &t) in frozen.terms().iter().enumerate() {
-        prop_assert_eq!(frozen.p_df_column()[i].to_bits(), lazy.p_df(t).to_bits());
-        prop_assert_eq!(frozen.p_tf_column()[i].to_bits(), lazy.p_tf(t).to_bits());
+    for (i, &t) in frozen.terms.iter().enumerate() {
+        prop_assert_eq!(frozen.p_df[i].to_bits(), lazy.p_df(t).to_bits());
+        prop_assert_eq!(frozen.p_tf[i].to_bits(), lazy.p_tf(t).to_bits());
     }
     let absent = TermId::MAX;
-    prop_assert_eq!(frozen.default_p_df().to_bits(), lazy.p_df(absent).to_bits());
-    prop_assert_eq!(frozen.default_p_tf().to_bits(), lazy.p_tf(absent).to_bits());
-    prop_assert_eq!(frozen.db_size().to_bits(), lazy.db_size().to_bits());
-    prop_assert_eq!(frozen.word_count().to_bits(), lazy.word_count().to_bits());
-    prop_assert_eq!(FrozenSummary::from_shrunk(&lazy), frozen);
+    prop_assert_eq!(frozen.default_p_df.to_bits(), lazy.p_df(absent).to_bits());
+    prop_assert_eq!(frozen.default_p_tf.to_bits(), lazy.p_tf(absent).to_bits());
+    prop_assert_eq!(frozen.db_size.to_bits(), lazy.db_size().to_bits());
+    prop_assert_eq!(frozen.word_count.to_bits(), lazy.word_count().to_bits());
+    prop_assert_eq!(MixedSummary::of(&lazy), frozen);
     Ok(())
 }
 
@@ -281,6 +283,109 @@ proptest! {
             if db == 0 {
                 // A re-probe of database 0 under its pinned components.
                 assert_mixer_matches_lazy_mixture(&mut mixer, &probe, &components, (&tf, &df))?;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// The factored shrunk summaries against the materialized mixture: on
+    /// a random hierarchy under either weighting, every database's
+    /// on-demand `p̂_R(w|D)` and `p_tf` — for every word of a vocabulary
+    /// that re-probes extend beyond every base id, and for a word no
+    /// column has (the defaults) — equal [`ShrunkMixer::freeze`]'s bits.
+    /// λs include `±0`; zero-size and token-free samples make empty and
+    /// tf-only component columns. Some databases are refreshed: their
+    /// sample is replaced by a re-probe while their leaf remainder keeps
+    /// subtracting the base sample (the pinned basis), which the oracle
+    /// mixes as the refresh session does.
+    #[test]
+    fn factored_values_equal_the_mixer_bit_for_bit(
+        parents in prop::collection::vec(0usize..1000, 0..7),
+        dbs in prop::collection::vec(
+            (0usize..1000, 0u8..4, words(0..40), prop::option::of((0u8..4, words(0..400)))),
+            1..7,
+        ),
+        lambdas in prop::collection::vec((0u8..6, 0.0f64..1.0), 16),
+        weighting in 0u8..2,
+    ) {
+        let mut hierarchy = Hierarchy::new("Root");
+        for (i, &p) in parents.iter().enumerate() {
+            hierarchy.add_child(p % (i + 1), format!("C{i}"));
+        }
+        let bases: Vec<(usize, ContentSummary)> = dbs
+            .iter()
+            .map(|(c, size, w, _)| (c % hierarchy.len(), degenerate_summary(*size, w)))
+            .collect();
+        let refs: Vec<_> = bases.iter().map(|(c, s)| (*c, s)).collect();
+        let weighting = [CategoryWeighting::BySize, CategoryWeighting::Uniform][weighting as usize];
+        let categories = CategorySummaries::build(&hierarchy, &refs, weighting);
+        let lambda = |i: usize| match lambdas[i % lambdas.len()] {
+            (0, _) => 0.0,
+            (1, _) => -0.0,
+            (_, l) => l,
+        };
+        let uniform_p = 1.0 / 97.0;
+        let columns = CategoryColumns::new(&hierarchy, categories.aggregates(), weighting);
+        let mut factored = ShrunkSummaries::new(uniform_p, Arc::new(columns));
+        let (mut mixer, mut own, mut oracles) = (ShrunkMixer::default(), Vec::new(), Vec::new());
+        for (db, ((category, base), (_, _, _, probe))) in bases.iter().zip(&dbs).enumerate() {
+            let components = categories.components_for(&hierarchy, *category, base, true);
+            let df: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + i)).collect();
+            let tf: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + 2 * i + 1)).collect();
+            let mut sample = FrozenSummary::from_unshrunk(base);
+            factored.push(*category, (df.clone(), tf.clone()), &sample, None).unwrap();
+            if let Some((size, words)) = probe {
+                // A refresh: new sample, λs swapped, components as pinned.
+                let current = degenerate_summary(*size, words);
+                factored.refit(db, (tf.clone(), df.clone()), &sample).unwrap();
+                sample = FrozenSummary::from_unshrunk(&current);
+                oracles.push(mixer.freeze(&current, &components, &tf, &df, uniform_p));
+            } else {
+                oracles.push(mixer.freeze(base, &components, &df, &tf, uniform_p));
+            }
+            own.push(sample);
+        }
+        // One request over the whole vocabulary (and a word no column
+        // has), prepared once: every database mixed, then the odd
+        // databases alone.
+        let query: Vec<TermId> = (0..400).chain([TermId::MAX - 1]).collect();
+        let q = query.len();
+        let all: Vec<u32> = (0..oracles.len() as u32).collect();
+        let words: Vec<OwnWord> = all
+            .iter()
+            .flat_map(|&db| query.iter().map(|&t| OwnWord::of(&own[db as usize], t)).collect::<Vec<_>>())
+            .collect();
+        let mut scratch = MixScratch::default();
+        factored.prepare(&query, &mut scratch);
+        let (mut p_df, mut p_tf) = (vec![0.0; all.len() * q], vec![0.0; all.len() * q]);
+        factored.mix_rows(&all, &words, &scratch, &mut p_df, &mut p_tf);
+        let odd: Vec<u32> = all.iter().copied().filter(|db| db % 2 == 1).collect();
+        let odd_words: Vec<OwnWord> = odd
+            .iter()
+            .flat_map(|&db| words[db as usize * q..][..q].to_vec())
+            .collect();
+        let (mut odd_df, mut odd_tf) = (vec![0.0; odd.len() * q], vec![0.0; odd.len() * q]);
+        factored.mix_rows(&odd, &odd_words, &scratch, &mut odd_df, &mut odd_tf);
+        for (db, oracle) in oracles.iter().enumerate() {
+            let view = factored.view(db, &own[db]);
+            prop_assert_eq!(view.db_size().to_bits(), oracle.db_size().to_bits());
+            prop_assert_eq!(view.word_count().to_bits(), oracle.word_count().to_bits());
+            for (k, &t) in query.iter().enumerate() {
+                let at = db * q + k;
+                prop_assert_eq!(p_df[at].to_bits(), oracle.p_df(t).to_bits(), "db {} p_df({})", db, t);
+                prop_assert_eq!(p_tf[at].to_bits(), oracle.p_tf(t).to_bits(), "db {} p_tf({})", db, t);
+                if k % 37 == 0 {
+                    prop_assert_eq!(view.p_df(t).to_bits(), p_df[at].to_bits());
+                    prop_assert_eq!(view.p_tf(t).to_bits(), p_tf[at].to_bits());
+                }
+            }
+        }
+        for (i, &db) in odd.iter().enumerate() {
+            for k in 0..q {
+                prop_assert_eq!(odd_df[i * q + k].to_bits(), p_df[db as usize * q + k].to_bits());
+                prop_assert_eq!(odd_tf[i * q + k].to_bits(), p_tf[db as usize * q + k].to_bits());
             }
         }
     }

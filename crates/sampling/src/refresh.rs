@@ -37,6 +37,9 @@ pub struct RefreshScheduler {
     coverage: Vec<f64>,
     /// Databases the caller can actually re-probe (has a probe source).
     eligible: Vec<bool>,
+    /// This round's picks with the round each was last picked before it,
+    /// so a probe that fails can be [`deferred`](Self::defer).
+    previous: Vec<(usize, u64)>,
 }
 
 impl RefreshScheduler {
@@ -56,6 +59,7 @@ impl RefreshScheduler {
             last: vec![0; n],
             coverage: vec![0.0; n],
             eligible: vec![true; n],
+            previous: Vec::new(),
         }
     }
 
@@ -124,11 +128,23 @@ impl RefreshScheduler {
         if let Some(&next_cursor) = picks.iter().max_by_key(|&&db| rotated(db)) {
             self.cursor = (next_cursor + 1) % n;
         }
+        self.previous.clear();
         for &db in &picks {
+            self.previous.push((db, self.last[db]));
             self.last[db] = self.round;
         }
         picks.sort_unstable();
         picks
+    }
+
+    /// Undo this round's pick of `db` because its probe failed: its
+    /// staleness is restored and keeps growing, so it stays eligible and
+    /// comes up again with the priority it had earned. No-op for a
+    /// database this round did not pick.
+    pub fn defer(&mut self, db: usize) {
+        if let Some(&(_, last)) = self.previous.iter().find(|&&(d, _)| d == db) {
+            self.last[db] = last;
+        }
     }
 }
 
@@ -180,6 +196,23 @@ mod tests {
         // Once refreshed, its staleness resets and the stale full-coverage
         // databases overtake it again.
         assert_eq!(s.next_round(), vec![0]);
+    }
+
+    #[test]
+    fn a_deferred_pick_keeps_aging() {
+        let mut s = RefreshScheduler::new(3, 1, 0);
+        assert_eq!(s.next_round(), vec![0]);
+        s.defer(0);
+        // Database 0's probe failed: it is as stale as everything else
+        // and, ties breaking past the cursor, waits its turn...
+        assert_eq!(s.next_round(), vec![1]);
+        assert_eq!(s.next_round(), vec![2]);
+        // ...but with two rounds more staleness than the others it comes
+        // up next, where a completed pick would have waited a full cycle.
+        assert!((s.priority(0) - 4.0 * 2.0).abs() < 1e-12);
+        assert_eq!(s.next_round(), vec![0]);
+        s.defer(2); // not picked this round: nothing to undo
+        assert!((s.priority(2) - 2.0 * 2.0).abs() < 1e-12);
     }
 
     #[test]

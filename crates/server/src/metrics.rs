@@ -494,12 +494,10 @@ pub fn render_tenant(
          dbselectd_tenant_in_flight{{tenant=\"{tenant}\"}} {in_flight}\n\
          dbselectd_tenant_catalog_generation{{tenant=\"{tenant}\"}} {generation}\n\
          dbselectd_tenant_catalog_databases{{tenant=\"{tenant}\"}} {}\n\
-         dbselectd_shrunk_term_columns{{tenant=\"{tenant}\"}} {}\n\
          dbselectd_catalog_resident_bytes{{tenant=\"{tenant}\"}} {}\n",
         metrics.reload_total.load(Ordering::Relaxed),
         metrics.quota_rejected_total.load(Ordering::Relaxed),
         catalog.len(),
-        catalog.shrunk_term_columns(),
         catalog.resident_bytes(),
     ));
     out
@@ -514,7 +512,6 @@ pub const TENANT_TYPE_HEADERS: &str = "# TYPE dbselectd_tenant_requests_total co
      # TYPE dbselectd_tenant_in_flight gauge\n\
      # TYPE dbselectd_tenant_catalog_generation gauge\n\
      # TYPE dbselectd_tenant_catalog_databases gauge\n\
-     # TYPE dbselectd_shrunk_term_columns gauge\n\
      # TYPE dbselectd_catalog_resident_bytes gauge\n";
 
 #[cfg(test)]

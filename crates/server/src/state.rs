@@ -10,9 +10,9 @@
 //! side and swaps the `Arc` — in-flight requests keep routing against the
 //! generation they started with, so a swap never fails them.
 //!
-//! Loading prefers the v2 [`ServingSnapshot`] format (a straight array
-//! read, no shrunk-summary rebuild); v1 [`StoredCatalog`] files still
-//! load through the legacy rebuild path via
+//! Loading prefers the v4 [`ServingSnapshot`] format (a straight array
+//! read: no EM, no mixing — shrunk summaries stay factored); v1
+//! [`StoredCatalog`] files still load through the freeze path via
 //! [`ServingSnapshot::load_any`].
 //!
 //! Query analysis (stemming, dictionary lookup, deduplication) mirrors
@@ -114,7 +114,7 @@ pub struct ServingState {
     load_seconds: f64,
     /// On-disk byte size of the catalog file this state came from.
     snapshot_bytes: u64,
-    /// FNV-1a content checksum of the catalog file (the v2 snapshot's
+    /// FNV-1a content checksum of the catalog file (the v4 snapshot's
     /// stored payload digest; 0 when built in memory). `/readyz` reports
     /// it so operators can tell whether two daemons serve the same bytes.
     checksum: u64,
@@ -214,7 +214,7 @@ impl ServingState {
         )
     }
 
-    /// Load a catalog from disk (v2 snapshot or v1 frozen catalog) and
+    /// Load a catalog from disk (v4 snapshot or v1 frozen catalog) and
     /// freeze it for serving, recording load latency and file size.
     pub fn load(path: &str, cache_capacity: usize) -> io::Result<Self> {
         ServingState::load_sharded(path, cache_capacity, 1)

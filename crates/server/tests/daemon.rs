@@ -333,8 +333,6 @@ fn healthz_metrics_and_errors() {
         "dbselectd_catalog_generation 1",
         "dbselectd_catalog_databases 6",
         "dbselectd_uptime_seconds",
-        // One hierarchy root: every shrunk summary holds the one column.
-        "dbselectd_shrunk_term_columns{tenant=\"default\"} 1\n",
         "dbselectd_catalog_resident_bytes{tenant=\"default\"} ",
     ] {
         assert!(body.contains(family), "missing {family} in:\n{body}");

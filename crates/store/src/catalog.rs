@@ -7,9 +7,9 @@
 //! therefore embeds the collection store and records, per database, the
 //! fitted mixture weights under both probability models plus the weighting
 //! policy they were fit under. Freezing a loaded catalog aggregates the
-//! category components once (deterministic, EM-free: one pass over every
-//! database's vocabulary per level of its category path, into term-sorted
-//! columns) and mixes every shrunk summary from them and the recorded λs —
+//! categories once (deterministic, EM-free: one pass over every database's
+//! vocabulary per level of its category path) and serves every shrunk
+//! summary as its mixture of those aggregates under the recorded λs —
 //! **no EM re-run**.
 //!
 //! The round trip is bit-exact: mixing with the recorded λs reproduces the
@@ -17,7 +17,7 @@
 //! loaded catalog ranks identically to one against the freshly built
 //! catalog.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 use broker::Catalog;
@@ -69,26 +69,26 @@ impl StoredCatalog {
         }
     }
 
-    /// Reassemble the shrunk summaries from the recorded λs — component
-    /// aggregation only, no EM. Bit-identical to
+    /// Reassemble the lazy shrunk summaries from the recorded λs —
+    /// component aggregation only, no EM. Bit-identical to
     /// [`CollectionStore::shrink_all`] with the frozen weighting.
     pub fn rebuild_shrunk(&self) -> Vec<ShrunkSummary> {
-        let epoch = Epoch::pin(self);
+        let categories = self.store.categories(self.weighting);
+        let uniform_p = self.store.shrinkage_config().uniform_p;
         self.store
             .databases
             .iter()
-            .zip(&epoch.components)
             .zip(self.lambdas_df.iter().zip(&self.lambdas_tf))
-            .map(|((db, comps), (ldf, ltf))| {
-                let uniform_p = epoch.config.uniform_p;
-                ShrunkSummary::from_parts(&db.summary, comps, ldf.clone(), ltf.clone(), uniform_p)
+            .map(|(db, (ldf, ltf))| {
+                let comps = self.store.components(&categories, db);
+                ShrunkSummary::from_parts(&db.summary, &comps, ldf.clone(), ltf.clone(), uniform_p)
             })
             .collect()
     }
 
     /// Freeze into a serving [`Catalog`].
     pub fn to_catalog(&self) -> Catalog {
-        Epoch::pin(self).catalog(self)
+        Epoch::pin(self).catalog(self, &[])
     }
 
     /// Serialize into `w`: catalog magic, embedded collection store,
@@ -178,11 +178,10 @@ impl StoredCatalog {
         })
     }
 
-    /// Save to a file (buffered).
+    /// Save to a file through a temporary sibling and a rename, so a
+    /// failed or interrupted save leaves the previous file as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
+        crate::delta::write_atomically(path.as_ref(), |w| self.write_to(w))
     }
 
     /// Load from a file (buffered), rejecting trailing bytes.
@@ -298,7 +297,7 @@ mod tests {
         assert_eq!(loaded.mcw().to_bits(), original.mcw().to_bits());
         for db in 0..original.len() {
             assert_eq!(loaded.gamma(db).to_bits(), original.gamma(db).to_bits());
-            for &t in original.shrunk(db).terms() {
+            for t in 0..frozen.store.dict.len() as u32 {
                 assert_eq!(
                     loaded.shrunk(db).p_df(t).to_bits(),
                     original.shrunk(db).p_df(t).to_bits()

@@ -1,11 +1,12 @@
 //! Delta snapshots: refresh rounds persisted as a chain.
 //!
 //! A refresh round re-probes a handful of databases and leaves everything
-//! else bit-untouched, so persisting a whole v3 snapshot per round would
+//! else bit-untouched, so persisting a whole snapshot per round would
 //! write the entire catalog to replace a few rows. A **delta snapshot**
-//! records only the touched databases — their re-frozen summary pair, the
-//! re-resolved γ, and whatever dictionary terms the new sample introduced
-//! — and chains onto its parent cryptographic-checksum-style:
+//! records only the touched databases — each one's new sample column,
+//! re-fitted λ pair and re-resolved γ — plus whatever dictionary terms
+//! the new samples introduced, and chains onto its parent
+//! cryptographic-checksum-style:
 //!
 //! * each file's payload is covered by the same FNV-1a 64 digest the
 //!   serving snapshot uses, and
@@ -21,7 +22,7 @@
 //!
 //! ```text
 //! chain/
-//!   base.snap          full v3 serving snapshot        (generation 0)
+//!   base.snap          full v4 serving snapshot        (generation 0)
 //!   delta-000001.snap  first refresh round             (generation 1)
 //!   delta-000002.snap  ...
 //! ```
@@ -32,7 +33,7 @@
 //! workspace codec rules.
 //!
 //! ```text
-//! magic  b"DBSDEL\x00\x01"              8 bytes, not checksummed
+//! magic  b"DBSDEL\x00\x02"              8 bytes, not checksummed
 //! ── checksummed payload ──────────────────────────────────────────
 //! parent      u64   payload digest of the previous chain file
 //! generation  u64   1-based position in the chain
@@ -40,10 +41,19 @@
 //! dict_new    u32 count, then count length-prefixed UTF-8 terms
 //! patches     u32 count, then per touched database (ascending):
 //!               db u32 · gamma f64
-//!               unshrunk frozen summary · shrunk frozen summary
+//!               u32 λ count · λ_df f64×count · λ_tf f64×count
+//!               sample column (as in the v4 snapshot)
 //! ── end of payload ───────────────────────────────────────────────
 //! checksum    u64   FNV-1a over the payload
 //! ```
+//!
+//! A delta never carries a shrunk summary, a category column or a leaf
+//! basis. The category aggregates are the base's for the whole chain,
+//! and a refreshed database's leaf remainder keeps subtracting the
+//! sample the base pinned (its basis, which the replay records the first
+//! time the database is patched): the re-fitted λs were fitted against
+//! exactly those components. Deltas of the v1 format (`\x01`, carrying
+//! materialized summaries) are refused.
 //!
 //! Replaying a chain applies each delta through
 //! [`broker::Catalog::apply_updates`] — the same touched-rows-only merge
@@ -61,10 +71,15 @@ use crate::codec::{
     corrupt, read_f64, read_len, read_str, read_u32, read_u64, write_f64, write_str, write_u32,
     write_u64, ChecksumReader, ChecksumWriter,
 };
-use crate::snapshot::{read_frozen, write_frozen, ServingSnapshot};
+use crate::snapshot::{
+    read_lambdas, read_sample_column, write_lambdas, write_sample_column, ServingSnapshot,
+};
 
 /// Magic bytes + format version for delta snapshots.
-const DELTA_MAGIC: &[u8; 8] = b"DBSDEL\x00\x01";
+const DELTA_MAGIC: &[u8; 8] = b"DBSDEL\x00\x02";
+
+/// The retired delta format, which carried materialized summaries.
+const RETIRED_DELTA_MAGIC: &[u8; 8] = b"DBSDEL\x00\x01";
 
 /// The base snapshot's file name inside a chain directory.
 pub const BASE_FILE: &str = "base.snap";
@@ -82,10 +97,11 @@ pub struct DbPatch {
     pub db: u32,
     /// Re-resolved power-law exponent.
     pub gamma: f64,
-    /// Re-frozen sample summary `Ŝ(D)`.
+    /// The λ pair re-fitted against the database's pinned components.
+    pub lambdas: (Vec<f64>, Vec<f64>),
+    /// Re-frozen sample summary `Ŝ(D)` (its raw columns are what is
+    /// written).
     pub unshrunk: FrozenSummary,
-    /// Re-frozen shrinkage summary `R̂(D)`.
-    pub shrunk: FrozenSummary,
 }
 
 /// One refresh round on disk.
@@ -121,8 +137,8 @@ impl DeltaRecord {
         for p in &self.patches {
             write_u32(&mut cw, p.db)?;
             write_f64(&mut cw, p.gamma)?;
-            write_frozen(&mut cw, &mut buf, &p.unshrunk)?;
-            write_frozen(&mut cw, &mut buf, &p.shrunk)?;
+            write_lambdas(&mut cw, &mut buf, (&p.lambdas.0, &p.lambdas.1))?;
+            write_sample_column(&mut cw, &mut buf, &p.unshrunk)?;
         }
         let digest = cw.digest();
         write_u64(w, digest)?;
@@ -134,6 +150,12 @@ impl DeltaRecord {
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<(DeltaRecord, u64)> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
+        if &magic == RETIRED_DELTA_MAGIC {
+            return Err(corrupt(
+                "v1 delta (materialized summaries): this build replays v2 deltas over a v4 \
+                 base only; re-freeze with `dbselect freeze --catalog CATALOG` to start a new chain",
+            ));
+        }
         if &magic != DELTA_MAGIC {
             return Err(corrupt("bad delta magic or unsupported version"));
         }
@@ -149,6 +171,9 @@ impl DeltaRecord {
         for _ in 0..appended {
             appended_terms.push(read_str(&mut cr)?);
         }
+        // Sample terms may name any word the chain's dictionary has once
+        // this delta's terms are appended.
+        let dict_len = dict_base as usize + appended;
         let patch_count = read_len(&mut cr)?;
         let mut patches: Vec<DbPatch> = Vec::new();
         for _ in 0..patch_count {
@@ -160,13 +185,13 @@ impl DeltaRecord {
             }
             let gamma = read_f64(&mut cr)?;
             let numbered = |e: io::Error| io::Error::new(e.kind(), format!("database #{db}: {e}"));
-            let unshrunk = read_frozen(&mut cr).map_err(numbered)?;
-            let shrunk = read_frozen(&mut cr).map_err(numbered)?;
+            let lambdas = read_lambdas(&mut cr).map_err(numbered)?;
+            let unshrunk = read_sample_column(&mut cr, dict_len).map_err(numbered)?;
             patches.push(DbPatch {
                 db,
                 gamma,
+                lambdas,
                 unshrunk,
-                shrunk,
             });
         }
         let digest = cr.digest();
@@ -310,7 +335,7 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
                 db: p.db as usize,
                 gamma: p.gamma,
                 unshrunk: p.unshrunk,
-                shrunk: p.shrunk,
+                lambdas: p.lambdas,
             })
             .collect();
         snapshot.catalog = snapshot
@@ -463,18 +488,27 @@ impl ChainWriter {
 }
 
 /// Write through a sibling temp file + rename, so readers only ever see
-/// complete files.
-fn write_atomically<T>(
+/// complete files and a failed write leaves the previous file as it was.
+/// The temp file is removed when the write fails.
+pub(crate) fn write_atomically<T>(
     path: &Path,
     write: impl FnOnce(&mut BufWriter<std::fs::File>) -> io::Result<T>,
 ) -> io::Result<T> {
-    let tmp = path.with_extension("tmp");
-    let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
-    let out = write(&mut w)?;
-    w.flush()?;
-    drop(w);
-    std::fs::rename(&tmp, path)?;
-    Ok(out)
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = (|| {
+        let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
+        let out = write(&mut w)?;
+        w.flush()?;
+        drop(w);
+        std::fs::rename(&tmp, path)?;
+        Ok(out)
+    })();
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
 }
 
 /// The trailing FNV-1a payload digest of a snapshot/delta file.
@@ -483,4 +517,53 @@ fn read_trailing_digest(path: &Path) -> io::Result<u64> {
     let mut f = std::fs::File::open(path)?;
     f.seek(io::SeekFrom::End(-8))?;
     read_u64(&mut f)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A save that fails halfway: the previous file is left byte for byte
+    /// and no temporary file stays behind — for the helper itself and for
+    /// each `save` routed through it.
+    #[test]
+    fn a_failed_write_leaves_the_old_file_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("dbsel-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog.snap");
+        std::fs::write(&path, b"the previous generation").unwrap();
+        let err = write_atomically(&path, |w| {
+            w.write_all(&[7u8; 100_000])?;
+            Err::<(), _>(io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(std::fs::read(&path).unwrap(), b"the previous generation");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["catalog.snap"], "no temporary file");
+
+        // A completed write replaces the file whole.
+        write_atomically(&path, |w| w.write_all(b"the next one")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"the next one");
+
+        // `ServingSnapshot::save` goes through it: a snapshot the writer
+        // refuses (a category path for a database it does not have)
+        // fails before the rename.
+        let store = crate::CollectionStore {
+            dict: textindex::TermDict::new(),
+            hierarchy: dbselect_core::hierarchy::Hierarchy::new("Root"),
+            databases: Vec::new(),
+        };
+        let weighting = dbselect_core::category_summary::CategoryWeighting::BySize;
+        let stored = crate::catalog::StoredCatalog::freeze(store, weighting);
+        let mut snapshot = ServingSnapshot::from_stored(&stored);
+        snapshot.categories.push("Root/Stray".into());
+        assert!(snapshot.save(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"the next one");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -13,7 +13,12 @@
 //! expensive offline step (0.23–0.24 s per 100 databases of the
 //! benchmark's test bed, measured on one core of a 2-vCPU Xeon container).
 //! [`catalog::StoredCatalog`] records the fit so that everything downstream
-//! of it runs no EM.
+//! of it runs no EM. [`snapshot::ServingSnapshot`] (v4) is what a daemon
+//! serves from: sample columns, λ pairs and the category aggregates, with
+//! every shrunk summary left in factored form — a mixture computed when a
+//! request reads it, never a database × vocabulary matrix — and
+//! [`delta`] chains refresh rounds onto it. Every `save` writes a sibling
+//! temporary file and renames it into place.
 //!
 //! ```
 //! use store::{CollectionStore, StoredDatabase};
@@ -52,7 +57,7 @@ pub mod refresh;
 pub mod snapshot;
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -206,11 +211,10 @@ impl CollectionStore {
         })
     }
 
-    /// Save to a file (buffered).
+    /// Save to a file through a temporary sibling and a rename, so a
+    /// failed or interrupted save leaves the previous file as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
+        delta::write_atomically(path.as_ref(), |w| self.write_to(w))
     }
 
     /// Load from a file (buffered).

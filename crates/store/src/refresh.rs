@@ -14,9 +14,11 @@
 //! A [`RefreshSession`] instead **pins the epoch model** at session
 //! start:
 //!
-//! * the per-database category components (path-edge remainders plus the
-//!   leaf remainder, exactly as [`CategorySummaries::components_for`]
-//!   computed them from the base store),
+//! * the category aggregates, from which every database's components
+//!   (path-edge remainders plus the leaf remainder, exactly as
+//!   [`CategorySummaries::components_for`] computes them from the base
+//!   store) are derived — a refreshed database's leaf remainder keeps
+//!   subtracting its **base** sample, its pinned leaf basis,
 //! * the uniform-model probability `1/|V|` of the base dictionary, and
 //! * LM's global model (the Root summary).
 //!
@@ -34,8 +36,8 @@
 
 use std::sync::Arc;
 
-use dbselect_core::category_summary::{CategoryWeighting, SummaryComponent};
-use dbselect_core::frozen::{FrozenSummary, ShrunkMixer};
+use dbselect_core::category_summary::{path_components, CategoryWeighting, SummaryComponent};
+use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary, ShrunkSummaries};
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::shrinkage::{LambdaFitter, ShrinkageConfig};
 use dbselect_core::summary::ContentSummary;
@@ -48,102 +50,98 @@ use crate::delta::DbPatch;
 use crate::snapshot::ServingSnapshot;
 
 /// The model a freeze pins from a stored catalog, built from **one**
-/// category aggregation: each database's category components, the EM
-/// configuration (`uniform_p` = `1/|V|` of the stored dictionary), LM's
-/// global model and the category paths. [`ServingSnapshot::from_stored`]
-/// pins one and freezes through it once; a [`RefreshSession`] keeps it.
+/// category aggregation: the category columns (Eq. 1's aggregates,
+/// shared by every catalog frozen under the epoch), the EM configuration
+/// (`uniform_p` = `1/|V|` of the stored dictionary), LM's global model and
+/// the category paths. [`ServingSnapshot::from_stored`] pins one and
+/// freezes through it once; a [`RefreshSession`] keeps it.
 #[derive(Debug)]
 pub(crate) struct Epoch {
-    /// Per database: the path-edge remainders plus its leaf remainder,
-    /// exactly as `CategorySummaries::components_for` computes them.
-    pub(crate) components: Vec<Vec<Arc<SummaryComponent>>>,
+    /// The category aggregates, term-major.
+    categories: Arc<CategoryColumns>,
     /// The EM configuration of every fit under this epoch.
     pub(crate) config: ShrinkageConfig,
     /// `(term, p̂(w|G))` of the Root summary under `BySize` weighting,
     /// ascending — whatever weighting the λs were fitted under.
     lm_global: Vec<(TermId, f64)>,
     /// Full category path per database.
-    categories: Vec<String>,
+    paths: Vec<String>,
 }
 
 impl Epoch {
     /// Pin the epoch of `stored` as it is now.
     pub(crate) fn pin(stored: &StoredCatalog) -> Epoch {
         let store = &stored.store;
-        let categories = store.categories(stored.weighting);
-        let components = store
-            .databases
-            .iter()
-            .map(|db| store.components(&categories, db))
-            .collect();
+        let summaries = store.categories(stored.weighting);
         let root = match stored.weighting {
-            CategoryWeighting::BySize => categories.category_summary(Hierarchy::ROOT),
+            CategoryWeighting::BySize => summaries.category_summary(Hierarchy::ROOT),
             CategoryWeighting::Uniform => store.root_summary(CategoryWeighting::BySize),
         };
         let mut lm_global: Vec<(TermId, f64)> =
             root.probabilities().map(|(t, _, p_tf)| (t, p_tf)).collect();
         lm_global.sort_unstable_by_key(|&(t, _)| t);
-        let categories = store
+        let categories =
+            CategoryColumns::new(&store.hierarchy, summaries.aggregates(), stored.weighting);
+        let paths = store
             .databases
             .iter()
             .map(|db| store.hierarchy.full_name(db.classification))
             .collect();
         Epoch {
-            components,
+            categories: Arc::new(categories),
             config: store.shrinkage_config(),
             lm_global,
-            categories,
+            paths,
         }
     }
 
-    /// Freeze one database under this epoch: its sample summary, and its
-    /// shrunk summary mixed from the pinned components and `lambdas`.
-    fn freeze_db(
-        &self,
-        mixer: &mut ShrunkMixer,
-        db: usize,
-        summary: &ContentSummary,
-        lambdas: (&[f64], &[f64]),
-    ) -> DbPatch {
-        DbPatch {
-            db: db as u32,
-            gamma: summary.gamma().unwrap_or(-2.0),
-            unshrunk: FrozenSummary::from_unshrunk(summary),
-            shrunk: mixer.freeze(
-                summary,
-                &self.components[db],
-                lambdas.0,
-                lambdas.1,
-                self.config.uniform_p,
-            ),
-        }
+    /// The components `db`'s λs are fitted against: its path-edge
+    /// remainders plus its leaf remainder of `basis`, exactly as
+    /// `CategorySummaries::components_for` computes them.
+    fn components(&self, category: usize, basis: &ContentSummary) -> Vec<Arc<SummaryComponent>> {
+        let path = self.categories.path_from_root(category);
+        let aggregates = self.categories.aggregates_of(&path);
+        let path: Vec<_> = aggregates.iter().collect();
+        path_components(&path, basis, self.categories.weighting())
     }
 
-    /// The serving catalog of `stored` under this epoch, every shrunk
-    /// summary mixed through one scratch.
-    pub(crate) fn catalog(&self, stored: &StoredCatalog) -> Catalog {
-        let mut mixer = ShrunkMixer::default();
+    /// The serving catalog of `stored` under this epoch: sample summaries
+    /// frozen, shrunk summaries factored over the pinned category columns
+    /// (nothing is mixed), each leaf remainder subtracting `bases[db]`
+    /// where a refresh replaced the sample it was pinned with.
+    pub(crate) fn catalog(&self, stored: &StoredCatalog, bases: &[Option<Arc<Basis>>]) -> Catalog {
         let n = stored.store.databases.len();
-        let (mut names, mut gammas) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let (mut unshrunk, mut shrunk) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut shrunk = ShrunkSummaries::new(self.config.uniform_p, Arc::clone(&self.categories));
+        let (mut names, mut gammas, mut unshrunk) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
         for (i, db) in stored.store.databases.iter().enumerate() {
-            let lambdas = (&stored.lambdas_df[i][..], &stored.lambdas_tf[i][..]);
-            let patch = self.freeze_db(&mut mixer, i, &db.summary, lambdas);
+            let lambdas = (stored.lambdas_df[i].clone(), stored.lambdas_tf[i].clone());
+            let basis = bases.get(i).cloned().flatten();
+            let own = FrozenSummary::from_unshrunk(&db.summary);
+            shrunk
+                .push(db.classification, lambdas, &own, basis)
+                .expect("a stored catalog's λs fit its category paths");
             names.push(db.name.clone());
-            gammas.push(patch.gamma);
-            unshrunk.push(patch.unshrunk);
-            shrunk.push(patch.shrunk);
+            gammas.push(db.summary.gamma().unwrap_or(-2.0));
+            unshrunk.push(own);
         }
-        Catalog::from_frozen(names, unshrunk, shrunk, gammas)
+        Catalog::from_parts(names, unshrunk, shrunk, gammas)
     }
 
     /// The full serving snapshot of `stored` under this epoch.
-    pub(crate) fn snapshot(&self, stored: &StoredCatalog) -> ServingSnapshot {
+    pub(crate) fn snapshot(
+        &self,
+        stored: &StoredCatalog,
+        bases: &[Option<Arc<Basis>>],
+    ) -> ServingSnapshot {
         ServingSnapshot {
             dict: stored.store.dict.clone(),
-            categories: self.categories.clone(),
+            categories: self.paths.clone(),
             lm_global: self.lm_global.clone(),
-            catalog: self.catalog(stored),
+            catalog: self.catalog(stored, bases),
         }
     }
 }
@@ -157,13 +155,22 @@ pub struct RefreshSession {
     /// Pinned at session start. `uniform_p` stays `1/|V|` of the *base*
     /// dictionary even after probes grow the dictionary.
     epoch: Epoch,
+    /// Per database, once a probe replaced it: the sample its leaf
+    /// remainder was pinned with (the base sample), which every later fit
+    /// and freeze keeps subtracting.
+    bases: Vec<Option<ContentSummary>>,
 }
 
 impl RefreshSession {
     /// Pin the epoch model of `stored` and start a session.
     pub fn new(stored: StoredCatalog) -> RefreshSession {
         let epoch = Epoch::pin(&stored);
-        RefreshSession { stored, epoch }
+        let bases = vec![None; stored.store.databases.len()];
+        RefreshSession {
+            stored,
+            epoch,
+            bases,
+        }
     }
 
     /// Number of databases under refresh.
@@ -219,15 +226,21 @@ impl RefreshSession {
     /// delta patch that takes a serving catalog from the previous state
     /// to this one.
     pub fn apply_probe(&mut self, db: usize, summary: ContentSummary) -> DbPatch {
+        let current = &self.stored.store.databases[db];
+        let basis = self.bases[db].as_ref().unwrap_or(&current.summary);
+        let components = self.epoch.components(current.classification, basis);
         let (lambdas_df, lambdas_tf) =
-            LambdaFitter::default().fit(&summary, &self.epoch.components[db], &self.epoch.config);
-        let lambdas = (&lambdas_df[..], &lambdas_tf[..]);
-        let patch = self
-            .epoch
-            .freeze_db(&mut ShrunkMixer::default(), db, &summary, lambdas);
+            LambdaFitter::default().fit(&summary, &components, &self.epoch.config);
+        let patch = DbPatch {
+            db: db as u32,
+            gamma: summary.gamma().unwrap_or(-2.0),
+            lambdas: (lambdas_df.clone(), lambdas_tf.clone()),
+            unshrunk: FrozenSummary::from_unshrunk(&summary),
+        };
         self.stored.lambdas_df[db] = lambdas_df;
         self.stored.lambdas_tf[db] = lambdas_tf;
-        self.stored.store.databases[db].summary = summary;
+        let old = std::mem::replace(&mut self.stored.store.databases[db].summary, summary);
+        self.bases[db].get_or_insert(old);
         patch
     }
 
@@ -237,6 +250,14 @@ impl RefreshSession {
     /// [`ServingSnapshot::from_stored`], so a `dbselect freeze` output
     /// can serve as a chain base.
     pub fn freeze_full(&self) -> ServingSnapshot {
-        self.epoch.snapshot(&self.stored)
+        let bases: Vec<Option<Arc<Basis>>> = self
+            .bases
+            .iter()
+            .map(|b| {
+                let basis = |s| Arc::new(Basis::of(&FrozenSummary::from_unshrunk(s)));
+                b.as_ref().map(basis)
+            })
+            .collect();
+        self.epoch.snapshot(&self.stored, &bases)
     }
 }

@@ -1,16 +1,19 @@
-//! The v2 serving snapshot: the columnar catalog on disk, loadable with
-//! zero rebuilding.
+//! The v4 serving snapshot: the columnar catalog on disk, its shrunk
+//! summaries in factored form, loadable with no EM and no mixing.
 //!
 //! The v1 [`StoredCatalog`] persists profiling output (the embedded sample
-//! store plus the fitted λ weights); loading it still re-derives category
-//! components, reassembles every shrunk summary, and rebuilds the posting
-//! index — ~90% of daemon start-up and `/admin/reload` latency. A
-//! [`ServingSnapshot`] instead serializes **exactly the arrays the broker
-//! serves from**: the frozen per-database summaries, the CSR posting
-//! index, the resolved γ exponents, plus the few sidecar tables a daemon
-//! needs (term dictionary, category names, LM's global model). Loading is
-//! a straight array read — no EM, no shrunk-summary rebuild, no posting
-//! reconstruction — and reproduces the in-memory [`Catalog`] bit for bit.
+//! store plus the fitted λ weights); loading it still re-aggregates the
+//! categories and rebuilds the posting index. A [`ServingSnapshot`]
+//! instead serializes **the arrays the broker serves from**: per
+//! database its raw sample column, γ and λ pair; the category aggregates
+//! of Eq. 1 once per catalog; the CSR posting index with its kernel aux
+//! columns; plus the sidecar tables a daemon needs (term dictionary,
+//! category names, LM's global model). A shrunk summary `R̂(D)` is
+//! stored as what Section 3.2 defines it to be — a mixture of `D`'s own
+//! summary and its path's category summaries under offline-fitted λs —
+//! and never as a database × vocabulary matrix: the serving catalog
+//! computes each value when a request reads it, bit for bit the value a
+//! materialized mixture holds (see [`dbselect_core::frozen`]).
 //!
 //! ## Wire format
 //!
@@ -20,48 +23,59 @@
 //! digest, so any single corrupted byte is detected at load time.
 //!
 //! ```text
-//! magic  b"DBSSNP\x00\x03"               8 bytes, not checksummed
+//! magic  b"DBSSNP\x00\x04"               8 bytes, not checksummed
 //! ── checksummed payload ──────────────────────────────────────────
 //! dict        u32 count, then count length-prefixed UTF-8 terms
+//! weighting   u32 (0 BySize, 1 Uniform) · uniform_p f64
+//! lm_global   u32 count · (term u32, p_tf f64)×count, ascending
+//! categories  u32 count, then per category (parents first):
+//!               name str · parent u32 (0 root, else parent id + 1)
+//!               n_dbs u32 · denom_df f64 · denom_tf f64 · size f64
+//!               u32 n · terms u32×n · acc_df f64×n · acc_tf f64×n
 //! databases   u32 count, then per database:
-//!               name str · category str (full path) · gamma f64
-//! mcw         f64
-//! unshrunk    per database: frozen summary (below)
-//! shrunk      per database: frozen summary (below)
+//!               name str · category u32 · gamma f64
+//!               u32 λ count · λ_df f64×count · λ_tf f64×count
+//!               sample column (below)
+//!               basis u8: 0 = the sample column above, 1 = pinned:
+//!                 db_size f64 · word_count f64
+//!                 u32 n · terms u32×n · df f64×n · tf f64×n
 //! index       u32 term count · terms u32×n (strictly ascending)
 //!             offsets u32×(n+1) · u32 slab length
 //!             dbs u32×len · p_df f64×len · sample_df u32×len
-//!             effective u8×len (0|1)
-//!             p_tf f64×len                       (v3 kernel aux)
+//!             position u32×len (the word's index in the database's
+//!               sample column) · effective u8×len (0|1) · p_tf f64×len
 //!             max_df f64×n · max_p_df f64×n · max_p_tf f64×n
-//! lm_global   u32 count · (term u32, p_tf f64)×count, ascending
 //! ── end of payload ───────────────────────────────────────────────
 //! checksum    u64 FNV-1a over the payload, not checksummed
 //!
-//! frozen summary :=
+//! sample column :=
 //!   db_size f64 · sample_size u32 · word_count f64
-//!   default_p_df f64 · default_p_tf f64
-//!   u32 term count · terms u32×n (strictly ascending)
-//!   p_df f64×n · p_tf f64×n · sample_df u32×n
+//!   u32 n · terms u32×n (strictly ascending) · sample_df u32×n
+//!   df f64×n · tf f64×n
 //! ```
 //!
-//! v2 files (`\x02` magic) lack the kernel aux columns — the token-space
-//! posting slab plus the per-term score maxima that power the pruned
-//! top-k serving path. They still load: [`Catalog::from_raw_parts`]
-//! recomputes the aux columns from the frozen summaries at load time,
-//! through the same code `dbselect freeze` runs, so a v2 load is
-//! bit-identical to the v3 fast path (asserted by the backward-load test
-//! below). v3 loads additionally verify that the persisted maxima
-//! dominate their posting slabs, so a structurally valid file can never
-//! smuggle an unsound pruning bound past the checksum.
+//! `p̂(w|D)` is `df / db_size` and `p_tf` is `tf / word_count` (0 over a
+//! zero total), recomputed at load. `word_count` is stored rather than
+//! re-summed: profiling maintains a summary's token total incrementally,
+//! and its bits are what every `p_tf` was divided by. `mcw` is
+//! recomputed too. Loads verify that the persisted term maxima dominate
+//! their posting slabs, so a structurally valid file can never smuggle an
+//! unsound pruning bound past the checksum.
+//!
+//! v2 and v3 files (`\x02`, `\x03` magic) stored every shrunk summary
+//! over the whole vocabulary. They are rejected with a message naming the
+//! migration: `dbselect freeze --catalog CATALOG` re-freezes the v1
+//! catalog they came from.
 //!
 //! [`MAX_LEN`]: crate::codec::MAX_LEN
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use broker::{Catalog, PostingIndex};
-use dbselect_core::frozen::FrozenSummary;
+use dbselect_core::category_summary::{Aggregate, CategoryWeighting};
+use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary, ShrunkSummaries};
 use textindex::{TermDict, TermId};
 
 use crate::catalog::StoredCatalog;
@@ -69,15 +83,29 @@ use crate::codec::{
     corrupt, decode_f64, read_column, read_f64, read_len, read_str, read_u32, read_u64,
     write_column, write_f64, write_str, write_u32, write_u64, ChecksumReader, ChecksumWriter,
 };
+use crate::delta::write_atomically;
 use crate::refresh::Epoch;
 
-/// Magic bytes + format version for serving snapshots (the "v3" catalog
-/// format with kernel aux columns; v1 is [`StoredCatalog`]'s `DBSCAT`).
-const SNAPSHOT_MAGIC: &[u8; 8] = b"DBSSNP\x00\x03";
+/// Magic bytes + format version for serving snapshots (v1 is
+/// [`StoredCatalog`]'s `DBSCAT`).
+const SNAPSHOT_MAGIC: &[u8; 8] = b"DBSSNP\x00\x04";
 
-/// The previous serving-snapshot version, still accepted on read; aux
-/// columns are recomputed from the summaries at load time.
-const SNAPSHOT_MAGIC_V2: &[u8; 8] = b"DBSSNP\x00\x02";
+/// Retired serving-snapshot versions, recognised only to name the
+/// migration.
+const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"DBSSNP\x00\x02", b"DBSSNP\x00\x03"];
+
+/// The error a retired snapshot file loads to.
+fn retired(version: u8) -> io::Error {
+    corrupt(&format!(
+        "v{version} serving snapshot: this build reads v4 only; re-freeze the v1 catalog \
+         it came from with `dbselect freeze --catalog CATALOG --out SNAPSHOT`"
+    ))
+}
+
+/// The magic's version when it names a retired snapshot format.
+fn retired_version(magic: &[u8; 8]) -> Option<u8> {
+    RETIRED_MAGICS.iter().find(|&&m| m == magic).map(|m| m[7])
+}
 
 /// Everything `dbselectd` and `dbselect route` serve from, in final form.
 #[derive(Debug, Clone)]
@@ -95,84 +123,41 @@ pub struct ServingSnapshot {
 impl ServingSnapshot {
     /// Freeze a v1 [`StoredCatalog`] into serving form — the one-time
     /// migration / `dbselect freeze` path. Aggregates the categories once
-    /// and mixes every shrunk summary from the recorded λs (no EM), then
-    /// builds the posting index; everything downstream reads arrays.
+    /// and records the fitted λs (no EM, no mixing), then builds the
+    /// posting index; everything downstream reads arrays.
     pub fn from_stored(stored: &StoredCatalog) -> ServingSnapshot {
-        Epoch::pin(stored).snapshot(stored)
+        Epoch::pin(stored).snapshot(stored, &[])
     }
 
     /// Serialize into `w` (magic, checksummed payload, trailing digest).
+    /// A catalog whose shrunk summaries mix explicit component columns
+    /// (one assembled from lazy mixtures, not frozen from a stored
+    /// catalog) has no category path to write and is refused.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.write_versioned(w, 3)
-    }
-
-    /// Version-dispatched serializer. `version` 2 omits the kernel aux
-    /// columns — kept (privately) so the backward-load test can produce
-    /// genuine v2 bytes without pinning a fixture file.
-    fn write_versioned<W: Write>(&self, w: &mut W, version: u8) -> io::Result<()> {
+        let invalid = |m: &str| io::Error::new(io::ErrorKind::InvalidInput, m.to_string());
         let n = self.catalog.len();
         if self.categories.len() != n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "one category path per database required",
-            ));
+            return Err(invalid("one category path per database required"));
         }
+        let shrunk = self.catalog.shrunk_summaries();
+        let leaves = (0..n)
+            .map(|db| shrunk.category(db))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| invalid("shrunk summaries over explicit columns cannot be written"))?;
         let index = self.catalog.posting_index();
-        if version >= 3 && !index.aux_ready() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "kernel aux columns missing; cannot write a v3 snapshot",
+        if !index.aux_ready() {
+            return Err(invalid(
+                "kernel aux columns missing; cannot write a snapshot",
             ));
         }
-        w.write_all(if version >= 3 {
-            SNAPSHOT_MAGIC
-        } else {
-            SNAPSHOT_MAGIC_V2
-        })?;
+        w.write_all(SNAPSHOT_MAGIC)?;
         let mut cw = ChecksumWriter::new(&mut *w);
-
-        let dict_len = u32::try_from(self.dict.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "dictionary too large"))?;
-        write_u32(&mut cw, dict_len)?;
-        for id in 0..dict_len {
-            write_str(&mut cw, self.dict.term(id))?;
-        }
-
-        write_u32(&mut cw, n as u32)?;
-        for db in 0..n {
-            write_str(&mut cw, &self.catalog.names()[db])?;
-            write_str(&mut cw, &self.categories[db])?;
-            write_f64(&mut cw, self.catalog.gamma(db))?;
-        }
-        write_f64(&mut cw, self.catalog.mcw())?;
         let mut buf = Vec::new();
-        for db in 0..n {
-            write_frozen(&mut cw, &mut buf, self.catalog.unshrunk(db))?;
-        }
-        for db in 0..n {
-            write_frozen(&mut cw, &mut buf, self.catalog.shrunk(db))?;
-        }
 
-        write_u32(&mut cw, index.len() as u32)?;
-        write_u32_column(&mut cw, &mut buf, index.terms())?;
-        write_u32_column(&mut cw, &mut buf, index.offsets())?;
-        write_u32(&mut cw, index.dbs().len() as u32)?;
-        write_u32_column(&mut cw, &mut buf, index.dbs())?;
-        write_f64_column(&mut cw, &mut buf, index.p_df())?;
-        write_u32_column(&mut cw, &mut buf, index.sample_df())?;
-        let effective = index.effective().iter().map(|&e| [u8::from(e)]);
-        write_column(&mut cw, &mut buf, effective)?;
-        if version >= 3 {
-            for column in [
-                index.p_tf(),
-                index.max_df(),
-                index.max_p_df(),
-                index.max_p_tf(),
-            ] {
-                write_f64_column(&mut cw, &mut buf, column)?;
-            }
-        }
-
+        write_dict(&mut cw, &self.dict)?;
+        let categories = shrunk.categories();
+        write_u32(&mut cw, weighting_tag(categories.weighting()))?;
+        write_f64(&mut cw, shrunk.uniform_p())?;
         write_u32(&mut cw, self.lm_global.len() as u32)?;
         write_column(
             &mut cw,
@@ -185,6 +170,60 @@ impl ServingSnapshot {
             }),
         )?;
 
+        write_u32(&mut cw, categories.len() as u32)?;
+        for (c, a) in categories.aggregates().iter().enumerate() {
+            write_str(&mut cw, categories.name(c))?;
+            write_u32(&mut cw, categories.parent(c).map_or(0, |p| p as u32 + 1))?;
+            write_u32(&mut cw, a.n_dbs() as u32)?;
+            write_f64(&mut cw, a.denoms().0)?;
+            write_f64(&mut cw, a.denoms().1)?;
+            write_f64(&mut cw, a.size())?;
+            write_u32(&mut cw, a.terms().len() as u32)?;
+            write_u32_column(&mut cw, &mut buf, a.terms())?;
+            write_f64_column(&mut cw, &mut buf, a.acc_df())?;
+            write_f64_column(&mut cw, &mut buf, a.acc_tf())?;
+        }
+
+        write_u32(&mut cw, n as u32)?;
+        for (db, &leaf) in leaves.iter().enumerate() {
+            write_str(&mut cw, &self.catalog.names()[db])?;
+            write_u32(&mut cw, leaf as u32)?;
+            write_f64(&mut cw, self.catalog.gamma(db))?;
+            let (df, tf) = shrunk.lambdas(db);
+            write_lambdas(&mut cw, &mut buf, (&df, &tf))?;
+            write_sample_column(&mut cw, &mut buf, self.catalog.unshrunk(db))?;
+            match shrunk.basis(db) {
+                None => cw.write_all(&[0])?,
+                Some(b) => {
+                    cw.write_all(&[1])?;
+                    write_f64(&mut cw, b.db_size())?;
+                    write_f64(&mut cw, b.word_count())?;
+                    write_u32(&mut cw, b.terms().len() as u32)?;
+                    write_u32_column(&mut cw, &mut buf, b.terms())?;
+                    write_raw_columns(&mut cw, &mut buf, b.raw())?;
+                }
+            }
+        }
+
+        write_u32(&mut cw, index.len() as u32)?;
+        write_u32_column(&mut cw, &mut buf, index.terms())?;
+        write_u32_column(&mut cw, &mut buf, index.offsets())?;
+        write_u32(&mut cw, index.dbs().len() as u32)?;
+        write_u32_column(&mut cw, &mut buf, index.dbs())?;
+        write_f64_column(&mut cw, &mut buf, index.p_df())?;
+        write_u32_column(&mut cw, &mut buf, index.sample_df())?;
+        write_u32_column(&mut cw, &mut buf, index.positions())?;
+        let effective = index.effective().iter().map(|&e| [u8::from(e)]);
+        write_column(&mut cw, &mut buf, effective)?;
+        for column in [
+            index.p_tf(),
+            index.max_df(),
+            index.max_p_df(),
+            index.max_p_tf(),
+        ] {
+            write_f64_column(&mut cw, &mut buf, column)?;
+        }
+
         let digest = cw.digest();
         write_u64(w, digest)
     }
@@ -194,15 +233,14 @@ impl ServingSnapshot {
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        let version = if &magic == SNAPSHOT_MAGIC {
-            3
-        } else if &magic == SNAPSHOT_MAGIC_V2 {
-            2
-        } else {
+        if let Some(version) = retired_version(&magic) {
+            return Err(retired(version));
+        }
+        if &magic != SNAPSHOT_MAGIC {
             return Err(corrupt("bad snapshot magic or unsupported version"));
-        };
+        }
         let mut cr = ChecksumReader::new(&mut *r);
-        let snapshot = read_payload(&mut cr, version)?;
+        let snapshot = read_payload(&mut cr)?;
         let digest = cr.digest();
         if read_u64(r)? != digest {
             return Err(corrupt("snapshot checksum mismatch"));
@@ -210,11 +248,10 @@ impl ServingSnapshot {
         Ok(snapshot)
     }
 
-    /// Save to a file (buffered).
+    /// Save to a file through a temporary sibling and a rename, so a
+    /// failed or interrupted save leaves the previous file as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
+        write_atomically(path.as_ref(), |w| self.write_to(w))
     }
 
     /// Load from a file (buffered), rejecting trailing bytes. Errors
@@ -249,68 +286,101 @@ impl ServingSnapshot {
         Ok((snapshot, digest))
     }
 
-    /// Load a serving snapshot from any format: a v2/v3 snapshot reads
-    /// straight into arrays; a v1 [`StoredCatalog`] is rebuilt through the
-    /// legacy path (EM-free, but category aggregation + posting
-    /// construction); a **directory** is replayed as a delta chain
-    /// (`base.snap` + `delta-NNNNNN.snap`, see [`crate::delta`]). This
-    /// keeps every existing catalog file loadable. Errors carry the file
+    /// Load a serving snapshot from any format: a v4 snapshot reads
+    /// straight into arrays; a v1 [`StoredCatalog`] is frozen in memory
+    /// (EM-free: category aggregation + posting construction); a
+    /// **directory** is replayed as a delta chain (`base.snap` +
+    /// `delta-NNNNNN.snap`, see [`crate::delta`]); a retired v2/v3
+    /// snapshot is refused, naming the migration. Errors carry the file
     /// path — and, for chains, the chain position — with the error kind
     /// preserved.
     pub fn load_any(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            return crate::delta::load_chain(path).map(|c| c.snapshot);
-        }
-        Self::load_any_file(path).map_err(|e| with_path_context(path, e))
-    }
-
-    fn load_any_file(path: &Path) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        {
-            let mut f = std::fs::File::open(path)?;
-            f.read_exact(&mut magic)?;
-        }
-        if &magic == SNAPSHOT_MAGIC || &magic == SNAPSHOT_MAGIC_V2 {
-            Self::load_file(path)
-        } else {
-            let stored = StoredCatalog::load(path)?;
-            Ok(ServingSnapshot::from_stored(&stored))
-        }
+        Self::load_any_with_checksum(path).map(|(snapshot, _)| snapshot)
     }
 
     /// [`load_any`](Self::load_any), additionally returning the file's
     /// content checksum — what `/readyz` reports so operators can tell at
     /// a glance whether two daemons serve the same snapshot bytes.
     ///
-    /// For a v2 snapshot this is the stored trailing FNV-1a payload
+    /// For a v4 snapshot this is the stored trailing FNV-1a payload
     /// digest (already validated against the payload by the load). A v1
     /// catalog stores no digest, so the same FNV-1a is computed over the
     /// whole file instead — either way the value is a stable fingerprint
     /// of the bytes on disk. A chain directory reports its tip delta's
     /// digest, which by parent-linking fingerprints the whole chain.
     pub fn load_any_with_checksum(path: impl AsRef<Path>) -> io::Result<(Self, u64)> {
-        use std::io::Seek as _;
-
         let path = path.as_ref();
         if path.is_dir() {
             return crate::delta::load_chain(path).map(|c| (c.snapshot, c.checksum));
         }
-        let wrap = |e| with_path_context(path, e);
-        let snapshot = Self::load_any_file(path).map_err(wrap)?;
-        let mut f = std::fs::File::open(path).map_err(wrap)?;
+        Self::load_any_file(path).map_err(|e| with_path_context(path, e))
+    }
+
+    fn load_any_file(path: &Path) -> io::Result<(Self, u64)> {
         let mut magic = [0u8; 8];
-        f.read_exact(&mut magic).map_err(wrap)?;
-        let checksum = if &magic == SNAPSHOT_MAGIC || &magic == SNAPSHOT_MAGIC_V2 {
-            f.seek(io::SeekFrom::End(-8)).map_err(wrap)?;
-            read_u64(&mut f).map_err(wrap)?
-        } else {
-            let mut w = ChecksumWriter::new(io::sink());
-            w.write_all(&magic)?;
-            io::copy(&mut f, &mut w).map_err(wrap)?;
-            w.digest()
-        };
-        Ok((snapshot, checksum))
+        std::fs::File::open(path)?.read_exact(&mut magic)?;
+        if &magic == SNAPSHOT_MAGIC || retired_version(&magic).is_some() {
+            return Self::load_with_digest(path);
+        }
+        let snapshot = ServingSnapshot::from_stored(&StoredCatalog::load(path)?);
+        let mut w = ChecksumWriter::new(io::sink());
+        io::copy(&mut std::fs::File::open(path)?, &mut w)?;
+        Ok((snapshot, w.digest()))
+    }
+}
+
+impl ServingSnapshot {
+    /// FNV-1a over the `to_bits` of every value this snapshot serves,
+    /// whatever its on-disk format: per database its γ, both summaries'
+    /// sizes and word counts, their `p_df` / `p_tf` (and the sample's
+    /// `sample_df`) for every dictionary word and for a word no database
+    /// has (the defaults); then the posting slabs, `mcw` and LM's global
+    /// model. Two snapshots with equal digests route every query alike.
+    pub fn value_digest(&self) -> u64 {
+        let mut w = ChecksumWriter::new(io::sink());
+        let mut put = |bytes: &[u8]| w.write_all(bytes).expect("a sink never fails");
+        let catalog = &self.catalog;
+        let absent = TermId::MAX - 1;
+        let words = (0..self.dict.len() as TermId).chain([absent]);
+        for db in 0..catalog.len() {
+            let (u, s) = (catalog.unshrunk(db), catalog.shrunk(db));
+            put(&catalog.gamma(db).to_le_bytes());
+            put(&u.sample_size().to_le_bytes());
+            for v in [u.db_size(), u.word_count(), s.db_size(), s.word_count()] {
+                put(&v.to_le_bytes());
+            }
+            for t in words.clone() {
+                put(&u.sample_df(t).to_le_bytes());
+                for v in [u.p_df(t), u.p_tf(t), s.p_df(t), s.p_tf(t)] {
+                    put(&v.to_le_bytes());
+                }
+            }
+        }
+        let index = catalog.posting_index();
+        for column in [
+            index.terms(),
+            index.offsets(),
+            index.dbs(),
+            index.sample_df(),
+        ] {
+            column.iter().for_each(|v| put(&v.to_le_bytes()));
+        }
+        index.effective().iter().for_each(|&e| put(&[u8::from(e)]));
+        for column in [
+            index.p_df(),
+            index.p_tf(),
+            index.max_df(),
+            index.max_p_df(),
+            index.max_p_tf(),
+        ] {
+            column.iter().for_each(|v| put(&v.to_le_bytes()));
+        }
+        put(&catalog.mcw().to_le_bytes());
+        for &(t, p) in &self.lm_global {
+            put(&t.to_le_bytes());
+            put(&p.to_le_bytes());
+        }
+        w.digest()
     }
 }
 
@@ -320,7 +390,49 @@ pub(crate) fn with_path_context(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
-pub(crate) fn write_frozen<W: Write>(
+fn weighting_tag(weighting: CategoryWeighting) -> u32 {
+    match weighting {
+        CategoryWeighting::BySize => 0,
+        CategoryWeighting::Uniform => 1,
+    }
+}
+
+fn write_dict<W: Write>(w: &mut W, dict: &TermDict) -> io::Result<()> {
+    let dict_len = u32::try_from(dict.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "dictionary too large"))?;
+    write_u32(w, dict_len)?;
+    for id in 0..dict_len {
+        write_str(w, dict.term(id))?;
+    }
+    Ok(())
+}
+
+/// A λ pair: its length, then the `df` weights, then the `tf` weights.
+pub(crate) fn write_lambdas<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    (df, tf): (&[f64], &[f64]),
+) -> io::Result<()> {
+    write_u32(w, df.len() as u32)?;
+    write_f64_column(w, buf, df)?;
+    write_f64_column(w, buf, tf)
+}
+
+/// Read a λ pair, each weight in `[0, 1]` (the v1 catalog's rule).
+pub(crate) fn read_lambdas<R: Read>(r: &mut R) -> io::Result<(Vec<f64>, Vec<f64>)> {
+    let len = read_len(r)?;
+    let weight = |b| {
+        let l = decode_f64(b)?;
+        if !(0.0..=1.0).contains(&l) {
+            return Err(corrupt("mixture weight outside [0, 1]"));
+        }
+        Ok(l)
+    };
+    Ok((read_column(r, len, weight)?, read_column(r, len, weight)?))
+}
+
+/// A database's sample column: the raw estimates its `Ŝ(D)` divides.
+pub(crate) fn write_sample_column<W: Write>(
     w: &mut W,
     buf: &mut Vec<u8>,
     s: &FrozenSummary,
@@ -328,16 +440,34 @@ pub(crate) fn write_frozen<W: Write>(
     write_f64(w, s.db_size())?;
     write_u32(w, s.sample_size())?;
     write_f64(w, s.word_count())?;
-    write_f64(w, s.default_p_df())?;
-    write_f64(w, s.default_p_tf())?;
     write_u32(w, s.len() as u32)?;
     write_u32_column(w, buf, s.terms())?;
-    write_f64_column(w, buf, s.p_df_column())?;
-    write_f64_column(w, buf, s.p_tf_column())?;
     // An elided (all-zero) column is written out in full: the format
     // does not know about the in-memory elision.
     let sample_df = (0..s.len()).map(|i| s.sample_df_at(i).to_le_bytes());
-    write_column(w, buf, sample_df)
+    write_column(w, buf, sample_df)?;
+    write_raw_columns(w, buf, s.raw_column())
+}
+
+/// Read a sample column whose terms lie inside a dictionary of
+/// `dict_len` words.
+pub(crate) fn read_sample_column<R: Read>(r: &mut R, dict_len: usize) -> io::Result<FrozenSummary> {
+    let db_size = read_f64(r)?;
+    let sample_size = read_u32(r)?;
+    let word_count = read_f64(r)?;
+    let len = read_len(r)?;
+    let terms = read_terms(r, len, dict_len)?;
+    let sample_df = read_u32_column(r, len)?;
+    let df = read_f64_column(r, len)?;
+    let tf = read_f64_column(r, len)?;
+    FrozenSummary::from_raw_parts(db_size, sample_size, word_count, terms, sample_df, df, tf)
+        .map_err(corrupt)
+}
+
+/// Raw `(df, tf)` pairs as two columns: every `df`, then every `tf`.
+fn write_raw_columns<W: Write>(w: &mut W, buf: &mut Vec<u8>, raw: &[(f64, f64)]) -> io::Result<()> {
+    write_column(w, buf, raw.iter().map(|v| v.0.to_le_bytes()))?;
+    write_column(w, buf, raw.iter().map(|v| v.1.to_le_bytes()))
 }
 
 fn write_u32_column<W: Write>(w: &mut W, buf: &mut Vec<u8>, values: &[u32]) -> io::Result<()> {
@@ -356,32 +486,18 @@ fn read_f64_column<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f64>> {
     read_column(r, len, decode_f64)
 }
 
-pub(crate) fn read_frozen<R: Read>(r: &mut R) -> io::Result<FrozenSummary> {
-    let db_size = read_f64(r)?;
-    let sample_size = read_u32(r)?;
-    let word_count = read_f64(r)?;
-    let default_p_df = read_f64(r)?;
-    let default_p_tf = read_f64(r)?;
-    let len = read_len(r)?;
-    let terms = read_u32_column(r, len)?;
-    let p_df = read_f64_column(r, len)?;
-    let p_tf = read_f64_column(r, len)?;
-    let sample_df = read_u32_column(r, len)?;
-    FrozenSummary::from_raw_parts(
-        db_size,
-        sample_size,
-        word_count,
-        default_p_df,
-        default_p_tf,
-        terms,
-        p_df,
-        p_tf,
-        sample_df,
-    )
-    .map_err(corrupt)
+/// A term column whose ids all lie inside a `dict_len`-word dictionary.
+fn read_terms<R: Read>(r: &mut R, len: usize, dict_len: usize) -> io::Result<Vec<TermId>> {
+    read_column(r, len, |b| {
+        let t = u32::from_le_bytes(b);
+        if t as usize >= dict_len {
+            return Err(corrupt("term outside the dictionary"));
+        }
+        Ok(t)
+    })
 }
 
-fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> {
+fn read_payload<R: Read>(r: &mut R) -> io::Result<ServingSnapshot> {
     let mut dict = TermDict::new();
     let dict_len = read_len(r)?;
     for i in 0..dict_len {
@@ -391,70 +507,12 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
             return Err(corrupt("duplicate term in snapshot dictionary"));
         }
     }
-
-    let n = read_len(r)?;
-    let mut names = Vec::new();
-    let mut categories = Vec::new();
-    let mut gammas = Vec::new();
-    for _ in 0..n {
-        names.push(read_str(r)?);
-        categories.push(read_str(r)?);
-        gammas.push(read_f64(r)?);
-    }
-    let mcw = read_f64(r)?;
-    // A summary that fails validation is reported with its database.
-    let named =
-        |name: &String, e: io::Error| io::Error::new(e.kind(), format!("database `{name}`: {e}"));
-    let mut unshrunk = Vec::new();
-    for name in &names {
-        unshrunk.push(read_frozen(r).map_err(|e| named(name, e))?);
-    }
-    let mut shrunk = Vec::new();
-    for name in &names {
-        shrunk.push(read_frozen(r).map_err(|e| named(name, e))?);
-    }
-
-    let term_count = read_len(r)?;
-    let terms = read_u32_column(r, term_count)?;
-    let offsets = read_u32_column(r, term_count + 1)?;
-    let slab_len = read_len(r)?;
-    let dbs = read_u32_column(r, slab_len)?;
-    let p_df = read_f64_column(r, slab_len)?;
-    let sample_df = read_u32_column(r, slab_len)?;
-    let effective = read_column(r, slab_len, |[b]| match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(corrupt("effective flag must be 0 or 1")),
-    })?;
-    let mut index =
-        PostingIndex::from_raw_parts(n, terms, offsets, dbs, p_df, sample_df, effective)
-            .map_err(corrupt)?;
-    if version >= 3 {
-        let p_tf = read_f64_column(r, slab_len)?;
-        let max_df = read_f64_column(r, term_count)?;
-        let max_p_df = read_f64_column(r, term_count)?;
-        let max_p_tf = read_f64_column(r, term_count)?;
-        // Soundness gate: the maxima are pruning upper bounds, so a stored
-        // maximum below any posting it covers would let the pruned top-k
-        // path silently drop a true top-k entry. Reject such files.
-        for (pos, window) in index.offsets().windows(2).enumerate() {
-            // `at` walks three parallel slabs, two of them behind accessors.
-            #[allow(clippy::needless_range_loop)]
-            for at in window[0] as usize..window[1] as usize {
-                let db = index.dbs()[at] as usize;
-                let size = unshrunk[db].db_size();
-                if max_p_df[pos] < index.p_df()[at]
-                    || max_p_tf[pos] < p_tf[at]
-                    || max_df[pos] < index.p_df()[at] * size
-                {
-                    return Err(corrupt("term maxima do not dominate postings"));
-                }
-            }
-        }
-        index
-            .set_aux(p_tf, max_df, max_p_df, max_p_tf)
-            .map_err(corrupt)?;
-    }
+    let weighting = match read_u32(r)? {
+        0 => CategoryWeighting::BySize,
+        1 => CategoryWeighting::Uniform,
+        _ => return Err(corrupt("unknown category weighting")),
+    };
+    let uniform_p = read_f64(r)?;
 
     let lm_len = read_len(r)?;
     let mut prev: Option<TermId> = None;
@@ -472,7 +530,92 @@ fn read_payload<R: Read>(r: &mut R, version: u8) -> io::Result<ServingSnapshot> 
         Ok((t, p))
     })?;
 
-    let catalog = Catalog::from_raw_parts(names, unshrunk, shrunk, gammas, mcw, index)
+    let category_count = read_len(r)?;
+    let (mut names, mut parents, mut aggregates) = (Vec::new(), Vec::new(), Vec::new());
+    for c in 0..category_count {
+        names.push(read_str(r)?);
+        parents.push(match read_u32(r)? {
+            0 => None,
+            p if (p as usize) <= c => Some(p as usize - 1),
+            _ => return Err(corrupt("a category's parent must precede it")),
+        });
+        let n_dbs = read_u32(r)? as usize;
+        let denoms = (read_f64(r)?, read_f64(r)?);
+        let size = read_f64(r)?;
+        let len = read_len(r)?;
+        let terms = read_terms(r, len, dict.len())?;
+        let acc_df = read_f64_column(r, len)?;
+        let acc_tf = read_f64_column(r, len)?;
+        let aggregate = Aggregate::from_raw_parts(n_dbs, denoms, size, terms, acc_df, acc_tf)
+            .map_err(corrupt)?;
+        aggregates.push(aggregate);
+    }
+    let columns =
+        CategoryColumns::from_raw_parts(weighting, names, parents, &aggregates).map_err(corrupt)?;
+    drop(aggregates);
+    let mut shrunk = ShrunkSummaries::new(uniform_p, Arc::new(columns));
+
+    let n = read_len(r)?;
+    let (mut db_names, mut categories, mut gammas, mut unshrunk) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..n {
+        let name = read_str(r)?;
+        // A database that fails validation is reported by name.
+        let named = |e: io::Error| io::Error::new(e.kind(), format!("database `{name}`: {e}"));
+        let category = read_u32(r)? as usize;
+        let gamma = read_f64(r)?;
+        let lambdas = read_lambdas(r).map_err(named)?;
+        let own = read_sample_column(r, dict.len()).map_err(named)?;
+        let mut flag = [0u8; 1];
+        r.read_exact(&mut flag)?;
+        let basis = match flag[0] {
+            0 => None,
+            1 => {
+                let (db_size, word_count) = (read_f64(r)?, read_f64(r)?);
+                let len = read_len(r)?;
+                let terms = read_terms(r, len, dict.len())?;
+                let (df, tf) = (read_f64_column(r, len)?, read_f64_column(r, len)?);
+                let basis = Basis::from_raw_parts(db_size, word_count, terms, df, tf)
+                    .map_err(|e| named(corrupt(e)))?;
+                Some(Arc::new(basis))
+            }
+            _ => return Err(named(corrupt("basis flag must be 0 or 1"))),
+        };
+        shrunk
+            .push(category, lambdas, &own, basis)
+            .map_err(|e| named(corrupt(e)))?;
+        categories.push(shrunk.categories().full_name(category));
+        db_names.push(name);
+        gammas.push(gamma);
+        unshrunk.push(own);
+    }
+
+    let term_count = read_len(r)?;
+    let terms = read_u32_column(r, term_count)?;
+    let offsets = read_u32_column(r, term_count + 1)?;
+    let slab_len = read_len(r)?;
+    let dbs = read_u32_column(r, slab_len)?;
+    let p_df = read_f64_column(r, slab_len)?;
+    let sample_df = read_u32_column(r, slab_len)?;
+    let positions = read_u32_column(r, slab_len)?;
+    let effective = read_column(r, slab_len, |[b]| match b {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(corrupt("effective flag must be 0 or 1")),
+    })?;
+    let mut index = PostingIndex::from_raw_parts(
+        n, terms, offsets, dbs, p_df, sample_df, positions, effective,
+    )
+    .map_err(corrupt)?;
+    let p_tf = read_f64_column(r, slab_len)?;
+    let max_df = read_f64_column(r, term_count)?;
+    let max_p_df = read_f64_column(r, term_count)?;
+    let max_p_tf = read_f64_column(r, term_count)?;
+    index
+        .set_aux(p_tf, max_df, max_p_df, max_p_tf)
+        .map_err(corrupt)?;
+
+    let catalog = Catalog::from_raw_parts(db_names, unshrunk, shrunk, gammas, index)
         .map_err(|e| corrupt(&e))?;
     Ok(ServingSnapshot {
         dict,
@@ -550,8 +693,8 @@ mod tests {
         for db in 0..a.len() {
             assert_eq!(a.gamma(db).to_bits(), b.gamma(db).to_bits());
             assert_eq!(a.unshrunk(db), b.unshrunk(db));
-            assert_eq!(a.shrunk(db), b.shrunk(db));
         }
+        assert_eq!(a.shrunk_summaries(), b.shrunk_summaries());
         assert_eq!(a.posting_index(), b.posting_index());
     }
 
@@ -574,23 +717,23 @@ mod tests {
         assert_catalogs_bit_identical(&restored.catalog, &snapshot.catalog);
     }
 
-    /// Golden bytes: payload digests recorded before the dense-scratch
-    /// mixer replaced the per-term freeze. The `Uniform` catalog still
-    /// freezes LM's global model under `BySize` weighting.
+    /// Golden values: every served value's bits, recorded from the v3
+    /// freeze before shrunk summaries were served in factored form. The
+    /// `Uniform` catalog still freezes LM's global model under `BySize`.
     #[test]
-    fn from_stored_bytes_match_their_recorded_digests() {
+    fn from_stored_values_match_their_recorded_digests() {
         let digests: Vec<u64> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
             .into_iter()
             .map(|weighting| {
                 let frozen = StoredCatalog::freeze(fixture_store(), weighting);
-                let mut bytes = Vec::new();
-                ServingSnapshot::from_stored(&frozen)
-                    .write_to(&mut bytes)
-                    .unwrap();
-                u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
+                ServingSnapshot::from_stored(&frozen).value_digest()
             })
             .collect();
-        assert_eq!(digests, [0x2aed_6381_49c6_2753, 0xcf62_dc65_6319_28d9]);
+        assert_eq!(
+            digests,
+            [0xa804_a8e0_a5f8_53f8, 0x80f0_2153_8ce8_9839],
+            "{digests:#x?}"
+        );
     }
 
     #[test]
@@ -605,45 +748,45 @@ mod tests {
     #[test]
     fn save_load_and_format_sniffing() {
         let dir = std::env::temp_dir();
-        let v2 = dir.join(format!("dbsel-snap-test-{}.v2", std::process::id()));
+        let v4 = dir.join(format!("dbsel-snap-test-{}.v4", std::process::id()));
         let v1 = dir.join(format!("dbsel-snap-test-{}.v1", std::process::id()));
         let frozen = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
         let snapshot = ServingSnapshot::from_stored(&frozen);
-        snapshot.save(&v2).unwrap();
+        snapshot.save(&v4).unwrap();
         frozen.save(&v1).unwrap();
         // load_any takes both formats to the same serving catalog.
-        let from_v2 = ServingSnapshot::load_any(&v2).unwrap();
+        let from_v4 = ServingSnapshot::load_any(&v4).unwrap();
         let from_v1 = ServingSnapshot::load_any(&v1).unwrap();
-        assert_catalogs_bit_identical(&from_v2.catalog, &from_v1.catalog);
-        assert_eq!(from_v2.categories, from_v1.categories);
-        // Trailing garbage is rejected on the v2 path.
+        assert_catalogs_bit_identical(&from_v4.catalog, &from_v1.catalog);
+        assert_eq!(from_v4.categories, from_v1.categories);
+        // Trailing garbage is rejected on the v4 path.
         {
             use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new().append(true).open(&v2).unwrap();
+            let mut f = std::fs::OpenOptions::new().append(true).open(&v4).unwrap();
             f.write_all(b"junk").unwrap();
         }
-        assert!(ServingSnapshot::load(&v2).is_err());
-        std::fs::remove_file(&v2).ok();
+        assert!(ServingSnapshot::load(&v4).is_err());
+        std::fs::remove_file(&v4).ok();
         std::fs::remove_file(&v1).ok();
     }
 
     #[test]
     fn checksum_is_stable_and_format_independent() {
         let dir = std::env::temp_dir();
-        let v2 = dir.join(format!("dbsel-snap-cksum-{}.v2", std::process::id()));
+        let v4 = dir.join(format!("dbsel-snap-cksum-{}.v4", std::process::id()));
         let v1 = dir.join(format!("dbsel-snap-cksum-{}.v1", std::process::id()));
         let frozen = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
         let snapshot = ServingSnapshot::from_stored(&frozen);
-        snapshot.save(&v2).unwrap();
+        snapshot.save(&v4).unwrap();
         frozen.save(&v1).unwrap();
 
-        let (_, a) = ServingSnapshot::load_any_with_checksum(&v2).unwrap();
-        let (_, b) = ServingSnapshot::load_any_with_checksum(&v2).unwrap();
+        let (_, a) = ServingSnapshot::load_any_with_checksum(&v4).unwrap();
+        let (_, b) = ServingSnapshot::load_any_with_checksum(&v4).unwrap();
         assert_eq!(a, b, "same bytes, same checksum");
         assert_ne!(a, 0);
 
-        // The v2 checksum is the stored trailing payload digest.
-        let bytes = std::fs::read(&v2).unwrap();
+        // The v4 checksum is the stored trailing payload digest.
+        let bytes = std::fs::read(&v4).unwrap();
         let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         assert_eq!(a, stored);
 
@@ -653,28 +796,35 @@ mod tests {
         assert_ne!(c, 0);
         assert_ne!(a, c);
 
-        std::fs::remove_file(&v2).ok();
+        std::fs::remove_file(&v4).ok();
         std::fs::remove_file(&v1).ok();
     }
 
     #[test]
-    fn v2_snapshots_backward_load_bit_identically() {
-        // Older snapshots lack the kernel aux columns; loading one must
-        // recompute them and land on the exact catalog a v3 file carries —
-        // including the persisted-vs-recomputed aux slabs, which the
-        // posting-index equality covers bit for bit.
-        let snapshot = fixture_snapshot();
-        let mut v3 = Vec::new();
-        snapshot.write_to(&mut v3).unwrap();
-        let mut v2 = Vec::new();
-        snapshot.write_versioned(&mut v2, 2).unwrap();
-        assert!(v2.len() < v3.len(), "v2 must omit the aux columns");
-        assert_eq!(&v2[..8], SNAPSHOT_MAGIC_V2);
-        let from_v3 = ServingSnapshot::read_from(&mut v3.as_slice()).unwrap();
-        let from_v2 = ServingSnapshot::read_from(&mut v2.as_slice()).unwrap();
-        assert!(from_v2.catalog.kernel_ready(), "v2 load recomputes aux");
-        assert_catalogs_bit_identical(&from_v2.catalog, &from_v3.catalog);
-        assert_eq!(from_v2.categories, from_v3.categories);
+    fn retired_snapshot_versions_are_refused_naming_the_migration() {
+        // v2 and v3 files stored every shrunk summary over the whole
+        // vocabulary; their loaders are gone. Whatever follows the magic,
+        // the load fails as invalid data and says how to migrate.
+        let mut bytes = Vec::new();
+        fixture_snapshot().write_to(&mut bytes).unwrap();
+        let path = std::env::temp_dir().join(format!("dbsel-retired-{}.snap", std::process::id()));
+        for magic in RETIRED_MAGICS {
+            bytes[..8].copy_from_slice(magic);
+            let err = ServingSnapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("dbselect freeze --catalog"),
+                "{err}"
+            );
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ServingSnapshot::load_any(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("dbselect freeze --catalog"),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -701,7 +851,7 @@ mod tests {
         assert!(ServingSnapshot::read_from(&mut bytes.as_slice()).is_err());
     }
 
-    /// Recompute the trailing checksum of a (mutated) v2/v3 file, so the
+    /// Recompute the trailing checksum of a (mutated) snapshot, so the
     /// mutation reaches the structural validators instead of dying at the
     /// digest comparison.
     fn reseal(bytes: &mut [u8]) {
@@ -709,6 +859,53 @@ mod tests {
         let mut cw = ChecksumWriter::new(io::sink());
         cw.write_all(&bytes[8..end]).unwrap();
         bytes[end..].copy_from_slice(&cw.digest().to_le_bytes());
+    }
+
+    /// Serving reads from the postings alone whether a database has a
+    /// word, so a file whose index lacks one sampled word's posting — every
+    /// other posting intact, maxima still dominating, checksum re-sealed —
+    /// must not load.
+    #[test]
+    fn a_snapshot_missing_one_posting_is_rejected() {
+        let snapshot = fixture_snapshot();
+        let mut bytes = Vec::new();
+        snapshot.write_to(&mut bytes).unwrap();
+        let index = snapshot.catalog.posting_index();
+        let (n, len) = (index.len(), index.dbs().len());
+        // The index section ends the payload: rewrite it without the first
+        // posting of the first row.
+        let section = 4 + 4 * n + 4 * (n + 1) + 4 + len * (4 + 8 + 4 + 4 + 1 + 8) + 3 * 8 * n;
+        let (start, end) = (bytes.len() - 8 - section, bytes.len() - 8);
+        let mut w = Vec::new();
+        let u32s = |w: &mut Vec<u8>, v: &[u32]| v.iter().for_each(|x| w.extend(x.to_le_bytes()));
+        let f64s = |w: &mut Vec<u8>, v: &[f64]| v.iter().for_each(|x| w.extend(x.to_le_bytes()));
+        let offsets: Vec<u32> = index
+            .offsets()
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| o - u32::from(i > 0))
+            .collect();
+        w.extend((n as u32).to_le_bytes());
+        u32s(&mut w, index.terms());
+        u32s(&mut w, &offsets);
+        w.extend((len as u32 - 1).to_le_bytes());
+        u32s(&mut w, &index.dbs()[1..]);
+        f64s(&mut w, &index.p_df()[1..]);
+        u32s(&mut w, &index.sample_df()[1..]);
+        u32s(&mut w, &index.positions()[1..]);
+        w.extend(index.effective()[1..].iter().map(|&e| u8::from(e)));
+        f64s(&mut w, &index.p_tf()[1..]);
+        f64s(&mut w, index.max_df());
+        f64s(&mut w, index.max_p_df());
+        f64s(&mut w, index.max_p_tf());
+        assert_eq!(w.len(), section - (4 + 8 + 4 + 4 + 1 + 8));
+        bytes.splice(start..end, w);
+        reseal(&mut bytes);
+        let Err(err) = ServingSnapshot::read_from(&mut bytes.as_slice()) else {
+            panic!("a snapshot missing a posting must not load");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("word count"), "{err}");
     }
 
     #[test]

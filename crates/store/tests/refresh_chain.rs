@@ -118,10 +118,9 @@ fn assert_catalogs_bit_identical(a: &Catalog, b: &Catalog) {
     for db in 0..a.len() {
         assert_eq!(a.gamma(db).to_bits(), b.gamma(db).to_bits());
         assert_eq!(a.unshrunk(db), b.unshrunk(db));
-        assert_eq!(a.shrunk(db), b.shrunk(db));
     }
+    assert_eq!(a.shrunk_summaries(), b.shrunk_summaries());
     assert_eq!(a.posting_index(), b.posting_index());
-    assert_eq!(a.shrunk_term_columns(), b.shrunk_term_columns());
 }
 
 /// Build a 3-round chain in `dir`, touching `budget` databases per round
@@ -202,21 +201,28 @@ fn deltas_write_only_touched_databases() {
 }
 
 #[test]
-fn untouched_databases_share_their_term_column_after_replay() {
-    // Three one-database rounds: each re-probe interns a word the pinned
-    // epoch never saw, so databases 0..3 end up with a vocabulary — a term
-    // column — of their own, while 3..6 still hold the base's single one.
-    let dir = temp_chain("columns");
+fn replay_pins_each_refreshed_database_to_its_base_sample() {
+    // Three one-database rounds: databases 0..3 are re-probed once each.
+    // Their leaf remainders keep subtracting the sample the base pinned —
+    // a basis of their own, recorded at their first patch — while 3..6
+    // still subtract their own sample; every generation mixes over the
+    // base's one set of category columns.
+    let dir = temp_chain("bases");
     let session = build_chain(&dir, 1);
     let base = ServingSnapshot::load(dir.join(delta::BASE_FILE)).unwrap();
-    assert_eq!(base.catalog.shrunk_term_columns(), 1);
     let replayed = delta::load_chain(&dir).unwrap().snapshot.catalog;
-    assert_eq!(replayed.shrunk_term_columns(), 4);
-    for db in 4..6 {
-        assert!(std::ptr::eq(
-            replayed.shrunk(db).terms(),
-            replayed.shrunk(3).terms()
-        ));
+    let (before, after) = (base.catalog.shrunk_summaries(), replayed.shrunk_summaries());
+    assert_eq!(before.categories(), after.categories());
+    for db in 0..6 {
+        assert!(before.basis(db).is_none());
+        match after.basis(db) {
+            Some(basis) => {
+                assert!(db < 3, "db {db}");
+                assert_eq!(basis.terms(), base.catalog.unshrunk(db).terms());
+                assert_eq!(basis.raw(), base.catalog.unshrunk(db).raw_column());
+            }
+            None => assert!(db >= 3, "db {db}"),
+        }
     }
     assert_catalogs_bit_identical(&replayed, &session.freeze_full().catalog);
     std::fs::remove_dir_all(&dir).ok();
@@ -367,7 +373,12 @@ fn untouched_databases_never_change_under_refresh() {
             continue;
         }
         assert_eq!(before.catalog.unshrunk(db), after.catalog.unshrunk(db));
-        assert_eq!(before.catalog.shrunk(db), after.catalog.shrunk(db));
+        let words = 0..session.dict().len() as u32;
+        for t in words.chain([u32::MAX - 1]) {
+            let (b, a) = (before.catalog.shrunk(db), after.catalog.shrunk(db));
+            assert_eq!(b.p_df(t).to_bits(), a.p_df(t).to_bits());
+            assert_eq!(b.p_tf(t).to_bits(), a.p_tf(t).to_bits());
+        }
         assert_eq!(
             before.catalog.gamma(db).to_bits(),
             after.catalog.gamma(db).to_bits()
@@ -375,52 +386,30 @@ fn untouched_databases_never_change_under_refresh() {
     }
 }
 
-/// The payload digest a snapshot's `write_to` seals its bytes with.
-fn payload_digest(snapshot: &ServingSnapshot) -> u64 {
-    let mut bytes = Vec::new();
-    snapshot.write_to(&mut bytes).unwrap();
-    u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
-}
-
-/// The trailing payload digest of a chain member on disk.
-fn file_digest(path: &Path) -> u64 {
-    let bytes = std::fs::read(path).unwrap();
-    u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
-}
-
-/// Golden bytes: the digests below were recorded from the freeze path as
-/// it stood before the dense-scratch mixer replaced the per-term lookups.
-/// Snapshot and delta bytes are a format; no rewrite of how they are
-/// computed may move a single one.
+/// Golden values: the bits of every served value (see
+/// `ServingSnapshot::value_digest`), recorded from the v3 freeze before
+/// shrunk summaries were served in factored form: a full freeze, the
+/// session's freeze at generation 0 and after three refresh rounds, and
+/// the replay of the base plus three deltas.
 #[test]
-fn frozen_and_chained_bytes_match_their_recorded_digests() {
+fn frozen_and_chained_values_match_their_recorded_digests() {
     let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
-    let from_stored = payload_digest(&ServingSnapshot::from_stored(&stored));
-    let session = RefreshSession::new(stored);
-    let at_zero = payload_digest(&session.freeze_full());
+    let from_stored = ServingSnapshot::from_stored(&stored).value_digest();
+    let at_zero = RefreshSession::new(stored).freeze_full().value_digest();
 
-    let dir = temp_chain("golden");
+    let dir = temp_chain("value-golden");
     let session = build_chain(&dir, 2);
-    let members: Vec<u64> = std::iter::once(dir.join(delta::BASE_FILE))
-        .chain((1..=3).map(|g| dir.join(delta::delta_file_name(g))))
-        .map(|path| file_digest(&path))
-        .collect();
-    let after_three = payload_digest(&session.freeze_full());
+    let after_three = session.freeze_full().value_digest();
+    let replayed = delta::load_chain(&dir).unwrap().snapshot.value_digest();
     std::fs::remove_dir_all(&dir).ok();
 
-    const BASE: u64 = 0xea93_8749_8f34_b4d9;
+    const BASE: u64 = 0x793d_9344_0a22_0347;
+    const AFTER_THREE: u64 = 0x373b_fb76_ab06_44e5;
+    let digests = [from_stored, at_zero, after_three, replayed];
     assert_eq!(
-        [from_stored, at_zero, after_three],
-        [BASE, BASE, 0xebdf_2ae9_ef28_9267]
-    );
-    assert_eq!(
-        members,
-        [
-            BASE,
-            0x9521_3e69_d21c_b005,
-            0x8b75_9f0d_ae6f_d32a,
-            0x326a_2d31_0e36_f3e4
-        ]
+        digests,
+        [BASE, BASE, AFTER_THREE, AFTER_THREE],
+        "{digests:#x?}"
     );
 }
 

@@ -47,13 +47,24 @@ done
 cmp "$WORK/qbs1.store" "$WORK/qbs2.store"
 "$DBSELECT" catalog --store "$WORK/qbs1.store" --out "$WORK/qbs.catalog"
 
-# --- freeze a v2 serving snapshot; it must route like the v1 catalog ------
+# --- freeze a v4 serving snapshot; it must route like the v1 catalog ------
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"
 # Freezing is a pure function of the catalog: a second process, with its
 # own hash seeds, must write the same bytes (no hash-map order may leak
 # into a snapshot).
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot.again"
 cmp "$WORK/col.snapshot" "$WORK/col.snapshot.again"
+head -c 8 "$WORK/col.snapshot" | od -c | grep -q 'D   B   S   S   N   P  \\0 004'
+
+# A retired v3 snapshot (every shrunk summary stored over the whole
+# vocabulary) is refused: serving it exits non-zero, naming the migration.
+cp "$WORK/col.snapshot" "$WORK/v3.snapshot"
+printf 'DBSSNP\000\003' | dd of="$WORK/v3.snapshot" bs=1 count=8 conv=notrunc 2>/dev/null
+if "$DBSELECT" serve --catalog "$WORK/v3.snapshot" --addr 127.0.0.1:0 \
+    > "$WORK/v3.out" 2> "$WORK/v3.err"; then
+    echo "serving a v3 snapshot must fail"; exit 1
+fi
+grep 'dbselect freeze --catalog' "$WORK/v3.err"
 
 printf 'heart blood\n' > "$WORK/queries.txt"
 "$DBSELECT" route --catalog "$WORK/col.catalog" --queries "$WORK/queries.txt" \
@@ -101,10 +112,13 @@ smoke_pass() {
     grep '^dbselectd_catalog_snapshot_bytes ' "$WORK/metrics1.txt"
     SNAP_BYTES=$(stat -c %s "$WORK/col.snapshot" 2>/dev/null || stat -f %z "$WORK/col.snapshot")
     grep "^dbselectd_catalog_snapshot_bytes $SNAP_BYTES\$" "$WORK/metrics1.txt"
-    # One hierarchy root: every shrunk summary holds the one interned term
-    # column, and the catalog reports what it keeps resident.
-    grep '^dbselectd_shrunk_term_columns{tenant="default"} 1$' "$WORK/metrics1.txt"
+    # The catalog reports what it keeps resident (sample summaries, the
+    # category columns its shrunk summaries mix, the posting index); no
+    # shrunk term column exists to count.
     grep -E '^dbselectd_catalog_resident_bytes\{tenant="default"\} [1-9][0-9]*$' "$WORK/metrics1.txt"
+    if grep -q 'dbselectd_shrunk_term_columns' "$WORK/metrics1.txt"; then
+        echo "shrunk term-column gauge should be gone"; exit 1
+    fi
 
     # --- connection gauges ------------------------------------------------
     # The scraping connection itself is open and mid-request, so the
@@ -502,5 +516,17 @@ echo
 wait "$SERVE_PID"
 SERVE_PID=
 echo "=== live refresh pass: ok ==="
+
+# --- refresh with a database directory gone --------------------------------
+# The missing database sits the round out and is reported; the round still
+# refreshes the other one and appends its delta.
+mkdir -p "$WORK/chain_skip"
+"$DBSELECT" refresh --catalog "$WORK/col.catalog" --chain "$WORK/chain_skip" \
+    --rounds 1 --budget 2 --full \
+    med=Health/Medicine="$WORK/med" \
+    soccer=Sports/Soccer="$WORK/no-such-dir" | tee "$WORK/refresh_skip.txt"
+grep 'round 1: skipped soccer' "$WORK/refresh_skip.txt"
+grep 'round 1 -> generation 1: refreshed med' "$WORK/refresh_skip.txt"
+ls "$WORK/chain_skip/delta-000001.snap" > /dev/null
 
 echo "smoke test passed"

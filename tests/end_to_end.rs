@@ -206,19 +206,9 @@ fn pipeline_is_deterministic_given_seeds() {
     }
 }
 
-/// Golden bytes on a generated test bed: the digests of a frozen catalog
-/// (its λ vectors included) and of the snapshot payload frozen from it,
-/// recorded before category aggregates became term-sorted columns and EM
-/// ran over a flat row slab. The fixture's databases share category
-/// paths and their summaries have over a thousand words on average, so
-/// the category sums run over many databases in catalog order (visiting
-/// them in any other order moves these digests) and EM runs over long
-/// rows; the hand-built store fixtures have a handful of words.
-#[test]
-fn generated_testbed_catalog_and_snapshot_bytes_match_their_recorded_digests() {
-    use store::catalog::StoredCatalog;
-    use store::codec::ChecksumWriter;
-    use store::snapshot::ServingSnapshot;
+/// The 24-database generated test bed, QBS-profiled with frequency
+/// estimation under seed 30.
+fn generated_testbed_store() -> store::CollectionStore {
     use store::{CollectionStore, StoredDatabase};
 
     let mut config = TestBedConfig::tiny(30);
@@ -242,31 +232,64 @@ fn generated_testbed_catalog_and_snapshot_bytes_match_their_recorded_digests() {
             }
         })
         .collect();
-    let store = CollectionStore {
+    CollectionStore {
         dict: bed.dict.clone(),
         hierarchy: bed.hierarchy.clone(),
         databases,
-    };
-    let digests: Vec<(u64, u64)> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
+    }
+}
+
+/// Golden bytes on a generated test bed: the digest of a frozen v1
+/// catalog (its λ vectors included), recorded before category aggregates
+/// became term-sorted columns and EM ran over a flat row slab. The
+/// fixture's databases share category paths and their summaries have
+/// over a thousand words on average, so the category sums run over many
+/// databases in catalog order (visiting them in any other order moves
+/// this digest) and EM runs over long rows; the hand-built store fixtures
+/// have a handful of words. What the snapshot frozen from it serves is
+/// pinned value by value below.
+#[test]
+fn generated_testbed_catalog_and_snapshot_bytes_match_their_recorded_digests() {
+    use store::catalog::StoredCatalog;
+    use store::codec::ChecksumWriter;
+
+    let store = generated_testbed_store();
+    let digests: Vec<u64> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
         .into_iter()
         .map(|weighting| {
             let frozen = StoredCatalog::freeze(store.clone(), weighting);
             let mut catalog = ChecksumWriter::new(std::io::sink());
             frozen.write_to(&mut catalog).unwrap();
-            let mut snapshot = Vec::new();
-            ServingSnapshot::from_stored(&frozen)
-                .write_to(&mut snapshot)
-                .unwrap();
-            let payload = u64::from_le_bytes(snapshot[snapshot.len() - 8..].try_into().unwrap());
-            (catalog.digest(), payload)
+            catalog.digest()
         })
         .collect();
     assert_eq!(
         digests,
-        [
-            (0x32ce_ba65_7717_a982, 0x47d3_b5bd_ac8e_1c02),
-            (0xe398_4222_5df1_3b74, 0xf1ed_0cce_7780_08ae),
-        ],
+        [0x32ce_ba65_7717_a982, 0xe398_4222_5df1_3b74],
+        "{digests:#x?}"
+    );
+}
+
+/// Golden values on the generated test bed: the bits of every value the
+/// frozen snapshot serves (see `ServingSnapshot::value_digest`), recorded
+/// from the v3 freeze before shrunk summaries were served in factored
+/// form.
+#[test]
+fn generated_testbed_served_values_match_their_recorded_digests() {
+    use store::catalog::StoredCatalog;
+    use store::snapshot::ServingSnapshot;
+
+    let store = generated_testbed_store();
+    let digests: Vec<u64> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
+        .into_iter()
+        .map(|weighting| {
+            let frozen = StoredCatalog::freeze(store.clone(), weighting);
+            ServingSnapshot::from_stored(&frozen).value_digest()
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [0x2fed_e2df_515a_277f, 0x36a1_59e5_f705_3a2c],
         "{digests:#x?}"
     );
 }
