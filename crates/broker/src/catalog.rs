@@ -1047,11 +1047,13 @@ impl Catalog {
         let (mut plan, mut rows) = (QueryPlan::default(), ShrunkRows::default());
         self.plan(query, &mut plan);
         self.gather_shrunk(&plan, query, used_shrinkage, &mut rows);
-        self.planned_scoring_context(&plan, used_shrinkage, &rows)
+        let unshrunk = self.planned_unshrunk_context(&plan);
+        self.planned_scoring_context(&plan, used_shrinkage, &rows, unshrunk)
     }
 
-    /// When any database uses shrinkage, each query word costs one pass
-    /// over its flat posting slices (subtracting the shrunk databases'
+    /// The scoring context, from the plan's unshrunk context `ctx`. When
+    /// any database uses shrinkage, each query word costs one pass over
+    /// its flat posting slices (subtracting the shrunk databases'
     /// effective entries from the precomputed count) plus one pass over the
     /// gathered shrunk rows — all `u32` arithmetic, so the counts are
     /// exactly those of a from-scratch scan.
@@ -1060,8 +1062,8 @@ impl Catalog {
         plan: &QueryPlan,
         used_shrinkage: &[bool],
         rows: &ShrunkRows,
+        mut ctx: CollectionContext,
     ) -> CollectionContext {
-        let mut ctx = self.planned_unshrunk_context(plan);
         let qlen = plan.rows.len();
         if rows.dbs.is_empty() || qlen == 0 {
             return ctx;

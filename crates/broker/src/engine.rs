@@ -39,13 +39,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dbselect_core::summary::SummaryView;
+use dbselect_core::uncertainty::{Combine, Fold, ScoreDistribution, TermCoefficients, WordMoments};
 use rand::Rng;
 use sampling::scheduler::{db_rng, fan_out_chunks};
 use selection::{
-    closed_form_distribution, rank_databases_with_context, score_is_uncertain_for_sample,
-    shrinkage_decision, AdaptiveConfig, AdaptiveOutcome, CollectionContext, IndependentTerms,
-    IndexedView, PreparedKernel, ProbabilitySpace, RankedDatabase, ScoreKernel, SelectionAlgorithm,
-    ShrinkageMode, TermBound, TopK, WordTerm,
+    rank_databases_with_context, score_is_uncertain_for_sample, shrinkage_decision, AdaptiveConfig,
+    AdaptiveOutcome, CollectionContext, IndependentTerms, IndexedView, PreparedKernel,
+    ProbabilitySpace, RankedDatabase, ScoreKernel, SelectionAlgorithm, ShrinkageMode, TermBound,
+    TopK,
 };
 use textindex::TermId;
 
@@ -65,12 +66,113 @@ pub struct RouteScratch {
 /// What a request resolves before scoring, once, on the full catalog: the
 /// query's plan, the rows of the databases scored with `R̂(D)`, and the
 /// candidate mask. Scoring only reads it, so every shard view of a
-/// scattered query shares the one copy.
+/// scattered query shares the one copy. The choice's column kernel works
+/// in `columns`.
 #[derive(Default)]
 pub(crate) struct Planned {
     plan: QueryPlan,
     shrunk: ShrunkRows,
     candidates: Vec<bool>,
+    columns: ChooseColumns,
+}
+
+/// The closed-form test's columns, one entry per database: the current
+/// query word's moment row and slope factor, and the fold's running
+/// accumulators.
+#[derive(Default)]
+pub(crate) struct ChooseColumns {
+    present: Vec<f64>,
+    mean: Vec<f64>,
+    second: Vec<f64>,
+    slope: Vec<f64>,
+    first_acc: Vec<f64>,
+    second_acc: Vec<f64>,
+    default_acc: Vec<f64>,
+}
+
+impl ChooseColumns {
+    /// Start every database's fold empty.
+    fn reset(&mut self, table: &MomentTable, n: usize) {
+        for column in [
+            &mut self.first_acc,
+            &mut self.second_acc,
+            &mut self.default_acc,
+        ] {
+            column.clear();
+        }
+        for db in 0..n {
+            let empty = table.combine(db).empty();
+            self.first_acc.push(empty.first);
+            self.second_acc.push(empty.second);
+            self.default_acc.push(empty.default);
+        }
+    }
+
+    /// Give every database the row and slope factor of a word its sample
+    /// never saw.
+    fn seed(&mut self, table: &MomentTable) {
+        let (present, mean, second) = table.unsampled();
+        let columns = [
+            (&mut self.present, present),
+            (&mut self.mean, mean),
+            (&mut self.second, second),
+            (&mut self.slope, table.unsampled_slope()),
+        ];
+        for (column, unsampled) in columns {
+            column.clear();
+            column.extend_from_slice(unsampled);
+        }
+    }
+
+    /// Fold the current word, with database-independent coefficients
+    /// `term`, into every database's accumulators: `step` is
+    /// [`Fold::product`] or [`Fold::mean`], the step `IndependentScore::push`
+    /// takes for every database, so each sees exactly its operations.
+    #[inline]
+    fn fold(
+        &mut self,
+        term: TermCoefficients,
+        step: impl Fn(Fold, TermCoefficients, &WordMoments) -> Fold,
+    ) {
+        let n = self.first_acc.len();
+        let (present, mean, second) = (&self.present[..n], &self.mean[..n], &self.second[..n]);
+        let slope = &self.slope[..n];
+        let first_acc = &mut self.first_acc[..n];
+        let second_acc = &mut self.second_acc[..n];
+        let default_acc = &mut self.default_acc[..n];
+        for db in 0..n {
+            let word = WordMoments {
+                present: present[db],
+                mean: mean[db],
+                second: second[db],
+            };
+            let term = TermCoefficients {
+                slope: term.slope * slope[db],
+                ..term
+            };
+            let acc = Fold {
+                first: first_acc[db],
+                second: second_acc[db],
+                default: default_acc[db],
+            };
+            let acc = step(acc, term, &word);
+            first_acc[db] = acc.first;
+            second_acc[db] = acc.second;
+            default_acc[db] = acc.default;
+        }
+    }
+
+    /// Database `db`'s evidence distribution, once `words` words are
+    /// folded.
+    #[inline]
+    fn evidence(&self, table: &MomentTable, db: usize, words: usize) -> ScoreDistribution {
+        let fold = Fold {
+            first: self.first_acc[db],
+            second: self.second_acc[db],
+            default: self.default_acc[db],
+        };
+        fold.finish(table.combine(db), words)
+    }
 }
 
 /// What scoring writes — one per scoring thread: the db→row map, per-row
@@ -232,6 +334,11 @@ impl SelectionEngine {
     /// count the scoring context — everything before scoring, each lookup
     /// made once, all of it on the full catalog. Leaves `planned` ready for
     /// [`Self::score_planned`], over the whole catalog or any part of it.
+    ///
+    /// The context's `cf` counts the chosen summaries only when the
+    /// algorithm's kernel reads `cf` ([`ScoreKernel::reads_cf`]); otherwise
+    /// it is the unshrunk context the choice read, which the scores cannot
+    /// tell apart.
     pub(crate) fn choose_with_context<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
@@ -239,11 +346,20 @@ impl SelectionEngine {
         planned: &mut Planned,
     ) -> (Vec<bool>, CollectionContext) {
         self.catalog.plan(query, &mut planned.plan);
-        let used_shrinkage = self.choose_planned(query, &planned.plan, rng);
+        let unshrunk = self.catalog.planned_unshrunk_context(&planned.plan);
+        let used_shrinkage = self.untested_choice(query).unwrap_or_else(|| {
+            self.choose_tested(query, &planned.plan, &unshrunk, rng, &mut planned.columns)
+        });
         self.gather_planned(query, &used_shrinkage, planned);
-        let ctx =
-            self.catalog
-                .planned_scoring_context(&planned.plan, &used_shrinkage, &planned.shrunk);
+        let ctx = match self.algorithm.score_kernel() {
+            Some(kernel) if !kernel.reads_cf() => unshrunk,
+            _ => self.catalog.planned_scoring_context(
+                &planned.plan,
+                &used_shrinkage,
+                &planned.shrunk,
+                unshrunk,
+            ),
+        };
         (used_shrinkage, ctx)
     }
 
@@ -265,43 +381,60 @@ impl SelectionEngine {
         rng: &mut R,
         scratch: &mut RouteScratch,
     ) -> Vec<bool> {
-        let plan = &mut scratch.planned.plan;
+        let Planned { plan, columns, .. } = &mut scratch.planned;
         self.catalog.plan(query, plan);
-        self.choose_planned(query, plan, rng)
+        self.untested_choice(query).unwrap_or_else(|| {
+            let ctx = self.catalog.planned_unshrunk_context(plan);
+            self.choose_tested(query, plan, &ctx, rng, columns)
+        })
     }
 
-    fn choose_planned<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        plan: &QueryPlan,
-        rng: &mut R,
-    ) -> Vec<bool> {
+    /// The choice the mode makes without a test: every database shrunk or
+    /// none, and none for an empty query. `None` when each database needs
+    /// the test.
+    ///
+    /// (`used_shrinkage` is handed to the caller inside the outcome, so it
+    /// is the one per-query allocation that cannot come from scratch.)
+    fn untested_choice(&self, query: &[TermId]) -> Option<Vec<bool>> {
         let n = self.catalog.len();
-
-        // (`used_shrinkage` is handed to the caller inside the outcome, so
-        // it is the one per-query allocation that cannot come from scratch.)
         match self.config.mode {
-            ShrinkageMode::Always => vec![true; n],
-            ShrinkageMode::Never => vec![false; n],
-            ShrinkageMode::Adaptive if query.is_empty() => vec![false; n],
-            ShrinkageMode::Adaptive => {
-                let ctx = self.catalog.planned_unshrunk_context(plan);
-                match (self.algorithm.independent_terms(), &self.moments) {
-                    // The tabulated path reads zeros for unsampled words and
-                    // the `p_tf` slab: both are `kernel_ready` guarantees.
-                    (Some(form), Some(table)) if self.catalog.kernel_ready() => {
-                        self.choose_tabulated(query, plan, &ctx, form, table)
-                    }
-                    _ => self.choose_from_grids(query, &ctx, rng),
-                }
-            }
+            ShrinkageMode::Always => Some(vec![true; n]),
+            ShrinkageMode::Never => Some(vec![false; n]),
+            ShrinkageMode::Adaptive if query.is_empty() => Some(vec![false; n]),
+            ShrinkageMode::Adaptive => None,
         }
     }
 
-    /// The closed form over tabulated moments, database at a time: each
-    /// query word walks its posting list (ascending by database) beside
-    /// the catalog, so a word is either at its cursor — sampled, with the
-    /// posting's `sample_df` and probabilities — or was never sampled.
+    /// The Fig. 3 test for every database, against the unshrunk context
+    /// `ctx`.
+    fn choose_tested<R: Rng + ?Sized>(
+        &self,
+        query: &[TermId],
+        plan: &QueryPlan,
+        ctx: &CollectionContext,
+        rng: &mut R,
+        columns: &mut ChooseColumns,
+    ) -> Vec<bool> {
+        // The tabulated path reads zeros for unsampled words and the `p_tf`
+        // slab (both `kernel_ready` guarantees), and folds every database
+        // one way (`MomentTable::uniform`: none for an empty catalog).
+        let tabulated = match (self.algorithm.independent_terms(), self.moments.as_deref()) {
+            (Some(form), Some(table)) if self.catalog.kernel_ready() => {
+                table.uniform().map(|combine| (form, table, combine))
+            }
+            _ => None,
+        };
+        match tabulated {
+            Some((form, table, combine)) => {
+                self.choose_tabulated(query, plan, ctx, form, table, combine, columns)
+            }
+            None => self.choose_from_grids(query, ctx, rng),
+        }
+    }
+
+    /// The closed form over tabulated moments: [`Self::fold_tabulated`],
+    /// then the algorithm's threshold per database.
+    #[allow(clippy::too_many_arguments)]
     fn choose_tabulated(
         &self,
         query: &[TermId],
@@ -309,38 +442,57 @@ impl SelectionEngine {
         ctx: &CollectionContext,
         form: &dyn IndependentTerms,
         table: &MomentTable,
+        combine: Combine,
+        columns: &mut ChooseColumns,
     ) -> Vec<bool> {
-        let word = |k| {
-            (
-                form.query_term(query, k, ctx),
-                self.catalog.planned_postings(plan, k),
-                0,
-            )
-        };
-        let mut words: Vec<_> = (0..query.len()).map(word).collect();
+        self.fold_tabulated(query, plan, ctx, form, table, combine, columns);
+        let algorithm = self.algorithm.as_ref();
         (0..self.catalog.len())
             .map(|db| {
-                let unsampled = table.moments(db, 0);
-                let terms = words.iter_mut().map(|(query_term, postings, cursor)| {
-                    let (query_term, j) = (*query_term, *cursor);
-                    let (moments, p_df, p_tf) = match postings {
-                        Some(p) if p.dbs.get(j) == Some(&(db as u32)) => {
-                            *cursor += 1;
-                            (table.moments(db, p.sample_df[j]), p.p_df[j], p.p_tf[j])
-                        }
-                        _ => (unsampled, 0.0, 0.0),
-                    };
-                    WordTerm {
-                        query_term,
-                        moments,
-                        p_df,
-                        p_tf,
-                    }
-                });
-                let evidence = closed_form_distribution(form, self.catalog.unshrunk(db), terms);
-                shrinkage_decision(self.algorithm.as_ref(), &evidence, query.len())
+                let evidence = columns.evidence(table, db, query.len());
+                shrinkage_decision(algorithm, &evidence, query.len())
             })
             .collect()
+    }
+
+    /// Every database's closed-form fold, as a column kernel: for each
+    /// query word in query order, every database's row starts as its
+    /// unsampled one, the databases on the word's posting list read their
+    /// sampled rows instead, and one loop over all databases folds the
+    /// word in the way `combine` — the table's one variant — combines.
+    /// Each database sees the operations
+    /// [`selection::closed_form_distribution`] applies to it, in the same
+    /// order, so every evidence distribution is the library's, bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_tabulated(
+        &self,
+        query: &[TermId],
+        plan: &QueryPlan,
+        ctx: &CollectionContext,
+        form: &dyn IndependentTerms,
+        table: &MomentTable,
+        combine: Combine,
+        columns: &mut ChooseColumns,
+    ) {
+        columns.reset(table, self.catalog.len());
+        for k in 0..query.len() {
+            columns.seed(table);
+            if let Some(p) = self.catalog.planned_postings(plan, k) {
+                for (i, &db) in p.dbs.iter().enumerate() {
+                    let (db, own) = (db as usize, self.catalog.unshrunk(db as usize));
+                    let row = table.moments(db, p.sample_df[i]);
+                    columns.present[db] = row.present;
+                    columns.mean[db] = row.mean;
+                    columns.second[db] = row.second;
+                    columns.slope[db] = form.slope_scale(p.p_df[i], p.p_tf[i], own);
+                }
+            }
+            let term = form.query_term(query, k, ctx);
+            match combine {
+                Combine::Product { .. } => columns.fold(term, Fold::product),
+                Combine::Mean => columns.fold(term, Fold::mean),
+            }
+        }
     }
 
     /// The untabulated path: the library test on fresh grids — Monte-Carlo
@@ -506,6 +658,7 @@ impl SelectionEngine {
             plan,
             shrunk,
             candidates,
+            ..
         } = planned;
         let kernel = match self.algorithm.score_kernel() {
             Some(kernel) if !query.is_empty() && self.catalog.kernel_ready() => kernel,
@@ -704,10 +857,13 @@ mod tests {
     use super::*;
     use crate::catalog::{Catalog, CatalogEntry};
     use crate::test_support::{entry, hierarchical, sampled_summary, shrunk_for};
+    use dbselect_core::summary::{ContentSummary, WordStats};
+    use dbselect_core::uncertainty::WordPosterior;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use selection::{adaptive_rank, BGloss, Cori, Lm, Sampled, SummaryPair};
+    use selection::{adaptive_rank, evidence_distribution, BGloss, Cori, Lm, Sampled, SummaryPair};
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn bgloss() -> Arc<dyn SelectionAlgorithm + Send + Sync> {
@@ -1087,6 +1243,93 @@ mod tests {
                                 prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
                             }
                         }
+                    }
+                }
+            }
+        }
+
+        /// The column kernel against `adaptive_rank` on the queries that
+        /// stress its word-major order: duplicated words, words no
+        /// database sampled, words LM's global model lacks, and the empty
+        /// catalog. Every word's `p_tf/p_df` ratio differs from its
+        /// database's unsampled `|D|/cw`, so LM's slope factors are
+        /// visible.
+        #[test]
+        fn column_kernel_decides_like_adaptive_rank_on_edge_queries(
+            seed in 0u64..1_000_000,
+            db_sizes in proptest::collection::vec(50.0f64..80_000.0, 0..7),
+        ) {
+            let entries: Vec<CatalogEntry> = db_sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &db_size)| {
+                    let i = i as u32;
+                    let words: HashMap<TermId, WordStats> = (1..=5)
+                        .map(|w| (w, ((i + 2) * (w + 3) * 13 + seed as u32) % 95))
+                        .filter(|&(_, sample_df)| sample_df > 0)
+                        .map(|(w, sample_df)| {
+                            let df = f64::from(sample_df) / 100.0 * db_size;
+                            let tf = df * f64::from(1 + (w * (i + 1)) % 7);
+                            (w, WordStats { sample_df, df, tf })
+                        })
+                        .collect();
+                    let unshrunk = ContentSummary::new(db_size, 100, words);
+                    let shrunk = shrunk_for(&unshrunk, &[(1, 0.05), (3, 0.02), (9, 0.001)]);
+                    CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                })
+                .collect();
+            let pairs: Vec<SummaryPair<'_>> = entries
+                .iter()
+                .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
+                .collect();
+            let catalog = Arc::new(Catalog::build(entries.clone()));
+            // The global model lacks words 3 and 5; no database samples 9.
+            let global = HashMap::from([(1, 0.02), (2, 0.01), (4, 0.003), (9, 0.0004)]);
+            let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+                Arc::new(BGloss),
+                Arc::new(Cori::default()),
+                Arc::new(Lm::from_global_map(0.5, global)),
+            ];
+            let queries: [&[TermId]; 6] =
+                [&[1, 1, 2], &[9, 1], &[3, 3, 3], &[5, 2, 9, 5], &[9], &[4, 1, 2, 3, 5]];
+            for algorithm in &algorithms {
+                let config = AdaptiveConfig::default();
+                let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
+                let (form, table) = (algorithm.independent_terms().unwrap(), engine.moments.as_deref().unwrap());
+                for (qi, query) in queries.iter().enumerate() {
+                    // The kernel's evidence is the library fold's on fresh
+                    // grids, bit for bit, decided or not.
+                    let mut planned = Planned::default();
+                    catalog.plan(query, &mut planned.plan);
+                    let ctx = catalog.planned_unshrunk_context(&planned.plan);
+                    let combine = table.uniform().unwrap();
+                    engine.fold_tabulated(query, &planned.plan, &ctx, form, table, combine, &mut planned.columns);
+                    for db in 0..catalog.len() {
+                        let s = catalog.unshrunk(db);
+                        let grid = |&w: &TermId| {
+                            let sample_df = s.sample_df(w);
+                            WordPosterior::new(sample_df, s.sample_size(), s.db_size(), catalog.gamma(db), 160)
+                        };
+                        let grids: Vec<WordPosterior> = query.iter().map(grid).collect();
+                        let want = evidence_distribution(
+                            algorithm.as_ref(), query, s, &grids, &ctx, &config, &mut db_rng(seed, qi),
+                        );
+                        let got = planned.columns.evidence(table, db, query.len());
+                        prop_assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "db {} {:?}", db, query);
+                        prop_assert_eq!(got.std_dev.to_bits(), want.std_dev.to_bits(), "db {} {:?}", db, query);
+                    }
+
+                    let full =
+                        adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut db_rng(seed, qi));
+                    let mut scratch = RouteScratch::default();
+                    let chosen = engine.choose_summaries(query, &mut db_rng(seed, qi), &mut scratch);
+                    prop_assert_eq!(&chosen, &full.used_shrinkage);
+                    let routed = engine.route(query, &mut db_rng(seed, qi));
+                    prop_assert_eq!(&routed.used_shrinkage, &full.used_shrinkage);
+                    prop_assert_eq!(routed.ranking.len(), full.ranking.len());
+                    for (x, y) in routed.ranking.iter().zip(&full.ranking) {
+                        prop_assert_eq!(x.index, y.index);
+                        prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
                     }
                 }
             }

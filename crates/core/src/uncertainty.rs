@@ -507,7 +507,8 @@ pub struct TermCoefficients {
 
 impl TermCoefficients {
     /// `(E[f], E[f²])`, using `u² = u` and `u·g = g`.
-    fn moments(&self, word: &WordMoments) -> (f64, f64) {
+    #[inline]
+    pub fn moments(&self, word: &WordMoments) -> (f64, f64) {
         let (b, c, a) = (self.intercept, self.presence, self.slope);
         let first = b + c * word.present + a * word.mean;
         let second = b * b
@@ -530,67 +531,85 @@ pub enum Combine {
     Mean,
 }
 
-/// Running closed-form moments of a score over independent words. By
-/// independence `E[Π f_k] = Π E[f_k]` and `E[(Π f_k)²] = Π E[f_k²]`; for a
-/// mean, expectations and variances add.
-#[derive(Debug, Clone, Copy)]
-pub struct IndependentScore {
-    combine: Combine,
-    /// Product: `Π E[f_k]`. Mean: `Σ E[f_k]`.
-    first: f64,
-    /// Product: `Π E[f_k²]`. Mean: `Σ Var[f_k]`.
-    second: f64,
-    /// The same fold over `f_k(0)`: the score of a database matching no
-    /// query word.
-    default: f64,
-    words: usize,
-}
-
-impl IndependentScore {
-    /// An empty fold.
-    pub fn new(combine: Combine) -> Self {
-        let unit = match combine {
+impl Combine {
+    /// The empty fold: every accumulator at the combination's identity.
+    pub fn empty(self) -> Fold {
+        let unit = match self {
             Combine::Product { .. } => 1.0,
             Combine::Mean => 0.0,
         };
-        IndependentScore {
-            combine,
+        Fold {
             first: unit,
             second: unit,
             default: unit,
-            words: 0,
         }
     }
+}
 
-    /// Fold in one query word.
-    pub fn push(&mut self, term: TermCoefficients, word: &WordMoments) {
+/// The running accumulators of a closed-form score over independent
+/// words. By independence `E[Π f_k] = Π E[f_k]` and
+/// `E[(Π f_k)²] = Π E[f_k²]`; for a mean, expectations and variances add.
+///
+/// The one copy of the fold's arithmetic: [`IndependentScore`] applies it
+/// to one database, and a serving layer may apply the same steps to many
+/// databases side by side — each database still sees the same operations
+/// in the same order, hence the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fold {
+    /// Product: `Π E[f_k]`. Mean: `Σ E[f_k]`.
+    pub first: f64,
+    /// Product: `Π E[f_k²]`. Mean: `Σ Var[f_k]`.
+    pub second: f64,
+    /// The same fold over `f_k(0)`: the score of a database matching no
+    /// query word.
+    pub default: f64,
+}
+
+impl Fold {
+    /// Fold one word into a product.
+    #[inline]
+    pub fn product(self, term: TermCoefficients, word: &WordMoments) -> Fold {
         let (first, second) = term.moments(word);
-        match self.combine {
-            Combine::Product { .. } => {
-                self.first *= first;
-                self.second *= second;
-                self.default *= term.intercept;
-            }
-            Combine::Mean => {
-                self.first += first;
-                self.second += second - first * first;
-                self.default += term.intercept;
-            }
+        Fold {
+            first: self.first * first,
+            second: self.second * second,
+            default: self.default * term.intercept,
         }
-        self.words += 1;
     }
 
-    /// Moments of the *evidence*: the score above its default. Subtracting
-    /// the constant default shifts the mean and leaves the variance alone.
-    pub fn finish(self) -> ScoreDistribution {
-        let (mean, variance, default) = match self.combine {
+    /// Fold one word into a mean.
+    #[inline]
+    pub fn mean(self, term: TermCoefficients, word: &WordMoments) -> Fold {
+        let (first, second) = term.moments(word);
+        Fold {
+            first: self.first + first,
+            second: self.second + (second - first * first),
+            default: self.default + term.intercept,
+        }
+    }
+
+    /// Fold one word the way `combine` combines.
+    #[inline]
+    pub fn push(self, combine: Combine, term: TermCoefficients, word: &WordMoments) -> Fold {
+        match combine {
+            Combine::Product { .. } => self.product(term, word),
+            Combine::Mean => self.mean(term, word),
+        }
+    }
+
+    /// Moments of the *evidence* of `words` folded words: the score above
+    /// its default. Subtracting the constant default shifts the mean and
+    /// leaves the variance alone.
+    #[inline]
+    pub fn finish(self, combine: Combine, words: usize) -> ScoreDistribution {
+        let (mean, variance, default) = match combine {
             Combine::Product { scale } => {
                 let mean = scale * self.first;
                 let variance = scale * scale * self.second - mean * mean;
                 (mean, variance, scale * self.default)
             }
             Combine::Mean => {
-                let n = self.words.max(1) as f64;
+                let n = words.max(1) as f64;
                 (self.first / n, self.second / (n * n), self.default / n)
             }
         };
@@ -599,6 +618,37 @@ impl IndependentScore {
             std_dev: variance.max(0.0).sqrt(),
             draws: 0,
         }
+    }
+}
+
+/// Running closed-form moments of one database's score over independent
+/// words: a [`Fold`] with its combination and word count.
+#[derive(Debug, Clone, Copy)]
+pub struct IndependentScore {
+    combine: Combine,
+    fold: Fold,
+    words: usize,
+}
+
+impl IndependentScore {
+    /// An empty fold.
+    pub fn new(combine: Combine) -> Self {
+        IndependentScore {
+            combine,
+            fold: combine.empty(),
+            words: 0,
+        }
+    }
+
+    /// Fold in one query word.
+    pub fn push(&mut self, term: TermCoefficients, word: &WordMoments) {
+        self.fold = self.fold.push(self.combine, term, word);
+        self.words += 1;
+    }
+
+    /// Moments of the *evidence*: the score above its default.
+    pub fn finish(self) -> ScoreDistribution {
+        self.fold.finish(self.combine, self.words)
     }
 }
 

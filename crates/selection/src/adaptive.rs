@@ -270,6 +270,7 @@ pub fn closed_form_distribution(
 /// `std > mean` by default). Non-finite moments — a NaN or infinite `γ`,
 /// `|D̂|` or word count reached the posterior — carry no evidence either
 /// way and decide "keep `Ŝ(D)`".
+#[inline]
 pub fn shrinkage_decision(
     algorithm: &dyn SelectionAlgorithm,
     evidence: &ScoreDistribution,

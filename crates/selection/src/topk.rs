@@ -162,6 +162,14 @@ pub trait ScoreKernel {
 
     /// An upper bound on the score of any row consistent with `mask`.
     fn upper_bound(&self, prep: &PreparedKernel, mask: u64, db_size: f64) -> f64;
+
+    /// Whether [`Self::prepare`] reads `ctx.cf`. A kernel that does not
+    /// scores the same whatever `cf` holds — and so does its algorithm,
+    /// whose `score_with_p` it equals — so a caller may skip counting `cf`
+    /// over the summaries chosen for scoring.
+    fn reads_cf(&self) -> bool {
+        true
+    }
 }
 
 impl ScoreKernel for Cori {
@@ -356,6 +364,11 @@ impl ScoreKernel for BGloss {
         }
         inflate(db_size * acc)
     }
+
+    /// bGlOSS's product reads no collection statistic.
+    fn reads_cf(&self) -> bool {
+        false
+    }
 }
 
 impl ScoreKernel for Lm {
@@ -442,6 +455,11 @@ impl ScoreKernel for Lm {
             };
         }
         inflate(acc)
+    }
+
+    /// LM smooths with the global model, not with `cf`.
+    fn reads_cf(&self) -> bool {
+        false
     }
 }
 

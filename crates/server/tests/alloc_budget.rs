@@ -7,7 +7,7 @@
 //! fixed number of times: the request's own strings and the vectors the
 //! outcome returns. The engine's scratch is recycled per thread and the
 //! response body is written straight into one `String`, so a per-request
-//! `RouteScratch::default()` (fifteen buffers) or a `Json` response tree (a
+//! `RouteScratch::default()` (some thirty buffers) or a `Json` response tree (a
 //! node and a key `String` per field) would blow the budget and fail here.
 //! A `--shards N` daemon scores its shards one after another on the same
 //! thread, and pays only for each shard's partial ranking and their merge.
@@ -32,17 +32,25 @@ use store::snapshot::ServingSnapshot;
 use store::StoredDatabase;
 
 /// Most allocations one warmed-up request may make, process-wide. Measured
-/// at 44 when this budget was set (46 while a worker pool ran `/route`, 129
-/// before the body writer and the recycled scratch; this fixture ranks six
-/// databases, and a ten-entry `Json` tree costs more). The slack of seven
-/// absorbs a toolchain upgrade's drift, not a new set of buffers: a
-/// per-request scratch alone adds fifteen.
-const BUDGET: u64 = 51;
+/// at 42 when this budget was set (44 while the uncertainty test collected
+/// its query words per request and counted the unshrunk context twice, 46
+/// while a worker pool ran `/route`, 129 before the body writer and the
+/// recycled scratch; this fixture ranks six databases, and a ten-entry
+/// `Json` tree costs more). The slack of seven absorbs a toolchain
+/// upgrade's drift, not a new set of buffers: a per-request scratch alone
+/// adds well over seven.
+const BUDGET: u64 = 49;
 
-/// The same for a `--shards 2` daemon, with the same slack. Measured at 51
-/// when this budget was set, against 75 while a `/route` scattered its two
-/// shards over two threads spawned per query.
-const SHARDED_BUDGET: u64 = 58;
+/// The same for a `--shards 2` daemon, with the same slack. Measured at 49
+/// when this budget was set (51 before the change above), against 75 while
+/// a `/route` scattered its two shards over two threads spawned per query.
+const SHARDED_BUDGET: u64 = 56;
+
+/// The same for an `lm` request, with the same slack. LM's kernel reads no
+/// `cf`, so its request hands scoring the unshrunk context the choice read
+/// instead of counting one over the chosen summaries. Measured at 42 when
+/// this budget was set (44 before).
+const LM_BUDGET: u64 = 49;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, process-wide.
@@ -112,12 +120,18 @@ fn wide_catalog() -> StoredCatalog {
 
 #[test]
 fn a_warm_route_request_stays_within_its_allocation_budget() {
-    for (shards, budget) in [(1, BUDGET), (2, SHARDED_BUDGET)] {
-        let least = warm_route_allocations(shards);
-        eprintln!("allocations per warmed-up /route request, {shards} shard(s): {least}");
+    let runs = [
+        ("cori", 1, BUDGET),
+        ("cori", 2, SHARDED_BUDGET),
+        ("lm", 1, LM_BUDGET),
+    ];
+    for (algo, shards, budget) in runs {
+        let least = warm_route_allocations(algo, shards);
+        eprintln!("allocations per warmed-up {algo} /route request, {shards} shard(s): {least}");
         assert!(
             least <= budget,
-            "{least} allocations per request exceed the budget of {budget} ({shards} shard(s))"
+            "{least} allocations per {algo} request exceed the budget of {budget} \
+             ({shards} shard(s))"
         );
     }
 }
@@ -150,9 +164,10 @@ fn a_sharded_state_keeps_one_catalog_resident() {
     );
 }
 
-/// The least number of allocations one warmed-up `adaptive` `k:10` request
-/// costs a daemon serving the fixture over `shards` shards.
-fn warm_route_allocations(shards: usize) -> u64 {
+/// The least number of allocations one warmed-up `adaptive` `k:10`
+/// request for `algo` costs a daemon serving the fixture over `shards`
+/// shards.
+fn warm_route_allocations(algo: &str, shards: usize) -> u64 {
     let _turn = TURN.lock().expect("no test panics holding the turn");
     let state = sharded_state(shards);
     let config = ServerConfig {
@@ -164,7 +179,9 @@ fn warm_route_allocations(shards: usize) -> u64 {
     let addr = daemon.local_addr();
     let handle = std::thread::spawn(move || daemon.run().expect("run"));
 
-    let body = r#"{"query":"heart blood stadium","algo":"cori","shrinkage":"adaptive","k":10}"#;
+    let body = format!(
+        r#"{{"query":"heart blood stadium","algo":"{algo}","shrinkage":"adaptive","k":10}}"#
+    );
     let request = format!(
         "POST /route HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()

@@ -162,8 +162,14 @@ pub struct RefreshSession {
 }
 
 impl RefreshSession {
-    /// Pin the epoch model of `stored` and start a session.
-    pub fn new(stored: StoredCatalog) -> RefreshSession {
+    /// Pin the epoch model of `stored` and start a session. The session
+    /// works on summaries only: the databases' sample documents are
+    /// dropped here (no freeze reads them, and a probe would leave them
+    /// stale).
+    pub fn new(mut stored: StoredCatalog) -> RefreshSession {
+        for db in &mut stored.store.databases {
+            db.sample_docs = Vec::new();
+        }
         let epoch = Epoch::pin(&stored);
         let bases = vec![None; stored.store.databases.len()];
         RefreshSession {
@@ -259,5 +265,50 @@ impl RefreshSession {
             })
             .collect();
         self.epoch.snapshot(&self.stored, &bases)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CollectionStore, StoredDatabase};
+    use textindex::Document;
+
+    #[test]
+    fn a_session_holds_summaries_not_sample_documents() {
+        let mut dict = TermDict::new();
+        let (a, b) = (dict.intern("heart"), dict.intern("goal"));
+        let mut hierarchy = Hierarchy::new("Root");
+        let leaves = [
+            hierarchy.ensure_path("Health/Heart"),
+            hierarchy.ensure_path("Sports/Soccer"),
+        ];
+        let docs = [vec![a, b], vec![a], vec![b, b]];
+        let databases = leaves
+            .iter()
+            .enumerate()
+            .map(|(i, &classification)| {
+                let sample: Vec<Document> = (docs[i..].iter().enumerate())
+                    .map(|(id, tokens)| Document::from_tokens(id as u32, tokens.clone()))
+                    .collect();
+                StoredDatabase {
+                    name: format!("db{i}"),
+                    classification,
+                    summary: ContentSummary::from_sample(sample.iter(), 400.0),
+                    sample_docs: docs[i..].to_vec(),
+                }
+            })
+            .collect();
+        let store = CollectionStore {
+            dict,
+            hierarchy,
+            databases,
+        };
+        let stored = StoredCatalog::freeze(store, CategoryWeighting::BySize);
+        let reference = ServingSnapshot::from_stored(&stored).value_digest();
+        let session = RefreshSession::new(stored);
+        let dbs = &session.stored.store.databases;
+        assert!(dbs.iter().all(|db| db.sample_docs.is_empty()));
+        assert_eq!(session.freeze_full().value_digest(), reference);
     }
 }

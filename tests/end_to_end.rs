@@ -206,14 +206,19 @@ fn pipeline_is_deterministic_given_seeds() {
     }
 }
 
+/// The 24-database generated test bed of seed 30.
+fn generated_testbed() -> corpus::TestBed {
+    let mut config = TestBedConfig::tiny(30);
+    config.num_databases = 24;
+    config.build()
+}
+
 /// The 24-database generated test bed, QBS-profiled with frequency
 /// estimation under seed 30.
 fn generated_testbed_store() -> store::CollectionStore {
     use store::{CollectionStore, StoredDatabase};
 
-    let mut config = TestBedConfig::tiny(30);
-    config.num_databases = 24;
-    let bed = config.build();
+    let bed = generated_testbed();
     let mut rng = StdRng::seed_from_u64(30);
     let pipeline = PipelineConfig {
         frequency_estimation: true,
@@ -290,6 +295,83 @@ fn generated_testbed_served_values_match_their_recorded_digests() {
     assert_eq!(
         digests,
         [0x2fed_e2df_515a_277f, 0x36a1_59e5_f705_3a2c],
+        "{digests:#x?}"
+    );
+}
+
+/// Golden decisions on the generated test bed: for every query and each
+/// served algorithm, the Adaptive engine's full ranking over the frozen
+/// snapshot — its `used_shrinkage` vector and every `(index, score bits)`
+/// entry — recorded before the uncertainty test read its moments in
+/// word-major column passes. Any change to the closed-form fold's
+/// operations or order moves a decision or a score bit and this digest.
+#[test]
+fn generated_testbed_adaptive_decisions_match_their_recorded_digests() {
+    use broker::SelectionEngine;
+    use sampling::scheduler::db_rng;
+    use selection::{Cori, Lm, SelectionAlgorithm};
+    use std::io::Write;
+    use std::sync::Arc;
+    use store::catalog::StoredCatalog;
+    use store::codec::ChecksumWriter;
+    use store::snapshot::ServingSnapshot;
+
+    let queries: Vec<Vec<u32>> = generated_testbed()
+        .queries
+        .iter()
+        .map(|q| q.terms.clone())
+        .collect();
+    let frozen = StoredCatalog::freeze(generated_testbed_store(), CategoryWeighting::BySize);
+    let snapshot = ServingSnapshot::from_stored(&frozen);
+    let global = snapshot.lm_global.iter().copied().collect();
+    let catalog = Arc::new(snapshot.catalog);
+    let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
+        Arc::new(BGloss),
+        Arc::new(Cori::default()),
+        Arc::new(Lm::from_global_map(0.5, global)),
+    ];
+    let (mut shrunk, mut decisions) = (0, 0);
+    let digests: Vec<u64> = algorithms
+        .into_iter()
+        .map(|algorithm| {
+            let engine =
+                SelectionEngine::new(Arc::clone(&catalog), algorithm, AdaptiveConfig::default());
+            let mut digest = ChecksumWriter::new(std::io::sink());
+            for (qi, query) in queries.iter().enumerate() {
+                let outcome = engine.route(query, &mut db_rng(30, qi));
+                let used: Vec<u8> = outcome
+                    .used_shrinkage
+                    .iter()
+                    .map(|&u| u8::from(u))
+                    .collect();
+                digest.write_all(&used).unwrap();
+                digest
+                    .write_all(&(outcome.ranking.len() as u64).to_le_bytes())
+                    .unwrap();
+                for entry in &outcome.ranking {
+                    digest
+                        .write_all(&(entry.index as u64).to_le_bytes())
+                        .unwrap();
+                    digest
+                        .write_all(&entry.score.to_bits().to_le_bytes())
+                        .unwrap();
+                }
+                shrunk += outcome.used_shrinkage.iter().filter(|&&u| u).count();
+                decisions += outcome.used_shrinkage.len();
+            }
+            digest.digest()
+        })
+        .collect();
+    // The test decides both ways on this bed, so the digests pin real
+    // decisions, not a constant.
+    assert!(0 < shrunk && shrunk < decisions, "{shrunk} of {decisions}");
+    assert_eq!(
+        digests,
+        [
+            0x65fd_e602_36a8_a379,
+            0xd7ae_995f_b29d_d1a5,
+            0x7ae6_8937_9562_7a02
+        ],
         "{digests:#x?}"
     );
 }
