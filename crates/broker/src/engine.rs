@@ -586,10 +586,28 @@ impl SelectionEngine {
         k: usize,
         rng: &mut R,
     ) -> AdaptiveOutcome {
+        self.route_partition_topk(query, k, None, rng)
+    }
+
+    /// [`route_topk`](Self::route_topk) scoring only `members` (ascending
+    /// catalog indices; every database when `None`) — the half of a
+    /// scattered query a federated backend answers. The summary choice and
+    /// the collection context are still made on the full catalog, so the
+    /// ranking is the first `min(k, len)` of those databases' entries in
+    /// the full ranking, bit for bit, and `used_shrinkage` covers every
+    /// database: partial rankings of disjoint member lists merge
+    /// ([`selection::merge::merge_rankings`]) into the full ranking.
+    pub fn route_partition_topk<R: Rng + ?Sized>(
+        &self,
+        query: &[TermId],
+        k: usize,
+        members: Option<&[u32]>,
+        rng: &mut R,
+    ) -> AdaptiveOutcome {
         with_scratch(|RouteScratch { planned, buffers }| {
             let (used_shrinkage, ctx) = self.choose_with_context(query, rng, planned);
             let ranking =
-                self.score_planned(query, k, &ctx, &used_shrinkage, None, planned, buffers);
+                self.score_planned(query, k, &ctx, &used_shrinkage, members, planned, buffers);
             AdaptiveOutcome {
                 ranking,
                 used_shrinkage,

@@ -24,4 +24,4 @@ pub(crate) mod test_support;
 pub use catalog::{Catalog, CatalogEntry, DbUpdate, PostingIndex, Postings};
 pub use engine::{RouteScratch, SelectionEngine};
 pub use moments::MomentTable;
-pub use shard::{Partitioning, ShardPlan, ShardedEngine};
+pub use shard::{contiguous_block, ShardPlan, ShardedEngine};

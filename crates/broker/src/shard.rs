@@ -1,5 +1,5 @@
 //! Shard scatter-gather: score one frozen [`Catalog`] as several member
-//! lists in parallel without changing a single ranking bit.
+//! lists without changing a single ranking bit.
 //!
 //! Scoring is embarrassingly parallel *per database* — every score is a
 //! pure function of `(algorithm, query, summary view, CollectionContext)`
@@ -11,8 +11,6 @@
 //! [`CollectionContext`] (`m`, `cf(w)`, `mcw`) and one summary choice per
 //! query, both made by the full engine before the scatter
 //! ([`SelectionEngine::choose_with_context`]); the shards only read them.
-//! (What in-process sharding costs and buys is measured by `benchmark/`,
-//! rows `broker.shard.*` — see `benchmark/README.md`.)
 //!
 //! Each shard's ranking is sorted by [`selection::ranking_order`] over
 //! catalog indices, shards partition the index space, and
@@ -20,125 +18,59 @@
 //! bit for bit (`f64::to_bits` scores included) — asserted by the proptest
 //! below across all three algorithms and all three shrinkage modes.
 //!
-//! [`ShardPlan`] decides who lives where: contiguous blocks (the default —
-//! preserves locality of catalog order), name-hash (stable under
-//! reordering), or topic-subtree (databases sharing a top-level topic of
-//! the classification hierarchy stay on one shard, the layout a federated
-//! deployment over "Automatic Classification of Text Databases through
-//! Query Probing" hierarchies would pick).
+//! Shards are contiguous blocks of catalog order, cut by
+//! [`contiguous_block`]. A federated backend is handed its block in the
+//! request and routes it with [`SelectionEngine::route_partition_topk`];
+//! the daemon builds no plan. [`ShardPlan`] and [`ShardedEngine`], the
+//! in-process scatter over every block, remain because the benchmark's
+//! `broker.shard.*` rows measure that scatter against one engine (see
+//! `benchmark/README.md`).
+//!
+//! [`CollectionContext`]: selection::CollectionContext
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::Rng;
 use sampling::scheduler::fan_out;
 use selection::merge::merge_rankings;
-use selection::{AdaptiveOutcome, RankedDatabase};
+use selection::AdaptiveOutcome;
 use textindex::TermId;
 
 use crate::engine::{with_scratch, RouteScratch, SelectionEngine};
 
-/// How databases are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partitioning {
-    /// Contiguous blocks of catalog order (`ceil(n/shards)` each).
-    #[default]
-    Contiguous,
-    /// FNV-1a hash of the database name, modulo the shard count.
-    Hash,
-    /// Group by top-level topic segment of each database's classification
-    /// path ("Health/Heart" → "Health"); topics are assigned to shards
-    /// round-robin in sorted topic order, so databases of one subtree
-    /// co-locate.
-    Topic,
+/// Block `shard` of `len` databases cut into `shards` contiguous blocks of
+/// `⌈len/shards⌉` (at least 1): `[shard·b, min(len, (shard+1)·b))`, empty
+/// past the end. The arithmetic saturates, so any `shard < shards` the
+/// caller is handed — however large — yields a range inside `0..len`.
+pub fn contiguous_block(len: usize, shard: usize, shards: usize) -> Range<usize> {
+    let block = len.div_ceil(shards.max(1)).max(1);
+    let start = shard.saturating_mul(block).min(len);
+    let end = shard.saturating_add(1).saturating_mul(block).min(len);
+    start..end
 }
 
-/// FNV-1a, the workspace's stable non-cryptographic hash (same constants
-/// as the snapshot checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-/// A validated database → shard assignment, with each shard's member list.
+/// Each shard's member list, for a contiguous cut of the catalog.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// `assignments[db] = shard`, each `< members.len()`.
-    assignments: Vec<u32>,
     /// `members[s]` = the databases of shard `s`, ascending — every
     /// shard's order is a subsequence of catalog order.
     members: Vec<Vec<u32>>,
 }
 
 impl ShardPlan {
-    /// `assignments` (each `< shards`) with the member lists they imply.
-    fn new(assignments: Vec<u32>, shards: usize) -> ShardPlan {
-        let mut members = vec![Vec::new(); shards];
-        for (db, &s) in assignments.iter().enumerate() {
-            members[s as usize].push(db as u32);
-        }
-        ShardPlan {
-            assignments,
-            members,
-        }
-    }
-
-    /// Contiguous block partitioning of `n_dbs` databases.
+    /// `n_dbs` databases in `shards` (at least 1) [`contiguous_block`]s.
     pub fn contiguous(n_dbs: usize, shards: usize) -> ShardPlan {
         let shards = shards.max(1);
-        let block = n_dbs.div_ceil(shards).max(1);
-        ShardPlan::new((0..n_dbs).map(|db| (db / block) as u32).collect(), shards)
-    }
-
-    /// Name-hash partitioning: stable under catalog reordering.
-    pub fn hash(names: &[String], shards: usize) -> ShardPlan {
-        let shards = shards.max(1);
-        let shard_of = |n: &String| (fnv1a(n.as_bytes()) % shards as u64) as u32;
-        ShardPlan::new(names.iter().map(shard_of).collect(), shards)
-    }
-
-    /// Topic-subtree partitioning over classification paths (one per
-    /// database, e.g. `"Health/Heart"`). Databases sharing a top-level
-    /// topic always land on the same shard.
-    pub fn topic(categories: &[String], shards: usize) -> ShardPlan {
-        let shards = shards.max(1);
-        let top = |c: &str| c.split('/').next().unwrap_or("").to_string();
-        let mut topics: Vec<String> = categories.iter().map(|c| top(c)).collect();
-        let mut distinct = topics.clone();
-        distinct.sort();
-        distinct.dedup();
-        let shard_of = |t: &String| {
-            let pos = distinct.binary_search(t).expect("topic collected above");
-            (pos % shards) as u32
-        };
-        ShardPlan::new(topics.drain(..).map(|t| shard_of(&t)).collect(), shards)
-    }
-
-    /// An explicit assignment, validated.
-    pub fn from_assignments(
-        assignments: Vec<u32>,
-        shards: usize,
-    ) -> Result<ShardPlan, &'static str> {
-        if shards == 0 {
-            return Err("shard count must be at least 1");
+        let block = |s| contiguous_block(n_dbs, s, shards).map(|db| db as u32);
+        ShardPlan {
+            members: (0..shards).map(|s| block(s).collect()).collect(),
         }
-        if assignments.iter().any(|&s| s as usize >= shards) {
-            return Err("shard assignment out of range");
-        }
-        Ok(ShardPlan::new(assignments, shards))
     }
 
     /// Number of shards (some may be empty).
     pub fn shard_count(&self) -> usize {
         self.members.len()
-    }
-
-    /// The raw assignment column.
-    pub fn assignments(&self) -> &[u32] {
-        &self.assignments
     }
 
     /// Per-shard member lists, each ascending in catalog index.
@@ -147,11 +79,12 @@ impl ShardPlan {
     }
 }
 
-/// The scatter-gather engine: summary choice, shrunk-row gather and
-/// collection context once on the full catalog, scoring fanned out over
-/// the plan's member lists, rankings gathered through [`merge_rankings`].
-/// Rankings are bit-identical to the wrapped [`SelectionEngine`]'s for
-/// every query, algorithm, and shrinkage mode.
+/// The in-process scatter-gather engine: summary choice, shrunk-row gather
+/// and collection context once on the full catalog, scoring fanned out
+/// over the plan's member lists, rankings gathered through
+/// [`merge_rankings`]. Rankings are bit-identical to the wrapped
+/// [`SelectionEngine`]'s for every query, algorithm, and shrinkage mode.
+/// Kept for the benchmark's `broker.shard.*` rows; no serving path uses it.
 pub struct ShardedEngine {
     full: Arc<SelectionEngine>,
     plan: Arc<ShardPlan>,
@@ -161,13 +94,13 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Wrap `full` with scatter-gather scoring over `plan`'s shards, which
-    /// must assign exactly the databases of `full`'s catalog.
+    /// must cover exactly the databases of `full`'s catalog.
     pub fn new(
         full: Arc<SelectionEngine>,
         plan: Arc<ShardPlan>,
         threads: usize,
     ) -> Result<ShardedEngine, &'static str> {
-        if plan.assignments.len() != full.catalog().len() {
+        if plan.members.iter().map(Vec::len).sum::<usize>() != full.catalog().len() {
             return Err("shard plan covers a different database count");
         }
         let threads = threads.clamp(1, plan.shard_count());
@@ -229,80 +162,6 @@ impl ShardedEngine {
             }
         })
     }
-
-    /// [`route_topk`](Self::route_topk) with the shard scatter run
-    /// sequentially on the calling thread — for callers that already
-    /// parallelize across queries (the batch handler's per-query workers)
-    /// and must not nest a per-query scatter inside their own fan-out.
-    pub fn route_sequential_topk<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        k: usize,
-        rng: &mut R,
-    ) -> AdaptiveOutcome {
-        let mut outcome = self.route_shards_topk(query, k, rng, 0..self.shard_count());
-        outcome.ranking.truncate(k);
-        outcome
-    }
-
-    /// Score **one** shard to its local top `k` — the backend half of a
-    /// *federated* deployment, where each shard lives behind a remote
-    /// daemon and a proxy gathers the partial rankings (`k = usize::MAX`
-    /// for the full partial ranking).
-    ///
-    /// Every backend holds the full catalog and runs the identical choose
-    /// phase plus the global collection context, then scores only
-    /// `shard`'s members through the pruned kernel path. Merging every
-    /// shard's partial list through [`merge_rankings`] and truncating to
-    /// `k` is therefore bit-identical to [`route_topk`](Self::route_topk)
-    /// — the same argument as the in-process scatter, just with the
-    /// scatter on the other side of a socket.
-    ///
-    /// The returned outcome's `ranking` holds only `shard`'s databases
-    /// (sorted by `ranking_order`); `used_shrinkage` still covers the full
-    /// catalog.
-    pub fn route_shard_topk<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        k: usize,
-        rng: &mut R,
-        shard: usize,
-    ) -> AdaptiveOutcome {
-        self.route_shards_topk(query, k, rng, shard..shard + 1)
-    }
-
-    /// Choose on the full catalog, then score `shards` one after another
-    /// on this thread's scratch and merge their local top-`k` lists.
-    fn route_shards_topk<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        k: usize,
-        rng: &mut R,
-        shards: std::ops::Range<usize>,
-    ) -> AdaptiveOutcome {
-        with_scratch(|RouteScratch { planned, buffers }| {
-            let (used_shrinkage, ctx) = self.full.choose_with_context(query, rng, planned);
-            let per_shard: Vec<Vec<RankedDatabase>> = self.plan.members[shards]
-                .iter()
-                .map(|members| {
-                    let members = Some(members.as_slice());
-                    self.full.score_planned(
-                        query,
-                        k,
-                        &ctx,
-                        &used_shrinkage,
-                        members,
-                        planned,
-                        buffers,
-                    )
-                })
-                .collect();
-            AdaptiveOutcome {
-                ranking: merge_rankings(&per_shard),
-                used_shrinkage,
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +171,9 @@ mod tests {
     use crate::test_support::{sampled_summary, shrunk_for};
     use proptest::prelude::*;
     use sampling::scheduler::db_rng;
-    use selection::{AdaptiveConfig, BGloss, Cori, Lm, SelectionAlgorithm, ShrinkageMode};
+    use selection::{
+        AdaptiveConfig, BGloss, Cori, Lm, RankedDatabase, SelectionAlgorithm, ShrinkageMode,
+    };
 
     fn entries(n: usize) -> Vec<CatalogEntry> {
         (0..n)
@@ -349,11 +210,11 @@ mod tests {
     fn contiguous_plan_covers_every_database() {
         let plan = ShardPlan::contiguous(7, 3);
         assert_eq!(plan.shard_count(), 3);
-        assert_eq!(plan.assignments(), &[0, 0, 0, 1, 1, 1, 2]);
-        let members = plan.members();
-        let total: usize = members.iter().map(Vec::len).sum();
-        assert_eq!(total, 7);
-        assert!(members.iter().all(|m| m.windows(2).all(|w| w[0] < w[1])));
+        assert_eq!(plan.members(), &[vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
+        for (s, members) in plan.members().iter().enumerate() {
+            let block = contiguous_block(7, s, 3);
+            assert!(members.iter().map(|&db| db as usize).eq(block));
+        }
     }
 
     #[test]
@@ -368,47 +229,24 @@ mod tests {
             "0 clamps to 1"
         );
         assert_eq!(ShardPlan::contiguous(2, 8).members()[0], vec![0]);
-        assert!(ShardPlan::from_assignments(vec![0, 2], 2).is_err());
-        assert!(ShardPlan::from_assignments(vec![], 0).is_err());
-        assert!(ShardPlan::from_assignments(vec![0, 1], 2).is_ok());
-    }
-
-    #[test]
-    fn hash_plan_is_name_stable() {
-        let names: Vec<String> = (0..6).map(|i| format!("db{i}")).collect();
-        let a = ShardPlan::hash(&names, 3);
-        let mut reversed = names.clone();
-        reversed.reverse();
-        let b = ShardPlan::hash(&reversed, 3);
-        for (i, name) in names.iter().enumerate() {
-            let j = reversed.iter().position(|n| n == name).unwrap();
-            assert_eq!(a.assignments()[i], b.assignments()[j], "{name}");
-        }
-    }
-
-    #[test]
-    fn topic_plan_colocates_subtrees() {
-        let categories: Vec<String> = [
-            "Health/Heart",
-            "Sports/Soccer",
-            "Health/Immunology",
-            "Finance",
-            "Sports",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let plan = ShardPlan::topic(&categories, 2);
+        // Blocks past the end are empty, however far past.
+        assert_eq!(contiguous_block(6, 3, 4), 6..6);
+        assert_eq!(contiguous_block(6, 2, 4), 4..6);
+        assert_eq!(contiguous_block(6, 5, 1_000_000), 5..6);
+        assert_eq!(contiguous_block(6, 6, 1_000_000), 6..6);
+        assert_eq!(contiguous_block(6, usize::MAX - 1, usize::MAX), 6..6);
         assert_eq!(
-            plan.assignments()[0],
-            plan.assignments()[2],
-            "Health together"
+            contiguous_block(usize::MAX, usize::MAX - 1, 2).end,
+            usize::MAX
         );
-        assert_eq!(
-            plan.assignments()[1],
-            plan.assignments()[4],
-            "Sports together"
-        );
+        let catalog = Arc::new(Catalog::build(entries(3)));
+        let full = Arc::new(SelectionEngine::new(
+            Arc::clone(&catalog),
+            Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
+            AdaptiveConfig::default(),
+        ));
+        let short = Arc::new(ShardPlan::contiguous(catalog.len() - 1, 2));
+        assert!(ShardedEngine::new(full, short, 2).is_err());
     }
 
     #[test]
@@ -476,16 +314,21 @@ mod tests {
                     Arc::clone(&algorithm),
                     config,
                 ));
-                let plan = Arc::new(ShardPlan::contiguous(catalog.len(), 3));
-                let sharded = ShardedEngine::new(Arc::clone(&full), plan, 2).unwrap();
+                let plan = ShardPlan::contiguous(catalog.len(), 3);
                 for (qi, query) in queries().iter().enumerate() {
                     let mono = full.route(query, &mut db_rng(5, qi));
                     // Each shard routed independently, each with its own
                     // fresh RNG — exactly what N remote backends would do.
-                    let per_shard: Vec<Vec<RankedDatabase>> = (0..sharded.shard_count())
-                        .map(|s| {
-                            let partial =
-                                sharded.route_shard_topk(query, usize::MAX, &mut db_rng(5, qi), s);
+                    let per_shard: Vec<Vec<RankedDatabase>> = plan
+                        .members()
+                        .iter()
+                        .map(|members| {
+                            let partial = full.route_partition_topk(
+                                query,
+                                usize::MAX,
+                                Some(members),
+                                &mut db_rng(5, qi),
+                            );
                             assert_eq!(
                                 partial.used_shrinkage, mono.used_shrinkage,
                                 "choose phase must be shard-invariant"
@@ -511,36 +354,49 @@ mod tests {
             Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
             AdaptiveConfig::default(),
         ));
-        let plan = Arc::new(ShardPlan::hash(catalog.names(), 3));
-        let sharded = ShardedEngine::new(Arc::clone(&full), plan, 2).unwrap();
-        let short = Arc::new(ShardPlan::contiguous(catalog.len() - 1, 3));
-        assert!(ShardedEngine::new(Arc::clone(&full), short, 2).is_err());
-        // What the daemon's batch handler does: parallel across queries,
-        // shards scored sequentially inside each (full rankings here).
+        // What a backend's batch handler does with a shard in the request:
+        // parallel across queries, each routed over the one block; the
+        // blocks' batches merge query by query into the monolithic batch.
         let queries = queries();
         let mono = full.route_batch(&queries, 77, 4);
-        let scat = sampling::scheduler::fan_out_chunks(queries.len(), 4, |qi| {
-            sharded.route_sequential_topk(&queries[qi], usize::MAX, &mut db_rng(77, qi))
-        });
-        assert_eq!(mono.len(), scat.len());
-        for (a, b) in mono.iter().zip(&scat) {
-            assert_same_outcome(a, b);
+        let plan = ShardPlan::contiguous(catalog.len(), 4);
+        let per_shard: Vec<Vec<AdaptiveOutcome>> = plan
+            .members()
+            .iter()
+            .map(|members| {
+                sampling::scheduler::fan_out_chunks(queries.len(), 4, |qi| {
+                    let rng = &mut db_rng(77, qi);
+                    full.route_partition_topk(&queries[qi], usize::MAX, Some(members), rng)
+                })
+            })
+            .collect();
+        assert_eq!(mono.len(), queries.len());
+        for (qi, a) in mono.iter().enumerate() {
+            let partials: Vec<Vec<RankedDatabase>> = per_shard
+                .iter()
+                .map(|batch| batch[qi].ranking.clone())
+                .collect();
+            let gathered = AdaptiveOutcome {
+                ranking: merge_rankings(&partials),
+                used_shrinkage: per_shard[0][qi].used_shrinkage.clone(),
+            };
+            assert_same_outcome(a, &gathered);
         }
     }
 
     proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
-            /// Satellite invariant: for any catalog, any shard count, and any
-            /// partitioning, the scatter-gathered merged ranking equals the
-            /// monolithic ranking at `f64::to_bits`, across all 3 algorithms ×
-            /// 3 shrinkage modes.
+            /// For any catalog and any partition of it into member lists,
+            /// routing each list on its own and merging equals the monolithic
+            /// ranking at `f64::to_bits`, across all 3 algorithms × 3
+            /// shrinkage modes — the argument every scatter rests on,
+            /// contiguous or not.
             #[test]
             fn any_partitioning_is_bit_identical(
                 seed in 0u64..1_000_000,
                 db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
-                shards in 1usize..6,
-                scheme in 0usize..3,
+                assignments in proptest::collection::vec(0usize..5, 8),
             ) {
                 let entries: Vec<CatalogEntry> = db_sizes
                     .iter()
@@ -556,15 +412,10 @@ mod tests {
                     })
                     .collect();
                 let catalog = Arc::new(Catalog::build(entries));
-                let topics: Vec<String> = (0..catalog.len())
-                    .map(|i| format!("T{}/sub{}", i % 3, i))
-                    .collect();
-                let plan = match scheme {
-                    0 => ShardPlan::contiguous(catalog.len(), shards),
-                    1 => ShardPlan::hash(catalog.names(), shards),
-                    _ => ShardPlan::topic(&topics, shards),
-                };
-                let plan = Arc::new(plan);
+                let mut members = vec![Vec::new(); 5];
+                for db in 0..catalog.len() {
+                    members[assignments[db]].push(db as u32);
+                }
                 let global = sampled_summary(
                     130_000.0,
                     900,
@@ -588,14 +439,19 @@ mod tests {
                             Arc::clone(&algorithm),
                             config,
     ));
-                        let sharded =
-                            ShardedEngine::new(Arc::clone(&full), Arc::clone(&plan), 3).unwrap();
                         for (qi, query) in queries.iter().enumerate() {
                             let mono = full.route(query, &mut db_rng(seed, qi));
-                            let scat = sharded.route_topk(query, usize::MAX, &mut db_rng(seed, qi));
-                            prop_assert_eq!(&mono.used_shrinkage, &scat.used_shrinkage);
-                            prop_assert_eq!(mono.ranking.len(), scat.ranking.len());
-                            for (x, y) in mono.ranking.iter().zip(&scat.ranking) {
+                            let mut partials = Vec::new();
+                            for list in &members {
+                                let rng = &mut db_rng(seed, qi);
+                                let partial =
+                                    full.route_partition_topk(query, usize::MAX, Some(list), rng);
+                                prop_assert_eq!(&mono.used_shrinkage, &partial.used_shrinkage);
+                                partials.push(partial.ranking);
+                            }
+                            let scat = merge_rankings(&partials);
+                            prop_assert_eq!(mono.ranking.len(), scat.len());
+                            for (x, y) in mono.ranking.iter().zip(&scat) {
                                 prop_assert_eq!(x.index, y.index);
                                 prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
                             }
@@ -609,7 +465,7 @@ mod tests {
             /// `f64::to_bits` for shard counts 1/2/4 across all 3 algorithms ×
             /// 3 shrinkage modes × every k. Both the in-process scatter
             /// (`route_topk`) and the federated composition
-            /// (`route_shard_topk` per shard + merge) are checked.
+            /// (`route_partition_topk` per block + merge) are checked.
             #[test]
             fn sharded_topk_matches_monolithic_truncation(
                 seed in 0u64..1_000_000,
@@ -670,13 +526,11 @@ mod tests {
                                     // return their shard-local top k.
                                     let partials: Vec<Vec<RankedDatabase>> = (0..shards)
                                         .map(|s| {
-                                            sharded
-                                                .route_shard_topk(
-                                                    query,
-                                                    k,
-                                                    &mut db_rng(seed, qi),
-                                                    s,
-                                                )
+                                            let block = contiguous_block(catalog.len(), s, shards);
+                                            let members: Vec<u32> =
+                                                block.map(|db| db as u32).collect();
+                                            let rng = &mut db_rng(seed, qi);
+                                            full.route_partition_topk(query, k, Some(&members), rng)
                                                 .ranking
                                         })
                                         .collect();

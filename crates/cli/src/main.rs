@@ -11,7 +11,7 @@
 //! dbselect route --catalog CATALOG --queries FILE [--algo bgloss|cori|lm]
 //!                [--shrinkage adaptive|always|never] [-k N | --k N] [--seed N] [--threads N]
 //! dbselect serve (--catalog CATALOG | --tenants DIR) [--addr HOST:PORT]
-//!                [--workers N] [--queue N] [--shards N] [--tenant-quota N]
+//!                [--workers N] [--queue N] [--tenant-quota N]
 //!                [--deadline-ms N] [--keep-alive-requests N] [--idle-timeout-ms N]
 //! dbselect inspect --store STORE [--db NAME]
 //! ```
@@ -69,7 +69,7 @@ USAGE:
                  [--shrinkage adaptive|always|never] [-k N | --k N] [--seed N] [--threads N]
   dbselect serve (--catalog CATALOG | --tenants DIR | --proxy --backends A,B,..)
                  [--addr HOST:PORT]
-                 [--workers N] [--queue N] [--shards N] [--tenant-quota N]
+                 [--workers N] [--queue N] [--tenant-quota N]
                  [--deadline-ms N] [--keep-alive-requests N] [--idle-timeout-ms N]
                  [--retry-after-ms N] [--refresh-interval-ms N]
                  [--proxy-retries N] [--hedge-ms N] [--breaker-threshold N]
@@ -121,15 +121,15 @@ untouched (counted in dbselectd_catalog_load_failures_total).
 *.snap/*.cat file, named by its stem) behind /t/<name>/route,
 /t/<name>/route_batch and /t/<name>/admin/reload; bare paths alias the
 tenant named `default` (or the first, by name). --tenant-quota caps
-in-flight routing requests per tenant (503 + Retry-After beyond it);
---shards N scores each query shard by shard over N catalog shards and
-merges — rankings stay bit-identical to --shards 1.
+in-flight routing requests per tenant (503 + Retry-After beyond it).
 
 `serve --proxy --backends A,B,..` starts a federated proxy instead of a
-catalog engine: /route and /route_batch scatter to the listed shard
-daemons (each started with --shards N over the same snapshot) and merge
-the partial rankings, bit-identically to a single monolithic daemon
-when every backend is healthy. Failed shard calls are retried
+catalog engine: /route and /route_batch scatter to the listed daemons
+(plain `serve` over the same snapshot; backend i of N is sent
+\"shard\": i, \"shards\": N with each body and scores only that
+contiguous block of the catalog) and merge the partial rankings,
+bit-identically to a single monolithic daemon when every backend is
+healthy. Failed shard calls are retried
 (--proxy-retries, exponential backoff), slow ones hedged (--hedge-ms,
 0 disables, default adapts to the backend's p99), and flapping
 backends are fenced by per-backend circuit breakers
@@ -438,11 +438,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|_| "--idle-timeout-ms expects an integer".to_string())?;
                 config.idle_timeout = std::time::Duration::from_millis(ms);
             }
-            "--shards" => {
-                config.shards = next_value(&mut it, "--shards")?
-                    .parse()
-                    .map_err(|_| "--shards expects an integer".to_string())?;
-            }
             "--tenant-quota" => {
                 config.tenant_quota = next_value(&mut it, "--tenant-quota")?
                     .parse()
@@ -533,12 +528,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             )
         }
         (Some(catalog_path), None) => {
-            let state = server::state::ServingState::load_sharded(
-                &catalog_path,
-                config.cache_capacity,
-                config.shards,
-            )
-            .map_err(|e| format!("{catalog_path}: {e}"))?;
+            let state = server::state::ServingState::load(&catalog_path, config.cache_capacity)
+                .map_err(|e| format!("{catalog_path}: {e}"))?;
             let daemon = server::Server::bind(config, state).map_err(|e| e.to_string())?;
             println!(
                 "dbselectd listening on {} (catalog {catalog_path})",
@@ -552,12 +543,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             let mut states = Vec::with_capacity(manifest.tenants.len());
             for entry in &manifest.tenants {
                 let path = entry.path.to_str().ok_or("non-UTF-8 snapshot path")?;
-                let state = server::state::ServingState::load_sharded(
-                    path,
-                    config.cache_capacity,
-                    config.shards,
-                )
-                .map_err(|e| format!("{path}: {e}"))?;
+                let state = server::state::ServingState::load(path, config.cache_capacity)
+                    .map_err(|e| format!("{path}: {e}"))?;
                 states.push((entry.name.clone(), state));
             }
             let names: Vec<String> = states.iter().map(|(n, _)| n.clone()).collect();

@@ -24,9 +24,9 @@
 //! skipping `λ_i == 0` and components that lack the word, then
 //! `+ λ_{m+1} · p̂(w|D)`; each component value is the quotient
 //! [`category_summary`](crate::category_summary)'s sorted merge stores,
-//! evaluated for the one word (same `take`, same denominator). The
-//! [`ShrunkMixer`], which materializes a whole mixture over a dense
-//! scratch, is the reference the factored values are tested against.
+//! evaluated for the one word (same `take`, same denominator). The lazy
+//! [`ShrunkSummary`] is the reference the factored values are tested
+//! against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +35,6 @@ use textindex::TermId;
 
 use crate::category_summary::{take, Aggregate, CategoryWeighting, Column, SummaryComponent};
 use crate::hierarchy::{CategoryId, Hierarchy};
-use crate::shrinkage::ProbabilityModel::{self, DocumentFrequency, TermFrequency};
 use crate::shrinkage::ShrunkSummary;
 use crate::summary::{ratio, ContentSummary, SummaryView};
 
@@ -236,220 +235,6 @@ impl SummaryView for FrozenSummary {
 
     fn word_count(&self) -> f64 {
         self.word_count
-    }
-}
-
-/// A shrunk summary `R̂(D)` materialized over its whole vocabulary by a
-/// [`ShrunkMixer`] — the reference the factored values of
-/// [`ShrunkSummaries`] are tested against, never a serving form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MixedSummary {
-    pub db_size: f64,
-    pub word_count: f64,
-    /// `λ_0 · uniform_p` per model: the value of a word no column has.
-    pub default_p_df: f64,
-    pub default_p_tf: f64,
-    /// Every word the database or a component knows, ascending.
-    pub terms: Vec<TermId>,
-    /// The mixed values, parallel to `terms`.
-    pub p_df: Vec<f64>,
-    pub p_tf: Vec<f64>,
-}
-
-impl MixedSummary {
-    /// Materialize a lazy mixture (see [`ShrunkMixer`]).
-    pub fn of(s: &ShrunkSummary) -> MixedSummary {
-        let (lambdas_df, lambdas_tf) = (s.lambdas(), s.lambdas_tf());
-        let mut mixer = ShrunkMixer::default();
-        mixer.start(&s.components, lambdas_df, lambdas_tf, s.uniform_p());
-        mixer.add(
-            s.db_p_df.iter(),
-            DocumentFrequency,
-            lambdas_df.last().copied(),
-        );
-        mixer.add(s.db_p_tf.iter(), TermFrequency, lambdas_tf.last().copied());
-        mixer.finish(s.db_size(), s.word_count())
-    }
-
-    fn value(&self, term: TermId, tf: bool) -> f64 {
-        match self.terms.binary_search(&term) {
-            Ok(i) if tf => self.p_tf[i],
-            Ok(i) => self.p_df[i],
-            Err(_) if tf => self.default_p_tf,
-            Err(_) => self.default_p_df,
-        }
-    }
-}
-
-impl SummaryView for MixedSummary {
-    fn db_size(&self) -> f64 {
-        self.db_size
-    }
-
-    fn p_df(&self, term: TermId) -> f64 {
-        self.value(term, false)
-    }
-
-    fn p_tf(&self, term: TermId) -> f64 {
-        self.value(term, true)
-    }
-
-    fn word_count(&self) -> f64 {
-        self.word_count
-    }
-}
-
-/// One word's slot in a [`ShrunkMixer`]'s scratch.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    p_df: f64,
-    p_tf: f64,
-    /// The word is in the summary being mixed.
-    present: bool,
-}
-
-/// Freezes shrunk summaries `R̂(D)` (Eq. 2) over a dense scratch indexed
-/// by term id, reusable across databases — the materialized reference
-/// [`ShrunkSummaries`]' on-demand values are tested against.
-///
-/// Every word the database or any of its components knows, under either
-/// model, starts at `λ_0 · uniform_p`; the components then add `λ_i·p̂(w|C_i)`
-/// one after another, root first, to the words they know (a component
-/// whose `λ_i` is 0 adds nothing, though its words still join the
-/// vocabulary), and the database adds `λ_{m+1}·p̂(w|D)` last. That is the
-/// lazy mixture's sequence of operations for every word, so each frozen
-/// value is its value bit for bit — at the price of one pass over each
-/// column instead of a search per (model, column, word). The scratch grows
-/// to the largest term id it meets, so ids interned after a dictionary was
-/// sized are covered.
-#[derive(Debug, Default)]
-pub struct ShrunkMixer {
-    slots: Vec<Slot>,
-    /// One past the largest term id of the summary being mixed.
-    end: usize,
-    /// Number of words of the summary being mixed.
-    len: usize,
-    /// `λ_0 · uniform_p` per model: every word's starting value, and the
-    /// frozen defaults.
-    base_df: f64,
-    base_tf: f64,
-}
-
-impl ShrunkMixer {
-    /// Freeze the shrunk summary of the database summarised by `db` under
-    /// its category `components` (root first) and fitted λ vectors: bit
-    /// for bit `MixedSummary::of(&ShrunkSummary::from_parts(db,
-    /// components, lambdas_df, lambdas_tf, uniform_p))`, without building
-    /// that summary's maps.
-    pub fn freeze(
-        &mut self,
-        db: &ContentSummary,
-        components: &[Arc<SummaryComponent>],
-        lambdas_df: &[f64],
-        lambdas_tf: &[f64],
-        uniform_p: f64,
-    ) -> MixedSummary {
-        self.start(components, lambdas_df, lambdas_tf, uniform_p);
-        let own = db.probabilities();
-        self.add(
-            own.map(|(t, p, _)| (t, p)),
-            DocumentFrequency,
-            lambdas_df.last().copied(),
-        );
-        let own = db.probabilities();
-        self.add(
-            own.map(|(t, _, p)| (t, p)),
-            TermFrequency,
-            lambdas_tf.last().copied(),
-        );
-        self.finish(db.db_size(), db.total_tf())
-    }
-
-    /// Set the starting values and mix in the category components.
-    fn start(
-        &mut self,
-        components: &[Arc<SummaryComponent>],
-        lambdas_df: &[f64],
-        lambdas_tf: &[f64],
-        uniform_p: f64,
-    ) {
-        assert_eq!(
-            lambdas_df.len(),
-            components.len() + 2,
-            "λ vector must cover uniform + components + database"
-        );
-        assert_eq!(lambdas_df.len(), lambdas_tf.len());
-        self.base_df = lambdas_df[0] * uniform_p;
-        self.base_tf = lambdas_tf[0] * uniform_p;
-        for (i, c) in components.iter().enumerate() {
-            let weight = |l: f64| (l != 0.0).then_some(l);
-            self.add(c.p_df.iter(), DocumentFrequency, weight(lambdas_df[i + 1]));
-            self.add(c.p_tf.iter(), TermFrequency, weight(lambdas_tf[i + 1]));
-        }
-    }
-
-    /// Add `λ · p` to `model`'s value of every word in `probabilities`;
-    /// with no weight the words only join the vocabulary.
-    fn add(
-        &mut self,
-        probabilities: impl Iterator<Item = (TermId, f64)>,
-        model: ProbabilityModel,
-        lambda: Option<f64>,
-    ) {
-        for (term, p) in probabilities {
-            let slot = self.touch(term);
-            match (lambda, model) {
-                (None, _) => {}
-                (Some(l), DocumentFrequency) => slot.p_df += l * p,
-                (Some(l), TermFrequency) => slot.p_tf += l * p,
-            }
-        }
-    }
-
-    /// `term`'s slot, entering the word at the starting values on first
-    /// sight.
-    fn touch(&mut self, term: TermId) -> &mut Slot {
-        let i = term as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, Slot::default());
-        }
-        let slot = &mut self.slots[i];
-        if !slot.present {
-            *slot = Slot {
-                p_df: self.base_df,
-                p_tf: self.base_tf,
-                present: true,
-            };
-            self.len += 1;
-            self.end = self.end.max(i + 1);
-        }
-        slot
-    }
-
-    /// Read the mixed words out in ascending term order, leaving the
-    /// scratch empty for the next summary.
-    fn finish(&mut self, db_size: f64, word_count: f64) -> MixedSummary {
-        let mut terms = Vec::with_capacity(self.len);
-        let mut p_df = Vec::with_capacity(self.len);
-        let mut p_tf = Vec::with_capacity(self.len);
-        for (term, slot) in self.slots[..self.end].iter_mut().enumerate() {
-            if std::mem::take(&mut slot.present) {
-                terms.push(term as TermId);
-                p_df.push(slot.p_df);
-                p_tf.push(slot.p_tf);
-            }
-        }
-        self.end = 0;
-        self.len = 0;
-        MixedSummary {
-            db_size,
-            word_count,
-            default_p_df: self.base_df,
-            default_p_tf: self.base_tf,
-            terms,
-            p_df,
-            p_tf,
-        }
     }
 }
 
@@ -1482,29 +1267,32 @@ mod tests {
             p_tf: [(1u32, 0.4f64), (4, 0.3)].into_iter().collect(),
         });
         let shrunk = shrink(&db, &[comp], &ShrinkageConfig::default());
-        let f = MixedSummary::of(&shrunk);
+        let factored = ShrunkSummaries::from_mixtures([&shrunk]);
+        let own = FrozenSummary::from_unshrunk(&db);
+        let f = factored.view(0, &own);
         for t in [0u32, 1, 2, 3, 4, 42, 99_999] {
             assert_eq!(f.p_df(t).to_bits(), SummaryView::p_df(&shrunk, t).to_bits());
             assert_eq!(f.p_tf(t).to_bits(), SummaryView::p_tf(&shrunk, t).to_bits());
             assert_eq!(f.effectively_contains(t), shrunk.effectively_contains(t));
         }
-        assert_eq!(f.db_size.to_bits(), shrunk.db_size().to_bits());
-        assert_eq!(f.word_count.to_bits(), shrunk.word_count().to_bits());
+        assert_eq!(f.db_size().to_bits(), shrunk.db_size().to_bits());
+        assert_eq!(f.word_count().to_bits(), shrunk.word_count().to_bits());
     }
 
     #[test]
     fn frozen_shrunk_captures_tf_only_component_keys() {
         // A component with a key only in its tf map (the df denominator
-        // degenerated): the frozen vocabulary must include it so the frozen
-        // view stores its non-default p_tf.
+        // degenerated): the factored view must mix its non-default p_tf.
         let db = sample_summary(&[vec![1]], 10.0);
         let comp = Arc::new(SummaryComponent {
             p_df: Default::default(),
             p_tf: [(8u32, 0.25f64)].into_iter().collect(),
         });
         let shrunk = shrink(&db, &[comp], &ShrinkageConfig::default());
-        let f = MixedSummary::of(&shrunk);
-        assert!(f.terms.contains(&8));
+        let factored = ShrunkSummaries::from_mixtures([&shrunk]);
+        let own = FrozenSummary::from_unshrunk(&db);
+        let f = factored.view(0, &own);
+        assert_ne!(f.p_tf(8).to_bits(), f.p_tf(9).to_bits(), "8 is no default");
         assert_eq!(f.p_tf(8).to_bits(), SummaryView::p_tf(&shrunk, 8).to_bits());
         assert_eq!(f.p_df(8).to_bits(), SummaryView::p_df(&shrunk, 8).to_bits());
     }

@@ -74,10 +74,9 @@ pub struct ShrunkSummary {
     lambdas_df: Vec<f64>,
     /// Mixture weights fit on the term-frequency model, same order.
     lambdas_tf: Vec<f64>,
-    /// The database's own probabilities under both models (read by
-    /// [`crate::frozen::ShrunkMixer`] too).
-    pub(crate) db_p_df: Column,
-    pub(crate) db_p_tf: Column,
+    /// The database's own probabilities under both models.
+    db_p_df: Column,
+    db_p_tf: Column,
     /// Category components, root first, shared across sibling databases.
     pub(crate) components: Vec<Arc<SummaryComponent>>,
 }

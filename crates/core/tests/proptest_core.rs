@@ -2,7 +2,6 @@
 //! category aggregation, the EM mixture weights, frequency estimation, and
 //! the uncertainty posteriors.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -11,9 +10,7 @@ use rand::SeedableRng;
 
 use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting, SummaryComponent};
 use dbselect_core::freqest::{fit_mandelbrot, linear_regression, FrequencyEstimator};
-use dbselect_core::frozen::{
-    CategoryColumns, FrozenSummary, MixScratch, MixedSummary, OwnWord, ShrunkMixer, ShrunkSummaries,
-};
+use dbselect_core::frozen::{CategoryColumns, FrozenSummary, MixScratch, OwnWord, ShrunkSummaries};
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
 use dbselect_core::summary::{ContentSummary, SummaryView, WordStats};
@@ -49,50 +46,6 @@ fn degenerate_summary(size: u8, words: &[(u32, u8, u8)]) -> ContentSummary {
 
 fn words(terms: std::ops::Range<u32>) -> impl Strategy<Value = Vec<(u32, u8, u8)>> {
     prop::collection::vec((terms, 0u8..4, 0u8..4), 0..12)
-}
-
-/// The dense-scratch mixer against the lazy Eq. 2 mixture it replaces:
-/// the vocabulary is every key of the database and of every component
-/// under either model, and every value and default is the lazy one.
-fn assert_mixer_matches_lazy_mixture(
-    mixer: &mut ShrunkMixer,
-    db: &ContentSummary,
-    components: &[Arc<SummaryComponent>],
-    lambdas: (&[f64], &[f64]),
-) -> Result<(), TestCaseError> {
-    let uniform_p = 1.0 / 97.0;
-    let frozen = mixer.freeze(db, components, lambdas.0, lambdas.1, uniform_p);
-    let lazy = ShrunkSummary::from_parts(
-        db,
-        components,
-        lambdas.0.to_vec(),
-        lambdas.1.to_vec(),
-        uniform_p,
-    );
-    let vocabulary: BTreeSet<TermId> = db
-        .iter()
-        .map(|(t, _)| t)
-        .chain(
-            components
-                .iter()
-                .flat_map(|c| c.p_df.keys().chain(c.p_tf.keys()).copied()),
-        )
-        .collect();
-    prop_assert_eq!(
-        &frozen.terms[..],
-        &vocabulary.into_iter().collect::<Vec<_>>()[..]
-    );
-    for (i, &t) in frozen.terms.iter().enumerate() {
-        prop_assert_eq!(frozen.p_df[i].to_bits(), lazy.p_df(t).to_bits());
-        prop_assert_eq!(frozen.p_tf[i].to_bits(), lazy.p_tf(t).to_bits());
-    }
-    let absent = TermId::MAX;
-    prop_assert_eq!(frozen.default_p_df.to_bits(), lazy.p_df(absent).to_bits());
-    prop_assert_eq!(frozen.default_p_tf.to_bits(), lazy.p_tf(absent).to_bits());
-    prop_assert_eq!(frozen.db_size.to_bits(), lazy.db_size().to_bits());
-    prop_assert_eq!(frozen.word_count.to_bits(), lazy.word_count().to_bits());
-    prop_assert_eq!(MixedSummary::of(&lazy), frozen);
-    Ok(())
 }
 
 proptest! {
@@ -237,71 +190,19 @@ proptest! {
 }
 
 proptest! {
-    // Cheap cases; enough of them that signed-zero weights meet words no
-    // weighted component knows.
-    #![proptest_config(ProptestConfig::with_cases(512))]
-    /// One mixer, reused across every database of a random hierarchy and
-    /// then a re-probe whose terms lie beyond every other id (a refresh
-    /// interns new words), freezes exactly the lazy mixture — with zero
-    /// λs, both weightings, with and without overlap subtraction.
-    #[test]
-    fn mixer_freezes_the_lazy_mixture_bit_for_bit(
-        parents in prop::collection::vec(0usize..1000, 0..7),
-        dbs in prop::collection::vec((0usize..1000, 0u8..4, words(0..40)), 1..7),
-        probe in (0u8..4, words(40..400)),
-        lambdas in prop::collection::vec((0u8..6, 0.0f64..1.0), 16),
-        modes in (0u8..2, 0u8..2),
-    ) {
-        let mut hierarchy = Hierarchy::new("Root");
-        for (i, &p) in parents.iter().enumerate() {
-            hierarchy.add_child(p % (i + 1), format!("C{i}"));
-        }
-        let summaries: Vec<(usize, ContentSummary)> = dbs
-            .iter()
-            .map(|(c, size, w)| (c % hierarchy.len(), degenerate_summary(*size, w)))
-            .collect();
-        let refs: Vec<_> = summaries.iter().map(|(c, s)| (*c, s)).collect();
-        let weighting = [CategoryWeighting::BySize, CategoryWeighting::Uniform][modes.0 as usize];
-        let categories = CategorySummaries::build(&hierarchy, &refs, weighting);
-        // λ_i drawn from the pool, a third of them zero: a catalog file
-        // may carry any weight in [0, 1], `-0.0` included, and only a
-        // signed zero shows whether a zero-weight addition was skipped.
-        let lambda = |i: usize| match lambdas[i % lambdas.len()] {
-            (0, _) => 0.0,
-            (1, _) => -0.0,
-            (_, l) => l,
-        };
-        let mut mixer = ShrunkMixer::default();
-        let (probe_size, probe_words) = &probe;
-        let probe = degenerate_summary(*probe_size, probe_words);
-        for (db, (category, summary)) in summaries.iter().enumerate() {
-            let components =
-                categories.components_for(&hierarchy, *category, summary, modes.1 == 1);
-            let df: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + i)).collect();
-            let tf: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + 2 * i + 1)).collect();
-            assert_mixer_matches_lazy_mixture(&mut mixer, summary, &components, (&df, &tf))?;
-            if db == 0 {
-                // A re-probe of database 0 under its pinned components.
-                assert_mixer_matches_lazy_mixture(&mut mixer, &probe, &components, (&tf, &df))?;
-            }
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-    /// The factored shrunk summaries against the materialized mixture: on
+    /// The factored shrunk summaries against the lazy Eq. 2 mixture: on
     /// a random hierarchy under either weighting, every database's
     /// on-demand `p̂_R(w|D)` and `p_tf` — for every word of a vocabulary
     /// that re-probes extend beyond every base id, and for a word no
-    /// column has (the defaults) — equal [`ShrunkMixer::freeze`]'s bits.
+    /// column has (the defaults) — equal [`ShrunkSummary`]'s bits.
     /// λs include `±0`; zero-size and token-free samples make empty and
     /// tf-only component columns. Some databases are refreshed: their
     /// sample is replaced by a re-probe while their leaf remainder keeps
     /// subtracting the base sample (the pinned basis), which the oracle
     /// mixes as the refresh session does.
     #[test]
-    fn factored_values_equal_the_mixer_bit_for_bit(
+    fn factored_values_equal_the_lazy_mixture_bit_for_bit(
         parents in prop::collection::vec(0usize..1000, 0..7),
         dbs in prop::collection::vec(
             (0usize..1000, 0u8..4, words(0..40), prop::option::of((0u8..4, words(0..400)))),
@@ -329,7 +230,7 @@ proptest! {
         let uniform_p = 1.0 / 97.0;
         let columns = CategoryColumns::new(&hierarchy, categories.aggregates(), weighting);
         let mut factored = ShrunkSummaries::new(uniform_p, Arc::new(columns));
-        let (mut mixer, mut own, mut oracles) = (ShrunkMixer::default(), Vec::new(), Vec::new());
+        let (mut own, mut oracles) = (Vec::new(), Vec::new());
         for (db, ((category, base), (_, _, _, probe))) in bases.iter().zip(&dbs).enumerate() {
             let components = categories.components_for(&hierarchy, *category, base, true);
             let df: Vec<f64> = (0..components.len() + 2).map(|i| lambda(db + i)).collect();
@@ -341,9 +242,10 @@ proptest! {
                 let current = degenerate_summary(*size, words);
                 factored.refit(db, (tf.clone(), df.clone()), &sample).unwrap();
                 sample = FrozenSummary::from_unshrunk(&current);
-                oracles.push(mixer.freeze(&current, &components, &tf, &df, uniform_p));
+                let lazy = ShrunkSummary::from_parts(&current, &components, tf, df, uniform_p);
+                oracles.push(lazy);
             } else {
-                oracles.push(mixer.freeze(base, &components, &df, &tf, uniform_p));
+                oracles.push(ShrunkSummary::from_parts(base, &components, df, tf, uniform_p));
             }
             own.push(sample);
         }

@@ -112,11 +112,6 @@ pub struct ServerConfig {
     /// Honor the `X-Debug-Sleep-Ms` request header (tests and load
     /// generators only — lets a client hold a worker deterministically).
     pub debug_sleep: bool,
-    /// Catalog shards per tenant: `> 1` scores each query shard by shard
-    /// over this many contiguous catalog shards ([`broker::ShardedEngine`])
-    /// and answers a proxy's per-shard requests; `<= 1` serves
-    /// monolithically. Either way the served ranking is bit-identical.
-    pub shards: usize,
     /// Per-tenant admission quota: maximum in-flight routing requests per
     /// tenant before the daemon answers `503` + `Retry-After` (0 =
     /// unlimited). One hot tenant occupying the reactors or the pool cannot
@@ -148,7 +143,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(5),
             cache_capacity: 0,
             debug_sleep: false,
-            shards: 1,
             tenant_quota: 0,
             retry_after: Duration::from_secs(1),
             proxy: None,
@@ -648,76 +642,47 @@ fn dispatch(shared: &Shared, request: &Request, deadline: Instant) -> (&'static 
     if shared.proxy.is_some() {
         return proxy::dispatch(shared, request, deadline);
     }
-    if let Some(rest) = request.path().strip_prefix("/t/") {
-        return dispatch_tenant(shared, request, deadline, rest);
-    }
-    // Bare paths alias the default tenant — the single-catalog API is a
-    // special case of the multi-tenant one, not a separate code path.
-    let tenant = shared.default_tenant();
-    match (request.method.as_str(), request.path()) {
-        ("GET", "/healthz") => ("healthz", handle_healthz(shared)),
-        ("GET", "/readyz") => ("readyz", handle_readyz(shared)),
-        ("GET", "/metrics") => ("metrics", handle_metrics(shared)),
-        ("POST", "/route") => (
+    // `/t/<tenant>/<endpoint>` names a tenant; bare paths alias the
+    // default one — the single-catalog API is a special case of the
+    // multi-tenant one, not a separate code path. Only the per-catalog
+    // endpoints exist under `/t/`; process-wide ones (`/healthz`,
+    // `/readyz`, `/metrics`, `/admin/shutdown`) stay at the root.
+    let (tenant, path, scoped) = match request.path().strip_prefix("/t/") {
+        None => (shared.default_tenant(), request.path(), false),
+        Some(rest) => {
+            let Some(at) = rest.find('/') else {
+                return ("other", Response::error(404, "no such endpoint"));
+            };
+            let Some(tenant) = shared.tenant(&rest[..at]) else {
+                return ("other", Response::error(404, "unknown tenant"));
+            };
+            (&**tenant, &rest[at..], true)
+        }
+    };
+    match (request.method.as_str(), path, scoped) {
+        ("POST", "/route", _) => (
             "route",
             tenant_timed(tenant, "route", || {
                 handle_route(shared, tenant, request, deadline)
             }),
         ),
-        ("POST", "/route_batch") => (
+        ("POST", "/route_batch", _) => (
             "route_batch",
             tenant_timed(tenant, "route_batch", || {
                 handle_route_batch(shared, tenant, request, deadline)
             }),
         ),
-        ("POST", "/admin/reload") => ("reload", handle_reload(shared, tenant, request)),
-        ("POST", "/admin/shutdown") => ("shutdown", shutdown_response()),
-        (
-            _,
-            "/healthz" | "/readyz" | "/metrics" | "/route" | "/route_batch" | "/admin/reload"
-            | "/admin/shutdown",
-        ) => (
-            "other",
-            Response::error(405, "method not allowed").with_header("Allow", "GET, POST".into()),
-        ),
-        _ => ("other", Response::error(404, "no such endpoint")),
-    }
-}
-
-/// Route `/t/<tenant>/<endpoint>` to the named tenant. Only the
-/// per-catalog endpoints exist under `/t/` — process-wide ones
-/// (`/healthz`, `/metrics`, `/admin/shutdown`) stay at the root.
-fn dispatch_tenant(
-    shared: &Shared,
-    request: &Request,
-    deadline: Instant,
-    rest: &str,
-) -> (&'static str, Response) {
-    let Some((name, _)) = rest.split_once('/') else {
-        return ("other", Response::error(404, "no such endpoint"));
-    };
-    let sub = &rest[name.len()..];
-    let Some(tenant) = shared.tenant(name) else {
-        return ("other", Response::error(404, "unknown tenant"));
-    };
-    match (request.method.as_str(), sub) {
-        ("POST", "/route") => (
-            "route",
-            tenant_timed(tenant, "route", || {
-                handle_route(shared, tenant, request, deadline)
-            }),
-        ),
-        ("POST", "/route_batch") => (
-            "route_batch",
-            tenant_timed(tenant, "route_batch", || {
-                handle_route_batch(shared, tenant, request, deadline)
-            }),
-        ),
-        ("POST", "/admin/reload") => ("reload", handle_reload(shared, tenant, request)),
-        (_, "/route" | "/route_batch" | "/admin/reload") => (
-            "other",
-            Response::error(405, "method not allowed").with_header("Allow", "POST".into()),
-        ),
+        ("POST", "/admin/reload", _) => ("reload", handle_reload(shared, tenant, request)),
+        ("GET", "/healthz", false) => ("healthz", handle_healthz(shared)),
+        ("GET", "/readyz", false) => ("readyz", handle_readyz(shared)),
+        ("GET", "/metrics", false) => ("metrics", handle_metrics(shared)),
+        ("POST", "/admin/shutdown", false) => ("shutdown", shutdown_response()),
+        (_, "/route" | "/route_batch" | "/admin/reload", _)
+        | (_, "/healthz" | "/readyz" | "/metrics" | "/admin/shutdown", false) => {
+            let allow = if scoped { "POST" } else { "GET, POST" };
+            let response = Response::error(405, "method not allowed");
+            ("other", response.with_header("Allow", allow.into()))
+        }
         _ => ("other", Response::error(404, "no such endpoint")),
     }
 }
@@ -755,7 +720,6 @@ fn handle_healthz(shared: &Shared) -> Response {
                 "tenants".to_string(),
                 Json::Num(shared.tenants.len() as f64),
             ),
-            ("shards".to_string(), Json::Num(state.shard_count() as f64)),
         ])
         .render(),
     )
@@ -905,7 +869,7 @@ pub(crate) fn parse_body(request: &Request) -> Result<Json, Response> {
 }
 
 /// How a ranking entry leads: its 1-based `rank`, or — one shard's partial
-/// ranking for a proxy (`"shard": i` requests) — the **global** catalog
+/// ranking for a proxy ([`Shard`] requests) — the **global** catalog
 /// `index`, so the proxy can k-way-merge partial rankings from different
 /// backends and re-derive ranks.
 #[derive(Clone, Copy)]
@@ -971,43 +935,66 @@ fn write_routed(
     write_ranking(out, state, outcome, k, lead);
 }
 
+/// The block of the catalog a proxy asks a backend to score: block `shard`
+/// of `shards` contiguous blocks ([`broker::contiguous_block`], the cut
+/// the benchmark's in-process `broker::ShardPlan` makes too). The proxy
+/// sends both numbers with every scattered body, so a daemon needs no
+/// shard configuration.
+#[derive(Clone, Copy)]
+struct Shard {
+    shard: usize,
+    shards: usize,
+}
+
+impl Shard {
+    /// Parse the optional `"shard": i, "shards": n` pair (proxy-to-backend
+    /// requests only): both or neither, integers, `i < n`.
+    fn parse(body: &Json) -> Result<Option<Shard>, Response> {
+        let (shard, shards) = match (body.get("shard"), body.get("shards")) {
+            (None, None) => return Ok(None),
+            (Some(shard), Some(shards)) => (shard.as_u64(), shards.as_u64()),
+            _ => return Err(Response::error(400, "`shard` and `shards` go together")),
+        };
+        let Some(shard) = shard else {
+            return Err(Response::error(
+                400,
+                "`shard` must be a non-negative integer",
+            ));
+        };
+        let shards = match shards {
+            Some(n) if n >= 1 => n,
+            _ => return Err(Response::error(400, "`shards` must be a positive integer")),
+        };
+        if shard >= shards {
+            let message = format!("`shard` {shard} out of range (`shards` is {shards})");
+            return Err(Response::error(400, &message));
+        }
+        Ok(Some(Shard {
+            shard: shard as usize,
+            shards: shards as usize,
+        }))
+    }
+
+    /// The block's member list on `state`'s catalog: never longer than the
+    /// catalog, whatever `shards` says.
+    fn members(self, state: &ServingState) -> Vec<u32> {
+        let block = broker::contiguous_block(state.databases(), self.shard, self.shards);
+        block.map(|db| db as u32).collect()
+    }
+}
+
 /// Open a routing response body: `{"generation":g,` plus, for the answer
-/// to a `"shard": s` request, `"shards":n,"shard":s,` — and say how that
+/// to a [`Shard`] request, `"shards":n,"shard":s,` — and say how that
 /// body's ranking entries lead. Sized for a top-10 ranking, so the common
 /// response never regrows its buffer.
-fn open_body(state: &ServingState, generation: u64, shard: Option<usize>) -> (String, Lead) {
+fn open_body(generation: u64, shard: Option<Shard>) -> (String, Lead) {
     let mut out = String::with_capacity(2048);
     let _ = write!(out, "{{\"generation\":{generation},");
-    let Some(shard) = shard else {
+    let Some(Shard { shard, shards }) = shard else {
         return (out, Lead::Rank);
     };
-    let _ = write!(out, "\"shards\":{},\"shard\":{shard},", state.shard_count());
+    let _ = write!(out, "\"shards\":{shards},\"shard\":{shard},");
     (out, Lead::Index)
-}
-
-/// Parse the optional `shard` field (proxy-to-backend requests only).
-fn parse_shard(body: &Json) -> Result<Option<usize>, Response> {
-    match body.get("shard") {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(|s| Some(s as usize))
-            .ok_or_else(|| Response::error(400, "`shard` must be a non-negative integer")),
-    }
-}
-
-/// Validate a requested shard id against the serving state. A
-/// single-shard state accepts shard 0 (the whole catalog is shard 0 of
-/// 1), so a proxy with one backend works against an unsharded daemon.
-fn check_shard(state: &ServingState, shard: usize) -> Result<(), Response> {
-    let shard_count = state.shard_count();
-    if shard >= shard_count {
-        return Err(Response::error(
-            400,
-            &format!("`shard` {shard} out of range (catalog has {shard_count} shards)"),
-        ));
-    }
-    Ok(())
 }
 
 /// Route query `index` of a request on `state`, with the RNG `db_rng(seed,
@@ -1015,30 +1002,20 @@ fn check_shard(state: &ServingState, shard: usize) -> Result<(), Response> {
 /// thread count). `k` reaches the engines' pruned top-k path — truncation
 /// is not a serialization detail.
 ///
-/// A sharded state scores its shards one after another on the calling
-/// thread, which is a reactor or a batch's fan-out worker: neither may
-/// spawn a scatter per query (and in-process, the scatter loses anyway).
-/// The ranking is bit-identical either way. With `shard` set
-/// (proxy-to-backend) only that shard is scored, to its shard-local top
-/// `k`, but with the choose phase and scoring context computed over the
-/// full catalog — merging every shard's partial ranking reconstructs the
-/// monolithic ranking bit-for-bit.
+/// With `members` (a [`Shard`] request) only those databases are scored,
+/// to their local top `k`, but the choose phase and scoring context are
+/// computed over the full catalog — merging every shard's partial ranking
+/// reconstructs the monolithic ranking bit-for-bit.
 fn route_query(
     state: &ServingState,
     params: &RouteParams,
-    shard: Option<usize>,
+    members: Option<&[u32]>,
     query: &[textindex::TermId],
     index: usize,
 ) -> selection::AdaptiveOutcome {
-    let (k, rng) = (params.k, &mut db_rng(params.seed, index));
-    match (shard, state.sharded_engine(params.algo, params.mode)) {
-        (Some(s), Some(sharded)) => sharded.route_shard_topk(query, k, rng, s),
-        (None, Some(sharded)) => sharded.route_sequential_topk(query, k, rng),
-        // shards == 1: shard 0 *is* the whole catalog.
-        (_, None) => state
-            .engine(params.algo, params.mode)
-            .route_topk(query, k, rng),
-    }
+    let engine = state.engine(params.algo, params.mode);
+    let rng = &mut db_rng(params.seed, index);
+    engine.route_partition_topk(query, params.k, members, rng)
 }
 
 /// Feed an `Adaptive` request's summary choices into the live Table 10.
@@ -1094,7 +1071,7 @@ fn handle_route(
             None => return Response::error(400, "`index` must be a non-negative integer"),
         },
     };
-    let shard = match parse_shard(&body) {
+    let shard = match Shard::parse(&body) {
         Ok(shard) => shard,
         Err(response) => return response,
     };
@@ -1105,15 +1082,11 @@ fn handle_route(
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
         return Response::error(504, "deadline exceeded");
     }
-    if let Some(s) = shard {
-        if let Err(response) = check_shard(&state, s) {
-            return response;
-        }
-    }
-    let outcome = route_query(&state, &params, shard, &query, index);
+    let members = shard.map(|s| s.members(&state));
+    let outcome = route_query(&state, &params, members.as_deref(), &query, index);
     record_choices(shared, &params, &outcome);
 
-    let (mut body, lead) = open_body(&state, generation, shard);
+    let (mut body, lead) = open_body(generation, shard);
     write_routed(&mut body, &state, &unknown, &outcome, params.k, lead);
     body.push('}');
     Response::json(200, body)
@@ -1150,17 +1123,12 @@ fn handle_route_batch(
             _ => return Response::error(400, "`threads` must be a positive integer"),
         },
     };
-    let shard = match parse_shard(&body) {
+    let shard = match Shard::parse(&body) {
         Ok(shard) => shard,
         Err(response) => return response,
     };
 
     let (state, generation) = tenant.current();
-    if let Some(s) = shard {
-        if let Err(response) = check_shard(&state, s) {
-            return response;
-        }
-    }
     let mut analyzed = Vec::with_capacity(queries_value.len());
     for value in queries_value {
         let words = match parse_query_words(value) {
@@ -1172,13 +1140,15 @@ fn handle_route_batch(
     let queries: Vec<Vec<textindex::TermId>> = analyzed.iter().map(|(q, _)| q.clone()).collect();
 
     // Chunked fan-out, deadline-checked per query.
+    let members = shard.map(|s| s.members(&state));
+    let members = members.as_deref();
     let expired = AtomicBool::new(false);
     let outcomes = fan_out_chunks(queries.len(), threads, |qi| {
         if expired.load(Ordering::Relaxed) || Instant::now() >= deadline {
             expired.store(true, Ordering::Relaxed);
             return None;
         }
-        Some(route_query(&state, &params, shard, &queries[qi], qi))
+        Some(route_query(&state, &params, members, &queries[qi], qi))
     });
     if expired.load(Ordering::Relaxed) {
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
@@ -1188,7 +1158,7 @@ fn handle_route_batch(
         record_choices(shared, &params, outcome);
     }
 
-    let (mut body, lead) = open_body(&state, generation, shard);
+    let (mut body, lead) = open_body(generation, shard);
     body.push_str("\"results\":[");
     for (at, (outcome, (_, unknown))) in outcomes.iter().zip(&analyzed).enumerate() {
         let outcome = outcome.as_ref().expect("non-expired batch is complete");
@@ -1250,29 +1220,27 @@ fn handle_reload(shared: &Shared, tenant: &Tenant, request: &Request) -> Respons
     // tenant's write lock is touched, and only for the Arc swap — routing
     // on every tenant (including this one) never blocks on the load, and
     // a failed load leaves the old generation serving.
-    let next =
-        match ServingState::load_sharded(&path, shared.config.cache_capacity, shared.config.shards)
-        {
-            Ok(next) => next,
-            Err(e) => {
-                // The caller named the snapshot; a missing or corrupt one
-                // is their error, not ours (the codec reports corruption
-                // as `InvalidData`/`UnexpectedEof`). Either way the old
-                // generation keeps serving untouched.
-                shared
-                    .metrics
-                    .catalog_load_failures_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let status = match e.kind() {
-                    io::ErrorKind::NotFound => 404,
-                    io::ErrorKind::InvalidData
-                    | io::ErrorKind::InvalidInput
-                    | io::ErrorKind::UnexpectedEof => 400,
-                    _ => 500,
-                };
-                return Response::error(status, &format!("reload failed: {e}"));
-            }
-        };
+    let next = match ServingState::load(&path, shared.config.cache_capacity) {
+        Ok(next) => next,
+        Err(e) => {
+            // The caller named the snapshot; a missing or corrupt one
+            // is their error, not ours (the codec reports corruption
+            // as `InvalidData`/`UnexpectedEof`). Either way the old
+            // generation keeps serving untouched.
+            shared
+                .metrics
+                .catalog_load_failures_total
+                .fetch_add(1, Ordering::Relaxed);
+            let status = match e.kind() {
+                io::ErrorKind::NotFound => 404,
+                io::ErrorKind::InvalidData
+                | io::ErrorKind::InvalidInput
+                | io::ErrorKind::UnexpectedEof => 400,
+                _ => 500,
+            };
+            return Response::error(status, &format!("reload failed: {e}"));
+        }
+    };
     let databases = next.databases();
     let catalog_generation = next.catalog_generation();
     let generation = match install_state(tenant, next, force) {
@@ -1363,11 +1331,7 @@ fn refresh_loop(shared: &Shared, interval: Duration) {
             if tip <= current.catalog_generation() {
                 continue;
             }
-            match ServingState::load_sharded(
-                &source,
-                shared.config.cache_capacity,
-                shared.config.shards,
-            ) {
+            match ServingState::load(&source, shared.config.cache_capacity) {
                 Ok(next) => {
                     // A concurrent admin reload may have installed an even
                     // newer tip; losing that race is not an error.
@@ -1537,23 +1501,25 @@ mod tests {
                     // The three response shapes: `/route`, its
                     // shard-partial form, and a `/route_batch` of two.
                     for unknown in &unknowns {
-                        let shard = matches!(lead, Lead::Index).then_some(2);
+                        let shard = matches!(lead, Lead::Index).then_some(Shard {
+                            shard: 2,
+                            shards: 3,
+                        });
                         let mut fields = vec![("generation".to_string(), Json::Num(7.0))];
-                        if let Some(shard) = shard {
-                            let shards = state.shard_count() as f64;
-                            fields.push(("shards".to_string(), Json::Num(shards)));
+                        if let Some(Shard { shard, shards }) = shard {
+                            fields.push(("shards".to_string(), Json::Num(shards as f64)));
                             fields.push(("shard".to_string(), Json::Num(shard as f64)));
                         }
                         let routed = routed_tree(&state, unknown, outcome, k, lead);
 
-                        let (mut single, _) = open_body(&state, 7, shard);
+                        let (mut single, _) = open_body(7, shard);
                         write_routed(&mut single, &state, unknown, outcome, k, lead);
                         single.push('}');
                         let mut tree = fields.clone();
                         tree.extend(routed.clone());
                         assert_eq!(single, Json::obj(tree).render());
 
-                        let (mut batch, _) = open_body(&state, 7, shard);
+                        let (mut batch, _) = open_body(7, shard);
                         batch.push_str("\"results\":[{");
                         write_routed(&mut batch, &state, unknown, outcome, k, lead);
                         batch.push_str("},{");

@@ -1,10 +1,10 @@
 //! The federated proxy tier: scatter-gather over remote shard daemons.
 //!
 //! In `--proxy` mode the daemon holds no catalog at all. Each configured
-//! backend is a full `dbselectd` started with `--shards N` (N = number of
-//! backends) over the *same* snapshot; backend `i` answers
-//! `/route` requests carrying `"shard": i` with its shard's partial
-//! ranking (global catalog indices, per-shard top-k). The proxy fans a
+//! backend is a plain `dbselectd` over the *same* snapshot; the proxy
+//! sends backend `i` of N the client's body plus `"shard": i, "shards": N`,
+//! and the backend answers with that contiguous block's partial ranking
+//! (global catalog indices, per-shard top-k). The proxy fans a
 //! client request out to every backend, k-way-merges the partial rankings
 //! with [`selection::merge_partial_rankings`], and renders the same body
 //! the monolithic engine would have produced — bit-identical when every
@@ -56,6 +56,10 @@ const MERGE_RESERVE: Duration = Duration::from_millis(25);
 /// the deadline, and the error still has to travel up the channel.
 const HARVEST_GRACE: Duration = Duration::from_millis(50);
 
+/// A client body may not pick its own shard: the proxy appends one per
+/// backend.
+const RESERVED_SHARD: &str = "`shard` and `shards` are reserved for proxy-to-backend requests";
+
 /// Minimum observations before an `Auto` hedge trusts the p99.
 const HEDGE_MIN_SAMPLES: u64 = 16;
 
@@ -74,9 +78,9 @@ pub enum HedgePolicy {
 /// Configuration of the proxy tier (`dbselectd --proxy`).
 #[derive(Debug, Clone)]
 pub struct ProxyConfig {
-    /// Backend addresses (`host:port`), one per shard: `backends[i]`
-    /// serves shard `i` and must have been started with
-    /// `--shards backends.len()` over the same snapshot.
+    /// Backend addresses (`host:port`), one per shard: `backends[i]` is
+    /// asked for shard `i` of `backends.len()`, and must serve the same
+    /// snapshot as the others.
     pub backends: Vec<String>,
     /// Extra attempts per shard beyond the first.
     pub retries: u32,
@@ -807,9 +811,8 @@ fn all_shards_down(shared: &Shared) -> Response {
         .with_header("Retry-After", retry_after_value(&shared.config))
 }
 
-/// Validate a client body for proxying and produce the per-shard bodies:
-/// the client body with `"shard": i` appended. Returns the parsed `k`
-/// for final truncation.
+/// The per-shard bodies of a validated client body: the body with
+/// `"shard": i, "shards": shards` appended for backend `i`.
 fn shard_bodies(body: &Json, shards: usize) -> Vec<Vec<u8>> {
     (0..shards)
         .map(|i| {
@@ -818,6 +821,7 @@ fn shard_bodies(body: &Json, shards: usize) -> Vec<Vec<u8>> {
             };
             let mut fields = fields.clone();
             fields.push(("shard".to_string(), Json::Num(i as f64)));
+            fields.push(("shards".to_string(), Json::Num(shards as f64)));
             Json::Obj(fields).render().into_bytes()
         })
         .collect()
@@ -894,8 +898,8 @@ fn handle_route(
     if !matches!(body, Json::Obj(_)) {
         return Response::error(400, "body must be a JSON object");
     }
-    if body.get("shard").is_some() {
-        return Response::error(400, "`shard` is reserved for proxy-to-backend requests");
+    if body.get("shard").is_some() || body.get("shards").is_some() {
+        return Response::error(400, RESERVED_SHARD);
     }
     // Validate routing params up front: a malformed request earns its
     // 400 here, without burning a scatter.
@@ -956,8 +960,8 @@ fn handle_route_batch(
     if !matches!(body, Json::Obj(_)) {
         return Response::error(400, "body must be a JSON object");
     }
-    if body.get("shard").is_some() {
-        return Response::error(400, "`shard` is reserved for proxy-to-backend requests");
+    if body.get("shard").is_some() || body.get("shards").is_some() {
+        return Response::error(400, RESERVED_SHARD);
     }
     let params = match crate::parse_route_params(&body) {
         Ok(params) => params,
@@ -1155,6 +1159,7 @@ mod tests {
         for (i, bytes) in bodies.iter().enumerate() {
             let json = Json::parse(std::str::from_utf8(bytes).expect("utf8")).expect("json");
             assert_eq!(json.get("shard").and_then(Json::as_u64), Some(i as u64));
+            assert_eq!(json.get("shards").and_then(Json::as_u64), Some(2));
             assert_eq!(json.get("query").and_then(Json::as_str), Some("heart"));
         }
     }

@@ -104,9 +104,10 @@ pub struct ServingState {
     analyzer: Analyzer,
     /// `engines[algo.index() * 3 + mode_index(mode)]`.
     engines: Vec<Arc<SelectionEngine>>,
-    /// Scatter-gather wrapper per engine slot (same indexing as
+    /// In-process scatter-gather wrapper per engine slot (same indexing as
     /// `engines`), all over one [`ShardPlan`] of the one catalog; empty
-    /// when serving monolithically.
+    /// unless built by one of the `_sharded` constructors, which the daemon
+    /// never calls (the benchmark's `broker.shard.*` rows and tests do).
     sharded: Vec<ShardedEngine>,
     /// The path this state was loaded from (default for reloads).
     source: String,
@@ -133,10 +134,11 @@ impl ServingState {
         ServingState::from_snapshot_sharded(snapshot, source, cache_capacity, 1)
     }
 
-    /// [`from_snapshot`](Self::from_snapshot), scattering scoring over
-    /// `shards` contiguous catalog shards when `shards > 1`. Sharding is
-    /// a pure execution strategy: the served ranking stays bit-identical
-    /// to monolithic serving (asserted in `broker::shard` tests).
+    /// [`from_snapshot`](Self::from_snapshot), plus a
+    /// [`sharded_engine`](Self::sharded_engine) per slot over `shards`
+    /// contiguous catalog shards when `shards > 1`. The daemon never asks
+    /// for one (a backend's shard comes with each request); the benchmark
+    /// measures the in-process scatter through it.
     pub fn from_snapshot_sharded(
         snapshot: ServingSnapshot,
         source: String,
@@ -220,8 +222,9 @@ impl ServingState {
         ServingState::load_sharded(path, cache_capacity, 1)
     }
 
-    /// [`load`](Self::load) with scatter-gather scoring over `shards`
-    /// contiguous shards (`shards <= 1` serves monolithically).
+    /// [`load`](Self::load) with the in-process scatter of
+    /// [`from_snapshot_sharded`](Self::from_snapshot_sharded) (`shards <= 1`
+    /// builds none); kept for the benchmark and the refresh tests.
     pub fn load_sharded(path: &str, cache_capacity: usize, shards: usize) -> io::Result<Self> {
         let started = Instant::now();
         // A directory is a delta chain: replay base + deltas and record
@@ -254,16 +257,12 @@ impl ServingState {
         &self.engines[algo.index() * MODES.len() + mode_index(mode)]
     }
 
-    /// The scatter-gather engine for `(algo, mode)`, when this state was
-    /// built with `shards > 1`.
+    /// The in-process scatter-gather engine for `(algo, mode)`, when this
+    /// state was built with `shards > 1`; what the benchmark's
+    /// `broker.shard.*` rows time.
     pub fn sharded_engine(&self, algo: Algo, mode: ShrinkageMode) -> Option<&ShardedEngine> {
         self.sharded
             .get(algo.index() * MODES.len() + mode_index(mode))
-    }
-
-    /// Number of shards this state scores across (1 ⇒ monolithic).
-    pub fn shard_count(&self) -> usize {
-        self.sharded.first().map_or(1, ShardedEngine::shard_count)
     }
 
     /// The served catalog.

@@ -419,6 +419,61 @@ fn over_long_queries_answer_400_naming_the_limit() {
     shutdown(addr, handle);
 }
 
+/// A backend's shard is a request parameter: `shard` and `shards` come
+/// together, as integers, with `shard < shards`, or the request is a
+/// `400`. A block past the end of the catalog is an empty ranking,
+/// however large `shards` is — the member list is cut from the catalog,
+/// never sized by the request.
+#[test]
+fn shard_requests_are_validated_and_bounded_by_the_catalog() {
+    let (addr, handle) = start(
+        ServerConfig::default(),
+        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+    );
+    let routes = [
+        ("/route", r#""query":"heart blood""#),
+        ("/route_batch", r#""queries":["heart blood"]"#),
+    ];
+    for (path, query) in routes {
+        for shard in [
+            r#""shard":0"#,
+            r#""shards":2"#,
+            r#""shard":0,"shards":0"#,
+            r#""shard":2,"shards":2"#,
+            r#""shard":5,"shards":2"#,
+            r#""shard":0.5,"shards":2"#,
+            r#""shard":-1,"shards":2"#,
+            r#""shard":"0","shards":2"#,
+            r#""shard":0,"shards":1.5"#,
+            r#""shard":0,"shards":null"#,
+        ] {
+            let (status, _, response) = post(addr, path, &format!("{{{query},{shard}}}"));
+            assert_eq!(status, 400, "{path} with {shard}: {response}");
+            assert!(
+                response.contains("shard"),
+                "{path} with {shard}: {response}"
+            );
+        }
+        // The fixture's six databases fill blocks 0..=2 of 4, and only
+        // block 0 of 2^53 (the largest count a JSON number holds exactly).
+        let huge = 1u64 << 53;
+        for (shard, shards) in [(3, 4), (6, huge), (huge - 1, huge)] {
+            let body = format!(r#"{{{query},"shard":{shard},"shards":{shards}}}"#);
+            let (status, _, response) = post(addr, path, &body);
+            assert_eq!(status, 200, "{path}: {response}");
+            let opening = format!(r#"{{"generation":1,"shards":{shards},"shard":{shard},"#);
+            assert!(response.starts_with(&opening), "{response}");
+            assert!(response.contains(r#""ranking":[]}"#), "{response}");
+        }
+        let body = format!(r#"{{{query},"shard":0,"shards":{huge}}}"#);
+        let (status, _, response) = post(addr, path, &body);
+        assert_eq!(status, 200, "{path}: {response}");
+        assert!(response.contains(r#""ranking":[{"index":0,"#), "{response}");
+        assert_eq!(response.matches(r#""index":"#).count(), 1, "{response}");
+    }
+    shutdown(addr, handle);
+}
+
 #[test]
 fn reload_swaps_catalogs_without_failing_inflight_requests() {
     let path_a = temp_path("gen-a");
@@ -954,7 +1009,7 @@ fn raw_requests_draw_the_expected_status_line_and_body() {
             format!("GET /healthz HTTP/1.1\r\n{close}\r\n"),
             "HTTP/1.1 200 OK",
             format!(
-                r#"{{"status":"ok","generation":1,"databases":{},"terms":{},"tenants":1,"shards":1}}"#,
+                r#"{{"status":"ok","generation":1,"databases":{},"terms":{},"tenants":1}}"#,
                 reference.databases(),
                 reference.terms()
             ),

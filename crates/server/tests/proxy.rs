@@ -63,15 +63,14 @@ fn shutdown(addr: SocketAddr, handle: JoinHandle<()>) {
     handle.join().expect("accept loop exits cleanly");
 }
 
-/// A shard daemon for the proxy to scatter to: the **full** snapshot,
-/// started with `--shards 2`, so it can run the global choose phase and
-/// score whichever shard the proxy asks for.
+/// A shard daemon for the proxy to scatter to: a plain daemon over the
+/// **full** snapshot, so it can run the global choose phase and score
+/// whichever shard the proxy's request names.
 fn shard_backend() -> (SocketAddr, JoinHandle<()>) {
-    let state = ServingState::from_snapshot_sharded(
+    let state = ServingState::from_snapshot(
         ServingSnapshot::from_stored(&fixture_catalog(1.0)),
         "mem".to_string(),
         0,
-        2,
     );
     start(ServerConfig::default(), state)
 }
@@ -170,14 +169,25 @@ const QUERIES: [&str; 5] = [
     "heart unknownword stadium",
 ];
 
+/// Two backends; one, whose only shard is the whole catalog; and four,
+/// where the fixture's six databases leave the last block empty — an
+/// empty partial, not a missing one, so the answer is still whole.
 #[test]
 fn proxy_is_byte_identical_to_the_monolithic_daemon() {
     let monolith = ServingState::from_frozen(fixture_catalog(1.0), "mem".to_string(), 0);
     let (mono_addr, mono_handle) = start(ServerConfig::default(), monolith);
-    let (b0_addr, b0_handle) = shard_backend();
-    let (b1_addr, b1_handle) = shard_backend();
-    let (proxy_addr, proxy_handle) =
-        start_proxy(ServerConfig::default(), proxy_over(&[b0_addr, b1_addr]));
+    for count in [2, 1, 4] {
+        assert_proxy_matches_monolith(mono_addr, count);
+    }
+    shutdown(mono_addr, mono_handle);
+}
+
+/// A proxy over `count` fresh backends answers every request with the
+/// monolithic daemon's bytes.
+fn assert_proxy_matches_monolith(mono_addr: SocketAddr, count: usize) {
+    let backends: Vec<(SocketAddr, JoinHandle<()>)> = (0..count).map(|_| shard_backend()).collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(|(addr, _)| *addr).collect();
+    let (proxy_addr, proxy_handle) = start_proxy(ServerConfig::default(), proxy_over(&addrs));
 
     // Readiness sticks once the health checker has seen every backend.
     wait_for("proxy readiness", || get(proxy_addr, "/readyz").0 == 200);
@@ -189,7 +199,7 @@ fn proxy_is_byte_identical_to_the_monolithic_daemon() {
             .get("backends")
             .and_then(Json::as_array)
             .map(|b| b.len()),
-        Some(2)
+        Some(count)
     );
 
     for algo in ["bgloss", "cori", "lm"] {
@@ -239,12 +249,15 @@ fn proxy_is_byte_identical_to_the_monolithic_daemon() {
     let (status, _, metrics) = get(proxy_addr, "/metrics");
     assert_eq!(status, 200);
     assert_eq!(metric(&metrics, "dbselectd_proxy_ready "), Some(1.0));
-    assert_eq!(metric(&metrics, "dbselectd_proxy_backends "), Some(2.0));
+    assert_eq!(
+        metric(&metrics, "dbselectd_proxy_backends "),
+        Some(count as f64)
+    );
     assert_eq!(
         metric(&metrics, "dbselectd_proxy_degraded_total "),
         Some(0.0)
     );
-    for backend in [b0_addr, b1_addr] {
+    for backend in &addrs {
         let up = format!("dbselectd_backend_up{{backend=\"{backend}\"}} ");
         assert_eq!(metric(&metrics, &up), Some(1.0), "{metrics}");
         let state = format!("dbselectd_backend_breaker_state{{backend=\"{backend}\"}} ");
@@ -255,9 +268,9 @@ fn proxy_is_byte_identical_to_the_monolithic_daemon() {
     }
 
     shutdown(proxy_addr, proxy_handle);
-    shutdown(b0_addr, b0_handle);
-    shutdown(b1_addr, b1_handle);
-    shutdown(mono_addr, mono_handle);
+    for (addr, handle) in backends {
+        shutdown(addr, handle);
+    }
 }
 
 #[test]
@@ -503,11 +516,11 @@ fn stalled_and_dribbling_backends_are_bounded_by_the_deadline() {
         },
     );
 
-    // 3 proxy backends means 3-way sharding, but the shard daemons were
-    // built with --shards 2: shard ids 0 and 1 resolve, the faulty pair
-    // would own id 2 anyway. What matters here: the healthy shard's
-    // answer arrives, the stalled and dribbling shards are cut off by
-    // the deadline, and the client waits at most one deadline.
+    // 3 proxy backends means 3-way sharding: the healthy backend scores
+    // shard 0 of 3, the stalled and dribbling ones own shards 1 and 2.
+    // What matters here: the healthy shard's answer arrives, the stalled
+    // and dribbling shards are cut off by the deadline, and the client
+    // waits at most one deadline.
     let started = Instant::now();
     let body = r#"{"query":"virus immune protein","seed":11}"#;
     let (status, _, response) = post(proxy_addr, "/route", body);

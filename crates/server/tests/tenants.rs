@@ -4,11 +4,13 @@
 //! catalog through `/t/<name>/...`; reloading tenant A never fails an
 //! in-flight request on tenant B; a tenant's admission quota answers
 //! `503` + `Retry-After` without touching its neighbours; tenant metric
-//! families are label-isolated; and sharded serving (`shards > 1`) stays
-//! bit-identical to the monolithic engine over HTTP.
+//! families are label-isolated; and a daemon's per-shard answers (the
+//! `"shard"`/`"shards"` a proxy sends) merge bit-identically into the
+//! monolithic engine's ranking over HTTP.
 
 mod common;
 
+use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,6 +20,7 @@ use std::time::Duration;
 
 use common::{fixture_catalog, start_tenants, temp_path};
 use sampling::scheduler::db_rng;
+use selection::RankedDatabase;
 use server::json::Json;
 use server::state::{Algo, ServingState, MODES};
 use server::ServerConfig;
@@ -194,24 +197,55 @@ fn tenant_paths_route_against_their_own_catalog() {
     shutdown(addr, handle);
 }
 
+/// Merge per-shard partial rankings — entries lead with their global
+/// `index` — into the monolithic order.
+fn merged_ranking(partials: &[&Json]) -> Vec<(String, u64, bool)> {
+    let mut entries = HashMap::new();
+    let rankings: Vec<Vec<RankedDatabase>> = partials
+        .iter()
+        .map(|partial| {
+            let indices = partial.as_array().expect("ranking array").iter();
+            let fields = parse_ranking(partial).into_iter();
+            indices
+                .zip(fields)
+                .map(|(entry, fields)| {
+                    let index = entry.get("index").unwrap().as_u64().unwrap() as usize;
+                    let score = f64::from_bits(fields.1);
+                    entries.insert(index, fields);
+                    RankedDatabase { index, score }
+                })
+                .collect()
+        })
+        .collect();
+    let merged = selection::merge::merge_rankings(&rankings);
+    merged.iter().map(|r| entries[&r.index].clone()).collect()
+}
+
+/// A plain daemon asked for each of three shards (`"shard": s,
+/// "shards": 3`, as a proxy asks its backends) answers partial rankings
+/// that merge into the monolithic engine's, on `/route` and `/route_batch`.
 #[test]
 fn sharded_serving_is_bit_identical_over_http() {
     let frozen = fixture_catalog(1.0);
     let reference = ServingState::from_frozen(frozen.clone(), "mem".into(), 0);
-    let sharded = ServingState::from_snapshot_sharded(
-        store::snapshot::ServingSnapshot::from_stored(&frozen),
-        "mem".into(),
-        0,
-        3,
-    );
-    assert_eq!(sharded.shard_count(), 3);
+    let plain = ServingState::from_frozen(frozen, "mem".into(), 0);
     let (addr, handle) = start_tenants(
-        ServerConfig {
-            shards: 3,
-            ..Default::default()
-        },
-        vec![("default".to_string(), sharded)],
+        ServerConfig::default(),
+        vec![("default".to_string(), plain)],
     );
+    // Every shard's answer to `body`, checked to name its shard.
+    let scatter = |path: &str, body: &str| -> Vec<Json> {
+        (0..3)
+            .map(|s| {
+                let body = format!(r#"{{{body},"shard":{s},"shards":3}}"#);
+                let (status, _, text) = post(addr, path, &body);
+                assert_eq!(status, 200, "{text}");
+                let prefix = format!(r#""shards":3,"shard":{s},"#);
+                assert!(text.contains(&prefix), "{text}");
+                Json::parse(&text).unwrap()
+            })
+            .collect()
+    };
 
     let queries = [
         "heart blood surgery",
@@ -232,50 +266,42 @@ fn sharded_serving_is_bit_identical_over_http() {
             for (index, line) in queries.iter().enumerate() {
                 let expect = expected_ranking(&reference, &words(line), algo, mode, 42, index);
                 let body = format!(
-                    r#"{{"query":"{line}","algo":"{algo_name}","shrinkage":"{mode_name}","index":{index}}}"#
+                    r#""query":"{line}","algo":"{algo_name}","shrinkage":"{mode_name}","index":{index}"#
                 );
-                let (status, _, text) = post(addr, "/route", &body);
-                assert_eq!(status, 200, "{text}");
-                let ranking = parse_ranking(Json::parse(&text).unwrap().get("ranking").unwrap());
+                let shards = scatter("/route", &body);
+                let partials: Vec<&Json> =
+                    shards.iter().map(|s| s.get("ranking").unwrap()).collect();
                 assert_eq!(
-                    ranking, expect,
+                    merged_ranking(&partials),
+                    expect,
                     "sharded daemon diverged from monolithic engine \
                      ({algo_name}/{mode_name}, query {index})"
                 );
             }
-            // And through the batch path (shards sequential per query).
+            // And through the batch path.
             let batch: Vec<String> = queries.iter().map(|q| format!("\"{q}\"")).collect();
             let body = format!(
-                r#"{{"queries":[{}],"algo":"{algo_name}","shrinkage":"{mode_name}"}}"#,
+                r#""queries":[{}],"algo":"{algo_name}","shrinkage":"{mode_name}""#,
                 batch.join(",")
             );
-            let (status, _, text) = post(addr, "/route_batch", &body);
-            assert_eq!(status, 200, "{text}");
-            let parsed = Json::parse(&text).unwrap();
-            for (index, result) in parsed
-                .get("results")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .iter()
-                .enumerate()
-            {
-                let expect =
-                    expected_ranking(&reference, &words(queries[index]), algo, mode, 42, index);
+            let shards = scatter("/route_batch", &body);
+            for (index, query) in queries.iter().enumerate() {
+                let partials: Vec<&Json> = shards
+                    .iter()
+                    .map(|s| {
+                        let results = s.get("results").unwrap().as_array().unwrap();
+                        results[index].get("ranking").unwrap()
+                    })
+                    .collect();
+                let expect = expected_ranking(&reference, &words(query), algo, mode, 42, index);
                 assert_eq!(
-                    parse_ranking(result.get("ranking").unwrap()),
+                    merged_ranking(&partials),
                     expect,
                     "sharded batch diverged ({algo_name}/{mode_name}, query {index})"
                 );
             }
         }
     }
-
-    let (_, _, text) = get(addr, "/healthz");
-    assert_eq!(
-        Json::parse(&text).unwrap().get("shards").unwrap().as_u64(),
-        Some(3)
-    );
 
     shutdown(addr, handle);
 }

@@ -189,8 +189,8 @@ smoke_pass "${ADDR:-127.0.0.1:7731}"
 # Five databases with distinct document frequencies for the query terms,
 # so the full ranking has five entries and k=3 genuinely truncates. The
 # daemon serves k through the pruned maxscore kernels; the CLI's -k 3
-# output is the truncation oracle. Both a monolithic daemon and a
-# --shards 2 daemon (per-shard top-k, merged) must agree with it.
+# output is the truncation oracle. (Per-shard top-k, merged, is pinned
+# by the federation pass below.)
 ADDR_K=${ADDR_K:-127.0.0.1:7739}
 for i in 1 2 3 4 5; do
     mkdir -p "$WORK/kdb$i"
@@ -235,7 +235,6 @@ topk_pass() {
     SERVE_PID=
 }
 topk_pass
-topk_pass --shards 2
 echo "=== top-k pruning diff: ok ==="
 
 # --- 10k idle keep-alive connections on a fixed worker pool ---------------
@@ -258,8 +257,6 @@ SERVE_PID=
 # --- multi-tenant federated serving ---------------------------------------
 # Two catalogs behind one daemon: alpha = the full med+soccer snapshot,
 # beta = a med-only one, so the tenants demonstrably route differently.
-# --shards 2 makes the daemon-vs-CLI diff below also pin the sharded
-# scatter-gather path to the monolithic CLI ranking, bit for bit.
 ADDR4=${ADDR4:-127.0.0.1:7734}
 mkdir -p "$WORK/tenants"
 cp "$WORK/col.snapshot" "$WORK/tenants/alpha.snap"
@@ -267,17 +264,16 @@ cp "$WORK/col.snapshot" "$WORK/tenants/alpha.snap"
 "$DBSELECT" catalog --store "$WORK/med.store" --out "$WORK/med.catalog"
 "$DBSELECT" freeze --catalog "$WORK/med.catalog" --out "$WORK/tenants/beta.snap"
 
-"$DBSELECT" serve --tenants "$WORK/tenants" --shards 2 --addr "$ADDR4" &
+"$DBSELECT" serve --tenants "$WORK/tenants" --addr "$ADDR4" &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
     curl -sf "http://$ADDR4/healthz" > /dev/null 2>&1 && break
     sleep 0.2
 done
 curl -sf "http://$ADDR4/healthz" | tee "$WORK/healthz_t.json" | grep '"tenants":2'
-grep '"shards":2' "$WORK/healthz_t.json"
 echo
 
-# Sharded /t/alpha/route matches the monolithic CLI ranking bit for bit.
+# /t/alpha/route matches the monolithic CLI ranking bit for bit.
 curl -sf -X POST "http://$ADDR4/t/alpha/route" -d '{"query":"heart blood"}' \
     | tee "$WORK/http_tenant.json"
 echo
@@ -318,8 +314,9 @@ SERVE_PID=
 echo "=== multi-tenant pass: ok ==="
 
 # --- federated proxy: scatter-gather over two shard daemons ---------------
-# Two real backends serve the full snapshot with --shards 2; the proxy
-# scatters each query (shard 0 to one, shard 1 to the other) and merges.
+# Two plain backends serve the full snapshot; the proxy scatters each
+# query ("shard":0 to one, "shard":1 to the other, "shards":2 to both)
+# and merges.
 # A monolithic daemon over the same snapshot is the byte-level oracle.
 ADDR_B0=${ADDR_B0:-127.0.0.1:7735}
 ADDR_B1=${ADDR_B1:-127.0.0.1:7736}
@@ -328,7 +325,7 @@ ADDR_MONO=${ADDR_MONO:-127.0.0.1:7738}
 
 # Starts a shard backend on $1 in the background; caller reads $!.
 start_backend() {
-    "$DBSELECT" serve --catalog "$WORK/col.snapshot" --addr "$1" --shards 2 &
+    "$DBSELECT" serve --catalog "$WORK/col.snapshot" --addr "$1" &
 }
 await_healthz() {
     for _ in $(seq 1 50); do
