@@ -113,8 +113,7 @@ pub struct Postings<'a> {
     pub effective: &'a [bool],
     /// Number of effective entries — the unshrunk `cf(w)`.
     pub effective_count: u32,
-    /// Token probability `p_tf(w|D)` per database (empty when the index's
-    /// auxiliary columns have not been computed yet).
+    /// Token probability `p_tf(w|D)` per database.
     pub p_tf: &'a [f64],
     /// The term's score-bound maxima.
     pub bound: TermBound,
@@ -179,11 +178,9 @@ impl PostingIndex {
         index
     }
 
-    /// Recompute the auxiliary columns (`p_tf` slab, per-term maxima) from
-    /// the frozen unshrunk summaries. One deterministic code path serves
-    /// both [`Self::build`] and the backward-load of snapshots that predate
-    /// the columns, so recomputed values are bit-identical to persisted
-    /// ones.
+    /// Compute the auxiliary columns (`p_tf` slab, per-term maxima) from
+    /// the frozen unshrunk summaries — [`Self::build`]'s last step, and the
+    /// fold [`Self::update_dbs`] repeats per affected row.
     pub(crate) fn recompute_aux(&mut self, unshrunk: &[FrozenSummary]) {
         let total = self.dbs.len();
         let mut p_tf = vec![0f64; total];
@@ -210,48 +207,12 @@ impl PostingIndex {
         self.max_p_tf = max_p_tf;
     }
 
-    /// Whether the auxiliary columns are populated (always true after
-    /// [`Self::build`]; false for a bare [`Self::from_raw_parts`] until
-    /// [`Self::set_aux`] or [`Self::recompute_aux`] runs).
-    pub fn aux_ready(&self) -> bool {
-        self.p_tf.len() == self.dbs.len()
-            && self.max_df.len() == self.terms.len()
-            && self.max_p_df.len() == self.terms.len()
-            && self.max_p_tf.len() == self.terms.len()
-    }
-
-    /// Install persisted auxiliary columns (the snapshot load path),
-    /// validating lengths against the core columns.
-    pub fn set_aux(
-        &mut self,
-        p_tf: Vec<f64>,
-        max_df: Vec<f64>,
-        max_p_df: Vec<f64>,
-        max_p_tf: Vec<f64>,
-    ) -> Result<(), &'static str> {
-        if p_tf.len() != self.dbs.len() {
-            return Err("p_tf slab disagrees with postings");
-        }
-        if max_df.len() != self.terms.len()
-            || max_p_df.len() != self.terms.len()
-            || max_p_tf.len() != self.terms.len()
-        {
-            return Err("term maxima disagree with term count");
-        }
-        self.p_tf = p_tf;
-        self.max_df = max_df;
-        self.max_p_df = max_p_df;
-        self.max_p_tf = max_p_tf;
-        Ok(())
-    }
-
-    /// Reassemble an index from decoded columns — the snapshot load path.
-    /// Validates every invariant binary search and slicing rely on, so
-    /// corrupt input is rejected instead of causing panics or garbage
-    /// lookups. `effective_counts` is recomputed rather than trusted. The
-    /// auxiliary columns start empty; callers install them with
-    /// [`Self::set_aux`] (snapshots) or [`Catalog::from_raw_parts`]
-    /// recomputes them.
+    /// Reassemble an index from decoded columns, auxiliary ones included —
+    /// the snapshot load path. Validates every invariant binary search and
+    /// slicing rely on, so corrupt input is rejected instead of causing
+    /// panics or garbage lookups. `effective_counts` is recomputed rather
+    /// than trusted. (That the term maxima dominate their postings is
+    /// checked against the summaries by [`Catalog::from_raw_parts`].)
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         n_dbs: usize,
@@ -262,6 +223,10 @@ impl PostingIndex {
         sample_df: Vec<u32>,
         positions: Vec<u32>,
         effective: Vec<bool>,
+        p_tf: Vec<f64>,
+        max_df: Vec<f64>,
+        max_p_df: Vec<f64>,
+        max_p_tf: Vec<f64>,
     ) -> Result<PostingIndex, &'static str> {
         if terms.windows(2).any(|w| w[0] >= w[1]) {
             return Err("posting terms not strictly ascending");
@@ -283,6 +248,15 @@ impl PostingIndex {
             || effective.len() != total
         {
             return Err("posting slabs disagree with offsets");
+        }
+        if p_tf.len() != total {
+            return Err("p_tf slab disagrees with postings");
+        }
+        if max_df.len() != terms.len()
+            || max_p_df.len() != terms.len()
+            || max_p_tf.len() != terms.len()
+        {
+            return Err("term maxima disagree with term count");
         }
         if dbs.iter().any(|&db| db as usize >= n_dbs) {
             return Err("posting database index out of range");
@@ -309,10 +283,10 @@ impl PostingIndex {
             positions,
             effective,
             effective_counts,
-            p_tf: Vec::new(),
-            max_df: Vec::new(),
-            max_p_df: Vec::new(),
-            max_p_tf: Vec::new(),
+            p_tf,
+            max_df,
+            max_p_df,
+            max_p_tf,
         })
     }
 
@@ -333,7 +307,6 @@ impl PostingIndex {
         old: &[&FrozenSummary],
         unshrunk: &[FrozenSummary],
     ) -> PostingIndex {
-        debug_assert!(self.aux_ready());
         debug_assert_eq!(touched.len(), old.len());
         let mut is_touched = vec![false; unshrunk.len()];
         for &db in touched {
@@ -507,11 +480,11 @@ impl PostingIndex {
             positions: &self.positions[lo..hi],
             effective: &self.effective[lo..hi],
             effective_count: self.effective_counts[pos],
-            p_tf: self.p_tf.get(lo..hi).unwrap_or(&[]),
+            p_tf: &self.p_tf[lo..hi],
             bound: TermBound {
-                max_df: self.max_df.get(pos).copied().unwrap_or(0.0),
-                max_p_df: self.max_p_df.get(pos).copied().unwrap_or(0.0),
-                max_p_tf: self.max_p_tf.get(pos).copied().unwrap_or(0.0),
+                max_df: self.max_df[pos],
+                max_p_df: self.max_p_df[pos],
+                max_p_tf: self.max_p_tf[pos],
             },
         }
     }
@@ -771,8 +744,7 @@ impl Catalog {
     /// sample words correspond one to one, that no posting's `sample_df`
     /// (which keys the uncertainty test's moment table) exceeds its
     /// database's sample size and that the term maxima dominate their
-    /// postings (they are pruning bounds; a bare index gets them
-    /// recomputed).
+    /// postings (they are pruning bounds).
     pub fn from_raw_parts(
         names: Vec<String>,
         unshrunk: Vec<FrozenSummary>,
@@ -793,12 +765,6 @@ impl Catalog {
         let words: usize = unshrunk.iter().map(FrozenSummary::len).sum();
         if index.dbs.len() != words {
             return Err("posting index disagrees with the sample summaries on word count".into());
-        }
-        let mut index = index;
-        if !index.aux_ready() {
-            // A bare index: derive the columns from the summaries,
-            // bit-identical to freeze-time values.
-            index.recompute_aux(&unshrunk);
         }
         for (pos, window) in index.offsets.windows(2).enumerate() {
             for at in window[0] as usize..window[1] as usize {
@@ -904,13 +870,6 @@ impl Catalog {
     /// empty) — floor for score-bound denominators.
     pub fn min_word_count(&self) -> f64 {
         self.min_word_count
-    }
-
-    /// Whether the pruned top-k kernels may serve this catalog: requires
-    /// the auxiliary posting columns (every sample summary reports `0.0`
-    /// for absent words, which the kernels' zero-filled gather relies on).
-    pub fn kernel_ready(&self) -> bool {
-        self.index.aux_ready()
     }
 
     /// The CSR posting index.
@@ -1235,6 +1194,7 @@ mod tests {
     fn raw_parts_round_trip_reproduces_the_index() {
         let c = catalog();
         let index = c.posting_index();
+        let (postings, terms) = (index.dbs().len(), index.terms().len());
         let mut rebuilt = PostingIndex::from_raw_parts(
             c.len(),
             index.terms().to_vec(),
@@ -1244,12 +1204,14 @@ mod tests {
             index.sample_df().to_vec(),
             index.positions().to_vec(),
             index.effective().to_vec(),
+            vec![0.0; postings],
+            vec![0.0; terms],
+            vec![0.0; terms],
+            vec![0.0; terms],
         )
         .unwrap();
-        // Raw parts carry no aux columns; recomputing them from the same
-        // summaries must land on bit-identical slabs (the invariant that
-        // lets older snapshots rebuild bounds at load time).
-        assert!(!rebuilt.aux_ready());
+        // Recomputing the aux columns over zeroed ones from the same
+        // summaries must land on bit-identical slabs.
         let summaries: Vec<_> = (0..c.len()).map(|db| c.unshrunk(db).clone()).collect();
         rebuilt.recompute_aux(&summaries);
         assert_eq!(&rebuilt, index);
@@ -1274,6 +1236,10 @@ mod tests {
                 i.sample_df().to_vec(),
                 i.positions().to_vec(),
                 i.effective().to_vec(),
+                i.p_tf().to_vec(),
+                i.max_df().to_vec(),
+                i.max_p_df().to_vec(),
+                i.max_p_tf().to_vec(),
             )
         };
         assert!(parts(&|_, _, _| {}).is_ok());
@@ -1297,8 +1263,6 @@ mod tests {
     fn aux_columns_mirror_the_summaries() {
         let c = catalog();
         let index = c.posting_index();
-        assert!(index.aux_ready());
-        assert!(c.kernel_ready());
         assert_eq!(index.p_tf().len(), index.dbs().len());
         assert_eq!(index.max_df().len(), index.terms().len());
         for (pos, &term) in index.terms().iter().enumerate() {
@@ -1321,51 +1285,49 @@ mod tests {
     }
 
     #[test]
-    fn set_aux_validates_column_lengths() {
+    fn raw_parts_validate_aux_column_lengths() {
         let c = catalog();
         let i = c.posting_index();
         let postings = i.dbs().len();
         let terms = i.terms().len();
-        let mut rebuilt = PostingIndex::from_raw_parts(
-            c.len(),
-            i.terms().to_vec(),
-            i.offsets().to_vec(),
-            i.dbs().to_vec(),
-            i.p_df().to_vec(),
-            i.sample_df().to_vec(),
-            i.positions().to_vec(),
-            i.effective().to_vec(),
+        let with_aux = |p_tf: Vec<f64>, max_df: Vec<f64>, max_p_df: Vec<f64>, max_p_tf| {
+            PostingIndex::from_raw_parts(
+                c.len(),
+                i.terms().to_vec(),
+                i.offsets().to_vec(),
+                i.dbs().to_vec(),
+                i.p_df().to_vec(),
+                i.sample_df().to_vec(),
+                i.positions().to_vec(),
+                i.effective().to_vec(),
+                p_tf,
+                max_df,
+                max_p_df,
+                max_p_tf,
+            )
+        };
+        assert!(with_aux(
+            vec![0.0; postings + 1],
+            vec![0.0; terms],
+            vec![0.0; terms],
+            vec![0.0; terms],
+        )
+        .is_err());
+        assert!(with_aux(
+            vec![0.0; postings],
+            vec![0.0; terms - 1],
+            vec![0.0; terms],
+            vec![0.0; terms],
+        )
+        .is_err());
+        let rebuilt = with_aux(
+            i.p_tf().to_vec(),
+            i.max_df().to_vec(),
+            i.max_p_df().to_vec(),
+            i.max_p_tf().to_vec(),
         )
         .unwrap();
-        assert!(rebuilt
-            .set_aux(
-                vec![0.0; postings + 1],
-                vec![0.0; terms],
-                vec![0.0; terms],
-                vec![0.0; terms],
-            )
-            .is_err());
-        assert!(rebuilt
-            .set_aux(
-                vec![0.0; postings],
-                vec![0.0; terms - 1],
-                vec![0.0; terms],
-                vec![0.0; terms],
-            )
-            .is_err());
-        assert!(!rebuilt.aux_ready(), "failed set_aux must not half-install");
-        rebuilt
-            .set_aux(
-                i.p_tf().to_vec(),
-                i.max_df().to_vec(),
-                i.max_p_df().to_vec(),
-                i.max_p_tf().to_vec(),
-            )
-            .unwrap();
-        assert_eq!(
-            &rebuilt, i,
-            "installing the freeze-time aux restores equality"
-        );
+        assert_eq!(&rebuilt, i, "the freeze-time aux round-trips to equality");
     }
 
     fn update_from(db: usize, e: &CatalogEntry) -> DbUpdate {
@@ -1381,7 +1343,6 @@ mod tests {
         assert_eq!(a.names(), b.names());
         assert_eq!(a.mcw().to_bits(), b.mcw().to_bits());
         assert_eq!(a.min_word_count().to_bits(), b.min_word_count().to_bits());
-        assert_eq!(a.kernel_ready(), b.kernel_ready());
         for db in 0..a.len() {
             assert_eq!(a.gamma(db).to_bits(), b.gamma(db).to_bits(), "gamma {db}");
             assert_eq!(a.unshrunk(db), b.unshrunk(db), "unshrunk {db}");
@@ -1575,32 +1536,5 @@ mod tests {
             let incremental = catalog.apply_updates(&updates).unwrap();
             assert_catalogs_identical(&incremental, &Catalog::build(rebuilt));
         }
-    }
-
-    #[test]
-    fn catalog_raw_parts_recompute_missing_aux() {
-        let c = catalog();
-        let index = PostingIndex::from_raw_parts(
-            c.len(),
-            c.posting_index().terms().to_vec(),
-            c.posting_index().offsets().to_vec(),
-            c.posting_index().dbs().to_vec(),
-            c.posting_index().p_df().to_vec(),
-            c.posting_index().sample_df().to_vec(),
-            c.posting_index().positions().to_vec(),
-            c.posting_index().effective().to_vec(),
-        )
-        .unwrap();
-        let rebuilt = Catalog::from_raw_parts(
-            c.names().to_vec(),
-            (0..c.len()).map(|db| c.unshrunk(db).clone()).collect(),
-            c.shrunk_summaries().clone(),
-            c.gammas().to_vec(),
-            index,
-        )
-        .unwrap();
-        assert!(rebuilt.kernel_ready());
-        assert_eq!(rebuilt.posting_index(), c.posting_index());
-        assert_eq!(rebuilt.min_word_count(), c.min_word_count());
     }
 }

@@ -416,12 +416,10 @@ impl SelectionEngine {
         columns: &mut ChooseColumns,
     ) -> Vec<bool> {
         // The tabulated path reads zeros for unsampled words and the `p_tf`
-        // slab (both `kernel_ready` guarantees), and folds every database
-        // one way (`MomentTable::uniform`: none for an empty catalog).
+        // slab, and folds every database one way (`MomentTable::uniform`:
+        // none for an empty catalog).
         let tabulated = match (self.algorithm.independent_terms(), self.moments.as_deref()) {
-            (Some(form), Some(table)) if self.catalog.kernel_ready() => {
-                table.uniform().map(|combine| (form, table, combine))
-            }
+            (Some(form), Some(table)) => table.uniform().map(|combine| (form, table, combine)),
             _ => None,
         };
         match tabulated {
@@ -645,8 +643,7 @@ impl SelectionEngine {
     /// [`Self::choose_with_context`] left in `planned`.
     ///
     /// Falls back to scoring every listed database (then truncating) when
-    /// the algorithm has no kernel, the query is empty, or the catalog
-    /// lacks the kernel invariants ([`Catalog::kernel_ready`]). Otherwise:
+    /// the algorithm has no kernel or the query is empty. Otherwise:
     ///
     /// 1. the gathered rows of the databases scored with their *shrunk*
     ///    summary are batch-scored — no pruning, but no per-entry
@@ -679,7 +676,7 @@ impl SelectionEngine {
             ..
         } = planned;
         let kernel = match self.algorithm.score_kernel() {
-            Some(kernel) if !query.is_empty() && self.catalog.kernel_ready() => kernel,
+            Some(kernel) if !query.is_empty() => kernel,
             _ => {
                 let mut full = self.rank_partition(query, ctx, used_shrinkage, members, candidates);
                 full.truncate(k);
@@ -746,8 +743,7 @@ impl SelectionEngine {
         // Phase B: unshrunk candidates. One pass over each query word's
         // posting slices scatters the native-space probabilities into a
         // zeroed matrix; absent (row, word) cells stay 0.0, which is
-        // exactly the unshrunk summaries' default (`Catalog::kernel_ready`
-        // guarantees it).
+        // exactly the unshrunk summaries' default.
         buf.row_of.clear();
         buf.row_of.resize(n, u32::MAX);
         buf.row_dbs.clear();
@@ -1380,7 +1376,6 @@ mod tests {
                 .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
                 .collect();
             let catalog = Arc::new(Catalog::build(entries.clone()));
-            prop_assert!(catalog.kernel_ready(), "built catalogs expose kernel aux columns");
             let global = sampled_summary(
                 200_000.0,
                 500,

@@ -10,11 +10,17 @@
 //! worker, never on the reactor), so its deadlines are socket timeouts:
 //! re-armed against the absolute deadline before every read and write, so
 //! a dribbling backend cannot reset the clock.
+//!
+//! Responses are read into a buffer until [`http::try_parse_response`] —
+//! the daemon's own head splitter and framing, bounded by
+//! [`RESPONSE_LIMITS`] — reports a whole one.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use crate::http::{self, ClientResponse, HttpError, Limits};
 
 /// Idle connections kept per backend; beyond this, finished connections
 /// are simply closed.
@@ -25,26 +31,17 @@ const MAX_IDLE: usize = 8;
 /// matter.
 const CONNECT_CAP: Duration = Duration::from_secs(1);
 
-/// Bounds on the response head, mirroring the server's request limits.
-const MAX_STATUS_LINE: usize = 1024;
-const MAX_HEADERS: usize = 128;
-const MAX_HEADER_LINE: usize = 8 * 1024;
+/// Bounds on a backend's response: a 1 KiB status line, 128 headers of at
+/// most 8 KiB each, a 64 MiB body.
+pub(crate) const RESPONSE_LIMITS: Limits = Limits {
+    max_request_line: 1024,
+    max_headers: 128,
+    max_header_line: 8 * 1024,
+    max_body: 64 * 1024 * 1024,
+};
 
-/// Largest response body accepted from a backend.
-const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
-
-/// A backend's answer: status code plus the complete body.
-#[derive(Debug)]
-pub struct ClientResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// The full response body (`Content-Length`-framed).
-    pub body: Vec<u8>,
-}
-
-fn bad(detail: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
-}
+/// Bytes asked of the socket per read while a response is incomplete.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// A `TcpStream` that re-arms the socket timeout against an absolute
 /// deadline before every syscall. `set_read_timeout` alone bounds each
@@ -98,11 +95,6 @@ impl Pool {
             addr: addr.into(),
             idle: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The backend address this pool dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 
     /// Issue one request and read the full response, all bounded by
@@ -171,6 +163,9 @@ impl Pool {
         }))
     }
 
+    /// Send one request and read its response. The connection goes back
+    /// to the pool only when the response allows it and consumed every
+    /// byte read: stray bytes would corrupt the next response's framing.
     fn exchange(
         &self,
         stream: TcpStream,
@@ -179,25 +174,40 @@ impl Pool {
         body: &[u8],
         deadline: Instant,
     ) -> io::Result<ClientResponse> {
-        let mut writer = DeadlineIo {
-            stream: stream.try_clone()?,
-            deadline,
-        };
-        writer.write_all(&request_bytes(method, path, &self.addr, body))?;
-        let mut reader = BufReader::new(DeadlineIo { stream, deadline });
-        let (response, keep_alive) = read_client_response(&mut reader)?;
-        // Reuse only a connection with nothing left in flight: stray
-        // buffered bytes would corrupt the next response's framing.
-        if keep_alive && reader.buffer().is_empty() {
-            self.checkin(reader.into_inner().stream);
+        let mut io = DeadlineIo { stream, deadline };
+        io.write_all(&request_bytes(method, path, &self.addr, body))?;
+        let mut buf = Vec::new();
+        loop {
+            match http::try_parse_response(&buf, &RESPONSE_LIMITS) {
+                Ok(Some((response, consumed))) => {
+                    if response.keep_alive && consumed == buf.len() {
+                        self.checkin(io.stream);
+                    }
+                    return Ok(response);
+                }
+                Ok(None) => {}
+                Err(HttpError::Malformed(why) | HttpError::TooLarge(why)) => {
+                    let detail = format!("unacceptable response: {why}");
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
+                }
+            }
+            let filled = buf.len();
+            buf.resize(filled + READ_CHUNK, 0);
+            let read = io.read(&mut buf[filled..])?;
+            buf.truncate(filled + read);
+            if read == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-response",
+                ));
+            }
         }
-        Ok(response)
     }
 }
 
 /// Serialize one request. `Content-Length` is always present (including
 /// `0` on GETs) so the backend never waits for a body that is not coming.
-pub fn request_bytes(method: &str, path: &str, host: &str, body: &[u8]) -> Vec<u8> {
+fn request_bytes(method: &str, path: &str, host: &str, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + body.len());
     write!(
         out,
@@ -209,109 +219,10 @@ pub fn request_bytes(method: &str, path: &str, host: &str, body: &[u8]) -> Vec<u
     out
 }
 
-/// Read one line up to `cap` bytes, stripping the trailing `\r\n` /
-/// `\n`. EOF mid-line is an error — responses are `Content-Length`
-/// framed, so a clean close can only happen between responses.
-fn read_line_bounded<R: BufRead>(r: &mut R, cap: usize) -> io::Result<String> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let (done, used) = {
-            let buf = r.fill_buf()?;
-            if buf.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ));
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    line.extend_from_slice(&buf[..pos]);
-                    (true, pos + 1)
-                }
-                None => {
-                    line.extend_from_slice(buf);
-                    (false, buf.len())
-                }
-            }
-        };
-        r.consume(used);
-        if line.len() > cap {
-            return Err(bad("response line too long"));
-        }
-        if done {
-            break;
-        }
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| bad("response line is not UTF-8"))
-}
-
-/// Parse one response off the wire. Returns the response and whether the
-/// connection may be reused (HTTP/1.1 without `Connection: close`).
-/// `Content-Length` is required: the daemon always sends it, and exact
-/// framing is what makes a mid-body close detectable instead of looking
-/// like a short-but-complete body.
-fn read_client_response<R: BufRead>(r: &mut R) -> io::Result<(ClientResponse, bool)> {
-    let status_line = read_line_bounded(r, MAX_STATUS_LINE)?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad("not an HTTP/1.x response"));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-
-    let mut content_length: Option<usize> = None;
-    let mut close = version != "HTTP/1.1";
-    let mut seen = 0usize;
-    loop {
-        let line = read_line_bounded(r, MAX_HEADER_LINE)?;
-        if line.is_empty() {
-            break;
-        }
-        seen += 1;
-        if seen > MAX_HEADERS {
-            return Err(bad("too many response headers"));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(bad("malformed response header"));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                content_length = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| bad("unparseable Content-Length"))?,
-                );
-            }
-            "connection" => {
-                for token in value.split(',') {
-                    if token.trim().eq_ignore_ascii_case("close") {
-                        close = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let len = content_length.ok_or_else(|| bad("response without Content-Length"))?;
-    if len > MAX_RESPONSE_BODY {
-        return Err(bad("response body too large"));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok((ClientResponse { status, body }, !close))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;

@@ -1,33 +1,36 @@
-//! A minimal hand-rolled HTTP/1.1 layer.
+//! A minimal hand-rolled HTTP/1.1 layer, for both directions.
 //!
 //! `dbselectd` is std-only (the vendored compat-crate constraint rules out
 //! hyper et al.), so this module implements exactly the slice of HTTP/1.1
-//! the daemon needs: parse the first request out of the bytes a connection
-//! has received so far, with strict size limits ([`try_parse`]), and
-//! serialize one response whose `Connection` header tells the client
-//! whether the connection stays open. Persistence policy
-//! ([`Request::wants_keep_alive`]) follows RFC 7230 §6.3: HTTP/1.1
-//! defaults to keep-alive, HTTP/1.0 to close, and an explicit
-//! `Connection: close` / `keep-alive` token always wins.
+//! the daemon needs. One head splitter (start line, bounded header lines,
+//! `Content-Length` framing) and one keep-alive rule (RFC 7230 §6.3:
+//! HTTP/1.1 persists, 1.0 closes, an explicit `Connection: close` /
+//! `keep-alive` token wins) serve two thin parsers: [`try_parse`] takes
+//! the first request out of the bytes a connection has received so far,
+//! [`try_parse_response`] the first response out of the bytes a backend
+//! sent the proxy's client ([`crate::client`]). [`serialize_response`]
+//! writes one response whose `Connection` header says whether the
+//! connection stays open.
 //!
-//! The parser is the daemon's exposure to untrusted bytes, so its contract
-//! is: **never panic, never allocate unboundedly** — every malformed or
-//! oversized input maps to an [`HttpError`], which the reactor turns into
-//! a 4xx status. A proptest fuzz suite (`tests/http_fuzz.rs`) holds the
-//! no-panic property over arbitrary byte streams.
+//! The parsers are the daemon's exposure to untrusted bytes, so their
+//! contract is: **never panic, never allocate unboundedly** — every
+//! malformed or oversized input maps to an [`HttpError`] (a 4xx for a
+//! request, an `InvalidData` error for a response). Proptest suites hold
+//! the no-panic property over arbitrary bytes (`tests/http_fuzz.rs`) and
+//! split-invariance (`tests/http_incremental.rs`) for both.
 
 use std::io::{self, Write};
 
 /// Parser limits. Exceeding any of them is a [`HttpError::TooLarge`].
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Maximum request-line length in bytes.
+    /// Maximum start-line (request or status line) length in bytes.
     pub max_request_line: usize,
     /// Maximum number of header fields.
     pub max_headers: usize,
     /// Maximum length of a single header line in bytes.
     pub max_header_line: usize,
-    /// Maximum request-body length in bytes.
+    /// Maximum body length in bytes.
     pub max_body: usize,
 }
 
@@ -42,17 +45,17 @@ impl Default for Limits {
     }
 }
 
-/// Why the received bytes can never become a request.
+/// Why the received bytes can never become a message.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Syntactically invalid request (maps to 400).
+    /// Syntactically invalid message (a request maps to 400).
     Malformed(&'static str),
-    /// A size limit was exceeded (maps to 413).
+    /// A size limit was exceeded (a request maps to 413).
     TooLarge(&'static str),
 }
 
 impl HttpError {
-    /// The HTTP status this error reports to the client.
+    /// The HTTP status this error reports to a client whose request it is.
     pub fn status(&self) -> u16 {
         match self {
             HttpError::Malformed(_) => 400,
@@ -87,11 +90,7 @@ pub struct Request {
 impl Request {
     /// First header value with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, &name.to_ascii_lowercase())
     }
 
     /// The target with any query string stripped.
@@ -102,24 +101,58 @@ impl Request {
     }
 
     /// Whether the client allows this connection to serve another request
-    /// (RFC 7230 §6.3). `Connection` is a comma-separated token list; a
-    /// `close` token always closes, a `keep-alive` token opts HTTP/1.0 in,
-    /// and otherwise the version decides: 1.1 persists, 1.0 closes.
+    /// (RFC 7230 §6.3, the rule responses follow too).
     pub fn wants_keep_alive(&self) -> bool {
-        if let Some(value) = self.header("connection") {
-            let mut saw_keep_alive = false;
-            for token in value.split(',') {
-                let token = token.trim();
-                if token.eq_ignore_ascii_case("close") {
-                    return false;
-                }
-                saw_keep_alive |= token.eq_ignore_ascii_case("keep-alive");
+        keep_alive(self.version_minor, &self.headers)
+    }
+}
+
+/// One parsed response: what the proxy's client reads from a backend.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClientResponse {
+    /// HTTP status code.
+    pub status: u16,
+    /// Whether the connection may carry another exchange (RFC 7230 §6.3).
+    pub keep_alive: bool,
+    /// The full response body (`Content-Length`-framed).
+    pub body: Vec<u8>,
+}
+
+/// First value of the header `name` (already lower-case).
+fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// Whether a request or a response lets its connection carry another
+/// exchange (RFC 7230 §6.3): a `close` token in the `Connection` list
+/// always closes, a `keep-alive` token opts HTTP/1.0 in, and otherwise
+/// 1.1 persists and 1.0 closes.
+fn keep_alive(version_minor: u8, headers: &[(String, String)]) -> bool {
+    if let Some(value) = header(headers, "connection") {
+        let mut saw_keep_alive = false;
+        for token in value.split(',') {
+            let token = token.trim();
+            if token.eq_ignore_ascii_case("close") {
+                return false;
             }
-            if saw_keep_alive {
-                return true;
-            }
+            saw_keep_alive |= token.eq_ignore_ascii_case("keep-alive");
         }
-        self.version_minor >= 1
+        if saw_keep_alive {
+            return true;
+        }
+    }
+    version_minor >= 1
+}
+
+/// The minor version of an `HTTP/1.x` token.
+fn version_minor(version: &str) -> Result<u8, HttpError> {
+    match version {
+        "HTTP/1.1" => Ok(1),
+        "HTTP/1.0" => Ok(0),
+        _ => Err(HttpError::Malformed("unsupported HTTP version")),
     }
 }
 
@@ -142,12 +175,22 @@ fn parse_request_line(line: Vec<u8>) -> Result<(String, String, u8), HttpError> 
     if !target.starts_with('/') {
         return Err(HttpError::Malformed("target must start with '/'"));
     }
-    let version_minor = match version {
-        "HTTP/1.1" => 1,
-        "HTTP/1.0" => 0,
-        _ => return Err(HttpError::Malformed("unsupported HTTP version")),
-    };
+    let version_minor = version_minor(version)?;
     Ok((method.to_string(), target.to_string(), version_minor))
+}
+
+/// Validate a status line (`HTTP/1.x SP 3DIGIT [SP reason]`) into its
+/// minor version and status code.
+fn parse_status_line(line: Vec<u8>) -> Result<(u8, u16), HttpError> {
+    let line = String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 status line"))?;
+    let mut parts = line.splitn(3, ' ');
+    let version_minor = version_minor(parts.next().unwrap_or(""))?;
+    let status = parts
+        .next()
+        .filter(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|code| code.parse().ok())
+        .ok_or(HttpError::Malformed("malformed status code"))?;
+    Ok((version_minor, status))
 }
 
 /// Validate one header line into a (lower-cased name, trimmed value) pair.
@@ -164,20 +207,22 @@ fn parse_header_line(line: Vec<u8>) -> Result<(String, String), HttpError> {
 }
 
 /// Body length a parsed head declares: fixed `Content-Length` only (no
-/// chunked transfer coding). No `Content-Length` and no transfer coding
-/// means an empty body (RFC 7230 §3.3.3) — curl sends empty POSTs
-/// exactly like that.
-fn declared_body_len(request: &Request, limits: &Limits) -> Result<usize, HttpError> {
-    if request
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
+/// chunked transfer coding). Without one a request has an empty body (RFC
+/// 7230 §3.3.3; curl sends empty POSTs so), and a response is refused:
+/// exact framing is what tells a close mid-body from a short body.
+fn declared_body_len(
+    headers: &[(String, String)],
+    limits: &Limits,
+    required: bool,
+) -> Result<usize, HttpError> {
+    if header(headers, "transfer-encoding").is_some_and(|v| !v.eq_ignore_ascii_case("identity")) {
         return Err(HttpError::Malformed("transfer codings are not supported"));
     }
-    let body_len = match request.header("content-length") {
+    let body_len = match header(headers, "content-length") {
         Some(v) => v
             .parse::<usize>()
             .map_err(|_| HttpError::Malformed("unparseable Content-Length"))?,
+        None if required => return Err(HttpError::Malformed("no Content-Length")),
         None => 0,
     };
     if body_len > limits.max_body {
@@ -232,26 +277,31 @@ fn split_line(
     }
 }
 
-/// Incrementally parse the first request out of `buf`.
-///
-/// The reactor appends whatever bytes the socket had ready and re-asks.
-/// This is a pure function of the buffer — no parser state is carried
-/// between calls — so resuming after any split point is trivially
-/// equivalent to parsing the concatenation (held as a property over every
-/// byte boundary by `tests/http_incremental.rs`). End-of-stream handling
-/// is the caller's concern (EOF mid-buffer means the request can never
-/// complete).
-pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpError> {
+/// A message: its parsed start line, header fields, body, and length.
+type Message<S> = (S, Vec<(String, String)>, Vec<u8>, usize);
+
+/// The head splitter: the first message in `buf` — its start line
+/// validated by `parse_start` as soon as it is complete (and bounded by
+/// `max_request_line`) — or `Ok(None)` while `buf` holds a prefix of one.
+/// A pure function of the buffer, so resuming after any split equals
+/// parsing the concatenation.
+fn split_message<S>(
+    buf: &[u8],
+    limits: &Limits,
+    start_line: &'static str,
+    parse_start: impl FnOnce(Vec<u8>) -> Result<S, HttpError>,
+    length_required: bool,
+) -> Result<Option<Message<S>>, HttpError> {
     let mut pos = 0usize;
-    let Some(line) = split_line(buf, &mut pos, limits.max_request_line, "request line")? else {
-        return Ok(ParseStatus::NeedMore);
+    let Some(line) = split_line(buf, &mut pos, limits.max_request_line, start_line)? else {
+        return Ok(None);
     };
-    let (method, target, version_minor) = parse_request_line(line)?;
+    let start = parse_start(line)?;
 
     let mut headers: Vec<(String, String)> = Vec::new();
     loop {
         let Some(line) = split_line(buf, &mut pos, limits.max_header_line, "header line")? else {
-            return Ok(ParseStatus::NeedMore);
+            return Ok(None);
         };
         if line.is_empty() {
             break;
@@ -262,22 +312,57 @@ pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpError> 
         headers.push(parse_header_line(line)?);
     }
 
-    let request = Request {
-        method,
-        target,
-        version_minor,
-        headers,
-        body: Vec::new(),
-    };
-    let body_len = declared_body_len(&request, limits)?;
+    let body_len = declared_body_len(&headers, limits, length_required)?;
     if buf.len() - pos < body_len {
-        return Ok(ParseStatus::NeedMore);
+        return Ok(None);
     }
     let body = buf[pos..pos + body_len].to_vec();
-    Ok(ParseStatus::Complete {
-        request: Request { body, ..request },
-        consumed: pos + body_len,
-    })
+    Ok(Some((start, headers, body, pos + body_len)))
+}
+
+/// Incrementally parse the first request out of `buf`. The reactor
+/// appends whatever bytes the socket had ready and re-asks; end-of-stream
+/// handling is its concern (EOF mid-buffer means the request can never
+/// complete).
+pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpError> {
+    Ok(
+        match split_message(buf, limits, "request line", parse_request_line, false)? {
+            None => ParseStatus::NeedMore,
+            Some(((method, target, version_minor), headers, body, consumed)) => {
+                let request = Request {
+                    method,
+                    target,
+                    version_minor,
+                    headers,
+                    body,
+                };
+                ParseStatus::Complete { request, consumed }
+            }
+        },
+    )
+}
+
+/// Incrementally parse the first response out of `buf` (`max_request_line`
+/// bounds the status line; `Content-Length` is required): `Ok(None)` until
+/// a whole one arrived, then the response and the bytes it occupies.
+pub fn try_parse_response(
+    buf: &[u8],
+    limits: &Limits,
+) -> Result<Option<(ClientResponse, usize)>, HttpError> {
+    let message = split_message(buf, limits, "status line", parse_status_line, true)?;
+    Ok(
+        message.map(|((version_minor, status), headers, body, consumed)| {
+            let keep_alive = keep_alive(version_minor, &headers);
+            (
+                ClientResponse {
+                    status,
+                    keep_alive,
+                    body,
+                },
+                consumed,
+            )
+        }),
+    )
 }
 
 /// A response ready to be written.
@@ -527,5 +612,78 @@ mod tests {
         write_response(&mut out, &Response::text(200, "hi".to_string()), false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// The one response `bytes` holds, whole.
+    fn parse_response(bytes: &[u8]) -> Result<ClientResponse, HttpError> {
+        match try_parse_response(bytes, &Limits::default())? {
+            Some((response, consumed)) => {
+                assert_eq!(consumed, bytes.len());
+                Ok(response)
+            }
+            None => panic!("incomplete: {:?}", String::from_utf8_lossy(bytes)),
+        }
+    }
+
+    #[test]
+    fn parses_a_response_and_applies_the_same_keep_alive_rule() {
+        let ok = parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}").unwrap();
+        assert_eq!(
+            (ok.status, ok.keep_alive, &ok.body[..]),
+            (200, true, &b"{}"[..])
+        );
+        let bare = parse_response(b"HTTP/1.1 503\r\nContent-Length: 0\r\n\r\n").unwrap();
+        assert_eq!(bare.status, 503);
+        for (bytes, keep_alive) in [
+            (
+                &b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"[..],
+                false,
+            ),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n", false),
+            (
+                b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\n",
+                true,
+            ),
+        ] {
+            assert_eq!(parse_response(bytes).unwrap().keep_alive, keep_alive);
+        }
+        // A second response after the first is left in the buffer.
+        let two = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\naHTTP/1.1";
+        let (first, consumed) = try_parse_response(two, &Limits::default())
+            .unwrap()
+            .unwrap();
+        assert_eq!((&first.body[..], consumed), (&b"a"[..], two.len() - 8));
+    }
+
+    #[test]
+    fn malformed_and_unframed_responses_are_errors() {
+        for bytes in [
+            &b"HTTP/1.1 200 OK\r\n\r\n"[..],
+            b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 +200 OK\r\nContent-Length: 0\r\n\r\n",
+            b"GET / HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nbroken\r\nContent-Length: 0\r\n\r\n",
+        ] {
+            let err = try_parse_response(bytes, &Limits::default()).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{err:?}");
+        }
+        let tiny = Limits {
+            max_request_line: 16,
+            max_headers: 1,
+            max_header_line: 16,
+            max_body: 8,
+        };
+        let big = b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n";
+        let err = try_parse_response(big, &tiny).unwrap_err();
+        assert!(matches!(err, HttpError::TooLarge(_)), "{err:?}");
+        // A truncated body is a prefix, not an error.
+        let short = b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}";
+        assert!(matches!(
+            try_parse_response(short, &Limits::default()),
+            Ok(None)
+        ));
     }
 }

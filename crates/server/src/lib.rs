@@ -873,42 +873,65 @@ pub(crate) fn parse_body(request: &Request) -> Result<Json, Response> {
 /// `index`, so the proxy can k-way-merge partial rankings from different
 /// backends and re-derive ranks.
 #[derive(Clone, Copy)]
-enum Lead {
+pub(crate) enum Lead {
     Rank,
     Index,
 }
 
-/// Append the first `k` entries of `outcome`'s ranking to a response body
-/// as a JSON array — the one writer behind `/route`, its shard-partial
-/// form and `/route_batch`. (Truncation of a partial is per shard: the
-/// global top-k of the merged ranking is contained in the per-shard top-k
-/// lists.) Ranks and indices are written as integers, which reads the same
-/// as the `f64` rendering of a [`Json`] tree for every value below 2^53.
-fn write_ranking(
-    out: &mut String,
-    state: &ServingState,
-    outcome: &selection::AdaptiveOutcome,
+/// One entry of a served ranking, as [`write_ranking`] writes it (`index`
+/// is the global catalog index, written only under [`Lead::Index`]).
+pub(crate) struct Entry<'a> {
+    pub(crate) index: usize,
+    pub(crate) database: &'a str,
+    pub(crate) category: &'a str,
+    pub(crate) score: f64,
+    pub(crate) shrinkage_used: bool,
+}
+
+/// The first `k` entries of `outcome`'s ranking over `state`'s catalog.
+fn entries<'a>(
+    state: &'a ServingState,
+    outcome: &'a selection::AdaptiveOutcome,
     k: usize,
+) -> impl Iterator<Item = Entry<'a>> {
+    outcome.ranking.iter().take(k).map(|r| Entry {
+        index: r.index,
+        database: state.name(r.index),
+        category: state.category_path(r.index),
+        score: r.score,
+        shrinkage_used: outcome.used_shrinkage[r.index],
+    })
+}
+
+/// Append `entries` to a response body as a JSON array — the one writer
+/// behind `/route`, its shard-partial form, `/route_batch` and the
+/// proxy's merged rankings. (A shard-partial ranking is truncated per
+/// shard: the global top-k of the merged ranking is contained in the
+/// per-shard top-k lists.) Ranks and indices are written as integers,
+/// which reads the same as the `f64` rendering of a [`Json`] tree for
+/// every value below 2^53.
+pub(crate) fn write_ranking<'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = Entry<'a>>,
     lead: Lead,
 ) {
     out.push('[');
-    for (at, r) in outcome.ranking.iter().take(k).enumerate() {
+    for (at, entry) in entries.into_iter().enumerate() {
         out.push_str(if at == 0 { "{" } else { ",{" });
         let _ = match lead {
             Lead::Rank => write!(out, "\"rank\":{}", at + 1),
-            Lead::Index => write!(out, "\"index\":{}", r.index),
+            Lead::Index => write!(out, "\"index\":{}", entry.index),
         };
         out.push_str(",\"database\":");
-        json::write_string(out, state.name(r.index));
+        json::write_string(out, entry.database);
         out.push_str(",\"category\":");
-        json::write_string(out, state.category_path(r.index));
+        json::write_string(out, entry.category);
         out.push_str(",\"score\":");
-        json::write_number(out, r.score);
-        out.push_str(",\"shrinkage_used\":");
-        out.push_str(if outcome.used_shrinkage[r.index] {
-            "true}"
+        json::write_number(out, entry.score);
+        out.push_str(if entry.shrinkage_used {
+            ",\"shrinkage_used\":true}"
         } else {
-            "false}"
+            ",\"shrinkage_used\":false}"
         });
     }
     out.push(']');
@@ -916,12 +939,10 @@ fn write_ranking(
 
 /// Append `"unknown":[..],"ranking":[..]` — the tail every routed query's
 /// object ends with.
-fn write_routed(
+pub(crate) fn write_routed<'a>(
     out: &mut String,
-    state: &ServingState,
     unknown: &[String],
-    outcome: &selection::AdaptiveOutcome,
-    k: usize,
+    entries: impl IntoIterator<Item = Entry<'a>>,
     lead: Lead,
 ) {
     out.push_str("\"unknown\":[");
@@ -932,7 +953,25 @@ fn write_routed(
         json::write_string(out, word);
     }
     out.push_str("],\"ranking\":");
-    write_ranking(out, state, outcome, k, lead);
+    write_ranking(out, entries, lead);
+}
+
+/// Append `"results":[{..},..]` — a `/route_batch` body's field — with
+/// one [`write_routed`] object per query.
+pub(crate) fn write_results<'a, E>(
+    out: &mut String,
+    queries: impl IntoIterator<Item = (&'a [String], E)>,
+    lead: Lead,
+) where
+    E: IntoIterator<Item = Entry<'a>>,
+{
+    out.push_str("\"results\":[");
+    for (at, (unknown, entries)) in queries.into_iter().enumerate() {
+        out.push_str(if at == 0 { "{" } else { ",{" });
+        write_routed(out, unknown, entries, lead);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// The block of the catalog a proxy asks a backend to score: block `shard`
@@ -987,7 +1026,7 @@ impl Shard {
 /// to a [`Shard`] request, `"shards":n,"shard":s,` — and say how that
 /// body's ranking entries lead. Sized for a top-10 ranking, so the common
 /// response never regrows its buffer.
-fn open_body(generation: u64, shard: Option<Shard>) -> (String, Lead) {
+pub(crate) fn open_body(generation: u64, shard: Option<Shard>) -> (String, Lead) {
     let mut out = String::with_capacity(2048);
     let _ = write!(out, "{{\"generation\":{generation},");
     let Some(Shard { shard, shards }) = shard else {
@@ -1087,7 +1126,8 @@ fn handle_route(
     record_choices(shared, &params, &outcome);
 
     let (mut body, lead) = open_body(generation, shard);
-    write_routed(&mut body, &state, &unknown, &outcome, params.k, lead);
+    let ranking = entries(&state, &outcome, params.k);
+    write_routed(&mut body, &unknown, ranking, lead);
     body.push('}');
     Response::json(200, body)
 }
@@ -1159,14 +1199,15 @@ fn handle_route_batch(
     }
 
     let (mut body, lead) = open_body(generation, shard);
-    body.push_str("\"results\":[");
-    for (at, (outcome, (_, unknown))) in outcomes.iter().zip(&analyzed).enumerate() {
-        let outcome = outcome.as_ref().expect("non-expired batch is complete");
-        body.push_str(if at == 0 { "{" } else { ",{" });
-        write_routed(&mut body, &state, unknown, outcome, params.k, lead);
-        body.push('}');
-    }
-    body.push_str("]}");
+    let results = outcomes
+        .iter()
+        .zip(&analyzed)
+        .map(|(outcome, (_, unknown))| {
+            let outcome = outcome.as_ref().expect("non-expired batch is complete");
+            (&unknown[..], entries(&state, outcome, params.k))
+        });
+    write_results(&mut body, results, lead);
+    body.push('}');
     Response::json(200, body)
 }
 
@@ -1493,7 +1534,7 @@ mod tests {
             for lead in [Lead::Rank, Lead::Index] {
                 for k in [1, 10, n, n + 5, usize::MAX] {
                     let mut written = String::new();
-                    write_ranking(&mut written, &state, outcome, k, lead);
+                    write_ranking(&mut written, entries(&state, outcome, k), lead);
                     let tree = ranking_tree(&state, outcome, k, lead).render();
                     assert_eq!(written, tree, "k={k}");
                     assert!(Json::parse(&written).is_ok(), "not even JSON: {written}");
@@ -1513,18 +1554,19 @@ mod tests {
                         let routed = routed_tree(&state, unknown, outcome, k, lead);
 
                         let (mut single, _) = open_body(7, shard);
-                        write_routed(&mut single, &state, unknown, outcome, k, lead);
+                        write_routed(&mut single, unknown, entries(&state, outcome, k), lead);
                         single.push('}');
                         let mut tree = fields.clone();
                         tree.extend(routed.clone());
                         assert_eq!(single, Json::obj(tree).render());
 
                         let (mut batch, _) = open_body(7, shard);
-                        batch.push_str("\"results\":[{");
-                        write_routed(&mut batch, &state, unknown, outcome, k, lead);
-                        batch.push_str("},{");
-                        write_routed(&mut batch, &state, &[], &empty, k, lead);
-                        batch.push_str("}]}");
+                        let results = [
+                            (&unknown[..], entries(&state, outcome, k)),
+                            (&[][..], entries(&state, &empty, k)),
+                        ];
+                        write_results(&mut batch, results, lead);
+                        batch.push('}');
                         let mut tree = fields;
                         let second = routed_tree(&state, &[], &empty, k, lead);
                         tree.push((
@@ -1538,7 +1580,7 @@ mod tests {
         }
         // Non-finite scores came out as `null`, as the tree renders them.
         let mut written = String::new();
-        write_ranking(&mut written, &state, &full, n, Lead::Rank);
+        write_ranking(&mut written, entries(&state, &full, n), Lead::Rank);
         assert_eq!(written.matches("\"score\":null").count(), 3);
     }
 }

@@ -5,12 +5,15 @@
 //! sends backend `i` of N the client's body plus `"shard": i, "shards": N`,
 //! and the backend answers with that contiguous block's partial ranking
 //! (global catalog indices, per-shard top-k). The proxy fans a
-//! client request out to every backend, k-way-merges the partial rankings
-//! with [`selection::merge_partial_rankings`], and renders the same body
-//! the monolithic engine would have produced — bit-identical when every
-//! backend answers, because the adaptive choose phase and the scoring
-//! context are computed over the full catalog on every backend (PR 7's
-//! shard-invariance argument) and JSON numbers round-trip exactly
+//! client request out to every backend, reads each reply through the
+//! daemon's own HTTP parser ([`crate::client`]), k-way-merges the partial
+//! rankings with [`selection::merge_partial_rankings`], and writes the
+//! body with the daemon's own ranking writer — one path for `/route` and
+//! `/route_batch`, a `/route` being a batch of one query. The body is the
+//! one the monolithic engine would have produced, bit-identical when
+//! every backend answers, because the adaptive choose phase and the
+//! scoring context are computed over the full catalog on every backend
+//! (DESIGN.md §13's shard invariance) and JSON numbers round-trip exactly
 //! ([`crate::json`]).
 //!
 //! The resilience layer around each backend call:
@@ -34,6 +37,8 @@
 //!   instead of a 503. Only when *every* shard is down does the proxy
 //!   return 503 (with the configured `Retry-After`).
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -41,11 +46,11 @@ use std::time::{Duration, Instant};
 
 use selection::{merge_partial_rankings, RankedDatabase};
 
-use crate::client::{ClientResponse, Pool};
-use crate::http::{Request, Response};
+use crate::client::Pool;
+use crate::http::{ClientResponse, Request, Response};
 use crate::json::Json;
 use crate::metrics::{escape_label_value, Histogram};
-use crate::{retry_after_value, Shared};
+use crate::{retry_after_value, Entry, Shared};
 
 /// Slice of the end-to-end deadline reserved for merging and rendering
 /// after the slowest shard answers.
@@ -326,10 +331,13 @@ pub(crate) fn dispatch(
         ("GET", "/healthz") => ("healthz", handle_healthz(proxy)),
         ("GET", "/readyz") => ("readyz", handle_readyz(shared, proxy)),
         ("GET", "/metrics") => ("metrics", handle_metrics(shared, proxy)),
-        ("POST", "/route") => ("route", handle_route(shared, proxy, request, deadline)),
+        ("POST", "/route") => (
+            "route",
+            handle_routing(shared, proxy, request, deadline, false),
+        ),
         ("POST", "/route_batch") => (
             "route_batch",
-            handle_route_batch(shared, proxy, request, deadline),
+            handle_routing(shared, proxy, request, deadline, true),
         ),
         ("POST", "/admin/shutdown") => ("shutdown", crate::shutdown_response()),
         (
@@ -527,9 +535,9 @@ pub(crate) fn health_loop(shared: &Shared) {
 }
 
 /// One shard's fate after the full retry/hedge budget.
-enum ShardOutcome<T> {
+enum ShardOutcome {
     /// A parsed partial result.
-    Ok(T),
+    Ok(Reply),
     /// The backend answered 4xx: deterministic client error, forwarded
     /// verbatim without retry.
     ClientError(ClientResponse),
@@ -539,15 +547,16 @@ enum ShardOutcome<T> {
 }
 
 /// Fan one request body per shard out to all backends, each with its own
-/// retry/hedge budget, and collect per-shard outcomes. Blocks until every
-/// shard resolves (bounded by the deadline minus the merge reserve).
-fn scatter<T: Send>(
+/// retry/hedge budget, and collect per-shard outcomes (replies parsed as
+/// `/route_batch` ones when `batch`). Blocks until every shard resolves
+/// (bounded by the deadline minus the merge reserve).
+fn scatter(
     proxy: &ProxyTier,
     path: &str,
     bodies: &[Vec<u8>],
     deadline: Instant,
-    parse: &(dyn Fn(&[u8]) -> Option<T> + Sync),
-) -> Vec<ShardOutcome<T>> {
+    batch: bool,
+) -> Vec<ShardOutcome> {
     let shard_deadline = deadline
         .checked_sub(MERGE_RESERVE)
         .unwrap_or(deadline)
@@ -566,7 +575,7 @@ fn scatter<T: Send>(
                         path,
                         body,
                         shard_deadline,
-                        parse,
+                        batch,
                     )
                 })
             })
@@ -590,15 +599,15 @@ fn backoff_delay(base: Duration, attempt: u32, backend: &Backend) -> Duration {
 /// split of the remaining budget (the final attempt inherits whatever is
 /// left), with backoff between attempts and an optional hedge inside
 /// each.
-fn fetch_shard<'s, T: Send + 's>(
+fn fetch_shard<'s>(
     scope: &'s std::thread::Scope<'s, '_>,
     config: &ProxyConfig,
     backend: &'s Arc<Backend>,
     path: &'s str,
     body: &'s [u8],
     deadline: Instant,
-    parse: &(dyn Fn(&[u8]) -> Option<T> + Sync),
-) -> ShardOutcome<T> {
+    batch: bool,
+) -> ShardOutcome {
     let attempts = config.retries + 1;
     for attempt in 0..attempts {
         if attempt > 0 {
@@ -626,7 +635,7 @@ fn fetch_shard<'s, T: Send + 's>(
                 return ShardOutcome::ClientError(response);
             }
             Some(response) if response.status == 200 => {
-                if let Some(parsed) = parse(&response.body) {
+                if let Some(parsed) = parse_reply(&response.body, batch) {
                     backend.latency.observe(started.elapsed().as_nanos() as u64);
                     backend.breaker.record_success();
                     return ShardOutcome::Ok(parsed);
@@ -722,93 +731,71 @@ fn attempt_once<'s>(
     }
 }
 
-/// One entry of a backend's partial ranking, carrying everything needed
-/// to re-render the monolithic body byte-for-byte (scores round-trip
+/// One entry of a backend's partial ranking: its merge key plus what the
+/// daemon's writer needs to re-write it byte-for-byte (scores round-trip
 /// exactly through [`Json::Num`]).
 struct PartialEntry {
-    index: usize,
+    ranked: RankedDatabase,
     database: String,
     category: String,
-    score: f64,
     shrinkage_used: bool,
 }
 
-fn parse_partial_entries(ranking: &[Json]) -> Option<Vec<PartialEntry>> {
-    ranking
-        .iter()
-        .map(|entry| {
-            Some(PartialEntry {
+impl PartialEntry {
+    fn parse(entry: &Json) -> Option<PartialEntry> {
+        let shrinkage_used = match entry.get("shrinkage_used")? {
+            Json::Bool(b) => *b,
+            _ => return None,
+        };
+        Some(PartialEntry {
+            ranked: RankedDatabase {
                 index: entry.get("index")?.as_u64()? as usize,
-                database: entry.get("database")?.as_str()?.to_string(),
-                category: entry.get("category")?.as_str()?.to_string(),
                 score: entry.get("score")?.as_f64()?,
-                shrinkage_used: match entry.get("shrinkage_used")? {
-                    Json::Bool(b) => *b,
-                    _ => return None,
-                },
-            })
+            },
+            database: entry.get("database")?.as_str()?.to_string(),
+            category: entry.get("category")?.as_str()?.to_string(),
+            shrinkage_used,
         })
-        .collect()
-}
+    }
 
-/// A backend's `/route` partial response, parsed.
-struct RouteReply {
-    generation: u64,
-    unknown: Json,
-    entries: Vec<PartialEntry>,
-}
-
-fn parse_route_reply(bytes: &[u8]) -> Option<RouteReply> {
-    let json = Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
-    Some(RouteReply {
-        generation: json.get("generation")?.as_u64()?,
-        unknown: json.get("unknown")?.clone(),
-        entries: parse_partial_entries(json.get("ranking")?.as_array()?)?,
-    })
+    fn entry(&self) -> Entry<'_> {
+        Entry {
+            index: self.ranked.index,
+            database: &self.database,
+            category: &self.category,
+            score: self.ranked.score,
+            shrinkage_used: self.shrinkage_used,
+        }
+    }
 }
 
 /// One query's partial result from a backend: its `unknown` words and
 /// the shard's scored entries.
-type QueryPartial = (Json, Vec<PartialEntry>);
+type QueryPartial = (Vec<String>, Vec<PartialEntry>);
 
-/// A backend's `/route_batch` partial response, parsed: one
-/// `(unknown, entries)` per query.
-struct BatchReply {
-    generation: u64,
-    results: Vec<QueryPartial>,
-}
+/// A backend's routing reply: its generation and one partial per query.
+type Reply = (u64, Vec<QueryPartial>);
 
-fn parse_batch_reply(bytes: &[u8]) -> Option<BatchReply> {
+/// Parse a backend's routing reply: a `/route` reply is one query's
+/// object, a `/route_batch` reply lists one per query under `results`.
+fn parse_reply(bytes: &[u8], batch: bool) -> Option<Reply> {
     let json = Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
-    let results = json
-        .get("results")?
-        .as_array()?
-        .iter()
-        .map(|r| {
-            Some((
-                r.get("unknown")?.clone(),
-                parse_partial_entries(r.get("ranking")?.as_array()?)?,
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(BatchReply {
-        generation: json.get("generation")?.as_u64()?,
-        results,
-    })
-}
-
-/// Forward a backend's 4xx verbatim.
-fn forward(response: ClientResponse) -> Response {
-    Response::json(
-        response.status,
-        String::from_utf8_lossy(&response.body).into_owned(),
-    )
-}
-
-/// All shards down: the one case the proxy answers 5xx.
-fn all_shards_down(shared: &Shared) -> Response {
-    Response::error(503, "all shards unavailable")
-        .with_header("Retry-After", retry_after_value(&shared.config))
+    let query = |reply: &Json| -> Option<QueryPartial> {
+        let unknown = reply.get("unknown")?.as_array()?.iter();
+        let ranking = reply.get("ranking")?.as_array()?.iter();
+        let unknown = unknown.map(|word| word.as_str().map(str::to_string));
+        Some((
+            unknown.collect::<Option<_>>()?,
+            ranking.map(PartialEntry::parse).collect::<Option<_>>()?,
+        ))
+    };
+    let results = if batch {
+        let results = json.get("results")?.as_array()?;
+        results.iter().map(query).collect::<Option<_>>()?
+    } else {
+        vec![query(&json)?]
+    };
+    Some((json.get("generation")?.as_u64()?, results))
 }
 
 /// The per-shard bodies of a validated client body: the body with
@@ -827,69 +814,54 @@ fn shard_bodies(body: &Json, shards: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Merge per-shard partial rankings and render the monolithic `ranking`
-/// array (rank re-numbered 1-based, truncated to `k`).
-fn merged_ranking_json(shards: &[Option<Vec<PartialEntry>>], k: usize) -> (Json, Vec<usize>) {
-    let rankings: Vec<Option<Vec<RankedDatabase>>> = shards
-        .iter()
-        .map(|shard| {
-            shard.as_ref().map(|entries| {
-                entries
-                    .iter()
-                    .map(|e| RankedDatabase {
-                        index: e.index,
-                        score: e.score,
-                    })
-                    .collect()
-            })
-        })
-        .collect();
-    let merged = merge_partial_rankings(&rankings);
-    let mut by_index: std::collections::HashMap<usize, &PartialEntry> =
-        std::collections::HashMap::new();
-    for entry in shards.iter().flatten().flatten() {
-        by_index.insert(entry.index, entry);
-    }
-    let ranking = Json::Arr(
-        merged
-            .ranking
+/// One query's merged answer: the first answering shard's `unknown`
+/// words and every shard's entries in merged rank order.
+type MergedQuery<'a> = (&'a [String], Vec<&'a PartialEntry>);
+
+/// Merge each of `queries` queries' partial rankings over the shards that
+/// answered with the one comparator, [`merge_partial_rankings`], and list
+/// the shards that did not answer.
+fn merge(
+    shards: &[Option<Vec<QueryPartial>>],
+    queries: usize,
+) -> (Vec<MergedQuery<'_>>, Vec<usize>) {
+    let missing = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+    let answered: Vec<&[QueryPartial]> = shards.iter().flatten().map(Vec::as_slice).collect();
+    let merged = (0..queries).map(|qi| {
+        let partials: Vec<&[PartialEntry]> =
+            answered.iter().map(|results| &results[qi].1[..]).collect();
+        let rankings: Vec<_> = partials
             .iter()
-            .take(k)
-            .enumerate()
-            .map(|(rank, r)| {
-                let entry = by_index[&r.index];
-                Json::obj(vec![
-                    ("rank".to_string(), Json::Num((rank + 1) as f64)),
-                    ("database".to_string(), Json::Str(entry.database.clone())),
-                    ("category".to_string(), Json::Str(entry.category.clone())),
-                    ("score".to_string(), Json::Num(entry.score)),
-                    (
-                        "shrinkage_used".to_string(),
-                        Json::Bool(entry.shrinkage_used),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    (ranking, merged.missing)
+            .map(|partial| Some(partial.iter().map(|e| e.ranked).collect()))
+            .collect();
+        let by_index: HashMap<usize, &PartialEntry> = partials
+            .iter()
+            .flat_map(|partial| partial.iter())
+            .map(|e| (e.ranked.index, e))
+            .collect();
+        let ranking = merge_partial_rankings(&rankings).ranking;
+        let unknown = answered
+            .first()
+            .map_or(&[][..], |results| &results[qi].0[..]);
+        (
+            unknown,
+            ranking.iter().map(|r| by_index[&r.index]).collect(),
+        )
+    });
+    (merged.collect(), missing)
 }
 
-/// Append the degradation markers to a response object's fields. They go
-/// *after* the monolithic fields so a healthy proxy body stays
-/// byte-identical to the monolithic daemon's.
-fn push_degradation(fields: &mut Vec<(String, Json)>, missing: &[usize]) {
-    fields.push(("degraded".to_string(), Json::Bool(true)));
-    fields.push((
-        "missing_shards".to_string(),
-        Json::Arr(missing.iter().map(|&i| Json::Num(i as f64)).collect()),
-    ));
-}
-
-fn handle_route(
+/// `/route` (`batch` false) and `/route_batch`: validate, scatter one body
+/// per shard, gather, merge every query and write the monolithic body
+/// with the daemon's own writer — then, when shards are missing, the
+/// degradation markers, so a healthy proxy body stays byte-identical to
+/// the monolithic daemon's.
+fn handle_routing(
     shared: &Shared,
     proxy: &ProxyTier,
     request: &Request,
     deadline: Instant,
+    batch: bool,
 ) -> Response {
     let body = match crate::parse_body(request) {
         Ok(body) => body,
@@ -907,136 +879,67 @@ fn handle_route(
         Ok(params) => params,
         Err(response) => return response,
     };
-    if body.get("query").is_none() {
-        return Response::error(400, "missing `query`");
-    }
-
-    let bodies = shard_bodies(&body, proxy.backends.len());
-    let outcomes = scatter(proxy, "/route", &bodies, deadline, &parse_route_reply);
-
-    let mut generation = 0u64;
-    let mut unknown: Option<Json> = None;
-    let mut shards: Vec<Option<Vec<PartialEntry>>> = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            ShardOutcome::ClientError(response) => return forward(response),
-            ShardOutcome::Ok(reply) => {
-                generation = generation.max(reply.generation);
-                if unknown.is_none() {
-                    unknown = Some(reply.unknown);
-                }
-                shards.push(Some(reply.entries));
-            }
-            ShardOutcome::Failed => shards.push(None),
+    let queries = if batch {
+        let Some(queries) = body.get("queries").and_then(Json::as_array) else {
+            return Response::error(400, "missing `queries` array");
+        };
+        if queries.len() > crate::MAX_BATCH {
+            return Response::error(413, &format!("batch exceeds {} queries", crate::MAX_BATCH));
         }
-    }
-    let Some(unknown) = unknown else {
-        return all_shards_down(shared);
+        queries.len()
+    } else if body.get("query").is_none() {
+        return Response::error(400, "missing `query`");
+    } else {
+        1
     };
 
-    let (ranking, missing) = merged_ranking_json(&shards, params.k);
-    let mut fields = vec![
-        ("generation".to_string(), Json::Num(generation as f64)),
-        ("unknown".to_string(), unknown),
-        ("ranking".to_string(), ranking),
-    ];
-    if !missing.is_empty() {
-        proxy.degraded_total.fetch_add(1, Ordering::Relaxed);
-        push_degradation(&mut fields, &missing);
-    }
-    Response::json(200, Json::obj(fields).render())
-}
-
-fn handle_route_batch(
-    shared: &Shared,
-    proxy: &ProxyTier,
-    request: &Request,
-    deadline: Instant,
-) -> Response {
-    let body = match crate::parse_body(request) {
-        Ok(body) => body,
-        Err(response) => return response,
-    };
-    if !matches!(body, Json::Obj(_)) {
-        return Response::error(400, "body must be a JSON object");
-    }
-    if body.get("shard").is_some() || body.get("shards").is_some() {
-        return Response::error(400, RESERVED_SHARD);
-    }
-    let params = match crate::parse_route_params(&body) {
-        Ok(params) => params,
-        Err(response) => return response,
-    };
-    let Some(queries) = body.get("queries").and_then(Json::as_array) else {
-        return Response::error(400, "missing `queries` array");
-    };
-    if queries.len() > crate::MAX_BATCH {
-        return Response::error(413, &format!("batch exceeds {} queries", crate::MAX_BATCH));
-    }
-    let query_count = queries.len();
-
+    let path = if batch { "/route_batch" } else { "/route" };
     let bodies = shard_bodies(&body, proxy.backends.len());
-    let outcomes = scatter(proxy, "/route_batch", &bodies, deadline, &parse_batch_reply);
+    let outcomes = scatter(proxy, path, &bodies, deadline, batch);
 
     let mut generation = 0u64;
-    // Per shard, per query: the shard's partial entries (a shard whose
-    // result count disagrees with the request is as broken as a missing
-    // one).
     let mut shards: Vec<Option<Vec<QueryPartial>>> = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
         match outcome {
-            ShardOutcome::ClientError(response) => return forward(response),
-            ShardOutcome::Ok(reply) if reply.results.len() == query_count => {
-                generation = generation.max(reply.generation);
-                shards.push(Some(reply.results));
+            ShardOutcome::ClientError(response) => {
+                let body = String::from_utf8_lossy(&response.body).into_owned();
+                return Response::json(response.status, body);
+            }
+            // A reply whose result count disagrees with the request is as
+            // broken as a missing one.
+            ShardOutcome::Ok((reply_generation, results)) if results.len() == queries => {
+                generation = generation.max(reply_generation);
+                shards.push(Some(results));
             }
             ShardOutcome::Ok(_) | ShardOutcome::Failed => shards.push(None),
         }
     }
     if shards.iter().all(Option::is_none) {
-        return all_shards_down(shared);
+        return Response::error(503, "all shards unavailable")
+            .with_header("Retry-After", retry_after_value(&shared.config));
     }
 
-    let mut missing_overall: Vec<usize> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
-        if shard.is_none() {
-            missing_overall.push(i);
-        }
+    let (merged, missing) = merge(&shards, queries);
+    let mut merged = merged.iter().map(|(unknown, ranking)| {
+        let entries = ranking.iter().take(params.k).map(|e| e.entry());
+        (*unknown, entries)
+    });
+    let (mut out, lead) = crate::open_body(generation, None);
+    if batch {
+        crate::write_results(&mut out, merged, lead);
+    } else if let Some((unknown, entries)) = merged.next() {
+        crate::write_routed(&mut out, unknown, entries, lead);
     }
-    let results = Json::Arr(
-        (0..query_count)
-            .map(|qi| {
-                let per_query: Vec<Option<Vec<PartialEntry>>> = shards
-                    .iter_mut()
-                    .map(|shard| {
-                        shard
-                            .as_mut()
-                            .map(|results| std::mem::take(&mut results[qi].1))
-                    })
-                    .collect();
-                let unknown = shards
-                    .iter()
-                    .flatten()
-                    .map(|results| results[qi].0.clone())
-                    .next()
-                    .unwrap_or(Json::Arr(Vec::new()));
-                let (ranking, _) = merged_ranking_json(&per_query, params.k);
-                Json::obj(vec![
-                    ("unknown".to_string(), unknown),
-                    ("ranking".to_string(), ranking),
-                ])
-            })
-            .collect(),
-    );
-    let mut fields = vec![
-        ("generation".to_string(), Json::Num(generation as f64)),
-        ("results".to_string(), results),
-    ];
-    if !missing_overall.is_empty() {
+    if !missing.is_empty() {
         proxy.degraded_total.fetch_add(1, Ordering::Relaxed);
-        push_degradation(&mut fields, &missing_overall);
+        out.push_str(",\"degraded\":true,\"missing_shards\":[");
+        for (at, shard) in missing.iter().enumerate() {
+            let _ = write!(out, "{}{shard}", if at == 0 { "" } else { "," });
+        }
+        out.push(']');
     }
-    Response::json(200, Json::obj(fields).render())
+    out.push('}');
+    Response::json(200, out)
 }
 
 #[cfg(test)]
@@ -1123,21 +1026,23 @@ mod tests {
     #[test]
     fn merged_ranking_reports_missing_and_renumbers() {
         let entry = |index: usize, score: f64| PartialEntry {
-            index,
+            ranked: RankedDatabase { index, score },
             database: format!("db{index}"),
             category: "Root".to_string(),
-            score,
             shrinkage_used: false,
         };
         let shards = vec![
-            Some(vec![entry(0, 3.0), entry(2, 1.0)]),
+            Some(vec![(Vec::new(), vec![entry(0, 3.0), entry(2, 1.0)])]),
             None,
-            Some(vec![entry(1, 2.0)]),
+            Some(vec![(Vec::new(), vec![entry(1, 2.0)])]),
         ];
-        let (ranking, missing) = merged_ranking_json(&shards, usize::MAX);
+        let (merged, missing) = merge(&shards, 1);
         assert_eq!(missing, vec![1]);
-        let Json::Arr(items) = ranking else {
-            panic!("ranking must be an array")
+        let mut written = String::new();
+        let ranking = merged[0].1.iter().map(|e| e.entry());
+        crate::write_ranking(&mut written, ranking, crate::Lead::Rank);
+        let Ok(Json::Arr(items)) = Json::parse(&written) else {
+            panic!("ranking must be an array: {written}")
         };
         let names: Vec<&str> = items
             .iter()

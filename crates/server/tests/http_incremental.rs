@@ -1,11 +1,13 @@
-//! Property tests of the reactor's incremental parser: a valid pipelined
-//! request stream must parse to the same requests whether it arrives in
-//! one buffer (the oracle), one byte at a time (every split boundary), or
-//! in random chunks.
+//! Property tests of the incremental parsers: a valid pipelined request
+//! stream must parse to the same requests whether it arrives in one
+//! buffer (the oracle), one byte at a time (every split boundary), or in
+//! random chunks; and a valid response — the proxy client's parse — to
+//! the same status, body and length whether it arrives whole, in two
+//! pieces split anywhere, or one byte at a time.
 
 use proptest::prelude::*;
 
-use server::http::{try_parse, Limits, ParseStatus, Request};
+use server::http::{try_parse, try_parse_response, ClientResponse, Limits, ParseStatus, Request};
 
 /// A generated request, pre-serialization.
 #[derive(Debug, Clone)]
@@ -153,5 +155,94 @@ proptest! {
         let one_shot = parse_one_shot(&stream, &limits);
         let chunked = parse_incremental(&stream, &chunk_sizes, &limits);
         prop_assert_eq!(chunked, one_shot);
+    }
+}
+
+/// A generated response, pre-serialization.
+#[derive(Debug, Clone)]
+struct GenResponse {
+    status: u16,
+    reason: String,
+    headers: Vec<(String, String)>,
+    body: Vec<u8>,
+    http10: bool,
+    bare_lf: bool,
+}
+
+impl GenResponse {
+    fn serialize(&self) -> Vec<u8> {
+        let eol: &[u8] = if self.bare_lf { b"\n" } else { b"\r\n" };
+        let version = if self.http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+        let mut out = format!("{version} {} {}", self.status, self.reason).into_bytes();
+        out.extend_from_slice(eol);
+        for (name, value) in &self.headers {
+            out.extend_from_slice(format!("{name}: {value}").as_bytes());
+            out.extend_from_slice(eol);
+        }
+        out.extend_from_slice(format!("Content-Length: {}", self.body.len()).as_bytes());
+        out.extend_from_slice(eol);
+        out.extend_from_slice(eol);
+        out.extend_from_slice(&self.body);
+        out
+    }
+}
+
+fn gen_response() -> impl Strategy<Value = GenResponse> {
+    (
+        100u16..600,
+        "[A-Za-z ]{0,16}",
+        prop::collection::vec(("[Xx][A-Za-z-]{1,11}", "[a-zA-Z0-9 :,;=/-]{0,24}"), 0..4),
+        prop::collection::vec(any::<u8>(), 0..64),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(status, reason, headers, body, http10, bare_lf)| GenResponse {
+                status,
+                reason,
+                headers,
+                body,
+                http10,
+                bare_lf,
+            },
+        )
+}
+
+/// The response `buf` starts with, or `None` while it holds a prefix.
+fn parse_response(buf: &[u8]) -> Option<(ClientResponse, usize)> {
+    try_parse_response(buf, &Limits::default()).expect("generated response must be valid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Whole, split in two anywhere, or fed one byte at a time: the same
+    /// status, body and `consumed`; and every buffer that ends before the
+    /// response does is a prefix (`None`, never an error). Bytes after
+    /// the response (the next one on the connection) are left alone.
+    #[test]
+    fn responses_parse_identically_at_every_split(
+        generated in gen_response(),
+        trailer in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let wire = generated.serialize();
+        let mut stream = wire.clone();
+        stream.extend_from_slice(&trailer);
+
+        let (whole, consumed) = parse_response(&stream).expect("the whole response parses");
+        prop_assert_eq!(consumed, wire.len());
+        prop_assert_eq!(whole.status, generated.status);
+        prop_assert_eq!(&whole.body, &generated.body);
+        prop_assert_eq!(whole.keep_alive, !generated.http10);
+
+        // Two-way splits: the first piece alone is a prefix, the two
+        // together the same response. Growing the buffer one byte at a
+        // time visits exactly these first pieces.
+        for at in 0..wire.len() {
+            prop_assert!(parse_response(&wire[..at]).is_none(), "split at {} of {}", at, wire.len());
+            let mut buf = wire[..at].to_vec();
+            buf.extend_from_slice(&stream[at..]);
+            prop_assert_eq!(parse_response(&buf), Some((whole.clone(), consumed)));
+        }
     }
 }

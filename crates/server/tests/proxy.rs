@@ -342,6 +342,59 @@ fn a_dead_shard_degrades_the_response_instead_of_failing_it() {
     shutdown(b0_addr, b0_handle);
 }
 
+/// The degraded layout: the monolithic fields in their order, then the
+/// two markers, in that order, as the body's last bytes — on both
+/// routing endpoints.
+#[test]
+fn degraded_bodies_end_with_the_markers_after_the_monolithic_fields() {
+    let (b0_addr, b0_handle) = shard_backend();
+    let (proxy_addr, proxy_handle) = start_proxy(
+        ServerConfig::default(),
+        ProxyConfig {
+            backends: vec![b0_addr.to_string(), dead_addr().to_string()],
+            retries: 0,
+            breaker_failures: 1000,
+            health_interval: Duration::from_secs(5),
+            ..Default::default()
+        },
+    );
+
+    let cases: [(&str, &str, &[&str]); 2] = [
+        (
+            "/route",
+            r#"{"query":"heart blood surgery","seed":42}"#,
+            &[
+                "generation",
+                "unknown",
+                "ranking",
+                "degraded",
+                "missing_shards",
+            ],
+        ),
+        (
+            "/route_batch",
+            r#"{"queries":["heart blood","soccer goal"],"seed":7}"#,
+            &["generation", "results", "degraded", "missing_shards"],
+        ),
+    ];
+    for (path, body, keys) in cases {
+        let (status, _, response) = post(proxy_addr, path, body);
+        assert_eq!(status, 200, "{path}: {response}");
+        let Ok(Json::Obj(fields)) = Json::parse(&response) else {
+            panic!("{path}: not a JSON object: {response}");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, keys, "{path}: {response}");
+        assert!(
+            response.ends_with(r#","degraded":true,"missing_shards":[1]}"#),
+            "{path}: {response}"
+        );
+    }
+
+    shutdown(proxy_addr, proxy_handle);
+    shutdown(b0_addr, b0_handle);
+}
+
 #[test]
 fn breaker_opens_on_a_killed_backend_and_recovers_after_restart() {
     // Reserve a port for the backend, then leave it dead: the proxy

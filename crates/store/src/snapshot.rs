@@ -145,11 +145,6 @@ impl ServingSnapshot {
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| invalid("shrunk summaries over explicit columns cannot be written"))?;
         let index = self.catalog.posting_index();
-        if !index.aux_ready() {
-            return Err(invalid(
-                "kernel aux columns missing; cannot write a snapshot",
-            ));
-        }
         w.write_all(SNAPSHOT_MAGIC)?;
         let mut cw = ChecksumWriter::new(&mut *w);
         let mut buf = Vec::new();
@@ -603,17 +598,15 @@ fn read_payload<R: Read>(r: &mut R) -> io::Result<ServingSnapshot> {
         1 => Ok(true),
         _ => Err(corrupt("effective flag must be 0 or 1")),
     })?;
-    let mut index = PostingIndex::from_raw_parts(
-        n, terms, offsets, dbs, p_df, sample_df, positions, effective,
-    )
-    .map_err(corrupt)?;
     let p_tf = read_f64_column(r, slab_len)?;
     let max_df = read_f64_column(r, term_count)?;
     let max_p_df = read_f64_column(r, term_count)?;
     let max_p_tf = read_f64_column(r, term_count)?;
-    index
-        .set_aux(p_tf, max_df, max_p_df, max_p_tf)
-        .map_err(corrupt)?;
+    let index = PostingIndex::from_raw_parts(
+        n, terms, offsets, dbs, p_df, sample_df, positions, effective, p_tf, max_df, max_p_df,
+        max_p_tf,
+    )
+    .map_err(corrupt)?;
 
     let catalog = Catalog::from_raw_parts(db_names, unshrunk, shrunk, gammas, index)
         .map_err(|e| corrupt(&e))?;
