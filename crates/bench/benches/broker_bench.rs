@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the broker serving layer: batched query
 //! routing through the [`SelectionEngine`] versus the per-query full-scan
 //! baseline, catalog construction versus loading a frozen catalog, and the
-//! adaptive uncertainty test with and without its tabulated moments.
+//! adaptive uncertainty test: building its moment table, then routing on
+//! it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -78,7 +79,7 @@ fn bench_batch_route(c: &mut Criterion) {
         let algo = AlgoKind::Cori.build(&profiled);
         let engine = SelectionEngine::new(std::sync::Arc::clone(&catalog), algo, config);
         group.bench_with_input(BenchmarkId::new("engine", threads), &threads, |b, &t| {
-            b.iter(|| engine.route_batch(black_box(&queries), 77, t))
+            b.iter(|| engine.route_batch(black_box(&queries), t))
         });
     }
     group.finish();
@@ -194,11 +195,11 @@ fn synthetic_catalog(n: usize) -> (std::sync::Arc<Catalog>, Vec<Vec<TermId>>) {
 }
 
 /// Pruned top-k vs. full-ranking routing on the `/route` hot path, over a
-/// 500-database synthetic catalog. The `full` baselines call `route`
-/// (per-db probability vectors, virtual dispatch per summary); the
-/// `pruned` rows call `route_topk` (batch kernels over the CSR slabs plus
-/// maxscore early termination). `never` mode is pure scoring; `adaptive`
-/// includes the (unpruned, closed-form) choose phase.
+/// 500-database synthetic catalog. The `full` baselines call `route` (the
+/// whole ranking, so no bound can skip a row); the `pruned` rows call
+/// `route_topk` (maxscore early termination against the k-th score).
+/// `never` mode is pure scoring; `adaptive` includes the (unpruned,
+/// closed-form) choose phase.
 fn bench_topk_pruning(c: &mut Criterion) {
     let (catalog, queries) = synthetic_catalog(500);
 
@@ -220,24 +221,17 @@ fn bench_topk_pruning(c: &mut Criterion) {
             b.iter(|| {
                 queries
                     .iter()
-                    .enumerate()
-                    .map(|(qi, query)| {
-                        let mut rng = db_rng(9, qi);
-                        engine.route(black_box(query), &mut rng)
-                    })
+                    .map(|query| engine.route(black_box(query)))
                     .collect::<Vec<_>>()
             })
         });
         for k in [1usize, 5, 10] {
             group.bench_function(BenchmarkId::new(format!("pruned/{mode_name}"), k), |b| {
+                let mut rng = StdRng::seed_from_u64(9);
                 b.iter(|| {
                     queries
                         .iter()
-                        .enumerate()
-                        .map(|(qi, query)| {
-                            let mut rng = db_rng(9, qi);
-                            engine.route_topk(black_box(query), k, &mut rng)
-                        })
+                        .map(|query| engine.route_topk(black_box(query), k, &mut rng))
                         .collect::<Vec<_>>()
                 })
             });
@@ -368,8 +362,6 @@ fn bench_uncertainty_test(c: &mut Criterion) {
         mode: ShrinkageMode::Adaptive,
         ..Default::default()
     };
-    let from_grids =
-        SelectionEngine::with_table(std::sync::Arc::clone(&catalog), algo.clone(), config, None);
     let query = &bed.queries[0].terms;
 
     let mut group = c.benchmark_group("broker/uncertainty_test");
@@ -377,11 +369,9 @@ fn bench_uncertainty_test(c: &mut Criterion) {
         b.iter(|| SelectionEngine::new(std::sync::Arc::clone(&catalog), algo.clone(), config))
     });
     let tabulated = SelectionEngine::new(std::sync::Arc::clone(&catalog), algo.clone(), config);
-    for (name, engine) in [("from_grids", &from_grids), ("tabulated", &tabulated)] {
-        group.bench_function(name, |b| {
-            b.iter(|| engine.route(black_box(query), &mut db_rng(5, 0)))
-        });
-    }
+    group.bench_function("tabulated", |b| {
+        b.iter(|| tabulated.route(black_box(query)))
+    });
     group.finish();
 }
 

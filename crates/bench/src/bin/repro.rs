@@ -716,7 +716,7 @@ fn merging_comparison(opts: &Options) {
         let engine = SelectionEngine::new(catalog, algorithm, AdaptiveConfig::default());
         let queries: Vec<Vec<u32>> = bed.queries.iter().map(|q| q.terms.clone()).collect();
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let outcomes = engine.route_batch(&queries, opts.seed + 99, threads);
+        let outcomes = engine.route_batch(&queries, threads);
         for strategy in [
             MergeStrategy::RoundRobin,
             MergeStrategy::RawScore,

@@ -15,13 +15,14 @@ use dbselect_core::hierarchy::{CategoryId, Hierarchy};
 use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
 use dbselect_core::summary::ContentSummary;
 use eval::rk::rk_for_ranking;
+use sampling::scheduler::{db_rng, fan_out_chunks};
 use sampling::{
     profile_fps, profile_qbs, FpsConfig, PipelineConfig, ProbeClassifier, ProbeSource,
     RuleClassifier, RuleLearnerConfig, SamplerKind,
 };
 use selection::{
-    AdaptiveConfig, BGloss, Cori, HierarchicalSelector, Lm, RankedDatabase, Sampled,
-    SelectionAlgorithm, ShrinkageMode,
+    adaptive_rank, AdaptiveConfig, BGloss, Cori, HierarchicalSelector, Lm, RankedDatabase, Sampled,
+    SelectionAlgorithm, ShrinkageMode, SummaryPair,
 };
 use textindex::{Document, TermId};
 
@@ -279,8 +280,9 @@ pub enum Strategy {
     /// Shrinkage applied to every (query, database) pair (ablation).
     Universal,
     /// Adaptive shrinkage decided by the Monte-Carlo rule the closed form
-    /// replaced: the algorithm runs behind the form-hiding
-    /// [`selection::Sampled`] adapter. The reference column of Table 10.
+    /// replaced: [`selection::adaptive_rank`] with the algorithm behind the
+    /// form-hiding [`selection::Sampled`] adapter. The reference column of
+    /// Table 10.
     ShrinkageSampled,
 }
 
@@ -313,11 +315,13 @@ pub struct SelectionRun {
 
 /// Run one (algorithm, strategy) condition over every query of the bed.
 ///
-/// Non-hierarchical strategies route through the broker's
+/// The closed-form strategies route through the broker's
 /// [`SelectionEngine`]: the profiled collection is frozen into a
-/// [`Catalog`] and the whole query batch is evaluated in parallel. Query
-/// `i` draws from an RNG derived from `(seed, i)`, so the output is
-/// deterministic and independent of the worker-thread count.
+/// [`Catalog`] and the whole query batch is evaluated in parallel.
+/// [`Strategy::ShrinkageSampled`] runs the library's
+/// [`selection::adaptive_rank`] per query, in parallel too, query `i`
+/// drawing from `db_rng(seed, i)`; either way the output is deterministic
+/// and independent of the worker-thread count.
 pub fn run_selection(
     bed: &TestBed,
     profiled: &ProfiledCollection,
@@ -353,20 +357,28 @@ pub fn run_selection(
                 Strategy::Universal => ShrinkageMode::Always,
                 Strategy::Hierarchical => unreachable!("handled above"),
             };
-            let algorithm = match strategy {
-                Strategy::ShrinkageSampled => Arc::new(Sampled(Arc::clone(&algorithm))),
-                _ => Arc::clone(&algorithm),
-            };
-            let names: Vec<String> = bed.databases.iter().map(|d| d.name.clone()).collect();
-            let catalog = Arc::new(profiled.catalog(&names));
             let config = AdaptiveConfig {
                 mode,
                 ..Default::default()
             };
-            let engine = SelectionEngine::new(catalog, Arc::clone(&algorithm), config);
             let queries: Vec<Vec<TermId>> = bed.queries.iter().map(|q| q.terms.clone()).collect();
             let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let outcomes = engine.route_batch(&queries, seed, threads);
+            let outcomes = if strategy == Strategy::ShrinkageSampled {
+                let sampled = Sampled(Arc::clone(&algorithm));
+                let pairs: Vec<SummaryPair<'_>> = (profiled.summaries.iter())
+                    .zip(&profiled.shrunk)
+                    .map(|(unshrunk, shrunk)| SummaryPair { unshrunk, shrunk })
+                    .collect();
+                fan_out_chunks(queries.len(), threads, |qi| {
+                    let rng = &mut db_rng(seed, qi);
+                    adaptive_rank(&sampled, &queries[qi], &pairs, &config, rng)
+                })
+            } else {
+                let names: Vec<String> = bed.databases.iter().map(|d| d.name.clone()).collect();
+                let catalog = Arc::new(profiled.catalog(&names));
+                SelectionEngine::new(catalog, Arc::clone(&algorithm), config)
+                    .route_batch(&queries, threads)
+            };
             outcomes
                 .into_iter()
                 .map(|outcome| {

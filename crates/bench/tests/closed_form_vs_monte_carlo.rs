@@ -1,19 +1,21 @@
 //! The closed-form uncertainty test against the Monte-Carlo rule it
 //! replaced, on a generated testbed: for each served algorithm, at least
-//! 10 000 (query, database) decisions, taken once through the algorithm's
-//! closed form and once with the form hidden ([`Sampled`]) so the same
-//! engine falls back to sampling. The two rules estimate the same moments,
-//! so they may only disagree near the threshold: per-decision disagreement
-//! stays within 5 % and the shrinkage-application rate (the paper's
-//! Table 10) within 2 percentage points.
+//! 10 000 (query, database) decisions, taken once by the serving engine's
+//! tabulated closed form and once by the library oracle,
+//! [`adaptive_rank`], with the form hidden ([`Sampled`]) so it samples.
+//! The two rules estimate the same moments, so they may only disagree near
+//! the threshold: per-decision disagreement stays within 5 % and the
+//! shrinkage-application rate (the paper's Table 10) within 2 percentage
+//! points.
 
 use std::sync::Arc;
 
 use bench::{profile_collection, AlgoKind, HarnessConfig};
 use broker::SelectionEngine;
 use corpus::TestBedConfig;
+use sampling::scheduler::{db_rng, fan_out_chunks};
 use sampling::SamplerKind;
-use selection::{AdaptiveConfig, Sampled, SelectionAlgorithm};
+use selection::{adaptive_rank, AdaptiveConfig, Sampled, SummaryPair};
 use textindex::TermId;
 
 #[test]
@@ -26,19 +28,27 @@ fn closed_form_decisions_track_the_monte_carlo_rule() {
     let names: Vec<String> = bed.databases.iter().map(|d| d.name.clone()).collect();
     let catalog = Arc::new(profiled.catalog(&names));
     let queries: Vec<Vec<TermId>> = bed.queries.iter().map(|q| q.terms.clone()).collect();
+    let pairs: Vec<SummaryPair<'_>> = (profiled.summaries.iter())
+        .zip(&profiled.shrunk)
+        .map(|(unshrunk, shrunk)| SummaryPair { unshrunk, shrunk })
+        .collect();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let config = AdaptiveConfig::default();
 
     for algo_kind in AlgoKind::all() {
         let algorithm = algo_kind.build(&profiled);
-        let decisions = |algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>| -> Vec<bool> {
-            SelectionEngine::new(Arc::clone(&catalog), algorithm, AdaptiveConfig::default())
-                .route_batch(&queries, 9_001, threads)
+        let closed: Vec<bool> =
+            SelectionEngine::new(Arc::clone(&catalog), Arc::clone(&algorithm), config)
+                .route_batch(&queries, threads)
                 .into_iter()
                 .flat_map(|outcome| outcome.used_shrinkage)
-                .collect()
-        };
-        let closed = decisions(Arc::clone(&algorithm));
-        let sampled = decisions(Arc::new(Sampled(algorithm)));
+                .collect();
+        let sampled_rule = Sampled(algorithm);
+        let sampled: Vec<bool> = fan_out_chunks(queries.len(), threads, |qi| {
+            let rng = &mut db_rng(9_001, qi);
+            adaptive_rank(&sampled_rule, &queries[qi], &pairs, &config, rng).used_shrinkage
+        })
+        .concat();
         assert_eq!(closed.len(), sampled.len());
         assert!(closed.len() >= 10_000, "{} decisions", closed.len());
 

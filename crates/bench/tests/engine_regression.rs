@@ -88,7 +88,7 @@ fn engine_is_bit_identical_to_adaptive_rank_for_all_algorithms_and_modes() {
                 adaptive_config,
             );
             for threads in [1, 8] {
-                let batched = engine.route_batch(&queries, seed, threads);
+                let batched = engine.route_batch(&queries, threads);
                 assert_eq!(batched.len(), reference.len());
                 for (qi, (r, e)) in reference.iter().zip(&batched).enumerate() {
                     let label = format!(

@@ -29,24 +29,28 @@
 //! serving process (the `dbselectd` daemon) can share one engine across
 //! worker threads and atomically swap catalogs by replacing the engine.
 //!
+//! An engine serves only algorithms with the Section-4 closed form
+//! ([`IndependentTerms`], folding one way over every database) and a
+//! batch [`ScoreKernel`] — bGlOSS, CORI and LM — and refuses anything else
+//! at construction. It decides only by the tabulated closed form, scores
+//! only through kernels, and never draws a random number. The Monte-Carlo
+//! rule and the per-view scorer remain in [`selection::adaptive_rank`],
+//! the oracle the tests compare the engine with.
+//!
 //! Batches fan out over queries in contiguous per-worker chunks
-//! ([`sampling::scheduler::fan_out_chunks`]). The `rng` parameters and
-//! per-query seeds remain for algorithms that declare no closed form
-//! (tested by Monte-Carlo sampling); bGlOSS, CORI and LM never draw.
+//! ([`sampling::scheduler::fan_out_chunks`]).
 
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dbselect_core::summary::SummaryView;
 use dbselect_core::uncertainty::{Combine, Fold, ScoreDistribution, TermCoefficients, WordMoments};
 use rand::Rng;
-use sampling::scheduler::{db_rng, fan_out_chunks};
+use sampling::scheduler::fan_out_chunks;
 use selection::{
-    rank_databases_with_context, score_is_uncertain_for_sample, shrinkage_decision, AdaptiveConfig,
-    AdaptiveOutcome, CollectionContext, IndependentTerms, IndexedView, PreparedKernel,
-    ProbabilitySpace, RankedDatabase, ScoreKernel, SelectionAlgorithm, ShrinkageMode, TermBound,
-    TopK,
+    shrinkage_decision, AdaptiveConfig, AdaptiveOutcome, CollectionContext, IndependentTerms,
+    PreparedKernel, ProbabilitySpace, RankedDatabase, ScoreKernel, SelectionAlgorithm,
+    ShrinkageMode, TermBound, TopK,
 };
 use textindex::TermId;
 
@@ -261,45 +265,71 @@ pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut RouteScratch) -> T) -> T {
     ROUTE_SCRATCH.with_borrow_mut(f)
 }
 
+/// The closed form and the batch kernel of a served algorithm.
+///
+/// # Panics
+///
+/// When `algorithm` lacks either: the engine serves nothing else.
+fn served(algorithm: &dyn SelectionAlgorithm) -> (&dyn IndependentTerms, &dyn ScoreKernel) {
+    match (algorithm.independent_terms(), algorithm.score_kernel()) {
+        (Some(form), Some(kernel)) => (form, kernel),
+        _ => panic!(
+            "{} is not served: an engine needs a closed form and a score kernel",
+            algorithm.name()
+        ),
+    }
+}
+
 /// A query-serving engine over a frozen catalog.
 pub struct SelectionEngine {
     catalog: Arc<Catalog>,
     algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>,
     config: AdaptiveConfig,
     /// Tabulated posterior moments of `algorithm` over `catalog`.
-    moments: Option<Arc<MomentTable>>,
+    moments: Arc<MomentTable>,
 }
 
 impl SelectionEngine {
-    /// Build an engine for `algorithm` under `config` over `catalog`. An
-    /// `Adaptive` engine of a closed-form algorithm tabulates its posterior
-    /// moments here, once (≈ 0.16 ms per database); to share a table
-    /// between engines, use [`with_table`](Self::with_table).
+    /// Build an engine for `algorithm` under `config` over `catalog`,
+    /// tabulating its posterior moments here, once (≈ 0.16 ms per
+    /// database); to share a table between engines, use
+    /// [`with_table`](Self::with_table).
+    ///
+    /// # Panics
+    ///
+    /// As [`with_table`](Self::with_table).
     pub fn new(
         catalog: Arc<Catalog>,
         algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>,
         config: AdaptiveConfig,
     ) -> Self {
-        let form = match config.mode {
-            ShrinkageMode::Adaptive => algorithm.independent_terms(),
-            _ => None,
-        };
+        let (form, _) = served(algorithm.as_ref());
         let grid_points = config.uncertainty.grid_points;
-        let table =
-            form.map(|f| Arc::new(MomentTable::build(&catalog, &[f], grid_points).remove(0)));
-        SelectionEngine::with_table(catalog, algorithm, config, table)
+        let table = MomentTable::build(&catalog, &[form], grid_points).remove(0);
+        SelectionEngine::with_table(catalog, algorithm, config, Arc::new(table))
     }
 
-    /// [`new`](Self::new) with the moment table supplied ([`MomentTable::build`]
-    /// for this catalog, algorithm and grid resolution) or withheld. A table
-    /// changes no decision — a row is the fold of the very grid the
-    /// untabulated path builds — only its cost.
+    /// [`new`](Self::new) with the moment table supplied:
+    /// [`MomentTable::build`] for this catalog, algorithm and grid
+    /// resolution.
+    ///
+    /// # Panics
+    ///
+    /// When `algorithm` has no closed form or no score kernel, or when its
+    /// databases do not all fold one way (no `MomentTable::uniform`
+    /// combination over a non-empty catalog).
     pub fn with_table(
         catalog: Arc<Catalog>,
         algorithm: Arc<dyn SelectionAlgorithm + Send + Sync>,
         config: AdaptiveConfig,
-        moments: Option<Arc<MomentTable>>,
+        moments: Arc<MomentTable>,
     ) -> Self {
+        served(algorithm.as_ref());
+        assert!(
+            catalog.is_empty() || moments.uniform().is_some(),
+            "{}'s databases do not fold one way",
+            algorithm.name()
+        );
         SelectionEngine {
             catalog,
             algorithm,
@@ -325,9 +355,9 @@ impl SelectionEngine {
 
     /// Rank databases for one query — [`route_topk`](Self::route_topk)
     /// with no cut-off. Bit-identical to [`selection::adaptive_rank`] over
-    /// the catalog's summary pairs with the same `rng`.
-    pub fn route<R: Rng + ?Sized>(&self, query: &[TermId], rng: &mut R) -> AdaptiveOutcome {
-        self.route_topk(query, usize::MAX, rng)
+    /// the catalog's summary pairs.
+    pub fn route(&self, query: &[TermId]) -> AdaptiveOutcome {
+        self.route_partition_topk(query, usize::MAX, None)
     }
 
     /// Plan `query`, choose the summaries, gather the shrunk rows and
@@ -339,21 +369,21 @@ impl SelectionEngine {
     /// algorithm's kernel reads `cf` ([`ScoreKernel::reads_cf`]); otherwise
     /// it is the unshrunk context the choice read, which the scores cannot
     /// tell apart.
-    pub(crate) fn choose_with_context<R: Rng + ?Sized>(
+    pub(crate) fn choose_with_context(
         &self,
         query: &[TermId],
-        rng: &mut R,
         planned: &mut Planned,
     ) -> (Vec<bool>, CollectionContext) {
         self.catalog.plan(query, &mut planned.plan);
         let unshrunk = self.catalog.planned_unshrunk_context(&planned.plan);
         let used_shrinkage = self.untested_choice(query).unwrap_or_else(|| {
-            self.choose_tested(query, &planned.plan, &unshrunk, rng, &mut planned.columns)
+            self.choose_tested(query, &planned.plan, &unshrunk, &mut planned.columns)
         });
         self.gather_planned(query, &used_shrinkage, planned);
-        let ctx = match self.algorithm.score_kernel() {
-            Some(kernel) if !kernel.reads_cf() => unshrunk,
-            _ => self.catalog.planned_scoring_context(
+        let (_, kernel) = served(self.algorithm.as_ref());
+        let ctx = match kernel.reads_cf() {
+            false => unshrunk,
+            true => self.catalog.planned_scoring_context(
                 &planned.plan,
                 &used_shrinkage,
                 &planned.shrunk,
@@ -373,19 +403,21 @@ impl SelectionEngine {
 
     /// The Content Summary Selection phase alone: decide, per database,
     /// whether scoring uses the shrunk summary, against the catalog's
-    /// unshrunk context. `rng` is drawn from only for algorithms without
-    /// [`IndependentTerms`].
+    /// unshrunk context.
+    ///
+    /// `_rng` is never read; it stays until the benchmark, which calls
+    /// this (`benchmark/src/layers.rs`), drops it (ROADMAP item 1b).
     pub fn choose_summaries<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
-        rng: &mut R,
+        _rng: &mut R,
         scratch: &mut RouteScratch,
     ) -> Vec<bool> {
         let Planned { plan, columns, .. } = &mut scratch.planned;
         self.catalog.plan(query, plan);
         self.untested_choice(query).unwrap_or_else(|| {
             let ctx = self.catalog.planned_unshrunk_context(plan);
-            self.choose_tested(query, plan, &ctx, rng, columns)
+            self.choose_tested(query, plan, &ctx, columns)
         })
     }
 
@@ -406,44 +438,20 @@ impl SelectionEngine {
     }
 
     /// The Fig. 3 test for every database, against the unshrunk context
-    /// `ctx`.
-    fn choose_tested<R: Rng + ?Sized>(
+    /// `ctx`: [`Self::fold_tabulated`], then the algorithm's threshold per
+    /// database. An empty catalog decides nothing.
+    fn choose_tested(
         &self,
         query: &[TermId],
         plan: &QueryPlan,
         ctx: &CollectionContext,
-        rng: &mut R,
         columns: &mut ChooseColumns,
     ) -> Vec<bool> {
-        // The tabulated path reads zeros for unsampled words and the `p_tf`
-        // slab, and folds every database one way (`MomentTable::uniform`:
-        // none for an empty catalog).
-        let tabulated = match (self.algorithm.independent_terms(), self.moments.as_deref()) {
-            (Some(form), Some(table)) => table.uniform().map(|combine| (form, table, combine)),
-            _ => None,
+        let Some(combine) = self.moments.uniform() else {
+            return Vec::new();
         };
-        match tabulated {
-            Some((form, table, combine)) => {
-                self.choose_tabulated(query, plan, ctx, form, table, combine, columns)
-            }
-            None => self.choose_from_grids(query, ctx, rng),
-        }
-    }
-
-    /// The closed form over tabulated moments: [`Self::fold_tabulated`],
-    /// then the algorithm's threshold per database.
-    #[allow(clippy::too_many_arguments)]
-    fn choose_tabulated(
-        &self,
-        query: &[TermId],
-        plan: &QueryPlan,
-        ctx: &CollectionContext,
-        form: &dyn IndependentTerms,
-        table: &MomentTable,
-        combine: Combine,
-        columns: &mut ChooseColumns,
-    ) -> Vec<bool> {
-        self.fold_tabulated(query, plan, ctx, form, table, combine, columns);
+        let table = &*self.moments;
+        self.fold_tabulated(query, plan, ctx, combine, columns);
         let algorithm = self.algorithm.as_ref();
         (0..self.catalog.len())
             .map(|db| {
@@ -461,17 +469,16 @@ impl SelectionEngine {
     /// Each database sees the operations
     /// [`selection::closed_form_distribution`] applies to it, in the same
     /// order, so every evidence distribution is the library's, bit for bit.
-    #[allow(clippy::too_many_arguments)]
     fn fold_tabulated(
         &self,
         query: &[TermId],
         plan: &QueryPlan,
         ctx: &CollectionContext,
-        form: &dyn IndependentTerms,
-        table: &MomentTable,
         combine: Combine,
         columns: &mut ChooseColumns,
     ) {
+        let (form, _) = served(self.algorithm.as_ref());
+        let table = &*self.moments;
         columns.reset(table, self.catalog.len());
         for k in 0..query.len() {
             columns.seed(table);
@@ -493,77 +500,13 @@ impl SelectionEngine {
         }
     }
 
-    /// The untabulated path: the library test on fresh grids — Monte-Carlo
-    /// for algorithms without a closed form, every database in catalog
-    /// order against the one `rng` (the stream `adaptive_rank` consumes).
-    fn choose_from_grids<R: Rng + ?Sized>(
-        &self,
-        query: &[TermId],
-        ctx: &CollectionContext,
-        rng: &mut R,
-    ) -> Vec<bool> {
-        let (algorithm, config) = (self.algorithm.as_ref(), &self.config);
-        (0..self.catalog.len())
-            .map(|db| {
-                let s = self.catalog.unshrunk(db);
-                let sample = (s.sample_size(), self.catalog.gamma(db));
-                let sample_df = |w| s.sample_df(w);
-                score_is_uncertain_for_sample(
-                    algorithm, query, s, sample, sample_df, ctx, config, rng,
-                )
-            })
-            .collect()
-    }
-
-    /// The Scoring + Ranking phase through the per-view scorer, over the
-    /// posting-list candidates among `members` (every database when
-    /// `None`) — what [`Self::score_planned`] falls back to without a
-    /// kernel.
-    fn rank_partition(
-        &self,
-        query: &[TermId],
-        ctx: &CollectionContext,
-        used_shrinkage: &[bool],
-        members: Option<&[u32]>,
-        candidates: &[bool],
-    ) -> Vec<RankedDatabase> {
-        // Shrunk views are computed on demand; hold them while ranking.
-        let shrunk: Vec<_> = used_shrinkage
-            .iter()
-            .enumerate()
-            .map(|(db, &used)| used.then(|| self.catalog.shrunk(db)))
-            .collect();
-        let item = |index: usize| {
-            let view: &dyn SummaryView = if let Some(view) = &shrunk[index] {
-                view
-            } else if candidates[index] {
-                self.catalog.unshrunk(index)
-            } else {
-                return None;
-            };
-            Some(IndexedView { index, view })
-        };
-        let algorithm = self.algorithm.as_ref();
-        match members {
-            None => {
-                let items = (0..self.catalog.len()).filter_map(item);
-                rank_databases_with_context(algorithm, query, items, ctx)
-            }
-            Some(members) => {
-                let items = members.iter().filter_map(|&db| item(db as usize));
-                rank_databases_with_context(algorithm, query, items, ctx)
-            }
-        }
-    }
-
     /// Rank only the top `k` databases for one query. **Bit-identical**
     /// (`f64::to_bits`) to the first `k` entries of
-    /// [`selection::adaptive_rank`]'s ranking, for every algorithm,
-    /// shrinkage mode, seed, and `k` — the non-negotiable guardrail of the
-    /// pruned path.
+    /// [`selection::adaptive_rank`]'s ranking, for every served algorithm,
+    /// shrinkage mode and `k` — the non-negotiable guardrail of the pruned
+    /// path.
     ///
-    /// When the algorithm exposes a [`selection::ScoreKernel`], scoring
-    /// runs through the batch kernels with maxscore-style early
+    /// Scoring runs through the batch kernels with maxscore-style early
     /// termination: a bounded heap tracks the best `k` scores seen, and any
     /// database whose per-term score upper bound falls strictly below the
     /// heap's worst kept score is skipped without being scored. Skipping is
@@ -578,13 +521,16 @@ impl SelectionEngine {
     /// Buffers come from this thread's recycled scratch: after a thread's
     /// first request the only allocations are the ones returned (the
     /// choices, the ranking) and a handful of query-length vectors.
+    ///
+    /// `_rng` is never read; it stays until the benchmark, which calls
+    /// this (`benchmark/src/layers.rs`), drops it (ROADMAP item 1b).
     pub fn route_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         k: usize,
-        rng: &mut R,
+        _rng: &mut R,
     ) -> AdaptiveOutcome {
-        self.route_partition_topk(query, k, None, rng)
+        self.route_partition_topk(query, k, None)
     }
 
     /// [`route_topk`](Self::route_topk) scoring only `members` (ascending
@@ -595,15 +541,14 @@ impl SelectionEngine {
     /// the full ranking, bit for bit, and `used_shrinkage` covers every
     /// database: partial rankings of disjoint member lists merge
     /// ([`selection::merge::merge_rankings`]) into the full ranking.
-    pub fn route_partition_topk<R: Rng + ?Sized>(
+    pub fn route_partition_topk(
         &self,
         query: &[TermId],
         k: usize,
         members: Option<&[u32]>,
-        rng: &mut R,
     ) -> AdaptiveOutcome {
         with_scratch(|RouteScratch { planned, buffers }| {
-            let (used_shrinkage, ctx) = self.choose_with_context(query, rng, planned);
+            let (used_shrinkage, ctx) = self.choose_with_context(query, planned);
             let ranking =
                 self.score_planned(query, k, &ctx, &used_shrinkage, members, planned, buffers);
             AdaptiveOutcome {
@@ -642,8 +587,8 @@ impl SelectionEngine {
     /// Score `members` (every database when `None`) against what
     /// [`Self::choose_with_context`] left in `planned`.
     ///
-    /// Falls back to scoring every listed database (then truncating) when
-    /// the algorithm has no kernel or the query is empty. Otherwise:
+    /// An empty query ranks nothing: every served algorithm scores it at
+    /// its default, which the ranker drops. Otherwise:
     ///
     /// 1. the gathered rows of the databases scored with their *shrunk*
     ///    summary are batch-scored — no pruning, but no per-entry
@@ -666,7 +611,7 @@ impl SelectionEngine {
         let n = self.catalog.len();
         debug_assert_eq!(used_shrinkage.len(), n);
         let listed = members.map_or(n, <[u32]>::len);
-        if k == 0 || listed == 0 {
+        if k == 0 || listed == 0 || query.is_empty() {
             return Vec::new();
         }
         let Planned {
@@ -675,14 +620,7 @@ impl SelectionEngine {
             candidates,
             ..
         } = planned;
-        let kernel = match self.algorithm.score_kernel() {
-            Some(kernel) if !query.is_empty() => kernel,
-            _ => {
-                let mut full = self.rank_partition(query, ctx, used_shrinkage, members, candidates);
-                full.truncate(k);
-                return full;
-            }
-        };
+        let (_, kernel) = served(self.algorithm.as_ref());
         let qlen = query.len();
         let space = kernel.space();
         let bound = |k| {
@@ -830,19 +768,13 @@ impl SelectionEngine {
         heap.into_sorted()
     }
 
-    /// Route a batch of queries over `threads` worker threads. Query `i`
-    /// is handed `db_rng(base_seed, i)` (drawn from only by algorithms
-    /// without a closed form), so the output is independent of `threads`
-    /// and of how queries are distributed over workers. Workers
-    /// take contiguous chunks of the batch (one dispatch per worker, not
-    /// per query), which keeps scheduling overhead off the per-query path.
-    pub fn route_batch(
-        &self,
-        queries: &[Vec<TermId>],
-        base_seed: u64,
-        threads: usize,
-    ) -> Vec<AdaptiveOutcome> {
-        self.route_batch_observed(queries, base_seed, threads, |_, _| {})
+    /// Route a batch of queries over `threads` worker threads; the output
+    /// is independent of `threads` and of how queries are distributed over
+    /// workers. Workers take contiguous chunks of the batch (one dispatch
+    /// per worker, not per query), which keeps scheduling overhead off the
+    /// per-query path.
+    pub fn route_batch(&self, queries: &[Vec<TermId>], threads: usize) -> Vec<AdaptiveOutcome> {
+        self.route_batch_observed(queries, threads, |_, _| {})
     }
 
     /// [`route_batch`](Self::route_batch) with a per-query observer:
@@ -853,13 +785,12 @@ impl SelectionEngine {
     pub fn route_batch_observed(
         &self,
         queries: &[Vec<TermId>],
-        base_seed: u64,
         threads: usize,
         observe: impl Fn(usize, std::time::Duration) + Sync,
     ) -> Vec<AdaptiveOutcome> {
         fan_out_chunks(queries.len(), threads, |qi| {
             let started = Instant::now();
-            let outcome = self.route(&queries[qi], &mut db_rng(base_seed, qi));
+            let outcome = self.route(&queries[qi]);
             observe(qi, started.elapsed());
             outcome
         })
@@ -871,17 +802,24 @@ mod tests {
     use super::*;
     use crate::catalog::{Catalog, CatalogEntry};
     use crate::test_support::{entry, hierarchical, sampled_summary, shrunk_for};
-    use dbselect_core::summary::{ContentSummary, WordStats};
+    use dbselect_core::summary::{ContentSummary, SummaryView, WordStats};
     use dbselect_core::uncertainty::WordPosterior;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use selection::{adaptive_rank, evidence_distribution, BGloss, Cori, Lm, Sampled, SummaryPair};
+    use selection::{
+        adaptive_rank, evidence_distribution, rank_databases, BGloss, Cori, Lm, SummaryPair,
+    };
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn bgloss() -> Arc<dyn SelectionAlgorithm + Send + Sync> {
         Arc::new(BGloss)
+    }
+
+    /// An RNG for `adaptive_rank`, which served algorithms never draw from.
+    fn rng(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
     }
 
     /// A small mixed testbed: well-sampled small databases, poorly sampled
@@ -926,13 +864,10 @@ mod tests {
             .collect();
         let catalog = Arc::new(Catalog::build(entries.clone()));
         let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
-        // The three served algorithms, plus one without a closed form: the
-        // engine must then consume `adaptive_rank`'s Monte-Carlo stream.
-        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 4] = [
+        let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
             Arc::new(BGloss),
             Arc::new(Cori::default()),
             Arc::new(Lm::new(0.5, &global)),
-            Arc::new(Sampled(Arc::new(Cori::default()))),
         ];
         for algorithm in algorithms {
             for mode in [
@@ -944,26 +879,12 @@ mod tests {
                     mode,
                     ..Default::default()
                 };
-                let tabulated =
+                let engine =
                     SelectionEngine::new(Arc::clone(&catalog), Arc::clone(&algorithm), config);
-                let untabulated = SelectionEngine::with_table(
-                    Arc::clone(&catalog),
-                    Arc::clone(&algorithm),
-                    config,
-                    None,
-                );
-                for (qi, query) in queries().iter().enumerate() {
-                    let reference = adaptive_rank(
-                        algorithm.as_ref(),
-                        query,
-                        &pairs,
-                        &config,
-                        &mut db_rng(7, qi),
-                    );
-                    for engine in [&untabulated, &tabulated] {
-                        let routed = engine.route(query, &mut db_rng(7, qi));
-                        assert_same_outcome(&reference, &routed);
-                    }
+                for query in queries() {
+                    let reference =
+                        adaptive_rank(algorithm.as_ref(), &query, &pairs, &config, &mut rng(7));
+                    assert_same_outcome(&reference, &engine.route(&query));
                 }
             }
         }
@@ -1027,18 +948,13 @@ mod tests {
                 };
                 let engine =
                     SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
-                for (qi, query) in queries.iter().enumerate() {
-                    let mut reference = adaptive_rank(
-                        algorithm.as_ref(),
-                        query,
-                        &pairs,
-                        &config,
-                        &mut db_rng(7, qi),
-                    );
+                for query in queries.iter() {
+                    let mut reference =
+                        adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut rng(7));
                     let full = reference.ranking.clone();
                     for k in 1..=catalog.len() + 1 {
                         reference.ranking = full[..k.min(full.len())].to_vec();
-                        let routed = engine.route_topk(query, k, &mut db_rng(7, qi));
+                        let routed = engine.route_topk(query, k, &mut rng(7));
                         assert_same_outcome(&reference, &routed);
                     }
                 }
@@ -1046,8 +962,8 @@ mod tests {
         }
     }
 
-    /// Satellite (d): the served algorithms decide without drawing — an RNG
-    /// handed to the engine comes back in its initial state.
+    /// The served algorithms decide without drawing — an RNG handed to the
+    /// engine comes back in its initial state.
     #[test]
     fn served_algorithms_leave_the_rng_untouched() {
         let catalog = Arc::new(Catalog::build(entries()));
@@ -1058,27 +974,20 @@ mod tests {
             Arc::new(Lm::new(0.5, &global)),
         ];
         for algorithm in algorithms {
-            for tabulate in [false, true] {
-                let (catalog, config) = (Arc::clone(&catalog), AdaptiveConfig::default());
-                let engine = match tabulate {
-                    true => SelectionEngine::new(catalog, Arc::clone(&algorithm), config),
-                    false => {
-                        SelectionEngine::with_table(catalog, Arc::clone(&algorithm), config, None)
-                    }
-                };
-                let mut rng = StdRng::seed_from_u64(5);
-                for query in queries() {
-                    engine.route_topk(&query, 2, &mut rng);
-                    engine.choose_summaries(&query, &mut rng, &mut RouteScratch::default());
-                }
-                assert_eq!(rng, StdRng::seed_from_u64(5), "{}", algorithm.name());
+            let config = AdaptiveConfig::default();
+            let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(&algorithm), config);
+            let mut rng = StdRng::seed_from_u64(5);
+            for query in queries() {
+                engine.route_topk(&query, 2, &mut rng);
+                engine.choose_summaries(&query, &mut rng, &mut RouteScratch::default());
             }
+            assert_eq!(rng, StdRng::seed_from_u64(5), "{}", algorithm.name());
         }
     }
 
-    /// Satellite: degenerate catalogs route to defined answers through the
-    /// tabulated path — identical to `adaptive_rank`, never a panic, and
-    /// non-finite statistics keep `Ŝ(D)`.
+    /// Degenerate catalogs route to defined answers — identical to
+    /// `adaptive_rank` in every mode and at every `k`, choices and ranking
+    /// bits alike, never a panic — and non-finite statistics keep `Ŝ(D)`.
     #[test]
     fn degenerate_catalogs_route_like_adaptive_rank() {
         let mut nan_gamma = sampled_summary(700.0, 40, &[(1, 4)]);
@@ -1116,24 +1025,47 @@ mod tests {
                 .collect();
             let catalog = Arc::new(Catalog::build(catalog_entries.clone()));
             for algorithm in &algorithms {
-                let config = AdaptiveConfig::default();
-                let engine =
-                    SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
-                for query in queries {
-                    let mut rng = StdRng::seed_from_u64(3);
-                    let routed =
-                        engine.choose_summaries(query, &mut rng, &mut RouteScratch::default());
-                    let reference =
-                        adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut rng);
-                    assert_eq!(
-                        routed,
-                        reference.used_shrinkage,
-                        "{} {query:?}",
-                        algorithm.name()
-                    );
-                    // NaN sizes poison every moment: those databases keep Ŝ(D).
-                    if let Some(&nan_size) = routed.get(3) {
-                        assert!(!nan_size, "{} {query:?}", algorithm.name());
+                for mode in [
+                    ShrinkageMode::Adaptive,
+                    ShrinkageMode::Always,
+                    ShrinkageMode::Never,
+                ] {
+                    let config = AdaptiveConfig {
+                        mode,
+                        ..Default::default()
+                    };
+                    let engine =
+                        SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
+                    for query in queries {
+                        let mut rng = StdRng::seed_from_u64(3);
+                        let mut reference =
+                            adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut rng);
+                        let chosen =
+                            engine.choose_summaries(query, &mut rng, &mut RouteScratch::default());
+                        assert_eq!(chosen, reference.used_shrinkage, "{query:?}");
+                        // NaN sizes poison every moment: those databases keep Ŝ(D).
+                        if mode == ShrinkageMode::Adaptive {
+                            if let Some(&nan_size) = chosen.get(3) {
+                                assert!(!nan_size, "{} {query:?}", algorithm.name());
+                            }
+                        }
+                        if mode == ShrinkageMode::Always {
+                            // The catalog's frozen `R̂(D)` of "infinite-size"
+                            // is finite where the `ShrunkSummary` mixture is
+                            // NaN, so `Always` ranks the catalog's own shrunk
+                            // summaries, as `adaptive_rank` ranks its pairs.
+                            let views: Vec<_> =
+                                (0..catalog.len()).map(|db| catalog.shrunk(db)).collect();
+                            let views: Vec<&dyn SummaryView> =
+                                views.iter().map(|v| v as &dyn SummaryView).collect();
+                            reference.ranking = rank_databases(algorithm.as_ref(), query, &views);
+                        }
+                        let full = reference.ranking.clone();
+                        for k in [1, catalog.len(), usize::MAX] {
+                            reference.ranking = full[..k.min(full.len())].to_vec();
+                            let routed = engine.route_topk(query, k, &mut rng);
+                            assert_same_outcome(&reference, &routed);
+                        }
                     }
                 }
             }
@@ -1145,11 +1077,10 @@ mod tests {
         let catalog = Arc::new(Catalog::build(entries()));
         let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
         let queries = queries();
-        let batched = engine.route_batch(&queries, 99, 4);
+        let batched = engine.route_batch(&queries, 4);
         assert_eq!(batched.len(), queries.len());
-        for (qi, (query, out)) in queries.iter().zip(&batched).enumerate() {
-            let solo = engine.route(query, &mut db_rng(99, qi));
-            assert_same_outcome(&solo, out);
+        for (query, out) in queries.iter().zip(&batched) {
+            assert_same_outcome(&engine.route(query), out);
         }
     }
 
@@ -1159,7 +1090,7 @@ mod tests {
         let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
         let queries = queries();
         let seen: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
-        engine.route_batch_observed(&queries, 1, 3, |qi, _elapsed| {
+        engine.route_batch_observed(&queries, 3, |qi, _elapsed| {
             seen[qi].store(true, Ordering::Relaxed);
         });
         assert!(seen.iter().all(|s| s.load(Ordering::Relaxed)));
@@ -1172,7 +1103,6 @@ mod tests {
         /// of the worker-thread count.
         #[test]
         fn thread_count_never_changes_engine_output(
-            base_seed in 0u64..1_000_000,
             db_sizes in proptest::collection::vec(100.0f64..50_000.0, 1..5),
         ) {
             let entries: Vec<CatalogEntry> = db_sizes
@@ -1192,8 +1122,8 @@ mod tests {
             let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
             let queries: Vec<Vec<TermId>> =
                 vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![4, 4, 2]];
-            let single = engine.route_batch(&queries, base_seed, 1);
-            let parallel = engine.route_batch(&queries, base_seed, 8);
+            let single = engine.route_batch(&queries, 1);
+            let parallel = engine.route_batch(&queries, 8);
             prop_assert_eq!(single.len(), parallel.len());
             for (a, b) in single.iter().zip(&parallel) {
                 prop_assert_eq!(&a.used_shrinkage, &b.used_shrinkage);
@@ -1244,11 +1174,11 @@ mod tests {
                     let config = AdaptiveConfig { mode, ..Default::default() };
                     let engine =
                         SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
-                    for (qi, query) in queries.iter().enumerate() {
+                    for query in queries.iter() {
                         let full =
-                            adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut db_rng(seed, qi));
+                            adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut rng(seed));
                         for k in [1, 3, usize::MAX] {
-                            let pruned = engine.route_topk(query, k, &mut db_rng(seed, qi));
+                            let pruned = engine.route_topk(query, k, &mut rng(seed));
                             prop_assert_eq!(&pruned.used_shrinkage, &full.used_shrinkage);
                             let want = &full.ranking[..k.min(full.ranking.len())];
                             prop_assert_eq!(pruned.ranking.len(), want.len());
@@ -1309,15 +1239,15 @@ mod tests {
             for algorithm in &algorithms {
                 let config = AdaptiveConfig::default();
                 let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
-                let (form, table) = (algorithm.independent_terms().unwrap(), engine.moments.as_deref().unwrap());
-                for (qi, query) in queries.iter().enumerate() {
+                let table = &*engine.moments;
+                for query in queries.iter() {
                     // The kernel's evidence is the library fold's on fresh
                     // grids, bit for bit, decided or not.
                     let mut planned = Planned::default();
                     catalog.plan(query, &mut planned.plan);
                     let ctx = catalog.planned_unshrunk_context(&planned.plan);
                     let combine = table.uniform().unwrap();
-                    engine.fold_tabulated(query, &planned.plan, &ctx, form, table, combine, &mut planned.columns);
+                    engine.fold_tabulated(query, &planned.plan, &ctx, combine, &mut planned.columns);
                     for db in 0..catalog.len() {
                         let s = catalog.unshrunk(db);
                         let grid = |&w: &TermId| {
@@ -1326,7 +1256,7 @@ mod tests {
                         };
                         let grids: Vec<WordPosterior> = query.iter().map(grid).collect();
                         let want = evidence_distribution(
-                            algorithm.as_ref(), query, s, &grids, &ctx, &config, &mut db_rng(seed, qi),
+                            algorithm.as_ref(), query, s, &grids, &ctx, &config, &mut rng(seed),
                         );
                         let got = planned.columns.evidence(table, db, query.len());
                         prop_assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "db {} {:?}", db, query);
@@ -1334,11 +1264,11 @@ mod tests {
                     }
 
                     let full =
-                        adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut db_rng(seed, qi));
+                        adaptive_rank(algorithm.as_ref(), query, &pairs, &config, &mut rng(seed));
                     let mut scratch = RouteScratch::default();
-                    let chosen = engine.choose_summaries(query, &mut db_rng(seed, qi), &mut scratch);
+                    let chosen = engine.choose_summaries(query, &mut rng(seed), &mut scratch);
                     prop_assert_eq!(&chosen, &full.used_shrinkage);
-                    let routed = engine.route(query, &mut db_rng(seed, qi));
+                    let routed = engine.route(query);
                     prop_assert_eq!(&routed.used_shrinkage, &full.used_shrinkage);
                     prop_assert_eq!(routed.ranking.len(), full.ranking.len());
                     for (x, y) in routed.ranking.iter().zip(&full.ranking) {
@@ -1396,19 +1326,19 @@ mod tests {
                 ] {
                     let config = AdaptiveConfig { mode, ..Default::default() };
                     let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(algorithm), config);
-                    for (qi, query) in queries.iter().enumerate() {
+                    for query in queries.iter() {
                         let full = adaptive_rank(
                             algorithm.as_ref(),
                             query,
                             &pairs,
                             &config,
-                            &mut db_rng(seed, qi),
+                            &mut rng(seed),
                         );
                         prop_assert!(
-                            engine.route_topk(query, 0, &mut db_rng(seed, qi)).ranking.is_empty()
+                            engine.route_topk(query, 0, &mut rng(seed)).ranking.is_empty()
                         );
                         for k in 1..=engine.catalog().len() + 1 {
-                            let pruned = engine.route_topk(query, k, &mut db_rng(seed, qi));
+                            let pruned = engine.route_topk(query, k, &mut rng(seed));
                             prop_assert_eq!(&pruned.used_shrinkage, &full.used_shrinkage);
                             let want = &full.ranking[..k.min(full.ranking.len())];
                             prop_assert_eq!(pruned.ranking.len(), want.len());

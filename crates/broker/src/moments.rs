@@ -236,10 +236,10 @@ impl MomentTable {
         self.combine[db]
     }
 
-    /// The combination every database shares, if they all share one
-    /// (the served forms' case; its `Product` scale is database 0's). The
-    /// engine tests a table without one — an empty catalog, or a form
-    /// mixing combinations — on fresh grids.
+    /// The combination every database shares (its `Product` scale is
+    /// database 0's): the served forms' case, and what an engine requires
+    /// of a non-empty catalog. `None` for an empty catalog, or a form
+    /// mixing combinations.
     pub(crate) fn uniform(&self) -> Option<Combine> {
         self.uniform
     }

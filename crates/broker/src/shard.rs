@@ -131,14 +131,17 @@ impl ShardedEngine {
     /// The scatter's threads ([`fan_out`] spawns them; none is the caller)
     /// share the caller's plan and shrunk rows and score on buffers of
     /// their own.
+    ///
+    /// `_rng` is never read; it stays until the benchmark, which calls
+    /// this (`benchmark/src/layers.rs`), drops it (ROADMAP item 1b).
     pub fn route_topk<R: Rng + ?Sized>(
         &self,
         query: &[TermId],
         k: usize,
-        rng: &mut R,
+        _rng: &mut R,
     ) -> AdaptiveOutcome {
         with_scratch(|RouteScratch { planned, .. }| {
-            let (used_shrinkage, ctx) = self.full.choose_with_context(query, rng, planned);
+            let (used_shrinkage, ctx) = self.full.choose_with_context(query, planned);
             let planned = &*planned;
             let per_shard = fan_out(self.shard_count(), self.threads, |s| {
                 let members = Some(self.plan.members[s].as_slice());
@@ -170,7 +173,8 @@ mod tests {
     use crate::catalog::{Catalog, CatalogEntry};
     use crate::test_support::{sampled_summary, shrunk_for};
     use proptest::prelude::*;
-    use sampling::scheduler::db_rng;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use selection::{
         AdaptiveConfig, BGloss, Cori, Lm, RankedDatabase, SelectionAlgorithm, ShrinkageMode,
     };
@@ -280,9 +284,10 @@ mod tests {
                 for shards in [1usize, 2, 4, 9, 16] {
                     let plan = Arc::new(ShardPlan::contiguous(catalog.len(), shards));
                     let sharded = ShardedEngine::new(Arc::clone(&full), plan, 4).unwrap();
-                    for (qi, query) in queries().iter().enumerate() {
-                        let mono = full.route(query, &mut db_rng(11, qi));
-                        let scat = sharded.route_topk(query, usize::MAX, &mut db_rng(11, qi));
+                    for query in queries().iter() {
+                        let mono = full.route(query);
+                        let scat =
+                            sharded.route_topk(query, usize::MAX, &mut StdRng::seed_from_u64(11));
                         assert_same_outcome(&mono, &scat);
                     }
                 }
@@ -315,20 +320,16 @@ mod tests {
                     config,
                 ));
                 let plan = ShardPlan::contiguous(catalog.len(), 3);
-                for (qi, query) in queries().iter().enumerate() {
-                    let mono = full.route(query, &mut db_rng(5, qi));
-                    // Each shard routed independently, each with its own
-                    // fresh RNG — exactly what N remote backends would do.
+                for query in queries().iter() {
+                    let mono = full.route(query);
+                    // Each shard routed independently — exactly what N
+                    // remote backends would do.
                     let per_shard: Vec<Vec<RankedDatabase>> = plan
                         .members()
                         .iter()
                         .map(|members| {
-                            let partial = full.route_partition_topk(
-                                query,
-                                usize::MAX,
-                                Some(members),
-                                &mut db_rng(5, qi),
-                            );
+                            let partial =
+                                full.route_partition_topk(query, usize::MAX, Some(members));
                             assert_eq!(
                                 partial.used_shrinkage, mono.used_shrinkage,
                                 "choose phase must be shard-invariant"
@@ -358,15 +359,14 @@ mod tests {
         // parallel across queries, each routed over the one block; the
         // blocks' batches merge query by query into the monolithic batch.
         let queries = queries();
-        let mono = full.route_batch(&queries, 77, 4);
+        let mono = full.route_batch(&queries, 4);
         let plan = ShardPlan::contiguous(catalog.len(), 4);
         let per_shard: Vec<Vec<AdaptiveOutcome>> = plan
             .members()
             .iter()
             .map(|members| {
                 sampling::scheduler::fan_out_chunks(queries.len(), 4, |qi| {
-                    let rng = &mut db_rng(77, qi);
-                    full.route_partition_topk(&queries[qi], usize::MAX, Some(members), rng)
+                    full.route_partition_topk(&queries[qi], usize::MAX, Some(members))
                 })
             })
             .collect();
@@ -394,7 +394,6 @@ mod tests {
             /// contiguous or not.
             #[test]
             fn any_partitioning_is_bit_identical(
-                seed in 0u64..1_000_000,
                 db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
                 assignments in proptest::collection::vec(0usize..5, 8),
             ) {
@@ -439,13 +438,12 @@ mod tests {
                             Arc::clone(&algorithm),
                             config,
     ));
-                        for (qi, query) in queries.iter().enumerate() {
-                            let mono = full.route(query, &mut db_rng(seed, qi));
+                        for query in queries.iter() {
+                            let mono = full.route(query);
                             let mut partials = Vec::new();
                             for list in &members {
-                                let rng = &mut db_rng(seed, qi);
                                 let partial =
-                                    full.route_partition_topk(query, usize::MAX, Some(list), rng);
+                                    full.route_partition_topk(query, usize::MAX, Some(list));
                                 prop_assert_eq!(&mono.used_shrinkage, &partial.used_shrinkage);
                                 partials.push(partial.ranking);
                             }
@@ -511,11 +509,11 @@ mod tests {
                         for shards in [1usize, 2, 4] {
                             let plan = Arc::new(ShardPlan::contiguous(catalog.len(), shards));
                             let sharded = ShardedEngine::new(Arc::clone(&full), plan, 2).unwrap();
-                            for (qi, query) in queries.iter().enumerate() {
-                                let mono = full.route(query, &mut db_rng(seed, qi));
+                            for query in queries.iter() {
+                                let mono = full.route(query);
                                 for k in 1..=catalog.len() + 1 {
                                     let want = &mono.ranking[..k.min(mono.ranking.len())];
-                                    let scat = sharded.route_topk(query, k, &mut db_rng(seed, qi));
+                                    let scat = sharded.route_topk(query, k, &mut StdRng::seed_from_u64(seed));
                                     prop_assert_eq!(&scat.used_shrinkage, &mono.used_shrinkage);
                                     prop_assert_eq!(scat.ranking.len(), want.len());
                                     for (x, y) in scat.ranking.iter().zip(want) {
@@ -529,8 +527,7 @@ mod tests {
                                             let block = contiguous_block(catalog.len(), s, shards);
                                             let members: Vec<u32> =
                                                 block.map(|db| db as u32).collect();
-                                            let rng = &mut db_rng(seed, qi);
-                                            full.route_partition_topk(query, k, Some(&members), rng)
+                                            full.route_partition_topk(query, k, Some(&members))
                                                 .ranking
                                         })
                                         .collect();

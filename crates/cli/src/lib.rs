@@ -12,18 +12,14 @@
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use broker::SelectionEngine;
 use dbselect_core::category_summary::CategoryWeighting;
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::summary::ContentSummary;
 use sampling::{profile_qbs_many, PipelineConfig, QbsConfig, RefreshScheduler};
-use selection::{AdaptiveConfig, BGloss, Cori, Lm, SelectionAlgorithm, ShrinkageMode};
+use selection::{AdaptiveOutcome, ShrinkageMode};
+use server::state::{Algo, ServingState};
 use store::catalog::StoredCatalog;
 use store::delta::ChainWriter;
 use store::refresh::RefreshSession;
@@ -208,89 +204,36 @@ pub fn build_store(specs: &[DbSpec], options: &IndexOptions) -> io::Result<Colle
     })
 }
 
-/// Which scoring algorithm `dbselect select` uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which scoring algorithm `dbselect select` and `dbselect route` use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CliAlgorithm {
-    /// bGlOSS.
-    BGloss,
-    /// CORI (default).
-    #[default]
-    Cori,
-    /// Language modelling.
-    Lm,
+    /// A summary-based algorithm, routed by the serving engines.
+    Served(Algo),
     /// ReDDE over the stored samples (no shrinkage; requires a store built
     /// by sampling, not `--full`).
     Redde,
+}
+
+impl Default for CliAlgorithm {
+    fn default() -> Self {
+        CliAlgorithm::Served(Algo::default())
+    }
 }
 
 impl CliAlgorithm {
     /// Parse a `--algo` value.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "bgloss" => Ok(CliAlgorithm::BGloss),
-            "cori" => Ok(CliAlgorithm::Cori),
-            "lm" => Ok(CliAlgorithm::Lm),
             "redde" => Ok(CliAlgorithm::Redde),
-            other => Err(format!(
-                "unknown algorithm `{other}` (bgloss|cori|lm|redde)"
-            )),
+            other => Algo::parse(other)
+                .map(CliAlgorithm::Served)
+                .map_err(|_| format!("unknown algorithm `{other}` (bgloss|cori|lm|redde)")),
         }
     }
 }
 
-/// Parse a `--shrinkage` value.
-pub fn parse_shrinkage(s: &str) -> Result<ShrinkageMode, String> {
-    match s {
-        "adaptive" => Ok(ShrinkageMode::Adaptive),
-        "always" => Ok(ShrinkageMode::Always),
-        "never" => Ok(ShrinkageMode::Never),
-        other => Err(format!(
-            "unknown shrinkage mode `{other}` (adaptive|always|never)"
-        )),
-    }
-}
-
-/// Tokenize query words against a dictionary, deduplicating and
-/// collecting words the profiler never saw.
-fn analyze_query(
-    dict: &TermDict,
-    analyzer: &Analyzer,
-    query_words: &[String],
-) -> (Vec<u32>, Vec<String>) {
-    let mut query = Vec::new();
-    let mut unknown = Vec::new();
-    for word in query_words {
-        match analyzer.analyze_term(word).and_then(|t| dict.lookup(&t)) {
-            Some(id) if !query.contains(&id) => query.push(id),
-            Some(_) => {}
-            None => unknown.push(word.clone()),
-        }
-    }
-    (query, unknown)
-}
-
-/// Instantiate a summary-based scorer (everything but ReDDE).
-fn build_algorithm(
-    store: &CollectionStore,
-    algo: CliAlgorithm,
-) -> Arc<dyn SelectionAlgorithm + Send + Sync> {
-    match algo {
-        CliAlgorithm::BGloss => Arc::new(BGloss),
-        CliAlgorithm::Cori => Arc::new(Cori::default()),
-        CliAlgorithm::Lm => Arc::new(Lm::new(0.5, &store.root_summary(CategoryWeighting::BySize))),
-        CliAlgorithm::Redde => unreachable!("ReDDE is not summary-based"),
-    }
-}
-
-/// Render one routed ranking (top `k`) into `out` from columnar name /
-/// category tables (the snapshot's layout).
-fn render_ranking_columns(
-    out: &mut String,
-    names: &[String],
-    categories: &[String],
-    outcome: &selection::AdaptiveOutcome,
-    k: usize,
-) {
+/// Render one routed ranking (top `k`) into `out`.
+fn render_ranking(out: &mut String, state: &ServingState, outcome: &AdaptiveOutcome, k: usize) {
     for r in outcome.ranking.iter().take(k) {
         let marker = if outcome.used_shrinkage[r.index] {
             " [shrunk]"
@@ -300,35 +243,9 @@ fn render_ranking_columns(
         let _ = writeln!(
             out,
             "  {:<20} {:>12.6}  ({}){marker}",
-            names[r.index], r.score, categories[r.index],
-        );
-    }
-    if outcome.ranking.is_empty() {
-        let _ = writeln!(out, "  (no database has evidence for this query)");
-    }
-}
-
-/// Render one routed ranking (top `k`) into `out`, resolving names and
-/// categories through the store.
-fn render_ranking(
-    out: &mut String,
-    store: &CollectionStore,
-    outcome: &selection::AdaptiveOutcome,
-    k: usize,
-) {
-    for r in outcome.ranking.iter().take(k) {
-        let db = &store.databases[r.index];
-        let marker = if outcome.used_shrinkage[r.index] {
-            " [shrunk]"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "  {:<20} {:>12.6}  ({}){marker}",
-            db.name,
+            state.name(r.index),
             r.score,
-            store.hierarchy.full_name(db.classification),
+            state.category_path(r.index),
         );
     }
     if outcome.ranking.is_empty() {
@@ -338,16 +255,20 @@ fn render_ranking(
 
 /// `dbselect select`: rank databases for a query. Returns the rendered
 /// report.
+///
+/// One-shot serving: the store is frozen as `dbselect freeze` does and the
+/// query routed through the [`ServingState`] a daemon would serve from it.
 pub fn select(
     store: &CollectionStore,
     query_words: &[String],
     algo: CliAlgorithm,
     shrinkage: ShrinkageMode,
     k: usize,
-    seed: u64,
 ) -> String {
-    let analyzer = Analyzer::english();
-    let (query, unknown) = analyze_query(&store.dict, &analyzer, query_words);
+    let frozen = StoredCatalog::freeze(store.clone(), CategoryWeighting::BySize);
+    let snapshot = ServingSnapshot::from_stored(&frozen);
+    let state = ServingState::from_snapshot(snapshot, String::new(), 0);
+    let (query, unknown) = state.analyze(query_words);
     let mut out = String::new();
     if !unknown.is_empty() {
         let _ = writeln!(
@@ -359,32 +280,18 @@ pub fn select(
         let _ = writeln!(out, "no usable query words; nothing selected");
         return out;
     }
-
-    if algo == CliAlgorithm::Redde {
-        return select_redde(store, &query, k, out);
-    }
-
-    // One-shot serving: freeze the store as `dbselect freeze` does and
-    // route through the broker engine, on the catalog a daemon would serve
-    // (bit-identical to scoring every summary directly).
-    let frozen = StoredCatalog::freeze(store.clone(), CategoryWeighting::BySize);
-    let catalog = Arc::new(frozen.to_catalog());
-    let algorithm = build_algorithm(store, algo);
-    let config = AdaptiveConfig {
-        mode: shrinkage,
-        ..Default::default()
+    let algo = match algo {
+        CliAlgorithm::Served(algo) => algo,
+        CliAlgorithm::Redde => return select_redde(store, &query, k, out),
     };
-    // One query: folding its few posterior grids beats tabulating them all.
-    let engine = SelectionEngine::with_table(catalog, Arc::clone(&algorithm), config, None);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let outcome = engine.route(&query, &mut rng);
-
+    let engine = state.engine(algo, shrinkage);
+    let outcome = engine.route(&query);
     let _ = writeln!(
         out,
         "top databases ({} scoring, {shrinkage:?} shrinkage):",
-        algorithm.name()
+        engine.algorithm().name()
     );
-    render_ranking(&mut out, store, &outcome, k);
+    render_ranking(&mut out, &state, &outcome, k);
     out
 }
 
@@ -398,8 +305,6 @@ pub struct RouteOptions {
     pub shrinkage: ShrinkageMode,
     /// Databases reported per query.
     pub k: usize,
-    /// Base seed; query `i` draws from an RNG derived from `(seed, i)`.
-    pub seed: u64,
     /// Worker threads (results are thread-count independent).
     pub threads: usize,
 }
@@ -411,42 +316,24 @@ impl Default for RouteOptions {
             algo: CliAlgorithm::default(),
             shrinkage: ShrinkageMode::Adaptive,
             k: 5,
-            seed: 42,
             threads,
         }
     }
 }
 
 /// `dbselect route`: serve a batch of queries (one per line) against a
-/// serving snapshot (v4, or a v1 catalog already migrated through
-/// [`ServingSnapshot::load_any`]). The shrunk summaries come factored
-/// from the snapshot — no EM, no mixing at load; a shrunk value is
-/// computed when a query reads it. Returns the rendered report.
-pub fn route(snapshot: &ServingSnapshot, query_lines: &[String], options: &RouteOptions) -> String {
+/// loaded serving state ([`ServingState::load`]: a v4 snapshot, a v1
+/// catalog, or a delta chain). Returns the rendered report.
+pub fn route(state: &ServingState, query_lines: &[String], options: &RouteOptions) -> String {
     let mut out = String::new();
-    if options.algo == CliAlgorithm::Redde {
+    let CliAlgorithm::Served(algo) = options.algo else {
         let _ = writeln!(
             out,
             "ReDDE needs raw samples; use `dbselect select` on a store"
         );
         return out;
-    }
-    let analyzer = Analyzer::english();
-    let catalog = Arc::new(snapshot.catalog.clone());
-    let algorithm: Arc<dyn SelectionAlgorithm + Send + Sync> = match options.algo {
-        CliAlgorithm::BGloss => Arc::new(BGloss),
-        CliAlgorithm::Cori => Arc::new(Cori::default()),
-        CliAlgorithm::Lm => Arc::new(Lm::from_global_map(
-            0.5,
-            snapshot.lm_global.iter().copied().collect(),
-        )),
-        CliAlgorithm::Redde => unreachable!("ReDDE is not summary-based"),
     };
-    let config = AdaptiveConfig {
-        mode: options.shrinkage,
-        ..Default::default()
-    };
-    let engine = SelectionEngine::new(Arc::clone(&catalog), Arc::clone(&algorithm), config);
+    let engine = state.engine(algo, options.shrinkage);
 
     // Tokenize every line up front so the batch can be routed in parallel.
     let parsed: Vec<(String, Vec<u32>, Vec<String>)> = query_lines
@@ -454,14 +341,14 @@ pub fn route(snapshot: &ServingSnapshot, query_lines: &[String], options: &Route
         .filter(|line| !line.trim().is_empty())
         .map(|line| {
             let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-            let (query, unknown) = analyze_query(&snapshot.dict, &analyzer, &words);
+            let (query, unknown) = state.analyze(&words);
             (line.trim().to_string(), query, unknown)
         })
         .collect();
     let queries: Vec<Vec<u32>> = parsed.iter().map(|(_, q, _)| q.clone()).collect();
     let latencies = server::metrics::Histogram::latency();
     let started = Instant::now();
-    let outcomes = engine.route_batch_observed(&queries, options.seed, options.threads, |_, d| {
+    let outcomes = engine.route_batch_observed(&queries, options.threads, |_, d| {
         latencies.observe(d.as_nanos() as u64);
     });
     let wall = started.elapsed();
@@ -470,8 +357,8 @@ pub fn route(snapshot: &ServingSnapshot, query_lines: &[String], options: &Route
         out,
         "routing {} queries over {} databases ({} scoring, {:?} shrinkage, {} threads)",
         parsed.len(),
-        catalog.len(),
-        algorithm.name(),
+        state.databases(),
+        engine.algorithm().name(),
         options.shrinkage,
         options.threads,
     );
@@ -484,13 +371,7 @@ pub fn route(snapshot: &ServingSnapshot, query_lines: &[String], options: &Route
             let _ = writeln!(out, "  (no usable query words)");
             continue;
         }
-        render_ranking_columns(
-            &mut out,
-            catalog.names(),
-            &snapshot.categories,
-            outcome,
-            options.k,
-        );
+        render_ranking(&mut out, state, outcome, options.k);
     }
     // Per-query latency summary (the daemon's histogram type, so the CLI
     // and `/metrics` report percentiles the same way). This line varies
@@ -905,10 +786,9 @@ mod tests {
         let report = select(
             &store,
             &["hypertension".into(), "blood".into()],
-            CliAlgorithm::Cori,
+            CliAlgorithm::Served(Algo::Cori),
             ShrinkageMode::Adaptive,
             5,
-            1,
         );
         let heart_pos = report.find("heart-db").expect("heart-db selected");
         assert!(report.find("soccer-db").is_none_or(|p| p > heart_pos));
@@ -967,7 +847,8 @@ mod tests {
             .unwrap()
             .save(&v2_path)
             .unwrap();
-        let frozen = ServingSnapshot::load_any(&v2_path).unwrap();
+        let load = |path: &Path| ServingState::load(path.to_str().unwrap(), 0).unwrap();
+        let frozen = load(&v2_path);
 
         let lines = vec![
             "heart blood pressure".to_string(),
@@ -1020,7 +901,7 @@ mod tests {
 
         // The legacy v1 catalog file routes identically to its migrated
         // v4 snapshot.
-        let from_v1 = ServingSnapshot::load_any(&path).unwrap();
+        let from_v1 = load(&path);
         let v1_report = route(&from_v1, &lines, &options);
         assert_eq!(strip(&report, "2 threads"), strip(&v1_report, "2 threads"));
 
@@ -1067,10 +948,10 @@ mod tests {
         assert_eq!(store::delta::chain_tip_generation(&chain).unwrap(), 2);
 
         // The replayed chain routes the drifted vocabulary to heart-db.
-        let loaded = store::delta::load_chain(&chain).unwrap();
-        assert_eq!(loaded.generation, 2);
+        let loaded = ServingState::load(chain.to_str().unwrap(), 0).unwrap();
+        assert_eq!(loaded.catalog_generation(), 2);
         let report = route(
-            &loaded.snapshot,
+            &loaded,
             &["arrhythmia electrocardiogram".to_string()],
             &RouteOptions {
                 threads: 1,
@@ -1192,6 +1073,68 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// `select` on a store and `route` on its frozen snapshot print the
+    /// same ranking lines for every served algorithm and shrinkage mode,
+    /// on a fully read store and on a sampled one.
+    #[test]
+    fn select_ranks_like_route_on_the_frozen_snapshot() {
+        let root = temp_root("select-route");
+        write_corpus(&root);
+        let ranking_lines = |report: &str| -> Vec<String> {
+            let lines = report.lines().filter(|l| l.starts_with("  "));
+            let lines = lines.filter(|l| !l.contains("note:"));
+            lines.map(str::to_string).collect()
+        };
+        let queries = [
+            "heart blood pressure",
+            "soccer goal",
+            "heart goal xylophone",
+        ];
+        for full in [true, false] {
+            let options = IndexOptions {
+                sample_size: 3,
+                full,
+                seed: 7,
+                threads: 1,
+            };
+            let store = build_store(&specs(&root), &options).unwrap();
+            let frozen = StoredCatalog::freeze(store.clone(), CategoryWeighting::BySize);
+            let state = ServingState::from_snapshot(
+                ServingSnapshot::from_stored(&frozen),
+                String::new(),
+                0,
+            );
+            for algo in Algo::all().map(CliAlgorithm::Served) {
+                for shrinkage in [
+                    ShrinkageMode::Adaptive,
+                    ShrinkageMode::Always,
+                    ShrinkageMode::Never,
+                ] {
+                    for line in queries {
+                        let words: Vec<String> =
+                            line.split_whitespace().map(str::to_string).collect();
+                        let selected = select(&store, &words, algo, shrinkage, 5);
+                        let options = RouteOptions {
+                            algo,
+                            shrinkage,
+                            k: 5,
+                            threads: 1,
+                        };
+                        let routed = route(&state, &[line.to_string()], &options);
+                        let want = ranking_lines(&routed);
+                        assert!(!want.is_empty(), "{routed}");
+                        assert_eq!(
+                            ranking_lines(&selected),
+                            want,
+                            "{algo:?} {shrinkage:?} {line:?} full={full}"
+                        );
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn unknown_words_are_reported_not_fatal() {
         let root = temp_root("unknown");
@@ -1207,10 +1150,9 @@ mod tests {
         let report = select(
             &store,
             &["xylophone".into()],
-            CliAlgorithm::BGloss,
+            CliAlgorithm::Served(Algo::BGloss),
             ShrinkageMode::Never,
             5,
-            1,
         );
         assert!(report.contains("dropping words"));
         std::fs::remove_dir_all(&root).ok();

@@ -17,11 +17,12 @@
 //! ```
 
 use cli::{
-    build_store, inspect, parse_shrinkage, refresh, route, select, CliAlgorithm, DbSpec,
-    IndexOptions, RefreshOptions, RouteOptions,
+    build_store, inspect, refresh, route, select, CliAlgorithm, DbSpec, IndexOptions,
+    RefreshOptions, RouteOptions,
 };
 use dbselect_core::category_summary::CategoryWeighting;
 use selection::ShrinkageMode;
+use server::state::{parse_shrinkage, ServingState};
 use store::catalog::StoredCatalog;
 use store::snapshot::ServingSnapshot;
 use store::CollectionStore;
@@ -187,7 +188,6 @@ fn cmd_select(args: &[String]) -> Result<(), String> {
     let mut algo = CliAlgorithm::default();
     let mut shrinkage = ShrinkageMode::Adaptive;
     let mut k = 5usize;
-    let mut seed = 42u64;
     let mut words = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -200,11 +200,7 @@ fn cmd_select(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "-k expects an integer".to_string())?;
             }
-            "--seed" => {
-                seed = next_value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
+            "--seed" => parse_seed(&mut it)?,
             word => words.push(word.to_string()),
         }
     }
@@ -213,7 +209,7 @@ fn cmd_select(args: &[String]) -> Result<(), String> {
         return Err("select requires at least one query word".into());
     }
     let store = CollectionStore::load(&store_path).map_err(|e| e.to_string())?;
-    print!("{}", select(&store, &words, algo, shrinkage, k, seed));
+    print!("{}", select(&store, &words, algo, shrinkage, k));
     Ok(())
 }
 
@@ -370,11 +366,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| format!("{arg} expects an integer"))?;
             }
-            "--seed" => {
-                options.seed = next_value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
+            "--seed" => parse_seed(&mut it)?,
             "--threads" => {
                 options.threads = next_value(&mut it, "--threads")?
                     .parse()
@@ -385,14 +377,13 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     }
     let catalog_path = catalog_path.ok_or("route requires --catalog CATALOG")?;
     let queries_path = queries_path.ok_or("route requires --queries FILE")?;
-    let frozen =
-        ServingSnapshot::load_any(&catalog_path).map_err(|e| format!("{catalog_path}: {e}"))?;
+    let state = ServingState::load(&catalog_path, 0).map_err(|e| format!("{catalog_path}: {e}"))?;
     let lines: Vec<String> = std::fs::read_to_string(&queries_path)
         .map_err(|e| format!("{queries_path}: {e}"))?
         .lines()
         .map(str::to_string)
         .collect();
-    print!("{}", route(&frozen, &lines, &options));
+    print!("{}", route(&state, &lines, &options));
     Ok(())
 }
 
@@ -582,4 +573,13 @@ fn next_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<Strin
     it.next()
         .cloned()
         .ok_or_else(|| format!("missing value for {flag}"))
+}
+
+/// Check the `--seed` value of `select` and `route`, which routing accepts
+/// and ignores: the engines draw no random numbers.
+fn parse_seed(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
+    let seed = next_value(it, "--seed")?;
+    seed.parse::<u64>()
+        .map(drop)
+        .map_err(|_| "--seed expects an integer".to_string())
 }

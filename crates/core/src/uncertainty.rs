@@ -27,10 +27,12 @@
 //! variance in closed form from three numbers per word ([`WordMoments`],
 //! folded by [`IndependentScore`]) — deterministic, no sampling.
 //!
-//! [`score_distribution`] — Monte-Carlo sampling of combinations until the
-//! running moments stabilize — remains as the estimator for algorithms that
-//! declare no such form, and as the reference the closed form is tested
-//! against.
+//! Every algorithm the system serves (bGlOSS, CORI, LM) has that form, and
+//! the serving engine decides by it alone. [`score_distribution`] —
+//! Monte-Carlo sampling of combinations until the running moments
+//! stabilize — remains as the reference the closed form is tested against:
+//! `selection::adaptive_rank` takes it for an algorithm that declares no
+//! form (`selection::Sampled`, the Monte-Carlo column of Table 10).
 
 use rand::Rng;
 

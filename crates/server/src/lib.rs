@@ -46,9 +46,9 @@
 //! `broker::SelectionEngine::route`, and scores are serialized with
 //! shortest-roundtrip `f64` formatting ([`json`]): routing responses are
 //! written straight into the body (`write_ranking`), never through a
-//! [`json::Json`] tree. The `seed` and `index` request fields still seed
-//! `db_rng(seed, index)`, but the uncertainty test is closed-form and no
-//! served algorithm draws from it: they no longer influence rankings.
+//! [`json::Json`] tree. The engines decide by the closed-form uncertainty
+//! test and draw no random numbers, so the `seed` and `index` request
+//! fields are validated and otherwise ignored.
 
 pub mod client;
 pub mod http;
@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use sampling::scheduler::{db_rng, fan_out_chunks};
+use sampling::scheduler::fan_out_chunks;
 use selection::ShrinkageMode;
 
 use crate::http::{serialize_response, Limits, Request, Response};
@@ -796,7 +796,6 @@ fn handle_metrics(shared: &Shared) -> Response {
 pub(crate) struct RouteParams {
     pub(crate) algo: Algo,
     pub(crate) mode: ShrinkageMode,
-    pub(crate) seed: u64,
     pub(crate) k: usize,
 }
 
@@ -811,12 +810,13 @@ pub(crate) fn parse_route_params(body: &Json) -> Result<RouteParams, Response> {
         Some((_, Some(name))) => parse_shrinkage(name).map_err(|e| Response::error(400, &e))?,
         Some((_, None)) => return Err(Response::error(400, "`shrinkage` must be a string")),
     };
-    let seed = match body.get("seed") {
-        None => 42,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| Response::error(400, "`seed` must be a non-negative integer"))?,
-    };
+    // Accepted for compatibility; no engine draws from a seed.
+    if body.get("seed").is_some_and(|v| v.as_u64().is_none()) {
+        return Err(Response::error(
+            400,
+            "`seed` must be a non-negative integer",
+        ));
+    }
     // `k` drives the engines' pruned top-k path, not just response
     // truncation; `k: 0` is rejected rather than silently coerced into
     // "no results" (almost always a client bug).
@@ -827,12 +827,7 @@ pub(crate) fn parse_route_params(body: &Json) -> Result<RouteParams, Response> {
             _ => return Err(Response::error(400, "`k` must be a positive integer")),
         },
     };
-    Ok(RouteParams {
-        algo,
-        mode,
-        seed,
-        k,
-    })
+    Ok(RouteParams { algo, mode, k })
 }
 
 /// A query is either a string (split on whitespace) or an array of words,
@@ -1036,10 +1031,8 @@ pub(crate) fn open_body(generation: u64, shard: Option<Shard>) -> (String, Lead)
     (out, Lead::Index)
 }
 
-/// Route query `index` of a request on `state`, with the RNG `db_rng(seed,
-/// index)` the CLI hands the same query (so results match it for every
-/// thread count). `k` reaches the engines' pruned top-k path — truncation
-/// is not a serialization detail.
+/// Route one query of a request on `state`. `k` reaches the engines'
+/// pruned top-k path — truncation is not a serialization detail.
 ///
 /// With `members` (a [`Shard`] request) only those databases are scored,
 /// to their local top `k`, but the choose phase and scoring context are
@@ -1050,11 +1043,9 @@ fn route_query(
     params: &RouteParams,
     members: Option<&[u32]>,
     query: &[textindex::TermId],
-    index: usize,
 ) -> selection::AdaptiveOutcome {
     let engine = state.engine(params.algo, params.mode);
-    let rng = &mut db_rng(params.seed, index);
-    engine.route_partition_topk(query, params.k, members, rng)
+    engine.route_partition_topk(query, params.k, members)
 }
 
 /// Feed an `Adaptive` request's summary choices into the live Table 10.
@@ -1101,15 +1092,10 @@ fn handle_route(
         Ok(words) => words,
         Err(e) => return Response::error(400, &e),
     };
-    // `index` lets a client reproduce query i of a CLI batch; the CLI's
-    // single-query case is index 0.
-    let index = match body.get("index") {
-        None => 0,
-        Some(v) => match v.as_u64() {
-            Some(i) => i as usize,
-            None => return Response::error(400, "`index` must be a non-negative integer"),
-        },
-    };
+    // Accepted for compatibility, like `seed`: no engine reads it.
+    if body.get("index").is_some_and(|v| v.as_u64().is_none()) {
+        return Response::error(400, "`index` must be a non-negative integer");
+    }
     let shard = match Shard::parse(&body) {
         Ok(shard) => shard,
         Err(response) => return response,
@@ -1122,7 +1108,7 @@ fn handle_route(
         return Response::error(504, "deadline exceeded");
     }
     let members = shard.map(|s| s.members(&state));
-    let outcome = route_query(&state, &params, members.as_deref(), &query, index);
+    let outcome = route_query(&state, &params, members.as_deref(), &query);
     record_choices(shared, &params, &outcome);
 
     let (mut body, lead) = open_body(generation, shard);
@@ -1188,7 +1174,7 @@ fn handle_route_batch(
             expired.store(true, Ordering::Relaxed);
             return None;
         }
-        Some(route_query(&state, &params, members, &queries[qi], qi))
+        Some(route_query(&state, &params, members, &queries[qi]))
     });
     if expired.load(Ordering::Relaxed) {
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);

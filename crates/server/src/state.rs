@@ -3,9 +3,10 @@
 //! A [`ServingState`] freezes everything a request needs: the serving
 //! snapshot's sidecar tables (term dictionary, category paths, LM's
 //! global model), the columnar broker [`Catalog`], one
-//! [`SelectionEngine`] per (algorithm, shrinkage mode) pair, and the
-//! [`MomentTable`]s the `Adaptive` engines' uncertainty test reads (built
-//! here, once per generation, off the request path). States are shared as
+//! [`SelectionEngine`] per (algorithm, shrinkage mode) pair, and one
+//! [`MomentTable`] per algorithm, which its three engines share and its
+//! `Adaptive` engine's uncertainty test reads (built here, once per
+//! generation, off the request path). States are shared as
 //! `Arc<ServingState>`; `/admin/reload` builds a fresh state off to the
 //! side and swaps the `Arc` — in-flight requests keep routing against the
 //! generation they started with, so a swap never fails them.
@@ -15,9 +16,10 @@
 //! [`StoredCatalog`] files still load through the freeze path via
 //! [`ServingSnapshot::load_any`].
 //!
-//! Query analysis (stemming, dictionary lookup, deduplication) mirrors
-//! `dbselect route` exactly, so a query served over HTTP ranks
-//! bit-identically to the same query routed from a file.
+//! `dbselect route` and `dbselect select` route through a state too, with
+//! its [`ServingState::analyze`] and [`ServingState::engine`], so a query
+//! served over HTTP ranks bit-identically to the same query routed from
+//! the command line.
 
 use std::collections::HashMap;
 use std::io;
@@ -161,24 +163,22 @@ impl ServingState {
         // One pass over the full catalog's posterior grids. Derived, never
         // persisted: CORI's rows depend on `mcw`, which every refresh moves.
         let config = AdaptiveConfig::default();
+        // All three have a form; `SelectionEngine::with_table` refuses any
+        // algorithm without one.
         let forms: Vec<_> = algorithms
             .iter()
-            .map(|a| {
-                a.independent_terms()
-                    .expect("served algorithms are closed-form")
-            })
+            .filter_map(|a| a.independent_terms())
             .collect();
         let tables = MomentTable::build(&catalog, &forms, config.uncertainty.grid_points);
         let mut engines = Vec::with_capacity(9);
         for (algorithm, table) in algorithms.iter().zip(tables) {
             let table = Arc::new(table);
             for mode in MODES {
-                let table = (mode == ShrinkageMode::Adaptive).then(|| Arc::clone(&table));
                 engines.push(Arc::new(SelectionEngine::with_table(
                     Arc::clone(&catalog),
                     Arc::clone(algorithm),
                     AdaptiveConfig { mode, ..config },
-                    table,
+                    Arc::clone(&table),
                 )));
             }
         }
@@ -326,8 +326,7 @@ impl ServingState {
     }
 
     /// Tokenize query words against the dictionary, deduplicating and
-    /// collecting words profiling never saw — the exact analysis
-    /// `dbselect route` applies.
+    /// collecting words profiling never saw.
     pub fn analyze(&self, words: &[String]) -> (Vec<TermId>, Vec<String>) {
         let mut query = Vec::new();
         let mut unknown = Vec::new();

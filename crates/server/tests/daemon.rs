@@ -16,7 +16,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use common::{fixture_catalog, start, temp_path};
-use sampling::scheduler::db_rng;
 use server::json::Json;
 use server::state::{Algo, ServingState, MODES};
 use server::ServerConfig;
@@ -108,18 +107,15 @@ fn parse_ranking(ranking: &Json) -> Vec<(String, u64, bool)> {
         .collect()
 }
 
-/// The in-process expectation for query `index` of a batch.
+/// The in-process expectation for a query.
 fn expected_ranking(
     state: &ServingState,
     words: &[String],
     algo: Algo,
     mode: selection::ShrinkageMode,
-    seed: u64,
-    index: usize,
 ) -> Vec<(String, u64, bool)> {
     let (query, _) = state.analyze(words);
-    let mut rng = db_rng(seed, index);
-    let outcome = state.engine(algo, mode).route(&query, &mut rng);
+    let outcome = state.engine(algo, mode).route(&query);
     outcome
         .ranking
         .iter()
@@ -172,13 +168,48 @@ fn route_is_bit_identical_for_every_algo_and_mode() {
                 assert_eq!(status, 200, "{algo_name}/{mode_name}: {response}");
                 let parsed = Json::parse(&response).expect("response JSON");
                 let served = parse_ranking(parsed.get("ranking").unwrap());
-                let expected = expected_ranking(&reference, &words(line), algo, mode, seed, 0);
+                let expected = expected_ranking(&reference, &words(line), algo, mode);
                 assert_eq!(
                     served, expected,
                     "HTTP ranking diverged for {algo_name}/{mode_name} on {line:?}"
                 );
             }
         }
+    }
+    shutdown(addr, handle);
+}
+
+/// `seed` and `index` are accepted and change nothing: for every
+/// algorithm × shrinkage mode, `/route` bodies are byte-identical across
+/// seeds and indices (and without either), while a negative `seed` or
+/// `index` is still a 400.
+#[test]
+fn seed_and_index_leave_route_bodies_unchanged() {
+    let (addr, handle) = start(
+        ServerConfig::default(),
+        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+    );
+    let queries = ["heart blood surgery", "stock market yield goal", ""];
+    for algo in ["bgloss", "cori", "lm"] {
+        for mode in ["adaptive", "always", "never"] {
+            for line in queries {
+                let request = format!(r#""query":"{line}","algo":"{algo}","shrinkage":"{mode}""#);
+                let (status, _, bare) = post(addr, "/route", &format!("{{{request}}}"));
+                assert_eq!(status, 200, "{bare}");
+                for (seed, index) in [(0, 0), (42, 0), (7, 3), (123_456_789, 1_000_000)] {
+                    let body = format!(r#"{{{request},"seed":{seed},"index":{index}}}"#);
+                    let (status, _, served) = post(addr, "/route", &body);
+                    assert_eq!(status, 200, "{served}");
+                    assert_eq!(served, bare, "{algo}/{mode} seed {seed} index {index}");
+                }
+            }
+        }
+    }
+    for field in ["seed", "index"] {
+        let body = format!(r#"{{"query":"heart","{field}":-1}}"#);
+        let (status, _, response) = post(addr, "/route", &body);
+        assert_eq!(status, 400, "{field}: {response}");
+        assert!(response.contains(field), "{response}");
     }
     shutdown(addr, handle);
 }
@@ -278,8 +309,6 @@ fn route_batch_matches_per_query_routing_and_is_thread_invariant() {
             &words(line),
             Algo::Cori,
             selection::ShrinkageMode::Adaptive,
-            7,
-            qi,
         );
         assert_eq!(served, expected, "batch query {qi} ({line:?}) diverged");
     }
@@ -491,16 +520,12 @@ fn reload_swaps_catalogs_without_failing_inflight_requests() {
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
     let expect_b = expected_ranking(
         &ref_b,
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
     assert_ne!(
         expect_a, expect_b,
@@ -938,11 +963,11 @@ fn raw_requests_draw_the_expected_status_line_and_body() {
         ServingState::from_frozen(frozen, "mem".into(), 0),
     );
 
-    let routed = |line: &str, algo: Algo, seed: u64, index: usize, k: usize| {
+    let routed = |line: &str, algo: Algo, k: usize| {
         let (query, unknown) = reference.analyze(&words(line));
         let outcome = reference
             .engine(algo, selection::ShrinkageMode::Adaptive)
-            .route(&query, &mut db_rng(seed, index));
+            .route(&query);
         let entry = |(at, r): (usize, &selection::RankedDatabase)| {
             Json::obj(vec![
                 ("rank".to_string(), Json::Num((at + 1) as f64)),
@@ -974,13 +999,12 @@ fn raw_requests_draw_the_expected_status_line_and_body() {
 
     let route_body = r#"{"query":"heart blood surgery","algo":"lm","seed":7}"#;
     let mut route_expected = vec![generation.clone()];
-    route_expected.extend(routed("heart blood surgery", Algo::Lm, 7, 0, usize::MAX));
+    route_expected.extend(routed("heart blood surgery", Algo::Lm, usize::MAX));
 
     let batch_body = r#"{"queries":["soccer goal","stock market yield"],"algo":"cori","k":4}"#;
     let results = ["soccer goal", "stock market yield"]
         .iter()
-        .enumerate()
-        .map(|(qi, line)| Json::obj(routed(line, Algo::Cori, 42, qi, 4)))
+        .map(|line| Json::obj(routed(line, Algo::Cori, 4)))
         .collect();
     let batch_expected = vec![generation, ("results".to_string(), Json::Arr(results))];
 
@@ -1125,8 +1149,6 @@ fn failed_reloads_answer_4xx_and_keep_serving_the_old_generation() {
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
 
     let state = ServingState::load(path.to_str().unwrap(), 0).unwrap();

@@ -19,7 +19,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use common::{fixture_catalog, start_tenants, temp_path};
-use sampling::scheduler::db_rng;
 use selection::RankedDatabase;
 use server::json::Json;
 use server::state::{Algo, ServingState, MODES};
@@ -80,18 +79,15 @@ fn parse_ranking(ranking: &Json) -> Vec<(String, u64, bool)> {
         .collect()
 }
 
-/// The in-process expectation for query `index` of a batch.
+/// The in-process expectation for a query.
 fn expected_ranking(
     state: &ServingState,
     words: &[String],
     algo: Algo,
     mode: selection::ShrinkageMode,
-    seed: u64,
-    index: usize,
 ) -> Vec<(String, u64, bool)> {
     let (query, _) = state.analyze(words);
-    let mut rng = db_rng(seed, index);
-    let outcome = state.engine(algo, mode).route(&query, &mut rng);
+    let outcome = state.engine(algo, mode).route(&query);
     outcome
         .ranking
         .iter()
@@ -134,16 +130,12 @@ fn tenant_paths_route_against_their_own_catalog() {
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
     let expect_beta = expected_ranking(
         &ref_beta,
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
     assert_ne!(expect_alpha, expect_beta, "fixtures must rank differently");
 
@@ -264,7 +256,7 @@ fn sharded_serving_is_bit_identical_over_http() {
             ("never", MODES[2]),
         ] {
             for (index, line) in queries.iter().enumerate() {
-                let expect = expected_ranking(&reference, &words(line), algo, mode, 42, index);
+                let expect = expected_ranking(&reference, &words(line), algo, mode);
                 let body = format!(
                     r#""query":"{line}","algo":"{algo_name}","shrinkage":"{mode_name}","index":{index}"#
                 );
@@ -293,7 +285,7 @@ fn sharded_serving_is_bit_identical_over_http() {
                         results[index].get("ranking").unwrap()
                     })
                     .collect();
-                let expect = expected_ranking(&reference, &words(query), algo, mode, 42, index);
+                let expect = expected_ranking(&reference, &words(query), algo, mode);
                 assert_eq!(
                     merged_ranking(&partials),
                     expect,
@@ -320,8 +312,6 @@ fn reloading_one_tenant_never_fails_the_other() {
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
 
     let tenants = vec![
@@ -527,8 +517,6 @@ fn k_truncates_the_served_ranking_only() {
         &words(line),
         Algo::Cori,
         selection::ShrinkageMode::Adaptive,
-        42,
-        0,
     );
     assert!(full.len() > 2, "fixture must rank more than 2 databases");
 

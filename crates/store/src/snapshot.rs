@@ -984,7 +984,7 @@ mod tests {
                         Arc::clone(&catalog),
                         algorithm,
                         AdaptiveConfig::default(),
-                        Some(table),
+                        table,
                     );
                     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
                     let _ = engine.choose_summaries(&query, &mut rng, &mut RouteScratch::default());

@@ -69,6 +69,9 @@ grep 'dbselect freeze --catalog' "$WORK/v3.err"
 printf 'heart blood\n' > "$WORK/queries.txt"
 "$DBSELECT" route --catalog "$WORK/col.catalog" --queries "$WORK/queries.txt" \
     | tee "$WORK/cli.txt"
+# `select` freezes the store itself and routes the same query through the
+# same serving state.
+"$DBSELECT" select --store "$WORK/col.store" heart blood | tee "$WORK/select.txt"
 
 # One full smoke battery against a daemon serving on $1.
 smoke_pass() {
@@ -93,6 +96,7 @@ smoke_pass() {
         | tee "$WORK/http.json"
     echo
     python3 "$(dirname "$0")/smoke_diff.py" "$WORK/http.json" "$WORK/cli.txt"
+    python3 "$(dirname "$0")/smoke_diff.py" "$WORK/http.json" "$WORK/select.txt"
 
     # --- metrics respond and count the served request ---------------------
     curl -sf "http://$ADDR/metrics" > "$WORK/metrics1.txt"

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare a dbselectd /route response against `dbselect route` output.
+"""Compare a dbselectd /route response against `dbselect route` or
+`dbselect select` output.
 
 Usage: smoke_diff.py HTTP_JSON CLI_TEXT
 

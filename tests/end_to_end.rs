@@ -308,7 +308,6 @@ fn generated_testbed_served_values_match_their_recorded_digests() {
 #[test]
 fn generated_testbed_adaptive_decisions_match_their_recorded_digests() {
     use broker::SelectionEngine;
-    use sampling::scheduler::db_rng;
     use selection::{Cori, Lm, SelectionAlgorithm};
     use std::io::Write;
     use std::sync::Arc;
@@ -337,8 +336,8 @@ fn generated_testbed_adaptive_decisions_match_their_recorded_digests() {
             let engine =
                 SelectionEngine::new(Arc::clone(&catalog), algorithm, AdaptiveConfig::default());
             let mut digest = ChecksumWriter::new(std::io::sink());
-            for (qi, query) in queries.iter().enumerate() {
-                let outcome = engine.route(query, &mut db_rng(30, qi));
+            for query in &queries {
+                let outcome = engine.route(query);
                 let used: Vec<u8> = outcome
                     .used_shrinkage
                     .iter()
