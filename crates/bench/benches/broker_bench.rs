@@ -9,8 +9,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-use bench::experiment::{profile_collection, AlgoKind, HarnessConfig, ProfiledCollection};
-use broker::{Catalog, CatalogEntry, SelectionEngine};
+use bench::experiment::{
+    profile_collection, shrink_collection, AlgoKind, HarnessConfig, ProfiledCollection,
+};
+use broker::{Catalog, SelectionEngine};
 use corpus::{TestBed, TestBedConfig};
 use sampling::scheduler::db_rng;
 use sampling::{profile_qbs, PipelineConfig, SamplerKind};
@@ -25,18 +27,6 @@ fn fixture() -> (TestBed, ProfiledCollection) {
     let config = HarnessConfig::new(SamplerKind::Qbs, true, 30);
     let profiled = profile_collection(&mut bed, &config);
     (bed, profiled)
-}
-
-fn catalog_entries(bed: &TestBed, profiled: &ProfiledCollection) -> Vec<CatalogEntry> {
-    bed.databases
-        .iter()
-        .zip(profiled.summaries.iter().zip(&profiled.shrunk))
-        .map(|(tdb, (unshrunk, shrunk))| CatalogEntry {
-            name: tdb.name.clone(),
-            unshrunk: unshrunk.clone(),
-            shrunk: shrunk.clone(),
-        })
-        .collect()
 }
 
 fn bench_batch_route(c: &mut Criterion) {
@@ -87,7 +77,7 @@ fn bench_batch_route(c: &mut Criterion) {
 
 fn bench_catalog_build_vs_load(c: &mut Criterion) {
     let (bed, profiled) = fixture();
-    let entries = catalog_entries(&bed, &profiled);
+    let names: Vec<String> = bed.databases.iter().map(|d| d.name.clone()).collect();
 
     // A frozen catalog needs a real CollectionStore underneath.
     let mut rng = StdRng::seed_from_u64(40);
@@ -124,7 +114,7 @@ fn bench_catalog_build_vs_load(c: &mut Criterion) {
     eprintln!("[fixture] v2 {} bytes", v2_bytes.len());
     let mut group = c.benchmark_group("broker/catalog");
     group.bench_function("build_postings_from_summaries", |b| {
-        b.iter(|| Catalog::build(black_box(entries.clone())))
+        b.iter(|| profiled.catalog(black_box(&names)))
     });
     // The serving hot path: a v2 snapshot decodes straight into columnar
     // arrays — no shrunk-summary reassembly, no posting reconstruction.
@@ -136,21 +126,25 @@ fn bench_catalog_build_vs_load(c: &mut Criterion) {
 
 /// A serving-scale synthetic catalog: `n` databases over a 400-term
 /// vocabulary, ~24 terms each, so every query word posts in ~6% of the
-/// catalog. The testbed fixture (12 databases) is too small for top-k
+/// catalog, classified round-robin under the four leaves of a two-level
+/// hierarchy. The testbed fixture (12 databases) is too small for top-k
 /// pruning to have anything to skip; federated serving is exactly the
 /// regime where the catalog dwarfs `k`.
 fn synthetic_catalog(n: usize) -> (std::sync::Arc<Catalog>, Vec<Vec<TermId>>) {
-    use dbselect_core::category_summary::SummaryComponent;
-    use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
+    use dbselect_core::hierarchy::Hierarchy;
     use dbselect_core::summary::{ContentSummary, WordStats};
     use std::collections::{BTreeSet, HashMap};
 
     const VOCAB: u64 = 400;
-    let component = std::sync::Arc::new(SummaryComponent {
-        p_df: (0..VOCAB as u32).map(|t| (t, 0.01)).collect(),
-        p_tf: (0..VOCAB as u32).map(|t| (t, 0.003)).collect(),
-    });
-    let entries: Vec<CatalogEntry> = (0..n)
+    let mut hierarchy = Hierarchy::new("Root");
+    let leaves = [
+        "Arts/Music",
+        "Arts/Film",
+        "Science/Physics",
+        "Science/Biology",
+    ]
+    .map(|path| hierarchy.ensure_path(path));
+    let summaries: Vec<ContentSummary> = (0..n)
         .map(|i| {
             let db_size = 500.0 + (i as f64 * 37.0) % 90_000.0;
             let words: HashMap<TermId, WordStats> = (0..24u64)
@@ -171,19 +165,19 @@ fn synthetic_catalog(n: usize) -> (std::sync::Arc<Catalog>, Vec<Vec<TermId>>) {
                     )
                 })
                 .collect();
-            let unshrunk = ContentSummary::new(db_size, 100, words);
-            let shrunk = shrink(
-                &unshrunk,
-                &[std::sync::Arc::clone(&component)],
-                &ShrinkageConfig::default(),
-            );
-            CatalogEntry {
-                name: format!("db{i}"),
-                unshrunk,
-                shrunk,
-            }
+            ContentSummary::new(db_size, 100, words)
         })
         .collect();
+    let classifications = (0..n).map(|i| leaves[i % leaves.len()]).collect();
+    let config = HarnessConfig::new(SamplerKind::Qbs, true, 0);
+    let profiled = shrink_collection(
+        &hierarchy,
+        VOCAB as usize,
+        summaries,
+        classifications,
+        &config,
+    );
+    let names: Vec<String> = (0..n).map(|i| format!("db{i}")).collect();
     let queries: Vec<Vec<TermId>> = (0..20u64)
         .map(|q| {
             (0..4u64)
@@ -191,7 +185,7 @@ fn synthetic_catalog(n: usize) -> (std::sync::Arc<Catalog>, Vec<Vec<TermId>>) {
                 .collect()
         })
         .collect();
-    (std::sync::Arc::new(Catalog::build(entries)), queries)
+    (std::sync::Arc::new(profiled.catalog(&names)), queries)
 }
 
 /// Pruned top-k vs. full-ranking routing on the `/route` hot path, over a

@@ -2,15 +2,22 @@
 //! build (optionally frequency-estimated) summaries, classify, aggregate
 //! category summaries, shrink, and run the database selection strategies of
 //! the paper's evaluation.
+//!
+//! Every strategy but the hierarchical baseline and the Monte-Carlo
+//! reference routes over the catalog the daemon serves: the profiled
+//! collection is frozen by [`Catalog::freeze`], each `R̂(D)` factored over
+//! its category path, whose values equal the lazy [`ShrunkSummary`]s bit
+//! for bit.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use broker::{Catalog, CatalogEntry, SelectionEngine};
+use broker::{Catalog, ProfiledDb, SelectionEngine};
 use corpus::TestBed;
 use dbselect_core::category_summary::{CategorySummaries, CategoryWeighting};
+use dbselect_core::frozen::CategoryColumns;
 use dbselect_core::hierarchy::{CategoryId, Hierarchy};
 use dbselect_core::shrinkage::{shrink, ShrinkageConfig, ShrunkSummary};
 use dbselect_core::summary::ContentSummary;
@@ -90,6 +97,10 @@ pub struct ProfiledCollection {
     pub shrunk: Vec<ShrunkSummary>,
     /// Category aggregates (for the hierarchical baseline).
     pub category_summaries: CategorySummaries,
+    /// The same aggregates, term-major: what a frozen catalog mixes.
+    pub categories: Arc<CategoryColumns>,
+    /// Whether the components subtracted child overlap (Section 3.2).
+    pub subtract_overlap: bool,
     /// The Root category summary (the LM algorithm's global model `G`).
     pub root_summary: ContentSummary,
     /// The uniform word probability used for `C_0`.
@@ -97,20 +108,27 @@ pub struct ProfiledCollection {
 }
 
 impl ProfiledCollection {
-    /// Freeze into a broker [`Catalog`] (names supplied by the caller —
-    /// typically the test bed's database names).
+    /// Freeze into the broker [`Catalog`] serving builds (names supplied by
+    /// the caller — typically the test bed's database names). A catalog
+    /// mixes the components of Section 3.2, so a collection shrunk
+    /// without subtracting overlap is refused.
     pub fn catalog(&self, names: &[String]) -> Catalog {
         assert_eq!(names.len(), self.summaries.len());
-        let entries = names
-            .iter()
-            .zip(self.summaries.iter().zip(&self.shrunk))
-            .map(|(name, (unshrunk, shrunk))| CatalogEntry {
+        assert!(
+            self.subtract_overlap,
+            "a collection shrunk without subtracting overlap cannot be frozen into a catalog"
+        );
+        let dbs = (names.iter().zip(&self.summaries))
+            .zip(self.classifications.iter().zip(&self.shrunk))
+            .map(|((name, summary), (&category, shrunk))| ProfiledDb {
                 name: name.clone(),
-                unshrunk: unshrunk.clone(),
-                shrunk: shrunk.clone(),
-            })
-            .collect::<Vec<_>>();
-        Catalog::build(entries)
+                summary,
+                category,
+                lambdas: (shrunk.lambdas().to_vec(), shrunk.lambdas_tf().to_vec()),
+                basis: None,
+            });
+        Catalog::freeze(Arc::clone(&self.categories), self.uniform_p, dbs)
+            .expect("λs fitted over each database's category path")
     }
 }
 
@@ -199,6 +217,8 @@ pub fn shrink_collection(
         .zip(summaries.iter())
         .collect();
     let category_summaries = CategorySummaries::build(hierarchy, &refs, config.weighting);
+    let aggregates = category_summaries.aggregates();
+    let categories = CategoryColumns::new(hierarchy, aggregates, config.weighting);
     let uniform_p = 1.0 / vocabulary_size.max(1) as f64;
     let shrink_config = ShrinkageConfig {
         uniform_p,
@@ -224,6 +244,8 @@ pub fn shrink_collection(
         classifications,
         shrunk,
         category_summaries,
+        categories: Arc::new(categories),
+        subtract_overlap: config.subtract_overlap,
         root_summary,
         uniform_p,
     }

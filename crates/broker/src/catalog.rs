@@ -1,15 +1,18 @@
 //! The frozen routing catalog, in columnar serving form.
 //!
 //! Profiling and shrinkage produce, per database, a sample-based summary
-//! `Ŝ(D)`, a shrunk summary `R̂(D)`, and a fitted power-law exponent γ.
-//! [`Catalog::build`] freezes those into an immutable, query-serving form:
+//! `Ŝ(D)`, a category, the λs of its shrunk summary `R̂(D)` and a fitted
+//! power-law exponent γ. [`Catalog::freeze`] — the one constructor, for
+//! serving, refresh and the experiment harness alike — freezes those into
+//! an immutable, query-serving form:
 //!
 //! * every sample summary becomes a [`FrozenSummary`] — term-sorted
 //!   parallel arrays answering `p̂(w|D)` by binary search over contiguous
 //!   memory instead of hash-bucket chasing;
-//! * the shrunk summaries stay in factored form ([`ShrunkSummaries`]):
-//!   the category aggregates once per catalog, per database its λ pair,
-//!   and a value `p̂_R(w|D)` computed only when a request reads it;
+//! * every shrunk summary is factored over its category path
+//!   ([`ShrunkSummaries`]): the category aggregates once per catalog, per
+//!   database its category and λ pair, and a value `p̂_R(w|D)` computed
+//!   only when a request reads it;
 //! * the **summary-level inverted index** is stored CSR-style: one sorted
 //!   term-id array, an offsets array, and flat parallel slabs holding, for
 //!   every `(term, database)` pair whose unshrunk summary mentions the
@@ -29,21 +32,33 @@
 //! over the columnar catalog equal rankings over the source summaries,
 //! `f64::to_bits` for `f64::to_bits`.
 
-use dbselect_core::frozen::{FrozenSummary, MixScratch, OwnWord, ShrunkSummaries, ShrunkView};
-use dbselect_core::shrinkage::ShrunkSummary;
+use std::sync::Arc;
+
+use dbselect_core::frozen::{
+    Basis, CategoryColumns, FrozenSummary, MixScratch, OwnWord, ShrunkSummaries, ShrunkView,
+};
+use dbselect_core::hierarchy::CategoryId;
 use dbselect_core::summary::{ContentSummary, SummaryView};
 use selection::{CollectionContext, TermBound};
 use textindex::TermId;
 
-/// Everything [`Catalog::build`] needs per database.
+/// One profiled database, as [`Catalog::freeze`] takes it.
 #[derive(Debug, Clone)]
-pub struct CatalogEntry {
+pub struct ProfiledDb<'a> {
     /// Database name (for reports).
     pub name: String,
-    /// The sample-based summary `Ŝ(D)`.
-    pub unshrunk: ContentSummary,
-    /// The shrinkage-based summary `R̂(D)`: a mixture over `unshrunk`.
-    pub shrunk: ShrunkSummary,
+    /// The sample-based summary `Ŝ(D)`; its γ, or the generic −2, is
+    /// the database's.
+    pub summary: &'a ContentSummary,
+    /// The category the database is classified under: the leaf of the
+    /// path its `R̂(D)` mixes.
+    pub category: CategoryId,
+    /// `(λ_df, λ_tf)`: uniform first, the path's categories root first,
+    /// the database's own weight last.
+    pub lambdas: (Vec<f64>, Vec<f64>),
+    /// The sample the leaf remainder subtracts, when it is not `summary`
+    /// (a refreshed database keeps the one its λs were fitted against).
+    pub basis: Option<Arc<Basis>>,
 }
 
 /// An in-place replacement of one database's catalog columns — what a
@@ -620,40 +635,28 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Freeze a profiled collection whose shrunk summaries are arbitrary
-    /// lazy mixtures (their distinct components are held once each).
-    pub fn build(entries: impl IntoIterator<Item = CatalogEntry>) -> Self {
-        let entries: Vec<CatalogEntry> = entries.into_iter().collect();
-        let shrunk = ShrunkSummaries::from_mixtures(entries.iter().map(|e| &e.shrunk));
-        let gammas = entries
-            .iter()
-            .map(|e| e.unshrunk.gamma().unwrap_or(-2.0))
-            .collect();
-        let unshrunk = entries
-            .iter()
-            .map(|e| FrozenSummary::from_unshrunk(&e.unshrunk))
-            .collect();
-        let names = entries.into_iter().map(|e| e.name).collect();
-        Catalog::from_parts(names, unshrunk, shrunk, gammas)
-    }
-
-    /// A catalog over frozen sample summaries and their factored shrunk
-    /// summaries (per database, in catalog order): builds the posting
-    /// index and the derived columns.
-    pub fn from_parts(
-        names: Vec<String>,
-        unshrunk: Vec<FrozenSummary>,
-        shrunk: ShrunkSummaries,
-        gammas: Vec<f64>,
-    ) -> Self {
-        assert!(
-            unshrunk.len() == names.len()
-                && shrunk.len() == names.len()
-                && gammas.len() == names.len(),
-            "one name, summary pair and γ per database"
-        );
+    /// Freeze a profiled collection: each database's sample summary, and
+    /// its `R̂(D)` factored over `categories` — the uniform model
+    /// `uniform_p`, the edges of its category path, its leaf remainder and
+    /// its sample under its λs — then the posting index over the samples.
+    /// Fails when a category lies outside `categories` or λs do not cover
+    /// their path.
+    pub fn freeze<'a>(
+        categories: Arc<CategoryColumns>,
+        uniform_p: f64,
+        dbs: impl IntoIterator<Item = ProfiledDb<'a>>,
+    ) -> Result<Catalog, &'static str> {
+        let mut shrunk = ShrunkSummaries::new(uniform_p, categories);
+        let (mut names, mut unshrunk, mut gammas) = (Vec::new(), Vec::new(), Vec::new());
+        for db in dbs {
+            let own = FrozenSummary::from_unshrunk(db.summary);
+            shrunk.push(db.category, db.lambdas, &own, db.basis)?;
+            names.push(db.name);
+            gammas.push(db.summary.gamma().unwrap_or(-2.0));
+            unshrunk.push(own);
+        }
         let index = PostingIndex::build(&unshrunk);
-        Catalog::assemble(names, unshrunk, shrunk, gammas, index)
+        Ok(Catalog::assemble(names, unshrunk, shrunk, gammas, index))
     }
 
     /// The one place a catalog is put together: folds the derived
@@ -699,9 +702,11 @@ impl Catalog {
     /// only rows a touched database participates in
     /// ([`PostingIndex::update_dbs`]), and the catalog constants (`mcw`,
     /// `min_word_count`) are re-folded with the exact summation
-    /// [`Self::build`] uses. The result is bit-identical to a full build
-    /// over the updated state, at a cost proportional to the touched
-    /// vocabulary instead of the catalog; the category columns are shared.
+    /// [`Self::freeze`] uses. The result is bit-identical to a full freeze
+    /// of the updated state (each touched database's leaf remainder
+    /// subtracting the sample it replaced), at a cost proportional to the
+    /// touched vocabulary instead of the catalog; the category columns are
+    /// shared.
     pub fn apply_updates(&self, updates: &[DbUpdate]) -> Result<Catalog, &'static str> {
         if updates.iter().any(|u| u.db >= self.len()) {
             return Err("update database index out of range");
@@ -1072,18 +1077,20 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{entry, sampled_summary};
-    use dbselect_core::category_summary::SummaryComponent;
-    use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
-    use std::sync::Arc;
+    use crate::test_support::{classified, hierarchical, sampled_summary};
+    use dbselect_core::category_summary::CategoryWeighting;
+
+    /// db 0: words 1, 2; db 1: word 1 only; db 2: empty sample.
+    fn summaries() -> Vec<ContentSummary> {
+        vec![
+            sampled_summary(1000.0, 100, &[(1, 50), (2, 3)]),
+            sampled_summary(500.0, 80, &[(1, 10)]),
+            sampled_summary(200.0, 50, &[]),
+        ]
+    }
 
     fn catalog() -> Catalog {
-        // db 0: words 1, 2; db 1: word 1 only; db 2: empty sample.
-        Catalog::build(vec![
-            entry("a", sampled_summary(1000.0, 100, &[(1, 50), (2, 3)])),
-            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
-            entry("c", sampled_summary(200.0, 50, &[])),
-        ])
+        hierarchical(summaries()).1
     }
 
     #[test]
@@ -1170,10 +1177,7 @@ mod tests {
     fn gamma_falls_back_to_generic_exponent() {
         let mut s = sampled_summary(100.0, 10, &[(1, 5)]);
         s.set_gamma(-1.7);
-        let c = Catalog::build(vec![
-            entry("fitted", s),
-            entry("unfitted", sampled_summary(100.0, 10, &[(1, 5)])),
-        ]);
+        let c = hierarchical(vec![s, sampled_summary(100.0, 10, &[(1, 5)])]).1;
         assert_eq!(c.gamma(0), -1.7);
         assert_eq!(c.gamma(1), -2.0);
         assert_eq!(c.gammas(), &[-1.7, -2.0]);
@@ -1181,7 +1185,7 @@ mod tests {
 
     #[test]
     fn empty_catalog_is_consistent() {
-        let c = Catalog::build(Vec::new());
+        let c = hierarchical(Vec::new()).1;
         assert!(c.is_empty());
         assert_eq!(c.mcw(), 0.0);
         let ctx = c.unshrunk_context(&[1]);
@@ -1330,13 +1334,42 @@ mod tests {
         assert_eq!(&rebuilt, i, "the freeze-time aux round-trips to equality");
     }
 
-    fn update_from(db: usize, e: &CatalogEntry) -> DbUpdate {
-        DbUpdate {
-            db,
-            gamma: e.unshrunk.gamma().unwrap_or(-2.0),
-            unshrunk: FrozenSummary::from_unshrunk(&e.unshrunk),
-            lambdas: (e.shrunk.lambdas().to_vec(), e.shrunk.lambdas_tf().to_vec()),
-        }
+    /// `catalog` (frozen from `base`) after re-probing the databases of
+    /// `patches`: the batch that refits each with new λs, and the full
+    /// freeze of the same state — the category columns as pinned, each
+    /// patched database's leaf remainder subtracting the sample it
+    /// replaced.
+    fn refreshed(
+        catalog: &Catalog,
+        base: &[ContentSummary],
+        patches: &[(usize, ContentSummary)],
+    ) -> (Vec<DbUpdate>, Catalog) {
+        let shrunk = catalog.shrunk_summaries();
+        let patch = |db: usize| patches.iter().find(|(at, _)| *at == db).map(|(_, s)| s);
+        // New λs of the right length: the fitted ones, models swapped.
+        let refit = |db: usize| {
+            let (df, tf) = shrunk.lambdas(db);
+            (tf, df)
+        };
+        let updates = patches
+            .iter()
+            .map(|(db, s)| DbUpdate {
+                db: *db,
+                gamma: s.gamma().unwrap_or(-2.0),
+                unshrunk: FrozenSummary::from_unshrunk(s),
+                lambdas: refit(*db),
+            })
+            .collect();
+        let dbs = (0..catalog.len()).map(|db| ProfiledDb {
+            name: catalog.names()[db].clone(),
+            summary: patch(db).unwrap_or(&base[db]),
+            category: shrunk.category(db),
+            lambdas: patch(db).map_or_else(|| shrunk.lambdas(db), |_| refit(db)),
+            basis: patch(db).map(|_| Arc::new(Basis::of(catalog.unshrunk(db)))),
+        });
+        let categories = Arc::clone(shrunk.categories());
+        let full = Catalog::freeze(categories, shrunk.uniform_p(), dbs).unwrap();
+        (updates, full)
     }
 
     fn assert_catalogs_identical(a: &Catalog, b: &Catalog) {
@@ -1357,35 +1390,17 @@ mod tests {
         assert_eq!(a.resident_bytes(), b.resident_bytes());
     }
 
-    /// Entries whose shrunk summaries all mix the one `component`.
-    fn sharing(
-        summaries: Vec<ContentSummary>,
-        component: &Arc<SummaryComponent>,
-    ) -> Vec<CatalogEntry> {
-        let config = ShrinkageConfig::default();
-        summaries
-            .into_iter()
-            .enumerate()
-            .map(|(i, unshrunk)| CatalogEntry {
-                name: format!("db{i}"),
-                shrunk: shrink(&unshrunk, &[Arc::clone(component)], &config),
-                unshrunk,
-            })
-            .collect()
-    }
-
     #[test]
     fn resident_bytes_count_every_column_once() {
-        // However many databases mix one component, the catalog holds it
-        // once: a database adds its sample summary, its λs and its
-        // component list, never a column of the component's size.
-        let component: Arc<SummaryComponent> = Arc::new(SummaryComponent {
-            p_df: (0..500).map(|t| (t, 0.001)).collect(),
-            p_tf: (0..500).map(|t| (t, 0.001)).collect(),
-        });
-        let sample = |i: u32| sampled_summary(100.0 * f64::from(i + 1), 50, &[(i, 5)]);
+        // However many databases share a category path, the catalog holds
+        // its columns once: a database over the same vocabulary adds its
+        // sample summary, its λs and its path, never a column of the
+        // categories' size.
+        let vocabulary: Vec<(TermId, u32)> = (0..500).map(|t| (t, 1)).collect();
+        let sample = |i: u32| sampled_summary(100.0 * f64::from(i + 1), 50, &vocabulary);
         let shrunk_bytes = |n: u32| {
-            let c = Catalog::build(sharing((0..n).map(sample).collect(), &component));
+            let dbs = (0..n).map(|i| ("Health/Heart", sample(i))).collect();
+            let c = classified(CategoryWeighting::BySize, dbs, Vec::new()).1;
             let i = c.posting_index();
             let index_bytes = (i.terms().len() * 2 + i.offsets().len()) * 4
                 + i.terms().len() * 3 * 8
@@ -1397,94 +1412,71 @@ mod tests {
             shrunk
         };
         let (one, two, four) = (shrunk_bytes(1), shrunk_bytes(2), shrunk_bytes(4));
-        assert!(one > 500 * 2 * 12, "the column is counted: {one}");
+        assert!(one > 500 * 3 * 20, "the columns are counted: {one}");
         assert_eq!(four - two, 2 * (two - one), "a constant per database");
-        // λs, component list, mixture record: a few hundred bytes, where
-        // a column of the component's size is 12 000.
+        // λs, path, mixture record: a few hundred bytes, where a column
+        // of the vocabulary's size is 10 000.
         assert!(two - one < 1_000, "no per-database column: {}", two - one);
     }
 
     #[test]
     fn apply_updates_keeps_untouched_columns_shared() {
-        let component: Arc<SummaryComponent> = Arc::new(SummaryComponent {
-            p_df: [(1, 0.05), (2, 0.02), (7, 0.01)].into_iter().collect(),
-            p_tf: [(1, 0.05), (2, 0.02), (7, 0.01)].into_iter().collect(),
-        });
-        let base = vec![
-            sampled_summary(1000.0, 100, &[(1, 50), (2, 3)]),
-            sampled_summary(500.0, 80, &[(1, 10)]),
-            sampled_summary(200.0, 50, &[]),
-        ];
-        let catalog = Catalog::build(sharing(base.clone(), &component));
+        let base = summaries();
+        let catalog = hierarchical(base.clone()).1;
         // b re-probed, with a word (9) no column has: only its sample and
-        // λs change; the mixture's columns are the ones every database
+        // λs change; the category columns are the ones every database
         // already shared.
-        let mut rebuilt = base;
-        rebuilt[1] = sampled_summary(640.0, 90, &[(2, 7), (9, 4)]);
-        let entries = sharing(rebuilt, &component);
-        let updated = catalog
-            .apply_updates(&[update_from(1, &entries[1])])
-            .unwrap();
+        let patch = sampled_summary(640.0, 90, &[(2, 7), (9, 4)]);
+        let (updates, full) = refreshed(&catalog, &base, &[(1, patch)]);
+        let updated = catalog.apply_updates(&updates).unwrap();
         assert!(Arc::ptr_eq(
             updated.shrunk_summaries().categories(),
             catalog.shrunk_summaries().categories()
         ));
-        assert_catalogs_identical(&updated, &Catalog::build(entries));
+        assert_catalogs_identical(&updated, &full);
     }
 
     #[test]
     fn apply_updates_is_bit_identical_to_full_rebuild() {
-        let base = vec![
-            entry("a", sampled_summary(1000.0, 100, &[(1, 50), (2, 3)])),
-            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
-            entry("c", sampled_summary(200.0, 50, &[])),
-        ];
-        let catalog = Catalog::build(base.clone());
+        let base = summaries();
+        let catalog = hierarchical(base.clone()).1;
         // b gains a brand-new term (9) and drops term 1; c's empty sample
         // fills in; a is untouched. Together these exercise term
         // insertion, row shrink, and whole-term removal (term 1 keeps
         // only a's posting).
         let mut refreshed_b = sampled_summary(640.0, 90, &[(2, 7), (9, 4)]);
         refreshed_b.set_gamma(-1.8);
-        let updates = vec![
-            update_from(1, &entry("b", refreshed_b.clone())),
-            update_from(
-                2,
-                &entry("c", sampled_summary(250.0, 60, &[(1, 2), (7, 9)])),
-            ),
+        let patches = [
+            (1, refreshed_b),
+            (2, sampled_summary(250.0, 60, &[(1, 2), (7, 9)])),
         ];
+        let (updates, full) = refreshed(&catalog, &base, &patches);
         let incremental = catalog.apply_updates(&updates).unwrap();
-        let mut rebuilt_entries = base.clone();
-        rebuilt_entries[1] = entry("b", refreshed_b);
-        rebuilt_entries[2] = entry("c", sampled_summary(250.0, 60, &[(1, 2), (7, 9)]));
-        let full = Catalog::build(rebuilt_entries);
         assert_catalogs_identical(&incremental, &full);
     }
 
     #[test]
     fn apply_updates_drops_terms_nobody_mentions_anymore() {
-        let base = vec![
-            entry("a", sampled_summary(1000.0, 100, &[(1, 50), (2, 3)])),
-            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
-        ];
-        let catalog = Catalog::build(base.clone());
+        let base = summaries()[..2].to_vec();
+        let catalog = hierarchical(base.clone()).1;
         // a empties out: term 2 loses its only posting and must vanish
         // from the index, exactly as a full rebuild would drop it.
-        let updates = vec![update_from(0, &entry("a", sampled_summary(900.0, 70, &[])))];
+        let patches = [(0, sampled_summary(900.0, 70, &[]))];
+        let (updates, full) = refreshed(&catalog, &base, &patches);
         let incremental = catalog.apply_updates(&updates).unwrap();
-        let mut rebuilt = base;
-        rebuilt[0] = entry("a", sampled_summary(900.0, 70, &[]));
-        assert_catalogs_identical(&incremental, &Catalog::build(rebuilt));
+        assert_catalogs_identical(&incremental, &full);
         assert!(incremental.postings(2).is_none());
     }
 
     #[test]
     fn apply_updates_rejects_bad_batches() {
-        let catalog = Catalog::build(vec![
-            entry("a", sampled_summary(1000.0, 100, &[(1, 50)])),
-            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
-        ]);
-        let good = update_from(0, &entry("a", sampled_summary(100.0, 10, &[(1, 5)])));
+        let base = vec![
+            sampled_summary(1000.0, 100, &[(1, 50)]),
+            sampled_summary(500.0, 80, &[(1, 10)]),
+        ];
+        let catalog = hierarchical(base.clone()).1;
+        let patch = sampled_summary(100.0, 10, &[(1, 5)]);
+        let good = refreshed(&catalog, &base, &[(0, patch)]).0.remove(0);
         let mut oob = good.clone();
         oob.db = 7;
         assert!(catalog.apply_updates(&[oob]).is_err());
@@ -1496,7 +1488,7 @@ mod tests {
         /// Randomized equivalence: patching any subset of databases with
         /// arbitrary replacement summaries lands on the same catalog —
         /// bit for bit, aux maxima included — as freezing the updated
-        /// entries from scratch.
+        /// state from scratch.
         #[test]
         fn random_update_batches_match_full_rebuild(
             base in proptest::collection::vec(
@@ -1518,23 +1510,18 @@ mod tests {
                 }
                 sampled_summary(size, n, &dedup)
             };
-            let entries: Vec<CatalogEntry> = base
+            let base: Vec<ContentSummary> = base.iter().map(summary).collect();
+            let catalog = hierarchical(base.clone()).1;
+            let patches: Vec<(usize, ContentSummary)> = patch
                 .iter()
                 .enumerate()
-                .map(|(i, spec)| entry(&format!("db{i}"), summary(spec)))
+                .take(base.len())
+                .filter(|&(db, _)| mask[db])
+                .map(|(db, spec)| (db, summary(spec)))
                 .collect();
-            let catalog = Catalog::build(entries.clone());
-            let mut updates = Vec::new();
-            let mut rebuilt = entries;
-            for (db, spec) in patch.iter().enumerate().take(rebuilt.len()) {
-                if mask[db] {
-                    let e = entry(&format!("db{db}"), summary(spec));
-                    updates.push(update_from(db, &e));
-                    rebuilt[db] = e;
-                }
-            }
+            let (updates, full) = refreshed(&catalog, &base, &patches);
             let incremental = catalog.apply_updates(&updates).unwrap();
-            assert_catalogs_identical(&incremental, &Catalog::build(rebuilt));
+            assert_catalogs_identical(&incremental, &full);
         }
     }
 }

@@ -800,16 +800,15 @@ impl SelectionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, CatalogEntry};
-    use crate::test_support::{entry, hierarchical, sampled_summary, shrunk_for};
+    use crate::catalog::Catalog;
+    use crate::test_support::{classified, hierarchical, pairs, sampled_summary, Oracle};
+    use dbselect_core::category_summary::CategoryWeighting;
     use dbselect_core::summary::{ContentSummary, SummaryView, WordStats};
     use dbselect_core::uncertainty::WordPosterior;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use selection::{
-        adaptive_rank, evidence_distribution, rank_databases, BGloss, Cori, Lm, SummaryPair,
-    };
+    use selection::{adaptive_rank, evidence_distribution, rank_databases, BGloss, Cori, Lm};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -824,19 +823,13 @@ mod tests {
 
     /// A small mixed testbed: well-sampled small databases, poorly sampled
     /// large ones, and a database with no query-word overlap at all.
-    fn entries() -> Vec<CatalogEntry> {
-        vec![
-            entry(
-                "small-dense",
-                sampled_summary(320.0, 300, &[(1, 150), (2, 140)]),
-            ),
-            entry(
-                "large-sparse",
-                sampled_summary(100_000.0, 300, &[(1, 3), (5, 1)]),
-            ),
-            entry("mid", sampled_summary(5_000.0, 200, &[(2, 80), (5, 40)])),
-            entry("unrelated", sampled_summary(2_000.0, 100, &[(9, 60)])),
-        ]
+    fn testbed() -> (Vec<Oracle>, Catalog) {
+        hierarchical(vec![
+            sampled_summary(320.0, 300, &[(1, 150), (2, 140)]),
+            sampled_summary(100_000.0, 300, &[(1, 3), (5, 1)]),
+            sampled_summary(5_000.0, 200, &[(2, 80), (5, 40)]),
+            sampled_summary(2_000.0, 100, &[(9, 60)]),
+        ])
     }
 
     fn queries() -> Vec<Vec<TermId>> {
@@ -854,15 +847,8 @@ mod tests {
 
     #[test]
     fn engine_matches_adaptive_rank_bit_for_bit() {
-        let entries = entries();
-        let pairs: Vec<SummaryPair<'_>> = entries
-            .iter()
-            .map(|e| SummaryPair {
-                unshrunk: &e.unshrunk,
-                shrunk: &e.shrunk,
-            })
-            .collect();
-        let catalog = Arc::new(Catalog::build(entries.clone()));
+        let (oracles, catalog) = testbed();
+        let (pairs, catalog) = (pairs(&oracles), Arc::new(catalog));
         let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
         let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
             Arc::new(BGloss),
@@ -890,43 +876,26 @@ mod tests {
         }
     }
 
-    /// A catalog whose shrunk summaries mix two different category models
-    /// (two hierarchy roots, in effect) and arrive interleaved: each
-    /// database's mixture reads its own column, and every route still
-    /// equals `adaptive_rank` bit for bit.
+    /// A catalog whose databases lie in two subtrees of one hierarchy,
+    /// each with its own vocabulary, and arrive interleaved: each
+    /// database's mixture reads its own path's columns, and every route
+    /// still equals `adaptive_rank` bit for bit.
     #[test]
     fn two_shrunk_vocabularies_route_like_adaptive_rank_over_two_columns() {
-        let health = [(1, 0.05), (2, 0.02), (5, 0.01), (7, 0.01)];
-        let sports = [(1, 0.03), (3, 0.04), (9, 0.02)];
-        type Spec<'a> = (f64, &'a [(TermId, u32)], &'a [(TermId, f64)]);
+        type Spec<'a> = (&'a str, f64, &'a [(TermId, u32)]);
         let specs: [Spec<'_>; 5] = [
-            (320.0, &[(1, 150), (2, 140)], &health),
-            (90_000.0, &[(1, 3), (9, 1)], &sports),
-            (5_000.0, &[(2, 80), (5, 40)], &health),
-            (2_000.0, &[(3, 60)], &sports),
-            (700.0, &[], &health),
+            ("Health/Heart", 320.0, &[(1, 150), (2, 140), (7, 20)]),
+            ("Sports/Soccer", 90_000.0, &[(1, 3), (9, 1)]),
+            ("Health/Lung", 5_000.0, &[(2, 80), (5, 40)]),
+            ("Sports/Soccer", 2_000.0, &[(3, 60), (9, 30)]),
+            ("Health/Heart", 700.0, &[]),
         ];
-        let entries: Vec<CatalogEntry> = specs
+        let dbs = specs
             .iter()
-            .enumerate()
-            .map(|(i, &(db_size, words, component))| {
-                let unshrunk = sampled_summary(db_size, 300, words);
-                let shrunk = shrunk_for(&unshrunk, component);
-                CatalogEntry {
-                    name: format!("db{i}"),
-                    unshrunk,
-                    shrunk,
-                }
-            })
+            .map(|&(path, db_size, words)| (path, sampled_summary(db_size, 300, words)))
             .collect();
-        let pairs: Vec<SummaryPair<'_>> = entries
-            .iter()
-            .map(|e| SummaryPair {
-                unshrunk: &e.unshrunk,
-                shrunk: &e.shrunk,
-            })
-            .collect();
-        let catalog = Arc::new(Catalog::build(entries.clone()));
+        let (oracles, catalog) = classified(CategoryWeighting::BySize, dbs, Vec::new());
+        let (pairs, catalog) = (pairs(&oracles), Arc::new(catalog));
 
         let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
         let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
@@ -966,7 +935,7 @@ mod tests {
     /// engine comes back in its initial state.
     #[test]
     fn served_algorithms_leave_the_rng_untouched() {
-        let catalog = Arc::new(Catalog::build(entries()));
+        let catalog = Arc::new(testbed().1);
         let global = sampled_summary(110_000.0, 900, &[(1, 300), (2, 250), (5, 80), (9, 60)]);
         let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
             Arc::new(BGloss),
@@ -988,24 +957,29 @@ mod tests {
     /// Degenerate catalogs route to defined answers — identical to
     /// `adaptive_rank` in every mode and at every `k`, choices and ranking
     /// bits alike, never a panic — and non-finite statistics keep `Ŝ(D)`.
+    /// A non-finite size would make its categories' aggregates non-finite,
+    /// which no catalog holds, so those samples arrive by re-probe.
     #[test]
     fn degenerate_catalogs_route_like_adaptive_rank() {
         let mut nan_gamma = sampled_summary(700.0, 40, &[(1, 4)]);
         nan_gamma.set_gamma(f64::NAN);
-        let entries = vec![
-            entry("unsampled", sampled_summary(900.0, 0, &[])),
-            entry("no-documents", sampled_summary(0.0, 0, &[])),
-            entry("one-document", sampled_summary(1.0, 1, &[(1, 1)])),
-            entry("nan-size", sampled_summary(f64::NAN, 30, &[(1, 3), (2, 9)])),
-            entry(
-                "infinite-size",
-                sampled_summary(f64::INFINITY, 30, &[(2, 3)]),
+        // Unsampled, no documents, one document, NaN size and infinite
+        // size (both re-probed below), NaN γ, ordinary.
+        let dbs = vec![
+            ("Health/Heart", sampled_summary(900.0, 0, &[])),
+            ("Health/Lung", sampled_summary(0.0, 0, &[])),
+            ("Sports", sampled_summary(1.0, 1, &[(1, 1)])),
+            (
+                "Health/Heart",
+                sampled_summary(300.0, 30, &[(1, 3), (2, 9)]),
             ),
-            entry("nan-gamma", nan_gamma),
-            entry(
-                "ordinary",
-                sampled_summary(4_000.0, 100, &[(1, 30), (2, 1)]),
-            ),
+            ("Sports/Soccer", sampled_summary(300.0, 30, &[(2, 3)])),
+            ("Health/Lung", nan_gamma),
+            ("", sampled_summary(4_000.0, 100, &[(1, 30), (2, 1)])),
+        ];
+        let reprobed = vec![
+            (3, sampled_summary(f64::NAN, 30, &[(1, 3), (2, 9)])),
+            (4, sampled_summary(f64::INFINITY, 30, &[(2, 3)])),
         ];
         let global = sampled_summary(9_000.0, 300, &[(1, 30), (2, 20)]);
         let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
@@ -1015,15 +989,9 @@ mod tests {
         ];
         // Known, unknown-to-every-database, duplicated and empty queries.
         let queries: [&[TermId]; 5] = [&[1, 2], &[77, 78], &[1, 1, 2], &[], &[2]];
-        for catalog_entries in [entries, Vec::new()] {
-            let pairs: Vec<SummaryPair<'_>> = catalog_entries
-                .iter()
-                .map(|e| SummaryPair {
-                    unshrunk: &e.unshrunk,
-                    shrunk: &e.shrunk,
-                })
-                .collect();
-            let catalog = Arc::new(Catalog::build(catalog_entries.clone()));
+        for (dbs, reprobed) in [(dbs, reprobed), (Vec::new(), Vec::new())] {
+            let (oracles, catalog) = classified(CategoryWeighting::BySize, dbs, reprobed);
+            let (pairs, catalog) = (pairs(&oracles), Arc::new(catalog));
             for algorithm in &algorithms {
                 for mode in [
                     ShrinkageMode::Adaptive,
@@ -1050,10 +1018,12 @@ mod tests {
                             }
                         }
                         if mode == ShrinkageMode::Always {
-                            // The catalog's frozen `R̂(D)` of "infinite-size"
-                            // is finite where the `ShrunkSummary` mixture is
-                            // NaN, so `Always` ranks the catalog's own shrunk
-                            // summaries, as `adaptive_rank` ranks its pairs.
+                            // Word 2 of the infinite-size sample has
+                            // `p̂(w|D) = ∞/∞`: the `ShrunkSummary` mixture is
+                            // NaN, the catalog's `R̂(D)` reads the NaN as an
+                            // absent word and stays finite, so `Always` ranks
+                            // the catalog's own shrunk summaries, as
+                            // `adaptive_rank` ranks its pairs.
                             let views: Vec<_> =
                                 (0..catalog.len()).map(|db| catalog.shrunk(db)).collect();
                             let views: Vec<&dyn SummaryView> =
@@ -1074,7 +1044,7 @@ mod tests {
 
     #[test]
     fn batch_results_match_sequential_routing() {
-        let catalog = Arc::new(Catalog::build(entries()));
+        let catalog = Arc::new(testbed().1);
         let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
         let queries = queries();
         let batched = engine.route_batch(&queries, 4);
@@ -1086,7 +1056,7 @@ mod tests {
 
     #[test]
     fn batch_observer_sees_every_query() {
-        let catalog = Arc::new(Catalog::build(entries()));
+        let catalog = Arc::new(testbed().1);
         let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
         let queries = queries();
         let seen: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
@@ -1105,7 +1075,7 @@ mod tests {
         fn thread_count_never_changes_engine_output(
             db_sizes in proptest::collection::vec(100.0f64..50_000.0, 1..5),
         ) {
-            let entries: Vec<CatalogEntry> = db_sizes
+            let summaries = db_sizes
                 .iter()
                 .enumerate()
                 .map(|(i, &db_size)| {
@@ -1113,12 +1083,10 @@ mod tests {
                         .map(|w| (w + 1, ((i as u32 + 1) * (w + 7)) % 90))
                         .filter(|&(_, sdf)| sdf > 0)
                         .collect();
-                    let unshrunk = sampled_summary(db_size, 100, &words);
-                    let shrunk = shrunk_for(&unshrunk, &[(1, 0.05), (3, 0.02)]);
-                    CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                    sampled_summary(db_size, 100, &words)
                 })
                 .collect();
-            let catalog = Arc::new(Catalog::build(entries));
+            let catalog = Arc::new(hierarchical(summaries).1);
             let engine = SelectionEngine::new(catalog, bgloss(), AdaptiveConfig::default());
             let queries: Vec<Vec<TermId>> =
                 vec![vec![1, 3], vec![2, 4, 9], vec![1], vec![4, 4, 2]];
@@ -1155,12 +1123,8 @@ mod tests {
                     sampled_summary(db_size, 100, &words)
                 })
                 .collect();
-            let (entries, catalog) = hierarchical(summaries);
-            let pairs: Vec<SummaryPair<'_>> = entries
-                .iter()
-                .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
-                .collect();
-            let catalog = Arc::new(catalog);
+            let (oracles, catalog) = hierarchical(summaries);
+            let (pairs, catalog) = (pairs(&oracles), Arc::new(catalog));
             let global = sampled_summary(200_000.0, 500, &[(1, 40), (2, 30), (3, 20), (8, 5)]);
             let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
                 Arc::new(BGloss),
@@ -1203,7 +1167,7 @@ mod tests {
             seed in 0u64..1_000_000,
             db_sizes in proptest::collection::vec(50.0f64..80_000.0, 0..7),
         ) {
-            let entries: Vec<CatalogEntry> = db_sizes
+            let summaries = db_sizes
                 .iter()
                 .enumerate()
                 .map(|(i, &db_size)| {
@@ -1217,16 +1181,11 @@ mod tests {
                             (w, WordStats { sample_df, df, tf })
                         })
                         .collect();
-                    let unshrunk = ContentSummary::new(db_size, 100, words);
-                    let shrunk = shrunk_for(&unshrunk, &[(1, 0.05), (3, 0.02), (9, 0.001)]);
-                    CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                    ContentSummary::new(db_size, 100, words)
                 })
                 .collect();
-            let pairs: Vec<SummaryPair<'_>> = entries
-                .iter()
-                .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
-                .collect();
-            let catalog = Arc::new(Catalog::build(entries.clone()));
+            let (oracles, catalog) = hierarchical(summaries);
+            let (pairs, catalog) = (pairs(&oracles), Arc::new(catalog));
             // The global model lacks words 3 and 5; no database samples 9.
             let global = HashMap::from([(1, 0.02), (2, 0.01), (4, 0.003), (9, 0.0004)]);
             let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
@@ -1288,7 +1247,7 @@ mod tests {
             seed in 0u64..1_000_000,
             db_sizes in proptest::collection::vec(50.0f64..80_000.0, 1..7),
         ) {
-            let entries: Vec<CatalogEntry> = db_sizes
+            let summaries = db_sizes
                 .iter()
                 .enumerate()
                 .map(|(i, &db_size)| {
@@ -1296,16 +1255,11 @@ mod tests {
                         .map(|w| (w + 1, ((i as u32 + 2) * (w + 3) * 13) % 95))
                         .filter(|&(_, sdf)| sdf > 0)
                         .collect();
-                    let unshrunk = sampled_summary(db_size, 100, &words);
-                    let shrunk = shrunk_for(&unshrunk, &[(1, 0.05), (3, 0.02), (9, 0.001)]);
-                    CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                    sampled_summary(db_size, 100, &words)
                 })
                 .collect();
-            let pairs: Vec<SummaryPair<'_>> = entries
-                .iter()
-                .map(|e| SummaryPair { unshrunk: &e.unshrunk, shrunk: &e.shrunk })
-                .collect();
-            let catalog = Arc::new(Catalog::build(entries.clone()));
+            let (oracles, catalog) = hierarchical(summaries);
+            let (pairs, catalog) = (pairs(&oracles), Arc::new(catalog));
             let global = sampled_summary(
                 200_000.0,
                 500,

@@ -21,7 +21,7 @@ pub mod shard;
 #[cfg(test)]
 pub(crate) mod test_support;
 
-pub use catalog::{Catalog, CatalogEntry, DbUpdate, PostingIndex, Postings};
+pub use catalog::{Catalog, DbUpdate, PostingIndex, Postings, ProfiledDb};
 pub use engine::{RouteScratch, SelectionEngine};
 pub use moments::MomentTable;
 pub use shard::{contiguous_block, ShardPlan, ShardedEngine};

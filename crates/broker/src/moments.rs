@@ -248,19 +248,17 @@ impl MomentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{entry, sampled_summary};
+    use crate::test_support::{hierarchical, sampled_summary};
     use selection::{BGloss, Cori, Lm, SelectionAlgorithm};
     use std::collections::HashMap;
 
     fn catalog() -> Catalog {
-        Catalog::build(vec![
-            entry(
-                "a",
-                sampled_summary(1000.0, 100, &[(1, 50), (2, 3), (3, 3)]),
-            ),
-            entry("b", sampled_summary(500.0, 80, &[(1, 10)])),
-            entry("c", sampled_summary(200.0, 50, &[])),
-        ])
+        let summaries = vec![
+            sampled_summary(1000.0, 100, &[(1, 50), (2, 3), (3, 3)]),
+            sampled_summary(500.0, 80, &[(1, 10)]),
+            sampled_summary(200.0, 50, &[]),
+        ];
+        hierarchical(summaries).1
     }
 
     #[test]
@@ -329,10 +327,8 @@ mod tests {
     #[test]
     fn keys_beyond_the_direct_index_read_their_own_rows() {
         let big = 200_000;
-        let c = Catalog::build(vec![entry(
-            "huge-sample",
-            sampled_summary(1e7, big, &[(1, 3), (2, 70_000), (3, 150_000)]),
-        )]);
+        let huge = sampled_summary(1e7, big, &[(1, 3), (2, 70_000), (3, 150_000)]);
+        let c = hierarchical(vec![huge]).1;
         let tables = MomentTable::build(&c, &[BGloss.independent_terms().unwrap()], 32);
         let s = c.unshrunk(0);
         let row = |sample_df| {
@@ -353,7 +349,7 @@ mod tests {
     #[test]
     fn empty_catalog_builds_an_empty_table() {
         let tables = MomentTable::build(
-            &Catalog::build(Vec::new()),
+            &hierarchical(Vec::new()).1,
             &[BGloss.independent_terms().unwrap()],
             160,
         );

@@ -170,8 +170,8 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, CatalogEntry};
-    use crate::test_support::{sampled_summary, shrunk_for};
+    use crate::catalog::Catalog;
+    use crate::test_support::{hierarchical, sampled_summary};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -179,22 +179,17 @@ mod tests {
         AdaptiveConfig, BGloss, Cori, Lm, RankedDatabase, SelectionAlgorithm, ShrinkageMode,
     };
 
-    fn entries(n: usize) -> Vec<CatalogEntry> {
-        (0..n)
+    fn catalog(n: usize) -> Catalog {
+        let summaries = (0..n)
             .map(|i| {
                 let words: Vec<(TermId, u32)> = (0..5)
                     .map(|w| (w + 1, ((i as u32 + 1) * (w + 3)) % 70))
                     .filter(|&(_, sdf)| sdf > 0)
                     .collect();
-                let unshrunk = sampled_summary(500.0 + 9_000.0 * i as f64, 120, &words);
-                let shrunk = shrunk_for(&unshrunk, &[(1, 0.04), (4, 0.01)]);
-                CatalogEntry {
-                    name: format!("db{i}"),
-                    unshrunk,
-                    shrunk,
-                }
+                sampled_summary(500.0 + 9_000.0 * i as f64, 120, &words)
             })
-            .collect()
+            .collect();
+        hierarchical(summaries).1
     }
 
     fn queries() -> Vec<Vec<TermId>> {
@@ -243,7 +238,7 @@ mod tests {
             contiguous_block(usize::MAX, usize::MAX - 1, 2).end,
             usize::MAX
         );
-        let catalog = Arc::new(Catalog::build(entries(3)));
+        let catalog = Arc::new(catalog(3));
         let full = Arc::new(SelectionEngine::new(
             Arc::clone(&catalog),
             Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
@@ -255,7 +250,7 @@ mod tests {
 
     #[test]
     fn sharded_routing_matches_monolithic_bit_for_bit() {
-        let catalog = Arc::new(Catalog::build(entries(9)));
+        let catalog = Arc::new(catalog(9));
         let global = sampled_summary(
             120_000.0,
             900,
@@ -297,7 +292,7 @@ mod tests {
 
     #[test]
     fn per_shard_partial_routes_merge_into_the_monolithic_ranking() {
-        let catalog = Arc::new(Catalog::build(entries(9)));
+        let catalog = Arc::new(catalog(9));
         let global = sampled_summary(120_000.0, 900, &[(1, 300), (2, 250), (3, 80), (4, 60)]);
         let algorithms: [Arc<dyn SelectionAlgorithm + Send + Sync>; 3] = [
             Arc::new(BGloss),
@@ -349,7 +344,7 @@ mod tests {
 
     #[test]
     fn sharded_batch_matches_monolithic_batch() {
-        let catalog = Arc::new(Catalog::build(entries(6)));
+        let catalog = Arc::new(catalog(6));
         let full = Arc::new(SelectionEngine::new(
             Arc::clone(&catalog),
             Arc::new(BGloss) as Arc<dyn SelectionAlgorithm + Send + Sync>,
@@ -397,7 +392,7 @@ mod tests {
                 db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
                 assignments in proptest::collection::vec(0usize..5, 8),
             ) {
-                let entries: Vec<CatalogEntry> = db_sizes
+                let summaries = db_sizes
                     .iter()
                     .enumerate()
                     .map(|(i, &db_size)| {
@@ -405,12 +400,10 @@ mod tests {
                             .map(|w| (w + 1, ((i as u32 + 2) * (w + 5)) % 80))
                             .filter(|&(_, sdf)| sdf > 0)
                             .collect();
-                        let unshrunk = sampled_summary(db_size, 100, &words);
-                        let shrunk = shrunk_for(&unshrunk, &[(2, 0.05), (3, 0.02)]);
-                        CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                        sampled_summary(db_size, 100, &words)
                     })
                     .collect();
-                let catalog = Arc::new(Catalog::build(entries));
+                let catalog = Arc::new(hierarchical(summaries).1);
                 let mut members = vec![Vec::new(); 5];
                 for db in 0..catalog.len() {
                     members[assignments[db]].push(db as u32);
@@ -469,7 +462,7 @@ mod tests {
                 seed in 0u64..1_000_000,
                 db_sizes in proptest::collection::vec(100.0f64..60_000.0, 1..8),
             ) {
-                let entries: Vec<CatalogEntry> = db_sizes
+                let summaries = db_sizes
                     .iter()
                     .enumerate()
                     .map(|(i, &db_size)| {
@@ -477,12 +470,10 @@ mod tests {
                             .map(|w| (w + 1, ((i as u32 + 2) * (w + 5)) % 80))
                             .filter(|&(_, sdf)| sdf > 0)
                             .collect();
-                        let unshrunk = sampled_summary(db_size, 100, &words);
-                        let shrunk = shrunk_for(&unshrunk, &[(2, 0.05), (3, 0.02)]);
-                        CatalogEntry { name: format!("db{i}"), unshrunk, shrunk }
+                        sampled_summary(db_size, 100, &words)
                     })
                     .collect();
-                let catalog = Arc::new(Catalog::build(entries));
+                let catalog = Arc::new(hierarchical(summaries).1);
                 let global = sampled_summary(
                     130_000.0,
                     900,

@@ -377,7 +377,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     }
     let catalog_path = catalog_path.ok_or("route requires --catalog CATALOG")?;
     let queries_path = queries_path.ok_or("route requires --queries FILE")?;
-    let state = ServingState::load(&catalog_path, 0).map_err(|e| format!("{catalog_path}: {e}"))?;
+    let state = ServingState::load(&catalog_path, 0).map_err(|e| e.to_string())?;
     let lines: Vec<String> = std::fs::read_to_string(&queries_path)
         .map_err(|e| format!("{queries_path}: {e}"))?
         .lines()
@@ -520,7 +520,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         (Some(catalog_path), None) => {
             let state = server::state::ServingState::load(&catalog_path, config.cache_capacity)
-                .map_err(|e| format!("{catalog_path}: {e}"))?;
+                .map_err(|e| e.to_string())?;
             let daemon = server::Server::bind(config, state).map_err(|e| e.to_string())?;
             println!(
                 "dbselectd listening on {} (catalog {catalog_path})",
@@ -535,7 +535,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             for entry in &manifest.tenants {
                 let path = entry.path.to_str().ok_or("non-UTF-8 snapshot path")?;
                 let state = server::state::ServingState::load(path, config.cache_capacity)
-                    .map_err(|e| format!("{path}: {e}"))?;
+                    .map_err(|e| e.to_string())?;
                 states.push((entry.name.clone(), state));
             }
             let names: Vec<String> = states.iter().map(|(n, _)| n.clone()).collect();

@@ -9,13 +9,14 @@
 //!   term-sorted parallel arrays (term ids, the raw `df` / `tf`
 //!   estimates, `sample_df`) answering lookups by binary search over
 //!   contiguous memory; `p̂(w|D)` is the ratio, computed when looked up.
-//! * The shrunk summaries `R̂(D)` of a catalog are served in **factored**
-//!   form, as Eq. 2 says they are defined: a [`ShrunkSummaries`] keeps the
+//! * The shrunk summaries `R̂(D)` of a catalog are held in one form,
+//!   **factored** as Eq. 2 defines them: a mixture over the components of
+//!   the database's category path. A [`ShrunkSummaries`] keeps the
 //!   category aggregates of Eq. 1 once per catalog ([`CategoryColumns`],
-//!   term-major), and per database only its λ pair and the sample column
-//!   its leaf remainder subtracts. A value `p̂_R(w|D)` is computed when a
-//!   request asks for it — both models at once, lane by lane — and no
-//!   database × vocabulary matrix exists.
+//!   term-major), and per database only its category, its λ pair and the
+//!   sample column its leaf remainder subtracts. A value `p̂_R(w|D)` is
+//!   computed when a request asks for it — both models at once, lane by
+//!   lane — and no database × vocabulary matrix exists.
 //!
 //! Both are **bit-preserving**. A sample summary's values come from its
 //! own lookup path. A shrunk value is computed with exactly the
@@ -25,17 +26,18 @@
 //! `+ λ_{m+1} · p̂(w|D)`; each component value is the quotient
 //! [`category_summary`](crate::category_summary)'s sorted merge stores,
 //! evaluated for the one word (same `take`, same denominator). The lazy
-//! [`ShrunkSummary`] is the reference the factored values are tested
-//! against.
+//! [`ShrunkSummary`] — the mixture of the components
+//! `CategorySummaries::components_for` subtracts the overlap from — is
+//! the reference the factored values are tested against.
+//!
+//! [`ShrunkSummary`]: crate::shrinkage::ShrunkSummary
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use textindex::TermId;
 
-use crate::category_summary::{take, Aggregate, CategoryWeighting, Column, SummaryComponent};
+use crate::category_summary::{take, Aggregate, CategoryWeighting};
 use crate::hierarchy::{CategoryId, Hierarchy};
-use crate::shrinkage::ShrunkSummary;
 use crate::summary::{ratio, ContentSummary, SummaryView};
 
 /// A database's sample summary frozen into term-sorted parallel arrays:
@@ -412,12 +414,6 @@ impl CategoryColumns {
         })
     }
 
-    /// No category: the columns of a catalog whose mixtures are explicit.
-    fn empty() -> CategoryColumns {
-        CategoryColumns::from_raw_parts(CategoryWeighting::BySize, Vec::new(), Vec::new(), &[])
-            .expect("nothing to disagree")
-    }
-
     /// Number of categories.
     pub fn len(&self) -> usize {
         self.parents.len()
@@ -643,31 +639,26 @@ fn contribution_denoms(weighting: CategoryWeighting, totals: (f64, f64)) -> (f64
     }
 }
 
-/// Marks a database with no leaf remainder (a mixture over explicit
-/// columns) in its [`Head`].
-const NO_LEAF: u32 = u32::MAX;
-
-/// One mixture component of a database's `R̂(D)` with its weights
-/// `λ_i`: cell `c < categories` is the remainder of the category edge
-/// into `c`, `agg(parent(c)) − agg(c)`; cell `categories + j` is
-/// explicit column `j`. A request fills every cell for its words in
-/// [`ShrunkSummaries::prepare`], so mixing reads one value per step.
+/// One edge component of a database's `R̂(D)` with its weights `λ_i`:
+/// the remainder of the category edge into category `cell`,
+/// `agg(parent(cell)) − agg(cell)`. A request fills every edge cell for
+/// its words in [`ShrunkSummaries::prepare`], so mixing reads one value
+/// per step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Step {
     lambda: Pair,
     cell: u32,
 }
 
-/// One database's mixture as mixing reads it: where its steps (its
-/// components, root first, but the leaf remainder) lie in the shared
-/// step array, `λ_0`, the leaf remainder's category, weights, basis and
-/// denominators, and its own `λ_{m+1}`.
+/// One database's mixture as mixing reads it: where its steps (the edges
+/// of its category path, root first) lie in the shared step array, `λ_0`,
+/// the leaf remainder's category, weights, basis and denominators, and
+/// its own `λ_{m+1}`.
 #[derive(Debug, Clone, PartialEq)]
 struct Head {
     start: u32,
     len: u32,
-    /// The leaf category ([`NO_LEAF`] when the mixture is over explicit
-    /// columns only).
+    /// The leaf category: the database's own.
     leaf: u32,
     /// `λ_0`: `λ_0 · uniform_p` starts every value and is the value of a
     /// word no column has.
@@ -717,11 +708,12 @@ impl OwnWord {
 
 /// What mixing one request's query words across many databases shares:
 /// every category's sums for the words, copied out of the slab into a
-/// dense table, and every component cell a database's step can read (see
+/// dense table, and every edge cell a database's step can read (see
 /// [`Step`]) computed once. Both are word-major: `acc[k * categories + c]`
-/// holds category `c`'s sums for word `k`, `components[k * cells + cell]`
-/// the component value. Filled by [`ShrunkSummaries::prepare`];
-/// recyclable across requests. Absent values are [`ABSENT`].
+/// holds category `c`'s sums for word `k`, `components[k * categories +
+/// c]` the remainder of the edge into `c`. Filled by
+/// [`ShrunkSummaries::prepare`]; recyclable across requests. Absent values
+/// are [`ABSENT`].
 #[derive(Debug, Default)]
 pub struct MixScratch {
     terms: Vec<TermId>,
@@ -737,9 +729,6 @@ pub struct MixScratch {
 pub struct ShrunkSummaries {
     uniform_p: f64,
     categories: Arc<CategoryColumns>,
-    /// Explicit component columns (catalogs assembled from lazy mixtures
-    /// by [`Self::from_mixtures`]), each held once.
-    columns: Vec<Arc<SummaryComponent>>,
     heads: Vec<Head>,
     /// Every database's steps, database after database, so a request
     /// walking databases in order reads them in order.
@@ -756,7 +745,6 @@ impl ShrunkSummaries {
         ShrunkSummaries {
             uniform_p,
             categories,
-            columns: Vec::new(),
             heads: Vec::new(),
             steps: Vec::new(),
             edges: Vec::new(),
@@ -782,7 +770,7 @@ impl ShrunkSummaries {
         let leaf_denoms = self.leaf_denoms(category, own, basis.as_deref());
         let leaf = (category as u32, leaf_denoms, basis);
         let start = self.steps.len() as u32;
-        let (head, steps) = mixture(start, &cells, Some(leaf), &lambdas)?;
+        let (head, steps) = mixture(start, &cells, leaf, &lambdas)?;
         for &c in &cells {
             if let Err(at) = self.edges.binary_search(&c) {
                 self.edges.insert(at, c);
@@ -801,47 +789,6 @@ impl ShrunkSummaries {
         let leaf = cats.stats[leaf].denoms;
         let basis = contribution_denoms(cats.weighting, totals);
         [(leaf[0] - basis.0).max(0.0), (leaf[1] - basis.1).max(0.0)]
-    }
-
-    /// The factored form of arbitrary lazy mixtures (one per database, in
-    /// catalog order) — catalogs assembled from [`ShrunkSummary`]s rather
-    /// than frozen from a category hierarchy. Each distinct component (by
-    /// pointer) becomes one explicit column, which mixing reads through
-    /// the same component cells as a category edge. They must share
-    /// `uniform_p`.
-    pub fn from_mixtures<'a>(
-        mixtures: impl IntoIterator<Item = &'a ShrunkSummary>,
-    ) -> ShrunkSummaries {
-        let mut summaries = ShrunkSummaries::new(0.0, Arc::new(CategoryColumns::empty()));
-        let mut seen: HashMap<*const SummaryComponent, u32> = HashMap::new();
-        for (db, s) in mixtures.into_iter().enumerate() {
-            if db == 0 {
-                summaries.uniform_p = s.uniform_p();
-            }
-            assert_eq!(
-                summaries.uniform_p.to_bits(),
-                s.uniform_p().to_bits(),
-                "one uniform_p per catalog"
-            );
-            let cells: Vec<u32> = s
-                .components
-                .iter()
-                .map(|c| {
-                    let columns = &mut summaries.columns;
-                    *seen.entry(Arc::as_ptr(c)).or_insert_with(|| {
-                        columns.push(Arc::clone(c));
-                        (columns.len() - 1) as u32
-                    })
-                })
-                .collect();
-            let lambdas = (s.lambdas().to_vec(), s.lambdas_tf().to_vec());
-            let start = summaries.steps.len() as u32;
-            let (head, steps) = mixture(start, &cells, None, &lambdas)
-                .expect("a shrunk summary's λs cover its components");
-            summaries.heads.push(head);
-            summaries.steps.extend(steps);
-        }
-        summaries
     }
 
     /// Number of databases.
@@ -870,21 +817,17 @@ impl ShrunkSummaries {
         &self.steps[h.start as usize..(h.start + h.len) as usize]
     }
 
-    /// The leaf category of database `db` (`None` when its mixture is over
-    /// explicit columns).
-    pub fn category(&self, db: usize) -> Option<CategoryId> {
-        let leaf = self.heads[db].leaf;
-        (leaf != NO_LEAF).then_some(leaf as CategoryId)
+    /// The category of database `db`: the leaf of its category path.
+    pub fn category(&self, db: usize) -> CategoryId {
+        self.heads[db].leaf as CategoryId
     }
 
     /// Database `db`'s `(λ_df, λ_tf)`, uniform first, its own weight last.
     pub fn lambdas(&self, db: usize) -> (Vec<f64>, Vec<f64>) {
         let h = &self.heads[db];
-        let leaf = (h.leaf != NO_LEAF).then_some(h.leaf_lambda);
         std::iter::once(h.lambda0)
             .chain(self.steps(db).iter().map(|s| s.lambda))
-            .chain(leaf)
-            .chain([h.own])
+            .chain([h.leaf_lambda, h.own])
             .map(|[df, tf]| (df, tf))
             .unzip()
     }
@@ -905,13 +848,10 @@ impl ShrunkSummaries {
     ) -> Result<(), &'static str> {
         let cells: Vec<u32> = self.steps(db).iter().map(|s| s.cell).collect();
         let previous = &self.heads[db];
-        let leaf = self.category(db).map(|leaf| match &previous.basis {
-            Some(basis) => (leaf as u32, previous.leaf_denoms, Some(Arc::clone(basis))),
-            None => {
-                let denoms = self.leaf_denoms(leaf, old, None);
-                (leaf as u32, denoms, Some(Arc::new(Basis::of(old))))
-            }
-        });
+        let basis = previous.basis.clone();
+        let basis = basis.unwrap_or_else(|| Arc::new(Basis::of(old)));
+        let leaf_denoms = self.leaf_denoms(self.category(db), old, Some(&basis));
+        let leaf = (previous.leaf, leaf_denoms, Some(basis));
         let start = previous.start;
         let (head, steps) = mixture(start, &cells, leaf, &lambdas)?;
         self.steps[start as usize..start as usize + steps.len()].copy_from_slice(&steps);
@@ -920,20 +860,20 @@ impl ShrunkSummaries {
     }
 
     /// Resolve `query` against the category columns into `scratch`: the
-    /// one lookup a request makes there per word, then every component
-    /// cell a database's step can read, computed once for all of them.
+    /// one lookup a request makes there per word, then every edge cell a
+    /// database's step can read, computed once for all of them.
     pub fn prepare(&self, query: &[TermId], scratch: &mut MixScratch) {
         let cats = &*self.categories;
-        let (n, cells) = (cats.len(), self.cells());
+        let n = cats.len();
         scratch.terms.clear();
         scratch.terms.extend_from_slice(query);
         scratch.acc.clear();
         scratch.acc.resize(query.len() * n, NONE);
         // Every cell a step reads is written below.
-        scratch.components.resize(query.len() * cells, NONE);
+        scratch.components.resize(query.len() * n, NONE);
         for (k, &term) in query.iter().enumerate() {
             let acc = &mut scratch.acc[k * n..][..n];
-            let values = &mut scratch.components[k * cells..][..cells];
+            let values = &mut scratch.components[k * n..][..n];
             if let Some(row) = cats.row(term) {
                 for at in cats.offsets[row] as usize..cats.offsets[row + 1] as usize {
                     acc[cats.categories[at] as usize] = cats.acc[at];
@@ -943,17 +883,7 @@ impl ShrunkSummaries {
                 let parent = cats.parents[c as usize] as usize;
                 values[c as usize] = cats.edge(c, acc[parent], acc[c as usize]);
             }
-            for (value, column) in values[n..].iter_mut().zip(&self.columns) {
-                let get = |c: &Column| c.get(term).unwrap_or(ABSENT);
-                *value = [get(&column.p_df), get(&column.p_tf)];
-            }
         }
-    }
-
-    /// Component cells per word: one per category, then one per explicit
-    /// column.
-    fn cells(&self) -> usize {
-        self.categories.len() + self.columns.len()
     }
 
     /// Mix databases `dbs` over the query [`prepare`](Self::prepare)d into
@@ -971,12 +901,12 @@ impl ShrunkSummaries {
         p_tf: &mut [f64],
     ) {
         let q = scratch.terms.len();
-        let (n, cells) = (self.categories.len(), self.cells());
+        let n = self.categories.len();
         let weighting = self.categories.weighting;
         for (i, &db) in dbs.iter().enumerate() {
             let head = &self.heads[db as usize];
             let words = &words[i * q..][..q];
-            let component = |cell: u32, k: usize| scratch.components[k * cells + cell as usize];
+            let component = |cell: u32, k: usize| scratch.components[k * n + cell as usize];
             let leaf_acc = |k: usize| scratch.acc[k * n + head.leaf as usize];
             let (p_df, p_tf) = (&mut p_df[i * q..][..q], &mut p_tf[i * q..][..q]);
             let mut store = |k: usize, p: Pair| {
@@ -1012,14 +942,10 @@ impl ShrunkSummaries {
         }
     }
 
-    /// Bytes of data held: the category columns, every explicit column,
-    /// and per database its λs, components and any pinned basis.
+    /// Bytes of data held: the category columns, and per database its λs,
+    /// components and any pinned basis.
     pub fn resident_bytes(&self) -> usize {
-        let column = |c: &SummaryComponent| {
-            (c.p_df.terms.len() + c.p_tf.terms.len()) * (size_of::<u32>() + size_of::<f64>())
-        };
         self.categories.resident_bytes()
-            + self.columns.iter().map(|c| column(c)).sum::<usize>()
             + self.steps.len() * size_of::<Step>()
             + self.edges.len() * size_of::<u32>()
             + self
@@ -1030,16 +956,16 @@ impl ShrunkSummaries {
     }
 }
 
-/// The head and steps of a mixture of the component `cells` (root first)
-/// and, last, a leaf remainder `(category, denominators, basis)` when
-/// given, under `lambdas`, its steps at `start`.
+/// The head and steps of a mixture of the edge `cells` (root first) and,
+/// last, the leaf remainder `(category, denominators, basis)`, under
+/// `lambdas`, its steps at `start`.
 fn mixture(
     start: u32,
     cells: &[u32],
-    leaf: Option<(u32, Pair, Option<Arc<Basis>>)>,
+    (leaf, leaf_denoms, basis): (u32, Pair, Option<Arc<Basis>>),
     (lambdas_df, lambdas_tf): &(Vec<f64>, Vec<f64>),
 ) -> Result<(Head, Vec<Step>), &'static str> {
-    let m = cells.len() + usize::from(leaf.is_some());
+    let m = cells.len() + 1;
     if lambdas_df.len() != m + 2 || lambdas_tf.len() != m + 2 {
         return Err("λ vector length disagrees with the database's category path");
     }
@@ -1052,7 +978,6 @@ fn mixture(
             cell,
         })
         .collect();
-    let (leaf, leaf_denoms, basis) = leaf.unwrap_or((NO_LEAF, [0.0; 2], None));
     let head = Head {
         start,
         len: cells.len() as u32,
@@ -1069,8 +994,8 @@ fn mixture(
 /// A database's mixture `(uniform_p, head, steps)` mixed for every word
 /// of a query in Eq. 2's order, both models in step, each word's pair
 /// handed to `store`: `λ_0 · uniform_p`, then `+ λ_i · c_i` for each
-/// step's component value `component(cell, k)` where the column has the
-/// word and `λ_i != 0`, the leaf remainder likewise — `leaf(k)` gives the
+/// step's edge value `component(cell, k)` where the column has the word
+/// and `λ_i != 0`, the leaf remainder likewise — `leaf(k)` gives the
 /// leaf aggregate's sums for word `k` and what the basis adds to them —
 /// and `+ λ_{m+1} · p̂(w|D)` where the sample has the word. Branch-free
 /// but for the count of steps.
@@ -1082,16 +1007,13 @@ fn mix(
     words: &[OwnWord],
     store: &mut impl FnMut(usize, Pair),
 ) {
-    let has_leaf = head.leaf != NO_LEAF;
     for (k, w) in words.iter().enumerate() {
         let mut p = [head.lambda0[0] * uniform_p, head.lambda0[1] * uniform_p];
         for step in steps {
             p = add(p, step.lambda, component(step.cell, k));
         }
-        if has_leaf {
-            let (acc, right) = leaf(k);
-            p = add(p, head.leaf_lambda, remainder(acc, right, head.leaf_denoms));
-        }
+        let (acc, right) = leaf(k);
+        p = add(p, head.leaf_lambda, remainder(acc, right, head.leaf_denoms));
         // The sample's own term is added whatever its weight.
         let own = lanes(|i| select(has(w.p[i]), head.own[i] * w.p[i], -0.0));
         store(k, lanes(|i| p[i] + own[i]));
@@ -1174,21 +1096,14 @@ impl ShrunkView<'_> {
     }
 
     /// One word mixed straight from the category columns: each step's
-    /// component evaluated for the word alone, no scratch.
+    /// edge evaluated for the word alone, no scratch.
     fn value(&self, term: TermId) -> Pair {
         let s = self.summaries;
         let (head, cats) = (&s.heads[self.db], &*s.categories);
         let word = OwnWord::of(self.own, term);
         let component = |cell: u32, _| {
-            let cell = cell as usize;
-            if cell < cats.len() {
-                let parent = cats.parents[cell] as usize;
-                cats.edge(cell as u32, cats.acc(term, parent), cats.acc(term, cell))
-            } else {
-                let column = &s.columns[cell - cats.len()];
-                let value = |c: &Column| c.get(term).unwrap_or(ABSENT);
-                [value(&column.p_df), value(&column.p_tf)]
-            }
+            let parent = cats.parents[cell as usize] as usize;
+            cats.edge(cell, cats.acc(term, parent), cats.acc(term, cell as usize))
         };
         let leaf = |_| {
             let right = match (&head.basis, cats.weighting) {
@@ -1226,11 +1141,8 @@ impl SummaryView for ShrunkView<'_> {
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     use super::*;
-    use crate::category_summary::SummaryComponent;
-    use crate::shrinkage::{shrink, ShrinkageConfig};
     use crate::summary::WordStats;
     use textindex::Document;
 
@@ -1257,44 +1169,6 @@ mod tests {
         assert_eq!(f.word_count().to_bits(), s.total_tf().to_bits());
         assert_eq!(f.sample_size(), s.sample_size());
         assert!(f.terms().windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn frozen_shrunk_is_bit_identical_including_defaults() {
-        let db = sample_summary(&[vec![1, 2], vec![1, 3]], 100.0);
-        let comp = Arc::new(SummaryComponent {
-            p_df: [(1u32, 0.5f64), (4, 0.2)].into_iter().collect(),
-            p_tf: [(1u32, 0.4f64), (4, 0.3)].into_iter().collect(),
-        });
-        let shrunk = shrink(&db, &[comp], &ShrinkageConfig::default());
-        let factored = ShrunkSummaries::from_mixtures([&shrunk]);
-        let own = FrozenSummary::from_unshrunk(&db);
-        let f = factored.view(0, &own);
-        for t in [0u32, 1, 2, 3, 4, 42, 99_999] {
-            assert_eq!(f.p_df(t).to_bits(), SummaryView::p_df(&shrunk, t).to_bits());
-            assert_eq!(f.p_tf(t).to_bits(), SummaryView::p_tf(&shrunk, t).to_bits());
-            assert_eq!(f.effectively_contains(t), shrunk.effectively_contains(t));
-        }
-        assert_eq!(f.db_size().to_bits(), shrunk.db_size().to_bits());
-        assert_eq!(f.word_count().to_bits(), shrunk.word_count().to_bits());
-    }
-
-    #[test]
-    fn frozen_shrunk_captures_tf_only_component_keys() {
-        // A component with a key only in its tf map (the df denominator
-        // degenerated): the factored view must mix its non-default p_tf.
-        let db = sample_summary(&[vec![1]], 10.0);
-        let comp = Arc::new(SummaryComponent {
-            p_df: Default::default(),
-            p_tf: [(8u32, 0.25f64)].into_iter().collect(),
-        });
-        let shrunk = shrink(&db, &[comp], &ShrinkageConfig::default());
-        let factored = ShrunkSummaries::from_mixtures([&shrunk]);
-        let own = FrozenSummary::from_unshrunk(&db);
-        let f = factored.view(0, &own);
-        assert_ne!(f.p_tf(8).to_bits(), f.p_tf(9).to_bits(), "8 is no default");
-        assert_eq!(f.p_tf(8).to_bits(), SummaryView::p_tf(&shrunk, 8).to_bits());
-        assert_eq!(f.p_df(8).to_bits(), SummaryView::p_df(&shrunk, 8).to_bits());
     }
 
     #[test]

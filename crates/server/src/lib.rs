@@ -1382,11 +1382,13 @@ fn refresh_loop(shared: &Shared, interval: Duration) {
 mod tests {
     use std::collections::HashMap;
 
-    use broker::{Catalog, CatalogEntry};
-    use dbselect_core::shrinkage::{shrink, ShrinkageConfig};
+    use dbselect_core::category_summary::CategoryWeighting;
+    use dbselect_core::hierarchy::Hierarchy;
     use dbselect_core::summary::ContentSummary;
     use selection::{AdaptiveOutcome, RankedDatabase};
+    use store::catalog::StoredCatalog;
     use store::snapshot::ServingSnapshot;
+    use store::{CollectionStore, StoredDatabase};
 
     use super::*;
 
@@ -1407,21 +1409,23 @@ mod tests {
             ("mixed\"\\\n\u{2}é", "\\\"\\"),
             ("trailing\\", "\"\""),
         ];
-        let entries = labels.iter().map(|(name, _)| {
-            let unshrunk = ContentSummary::new(100.0, 10, HashMap::new());
-            let shrunk = shrink(&unshrunk, &[], &ShrinkageConfig::default());
-            CatalogEntry {
+        let databases = labels
+            .iter()
+            .map(|(name, _)| StoredDatabase {
                 name: name.to_string(),
-                unshrunk,
-                shrunk,
-            }
-        });
-        let snapshot = ServingSnapshot {
+                classification: Hierarchy::ROOT,
+                summary: ContentSummary::new(100.0, 10, HashMap::new()),
+                sample_docs: Vec::new(),
+            })
+            .collect();
+        let store = CollectionStore {
             dict: textindex::TermDict::new(),
-            categories: labels.iter().map(|(_, c)| c.to_string()).collect(),
-            lm_global: Vec::new(),
-            catalog: Catalog::build(entries),
+            hierarchy: Hierarchy::new("Root"),
+            databases,
         };
+        let stored = StoredCatalog::freeze(store, CategoryWeighting::BySize);
+        let mut snapshot = ServingSnapshot::from_stored(&stored);
+        snapshot.categories = labels.iter().map(|(_, c)| c.to_string()).collect();
         ServingState::from_snapshot(snapshot, String::new(), 0)
     }
 

@@ -632,7 +632,14 @@ mod tests {
         tm.record("route", 200);
         tm.route_latency.observe(5_000);
         tm.reload_total.fetch_add(2, Ordering::Relaxed);
-        let catalog = broker::Catalog::build(Vec::new());
+        let store = store::CollectionStore {
+            dict: textindex::TermDict::new(),
+            hierarchy: dbselect_core::hierarchy::Hierarchy::new("Root"),
+            databases: Vec::new(),
+        };
+        let weighting = dbselect_core::category_summary::CategoryWeighting::BySize;
+        let stored = store::catalog::StoredCatalog::freeze(store, weighting);
+        let catalog = store::snapshot::ServingSnapshot::from_stored(&stored).catalog;
         let text = render_tenant("evil\"t\nenant\\x", &tm, 3, &catalog, 1);
         // Every sample line still parses: the raw newline in the tenant
         // name must have been escaped, so no line starts mid-label.

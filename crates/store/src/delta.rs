@@ -72,7 +72,8 @@ use crate::codec::{
     write_u64, ChecksumReader, ChecksumWriter,
 };
 use crate::snapshot::{
-    read_lambdas, read_sample_column, write_lambdas, write_sample_column, ServingSnapshot,
+    read_lambdas, read_sample_column, with_path_context, write_lambdas, write_sample_column,
+    ServingSnapshot,
 };
 
 /// Magic bytes + format version for delta snapshots.
@@ -243,11 +244,13 @@ fn chain_context(path: &Path, role: &str, e: io::Error) -> io::Error {
 }
 
 /// The deltas present in `dir`, sorted ascending by generation, without
-/// opening any of them. Non-delta file names are ignored.
+/// opening any of them. Non-delta file names are ignored; errors name
+/// `dir`.
 fn scan_deltas(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let context = |e| with_path_context(dir, e);
     let mut deltas = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
+    for entry in std::fs::read_dir(dir).map_err(context)? {
+        let entry = entry.map_err(context)?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         let Some(number) = name
@@ -261,7 +264,7 @@ fn scan_deltas(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
         }
         let generation: u64 = number
             .parse()
-            .map_err(|_| corrupt("delta file number out of range"))?;
+            .map_err(|_| context(corrupt("delta file number out of range")))?;
         deltas.push((generation, entry.path()));
     }
     deltas.sort_unstable();
@@ -292,9 +295,9 @@ pub fn chain_tip_generation(dir: impl AsRef<Path>) -> io::Result<u64> {
 pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
     let dir = dir.as_ref();
     let base_path = dir.join(BASE_FILE);
-    let (mut snapshot, mut tip) = ServingSnapshot::load_with_digest(&base_path)
-        .map_err(|e| chain_context(&base_path, "chain base", e))?;
-    let mut bytes = std::fs::metadata(&base_path)?.len();
+    let base = |e| chain_context(&base_path, "chain base", e);
+    let (mut snapshot, mut tip) = ServingSnapshot::load_with_digest(&base_path).map_err(base)?;
+    let mut bytes = std::fs::metadata(&base_path).map_err(base)?.len();
 
     let deltas = scan_deltas(dir)?;
     let mut generation = 0u64;
@@ -343,7 +346,7 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
             .apply_updates(&updates)
             .map_err(corrupt)
             .map_err(wrap)?;
-        bytes += std::fs::metadata(&path)?.len();
+        bytes += std::fs::metadata(&path).map_err(wrap)?.len();
         tip = digest;
         generation = number;
     }

@@ -37,13 +37,13 @@
 use std::sync::Arc;
 
 use dbselect_core::category_summary::{path_components, CategoryWeighting, SummaryComponent};
-use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary, ShrunkSummaries};
+use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary};
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::shrinkage::{LambdaFitter, ShrinkageConfig};
 use dbselect_core::summary::ContentSummary;
 use textindex::{TermDict, TermId};
 
-use broker::Catalog;
+use broker::{Catalog, ProfiledDb};
 
 use crate::catalog::StoredCatalog;
 use crate::delta::DbPatch;
@@ -110,25 +110,16 @@ impl Epoch {
     /// (nothing is mixed), each leaf remainder subtracting `bases[db]`
     /// where a refresh replaced the sample it was pinned with.
     pub(crate) fn catalog(&self, stored: &StoredCatalog, bases: &[Option<Arc<Basis>>]) -> Catalog {
-        let n = stored.store.databases.len();
-        let mut shrunk = ShrunkSummaries::new(self.config.uniform_p, Arc::clone(&self.categories));
-        let (mut names, mut gammas, mut unshrunk) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        for (i, db) in stored.store.databases.iter().enumerate() {
-            let lambdas = (stored.lambdas_df[i].clone(), stored.lambdas_tf[i].clone());
-            let basis = bases.get(i).cloned().flatten();
-            let own = FrozenSummary::from_unshrunk(&db.summary);
-            shrunk
-                .push(db.classification, lambdas, &own, basis)
-                .expect("a stored catalog's λs fit its category paths");
-            names.push(db.name.clone());
-            gammas.push(db.summary.gamma().unwrap_or(-2.0));
-            unshrunk.push(own);
-        }
-        Catalog::from_parts(names, unshrunk, shrunk, gammas)
+        let databases = stored.store.databases.iter().enumerate();
+        let dbs = databases.map(|(i, db)| ProfiledDb {
+            name: db.name.clone(),
+            summary: &db.summary,
+            category: db.classification,
+            lambdas: (stored.lambdas_df[i].clone(), stored.lambdas_tf[i].clone()),
+            basis: bases.get(i).cloned().flatten(),
+        });
+        Catalog::freeze(Arc::clone(&self.categories), self.config.uniform_p, dbs)
+            .expect("a stored catalog's λs fit its category paths")
     }
 
     /// The full serving snapshot of `stored` under this epoch.

@@ -130,9 +130,8 @@ impl ServingSnapshot {
     }
 
     /// Serialize into `w` (magic, checksummed payload, trailing digest).
-    /// A catalog whose shrunk summaries mix explicit component columns
-    /// (one assembled from lazy mixtures, not frozen from a stored
-    /// catalog) has no category path to write and is refused.
+    /// Refuses, naming the database, a non-finite size or estimate in a
+    /// sample column or a pinned basis: the loader would reject the file.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let invalid = |m: &str| io::Error::new(io::ErrorKind::InvalidInput, m.to_string());
         let n = self.catalog.len();
@@ -140,10 +139,16 @@ impl ServingSnapshot {
             return Err(invalid("one category path per database required"));
         }
         let shrunk = self.catalog.shrunk_summaries();
-        let leaves = (0..n)
-            .map(|db| shrunk.category(db))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| invalid("shrunk summaries over explicit columns cannot be written"))?;
+        for (db, name) in self.catalog.names().iter().enumerate() {
+            let own = self.catalog.unshrunk(db);
+            let basis = shrunk.basis(db);
+            if !finite(own.db_size(), own.word_count(), own.raw_column())
+                || !basis.is_none_or(|b| finite(b.db_size(), b.word_count(), b.raw()))
+            {
+                let error = format!("database `{name}`: non-finite size or estimate");
+                return Err(invalid(&error));
+            }
+        }
         let index = self.catalog.posting_index();
         w.write_all(SNAPSHOT_MAGIC)?;
         let mut cw = ChecksumWriter::new(&mut *w);
@@ -180,9 +185,9 @@ impl ServingSnapshot {
         }
 
         write_u32(&mut cw, n as u32)?;
-        for (db, &leaf) in leaves.iter().enumerate() {
+        for db in 0..n {
             write_str(&mut cw, &self.catalog.names()[db])?;
-            write_u32(&mut cw, leaf as u32)?;
+            write_u32(&mut cw, shrunk.category(db) as u32)?;
             write_f64(&mut cw, self.catalog.gamma(db))?;
             let (df, tf) = shrunk.lambdas(db);
             write_lambdas(&mut cw, &mut buf, (&df, &tf))?;
@@ -377,6 +382,13 @@ impl ServingSnapshot {
         }
         w.digest()
     }
+}
+
+/// Whether a sample column's size, token count and estimates are all
+/// finite, as the loader requires.
+fn finite(size: f64, words: f64, raw: &[(f64, f64)]) -> bool {
+    let estimates = raw.iter().flat_map(|&(df, tf)| [df, tf]);
+    estimates.chain([size, words]).all(f64::is_finite)
 }
 
 /// Prefix an I/O error with the file it came from, preserving the kind
@@ -708,6 +720,26 @@ mod tests {
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
         assert_catalogs_bit_identical(&restored.catalog, &snapshot.catalog);
+    }
+
+    /// The loader refuses a non-finite size or estimate, so the writer
+    /// does too — naming the database — rather than save a snapshot that
+    /// cannot be served.
+    #[test]
+    fn non_finite_sizes_are_refused_before_writing() {
+        let mut store = fixture_store();
+        // Finite estimates over an infinite size: every aggregate the
+        // `Uniform` weighting sums stays finite, so the freeze succeeds.
+        let summary = &mut store.databases[1].summary;
+        let words = summary.iter().map(|(t, w)| (t, *w)).collect();
+        *summary = ContentSummary::new(f64::INFINITY, summary.sample_size(), words);
+        let frozen = StoredCatalog::freeze(store, CategoryWeighting::Uniform);
+        let snapshot = ServingSnapshot::from_stored(&frozen);
+        let mut bytes = Vec::new();
+        let err = snapshot.write_to(&mut bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("`soccer-db`"), "{err}");
+        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
     /// Golden values: every served value's bits, recorded from the v3

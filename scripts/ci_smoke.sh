@@ -67,6 +67,18 @@ fi
 grep 'dbselect freeze --catalog' "$WORK/v3.err"
 
 printf 'heart blood\n' > "$WORK/queries.txt"
+# A load error names the path it failed on exactly once: a missing file,
+# and an empty directory (read as a delta chain without its base).
+mkdir "$WORK/empty"
+for missing in "$WORK/missing.snapshot" "$WORK/empty"; do
+    if "$DBSELECT" route --catalog "$missing" --queries "$WORK/queries.txt" \
+        > /dev/null 2> "$WORK/missing.err"; then
+        echo "routing over $missing must fail"; exit 1
+    fi
+    cat "$WORK/missing.err"
+    [ "$(grep -o -F "$missing" "$WORK/missing.err" | wc -l)" -eq 1 ] \
+        || { echo "the error must name $missing exactly once"; exit 1; }
+done
 "$DBSELECT" route --catalog "$WORK/col.catalog" --queries "$WORK/queries.txt" \
     | tee "$WORK/cli.txt"
 # `select` freezes the store itself and routes the same query through the
