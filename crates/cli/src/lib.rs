@@ -7,7 +7,8 @@
 //! adaptive shrinkage.
 //!
 //! Everything is a plain function over a store so the commands are unit
-//! testable; `main.rs` only parses arguments.
+//! testable; [`commands`] parses arguments through the flag tables of
+//! [`args`] and calls them.
 
 use std::fmt::Write as _;
 use std::io;
@@ -26,6 +27,9 @@ use store::refresh::RefreshSession;
 use store::snapshot::ServingSnapshot;
 use store::{CollectionStore, StoredDatabase};
 use textindex::{Analyzer, Document, IndexedDatabase, TermDict};
+
+pub mod args;
+pub mod commands;
 
 /// One database to index: a name, a category path, and a directory of text
 /// files.
@@ -56,7 +60,7 @@ impl DbSpec {
     }
 }
 
-/// Indexing options.
+/// How `dbselect index` (and each `dbselect refresh` round) profiles.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexOptions {
     /// Target QBS sample size (ignored with `full`).
@@ -72,12 +76,11 @@ pub struct IndexOptions {
 
 impl Default for IndexOptions {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         IndexOptions {
             sample_size: 300,
             full: false,
             seed: 42,
-            threads,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -87,21 +90,11 @@ fn naming(path: &Path, err: io::Error) -> io::Error {
     io::Error::new(err.kind(), format!("{}: {err}", path.display()))
 }
 
-/// Read every regular file in `dir` (sorted by name for determinism) as one
-/// document. Bytes that are not UTF-8 are decoded lossily, so a Latin-1
-/// file keeps its ASCII words; a directory or file that cannot be read is
-/// an error naming it.
-fn read_documents(
-    dir: &Path,
-    analyzer: &Analyzer,
-    dict: &mut TermDict,
-) -> io::Result<Vec<Document>> {
-    Ok(analyze_texts(read_texts(dir)?, analyzer, dict))
-}
-
-/// Every regular file in `dir`, sorted by name, as text — read in full
-/// before any word is interned, so a failed read leaves a dictionary as
-/// it was.
+/// Every regular file in `dir`, sorted by name, as text (one document
+/// each) — read in full before any word is interned, so a failed read
+/// leaves a dictionary as it was. Bytes that are not UTF-8 are decoded
+/// lossily, so a Latin-1 file keeps its ASCII words; a directory or file
+/// that cannot be read is an error naming it.
 fn read_texts(dir: &Path) -> io::Result<Vec<String>> {
     let mut paths = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(|e| naming(dir, e))? {
@@ -129,6 +122,33 @@ fn analyze_texts(texts: Vec<String>, analyzer: &Analyzer, dict: &mut TermDict) -
         .collect()
 }
 
+/// The QBS bootstrap lexicon: the 2000 most document-frequent words
+/// across `dbs` (standing in for an English dictionary).
+fn bootstrap_lexicon(dbs: &[&IndexedDatabase]) -> Vec<u32> {
+    let mut df_totals: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+    for db in dbs {
+        for (term, list) in db.index().terms() {
+            *df_totals.entry(term).or_insert(0) += list.document_frequency();
+        }
+    }
+    let mut by_df: Vec<(usize, u32)> = df_totals.into_iter().map(|(t, c)| (c, t)).collect();
+    by_df.sort_unstable_by(|a, b| b.cmp(a));
+    by_df.into_iter().take(2000).map(|(_, t)| t).collect()
+}
+
+/// Frequency-estimating QBS profiling toward `sample_size` documents.
+fn qbs_pipeline(sample_size: usize) -> PipelineConfig {
+    let qbs = QbsConfig {
+        target_sample_size: sample_size,
+        ..Default::default()
+    };
+    PipelineConfig {
+        frequency_estimation: true,
+        qbs,
+        ..Default::default()
+    }
+}
+
 /// `dbselect index`: profile the given directories and build a store.
 pub fn build_store(specs: &[DbSpec], options: &IndexOptions) -> io::Result<CollectionStore> {
     let analyzer = Analyzer::english();
@@ -138,7 +158,7 @@ pub fn build_store(specs: &[DbSpec], options: &IndexOptions) -> io::Result<Colle
     // Load all databases first (the dictionary is shared).
     let mut loaded = Vec::with_capacity(specs.len());
     for spec in specs {
-        let docs = read_documents(Path::new(&spec.dir), &analyzer, &mut dict)?;
+        let docs = analyze_texts(read_texts(Path::new(&spec.dir))?, &analyzer, &mut dict);
         if docs.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -147,37 +167,18 @@ pub fn build_store(specs: &[DbSpec], options: &IndexOptions) -> io::Result<Colle
         }
         let category = hierarchy.ensure_path(&spec.category);
         loaded.push((
-            spec.name.clone(),
+            &spec.name,
             category,
-            IndexedDatabase::new(spec.name.clone(), docs),
+            IndexedDatabase::new(&*spec.name, docs),
         ));
     }
 
-    // The QBS bootstrap lexicon: the most document-frequent words across
-    // the collection (standing in for an English dictionary).
-    let mut df_totals: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for (_, _, db) in &loaded {
-        for (term, list) in db.index().terms() {
-            *df_totals.entry(term).or_insert(0) += list.document_frequency();
-        }
-    }
-    let mut by_df: Vec<(usize, u32)> = df_totals.into_iter().map(|(t, c)| (c, t)).collect();
-    by_df.sort_unstable_by(|a, b| b.cmp(a));
-    let lexicon: Vec<u32> = by_df.into_iter().take(2000).map(|(_, t)| t).collect();
-
-    let pipeline = PipelineConfig {
-        frequency_estimation: true,
-        qbs: QbsConfig {
-            target_sample_size: options.sample_size,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let pipeline = qbs_pipeline(options.sample_size);
     let databases = if options.full {
         loaded
             .into_iter()
             .map(|(name, classification, db)| StoredDatabase {
-                name,
+                name: name.clone(),
                 classification,
                 summary: ContentSummary::perfect(&db),
                 sample_docs: Vec::new(),
@@ -185,12 +186,13 @@ pub fn build_store(specs: &[DbSpec], options: &IndexOptions) -> io::Result<Colle
             .collect()
     } else {
         let dbs: Vec<&IndexedDatabase> = loaded.iter().map(|(_, _, db)| db).collect();
+        let lexicon = bootstrap_lexicon(&dbs);
         let profiles = profile_qbs_many(&dbs, &lexicon, &pipeline, options.seed, options.threads);
         loaded
             .iter()
             .zip(profiles)
             .map(|((name, classification, _), profile)| StoredDatabase {
-                name: name.clone(),
+                name: name.to_string(),
                 classification: *classification,
                 summary: profile.summary,
                 sample_docs: profile.sample.docs.into_iter().map(|d| d.tokens).collect(),
@@ -212,12 +214,6 @@ pub enum CliAlgorithm {
     /// ReDDE over the stored samples (no shrinkage; requires a store built
     /// by sampling, not `--full`).
     Redde,
-}
-
-impl Default for CliAlgorithm {
-    fn default() -> Self {
-        CliAlgorithm::Served(Algo::default())
-    }
 }
 
 impl CliAlgorithm {
@@ -253,18 +249,12 @@ fn render_ranking(out: &mut String, state: &ServingState, outcome: &AdaptiveOutc
     }
 }
 
-/// `dbselect select`: rank databases for a query. Returns the rendered
-/// report.
+/// `dbselect select`: rank databases for a query (`options.threads` is
+/// not read). Returns the rendered report.
 ///
 /// One-shot serving: the store is frozen as `dbselect freeze` does and the
 /// query routed through the [`ServingState`] a daemon would serve from it.
-pub fn select(
-    store: &CollectionStore,
-    query_words: &[String],
-    algo: CliAlgorithm,
-    shrinkage: ShrinkageMode,
-    k: usize,
-) -> String {
+pub fn select(store: &CollectionStore, query_words: &[String], options: &RouteOptions) -> String {
     let frozen = StoredCatalog::freeze(store.clone(), CategoryWeighting::BySize);
     let snapshot = ServingSnapshot::from_stored(&frozen);
     let state = ServingState::from_snapshot(snapshot, String::new(), 0);
@@ -280,7 +270,8 @@ pub fn select(
         let _ = writeln!(out, "no usable query words; nothing selected");
         return out;
     }
-    let algo = match algo {
+    let (shrinkage, k) = (options.shrinkage, options.k);
+    let algo = match options.algo {
         CliAlgorithm::Served(algo) => algo,
         CliAlgorithm::Redde => return select_redde(store, &query, k, out),
     };
@@ -295,7 +286,7 @@ pub fn select(
     out
 }
 
-/// Options for `dbselect route`.
+/// Options for `dbselect route` and `dbselect select`.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteOptions {
     /// Scoring algorithm (ReDDE is not supported — a catalog stores
@@ -311,27 +302,22 @@ pub struct RouteOptions {
 
 impl Default for RouteOptions {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         RouteOptions {
-            algo: CliAlgorithm::default(),
+            algo: CliAlgorithm::Served(Algo::default()),
             shrinkage: ShrinkageMode::Adaptive,
             k: 5,
-            threads,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
 /// `dbselect route`: serve a batch of queries (one per line) against a
-/// loaded serving state ([`ServingState::load`]: a v4 snapshot, a v1
-/// catalog, or a delta chain). Returns the rendered report.
+/// loaded serving state ([`ServingState::load`]: a v4 snapshot or a delta
+/// chain, as `dbselect freeze` and `dbselect refresh` write them).
+/// Returns the rendered report.
 pub fn route(state: &ServingState, query_lines: &[String], options: &RouteOptions) -> String {
-    let mut out = String::new();
     let CliAlgorithm::Served(algo) = options.algo else {
-        let _ = writeln!(
-            out,
-            "ReDDE needs raw samples; use `dbselect select` on a store"
-        );
-        return out;
+        return "ReDDE needs raw samples; use `dbselect select` on a store\n".to_string();
     };
     let engine = state.engine(algo, options.shrinkage);
 
@@ -353,6 +339,7 @@ pub fn route(state: &ServingState, query_lines: &[String], options: &RouteOption
     });
     let wall = started.elapsed();
 
+    let mut out = String::new();
     let _ = writeln!(
         out,
         "routing {} queries over {} databases ({} scoring, {:?} shrinkage, {} threads)",
@@ -395,29 +382,18 @@ pub fn route(state: &ServingState, query_lines: &[String], options: &RouteOption
 /// ReDDE selection over the stored samples.
 fn select_redde(store: &CollectionStore, query: &[u32], k: usize, mut out: String) -> String {
     use selection::{Redde, ReddeConfig};
-    let samples: Vec<Vec<Document>> = store
+    let (samples, sizes): (Vec<Vec<Document>>, Vec<f64>) = store
         .databases
         .iter()
         .map(|db| {
-            db.sample_docs
-                .iter()
-                .enumerate()
-                .map(|(i, tokens)| Document::from_tokens(i as u32, tokens.clone()))
-                .collect()
+            let docs = db.sample_docs.iter().enumerate();
+            let docs = docs.map(|(i, tokens)| Document::from_tokens(i as u32, tokens.clone()));
+            (docs.collect(), db.summary.db_size())
         })
-        .collect();
+        .unzip();
     if samples.iter().all(|s| s.is_empty()) {
-        let _ = writeln!(
-            out,
-            "this store holds no samples (built with --full?); ReDDE unavailable"
-        );
-        return out;
+        return out + "this store holds no samples (indexed in full?); ReDDE unavailable\n";
     }
-    let sizes: Vec<f64> = store
-        .databases
-        .iter()
-        .map(|db| db.summary.db_size())
-        .collect();
     let redde = Redde::build(&samples, &sizes, ReddeConfig::default());
     let ranking = redde.rank(query);
     let _ = writeln!(out, "top databases (ReDDE estimated relevant documents):");
@@ -448,12 +424,11 @@ pub fn inspect(store: &CollectionStore, db_name: Option<&str>) -> String {
         store.dict.len(),
         store.hierarchy.len()
     );
-    for db in &store.databases {
-        if let Some(filter) = db_name {
-            if db.name != filter {
-                continue;
-            }
-        }
+    for db in store
+        .databases
+        .iter()
+        .filter(|db| db_name.is_none_or(|n| db.name == n))
+    {
         let s = &db.summary;
         let _ = writeln!(
             out,
@@ -486,28 +461,18 @@ pub struct RefreshOptions {
     pub rounds: usize,
     /// Databases re-probed per round.
     pub budget: usize,
-    /// Scheduler + sampling seed.
-    pub seed: u64,
-    /// Target QBS sample size per re-probe (ignored with `full`).
-    pub sample_size: usize,
-    /// Re-read every document instead of sampling (cooperative mode).
-    pub full: bool,
-    /// Profiling threads.
-    pub threads: usize,
+    /// How each re-probe profiles; its seed also seeds the scheduler.
+    pub probe: IndexOptions,
     /// Pause between rounds (live-refresh pacing for a polling daemon).
     pub round_interval: Option<std::time::Duration>,
 }
 
 impl Default for RefreshOptions {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         RefreshOptions {
             rounds: 1,
             budget: 2,
-            seed: 42,
-            sample_size: 300,
-            full: false,
-            threads,
+            probe: IndexOptions::default(),
             round_interval: None,
         }
     }
@@ -540,21 +505,18 @@ pub fn refresh(
     specs: &[DbSpec],
     options: &RefreshOptions,
 ) -> io::Result<String> {
+    let probe = &options.probe;
     let stored = StoredCatalog::load(catalog_path)?;
     let mut session = RefreshSession::new(stored);
 
     // Map specs onto catalog indices by database name.
     let mut spec_for_db: Vec<Option<&DbSpec>> = vec![None; session.len()];
     for spec in specs {
-        match session.names().iter().position(|n| *n == spec.name) {
-            Some(db) => spec_for_db[db] = Some(spec),
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{}: no such database in {catalog_path}", spec.name),
-                ))
-            }
-        }
+        let Some(db) = session.names().iter().position(|n| *n == spec.name) else {
+            let unknown = format!("{}: no such database in {catalog_path}", spec.name);
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, unknown));
+        };
+        spec_for_db[db] = Some(spec);
     }
     if spec_for_db.iter().all(Option::is_none) {
         return Err(io::Error::new(
@@ -573,21 +535,14 @@ pub fn refresh(
     };
     drop(reference);
 
-    let mut scheduler = RefreshScheduler::new(session.len(), options.budget, options.seed);
+    let mut scheduler = RefreshScheduler::new(session.len(), options.budget, probe.seed);
     for (db, spec) in spec_for_db.iter().enumerate().take(session.len()) {
         scheduler.set_eligible(db, spec.is_some());
         scheduler.set_coverage(db, session.coverage(db));
     }
 
     let analyzer = Analyzer::english();
-    let pipeline = PipelineConfig {
-        frequency_estimation: true,
-        qbs: QbsConfig {
-            target_sample_size: options.sample_size,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let pipeline = qbs_pipeline(probe.sample_size);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -597,7 +552,7 @@ pub fn refresh(
         session.len(),
         chain_dir.display(),
         options.rounds,
-        options.seed,
+        probe.seed,
     );
     for round in 0..options.rounds {
         let started = Instant::now();
@@ -612,7 +567,7 @@ pub fn refresh(
         // the session dictionary. A database whose directory cannot be
         // read, or holds no document, sits this round out: it is reported
         // and keeps aging, and the rest of the round goes ahead.
-        let (mut refreshed, mut reloaded) = (Vec::new(), Vec::new());
+        let (mut refreshed, mut reloaded, mut names) = (Vec::new(), Vec::new(), Vec::new());
         for &db in &picks {
             let spec = spec_for_db[db].expect("scheduler only picks eligible databases");
             let texts = read_texts(Path::new(&spec.dir)).and_then(|texts| match texts.is_empty() {
@@ -627,6 +582,7 @@ pub fn refresh(
                     let docs = analyze_texts(texts, &analyzer, session.dict_mut());
                     reloaded.push(IndexedDatabase::new(spec.name.clone(), docs));
                     refreshed.push(db);
+                    names.push(spec.name.as_str());
                 }
                 Err(e) => {
                     scheduler.defer(db);
@@ -643,26 +599,15 @@ pub fn refresh(
             continue;
         }
 
-        let summaries: Vec<ContentSummary> = if options.full {
+        let summaries: Vec<ContentSummary> = if probe.full {
             reloaded.iter().map(ContentSummary::perfect).collect()
         } else {
-            // The round's QBS bootstrap lexicon: the most document-
-            // frequent words across the re-read databases.
-            let mut df_totals: std::collections::HashMap<u32, usize> =
-                std::collections::HashMap::new();
-            for db in &reloaded {
-                for (term, list) in db.index().terms() {
-                    *df_totals.entry(term).or_insert(0) += list.document_frequency();
-                }
-            }
-            let mut by_df: Vec<(usize, u32)> = df_totals.into_iter().map(|(t, c)| (c, t)).collect();
-            by_df.sort_unstable_by(|a, b| b.cmp(a));
-            let lexicon: Vec<u32> = by_df.into_iter().take(2000).map(|(_, t)| t).collect();
             let refs: Vec<&IndexedDatabase> = reloaded.iter().collect();
+            let lexicon = bootstrap_lexicon(&refs);
             // Seed by chain generation so every round probes differently
             // but the whole run stays deterministic.
-            let round_seed = options.seed ^ (writer.generation() + 1);
-            profile_qbs_many(&refs, &lexicon, &pipeline, round_seed, options.threads)
+            let round_seed = probe.seed ^ (writer.generation() + 1);
+            profile_qbs_many(&refs, &lexicon, &pipeline, round_seed, probe.threads)
                 .into_iter()
                 .map(|profile| profile.summary)
                 .collect()
@@ -676,15 +621,6 @@ pub fn refresh(
         let generation = writer.append_round(session.dict(), patches)?;
         let delta_path = chain_dir.join(store::delta::delta_file_name(generation));
         let bytes = std::fs::metadata(&delta_path).map(|m| m.len()).unwrap_or(0);
-        let names: Vec<&str> = refreshed
-            .iter()
-            .map(|&db| {
-                spec_for_db[db]
-                    .expect("picked databases have specs")
-                    .name
-                    .as_str()
-            })
-            .collect();
         let _ = writeln!(
             out,
             "round {} -> generation {generation}: refreshed {} in {:.1} ms ({bytes} bytes delta)",
@@ -783,13 +719,11 @@ mod tests {
         let store = CollectionStore::load(&path).unwrap();
 
         // A heart query selects the heart database first.
-        let report = select(
-            &store,
-            &["hypertension".into(), "blood".into()],
-            CliAlgorithm::Served(Algo::Cori),
-            ShrinkageMode::Adaptive,
-            5,
-        );
+        let options = RouteOptions {
+            algo: CliAlgorithm::Served(Algo::Cori),
+            ..Default::default()
+        };
+        let report = select(&store, &["hypertension".into(), "blood".into()], &options);
         let heart_pos = report.find("heart-db").expect("heart-db selected");
         assert!(report.find("soccer-db").is_none_or(|p| p > heart_pos));
 
@@ -835,20 +769,18 @@ mod tests {
         )
         .unwrap();
 
-        // Freeze the shrinkage fit into a v1 catalog, migrate it to a v4
-        // snapshot on disk, and reload both ways: `load_any` must route
-        // the legacy file and the snapshot identically.
+        // Freeze the shrinkage fit into a v1 catalog, freeze that into the
+        // v4 snapshot on disk (as `dbselect freeze --catalog` does), and
+        // serve the snapshot.
         let path = root.join("collection.catalog");
         StoredCatalog::freeze(store, CategoryWeighting::BySize)
             .save(&path)
             .unwrap();
         let v2_path = root.join("collection.snapshot");
-        ServingSnapshot::load_any(&path)
-            .unwrap()
+        ServingSnapshot::from_stored(&StoredCatalog::load(&path).unwrap())
             .save(&v2_path)
             .unwrap();
-        let load = |path: &Path| ServingState::load(path.to_str().unwrap(), 0).unwrap();
-        let frozen = load(&v2_path);
+        let frozen = ServingState::load(v2_path.to_str().unwrap(), 0).unwrap();
 
         let lines = vec![
             "heart blood pressure".to_string(),
@@ -899,11 +831,15 @@ mod tests {
         assert_eq!(strip(&single, "1 threads"), strip(&many, "8 threads"));
         assert!(single.contains("latency per query: p50"), "{single}");
 
-        // The legacy v1 catalog file routes identically to its migrated
-        // v4 snapshot.
-        let from_v1 = load(&path);
-        let v1_report = route(&from_v1, &lines, &options);
-        assert_eq!(strip(&report, "2 threads"), strip(&v1_report, "2 threads"));
+        // The v1 catalog itself is not served: loading it names the
+        // migration.
+        let Err(err) = ServingState::load(path.to_str().unwrap(), 0) else {
+            panic!("a v1 catalog must not load for serving");
+        };
+        assert!(
+            err.to_string().contains("dbselect freeze --catalog"),
+            "{err}"
+        );
 
         std::fs::remove_dir_all(&root).ok();
     }
@@ -935,11 +871,15 @@ mod tests {
         )
         .unwrap();
 
+        let probe = IndexOptions {
+            seed: 9,
+            full: true,
+            ..Default::default()
+        };
         let options = RefreshOptions {
             rounds: 2,
             budget: 1,
-            seed: 9,
-            full: true,
+            probe,
             ..Default::default()
         };
         let report = refresh(&catalog_path, &chain, &specs, &options).unwrap();
@@ -1027,11 +967,15 @@ mod tests {
             .unwrap();
         let catalog_path = catalog_path.to_string_lossy().into_owned();
         std::fs::write(root.join("heart/doc9.txt"), "Arrhythmia monitoring").unwrap();
+        let probe = IndexOptions {
+            seed: 3,
+            full: true,
+            ..Default::default()
+        };
         let options = RefreshOptions {
             rounds: 1,
             budget: 2,
-            seed: 3,
-            full: true,
+            probe,
             ..Default::default()
         };
 
@@ -1113,13 +1057,13 @@ mod tests {
                     for line in queries {
                         let words: Vec<String> =
                             line.split_whitespace().map(str::to_string).collect();
-                        let selected = select(&store, &words, algo, shrinkage, 5);
                         let options = RouteOptions {
                             algo,
                             shrinkage,
                             k: 5,
                             threads: 1,
                         };
+                        let selected = select(&store, &words, &options);
                         let routed = route(&state, &[line.to_string()], &options);
                         let want = ranking_lines(&routed);
                         assert!(!want.is_empty(), "{routed}");
@@ -1147,13 +1091,12 @@ mod tests {
             },
         )
         .unwrap();
-        let report = select(
-            &store,
-            &["xylophone".into()],
-            CliAlgorithm::Served(Algo::BGloss),
-            ShrinkageMode::Never,
-            5,
-        );
+        let options = RouteOptions {
+            algo: CliAlgorithm::Served(Algo::BGloss),
+            shrinkage: ShrinkageMode::Never,
+            ..Default::default()
+        };
+        let report = select(&store, &["xylophone".into()], &options);
         assert!(report.contains("dropping words"));
         std::fs::remove_dir_all(&root).ok();
     }

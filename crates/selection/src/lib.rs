@@ -37,9 +37,6 @@ pub use context::{
 pub use cori::Cori;
 pub use hierarchical::HierarchicalSelector;
 pub use lm::Lm;
-pub use merge::{
-    merge_partial_rankings, merge_rankings, merge_results, MergeStrategy, MergedResult,
-    PartialMerge,
-};
+pub use merge::{merge_rankings, merge_results, MergeStrategy, MergedResult};
 pub use redde::{Redde, ReddeConfig};
 pub use topk::{PreparedKernel, ProbabilitySpace, ScoreKernel, TermBound, TopK};

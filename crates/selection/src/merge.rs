@@ -99,47 +99,6 @@ pub fn merge_rankings(shards: &[Vec<RankedDatabase>]) -> Vec<RankedDatabase> {
     out
 }
 
-/// The outcome of merging a shard scatter in which some shards never
-/// answered: the merged ranking over the shards that did, plus the slot
-/// indices of the ones that did not.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialMerge {
-    /// The k-way merge of every present shard, in [`ranking_order`].
-    pub ranking: Vec<RankedDatabase>,
-    /// Slot indices (`shards[i] == None`) of the missing shards,
-    /// ascending.
-    pub missing: Vec<usize>,
-}
-
-impl PartialMerge {
-    /// Whether any shard was missing from the merge.
-    pub fn is_degraded(&self) -> bool {
-        !self.missing.is_empty()
-    }
-}
-
-/// [`merge_rankings`] over a scatter where shards may be missing — the
-/// gather half of a *federated* deployment, where a shard lives behind a
-/// network and can be down. Present shards merge exactly as
-/// [`merge_rankings`] merges them (the comparator never consults shard
-/// count, so the merged prefix over any subset is bit-identical to the
-/// monolithic ranking restricted to that subset's databases); missing
-/// slots are reported so the caller can mark the response degraded
-/// instead of failing it.
-pub fn merge_partial_rankings(shards: &[Option<Vec<RankedDatabase>>]) -> PartialMerge {
-    let missing: Vec<usize> = shards
-        .iter()
-        .enumerate()
-        .filter(|(_, shard)| shard.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    let present: Vec<Vec<RankedDatabase>> = shards.iter().flatten().cloned().collect();
-    PartialMerge {
-        ranking: merge_rankings(&present),
-        missing,
-    }
-}
-
 fn round_robin(inputs: &[(usize, f64, SearchOutcome)], limit: usize) -> Vec<MergedResult> {
     // Databases in descending selection-score order.
     let mut order: Vec<usize> = (0..inputs.len()).collect();
@@ -387,46 +346,6 @@ mod tests {
             },
         ]];
         assert_eq!(merge_rankings(&single), single[0]);
-    }
-
-    #[test]
-    fn partial_merge_reports_missing_shards_and_merges_the_rest() {
-        let rank = |pairs: &[(usize, f64)]| -> Vec<RankedDatabase> {
-            pairs
-                .iter()
-                .map(|&(index, score)| RankedDatabase { index, score })
-                .collect()
-        };
-        let shards = vec![
-            Some(rank(&[(0, 0.9), (4, 0.1)])),
-            None,
-            Some(rank(&[(2, 0.7), (1, 0.3)])),
-        ];
-        let merged = merge_partial_rankings(&shards);
-        assert!(merged.is_degraded());
-        assert_eq!(merged.missing, vec![1]);
-        let order: Vec<usize> = merged.ranking.iter().map(|r| r.index).collect();
-        assert_eq!(order, vec![0, 2, 1, 4]);
-        // The present shards merge exactly as merge_rankings merges them.
-        let present = vec![shards[0].clone().unwrap(), shards[2].clone().unwrap()];
-        let direct = merge_rankings(&present);
-        for (m, d) in merged.ranking.iter().zip(&direct) {
-            assert_eq!(m.index, d.index);
-            assert_eq!(m.score.to_bits(), d.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn partial_merge_degenerate_shapes() {
-        let full = merge_partial_rankings(&[Some(vec![]), Some(vec![])]);
-        assert!(!full.is_degraded());
-        assert!(full.ranking.is_empty());
-
-        let all_down = merge_partial_rankings(&[None, None, None]);
-        assert_eq!(all_down.missing, vec![0, 1, 2]);
-        assert!(all_down.ranking.is_empty());
-
-        assert!(!merge_partial_rankings(&[]).is_degraded());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! and the backend answers with that contiguous block's partial ranking
 //! (global catalog indices, per-shard top-k). The proxy fans a
 //! client request out to every backend, reads each reply through the
-//! daemon's own HTTP parser ([`crate::client`]), k-way-merges the partial
-//! rankings with [`selection::merge_partial_rankings`], and writes the
-//! body with the daemon's own ranking writer — one path for `/route` and
-//! `/route_batch`, a `/route` being a batch of one query. The body is the
-//! one the monolithic engine would have produced, bit-identical when
-//! every backend answers, because the adaptive choose phase and the
-//! scoring context are computed over the full catalog on every backend
-//! (DESIGN.md §13's shard invariance) and JSON numbers round-trip exactly
-//! ([`crate::json`]).
+//! daemon's own HTTP parser ([`crate::client`]), k-way-merges the
+//! answering shards' partial rankings with [`selection::merge_rankings`],
+//! and writes the body with the daemon's own ranking writer — one path
+//! for `/route` and `/route_batch`, a `/route` being a batch of one
+//! query. The body is the one the monolithic engine would have produced,
+//! bit-identical when every backend answers, because the adaptive choose
+//! phase and the scoring context are computed over the full catalog on
+//! every backend (DESIGN.md §13's shard invariance) and JSON numbers
+//! round-trip exactly ([`crate::json`]).
 //!
 //! The resilience layer around each backend call:
 //!
@@ -44,7 +44,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use selection::{merge_partial_rankings, RankedDatabase};
+use selection::{merge_rankings, RankedDatabase};
 
 use crate::client::Pool;
 use crate::http::{ClientResponse, Request, Response};
@@ -819,8 +819,8 @@ fn shard_bodies(body: &Json, shards: usize) -> Vec<Vec<u8>> {
 type MergedQuery<'a> = (&'a [String], Vec<&'a PartialEntry>);
 
 /// Merge each of `queries` queries' partial rankings over the shards that
-/// answered with the one comparator, [`merge_partial_rankings`], and list
-/// the shards that did not answer.
+/// answered with the one comparator, [`merge_rankings`], and list the
+/// shards that did not answer.
 fn merge(
     shards: &[Option<Vec<QueryPartial>>],
     queries: usize,
@@ -830,16 +830,16 @@ fn merge(
     let merged = (0..queries).map(|qi| {
         let partials: Vec<&[PartialEntry]> =
             answered.iter().map(|results| &results[qi].1[..]).collect();
-        let rankings: Vec<_> = partials
+        let rankings: Vec<Vec<RankedDatabase>> = partials
             .iter()
-            .map(|partial| Some(partial.iter().map(|e| e.ranked).collect()))
+            .map(|partial| partial.iter().map(|e| e.ranked).collect())
             .collect();
         let by_index: HashMap<usize, &PartialEntry> = partials
             .iter()
             .flat_map(|partial| partial.iter())
             .map(|e| (e.ranked.index, e))
             .collect();
-        let ranking = merge_partial_rankings(&rankings).ranking;
+        let ranking = merge_rankings(&rankings);
         let unknown = answered
             .first()
             .map_or(&[][..], |results| &results[qi].0[..]);

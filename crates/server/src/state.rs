@@ -11,10 +11,11 @@
 //! side and swaps the `Arc` — in-flight requests keep routing against the
 //! generation they started with, so a swap never fails them.
 //!
-//! Loading prefers the v4 [`ServingSnapshot`] format (a straight array
-//! read: no EM, no mixing — shrunk summaries stay factored); v1
-//! [`StoredCatalog`] files still load through the freeze path via
-//! [`ServingSnapshot::load_any`].
+//! A state serves what `dbselect freeze` and `dbselect refresh` write: a
+//! v4 [`ServingSnapshot`] file (a straight array read: no EM, no mixing —
+//! shrunk summaries stay factored) or a delta-chain directory, both read
+//! by [`store::delta::load_served`]. A v1 catalog is refused, naming the
+//! `dbselect freeze` migration.
 //!
 //! `dbselect route` and `dbselect select` route through a state too, with
 //! its [`ServingState::analyze`] and [`ServingState::engine`], so a query
@@ -28,7 +29,6 @@ use std::time::Instant;
 
 use broker::{Catalog, MomentTable, SelectionEngine, ShardPlan, ShardedEngine};
 use selection::{AdaptiveConfig, BGloss, Cori, Lm, SelectionAlgorithm, ShrinkageMode};
-use store::catalog::StoredCatalog;
 use store::snapshot::ServingSnapshot;
 use textindex::{Analyzer, TermDict, TermId};
 
@@ -207,17 +207,9 @@ impl ServingState {
         }
     }
 
-    /// Build a state from an already-loaded v1 frozen catalog.
-    pub fn from_frozen(frozen: StoredCatalog, source: String, cache_capacity: usize) -> Self {
-        ServingState::from_snapshot(
-            ServingSnapshot::from_stored(&frozen),
-            source,
-            cache_capacity,
-        )
-    }
-
-    /// Load a catalog from disk (v4 snapshot or v1 frozen catalog) and
-    /// freeze it for serving, recording load latency and file size.
+    /// Load a v4 snapshot file or a delta-chain directory
+    /// ([`store::delta::load_served`]) for serving, recording load
+    /// latency, on-disk size, checksum and chain generation.
     pub fn load(path: &str, cache_capacity: usize) -> io::Result<Self> {
         ServingState::load_sharded(path, cache_capacity, 1)
     }
@@ -227,28 +219,18 @@ impl ServingState {
     /// builds none); kept for the benchmark and the refresh tests.
     pub fn load_sharded(path: &str, cache_capacity: usize, shards: usize) -> io::Result<Self> {
         let started = Instant::now();
-        // A directory is a delta chain: replay base + deltas and record
-        // the tip generation so swaps can be kept monotone.
-        let (snapshot, checksum, snapshot_bytes, catalog_generation) =
-            if std::path::Path::new(path).is_dir() {
-                let chain = store::delta::load_chain(std::path::Path::new(path))?;
-                (
-                    chain.snapshot,
-                    chain.checksum,
-                    chain.bytes,
-                    chain.generation,
-                )
-            } else {
-                let (snapshot, checksum) = ServingSnapshot::load_any_with_checksum(path)?;
-                let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                (snapshot, checksum, bytes, 0)
-            };
-        let mut state =
-            ServingState::from_snapshot_sharded(snapshot, path.to_string(), cache_capacity, shards);
+        let loaded = store::delta::load_served(path)?;
+        let mut state = ServingState::from_snapshot_sharded(
+            loaded.snapshot,
+            path.to_string(),
+            cache_capacity,
+            shards,
+        );
         state.load_seconds = started.elapsed().as_secs_f64();
-        state.snapshot_bytes = snapshot_bytes;
-        state.checksum = checksum;
-        state.catalog_generation = catalog_generation;
+        state.snapshot_bytes = loaded.bytes;
+        state.checksum = loaded.checksum;
+        // The tip generation keeps swaps monotone.
+        state.catalog_generation = loaded.generation;
         Ok(state)
     }
 
@@ -288,7 +270,7 @@ impl ServingState {
     }
 
     /// Content checksum of this generation's catalog file (0 when built
-    /// in memory); see [`ServingSnapshot::load_any_with_checksum`].
+    /// in memory); see [`store::delta::load_served`].
     pub fn checksum(&self) -> u64 {
         self.checksum
     }

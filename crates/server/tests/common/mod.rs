@@ -12,6 +12,7 @@ use dbselect_core::summary::ContentSummary;
 use server::state::ServingState;
 use server::{Server, ServerConfig};
 use store::catalog::StoredCatalog;
+use store::snapshot::ServingSnapshot;
 use store::{CollectionStore, StoredDatabase};
 use textindex::{Analyzer, Document, TermDict};
 
@@ -84,8 +85,19 @@ pub fn fixture_catalog(scale: f64) -> StoredCatalog {
     StoredCatalog::freeze(fixture_store(scale), CategoryWeighting::BySize)
 }
 
+/// `frozen` served in memory, as the daemon serves the snapshot
+/// `dbselect freeze` writes of it; `source` is what reloads default to.
+pub fn serving_state(frozen: &StoredCatalog, source: &str) -> ServingState {
+    ServingState::from_snapshot(ServingSnapshot::from_stored(frozen), source.into(), 0)
+}
+
+/// Write `frozen` to `path` as the v4 snapshot `dbselect freeze` writes.
+pub fn save_snapshot(frozen: &StoredCatalog, path: &std::path::Path) {
+    ServingSnapshot::from_stored(frozen).save(path).unwrap();
+}
+
 pub fn temp_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("dbselectd-test-{tag}-{}.cat", std::process::id()))
+    std::env::temp_dir().join(format!("dbselectd-test-{tag}-{}.snap", std::process::id()))
 }
 
 /// Start a daemon on an OS-assigned port; returns its address and the

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use common::{fixture_catalog, start, temp_path};
+use common::{fixture_catalog, save_snapshot, serving_state, start, temp_path};
 use server::json::Json;
 use server::state::{Algo, ServingState, MODES};
 use server::ServerConfig;
@@ -136,11 +136,8 @@ fn words(line: &str) -> Vec<String> {
 #[test]
 fn route_is_bit_identical_for_every_algo_and_mode() {
     let frozen = fixture_catalog(1.0);
-    let reference = ServingState::from_frozen(frozen.clone(), "mem".into(), 0);
-    let (addr, handle) = start(
-        ServerConfig::default(),
-        ServingState::from_frozen(frozen, "mem".into(), 0),
-    );
+    let reference = serving_state(&frozen, "mem");
+    let (addr, handle) = start(ServerConfig::default(), serving_state(&frozen, "mem"));
 
     let queries = [
         "heart blood surgery",
@@ -187,7 +184,7 @@ fn route_is_bit_identical_for_every_algo_and_mode() {
 fn seed_and_index_leave_route_bodies_unchanged() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
     let queries = ["heart blood surgery", "stock market yield goal", ""];
     for algo in ["bgloss", "cori", "lm"] {
@@ -224,7 +221,7 @@ fn seed_and_index_leave_route_bodies_unchanged() {
 fn topk_bodies_are_byte_identical_to_the_full_ranking_prefix() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     let queries = [
@@ -269,11 +266,8 @@ fn topk_bodies_are_byte_identical_to_the_full_ranking_prefix() {
 #[test]
 fn route_batch_matches_per_query_routing_and_is_thread_invariant() {
     let frozen = fixture_catalog(1.0);
-    let reference = ServingState::from_frozen(frozen.clone(), "mem".into(), 0);
-    let (addr, handle) = start(
-        ServerConfig::default(),
-        ServingState::from_frozen(frozen, "mem".into(), 0),
-    );
+    let reference = serving_state(&frozen, "mem");
+    let (addr, handle) = start(ServerConfig::default(), serving_state(&frozen, "mem"));
 
     let lines = [
         "heart blood",
@@ -319,7 +313,7 @@ fn route_batch_matches_per_query_routing_and_is_thread_invariant() {
 fn healthz_metrics_and_errors() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     let (status, _, body) = get(addr, "/healthz");
@@ -387,7 +381,7 @@ fn healthz_metrics_and_errors() {
         .expect("resident family")
         .parse()
         .unwrap();
-    let reference = ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0);
+    let reference = serving_state(&fixture_catalog(1.0), "mem");
     assert_eq!(resident, reference.catalog().resident_bytes());
     assert!(resident > 0);
 
@@ -413,7 +407,7 @@ fn healthz_metrics_and_errors() {
 fn over_long_queries_answer_400_naming_the_limit() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
     let line = |words: usize| vec!["heart"; words].join(" ");
     let array = |words: usize| format!("[{}]", vec![r#""heart""#; words].join(","));
@@ -457,7 +451,7 @@ fn over_long_queries_answer_400_naming_the_limit() {
 fn shard_requests_are_validated_and_bounded_by_the_catalog() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
     let routes = [
         ("/route", r#""query":"heart blood""#),
@@ -509,11 +503,11 @@ fn reload_swaps_catalogs_without_failing_inflight_requests() {
     let path_b = temp_path("gen-b");
     let gen_a = fixture_catalog(1.0);
     let gen_b = fixture_catalog(0.05); // different sizes → different scores
-    gen_a.save(&path_a).unwrap();
-    gen_b.save(&path_b).unwrap();
+    save_snapshot(&gen_a, &path_a);
+    save_snapshot(&gen_b, &path_b);
 
-    let ref_a = ServingState::from_frozen(gen_a, "a".into(), 0);
-    let ref_b = ServingState::from_frozen(gen_b, "b".into(), 0);
+    let ref_a = serving_state(&gen_a, "a");
+    let ref_b = serving_state(&gen_b, "b");
     let line = "heart blood surgery goal";
     let expect_a = expected_ranking(
         &ref_a,
@@ -623,17 +617,16 @@ fn reload_swaps_catalogs_without_failing_inflight_requests() {
 fn every_response_is_labelled_with_the_generation_that_ranked_it() {
     let path_a = temp_path("label-a");
     let path_b = temp_path("label-b");
-    fixture_catalog(1.0).save(&path_a).unwrap();
+    save_snapshot(&fixture_catalog(1.0), &path_a);
     let mut renamed = common::fixture_store(1.0);
     for db in &mut renamed.databases {
         db.name.push_str("-b");
     }
-    store::catalog::StoredCatalog::freeze(
+    let renamed = store::catalog::StoredCatalog::freeze(
         renamed,
         dbselect_core::category_summary::CategoryWeighting::BySize,
-    )
-    .save(&path_b)
-    .unwrap();
+    );
+    save_snapshot(&renamed, &path_b);
 
     let state = ServingState::load(path_a.to_str().unwrap(), 0).unwrap();
     let (addr, handle) = start(
@@ -710,7 +703,7 @@ fn full_queue_answers_503_with_retry_after() {
             debug_sleep: true,
             ..Default::default()
         },
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     // Occupy the single worker: this request sleeps server-side.
@@ -760,7 +753,7 @@ fn full_queue_answers_503_with_retry_after() {
 fn keep_alive_reuses_connection_and_matches_close_mode() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     // Reference: the same query over a one-shot close-mode connection.
@@ -827,7 +820,7 @@ fn keep_alive_request_cap_closes_the_connection() {
             keep_alive_requests: 2,
             ..Default::default()
         },
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     let stream = TcpStream::connect(addr).expect("connect");
@@ -857,7 +850,7 @@ fn idle_keep_alive_connections_are_reaped() {
             idle_timeout: Duration::from_millis(150),
             ..Default::default()
         },
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     let stream = TcpStream::connect(addr).expect("connect");
@@ -890,7 +883,7 @@ fn idle_keep_alive_connections_are_reaped() {
 fn http10_defaults_to_close_and_can_opt_in() {
     let (addr, handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     // HTTP/1.0 without a Connection header: answered then closed.
@@ -923,7 +916,7 @@ fn missed_deadline_answers_504() {
             debug_sleep: true,
             ..Default::default()
         },
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     let body = r#"{"query":"heart blood"}"#;
@@ -957,11 +950,8 @@ fn missed_deadline_answers_504() {
 #[test]
 fn raw_requests_draw_the_expected_status_line_and_body() {
     let frozen = fixture_catalog(1.0);
-    let reference = ServingState::from_frozen(frozen.clone(), "mem".into(), 0);
-    let (addr, handle) = start(
-        ServerConfig::default(),
-        ServingState::from_frozen(frozen, "mem".into(), 0),
-    );
+    let reference = serving_state(&frozen, "mem");
+    let (addr, handle) = start(ServerConfig::default(), serving_state(&frozen, "mem"));
 
     let routed = |line: &str, algo: Algo, k: usize| {
         let (query, unknown) = reference.analyze(&words(line));
@@ -1086,7 +1076,7 @@ fn reactor_holds_hundreds_of_idle_connections_with_a_tiny_worker_pool() {
             idle_timeout: Duration::from_secs(30),
             ..Default::default()
         },
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
 
     // Park a small army of kept-alive connections: each serves one
@@ -1141,8 +1131,8 @@ fn reactor_holds_hundreds_of_idle_connections_with_a_tiny_worker_pool() {
 fn failed_reloads_answer_4xx_and_keep_serving_the_old_generation() {
     let path = temp_path("reload-rollback");
     let catalog = fixture_catalog(1.0);
-    catalog.save(&path).unwrap();
-    let reference = ServingState::from_frozen(catalog, "mem".into(), 0);
+    save_snapshot(&catalog, &path);
+    let reference = serving_state(&catalog, "mem");
     let line = "heart blood surgery goal";
     let expected = expected_ranking(
         &reference,
@@ -1233,10 +1223,46 @@ fn failed_reloads_answer_4xx_and_keep_serving_the_old_generation() {
     shutdown(addr, handle);
 }
 
+/// The daemon serves what `dbselect freeze` and `dbselect refresh`
+/// write: a v1 catalog is refused at boot and at reload, naming the
+/// migration, and the old generation keeps serving.
+#[test]
+fn v1_catalogs_are_refused_naming_the_freeze_migration() {
+    let path = std::env::temp_dir().join(format!("dbselectd-test-v1-{}.cat", std::process::id()));
+    fixture_catalog(1.0).save(&path).unwrap();
+    let Err(err) = ServingState::load(path.to_str().unwrap(), 0) else {
+        panic!("a v1 catalog must not load for serving");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("dbselect freeze --catalog"),
+        "{err}"
+    );
+
+    let state = serving_state(&fixture_catalog(1.0), "mem");
+    let (addr, handle) = start(ServerConfig::default(), state);
+    let (status, _, body) = post(
+        addr,
+        "/admin/reload",
+        &format!(r#"{{"path":"{}"}}"#, path.display()),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("dbselect freeze --catalog"), "{body}");
+    let (_, _, health) = get(addr, "/healthz");
+    let generation = Json::parse(&health)
+        .unwrap()
+        .get("generation")
+        .unwrap()
+        .as_u64();
+    assert_eq!(generation, Some(1), "{health}");
+    std::fs::remove_file(&path).ok();
+    shutdown(addr, handle);
+}
+
 #[test]
 fn readyz_reports_generation_and_snapshot_checksum_per_tenant() {
     let path = temp_path("readyz");
-    fixture_catalog(1.0).save(&path).unwrap();
+    save_snapshot(&fixture_catalog(1.0), &path);
     let state = ServingState::load(path.to_str().unwrap(), 0).unwrap();
     let (addr, handle) = start(ServerConfig::default(), state);
 
@@ -1283,7 +1309,7 @@ fn readyz_reports_generation_and_snapshot_checksum_per_tenant() {
     // reports the zero sentinel.
     let (mem_addr, mem_handle) = start(
         ServerConfig::default(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+        serving_state(&fixture_catalog(1.0), "mem"),
     );
     let (_, _, mem_body) = get(mem_addr, "/readyz");
     let mem = Json::parse(&mem_body).unwrap();

@@ -14,8 +14,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::{fixture_catalog, start};
-use server::state::ServingState;
+use common::{fixture_catalog, serving_state, start};
 use server::ServerConfig;
 
 /// The daemon under fault: one worker, a short request deadline, a short
@@ -99,10 +98,7 @@ fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
 fn dribbling_client_gets_408_within_the_deadline() {
     let config = faultable();
     let deadline = config.deadline;
-    let (addr, handle) = start(
-        config,
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
-    );
+    let (addr, handle) = start(config, serving_state(&fixture_catalog(1.0), "mem"));
 
     // Feed the request one byte every 25ms: per-syscall OS timeouts would
     // reset on every byte and never fire; the deadline must not.
@@ -152,10 +148,7 @@ fn dribbling_client_gets_408_within_the_deadline() {
 fn stalling_after_headers_gets_408() {
     let config = faultable();
     let deadline = config.deadline;
-    let (addr, handle) = start(
-        config,
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
-    );
+    let (addr, handle) = start(config, serving_state(&fixture_catalog(1.0), "mem"));
 
     // Promise a body and never send it: the worker must not wait on
     // `read_exact` past the deadline.
@@ -182,10 +175,7 @@ fn stalling_after_headers_gets_408() {
 fn closing_mid_body_frees_the_worker_without_panicking() {
     let config = faultable();
     let deadline = config.deadline;
-    let (addr, handle) = start(
-        config,
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
-    );
+    let (addr, handle) = start(config, serving_state(&fixture_catalog(1.0), "mem"));
 
     // Send half the promised body, then vanish.
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -208,10 +198,7 @@ fn client_that_never_reads_cannot_pin_the_worker() {
         ..Default::default()
     };
     let deadline = config.deadline;
-    let (addr, handle) = start(
-        config,
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
-    );
+    let (addr, handle) = start(config, serving_state(&fixture_catalog(1.0), "mem"));
 
     // Pipeline batch requests whose responses total well past any
     // plausible kernel buffering (~12 MB per response, 5 responses ≈
@@ -249,10 +236,7 @@ fn client_that_never_reads_cannot_pin_the_worker() {
 
 #[test]
 fn injected_panic_is_contained_and_counted() {
-    let (addr, handle) = start(
-        faultable(),
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
-    );
+    let (addr, handle) = start(faultable(), serving_state(&fixture_catalog(1.0), "mem"));
 
     // The handler panics mid-connection: no response, connection dropped,
     // pool intact.
@@ -285,10 +269,7 @@ fn fault_barrage_leaves_a_healthy_pool() {
     // pool must come out the other side fully functional.
     let config = faultable();
     let deadline = config.deadline;
-    let (addr, handle) = start(
-        config,
-        ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
-    );
+    let (addr, handle) = start(config, serving_state(&fixture_catalog(1.0), "mem"));
 
     for _ in 0..3 {
         // Mid-body close.

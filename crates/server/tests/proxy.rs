@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use common::{fixture_catalog, start};
+use common::{fixture_catalog, serving_state, start};
 use server::json::Json;
 use server::state::ServingState;
 use server::{ProxyConfig, Server, ServerConfig};
@@ -174,7 +174,7 @@ const QUERIES: [&str; 5] = [
 /// empty partial, not a missing one, so the answer is still whole.
 #[test]
 fn proxy_is_byte_identical_to_the_monolithic_daemon() {
-    let monolith = ServingState::from_frozen(fixture_catalog(1.0), "mem".to_string(), 0);
+    let monolith = serving_state(&fixture_catalog(1.0), "mem");
     let (mono_addr, mono_handle) = start(ServerConfig::default(), monolith);
     for count in [2, 1, 4] {
         assert_proxy_matches_monolith(mono_addr, count);
@@ -440,7 +440,7 @@ fn breaker_opens_on_a_killed_backend_and_recovers_after_restart() {
 
     // Restart the backend on the same address: the next half-open probe
     // must close the breaker and readiness must stick.
-    let state = ServingState::from_frozen(fixture_catalog(1.0), "mem".to_string(), 0);
+    let state = serving_state(&fixture_catalog(1.0), "mem");
     let (restarted, backend_handle) = start(
         ServerConfig {
             addr: backend_addr.to_string(),

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use common::{fixture_catalog, start};
+use common::{fixture_catalog, serving_state, start};
 use server::state::ServingState;
 use server::ServerConfig;
 
@@ -29,7 +29,7 @@ use server::ServerConfig;
 const WRITE_GRACE: Duration = Duration::from_secs(2);
 
 fn fixture() -> ServingState {
-    ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0)
+    serving_state(&fixture_catalog(1.0), "mem")
 }
 
 fn route_request(body: &str, extra_headers: &str) -> String {

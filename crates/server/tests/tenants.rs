@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use common::{fixture_catalog, start_tenants, temp_path};
+use common::{fixture_catalog, save_snapshot, serving_state, start_tenants, temp_path};
 use selection::RankedDatabase;
 use server::json::Json;
 use server::state::{Algo, ServingState, MODES};
@@ -109,19 +109,19 @@ fn two_tenants() -> Vec<(String, ServingState)> {
     vec![
         (
             "alpha".to_string(),
-            ServingState::from_frozen(fixture_catalog(1.0), "alpha-mem".into(), 0),
+            serving_state(&fixture_catalog(1.0), "alpha-mem"),
         ),
         (
             "beta".to_string(),
-            ServingState::from_frozen(fixture_catalog(0.05), "beta-mem".into(), 0),
+            serving_state(&fixture_catalog(0.05), "beta-mem"),
         ),
     ]
 }
 
 #[test]
 fn tenant_paths_route_against_their_own_catalog() {
-    let ref_alpha = ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0);
-    let ref_beta = ServingState::from_frozen(fixture_catalog(0.05), "mem".into(), 0);
+    let ref_alpha = serving_state(&fixture_catalog(1.0), "mem");
+    let ref_beta = serving_state(&fixture_catalog(0.05), "mem");
     let (addr, handle) = start_tenants(ServerConfig::default(), two_tenants());
 
     let line = "heart blood surgery goal";
@@ -219,8 +219,8 @@ fn merged_ranking(partials: &[&Json]) -> Vec<(String, u64, bool)> {
 #[test]
 fn sharded_serving_is_bit_identical_over_http() {
     let frozen = fixture_catalog(1.0);
-    let reference = ServingState::from_frozen(frozen.clone(), "mem".into(), 0);
-    let plain = ServingState::from_frozen(frozen, "mem".into(), 0);
+    let reference = serving_state(&frozen, "mem");
+    let plain = serving_state(&frozen, "mem");
     let (addr, handle) = start_tenants(
         ServerConfig::default(),
         vec![("default".to_string(), plain)],
@@ -302,10 +302,10 @@ fn sharded_serving_is_bit_identical_over_http() {
 fn reloading_one_tenant_never_fails_the_other() {
     let path_a1 = temp_path("tenant-a1");
     let path_a2 = temp_path("tenant-a2");
-    fixture_catalog(1.0).save(&path_a1).unwrap();
-    fixture_catalog(0.5).save(&path_a2).unwrap();
+    save_snapshot(&fixture_catalog(1.0), &path_a1);
+    save_snapshot(&fixture_catalog(0.5), &path_a2);
 
-    let ref_beta = ServingState::from_frozen(fixture_catalog(0.05), "mem".into(), 0);
+    let ref_beta = serving_state(&fixture_catalog(0.05), "mem");
     let line = "heart blood surgery goal";
     let expect_beta = expected_ranking(
         &ref_beta,
@@ -321,7 +321,7 @@ fn reloading_one_tenant_never_fails_the_other() {
         ),
         (
             "beta".to_string(),
-            ServingState::from_frozen(fixture_catalog(0.05), "beta-mem".into(), 0),
+            serving_state(&fixture_catalog(0.05), "beta-mem"),
         ),
     ];
     let (addr, handle) = start_tenants(
@@ -502,12 +502,12 @@ fn tenant_metrics_are_label_isolated() {
 
 #[test]
 fn k_truncates_the_served_ranking_only() {
-    let reference = ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0);
+    let reference = serving_state(&fixture_catalog(1.0), "mem");
     let (addr, handle) = start_tenants(
         ServerConfig::default(),
         vec![(
             "default".to_string(),
-            ServingState::from_frozen(fixture_catalog(1.0), "mem".into(), 0),
+            serving_state(&fixture_catalog(1.0), "mem"),
         )],
     );
 

@@ -29,7 +29,7 @@ use crate::refresh::Epoch;
 use crate::CollectionStore;
 
 /// Magic bytes + format version for catalog files.
-const CATALOG_MAGIC: &[u8; 8] = b"DBSCAT\x00\x01";
+pub(crate) const CATALOG_MAGIC: &[u8; 8] = b"DBSCAT\x00\x01";
 
 /// A collection store frozen for serving: profiling output plus the
 /// offline-fitted shrinkage weights.
@@ -361,7 +361,7 @@ mod tests {
         let err = StoredCatalog::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("category path"), "{err}");
-        let err = crate::snapshot::ServingSnapshot::load_any(&path).unwrap_err();
+        let err = crate::delta::load_served(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }

@@ -72,8 +72,8 @@ use crate::codec::{
     write_u64, ChecksumReader, ChecksumWriter,
 };
 use crate::snapshot::{
-    read_lambdas, read_sample_column, with_path_context, write_lambdas, write_sample_column,
-    ServingSnapshot,
+    finite, read_lambdas, read_sample_column, with_path_context, write_lambdas,
+    write_sample_column, ServingSnapshot,
 };
 
 /// Magic bytes + format version for delta snapshots.
@@ -123,7 +123,16 @@ pub struct DeltaRecord {
 impl DeltaRecord {
     /// Serialize (magic, checksummed payload, trailing digest); returns
     /// the payload digest — the `parent` value of the next delta.
+    /// Refuses, naming the database, a patch whose sample column holds a
+    /// non-finite size or estimate: the chain loader would reject it.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
+        for p in &self.patches {
+            let s = &p.unshrunk;
+            if !finite(s.db_size(), s.word_count(), s.raw_column()) {
+                let error = format!("database #{}: non-finite size or estimate", p.db);
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, error));
+            }
+        }
         w.write_all(DELTA_MAGIC)?;
         let mut cw = ChecksumWriter::new(&mut *w);
         write_u64(&mut cw, self.parent)?;
@@ -223,7 +232,8 @@ impl DeltaRecord {
     }
 }
 
-/// Everything a chain load produces beyond the snapshot itself.
+/// A loaded chain (or, from [`load_served`], a single snapshot file, its
+/// generation 0) and what `/readyz` and the reload path report of it.
 #[derive(Debug)]
 pub struct ChainLoad {
     /// The replayed serving snapshot (base + every delta applied).
@@ -354,6 +364,28 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
         snapshot,
         generation,
         checksum: tip,
+        bytes,
+    })
+}
+
+/// Load what `dbselectd` and `dbselect route` serve: a directory replays
+/// as a chain ([`load_chain`]); a file loads as a v4 snapshot at
+/// generation 0, checksummed by its stored payload digest. A v1 catalog
+/// or a retired v2/v3 snapshot is refused, naming the `dbselect freeze`
+/// migration. Errors carry the path (and, for chains, the chain
+/// position), their kind preserved.
+pub fn load_served(path: impl AsRef<Path>) -> io::Result<ChainLoad> {
+    let path = path.as_ref();
+    if path.is_dir() {
+        return load_chain(path);
+    }
+    let context = |e| with_path_context(path, e);
+    let (snapshot, checksum) = ServingSnapshot::load_with_digest(path).map_err(context)?;
+    let bytes = std::fs::metadata(path).map_err(context)?.len();
+    Ok(ChainLoad {
+        snapshot,
+        generation: 0,
+        checksum,
         bytes,
     })
 }

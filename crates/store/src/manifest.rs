@@ -3,10 +3,12 @@
 //!
 //! `dbselectd --tenants DIR` hosts many named catalogs in one process.
 //! The manifest is deliberately not another binary format — it is the
-//! directory itself: every regular file named `<tenant>.snap` (or
-//! `<tenant>.cat`, the v1 extension) becomes a tenant whose name is the
-//! file stem. Adding a tenant is `cp`; updating one is writing a new
-//! snapshot and `POST /t/<name>/admin/reload`.
+//! directory itself: every regular file named `<tenant>.snap` becomes a
+//! tenant whose name is the file stem. Adding a tenant is `cp`; updating
+//! one is writing a new snapshot and `POST /t/<name>/admin/reload`. A
+//! `<tenant>.cat` file (the v1 catalog extension) is still scanned, so
+//! the boot fails on it with the loader's `dbselect freeze` migration
+//! message instead of the tenant silently vanishing.
 //!
 //! Tenant names are user-supplied (they come off the filesystem), so they
 //! are validated here once — non-empty, no path separators, no leading
@@ -17,7 +19,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Snapshot file extensions recognized as tenant catalogs.
+/// File extensions scanned as tenant catalogs (`cat` only to refuse it
+/// loudly at load).
 const EXTENSIONS: [&str; 2] = ["snap", "cat"];
 
 /// One tenant: a name and the snapshot file backing it.
@@ -25,7 +28,7 @@ const EXTENSIONS: [&str; 2] = ["snap", "cat"];
 pub struct TenantEntry {
     /// The tenant name (the snapshot file's stem), validated.
     pub name: String,
-    /// Path of the v1/v2 snapshot file to serve.
+    /// Path of the snapshot file to serve.
     pub path: PathBuf,
 }
 

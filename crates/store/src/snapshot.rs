@@ -2,8 +2,8 @@
 //! summaries in factored form, loadable with no EM and no mixing.
 //!
 //! The v1 [`StoredCatalog`] persists profiling output (the embedded sample
-//! store plus the fitted λ weights); loading it still re-aggregates the
-//! categories and rebuilds the posting index. A [`ServingSnapshot`]
+//! store plus the fitted λ weights): it is the input `dbselect freeze` and
+//! `dbselect refresh` read, and nothing serves it. A [`ServingSnapshot`]
 //! instead serializes **the arrays the broker serves from**: per
 //! database its raw sample column, γ and λ pair; the category aggregates
 //! of Eq. 1 once per catalog; the CSR posting index with its kernel aux
@@ -62,10 +62,12 @@
 //! their posting slabs, so a structurally valid file can never smuggle an
 //! unsound pruning bound past the checksum.
 //!
-//! v2 and v3 files (`\x02`, `\x03` magic) stored every shrunk summary
-//! over the whole vocabulary. They are rejected with a message naming the
-//! migration: `dbselect freeze --catalog CATALOG` re-freezes the v1
-//! catalog they came from.
+//! A v1 catalog (`DBSCAT` magic) and the v2 and v3 snapshots (`\x02`,
+//! `\x03`, which stored every shrunk summary over the whole vocabulary)
+//! are recognised and refused with a message naming the migration:
+//! `dbselect freeze --catalog CATALOG` freezes the v1 catalog, the one a
+//! retired snapshot came from. What serving loads — this file or a delta
+//! chain — goes through [`crate::delta::load_served`].
 //!
 //! [`MAX_LEN`]: crate::codec::MAX_LEN
 
@@ -78,7 +80,7 @@ use dbselect_core::category_summary::{Aggregate, CategoryWeighting};
 use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary, ShrunkSummaries};
 use textindex::{TermDict, TermId};
 
-use crate::catalog::StoredCatalog;
+use crate::catalog::{StoredCatalog, CATALOG_MAGIC};
 use crate::codec::{
     corrupt, decode_f64, read_column, read_f64, read_len, read_str, read_u32, read_u64,
     write_column, write_f64, write_str, write_u32, write_u64, ChecksumReader, ChecksumWriter,
@@ -86,25 +88,29 @@ use crate::codec::{
 use crate::delta::write_atomically;
 use crate::refresh::Epoch;
 
-/// Magic bytes + format version for serving snapshots (v1 is
-/// [`StoredCatalog`]'s `DBSCAT`).
+/// Magic bytes + format version for serving snapshots.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"DBSSNP\x00\x04";
 
 /// Retired serving-snapshot versions, recognised only to name the
 /// migration.
 const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"DBSSNP\x00\x02", b"DBSSNP\x00\x03"];
 
-/// The error a retired snapshot file loads to.
-fn retired(version: u8) -> io::Error {
-    corrupt(&format!(
-        "v{version} serving snapshot: this build reads v4 only; re-freeze the v1 catalog \
-         it came from with `dbselect freeze --catalog CATALOG --out SNAPSHOT`"
-    ))
-}
-
-/// The magic's version when it names a retired snapshot format.
-fn retired_version(magic: &[u8; 8]) -> Option<u8> {
-    RETIRED_MAGICS.iter().find(|&&m| m == magic).map(|m| m[7])
+/// The error a file this loader recognises but does not serve loads to —
+/// a v1 [`StoredCatalog`] or a retired v2/v3 snapshot — naming the
+/// migration; `None` for any other magic.
+fn unserved(magic: &[u8; 8]) -> Option<io::Error> {
+    let what = if magic == CATALOG_MAGIC {
+        "v1 catalog: serving reads v4 snapshots only; freeze it".to_string()
+    } else if RETIRED_MAGICS.contains(&magic) {
+        format!(
+            "v{} serving snapshot: this build reads v4 only; re-freeze the v1 catalog it came from",
+            magic[7]
+        )
+    } else {
+        return None;
+    };
+    let message = format!("{what} with `dbselect freeze --catalog CATALOG --out SNAPSHOT`");
+    Some(io::Error::new(io::ErrorKind::InvalidData, message))
 }
 
 /// Everything `dbselectd` and `dbselect route` serve from, in final form.
@@ -233,8 +239,8 @@ impl ServingSnapshot {
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        if let Some(version) = retired_version(&magic) {
-            return Err(retired(version));
+        if let Some(error) = unserved(&magic) {
+            return Err(error);
         }
         if &magic != SNAPSHOT_MAGIC {
             return Err(corrupt("bad snapshot magic or unsupported version"));
@@ -261,8 +267,8 @@ impl ServingSnapshot {
         Self::load_file(path).map_err(|e| with_path_context(path, e))
     }
 
-    /// The context-free file load `load`/`load_any` wrap; the chain
-    /// loader calls it directly so a delta-chain error names the failing
+    /// The context-free file load `load` wraps; the chain loader calls
+    /// it directly so a delta-chain error names the failing
     /// chain member exactly once.
     fn load_file(path: &Path) -> io::Result<Self> {
         let mut r = BufReader::new(std::fs::File::open(path)?);
@@ -275,8 +281,8 @@ impl ServingSnapshot {
     }
 
     /// [`load`](Self::load) without path context, plus the stored payload
-    /// digest (already verified against the payload) — what chain replay
-    /// links parents by.
+    /// digest (already verified against the payload) — what `/readyz`
+    /// reports and chain replay links parents by.
     pub(crate) fn load_with_digest(path: &Path) -> io::Result<(Self, u64)> {
         use std::io::Seek as _;
         let snapshot = Self::load_file(path)?;
@@ -284,48 +290,6 @@ impl ServingSnapshot {
         f.seek(io::SeekFrom::End(-8))?;
         let digest = read_u64(&mut f)?;
         Ok((snapshot, digest))
-    }
-
-    /// Load a serving snapshot from any format: a v4 snapshot reads
-    /// straight into arrays; a v1 [`StoredCatalog`] is frozen in memory
-    /// (EM-free: category aggregation + posting construction); a
-    /// **directory** is replayed as a delta chain (`base.snap` +
-    /// `delta-NNNNNN.snap`, see [`crate::delta`]); a retired v2/v3
-    /// snapshot is refused, naming the migration. Errors carry the file
-    /// path — and, for chains, the chain position — with the error kind
-    /// preserved.
-    pub fn load_any(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::load_any_with_checksum(path).map(|(snapshot, _)| snapshot)
-    }
-
-    /// [`load_any`](Self::load_any), additionally returning the file's
-    /// content checksum — what `/readyz` reports so operators can tell at
-    /// a glance whether two daemons serve the same snapshot bytes.
-    ///
-    /// For a v4 snapshot this is the stored trailing FNV-1a payload
-    /// digest (already validated against the payload by the load). A v1
-    /// catalog stores no digest, so the same FNV-1a is computed over the
-    /// whole file instead — either way the value is a stable fingerprint
-    /// of the bytes on disk. A chain directory reports its tip delta's
-    /// digest, which by parent-linking fingerprints the whole chain.
-    pub fn load_any_with_checksum(path: impl AsRef<Path>) -> io::Result<(Self, u64)> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            return crate::delta::load_chain(path).map(|c| (c.snapshot, c.checksum));
-        }
-        Self::load_any_file(path).map_err(|e| with_path_context(path, e))
-    }
-
-    fn load_any_file(path: &Path) -> io::Result<(Self, u64)> {
-        let mut magic = [0u8; 8];
-        std::fs::File::open(path)?.read_exact(&mut magic)?;
-        if &magic == SNAPSHOT_MAGIC || retired_version(&magic).is_some() {
-            return Self::load_with_digest(path);
-        }
-        let snapshot = ServingSnapshot::from_stored(&StoredCatalog::load(path)?);
-        let mut w = ChecksumWriter::new(io::sink());
-        io::copy(&mut std::fs::File::open(path)?, &mut w)?;
-        Ok((snapshot, w.digest()))
     }
 }
 
@@ -386,7 +350,7 @@ impl ServingSnapshot {
 
 /// Whether a sample column's size, token count and estimates are all
 /// finite, as the loader requires.
-fn finite(size: f64, words: f64, raw: &[(f64, f64)]) -> bool {
+pub(crate) fn finite(size: f64, words: f64, raw: &[(f64, f64)]) -> bool {
     let estimates = raw.iter().flat_map(|&(df, tf)| [df, tf]);
     estimates.chain([size, words]).all(f64::is_finite)
 }
@@ -779,11 +743,14 @@ mod tests {
         let snapshot = ServingSnapshot::from_stored(&frozen);
         snapshot.save(&v4).unwrap();
         frozen.save(&v1).unwrap();
-        // load_any takes both formats to the same serving catalog.
-        let from_v4 = ServingSnapshot::load_any(&v4).unwrap();
-        let from_v1 = ServingSnapshot::load_any(&v1).unwrap();
-        assert_catalogs_bit_identical(&from_v4.catalog, &from_v1.catalog);
-        assert_eq!(from_v4.categories, from_v1.categories);
+        // The snapshot loads back to the catalog it froze; the v1 catalog
+        // it was frozen from is recognised by its magic and not served.
+        let from_v4 = ServingSnapshot::load(&v4).unwrap();
+        assert_catalogs_bit_identical(&from_v4.catalog, &snapshot.catalog);
+        assert_eq!(from_v4.categories, snapshot.categories);
+        let err = ServingSnapshot::load(&v1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("v1 catalog"), "{err}");
         // Trailing garbage is rejected on the v4 path.
         {
             use std::io::Write as _;
@@ -799,14 +766,13 @@ mod tests {
     fn checksum_is_stable_and_format_independent() {
         let dir = std::env::temp_dir();
         let v4 = dir.join(format!("dbsel-snap-cksum-{}.v4", std::process::id()));
-        let v1 = dir.join(format!("dbsel-snap-cksum-{}.v1", std::process::id()));
+        let chain = dir.join(format!("dbsel-snap-cksum-{}.chain", std::process::id()));
         let frozen = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
         let snapshot = ServingSnapshot::from_stored(&frozen);
         snapshot.save(&v4).unwrap();
-        frozen.save(&v1).unwrap();
 
-        let (_, a) = ServingSnapshot::load_any_with_checksum(&v4).unwrap();
-        let (_, b) = ServingSnapshot::load_any_with_checksum(&v4).unwrap();
+        let a = crate::delta::load_served(&v4).unwrap().checksum;
+        let b = crate::delta::load_served(&v4).unwrap().checksum;
         assert_eq!(a, b, "same bytes, same checksum");
         assert_ne!(a, 0);
 
@@ -815,25 +781,24 @@ mod tests {
         let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         assert_eq!(a, stored);
 
-        // v1 files expose a fingerprint too, and a different one (the
-        // bytes differ).
-        let (_, c) = ServingSnapshot::load_any_with_checksum(&v1).unwrap();
-        assert_ne!(c, 0);
-        assert_ne!(a, c);
+        // The same snapshot as a chain's base fingerprints the same.
+        crate::delta::ChainWriter::create(&chain, &snapshot).unwrap();
+        assert_eq!(crate::delta::load_served(&chain).unwrap().checksum, a);
 
         std::fs::remove_file(&v4).ok();
-        std::fs::remove_file(&v1).ok();
+        std::fs::remove_dir_all(&chain).ok();
     }
 
     #[test]
     fn retired_snapshot_versions_are_refused_naming_the_migration() {
         // v2 and v3 files stored every shrunk summary over the whole
-        // vocabulary; their loaders are gone. Whatever follows the magic,
-        // the load fails as invalid data and says how to migrate.
+        // vocabulary, and a v1 catalog must be frozen before it is served;
+        // their serving loaders are gone. Whatever follows the magic, the
+        // load fails as invalid data and says how to migrate.
         let mut bytes = Vec::new();
         fixture_snapshot().write_to(&mut bytes).unwrap();
         let path = std::env::temp_dir().join(format!("dbsel-retired-{}.snap", std::process::id()));
-        for magic in RETIRED_MAGICS {
+        for magic in RETIRED_MAGICS.into_iter().chain([CATALOG_MAGIC]) {
             bytes[..8].copy_from_slice(magic);
             let err = ServingSnapshot::read_from(&mut bytes.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -842,7 +807,7 @@ mod tests {
                 "{err}"
             );
             std::fs::write(&path, &bytes).unwrap();
-            let err = ServingSnapshot::load_any(&path).unwrap_err();
+            let err = crate::delta::load_served(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
                 err.to_string().contains("dbselect freeze --catalog"),

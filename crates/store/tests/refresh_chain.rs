@@ -228,12 +228,12 @@ fn replay_pins_each_refreshed_database_to_its_base_sample() {
 }
 
 #[test]
-fn load_any_replays_chain_directories() {
+fn load_served_replays_chain_directories() {
     let dir = temp_chain("loadany");
     let session = build_chain(&dir, 2);
-    let via_any = ServingSnapshot::load_any(&dir).unwrap();
-    assert_catalogs_bit_identical(&via_any.catalog, &session.freeze_full().catalog);
-    let (_, checksum) = ServingSnapshot::load_any_with_checksum(&dir).unwrap();
+    let served = delta::load_served(&dir).unwrap();
+    assert_catalogs_bit_identical(&served.snapshot.catalog, &session.freeze_full().catalog);
+    let checksum = served.checksum;
     let replayed = delta::load_chain(&dir).unwrap();
     assert_eq!(checksum, replayed.checksum);
     assert_eq!(delta::chain_tip_generation(&dir).unwrap(), 3);
@@ -290,9 +290,9 @@ fn chain_errors_carry_path_and_generation_context() {
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     assert!(err.to_string().contains("base.snap"), "{err}");
 
-    // Plain-file loads carry the path too (the load_any satellite fix).
+    // Plain-file loads carry the path too.
     let missing = nochain.join("nope.snap");
-    let err = ServingSnapshot::load_any(&missing).unwrap_err();
+    let err = delta::load_served(&missing).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     assert!(err.to_string().contains("nope.snap"), "{err}");
 
@@ -326,6 +326,36 @@ fn delta_with_sample_df_beyond_sample_size_is_rejected() {
     assert!(msg.contains("delta-000001.snap"), "{msg}");
     assert!(msg.contains("database #4"), "{msg}");
     assert!(msg.contains("sample_df"), "{msg}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The loader refuses a non-finite size or estimate, so the delta writer
+/// refuses one too — naming the database, before anything lands on disk —
+/// rather than append a round that breaks the whole chain.
+#[test]
+fn non_finite_patches_are_refused_before_writing() {
+    let dir = temp_chain("nonfinite");
+    let mut store = fixture_store();
+    store.databases.truncate(2);
+    let stored = StoredCatalog::freeze(store, CategoryWeighting::BySize);
+    let mut session = RefreshSession::new(stored);
+    let mut writer = ChainWriter::create(&dir, &session.freeze_full()).unwrap();
+    let words = session.summary(0).iter().map(|(t, w)| (t, *w)).collect();
+    let sample_size = session.summary(0).sample_size();
+    let summary = ContentSummary::new(f64::INFINITY, sample_size, words);
+    let patch = session.apply_probe(0, summary);
+    let err = writer
+        .append_round(session.dict(), vec![patch])
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("database #0"), "{err}");
+    let delta = dir.join(delta::delta_file_name(1));
+    let mut tmp = delta.clone().into_os_string();
+    tmp.push(".tmp");
+    assert!(!delta.exists() && !Path::new(&tmp).exists());
+    let chain = delta::load_chain(&dir).unwrap();
+    assert_eq!(chain.generation, 0);
+    assert_eq!(writer.generation(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

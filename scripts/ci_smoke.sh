@@ -47,7 +47,19 @@ done
 cmp "$WORK/qbs1.store" "$WORK/qbs2.store"
 "$DBSELECT" catalog --store "$WORK/qbs1.store" --out "$WORK/qbs.catalog"
 
-# --- freeze a v4 serving snapshot; it must route like the v1 catalog ------
+# --- every command documents itself; a bad flag names its command -------
+"$DBSELECT" --help > "$WORK/help.txt"
+for cmd in index select catalog freeze refresh route serve inspect; do
+    "$DBSELECT" "$cmd" --help > "$WORK/help_$cmd.txt"
+    grep -q "dbselect $cmd" "$WORK/help_$cmd.txt"
+    grep -q "dbselect $cmd" "$WORK/help.txt"
+done
+if "$DBSELECT" route --catalog x --queries y --bogus 2> "$WORK/bogus.err"; then
+    echo "an unknown flag must fail"; exit 1
+fi
+grep 'dbselect route: unknown option `--bogus`' "$WORK/bogus.err"
+
+# --- freeze the v4 serving snapshot, the one form that is served ----------
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"
 # Freezing is a pure function of the catalog: a second process, with its
 # own hash seeds, must write the same bytes (no hash-map order may leak
@@ -79,7 +91,21 @@ for missing in "$WORK/missing.snapshot" "$WORK/empty"; do
     [ "$(grep -o -F "$missing" "$WORK/missing.err" | wc -l)" -eq 1 ] \
         || { echo "the error must name $missing exactly once"; exit 1; }
 done
-"$DBSELECT" route --catalog "$WORK/col.catalog" --queries "$WORK/queries.txt" \
+# The v1 catalog is the input of `freeze` and `refresh`, never served:
+# routing or serving it exits non-zero, naming the migration, and so
+# does a tenant directory holding one.
+mkdir "$WORK/v1_tenants"
+cp "$WORK/col.catalog" "$WORK/v1_tenants/old.cat"
+for serve_v1 in "route --catalog $WORK/col.catalog --queries $WORK/queries.txt" \
+    "serve --catalog $WORK/col.catalog --addr 127.0.0.1:0" \
+    "serve --tenants $WORK/v1_tenants --addr 127.0.0.1:0"; do
+    # shellcheck disable=SC2086 # the words of each command line
+    if "$DBSELECT" $serve_v1 > /dev/null 2> "$WORK/v1.err"; then
+        echo "$serve_v1 must fail on a v1 catalog"; exit 1
+    fi
+    grep 'dbselect freeze --catalog' "$WORK/v1.err"
+done
+"$DBSELECT" route --catalog "$WORK/col.snapshot" --queries "$WORK/queries.txt" \
     | tee "$WORK/cli.txt"
 # `select` freezes the store itself and routes the same query through the
 # same serving state.
