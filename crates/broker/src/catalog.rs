@@ -463,6 +463,29 @@ impl PostingIndex {
             oi += usize::from(in_old);
             ai += usize::from(is_affected);
         }
+        // A served index keeps no growth slack: a row the touched
+        // databases grew pushed its columns past their reserved lengths.
+        let u32_columns = [
+            &mut terms,
+            &mut offsets,
+            &mut dbs,
+            &mut sample_df,
+            &mut positions,
+            &mut effective_counts,
+        ];
+        for column in u32_columns {
+            column.shrink_to_fit();
+        }
+        for column in [
+            &mut p_df,
+            &mut p_tf,
+            &mut max_df,
+            &mut max_p_df,
+            &mut max_p_tf,
+        ] {
+            column.shrink_to_fit();
+        }
+        effective.shrink_to_fit();
         PostingIndex {
             terms,
             offsets,
@@ -623,6 +646,10 @@ pub struct Catalog {
     /// γ per database (the Appendix-A fit, or the generic −2 fallback),
     /// resolved once so the hot path never re-inspects the summary.
     gammas: Vec<f64>,
+    /// `|D̂|` and `cw(D)` per database, as dense columns: scoring reads
+    /// them for every candidate row.
+    sizes: Vec<f64>,
+    word_counts: Vec<f64>,
     /// Mean database word count over the whole collection. Constant across
     /// queries *and* summary choices: a shrunk summary inherits its
     /// database's word count, so `mcw` is invariant under the adaptive
@@ -680,6 +707,8 @@ impl Catalog {
             .map(|s| s.word_count())
             .fold(f64::INFINITY, f64::min);
         Catalog {
+            sizes: unshrunk.iter().map(FrozenSummary::db_size).collect(),
+            word_counts: unshrunk.iter().map(FrozenSummary::word_count).collect(),
             names,
             unshrunk,
             shrunk,
@@ -850,6 +879,7 @@ impl Catalog {
             .iter()
             .map(FrozenSummary::resident_bytes)
             .sum::<usize>()
+            + (self.sizes.len() + self.word_counts.len()) * size_of::<f64>()
             + self.shrunk.resident_bytes()
             + (per_term + i.dbs.len() + i.sample_df.len() + i.positions.len()) * size_of::<u32>()
             + (per_term_f64 + i.p_df.len() + i.p_tf.len()) * size_of::<f64>()
@@ -864,6 +894,16 @@ impl Catalog {
     /// All resolved γ exponents, in database order.
     pub fn gammas(&self) -> &[f64] {
         &self.gammas
+    }
+
+    /// Every database's `|D̂|`, in database order.
+    pub(crate) fn db_sizes(&self) -> &[f64] {
+        &self.sizes
+    }
+
+    /// Every database's `cw(D)`, in database order.
+    pub(crate) fn word_counts(&self) -> &[f64] {
+        &self.word_counts
     }
 
     /// Mean database word count (CORI's `mcw`), a catalog constant.
@@ -923,23 +963,22 @@ impl Catalog {
     /// `cf` is read off per-term effective counts; `m` and `mcw` are
     /// catalog constants.
     pub fn unshrunk_context(&self, query: &[TermId]) -> CollectionContext {
-        let mut plan = QueryPlan::default();
+        let (mut plan, mut ctx) = (QueryPlan::default(), CollectionContext::default());
         self.plan(query, &mut plan);
-        self.planned_unshrunk_context(&plan)
+        self.planned_unshrunk_context(&plan, &mut ctx);
+        ctx
     }
 
-    pub(crate) fn planned_unshrunk_context(&self, plan: &QueryPlan) -> CollectionContext {
-        let cf = (0..plan.rows.len())
-            .map(|k| {
-                self.planned_postings(plan, k)
-                    .map_or(0, |p| p.effective_count)
-            })
-            .collect();
-        CollectionContext {
-            m: self.len(),
-            cf,
-            mcw: self.mcw,
-        }
+    /// [`Self::unshrunk_context`] of a planned query, into `ctx` (its `cf`
+    /// cleared and refilled).
+    pub(crate) fn planned_unshrunk_context(&self, plan: &QueryPlan, ctx: &mut CollectionContext) {
+        ctx.m = self.len();
+        ctx.mcw = self.mcw;
+        ctx.cf.clear();
+        ctx.cf.extend((0..plan.rows.len()).map(|k| {
+            self.planned_postings(plan, k)
+                .map_or(0, |p| p.effective_count)
+        }));
     }
 
     /// Gather the query words' probabilities, under both models, for
@@ -968,8 +1007,8 @@ impl Catalog {
         for (db, _) in used_shrinkage.iter().enumerate().filter(|(_, &used)| used) {
             rows.slots[db] = rows.dbs.len() as u32;
             rows.dbs.push(db as u32);
-            rows.sizes.push(self.unshrunk[db].db_size());
-            rows.word_counts.push(self.unshrunk[db].word_count());
+            rows.sizes.push(self.sizes[db]);
+            rows.word_counts.push(self.word_counts[db]);
         }
         if rows.dbs.is_empty() {
             return;
@@ -1009,13 +1048,15 @@ impl Catalog {
     /// `ShrunkRows` gather, then the count over both.
     pub fn scoring_context(&self, query: &[TermId], used_shrinkage: &[bool]) -> CollectionContext {
         let (mut plan, mut rows) = (QueryPlan::default(), ShrunkRows::default());
+        let mut ctx = CollectionContext::default();
         self.plan(query, &mut plan);
         self.gather_shrunk(&plan, query, used_shrinkage, &mut rows);
-        let unshrunk = self.planned_unshrunk_context(&plan);
-        self.planned_scoring_context(&plan, used_shrinkage, &rows, unshrunk)
+        self.planned_unshrunk_context(&plan, &mut ctx);
+        self.planned_scoring_context(&plan, used_shrinkage, &rows, &mut ctx);
+        ctx
     }
 
-    /// The scoring context, from the plan's unshrunk context `ctx`. When
+    /// Turn the plan's unshrunk context `ctx` into the scoring context. When
     /// any database uses shrinkage, each query word costs one pass over
     /// its flat posting slices (subtracting the shrunk databases'
     /// effective entries from the precomputed count) plus one pass over the
@@ -1026,11 +1067,11 @@ impl Catalog {
         plan: &QueryPlan,
         used_shrinkage: &[bool],
         rows: &ShrunkRows,
-        mut ctx: CollectionContext,
-    ) -> CollectionContext {
+        ctx: &mut CollectionContext,
+    ) {
         let qlen = plan.rows.len();
         if rows.dbs.is_empty() || qlen == 0 {
-            return ctx;
+            return;
         }
         for (k, count) in ctx.cf.iter_mut().enumerate() {
             if let Some(p) = self.planned_postings(plan, k) {
@@ -1040,10 +1081,9 @@ impl Catalog {
             }
             // `SummaryView::effectively_contains`, on the gathered values.
             for (row, &size) in rows.p_df.chunks_exact(qlen).zip(&rows.sizes) {
-                *count += u32::from((size * row[k]).round() >= 1.0);
+                *count += u32::from(size * row[k] >= 0.5);
             }
         }
-        ctx
     }
 
     /// Candidate mask: `true` for databases whose unshrunk summary mentions
@@ -1408,7 +1448,12 @@ mod tests {
             let unshrunk_bytes: usize =
                 (0..c.len()).map(|db| c.unshrunk(db).resident_bytes()).sum();
             let shrunk = c.shrunk_summaries().resident_bytes();
-            assert_eq!(c.resident_bytes(), unshrunk_bytes + shrunk + index_bytes);
+            // The dense `|D̂|` and `cw(D)` columns.
+            let size_columns = c.len() * 2 * 8;
+            assert_eq!(
+                c.resident_bytes(),
+                unshrunk_bytes + shrunk + index_bytes + size_columns
+            );
             shrunk
         };
         let (one, two, four) = (shrunk_bytes(1), shrunk_bytes(2), shrunk_bytes(4));

@@ -41,6 +41,7 @@
 //! ([`sampling::scheduler::fan_out_chunks`]).
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,13 +69,14 @@ pub struct RouteScratch {
 }
 
 /// What a request resolves before scoring, once, on the full catalog: the
-/// query's plan, the rows of the databases scored with `R̂(D)`, and the
-/// candidate mask. Scoring only reads it, so every shard view of a
-/// scattered query shares the one copy. The choice's column kernel works
-/// in `columns`.
+/// query's plan, the scoring context, the rows of the databases scored
+/// with `R̂(D)`, and the candidate mask. Scoring only reads it, so every
+/// shard view of a scattered query shares the one copy. The choice's
+/// column kernel works in `columns`.
 #[derive(Default)]
 pub(crate) struct Planned {
     plan: QueryPlan,
+    pub(crate) ctx: CollectionContext,
     shrunk: ShrunkRows,
     candidates: Vec<bool>,
     columns: ChooseColumns,
@@ -179,11 +181,14 @@ impl ChooseColumns {
     }
 }
 
-/// What scoring writes — one per scoring thread: the db→row map, per-row
+/// What scoring writes — one per scoring thread: the query words' score
+/// bounds and the kernel's query constants, the db→row map, per-row
 /// metadata, the row-major probability matrix and presence masks of the
 /// unshrunk candidates, and the rows picked for a batch.
 #[derive(Default)]
 pub(crate) struct ScoreBuffers {
+    bounds: Vec<TermBound>,
+    prep: PreparedKernel,
     row_of: Vec<u32>,
     row_dbs: Vec<u32>,
     row_sizes: Vec<f64>,
@@ -212,6 +217,36 @@ struct Batch {
     sizes: Vec<f64>,
     word_counts: Vec<f64>,
     scores: Vec<f64>,
+}
+
+impl Rows<'_> {
+    /// Batch-score `span` of these rows where they lie and offer every
+    /// score the ranker would keep to `heap`.
+    fn score_span(
+        &self,
+        kernel: &dyn ScoreKernel,
+        prep: &PreparedKernel,
+        span: Range<usize>,
+        scores: &mut Vec<f64>,
+        heap: &mut TopK,
+    ) {
+        let qlen = prep.query_len();
+        scores.clear();
+        scores.resize(span.len(), 0.0);
+        kernel.score_rows(
+            prep,
+            &self.p[span.start * qlen..span.end * qlen],
+            &self.sizes[span.clone()],
+            &self.word_counts[span.clone()],
+            scores,
+        );
+        for (&db, &score) in self.dbs[span].iter().zip(scores.iter()) {
+            if score > prep.drop_threshold {
+                let index = db as usize;
+                heap.push(RankedDatabase { index, score });
+            }
+        }
+    }
 }
 
 impl Batch {
@@ -365,32 +400,25 @@ impl SelectionEngine {
     /// made once, all of it on the full catalog. Leaves `planned` ready for
     /// [`Self::score_planned`], over the whole catalog or any part of it.
     ///
-    /// The context's `cf` counts the chosen summaries only when the
-    /// algorithm's kernel reads `cf` ([`ScoreKernel::reads_cf`]); otherwise
-    /// it is the unshrunk context the choice read, which the scores cannot
-    /// tell apart.
-    pub(crate) fn choose_with_context(
-        &self,
-        query: &[TermId],
-        planned: &mut Planned,
-    ) -> (Vec<bool>, CollectionContext) {
+    /// The context, left in `planned.ctx`, counts `cf` over the chosen
+    /// summaries only when the algorithm's kernel reads `cf`
+    /// ([`ScoreKernel::reads_cf`]); otherwise it is the unshrunk context
+    /// the choice read, which the scores cannot tell apart.
+    pub(crate) fn choose_with_context(&self, query: &[TermId], planned: &mut Planned) -> Vec<bool> {
         self.catalog.plan(query, &mut planned.plan);
-        let unshrunk = self.catalog.planned_unshrunk_context(&planned.plan);
+        (self.catalog).planned_unshrunk_context(&planned.plan, &mut planned.ctx);
         let used_shrinkage = self.untested_choice(query).unwrap_or_else(|| {
-            self.choose_tested(query, &planned.plan, &unshrunk, &mut planned.columns)
+            self.choose_tested(query, &planned.plan, &planned.ctx, &mut planned.columns)
         });
         self.gather_planned(query, &used_shrinkage, planned);
         let (_, kernel) = served(self.algorithm.as_ref());
-        let ctx = match kernel.reads_cf() {
-            false => unshrunk,
-            true => self.catalog.planned_scoring_context(
-                &planned.plan,
-                &used_shrinkage,
-                &planned.shrunk,
-                unshrunk,
-            ),
-        };
-        (used_shrinkage, ctx)
+        if kernel.reads_cf() {
+            let Planned {
+                plan, ctx, shrunk, ..
+            } = planned;
+            (self.catalog).planned_scoring_context(plan, &used_shrinkage, shrunk, ctx);
+        }
+        used_shrinkage
     }
 
     /// What scoring reads besides the plan: the shrunk rows
@@ -413,11 +441,13 @@ impl SelectionEngine {
         _rng: &mut R,
         scratch: &mut RouteScratch,
     ) -> Vec<bool> {
-        let Planned { plan, columns, .. } = &mut scratch.planned;
+        let Planned {
+            plan, ctx, columns, ..
+        } = &mut scratch.planned;
         self.catalog.plan(query, plan);
         self.untested_choice(query).unwrap_or_else(|| {
-            let ctx = self.catalog.planned_unshrunk_context(plan);
-            self.choose_tested(query, plan, &ctx, columns)
+            self.catalog.planned_unshrunk_context(plan, ctx);
+            self.choose_tested(query, plan, ctx, columns)
         })
     }
 
@@ -548,9 +578,10 @@ impl SelectionEngine {
         members: Option<&[u32]>,
     ) -> AdaptiveOutcome {
         with_scratch(|RouteScratch { planned, buffers }| {
-            let (used_shrinkage, ctx) = self.choose_with_context(query, planned);
+            let used_shrinkage = self.choose_with_context(query, planned);
+            let (planned, ctx) = (&*planned, &planned.ctx);
             let ranking =
-                self.score_planned(query, k, &ctx, &used_shrinkage, members, planned, buffers);
+                self.score_planned(query, k, ctx, &used_shrinkage, members, planned, buffers);
             AdaptiveOutcome {
                 ranking,
                 used_shrinkage,
@@ -594,9 +625,19 @@ impl SelectionEngine {
     ///    summary are batch-scored — no pruning, but no per-entry
     ///    allocation or virtual dispatch either;
     /// 2. unshrunk candidates are scattered from the posting slabs into a
-    ///    zeroed row matrix plus per-row presence masks, upper-bound
-    ///    filtered against the heap's current k-th score, and only the
-    ///    survivors are batch-scored.
+    ///    zeroed row matrix plus per-row presence masks, their sizes and
+    ///    word counts read off the catalog's dense columns;
+    /// 3. while the heap holds fewer than `k` entries, candidate rows are
+    ///    batch-scored where they lie, in order, with no bound computed: a
+    ///    bound can only prune against a full heap, and a Never-mode query
+    ///    has no shrunk rows to fill it first;
+    /// 4. the rest are upper-bound filtered a block at a time — against the
+    ///    ranker's drop threshold, which is what prunes bGlOSS rows, and
+    ///    strictly against the heap's k-th score — and only the survivors
+    ///    are batch-scored.
+    ///
+    /// The bounds and the kernel's query constants come from `buf`, so a
+    /// warm thread allocates only the ranking it returns.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn score_planned(
         &self,
@@ -627,8 +668,11 @@ impl SelectionEngine {
             let postings = self.catalog.planned_postings(plan, k);
             postings.map_or_else(TermBound::absent, |p| p.bound)
         };
-        let bounds: Vec<TermBound> = (0..qlen).map(bound).collect();
-        let prep = kernel.prepare(query, ctx, &bounds, self.catalog.min_word_count());
+        buf.bounds.clear();
+        buf.bounds.extend((0..qlen).map(bound));
+        let min_word_count = self.catalog.min_word_count();
+        kernel.prepare_into(query, ctx, &buf.bounds, min_word_count, &mut buf.prep);
+        let prep = &buf.prep;
         let mut heap = TopK::new(k.min(listed));
 
         // Phase A: shrunk-scored databases, gathered already (shrunk
@@ -647,22 +691,8 @@ impl SelectionEngine {
         match members {
             // Every gathered row, scored where it lies.
             None => {
-                let scores = &mut buf.batch.scores;
-                scores.clear();
-                scores.resize(shrunk.dbs.len(), 0.0);
-                kernel.score_rows(
-                    &prep,
-                    shrunk_rows.p,
-                    shrunk_rows.sizes,
-                    shrunk_rows.word_counts,
-                    scores,
-                );
-                for (&db, &score) in shrunk.dbs.iter().zip(scores.iter()) {
-                    if score > prep.drop_threshold {
-                        let index = db as usize;
-                        heap.push(RankedDatabase { index, score });
-                    }
-                }
+                let every = 0..shrunk.dbs.len();
+                shrunk_rows.score_span(kernel, prep, every, &mut buf.batch.scores, &mut heap);
             }
             // The members' rows: both lists ascend, so one cursor finds them.
             Some(members) => {
@@ -674,7 +704,7 @@ impl SelectionEngine {
                     buf.picked.push(row as u32);
                 }
                 buf.batch
-                    .score_picked(kernel, &prep, &shrunk_rows, &buf.picked, &mut heap);
+                    .score_picked(kernel, prep, &shrunk_rows, &buf.picked, &mut heap);
             }
         }
 
@@ -687,15 +717,15 @@ impl SelectionEngine {
         buf.row_dbs.clear();
         buf.row_sizes.clear();
         buf.row_wcs.clear();
+        let (sizes, word_counts) = (self.catalog.db_sizes(), self.catalog.word_counts());
         let mut add_row = |db: usize| {
             if used_shrinkage[db] || !candidates[db] {
                 return;
             }
-            let s = self.catalog.unshrunk(db);
             buf.row_of[db] = buf.row_dbs.len() as u32;
             buf.row_dbs.push(db as u32);
-            buf.row_sizes.push(s.db_size());
-            buf.row_wcs.push(s.word_count());
+            buf.row_sizes.push(sizes[db]);
+            buf.row_wcs.push(word_counts[db]);
         };
         match members {
             None => (0..n).for_each(add_row),
@@ -733,36 +763,44 @@ impl SelectionEngine {
                 }
             }
         }
-
-        // Blocked prune-then-score: filter a block of rows against the
-        // current k-th score, batch-score the survivors. Skipping requires
-        // *strictly* `ub < worst` — a bound equal to the k-th score can
-        // still displace it on the index tiebreak.
-        const BLOCK: usize = 128;
         let candidate_rows = Rows {
             p: &buf.matrix,
             sizes: &buf.row_sizes,
             word_counts: &buf.row_wcs,
             dbs: &buf.row_dbs,
         };
-        for start in (0..rows).step_by(BLOCK) {
+
+        // Fill: until the heap holds `k`, nothing can be pruned, so the
+        // next rows it has room for are scored in place. (A row the
+        // ranker drops takes no room, so this may take several turns.)
+        let mut next = 0;
+        while next < rows && !heap.is_full() {
+            let span = next..(next + heap.room()).min(rows);
+            next = span.end;
+            candidate_rows.score_span(kernel, prep, span, &mut buf.batch.scores, &mut heap);
+        }
+
+        // Prune: filter a block of the remaining rows against the
+        // current k-th score, batch-score the survivors. Skipping requires
+        // *strictly* `ub < worst` — a bound equal to the k-th score can
+        // still displace it on the index tiebreak.
+        const BLOCK: usize = 128;
+        for start in (next..rows).step_by(BLOCK) {
             buf.picked.clear();
             for row in start..(start + BLOCK).min(rows) {
-                let ub = kernel.upper_bound(&prep, buf.masks[row], buf.row_sizes[row]);
+                let ub = kernel.upper_bound(prep, buf.masks[row], buf.row_sizes[row]);
                 if ub <= prep.drop_threshold {
                     // The row cannot clear the ranker's drop filter.
                     continue;
                 }
-                if let Some(worst) = heap.worst_score() {
-                    if ub < worst {
-                        continue;
-                    }
+                if heap.worst_score().is_some_and(|worst| ub < worst) {
+                    continue;
                 }
                 buf.picked.push(row as u32);
             }
             if !buf.picked.is_empty() {
                 buf.batch
-                    .score_picked(kernel, &prep, &candidate_rows, &buf.picked, &mut heap);
+                    .score_picked(kernel, prep, &candidate_rows, &buf.picked, &mut heap);
             }
         }
         heap.into_sorted()
@@ -1204,7 +1242,8 @@ mod tests {
                     // grids, bit for bit, decided or not.
                     let mut planned = Planned::default();
                     catalog.plan(query, &mut planned.plan);
-                    let ctx = catalog.planned_unshrunk_context(&planned.plan);
+                    let mut ctx = CollectionContext::default();
+                    catalog.planned_unshrunk_context(&planned.plan, &mut ctx);
                     let combine = table.uniform().unwrap();
                     engine.fold_tabulated(query, &planned.plan, &ctx, combine, &mut planned.columns);
                     for db in 0..catalog.len() {

@@ -141,15 +141,15 @@ impl ShardedEngine {
         _rng: &mut R,
     ) -> AdaptiveOutcome {
         with_scratch(|RouteScratch { planned, .. }| {
-            let (used_shrinkage, ctx) = self.full.choose_with_context(query, planned);
-            let planned = &*planned;
+            let used_shrinkage = self.full.choose_with_context(query, planned);
+            let (planned, ctx) = (&*planned, &planned.ctx);
             let per_shard = fan_out(self.shard_count(), self.threads, |s| {
                 let members = Some(self.plan.members[s].as_slice());
                 with_scratch(|RouteScratch { buffers, .. }| {
                     self.full.score_planned(
                         query,
                         k,
-                        &ctx,
+                        ctx,
                         &used_shrinkage,
                         members,
                         planned,

@@ -23,6 +23,9 @@ pub enum Need {
     Required,
     /// Exactly one of the command's `OneOf` flags must be given.
     OneOf,
+    /// Optional, and applies only beside the flag spelled so: given
+    /// without it, the command fails rather than ignore the flag.
+    With(&'static str),
 }
 
 /// One row of a flag table: whether the command needs the flag, its
@@ -95,6 +98,17 @@ impl<O: Default + 'static> Command<O> {
         if let Some((flag, _)) = with(Need::Required).find(|(_, &seen)| !seen) {
             return Err(fail(format!("requires {}", synopsis(flag))));
         }
+        for (flag, _) in self.flags.iter().zip(&seen).filter(|(_, &seen)| seen) {
+            let Need::With(other) = flag.0 else { continue };
+            let beside = self
+                .flags
+                .iter()
+                .zip(&seen)
+                .find(|(f, _)| f.1.contains(&other));
+            if !beside.is_some_and(|(_, &seen)| seen) {
+                return Err(fail(format!("{} applies only with {other}", flag.1[0])));
+            }
+        }
         let group: Vec<String> = with(Need::OneOf).map(|(f, _)| synopsis(f)).collect();
         if !group.is_empty() && with(Need::OneOf).filter(|(_, &seen)| seen).count() != 1 {
             let group = group.join(" | ");
@@ -137,16 +151,20 @@ impl<O: Default + 'static> Invoke for Command<O> {
         for flag in with(Need::Required) {
             let _ = write!(out, " {}", synopsis(flag));
         }
-        if with(Need::Optional).next().is_some() {
+        if (self.flags.iter()).any(|f| matches!(f.0, Need::Optional | Need::With(_))) {
             out.push_str(" [OPTIONS]");
         }
         if let Some((name, _)) = self.positional {
             let _ = write!(out, " {name} ...");
         }
         let _ = writeln!(out, "\n      {}", self.about);
-        for (_, names, value, help, _) in self.flags {
+        for (need, names, value, help, _) in self.flags {
             let spelled = format!("{} {value}", names.join(", "));
-            let _ = writeln!(out, "      {spelled:<34} {help}");
+            let _ = write!(out, "      {spelled:<34} {help}");
+            if let Need::With(other) = need {
+                let _ = write!(out, " (only with {other})");
+            }
+            out.push('\n');
         }
         out
     }

@@ -11,7 +11,7 @@ use store::manifest::TenantManifest;
 use store::snapshot::ServingSnapshot;
 use store::CollectionStore;
 
-use crate::args::Need::{OneOf, Optional, Required};
+use crate::args::Need::{OneOf, Optional, Required, With};
 use crate::args::{int, ms, put, Command, Invoke, Outcome};
 use crate::{
     build_store, inspect, refresh, route, select, CliAlgorithm, DbSpec, IndexOptions,
@@ -185,7 +185,7 @@ static FREEZE: Command<FreezeArgs> = Command {
         (OneOf, &["--catalog"], "CATALOG", "freeze a v1 catalog", |o, v| put(&mut o.catalog, Some(v.into()))),
         (OneOf, &["--store"], "STORE", "fit a store's λs, then freeze it", |o, v| put(&mut o.store, Some(v.into()))),
         (Required, &["--out"], "SNAPSHOT", "the snapshot to write", |o, v| put(&mut o.out, v.into())),
-        (Optional, &["--weighting"], "bysize|uniform", "category aggregation of a store (default bysize)", |o, v| put(&mut o.weighting, weighting(v)?)),
+        (With("--store"), &["--weighting"], "bysize|uniform", "category aggregation of a store (default bysize)", |o, v| put(&mut o.weighting, weighting(v)?)),
     ],
     positional: None,
     run: |a| {
@@ -284,7 +284,7 @@ static SERVE: Command<ServeArgs> = Command {
         (OneOf, &["--catalog"], "SNAPSHOT", "serve a v4 snapshot file or a chain directory", |o, v| put(&mut o.catalog, Some(v.into()))),
         (OneOf, &["--tenants"], "DIR", "serve every *.snap file in DIR as a tenant", |o, v| put(&mut o.tenants, Some(v.into()))),
         (OneOf, &["--proxy"], "", "scatter to the backends instead of serving a catalog", |o, _| put(&mut o.proxy, true)),
-        (Optional, &["--backends"], "A,B,..", "the proxy's backends, HOST:PORT each", |o, v| put(&mut o.proxy_config.backends, backends(v))),
+        (With("--proxy"), &["--backends"], "A,B,..", "the proxy's backends, HOST:PORT each", |o, v| put(&mut o.proxy_config.backends, backends(v))),
         (Optional, &["--addr"], "HOST:PORT", "listen address (default 127.0.0.1:7700)", |o, v| put(&mut o.addr, Some(v.into()))),
         (Optional, &["--workers"], "N", "reactors, and as many pool threads (default 4)", |o, v| put(&mut o.config.workers, int(v)?)),
         (Optional, &["--queue"], "N", "pool admission-queue capacity (default 64)", |o, v| put(&mut o.config.queue_capacity, int(v)?)),
@@ -294,11 +294,11 @@ static SERVE: Command<ServeArgs> = Command {
         (Optional, &["--idle-timeout-ms"], "N", "idle wait between requests (default 5000)", |o, v| put(&mut o.config.idle_timeout, ms(v)?)),
         (Optional, &["--retry-after-ms"], "N", "Retry-After hint on 503s (default 1000)", |o, v| put(&mut o.config.retry_after, ms(v)?)),
         (Optional, &["--refresh-interval-ms"], "N", "poll chain sources for new deltas (default off)", |o, v| put(&mut o.config.refresh_interval, Some(ms(v)?))),
-        (Optional, &["--proxy-retries"], "N", "extra attempts per shard (default 2)", |o, v| put(&mut o.proxy_config.retries, int(v)?)),
-        (Optional, &["--hedge-ms"], "N", "hedge after N ms (0 = off; default: the backend's p99)", |o, v| put(&mut o.proxy_config.hedge, hedge(v)?)),
-        (Optional, &["--breaker-threshold"], "N", "consecutive failures that open a breaker (default 3)", |o, v| put(&mut o.proxy_config.breaker_failures, int(v)?)),
-        (Optional, &["--breaker-cooldown-ms"], "N", "how long a breaker stays open (default 2000)", |o, v| put(&mut o.proxy_config.breaker_cooldown, ms(v)?)),
-        (Optional, &["--health-interval-ms"], "N", "backend health-probe interval (default 500)", |o, v| put(&mut o.proxy_config.health_interval, ms(v)?)),
+        (With("--proxy"), &["--proxy-retries"], "N", "extra attempts per shard (default 2)", |o, v| put(&mut o.proxy_config.retries, int(v)?)),
+        (With("--proxy"), &["--hedge-ms"], "N", "hedge after N ms (0 = off; default: the backend's p99)", |o, v| put(&mut o.proxy_config.hedge, hedge(v)?)),
+        (With("--proxy"), &["--breaker-threshold"], "N", "consecutive failures that open a breaker (default 3)", |o, v| put(&mut o.proxy_config.breaker_failures, int(v)?)),
+        (With("--proxy"), &["--breaker-cooldown-ms"], "N", "how long a breaker stays open (default 2000)", |o, v| put(&mut o.proxy_config.breaker_cooldown, ms(v)?)),
+        (With("--proxy"), &["--health-interval-ms"], "N", "backend health-probe interval (default 500)", |o, v| put(&mut o.proxy_config.health_interval, ms(v)?)),
     ],
     positional: None,
     run: |a| {
@@ -514,6 +514,49 @@ mod tests {
             err.contains("exactly one of --catalog CATALOG | --store STORE"),
             "{err}"
         );
+    }
+
+    /// A flag that means something only beside another fails without it,
+    /// rather than being accepted and ignored.
+    #[test]
+    fn flags_that_apply_only_with_another_fail_without_it() {
+        let cases: [(&dyn Invoke, &str, &str); 4] = [
+            (
+                &FREEZE,
+                "--catalog c --out o --weighting uniform",
+                "dbselect freeze: --weighting applies only with --store",
+            ),
+            (
+                &SERVE,
+                "--catalog c --backends a:1",
+                "dbselect serve: --backends applies only with --proxy",
+            ),
+            (
+                &SERVE,
+                "--tenants d --hedge-ms 5",
+                "dbselect serve: --hedge-ms applies only with --proxy",
+            ),
+            (
+                &SERVE,
+                "--catalog c --health-interval-ms 9",
+                "dbselect serve: --health-interval-ms applies only with --proxy",
+            ),
+        ];
+        for (command, line, want) in cases {
+            assert_eq!(
+                command.check(&words(line)).err().as_deref(),
+                Some(want),
+                "{line:?}"
+            );
+        }
+        for (command, line) in [
+            (&FREEZE as &dyn Invoke, "--store s --out o --weighting uniform"),
+            (&SERVE, "--proxy --backends a:1 --proxy-retries 1 --breaker-threshold 2 --breaker-cooldown-ms 3"),
+            (&SERVE, "--catalog c --workers 2"),
+        ] {
+            assert!(command.check(&words(line)).is_ok(), "{line:?}");
+        }
+        assert!(SERVE.usage().contains("(only with --proxy)"));
     }
 
     #[test]

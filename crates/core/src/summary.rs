@@ -236,7 +236,9 @@ pub trait SummaryView {
     /// computing CORI's `cf(w)` over shrunk summaries (Section 5.3) and when
     /// evaluating recall/precision (Section 6.1).
     fn effectively_contains(&self, term: TermId) -> bool {
-        (self.db_size() * self.p_df(term)).round() >= 1.0
+        // `x >= 0.5` is `x.round() >= 1.0` for every f64: `round` rounds
+        // half away from zero.
+        self.db_size() * self.p_df(term) >= 0.5
     }
 }
 

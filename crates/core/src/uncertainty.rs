@@ -473,7 +473,8 @@ impl TermBasis {
             TermBasis::Fraction => (f64::from(p > 0.0), p),
             TermBasis::Saturating { db_size, pivot } => {
                 let df = p * db_size;
-                if df.round() < 1.0 {
+                // `round(df) < 1`, as CORI and its kernel write it.
+                if df < 0.5 {
                     (0.0, 0.0)
                 } else {
                     (1.0, df / (df + pivot))

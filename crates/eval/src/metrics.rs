@@ -37,7 +37,7 @@ impl EvaluatedSummary {
         let mut p_df = HashMap::new();
         let mut p_tf = HashMap::new();
         for (term, p) in summary.iter_df() {
-            if (summary.db_size() * p).round() >= 1.0 {
+            if summary.db_size() * p >= 0.5 {
                 p_df.insert(term, p);
                 p_tf.insert(term, summary.p_tf(term));
             }

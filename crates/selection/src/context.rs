@@ -7,7 +7,7 @@ use dbselect_core::uncertainty::{Combine, TermBasis, TermCoefficients};
 use textindex::TermId;
 
 /// Collection-level statistics a selection algorithm may need.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectionContext {
     /// Number of databases being ranked (`m` in CORI).
     pub m: usize,

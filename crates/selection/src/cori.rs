@@ -120,7 +120,9 @@ impl SelectionAlgorithm for Cori {
         let mut score = 0.0;
         for (k, &pw) in p.iter().enumerate().take(query.len()) {
             let df = pw * summary.db_size();
-            if df.round() < 1.0 {
+            // `df < 0.5` is `df.round() < 1.0` for every f64 (NaN and ±∞
+            // included), without a libm call.
+            if df < 0.5 {
                 // A query term the database does not effectively contain
                 // (`round(|D̂|·p̂) < 1`, the Section-5.3 rule — crucial under
                 // shrinkage, where every word has non-zero probability)
@@ -154,6 +156,32 @@ mod tests {
     use super::*;
     use crate::context::rank_databases;
     use crate::context::test_support::summary;
+
+    /// The Section-5.3 rule is written `df < 0.5` (and `x >= 0.5`) at every
+    /// site — CORI, its kernel, the catalog's `cf` count, the closed form —
+    /// because `round` rounds half away from zero: the forms agree on every
+    /// `f64`, the edges included, without a libm call per cell.
+    #[test]
+    fn the_half_threshold_is_the_rounded_one() {
+        let edges = [
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -0.5,
+            0.5 + f64::EPSILON / 2.0,
+        ];
+        for x in edges {
+            assert_eq!(x < 0.5, x.round() < 1.0, "{x:e}");
+            assert_eq!(x >= 0.5, x.round() >= 1.0, "{x:e}");
+        }
+    }
 
     #[test]
     fn default_score_is_zero_under_inquery_semantics() {

@@ -77,7 +77,9 @@ impl TermBound {
 /// Query-constant state a kernel computes once per `(query, context)` and
 /// reuses across every row: the default score and drop threshold the ranker
 /// applies, per-position constants, and per-position upper-bound factors.
-#[derive(Debug, Clone)]
+/// A serving thread keeps one and refills it per query
+/// ([`ScoreKernel::prepare_into`]), so its vectors keep their capacity.
+#[derive(Debug, Clone, Default)]
 pub struct PreparedKernel {
     query_len: usize,
     /// The algorithm's database-independent default score for this query
@@ -146,7 +148,22 @@ pub trait ScoreKernel {
         ctx: &CollectionContext,
         bounds: &[TermBound],
         min_word_count: f64,
-    ) -> PreparedKernel;
+    ) -> PreparedKernel {
+        let mut prep = PreparedKernel::default();
+        self.prepare_into(query, ctx, bounds, min_word_count, &mut prep);
+        prep
+    }
+
+    /// [`Self::prepare`] into `prep`, overwriting every field and reusing
+    /// its vectors' capacity.
+    fn prepare_into(
+        &self,
+        query: &[TermId],
+        ctx: &CollectionContext,
+        bounds: &[TermBound],
+        min_word_count: f64,
+        prep: &mut PreparedKernel,
+    );
 
     /// Score `db_size.len()` rows. `p` is row-major,
     /// `db_size.len() * prep.query_len()` long; `out` receives one score
@@ -177,28 +194,28 @@ impl ScoreKernel for Cori {
         ProbabilitySpace::DocumentFrequency
     }
 
-    fn prepare(
+    fn prepare_into(
         &self,
         query: &[TermId],
         ctx: &CollectionContext,
         bounds: &[TermBound],
         min_word_count: f64,
-    ) -> PreparedKernel {
+        prep: &mut PreparedKernel,
+    ) {
         let m = ctx.m as f64;
         // I_k is a pure function of (m, cf[k]); hoisting it evaluates the
         // identical expression on identical inputs — same bits as inline.
-        let term_const: Vec<f64> = (0..query.len())
-            .map(|k| {
-                let cf = ctx.cf.get(k).copied().unwrap_or(0);
-                if cf > 0 {
-                    ((m + 0.5) / f64::from(cf)).ln() / (m + 1.0).ln()
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        prep.term_const.clear();
+        prep.term_const.extend((0..query.len()).map(|k| {
+            let cf = ctx.cf.get(k).copied().unwrap_or(0);
+            if cf > 0 {
+                ((m + 0.5) / f64::from(cf)).ln() / (m + 1.0).ln()
+            } else {
+                0.0
+            }
+        }));
         // With all-zero probabilities every term is skipped by the
-        // `round(df) < 1` rule, so the default score is exactly +0.0.
+        // `df < 0.5` rule, so the default score is exactly +0.0.
         let default_score = 0.0f64;
         let drop_threshold = default_score + default_score.abs() * 1e-9 + 1e-300;
         // T = df/(df+denom) grows with df and shrinks with denom, so the
@@ -214,27 +231,22 @@ impl ScoreKernel for Cori {
             && self.default_belief >= 0.0
             && (1.0 - self.default_belief) >= 0.0
             && min_word_count >= 0.0;
-        let term_ub: Vec<f64> = if prunable {
-            (0..query.len())
-                .map(|k| {
-                    let max_df = bounds[k].max_df.max(0.0);
-                    let t_ub = max_df / (max_df + denom_min);
-                    (self.default_belief + (1.0 - self.default_belief) * t_ub * term_const[k])
-                        .max(0.0)
-                })
-                .collect()
+        prep.term_ub.clear();
+        if prunable {
+            let term_ub = bounds.iter().zip(&prep.term_const).map(|(bound, &c)| {
+                let max_df = bound.max_df.max(0.0);
+                let t_ub = max_df / (max_df + denom_min);
+                (self.default_belief + (1.0 - self.default_belief) * t_ub * c).max(0.0)
+            });
+            prep.term_ub.extend(term_ub);
         } else {
-            vec![f64::INFINITY; query.len()]
-        };
-        PreparedKernel {
-            query_len: query.len(),
-            default_score,
-            drop_threshold,
-            term_const,
-            term_ub,
-            mcw: ctx.mcw,
-            prunable,
+            prep.term_ub.resize(query.len(), f64::INFINITY);
         }
+        prep.query_len = query.len();
+        prep.default_score = default_score;
+        prep.drop_threshold = drop_threshold;
+        prep.mcw = ctx.mcw;
+        prep.prunable = prunable;
     }
 
     fn score_rows(
@@ -264,7 +276,7 @@ impl ScoreKernel for Cori {
                 let df = p_k * ds;
                 // A select, not a branch: the skipped arm contributes +0.0,
                 // which cannot perturb a non-negative accumulator.
-                score += if df.round() < 1.0 {
+                score += if df < 0.5 {
                     0.0
                 } else {
                     let t = df / (df + denom_extra);
@@ -294,29 +306,26 @@ impl ScoreKernel for BGloss {
         ProbabilitySpace::DocumentFrequency
     }
 
-    fn prepare(
+    fn prepare_into(
         &self,
         query: &[TermId],
         _ctx: &CollectionContext,
         bounds: &[TermBound],
         _min_word_count: f64,
-    ) -> PreparedKernel {
+        prep: &mut PreparedKernel,
+    ) {
         // bGlOSS overrides default_score to a literal 0.0.
         let default_score = 0.0f64;
-        let drop_threshold = default_score + default_score.abs() * 1e-9 + 1e-300;
-        let term_ub: Vec<f64> = bounds.iter().map(|b| b.max_p_df).collect();
+        prep.query_len = query.len();
+        prep.default_score = default_score;
+        prep.drop_threshold = default_score + default_score.abs() * 1e-9 + 1e-300;
+        prep.term_const.clear();
+        prep.term_ub.clear();
+        prep.term_ub.extend(bounds.iter().map(|b| b.max_p_df));
+        prep.mcw = 0.0;
         // Float multiplication is monotone, so per-factor maxima bound the
         // product exactly — provided every factor is non-negative.
-        let prunable = term_ub.iter().all(|&x| x >= 0.0);
-        PreparedKernel {
-            query_len: query.len(),
-            default_score,
-            drop_threshold,
-            term_const: Vec::new(),
-            term_ub,
-            mcw: 0.0,
-            prunable,
-        }
+        prep.prunable = prep.term_ub.iter().all(|&x| x >= 0.0);
     }
 
     fn score_rows(
@@ -376,45 +385,45 @@ impl ScoreKernel for Lm {
         ProbabilitySpace::TokenFrequency
     }
 
-    fn prepare(
+    fn prepare_into(
         &self,
         query: &[TermId],
         _ctx: &CollectionContext,
         bounds: &[TermBound],
         _min_word_count: f64,
-    ) -> PreparedKernel {
+        prep: &mut PreparedKernel,
+    ) {
         // (1−λ)·p̂(w|G) is query-constant; hoisted, it is the identical
         // expression on identical inputs — same bits as inline.
-        let term_const: Vec<f64> = query
-            .iter()
-            .map(|&w| (1.0 - self.lambda) * self.global_p(w))
-            .collect();
+        let (term_const, term_ub) = (&mut prep.term_const, &mut prep.term_ub);
+        term_const.clear();
+        term_const.extend(
+            query
+                .iter()
+                .map(|&w| (1.0 - self.lambda) * self.global_p(w)),
+        );
         // The default score replicates score_with_p over all-zero
         // probabilities, factor by factor, fold from 1.0.
         let mut default_score = 1.0;
-        for &g in &term_const {
+        for &g in term_const.iter() {
             default_score *= self.lambda * 0.0 + g;
         }
-        let drop_threshold = default_score + default_score.abs() * 1e-9 + 1e-300;
-        let term_ub: Vec<f64> = bounds
-            .iter()
-            .zip(&term_const)
-            .map(|(b, &g)| self.lambda * b.max_p_tf + g)
-            .collect();
+        term_ub.clear();
+        term_ub.extend(
+            bounds
+                .iter()
+                .zip(term_const.iter())
+                .map(|(b, &g)| self.lambda * b.max_p_tf + g),
+        );
         // Monotone float products need every factor non-negative; a
         // negative λ or global probability disables pruning.
-        let prunable = self.lambda >= 0.0
+        prep.prunable = self.lambda >= 0.0
             && term_const.iter().all(|&g| g >= 0.0)
             && term_ub.iter().all(|&u| u.is_finite() && u >= 0.0);
-        PreparedKernel {
-            query_len: query.len(),
-            default_score,
-            drop_threshold,
-            term_const,
-            term_ub,
-            mcw: 0.0,
-            prunable,
-        }
+        prep.query_len = query.len();
+        prep.default_score = default_score;
+        prep.drop_threshold = default_score + default_score.abs() * 1e-9 + 1e-300;
+        prep.mcw = 0.0;
     }
 
     fn score_rows(
@@ -506,6 +515,11 @@ impl TopK {
     /// True once `cap` entries are held (always true for `cap == 0`).
     pub fn is_full(&self) -> bool {
         self.heap.len() >= self.cap
+    }
+
+    /// Entries the heap still takes before it is full.
+    pub fn room(&self) -> usize {
+        self.cap - self.heap.len()
     }
 
     /// The score of the worst kept entry, available only once the heap is

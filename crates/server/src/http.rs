@@ -6,9 +6,10 @@
 //! `Content-Length` framing) and one keep-alive rule (RFC 7230 §6.3:
 //! HTTP/1.1 persists, 1.0 closes, an explicit `Connection: close` /
 //! `keep-alive` token wins) serve two thin parsers: [`try_parse`] takes
-//! the first request out of the bytes a connection has received so far,
+//! the first request out of the bytes a connection has received so far
+//! ([`parse_request`] into a request a reactor reuses),
 //! [`try_parse_response`] the first response out of the bytes a backend
-//! sent the proxy's client ([`crate::client`]). [`serialize_response`]
+//! sent the proxy's client ([`crate::client`]). [`serialize_into`]
 //! writes one response whose `Connection` header says whether the
 //! connection stays open.
 //!
@@ -72,8 +73,57 @@ impl HttpError {
     }
 }
 
-/// One parsed request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Header fields in arrival order, names lower-cased and values trimmed,
+/// all in one text buffer: a request parsed into a reused [`Request`]
+/// keeps the buffer's capacity, so its headers cost no allocation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Headers {
+    text: String,
+    /// Per field, where its name ends and where its value ends in `text`;
+    /// a field starts where the one before it ends.
+    ends: Vec<(usize, usize)>,
+}
+
+impl Headers {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    fn push(&mut self, name: &str, value: &str) {
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.text[start..].make_ascii_lowercase();
+        let name_end = self.text.len();
+        self.text.push_str(value);
+        self.ends.push((name_end, self.text.len()));
+    }
+
+    /// Every field as (lower-cased name, value), in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&(_, end)| end));
+        (starts.zip(&self.ends)).map(|(start, &(name_end, end))| {
+            (&self.text[start..name_end], &self.text[name_end..end])
+        })
+    }
+
+    /// The first value of the field `name` (matched ASCII
+    /// case-insensitively).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+/// One parsed request. [`parse_request`] refills one in place, which is
+/// how a reactor parses every request into the one it keeps: its strings
+/// and buffers keep their capacity from request to request.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// Method token, upper-cased as received (`GET`, `POST`, …).
     pub method: String,
@@ -81,8 +131,8 @@ pub struct Request {
     pub target: String,
     /// Minor HTTP version: 1 for `HTTP/1.1`, 0 for `HTTP/1.0`.
     pub version_minor: u8,
-    /// Header fields in arrival order; names lower-cased, values trimmed.
-    pub headers: Vec<(String, String)>,
+    /// Header fields in arrival order.
+    pub headers: Headers,
     /// The body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
 }
@@ -90,7 +140,7 @@ pub struct Request {
 impl Request {
     /// First header value with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        header(&self.headers, &name.to_ascii_lowercase())
+        self.headers.get(name)
     }
 
     /// The target with any query string stripped.
@@ -118,20 +168,12 @@ pub struct ClientResponse {
     pub body: Vec<u8>,
 }
 
-/// First value of the header `name` (already lower-case).
-fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
-    headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
-
 /// Whether a request or a response lets its connection carry another
 /// exchange (RFC 7230 §6.3): a `close` token in the `Connection` list
 /// always closes, a `keep-alive` token opts HTTP/1.0 in, and otherwise
 /// 1.1 persists and 1.0 closes.
-fn keep_alive(version_minor: u8, headers: &[(String, String)]) -> bool {
-    if let Some(value) = header(headers, "connection") {
+fn keep_alive(version_minor: u8, headers: &Headers) -> bool {
+    if let Some(value) = headers.get("connection") {
         let mut saw_keep_alive = false;
         for token in value.split(',') {
             let token = token.trim();
@@ -157,9 +199,9 @@ fn version_minor(version: &str) -> Result<u8, HttpError> {
 }
 
 /// Validate a request line (`METHOD SP TARGET SP HTTP/1.x`).
-fn parse_request_line(line: Vec<u8>) -> Result<(String, String, u8), HttpError> {
+fn parse_request_line(line: &[u8]) -> Result<(&str, &str, u8), HttpError> {
     let line =
-        String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 request line"))?;
+        std::str::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 request line"))?;
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
@@ -175,14 +217,14 @@ fn parse_request_line(line: Vec<u8>) -> Result<(String, String, u8), HttpError> 
     if !target.starts_with('/') {
         return Err(HttpError::Malformed("target must start with '/'"));
     }
-    let version_minor = version_minor(version)?;
-    Ok((method.to_string(), target.to_string(), version_minor))
+    Ok((method, target, version_minor(version)?))
 }
 
 /// Validate a status line (`HTTP/1.x SP 3DIGIT [SP reason]`) into its
 /// minor version and status code.
-fn parse_status_line(line: Vec<u8>) -> Result<(u8, u16), HttpError> {
-    let line = String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 status line"))?;
+fn parse_status_line(line: &[u8]) -> Result<(u8, u16), HttpError> {
+    let line =
+        std::str::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 status line"))?;
     let mut parts = line.splitn(3, ' ');
     let version_minor = version_minor(parts.next().unwrap_or(""))?;
     let status = parts
@@ -193,9 +235,9 @@ fn parse_status_line(line: Vec<u8>) -> Result<(u8, u16), HttpError> {
     Ok((version_minor, status))
 }
 
-/// Validate one header line into a (lower-cased name, trimmed value) pair.
-fn parse_header_line(line: Vec<u8>) -> Result<(String, String), HttpError> {
-    let line = String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 header"))?;
+/// Validate one header line into a (name, trimmed value) pair.
+fn parse_header_line(line: &[u8]) -> Result<(&str, &str), HttpError> {
+    let line = std::str::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 header"))?;
     let (name, value) = line
         .split_once(':')
         .ok_or(HttpError::Malformed("header without ':'"))?;
@@ -203,7 +245,7 @@ fn parse_header_line(line: Vec<u8>) -> Result<(String, String), HttpError> {
     if name.is_empty() || name.contains(' ') {
         return Err(HttpError::Malformed("invalid header name"));
     }
-    Ok((name.to_ascii_lowercase(), value.trim().to_string()))
+    Ok((name, value.trim()))
 }
 
 /// Body length a parsed head declares: fixed `Content-Length` only (no
@@ -211,14 +253,17 @@ fn parse_header_line(line: Vec<u8>) -> Result<(String, String), HttpError> {
 /// 7230 §3.3.3; curl sends empty POSTs so), and a response is refused:
 /// exact framing is what tells a close mid-body from a short body.
 fn declared_body_len(
-    headers: &[(String, String)],
+    headers: &Headers,
     limits: &Limits,
     required: bool,
 ) -> Result<usize, HttpError> {
-    if header(headers, "transfer-encoding").is_some_and(|v| !v.eq_ignore_ascii_case("identity")) {
+    if headers
+        .get("transfer-encoding")
+        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
+    {
         return Err(HttpError::Malformed("transfer codings are not supported"));
     }
-    let body_len = match header(headers, "content-length") {
+    let body_len = match headers.get("content-length") {
         Some(v) => v
             .parse::<usize>()
             .map_err(|_| HttpError::Malformed("unparseable Content-Length"))?,
@@ -253,21 +298,21 @@ pub enum ParseStatus {
 /// including its terminator, and accumulating that many bytes *without*
 /// seeing a terminator is already oversize. `Ok(None)` means the line is
 /// still incomplete (and within limits).
-fn split_line(
-    buf: &[u8],
+fn split_line<'b>(
+    buf: &'b [u8],
     pos: &mut usize,
     max: usize,
     oversize: &'static str,
-) -> Result<Option<Vec<u8>>, HttpError> {
+) -> Result<Option<&'b [u8]>, HttpError> {
     let rest = &buf[*pos..];
     match rest.iter().position(|&b| b == b'\n') {
         Some(i) => {
             if i + 1 > max + 2 {
                 return Err(HttpError::TooLarge(oversize));
             }
-            let mut line = rest[..=i].to_vec();
-            while matches!(line.last(), Some(b'\n') | Some(b'\r')) {
-                line.pop();
+            let mut line = &rest[..i];
+            while let [head @ .., b'\r' | b'\n'] = line {
+                line = head;
             }
             *pos += i + 1;
             Ok(Some(line))
@@ -277,28 +322,30 @@ fn split_line(
     }
 }
 
-/// A message: its parsed start line, header fields, body, and length.
-type Message<S> = (S, Vec<(String, String)>, Vec<u8>, usize);
+/// A message: its parsed start line, its body, and its length.
+type Message<'b, S> = (S, &'b [u8], usize);
 
 /// The head splitter: the first message in `buf` — its start line
 /// validated by `parse_start` as soon as it is complete (and bounded by
-/// `max_request_line`) — or `Ok(None)` while `buf` holds a prefix of one.
-/// A pure function of the buffer, so resuming after any split equals
-/// parsing the concatenation.
-fn split_message<S>(
-    buf: &[u8],
+/// `max_request_line`), its header fields into `headers` — as the start
+/// line's parse, the body and the message's length; `Ok(None)` while
+/// `buf` holds a prefix of one. A pure function of the buffer, so
+/// resuming after any split equals parsing the concatenation.
+fn split_message<'b, S>(
+    buf: &'b [u8],
     limits: &Limits,
     start_line: &'static str,
-    parse_start: impl FnOnce(Vec<u8>) -> Result<S, HttpError>,
+    parse_start: impl FnOnce(&'b [u8]) -> Result<S, HttpError>,
+    headers: &mut Headers,
     length_required: bool,
-) -> Result<Option<Message<S>>, HttpError> {
+) -> Result<Option<Message<'b, S>>, HttpError> {
     let mut pos = 0usize;
     let Some(line) = split_line(buf, &mut pos, limits.max_request_line, start_line)? else {
         return Ok(None);
     };
     let start = parse_start(line)?;
 
-    let mut headers: Vec<(String, String)> = Vec::new();
+    headers.clear();
     loop {
         let Some(line) = split_line(buf, &mut pos, limits.max_header_line, "header line")? else {
             return Ok(None);
@@ -309,37 +356,59 @@ fn split_message<S>(
         if headers.len() >= limits.max_headers {
             return Err(HttpError::TooLarge("too many headers"));
         }
-        headers.push(parse_header_line(line)?);
+        let (name, value) = parse_header_line(line)?;
+        headers.push(name, value);
     }
 
-    let body_len = declared_body_len(&headers, limits, length_required)?;
+    let body_len = declared_body_len(headers, limits, length_required)?;
     if buf.len() - pos < body_len {
         return Ok(None);
     }
-    let body = buf[pos..pos + body_len].to_vec();
-    Ok(Some((start, headers, body, pos + body_len)))
+    Ok(Some((start, &buf[pos..pos + body_len], pos + body_len)))
 }
 
-/// Incrementally parse the first request out of `buf`. The reactor
-/// appends whatever bytes the socket had ready and re-asks; end-of-stream
-/// handling is its concern (EOF mid-buffer means the request can never
-/// complete).
+/// Parse the first request out of `buf` into `request`, overwriting it
+/// and reusing its buffers: the bytes the request occupies, or `Ok(None)`
+/// while `buf` holds a prefix of one (`request` then holds nothing of
+/// use). What the reactor calls with the request it keeps, and what
+/// [`try_parse`] wraps.
+pub fn parse_request(
+    buf: &[u8],
+    limits: &Limits,
+    request: &mut Request,
+) -> Result<Option<usize>, HttpError> {
+    let headers = &mut request.headers;
+    let message = split_message(
+        buf,
+        limits,
+        "request line",
+        parse_request_line,
+        headers,
+        false,
+    )?;
+    let Some(((method, target, version_minor), body, consumed)) = message else {
+        return Ok(None);
+    };
+    request.method.clear();
+    request.method.push_str(method);
+    request.target.clear();
+    request.target.push_str(target);
+    request.version_minor = version_minor;
+    request.body.clear();
+    request.body.extend_from_slice(body);
+    Ok(Some(consumed))
+}
+
+/// Incrementally parse the first request out of `buf` into a fresh
+/// [`Request`]. The reactor appends whatever bytes the socket had ready
+/// and re-asks; end-of-stream handling is its concern (EOF mid-buffer
+/// means the request can never complete).
 pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<ParseStatus, HttpError> {
-    Ok(
-        match split_message(buf, limits, "request line", parse_request_line, false)? {
-            None => ParseStatus::NeedMore,
-            Some(((method, target, version_minor), headers, body, consumed)) => {
-                let request = Request {
-                    method,
-                    target,
-                    version_minor,
-                    headers,
-                    body,
-                };
-                ParseStatus::Complete { request, consumed }
-            }
-        },
-    )
+    let mut request = Request::default();
+    Ok(match parse_request(buf, limits, &mut request)? {
+        None => ParseStatus::NeedMore,
+        Some(consumed) => ParseStatus::Complete { request, consumed },
+    })
 }
 
 /// Incrementally parse the first response out of `buf` (`max_request_line`
@@ -349,20 +418,23 @@ pub fn try_parse_response(
     buf: &[u8],
     limits: &Limits,
 ) -> Result<Option<(ClientResponse, usize)>, HttpError> {
-    let message = split_message(buf, limits, "status line", parse_status_line, true)?;
-    Ok(
-        message.map(|((version_minor, status), headers, body, consumed)| {
-            let keep_alive = keep_alive(version_minor, &headers);
-            (
-                ClientResponse {
-                    status,
-                    keep_alive,
-                    body,
-                },
-                consumed,
-            )
-        }),
-    )
+    let mut headers = Headers::default();
+    let message = split_message(
+        buf,
+        limits,
+        "status line",
+        parse_status_line,
+        &mut headers,
+        true,
+    )?;
+    Ok(message.map(|((version_minor, status), body, consumed)| {
+        let response = ClientResponse {
+            status,
+            keep_alive: keep_alive(version_minor, &headers),
+            body: body.to_vec(),
+        };
+        (response, consumed)
+    }))
 }
 
 /// A response ready to be written.
@@ -434,13 +506,11 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `response` with a `Content-Length` and a `Connection` header
-/// announcing whether the connection closes after this response: the head
-/// written into a buffer sized for the whole response, the body appended —
-/// one allocation, one copy of the body. The reactor's workers hand this
-/// buffer to the completion queue as it is.
-pub fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256 + response.body.len());
+/// Append `response` to `out` with a `Content-Length` and a `Connection`
+/// header announcing whether the connection closes after this response:
+/// the head, then the body. A reactor serializes into the write buffer it
+/// recycles, so a warm response allocates nothing here.
+pub fn serialize_into(out: &mut Vec<u8>, response: &Response, close: bool) {
     write!(
         out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -456,14 +526,15 @@ pub fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&response.body);
-    out
 }
 
-/// Send [`serialize_response`]'s bytes to a blocking writer in one call.
+/// Send [`serialize_into`]'s bytes to a blocking writer in one call.
 /// (The reactor writes the serialized buffer itself, resuming on `EAGAIN`;
 /// this is for callers that hold a plain stream.)
 pub fn write_response<W: Write>(w: &mut W, response: &Response, close: bool) -> io::Result<()> {
-    w.write_all(&serialize_response(response, close))?;
+    let mut out = Vec::with_capacity(256 + response.body.len());
+    serialize_into(&mut out, response, close);
+    w.write_all(&out)?;
     w.flush()
 }
 

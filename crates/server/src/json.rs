@@ -141,23 +141,45 @@ pub(crate) fn write_number(out: &mut String, n: f64) {
     }
 }
 
-/// Append `s` as a quoted, escaped JSON string (see [`write_number`]).
+/// Append `s` as a quoted, escaped JSON string (see [`write_number`]):
+/// every run of bytes that needs no escape is copied with one `push_str`.
+/// The bytes that do — `"`, `\\` and the control characters — are all
+/// ASCII, so a run never ends inside a UTF-8 sequence.
 pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (at, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Append `"database":<name>,"category":<path>` — the names of one
+/// ranking entry, escaped as [`write_string`] escapes them. A serving
+/// state writes each of its databases' once per generation, and the proxy
+/// each backend entry's as it parses it; the ranking writer only copies.
+pub(crate) fn write_names(out: &mut String, database: &str, category: &str) {
+    out.push_str("\"database\":");
+    write_string(out, database);
+    out.push_str(",\"category\":");
+    write_string(out, category);
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -63,6 +63,7 @@ pub mod timer;
 
 pub use proxy::{HedgePolicy, ProxyConfig};
 
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -74,12 +75,12 @@ use std::time::{Duration, Instant};
 use sampling::scheduler::fan_out_chunks;
 use selection::ShrinkageMode;
 
-use crate::http::{serialize_response, Limits, Request, Response};
+use crate::http::{serialize_into, Limits, Request, Response};
 use crate::json::Json;
 use crate::metrics::{Metrics, TenantMetrics};
 use crate::poller::Wakeup;
 use crate::queue::{BoundedQueue, CompletionQueue};
-use crate::state::{parse_shrinkage, Algo, ServingState};
+use crate::state::{parse_shrinkage, Algo, Analysis, ServingState};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -547,7 +548,15 @@ impl Server {
 fn execute_loop(shared: &Shared) {
     while let Some(task) = shared.tasks.pop() {
         shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let reply = execute_caught(shared, &task.request, task.deadline, task.force_close);
+        let mut out = Vec::new();
+        let reply = execute_caught(
+            shared,
+            &task.request,
+            task.deadline,
+            task.force_close,
+            &mut out,
+        )
+        .map(|close| (out, close));
         let mailbox = &shared.mailboxes[task.reactor];
         mailbox.completions.push(Completion {
             token: task.token,
@@ -566,8 +575,9 @@ pub(crate) fn execute_caught(
     request: &Request,
     deadline: Instant,
     force_close: bool,
-) -> Option<(Vec<u8>, bool)> {
-    let run = || execute(shared, request, deadline, force_close);
+    out: &mut Vec<u8>,
+) -> Option<bool> {
+    let run = || execute(shared, request, deadline, force_close, out);
     let caught = std::panic::catch_unwind(AssertUnwindSafe(run));
     if caught.is_err() {
         shared
@@ -582,14 +592,18 @@ pub(crate) fn execute_caught(
 /// serialization, and the keep-alive-vs-close decision — everything
 /// between the reactor's parse and its write. `force_close` says the
 /// reactor already knows the connection closes after this response
-/// (keep-alive request cap reached). Returns the serialized response and
-/// whether the connection closes after it.
+/// (keep-alive request cap reached). Appends the serialized response to
+/// `out` and returns whether the connection closes after it.
+///
+/// One clock pair times the handler: the process-wide and the tenant's
+/// latency histograms observe the same interval.
 fn execute(
     shared: &Shared,
     request: &Request,
     deadline: Instant,
     force_close: bool,
-) -> (Vec<u8>, bool) {
+    out: &mut Vec<u8>,
+) -> bool {
     if shared.config.debug_sleep {
         if request.header("x-debug-panic").is_some() {
             panic!("panic injected by X-Debug-Panic");
@@ -603,7 +617,7 @@ fn execute(
     }
 
     let started = Instant::now();
-    let (endpoint, response) = dispatch(shared, request, deadline);
+    let (endpoint, response, tenant) = dispatch(shared, request, deadline);
     let elapsed = started.elapsed().as_nanos() as u64;
     match endpoint {
         "route" => shared.metrics.route_latency.observe(elapsed),
@@ -611,6 +625,14 @@ fn execute(
         _ => {}
     }
     shared.metrics.record(endpoint, response.status);
+    if let Some(tenant) = tenant {
+        match endpoint {
+            "route" => tenant.metrics.route_latency.observe(elapsed),
+            "route_batch" => tenant.metrics.batch_latency.observe(elapsed),
+            _ => {}
+        }
+        tenant.metrics.record(endpoint, response.status);
+    }
 
     let shutting_down = endpoint == "shutdown" && response.status == 200;
     if shutting_down {
@@ -620,7 +642,35 @@ fn execute(
         || !request.wants_keep_alive()
         || shutting_down
         || shared.stop.load(Ordering::SeqCst);
-    (serialize_response(&response, close), close)
+    serialize_into(out, &response, close);
+    recycle_body(response.body);
+    close
+}
+
+thread_local! {
+    /// The buffer this thread's next response body is written into: a
+    /// serialized body comes back here, so a warm `/route` allocates none.
+    static BODY: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    /// This thread's query analysis, refilled per `/route`.
+    static ANALYSIS: RefCell<Analysis> = RefCell::default();
+}
+
+/// Largest body buffer a thread keeps for its next response.
+const BODY_KEEP: usize = 64 * 1024;
+
+/// This thread's body buffer, emptied.
+fn body_buffer() -> String {
+    let mut bytes = BODY.take();
+    bytes.clear();
+    String::from_utf8(bytes).expect("an empty buffer is UTF-8")
+}
+
+/// Hand a serialized body back to this thread, unless it is too large to
+/// keep.
+fn recycle_body(body: Vec<u8>) {
+    if body.capacity() <= BODY_KEEP {
+        BODY.set(body);
+    }
 }
 
 /// The `/admin/shutdown` success body, shared between catalog and proxy
@@ -636,11 +686,19 @@ pub(crate) fn shutdown_response() -> Response {
     )
 }
 
-fn dispatch(shared: &Shared, request: &Request, deadline: Instant) -> (&'static str, Response) {
+/// Route `request` to its handler: the endpoint's metrics label, the
+/// response, and the tenant a routing request ran against (whose metrics
+/// [`execute`] records it in too).
+fn dispatch<'s>(
+    shared: &'s Shared,
+    request: &Request,
+    deadline: Instant,
+) -> (&'static str, Response, Option<&'s Tenant>) {
     // Proxy mode replaces the catalog API wholesale — it must run before
     // any tenant lookup, because a proxy hosts no tenants at all.
     if shared.proxy.is_some() {
-        return proxy::dispatch(shared, request, deadline);
+        let (endpoint, response) = proxy::dispatch(shared, request, deadline);
+        return (endpoint, response, None);
     }
     // `/t/<tenant>/<endpoint>` names a tenant; bare paths alias the
     // default one — the single-catalog API is a special case of the
@@ -651,27 +709,23 @@ fn dispatch(shared: &Shared, request: &Request, deadline: Instant) -> (&'static 
         None => (shared.default_tenant(), request.path(), false),
         Some(rest) => {
             let Some(at) = rest.find('/') else {
-                return ("other", Response::error(404, "no such endpoint"));
+                return ("other", Response::error(404, "no such endpoint"), None);
             };
             let Some(tenant) = shared.tenant(&rest[..at]) else {
-                return ("other", Response::error(404, "unknown tenant"));
+                return ("other", Response::error(404, "unknown tenant"), None);
             };
             (&**tenant, &rest[at..], true)
         }
     };
-    match (request.method.as_str(), path, scoped) {
-        ("POST", "/route", _) => (
-            "route",
-            tenant_timed(tenant, "route", || {
-                handle_route(shared, tenant, request, deadline)
-            }),
-        ),
-        ("POST", "/route_batch", _) => (
-            "route_batch",
-            tenant_timed(tenant, "route_batch", || {
-                handle_route_batch(shared, tenant, request, deadline)
-            }),
-        ),
+    let (endpoint, response) = match (request.method.as_str(), path, scoped) {
+        ("POST", "/route", _) => {
+            let response = handle_route(shared, tenant, request, deadline);
+            return ("route", response, Some(tenant));
+        }
+        ("POST", "/route_batch", _) => {
+            let response = handle_route_batch(shared, tenant, request, deadline);
+            return ("route_batch", response, Some(tenant));
+        }
         ("POST", "/admin/reload", _) => ("reload", handle_reload(shared, tenant, request)),
         ("GET", "/healthz", false) => ("healthz", handle_healthz(shared)),
         ("GET", "/readyz", false) => ("readyz", handle_readyz(shared)),
@@ -684,27 +738,8 @@ fn dispatch(shared: &Shared, request: &Request, deadline: Instant) -> (&'static 
             ("other", response.with_header("Allow", allow.into()))
         }
         _ => ("other", Response::error(404, "no such endpoint")),
-    }
-}
-
-/// Run a routing handler, recording its latency and status in the
-/// tenant's label-isolated metrics (global metrics are recorded by the
-/// caller as before).
-fn tenant_timed(
-    tenant: &Tenant,
-    endpoint: &'static str,
-    handler: impl FnOnce() -> Response,
-) -> Response {
-    let started = Instant::now();
-    let response = handler();
-    let elapsed = started.elapsed().as_nanos() as u64;
-    match endpoint {
-        "route" => tenant.metrics.route_latency.observe(elapsed),
-        "route_batch" => tenant.metrics.batch_latency.observe(elapsed),
-        _ => {}
-    }
-    tenant.metrics.record(endpoint, response.status);
-    response
+    };
+    (endpoint, response, None)
 }
 
 fn handle_healthz(shared: &Shared) -> Response {
@@ -830,29 +865,38 @@ pub(crate) fn parse_route_params(body: &Json) -> Result<RouteParams, Response> {
     Ok(RouteParams { algo, mode, k })
 }
 
+/// A query's words, borrowed from the request body.
+enum QueryWords<'a> {
+    Line(std::str::SplitWhitespace<'a>),
+    List(std::slice::Iter<'a, Json>),
+}
+
+impl<'a> Iterator for QueryWords<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            QueryWords::Line(words) => words.next(),
+            QueryWords::List(items) => items.next().and_then(Json::as_str),
+        }
+    }
+}
+
 /// A query is either a string (split on whitespace) or an array of words,
 /// of at most [`MAX_QUERY_WORDS`] words either way.
-fn parse_query_words(value: &Json) -> Result<Vec<String>, String> {
+fn parse_query_words(value: &Json) -> Result<QueryWords<'_>, String> {
     let too_many = || format!("query exceeds {MAX_QUERY_WORDS} words");
     match value {
-        Json::Str(line) => {
-            // One word past the limit settles it; the rest is never copied.
-            let words = line.split_whitespace().take(MAX_QUERY_WORDS + 1);
-            let words: Vec<String> = words.map(str::to_string).collect();
-            if words.len() > MAX_QUERY_WORDS {
-                return Err(too_many());
-            }
-            Ok(words)
+        // One word past the limit settles it; the rest is never read.
+        Json::Str(line) if line.split_whitespace().nth(MAX_QUERY_WORDS).is_some() => {
+            Err(too_many())
         }
+        Json::Str(line) => Ok(QueryWords::Line(line.split_whitespace())),
         Json::Arr(items) if items.len() > MAX_QUERY_WORDS => Err(too_many()),
-        Json::Arr(items) => items
-            .iter()
-            .map(|w| {
-                w.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "query words must be strings".to_string())
-            })
-            .collect(),
+        Json::Arr(items) if items.iter().all(|w| w.as_str().is_some()) => {
+            Ok(QueryWords::List(items.iter()))
+        }
+        Json::Arr(_) => Err("query words must be strings".to_string()),
         _ => Err("`query` must be a string or an array of strings".to_string()),
     }
 }
@@ -874,11 +918,12 @@ pub(crate) enum Lead {
 }
 
 /// One entry of a served ranking, as [`write_ranking`] writes it (`index`
-/// is the global catalog index, written only under [`Lead::Index`]).
+/// is the global catalog index, written only under [`Lead::Index`];
+/// `names` is its `"database":…,"category":…` text, already escaped by
+/// [`json::write_names`]).
 pub(crate) struct Entry<'a> {
     pub(crate) index: usize,
-    pub(crate) database: &'a str,
-    pub(crate) category: &'a str,
+    pub(crate) names: &'a str,
     pub(crate) score: f64,
     pub(crate) shrinkage_used: bool,
 }
@@ -891,8 +936,7 @@ fn entries<'a>(
 ) -> impl Iterator<Item = Entry<'a>> {
     outcome.ranking.iter().take(k).map(|r| Entry {
         index: r.index,
-        database: state.name(r.index),
-        category: state.category_path(r.index),
+        names: state.names_fragment(r.index),
         score: r.score,
         shrinkage_used: outcome.used_shrinkage[r.index],
     })
@@ -904,7 +948,7 @@ fn entries<'a>(
 /// shard: the global top-k of the merged ranking is contained in the
 /// per-shard top-k lists.) Ranks and indices are written as integers,
 /// which reads the same as the `f64` rendering of a [`Json`] tree for
-/// every value below 2^53.
+/// every value below 2^53; the names are copied as escaped ahead of time.
 pub(crate) fn write_ranking<'a>(
     out: &mut String,
     entries: impl IntoIterator<Item = Entry<'a>>,
@@ -914,13 +958,10 @@ pub(crate) fn write_ranking<'a>(
     for (at, entry) in entries.into_iter().enumerate() {
         out.push_str(if at == 0 { "{" } else { ",{" });
         let _ = match lead {
-            Lead::Rank => write!(out, "\"rank\":{}", at + 1),
-            Lead::Index => write!(out, "\"index\":{}", entry.index),
+            Lead::Rank => write!(out, "\"rank\":{},", at + 1),
+            Lead::Index => write!(out, "\"index\":{},", entry.index),
         };
-        out.push_str(",\"database\":");
-        json::write_string(out, entry.database);
-        out.push_str(",\"category\":");
-        json::write_string(out, entry.category);
+        out.push_str(entry.names);
         out.push_str(",\"score\":");
         json::write_number(out, entry.score);
         out.push_str(if entry.shrinkage_used {
@@ -936,16 +977,16 @@ pub(crate) fn write_ranking<'a>(
 /// object ends with.
 pub(crate) fn write_routed<'a>(
     out: &mut String,
-    unknown: &[String],
+    unknown: impl IntoIterator<Item = impl AsRef<str>>,
     entries: impl IntoIterator<Item = Entry<'a>>,
     lead: Lead,
 ) {
     out.push_str("\"unknown\":[");
-    for (at, word) in unknown.iter().enumerate() {
+    for (at, word) in unknown.into_iter().enumerate() {
         if at > 0 {
             out.push(',');
         }
-        json::write_string(out, word);
+        json::write_string(out, word.as_ref());
     }
     out.push_str("],\"ranking\":");
     write_ranking(out, entries, lead);
@@ -953,11 +994,12 @@ pub(crate) fn write_routed<'a>(
 
 /// Append `"results":[{..},..]` — a `/route_batch` body's field — with
 /// one [`write_routed`] object per query.
-pub(crate) fn write_results<'a, E>(
+pub(crate) fn write_results<'a, U, E>(
     out: &mut String,
-    queries: impl IntoIterator<Item = (&'a [String], E)>,
+    queries: impl IntoIterator<Item = (U, E)>,
     lead: Lead,
 ) where
+    U: IntoIterator<Item: AsRef<str>>,
     E: IntoIterator<Item = Entry<'a>>,
 {
     out.push_str("\"results\":[");
@@ -1017,12 +1059,14 @@ impl Shard {
     }
 }
 
-/// Open a routing response body: `{"generation":g,` plus, for the answer
-/// to a [`Shard`] request, `"shards":n,"shard":s,` — and say how that
-/// body's ranking entries lead. Sized for a top-10 ranking, so the common
-/// response never regrows its buffer.
+/// Open a routing response body in this thread's body buffer:
+/// `{"generation":g,` plus, for the answer to a [`Shard`] request,
+/// `"shards":n,"shard":s,` — and say how that body's ranking entries lead.
+/// Sized for a top-10 ranking, so the common response never regrows its
+/// buffer.
 pub(crate) fn open_body(generation: u64, shard: Option<Shard>) -> (String, Lead) {
-    let mut out = String::with_capacity(2048);
+    let mut out = body_buffer();
+    out.reserve(2048);
     let _ = write!(out, "{{\"generation\":{generation},");
     let Some(Shard { shard, shards }) = shard else {
         return (out, Lead::Rank);
@@ -1102,20 +1146,22 @@ fn handle_route(
     };
 
     let (state, generation) = tenant.current();
-    let (query, unknown) = state.analyze(&words);
-    if Instant::now() >= deadline {
-        shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
-        return Response::error(504, "deadline exceeded");
-    }
-    let members = shard.map(|s| s.members(&state));
-    let outcome = route_query(&state, &params, members.as_deref(), &query);
-    record_choices(shared, &params, &outcome);
+    ANALYSIS.with_borrow_mut(|analysis| {
+        state.analyze_into(words, analysis);
+        if Instant::now() >= deadline {
+            shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
+            return Response::error(504, "deadline exceeded");
+        }
+        let members = shard.map(|s| s.members(&state));
+        let outcome = route_query(&state, &params, members.as_deref(), &analysis.query);
+        record_choices(shared, &params, &outcome);
 
-    let (mut body, lead) = open_body(generation, shard);
-    let ranking = entries(&state, &outcome, params.k);
-    write_routed(&mut body, &unknown, ranking, lead);
-    body.push('}');
-    Response::json(200, body)
+        let (mut body, lead) = open_body(generation, shard);
+        let ranking = entries(&state, &outcome, params.k);
+        write_routed(&mut body, analysis.unknown(), ranking, lead);
+        body.push('}');
+        Response::json(200, body)
+    })
 }
 
 fn handle_route_batch(
@@ -1161,20 +1207,21 @@ fn handle_route_batch(
             Ok(words) => words,
             Err(e) => return Response::error(400, &e),
         };
-        analyzed.push(state.analyze(&words));
+        let mut analysis = Analysis::default();
+        state.analyze_into(words, &mut analysis);
+        analyzed.push(analysis);
     }
-    let queries: Vec<Vec<textindex::TermId>> = analyzed.iter().map(|(q, _)| q.clone()).collect();
 
     // Chunked fan-out, deadline-checked per query.
     let members = shard.map(|s| s.members(&state));
     let members = members.as_deref();
     let expired = AtomicBool::new(false);
-    let outcomes = fan_out_chunks(queries.len(), threads, |qi| {
+    let outcomes = fan_out_chunks(analyzed.len(), threads, |qi| {
         if expired.load(Ordering::Relaxed) || Instant::now() >= deadline {
             expired.store(true, Ordering::Relaxed);
             return None;
         }
-        Some(route_query(&state, &params, members, &queries[qi]))
+        Some(route_query(&state, &params, members, &analyzed[qi].query))
     });
     if expired.load(Ordering::Relaxed) {
         shared.metrics.timeout_total.fetch_add(1, Ordering::Relaxed);
@@ -1185,13 +1232,10 @@ fn handle_route_batch(
     }
 
     let (mut body, lead) = open_body(generation, shard);
-    let results = outcomes
-        .iter()
-        .zip(&analyzed)
-        .map(|(outcome, (_, unknown))| {
-            let outcome = outcome.as_ref().expect("non-expired batch is complete");
-            (&unknown[..], entries(&state, outcome, params.k))
-        });
+    let results = outcomes.iter().zip(&analyzed).map(|(outcome, analysis)| {
+        let outcome = outcome.as_ref().expect("non-expired batch is complete");
+        (analysis.unknown(), entries(&state, outcome, params.k))
+    });
     write_results(&mut body, results, lead);
     body.push('}');
     Response::json(200, body)
@@ -1395,7 +1439,7 @@ mod tests {
     /// Twelve databases whose names and categories need every escape the
     /// JSON writer knows, and some it must pass through untouched.
     fn hostile_state() -> ServingState {
-        let labels = [
+        labelled_state(&[
             ("plain", "Health/Heart"),
             ("quo\"te", "a \"quoted\" path"),
             ("back\\slash", "C:\\dir\\sub"),
@@ -1408,7 +1452,11 @@ mod tests {
             ("\u{7f}del", "\u{80}c1"),
             ("mixed\"\\\n\u{2}é", "\\\"\\"),
             ("trailing\\", "\"\""),
-        ];
+        ])
+    }
+
+    /// A state serving one empty database per `(name, category path)`.
+    fn labelled_state(labels: &[(&str, &str)]) -> ServingState {
         let databases = labels
             .iter()
             .map(|(name, _)| StoredDatabase {
@@ -1572,5 +1620,64 @@ mod tests {
         let mut written = String::new();
         write_ranking(&mut written, entries(&state, &full, n), Lead::Rank);
         assert_eq!(written.matches("\"score\":null").count(), 3);
+    }
+
+    /// `json::write_string` as it was before it copied runs: one `push` per
+    /// `char`. The oracle the byte-scan escaper is checked against.
+    fn write_string_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Quotes, backslashes, every kind of control character, DEL, and
+    /// one- to four-byte UTF-8 — and, with length 0, the empty string.
+    fn label() -> impl proptest::strategy::Strategy<Value = String> {
+        const POOL: [char; 16] = [
+            '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'a', ' ', '/', 'é',
+            '\u{80}', '数', '🗄',
+        ];
+        let picks = proptest::collection::vec(0..POOL.len(), 0..10);
+        proptest::strategy::Strategy::prop_map(picks, |picks| {
+            picks.into_iter().map(|at| POOL[at]).collect()
+        })
+    }
+
+    proptest::proptest! {
+        /// Each database's fragment is its names written by the escaper,
+        /// and the escaper writes what the per-`char` one did.
+        #[test]
+        fn fragments_and_the_escaper_match_their_definitions(
+            labels in proptest::collection::vec((label(), label()), 1..6),
+        ) {
+            let pairs: Vec<(&str, &str)> =
+                labels.iter().map(|(n, c)| (n.as_str(), c.as_str())).collect();
+            let state = labelled_state(&pairs);
+            for (db, (name, path)) in pairs.iter().enumerate() {
+                let mut want = String::from("\"database\":");
+                json::write_string(&mut want, name);
+                want.push_str(",\"category\":");
+                json::write_string(&mut want, path);
+                proptest::prop_assert_eq!(state.names_fragment(db), want.as_str());
+                for text in [name, path] {
+                    let (mut scanned, mut per_char) = (String::new(), String::new());
+                    json::write_string(&mut scanned, text);
+                    write_string_per_char(&mut per_char, text);
+                    proptest::prop_assert_eq!(scanned, per_char);
+                }
+            }
+        }
     }
 }

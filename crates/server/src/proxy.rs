@@ -48,7 +48,7 @@ use selection::{merge_rankings, RankedDatabase};
 
 use crate::client::Pool;
 use crate::http::{ClientResponse, Request, Response};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::{escape_label_value, Histogram};
 use crate::{retry_after_value, Entry, Shared};
 
@@ -733,11 +733,11 @@ fn attempt_once<'s>(
 
 /// One entry of a backend's partial ranking: its merge key plus what the
 /// daemon's writer needs to re-write it byte-for-byte (scores round-trip
-/// exactly through [`Json::Num`]).
+/// exactly through [`Json::Num`]; the names are escaped back into the
+/// fragment a serving state keeps, by the same [`json::write_names`]).
 struct PartialEntry {
     ranked: RankedDatabase,
-    database: String,
-    category: String,
+    names: String,
     shrinkage_used: bool,
 }
 
@@ -747,13 +747,15 @@ impl PartialEntry {
             Json::Bool(b) => *b,
             _ => return None,
         };
+        let (database, category) = (entry.get("database")?, entry.get("category")?);
+        let mut names = String::new();
+        json::write_names(&mut names, database.as_str()?, category.as_str()?);
         Some(PartialEntry {
             ranked: RankedDatabase {
                 index: entry.get("index")?.as_u64()? as usize,
                 score: entry.get("score")?.as_f64()?,
             },
-            database: entry.get("database")?.as_str()?.to_string(),
-            category: entry.get("category")?.as_str()?.to_string(),
+            names,
             shrinkage_used,
         })
     }
@@ -761,8 +763,7 @@ impl PartialEntry {
     fn entry(&self) -> Entry<'_> {
         Entry {
             index: self.ranked.index,
-            database: &self.database,
-            category: &self.category,
+            names: &self.names,
             score: self.ranked.score,
             shrinkage_used: self.shrinkage_used,
         }
@@ -1027,8 +1028,7 @@ mod tests {
     fn merged_ranking_reports_missing_and_renumbers() {
         let entry = |index: usize, score: f64| PartialEntry {
             ranked: RankedDatabase { index, score },
-            database: format!("db{index}"),
-            category: "Root".to_string(),
+            names: format!("\"database\":\"db{index}\",\"category\":\"Root\""),
             shrinkage_used: false,
         };
         let shards = vec![

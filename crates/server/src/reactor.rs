@@ -67,7 +67,7 @@ use std::os::unix::io::AsRawFd as _;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use crate::http::{serialize_response, try_parse, ParseStatus, Response};
+use crate::http::{parse_request, serialize_into, Request, Response};
 use crate::metrics::ConnState;
 use crate::poller::{new_poller, Event, Interest, Poller};
 use crate::timer::TimerWheel;
@@ -92,6 +92,10 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// Least room offered to one `read` call (a typical request fits).
 const READ_MIN: usize = 1024;
+
+/// Largest write buffer a reactor keeps for its next response; a bigger
+/// one (a large `/route_batch` body) is freed once flushed.
+const WBUF_KEEP: usize = 64 * 1024;
 
 const WAKE_TOKEN: u64 = u64::MAX;
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
@@ -143,7 +147,7 @@ struct Conn {
     /// deregistered).
     interest: Option<Interest>,
     /// Received-but-unparsed bytes (may hold pipelined requests).
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
     /// Serialized response being flushed.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -159,6 +163,40 @@ struct Conn {
     linger_after_write: bool,
     /// Bytes swallowed while Draining.
     drained: usize,
+}
+
+/// A connection's received-but-unparsed bytes, `bytes[..len]`. The
+/// vector's own length only grows — zero-filled once, as it does — so
+/// the socket reads straight into room that is already initialized.
+#[derive(Default)]
+struct ReadBuf {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl ReadBuf {
+    fn filled(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `room` bytes after the filled ones, to read into.
+    fn room(&mut self, room: usize) -> &mut [u8] {
+        let end = self.len + room;
+        if self.bytes.len() < end {
+            self.bytes.resize(end, 0);
+        }
+        &mut self.bytes[self.len..end]
+    }
+
+    /// Drop the first `n` filled bytes (a parsed request).
+    fn consume(&mut self, n: usize) {
+        self.bytes.copy_within(n..self.len, 0);
+        self.len -= n;
+    }
 }
 
 /// What a slab slot keeps across the connections it holds.
@@ -188,6 +226,12 @@ struct Reactor<'a> {
     /// This reactor's share of `dbselectd_reactor_timers`, as last added.
     timers_published: usize,
     open: usize,
+    /// Every request is parsed into this one, which keeps its buffers'
+    /// capacity; a request handed to the pool is moved out.
+    request: Request,
+    /// The write buffer the next response is serialized into: a flushed
+    /// response's comes back here, so a warm response allocates none.
+    spare: Vec<u8>,
 }
 
 /// Run reactor `index` until shutdown: returns once every connection
@@ -210,6 +254,8 @@ pub(crate) fn run(listener: TcpListener, shared: &Shared, index: usize) -> io::R
         timer: TimerWheel::new(TICK, SLOTS, Instant::now()),
         timers_published: 0,
         open: 0,
+        request: Request::default(),
+        spare: Vec::new(),
     };
     let mut events: Vec<Event> = Vec::new();
     let mut expired: Vec<(u64, u64)> = Vec::new();
@@ -377,7 +423,7 @@ impl Reactor<'_> {
             gen,
             phase: Phase::Reading,
             interest: Some(Interest::Read),
-            rbuf: Vec::new(),
+            rbuf: ReadBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
             served: 0,
@@ -533,16 +579,14 @@ impl Reactor<'_> {
                 return;
             }
             // The socket reads straight into `rbuf`'s tail: room as large
-            // as what has arrived so far (within the two bounds) is
-            // zeroed, filled, and the unfilled rest dropped again.
-            let filled = conn.rbuf.len();
-            let room = filled.clamp(READ_MIN, READ_CHUNK);
-            conn.rbuf.resize(filled + room, 0);
-            let read = conn.stream.read(&mut conn.rbuf[filled..]);
-            conn.rbuf.truncate(filled + read.as_ref().map_or(0, |&n| n));
-            let n = match read {
+            // as what has arrived so far, within the two bounds.
+            let room = conn.rbuf.len.clamp(READ_MIN, READ_CHUNK);
+            let n = match conn.stream.read(conn.rbuf.room(room)) {
                 Ok(0) => break, // EOF
-                Ok(n) => n,
+                Ok(n) => {
+                    conn.rbuf.len += n;
+                    n
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.eagain();
                     return;
@@ -605,32 +649,37 @@ impl Reactor<'_> {
             if conn.phase != Phase::Reading {
                 return;
             }
-            let (request, consumed) = match try_parse(&conn.rbuf, &shared.limits) {
-                Ok(ParseStatus::NeedMore) => {
-                    // Still incomplete after the read that started it: now
-                    // the deadline needs a timer.
-                    let deadline = conn.deadline;
-                    self.arm(slot, deadline);
-                    return;
-                }
-                Ok(ParseStatus::Complete { request, consumed }) => (request, consumed),
-                Err(err) => {
-                    shared.metrics.record("parse", err.status());
-                    let response = Response::error(err.status(), &err.detail());
-                    self.respond(slot, &response, true);
-                    return;
-                }
-            };
-            conn.rbuf.drain(..consumed);
+            let consumed =
+                match parse_request(conn.rbuf.filled(), &shared.limits, &mut self.request) {
+                    Ok(None) => {
+                        // Still incomplete after the read that started it: now
+                        // the deadline needs a timer.
+                        let deadline = conn.deadline;
+                        self.arm(slot, deadline);
+                        return;
+                    }
+                    Ok(Some(consumed)) => consumed,
+                    Err(err) => {
+                        shared.metrics.record("parse", err.status());
+                        let response = Response::error(err.status(), &err.detail());
+                        self.respond(slot, &response, true);
+                        return;
+                    }
+                };
+            conn.rbuf.consume(consumed);
             conn.served += 1;
             let force_close = conn.served >= shared.config.keep_alive_requests.max(1);
             let deadline = conn.deadline;
             let tok = token(slot, conn.gen);
             self.cancel_timer(slot);
 
-            if shared.runs_inline(&request) {
-                match execute_caught(shared, &request, deadline, force_close) {
-                    Some((bytes, close)) => self.start_write(slot, bytes, close, false),
+            if shared.runs_inline(&self.request) {
+                // The response is written straight into the recycled
+                // write buffer.
+                let mut out = std::mem::take(&mut self.spare);
+                out.clear();
+                match execute_caught(shared, &self.request, deadline, force_close, &mut out) {
+                    Some(close) => self.start_write(slot, out, close, false),
                     // Handler panic: drop the connection without a
                     // response, as the pool does.
                     None => self.close(slot),
@@ -641,7 +690,7 @@ impl Reactor<'_> {
             let task = Task {
                 reactor: self.index,
                 token: tok,
-                request,
+                request: std::mem::take(&mut self.request),
                 deadline,
                 force_close,
             };
@@ -681,7 +730,9 @@ impl Reactor<'_> {
     /// requests a lingering close (unread request bytes would make a
     /// plain close RST the response away).
     fn respond(&mut self, slot: usize, response: &Response, partial_read: bool) {
-        let bytes = serialize_response(response, true);
+        let mut bytes = std::mem::take(&mut self.spare);
+        bytes.clear();
+        serialize_into(&mut bytes, response, true);
         let linger = partial_read
             || self.conns[slot]
                 .as_ref()
@@ -757,7 +808,10 @@ impl Reactor<'_> {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        conn.wbuf = Vec::new();
+        let flushed = std::mem::take(&mut conn.wbuf);
+        if flushed.capacity() <= WBUF_KEEP {
+            self.spare = flushed;
+        }
         conn.wpos = 0;
         let close = conn.close_after_write;
         let linger = conn.linger_after_write;

@@ -98,10 +98,64 @@ fn mode_index(mode: ShrinkageMode) -> usize {
     }
 }
 
+/// A list of strings stored end to end in one buffer, which keeps its
+/// capacity when the list is cleared.
+#[derive(Debug, Default)]
+struct Packed {
+    text: String,
+    /// Where each string ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl Packed {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// Append the string `write` appends to the buffer.
+    fn push(&mut self, write: impl FnOnce(&mut String)) {
+        write(&mut self.text);
+        self.ends.push(self.text.len());
+    }
+
+    fn get(&self, at: usize) -> &str {
+        let start = at.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[at]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> + Clone {
+        (0..self.ends.len()).map(|at| self.get(at))
+    }
+}
+
+/// One query's analysis ([`ServingState::analyze_into`]), in buffers a
+/// serving thread reuses from request to request.
+#[derive(Debug, Default)]
+pub struct Analysis {
+    /// The query's distinct dictionary terms, in first-seen order.
+    pub query: Vec<TermId>,
+    /// The words profiling never saw, as sent.
+    unknown: Packed,
+    /// The analyzer's output for the word at hand.
+    term: String,
+}
+
+impl Analysis {
+    /// The words profiling never saw, in query order.
+    pub fn unknown(&self) -> impl Iterator<Item = &str> + Clone {
+        self.unknown.iter()
+    }
+}
+
 /// One catalog generation, frozen for serving.
 pub struct ServingState {
     dict: TermDict,
     categories: Vec<String>,
+    /// Every database's ranking-entry names, `"database":…,"category":…`
+    /// ([`crate::json::write_names`]), written once per generation so a
+    /// response copies them instead of escaping two strings per entry.
+    fragments: Packed,
     catalog: Arc<Catalog>,
     analyzer: Analyzer,
     /// `engines[algo.index() * 3 + mode_index(mode)]`.
@@ -192,9 +246,14 @@ impl ServingState {
         } else {
             Vec::new()
         };
+        let mut fragments = Packed::default();
+        for (name, category) in catalog.names().iter().zip(&categories) {
+            fragments.push(|text| crate::json::write_names(text, name, category));
+        }
         ServingState {
             dict,
             categories,
+            fragments,
             catalog,
             analyzer: Analyzer::english(),
             engines,
@@ -307,22 +366,32 @@ impl ServingState {
         self.category_path(index).to_string()
     }
 
+    /// Database `index`'s `"database":…,"category":…` text, escaped.
+    pub(crate) fn names_fragment(&self, index: usize) -> &str {
+        self.fragments.get(index)
+    }
+
     /// Tokenize query words against the dictionary, deduplicating and
     /// collecting words profiling never saw.
     pub fn analyze(&self, words: &[String]) -> (Vec<TermId>, Vec<String>) {
-        let mut query = Vec::new();
-        let mut unknown = Vec::new();
+        let mut analysis = Analysis::default();
+        self.analyze_into(words.iter().map(String::as_str), &mut analysis);
+        let unknown = analysis.unknown().map(str::to_string).collect();
+        (analysis.query, unknown)
+    }
+
+    /// [`analyze`](Self::analyze) into `out`, overwriting it and reusing
+    /// its buffers.
+    pub fn analyze_into<'w>(&self, words: impl IntoIterator<Item = &'w str>, out: &mut Analysis) {
+        out.query.clear();
+        out.unknown.clear();
         for word in words {
-            match self
-                .analyzer
-                .analyze_term(word)
-                .and_then(|t| self.dict.lookup(&t))
-            {
-                Some(id) if !query.contains(&id) => query.push(id),
+            let kept = self.analyzer.analyze_term_into(word, &mut out.term);
+            match kept.then(|| self.dict.lookup(&out.term)).flatten() {
+                Some(id) if !out.query.contains(&id) => out.query.push(id),
                 Some(_) => {}
-                None => unknown.push(word.clone()),
+                None => out.unknown.push(|text| text.push_str(word)),
             }
         }
-        (query, unknown)
     }
 }

@@ -3,14 +3,19 @@
 //!
 //! After warm-up, one `adaptive` `k:10` request, run to completion on the
 //! reactor that read it — socket read, HTTP and JSON parse, analysis,
-//! choose → context → score, body write, socket write — allocates a small
-//! fixed number of times: the request's own strings and the vectors the
-//! outcome returns. The engine's scratch is recycled per thread and the
-//! response body is written straight into one `String`, so a per-request
-//! `RouteScratch::default()` (some thirty buffers) or a `Json` response tree (a
-//! node and a key `String` per field) would blow the budget and fail here.
-//! A proxy's backend request (`"shard": 0, "shards": 2`) pays besides only
-//! for its block's member list.
+//! choose → context → score, body write, socket write — allocates only
+//! the request body's `Json` tree (its object and its key and string
+//! values) and the two vectors the outcome returns. Everything else is
+//! recycled: the reactor parses into the request it keeps and serializes
+//! into the write buffer it keeps, the thread keeps the query's analysis
+//! and the response body's buffer, the engine's scratch holds the scoring
+//! context, the bounds and the kernel's query constants, and the query
+//! words are borrowed from the body. A per-request `RouteScratch::default()`
+//! (some thirty buffers), a `Json` response tree (a node and a key `String`
+//! per field) or a request that owns its method, target and headers again
+//! would blow the budget and fail here. A proxy's backend request
+//! (`"shard": 0, "shards": 2`) pays besides for its two extra keys, its
+//! body object's regrowth and its block's member list.
 //!
 //! A state built with the benchmark's in-process scatter is the one
 //! catalog plus a member list per shard, so the bytes a state keeps live
@@ -34,26 +39,32 @@ use store::snapshot::ServingSnapshot;
 use store::StoredDatabase;
 
 /// Most allocations one warmed-up request may make, process-wide. Measured
-/// at 42 when this budget was set (44 while the uncertainty test collected
-/// its query words per request and counted the unshrunk context twice, 46
-/// while a worker pool ran `/route`, 129 before the body writer and the
-/// recycled scratch; this fixture ranks six databases, and a ten-entry
-/// `Json` tree costs more). The slack of seven absorbs a toolchain
-/// upgrade's drift, not a new set of buffers: a per-request scratch alone
-/// adds well over seven.
-const BUDGET: u64 = 49;
+/// at 10, in debug and release builds alike, when this budget was set: the
+/// body's object and its seven key and string values, the choices and the
+/// ranking. (42 while the request owned its head's strings, its query
+/// words and their analysis, and the engine its bounds, context and
+/// kernel constants; 44 while the uncertainty test collected its query
+/// words per request and counted the unshrunk context twice, 46 while a
+/// worker pool ran `/route`, 129 before the body writer and the recycled
+/// scratch; this fixture ranks six databases, and a ten-entry `Json` tree
+/// costs more.) The slack of seven absorbs a toolchain upgrade's drift,
+/// not a new set of buffers: a per-request scratch alone adds well over
+/// seven.
+const BUDGET: u64 = 17;
 
 /// The same for a backend's `{"shard":0,"shards":2}` request, with the
-/// same slack. Measured at 46 when this budget was set (49 for a
-/// plain `/route` on a daemon started with two shards, which scored both
-/// one after the other, before the shard moved into the request).
-const BACKEND_BUDGET: u64 = 53;
+/// same slack. Measured at 14 when this budget was set (46 before the
+/// change that set `BUDGET` at 17; 49 for a plain `/route` on a daemon
+/// started with two shards, which scored both one after the other, before
+/// the shard moved into the request).
+const BACKEND_BUDGET: u64 = 21;
 
 /// The same for an `lm` request, with the same slack. LM's kernel reads no
 /// `cf`, so its request hands scoring the unshrunk context the choice read
-/// instead of counting one over the chosen summaries. Measured at 42 when
-/// this budget was set (44 before).
-const LM_BUDGET: u64 = 49;
+/// instead of counting one over the chosen summaries. Measured at 10 when
+/// this budget was set (42 before the change that set `BUDGET` at 17, 44
+/// before that).
+const LM_BUDGET: u64 = 17;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed, process-wide.

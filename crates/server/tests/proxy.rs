@@ -682,3 +682,143 @@ fn a_backend_4xx_passes_through_to_the_client() {
     stop_scripted(reject_stop, reject_handle);
     shutdown(b0_addr, b0_handle);
 }
+
+/// The fixture with database names and category paths that need every
+/// escape the JSON writer knows, and some it must pass through untouched.
+fn escaped_names_state() -> ServingState {
+    let mut store = common::fixture_store(1.0);
+    let names = [
+        "quo\"te",
+        "back\\slash\\",
+        "ctl\u{1}\t\n\r\u{1f}",
+        "μετα—search 🗄",
+        "",
+        "</script>\u{7f}\u{80}",
+    ];
+    let mut hierarchy = dbselect_core::hierarchy::Hierarchy::new("Ro\"ot");
+    let paths = [
+        "Heal\"th/He\\art",
+        "Sp\u{2}orts/Socc\u{e9}r",
+        "Ψυχή",
+        "数据/库\u{0}",
+    ];
+    let categories: Vec<_> = paths.iter().map(|p| hierarchy.ensure_path(p)).collect();
+    for (at, (db, name)) in store.databases.iter_mut().zip(names).enumerate() {
+        db.name = name.to_string();
+        db.classification = categories[at % categories.len()];
+    }
+    store.hierarchy = hierarchy;
+    let frozen = store::catalog::StoredCatalog::freeze(
+        store,
+        dbselect_core::category_summary::CategoryWeighting::BySize,
+    );
+    serving_state(&frozen, "mem")
+}
+
+/// The body a `/route` answer must be, rendered as a `Json` tree from the
+/// engine's own ranking: `shard` selects a backend's block and leads its
+/// entries with the global index.
+fn oracle_routed(
+    state: &ServingState,
+    line: &str,
+    algo: &str,
+    k: usize,
+    shard: Option<(usize, usize)>,
+) -> Vec<(String, Json)> {
+    let words: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+    let (query, unknown) = state.analyze(&words);
+    let algo = server::state::Algo::parse(algo).expect("algo");
+    let engine = state.engine(algo, selection::ShrinkageMode::Adaptive);
+    let members: Option<Vec<u32>> = shard.map(|(shard, shards)| {
+        let block = broker::contiguous_block(state.databases(), shard, shards);
+        block.map(|db| db as u32).collect()
+    });
+    let outcome = engine.route_partition_topk(&query, k, members.as_deref());
+    let ranking = outcome.ranking.iter().enumerate().map(|(at, r)| {
+        let lead = match shard {
+            None => ("rank".to_string(), Json::Num((at + 1) as f64)),
+            Some(_) => ("index".to_string(), Json::Num(r.index as f64)),
+        };
+        Json::obj(vec![
+            lead,
+            ("database".into(), Json::Str(state.name(r.index).into())),
+            ("category".into(), Json::Str(state.category(r.index))),
+            ("score".into(), Json::Num(r.score)),
+            (
+                "shrinkage_used".into(),
+                Json::Bool(outcome.used_shrinkage[r.index]),
+            ),
+        ])
+    });
+    vec![
+        (
+            "unknown".into(),
+            Json::Arr(unknown.into_iter().map(Json::Str).collect()),
+        ),
+        ("ranking".into(), Json::Arr(ranking.collect())),
+    ]
+}
+
+/// Names and paths that need escaping are served as the oracle renders
+/// them — `/route`, its shard form and `/route_batch`, from the daemon
+/// and through the proxy — though the daemon writes them from fragments
+/// escaped once per generation and the proxy re-escapes a backend's.
+#[test]
+fn names_that_need_escaping_are_served_as_the_oracle_renders_them() {
+    let state = escaped_names_state();
+    let (addr, handle) = start(ServerConfig::default(), escaped_names_state());
+    let backends: Vec<(SocketAddr, JoinHandle<()>)> = (0..2)
+        .map(|_| start(ServerConfig::default(), escaped_names_state()))
+        .collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(|(addr, _)| *addr).collect();
+    let (proxy_addr, proxy_handle) = start_proxy(ServerConfig::default(), proxy_over(&addrs));
+    wait_for("proxy readiness", || get(proxy_addr, "/readyz").0 == 200);
+
+    let generation = || ("generation".to_string(), Json::Num(1.0));
+    for algo in ["bgloss", "cori", "lm"] {
+        for (line, k) in QUERIES.iter().zip([1, 3, 6, 10, 2]) {
+            let body = format!(r#"{{"query":"{line}","algo":"{algo}","k":{k}}}"#);
+            let mut want = vec![generation()];
+            want.extend(oracle_routed(&state, line, algo, k, None));
+            let want = Json::obj(want).render();
+            for at in [addr, proxy_addr] {
+                let (status, _, served) = post(at, "/route", &body);
+                assert_eq!((status, &served), (200, &want), "{algo} {line:?}");
+            }
+            for shard in 0..2 {
+                let body = format!(
+                    r#"{{"query":"{line}","algo":"{algo}","k":{k},"shard":{shard},"shards":2}}"#
+                );
+                let mut want = vec![generation()];
+                want.push(("shards".into(), Json::Num(2.0)));
+                want.push(("shard".into(), Json::Num(shard as f64)));
+                want.extend(oracle_routed(&state, line, algo, k, Some((shard, 2))));
+                let (status, _, served) = post(addr, "/route", &body);
+                assert_eq!((status, served), (200, Json::obj(want).render()));
+            }
+        }
+        let lines: Vec<String> = QUERIES.iter().map(|q| format!("{q:?}")).collect();
+        let body = format!(
+            r#"{{"queries":[{}],"algo":"{algo}","k":4}}"#,
+            lines.join(",")
+        );
+        let results = QUERIES
+            .iter()
+            .map(|line| Json::obj(oracle_routed(&state, line, algo, 4, None)));
+        let want = Json::obj(vec![
+            generation(),
+            ("results".into(), Json::Arr(results.collect())),
+        ])
+        .render();
+        for at in [addr, proxy_addr] {
+            let (status, _, served) = post(at, "/route_batch", &body);
+            assert_eq!((status, &served), (200, &want), "{algo} batch");
+        }
+    }
+
+    shutdown(proxy_addr, proxy_handle);
+    for (backend, handle) in backends {
+        shutdown(backend, handle);
+    }
+    shutdown(addr, handle);
+}

@@ -97,7 +97,8 @@ pub fn write_column<W: Write, const N: usize>(
 /// Read a column of `len` fixed-width values, decoding each with `decode`,
 /// in bounded [`COLUMN_CHUNK`]-sized `read_exact`s: the column grows only
 /// as bytes arrive, so a corrupt length cannot trigger an oversized
-/// allocation.
+/// allocation. A column that took several chunks is shrunk to its length
+/// once read: a served catalog keeps no growth slack.
 pub fn read_column<R: Read, T, const N: usize>(
     r: &mut R,
     len: usize,
@@ -119,6 +120,7 @@ pub fn read_column<R: Read, T, const N: usize>(
         }
         remaining -= take;
     }
+    out.shrink_to_fit();
     Ok(out)
 }
 

@@ -360,6 +360,7 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
         tip = digest;
         generation = number;
     }
+    snapshot.dict.shrink_to_fit();
     Ok(ChainLoad {
         snapshot,
         generation,

@@ -478,6 +478,7 @@ fn read_payload<R: Read>(r: &mut R) -> io::Result<ServingSnapshot> {
             return Err(corrupt("duplicate term in snapshot dictionary"));
         }
     }
+    dict.shrink_to_fit();
     let weighting = match read_u32(r)? {
         0 => CategoryWeighting::BySize,
         1 => CategoryWeighting::Uniform,

@@ -6,7 +6,7 @@
 //! as in the paper's Lucene setup where indexing and search shared an
 //! analyzer.
 
-use crate::stem::porter_stem;
+use crate::stem::{porter_stem, stem_in_place};
 use crate::stopwords::is_stopword;
 use crate::tokenize::tokenize;
 
@@ -63,18 +63,32 @@ impl Analyzer {
     /// Analyze a single already-tokenized word (used for query terms that
     /// arrive as individual keywords rather than free text).
     pub fn analyze_term(&self, term: &str) -> Option<String> {
-        let lower = term.to_lowercase();
-        if self.remove_stopwords && is_stopword(&lower) {
-            return None;
-        }
-        if lower.chars().count() < crate::tokenize::MIN_TOKEN_LEN {
-            return None;
-        }
-        Some(if self.stem {
-            porter_stem(&lower)
+        let mut out = String::new();
+        self.analyze_term_into(term, &mut out).then_some(out)
+    }
+
+    /// [`Self::analyze_term`] into `out` (cleared first), reusing its
+    /// capacity: `true` when the word survives, and `out` then holds it.
+    pub fn analyze_term_into(&self, term: &str, out: &mut String) -> bool {
+        out.clear();
+        if term.is_ascii() {
+            out.push_str(term);
+            out.make_ascii_lowercase();
         } else {
-            lower
-        })
+            // `str::to_lowercase`, not a per-char map: final sigma is
+            // context-sensitive.
+            out.push_str(&term.to_lowercase());
+        }
+        if self.remove_stopwords && is_stopword(out) {
+            return false;
+        }
+        if out.chars().count() < crate::tokenize::MIN_TOKEN_LEN {
+            return false;
+        }
+        if self.stem {
+            stem_in_place(out);
+        }
+        true
     }
 }
 

@@ -18,12 +18,21 @@
 /// assert_eq!(porter_stem("agreed"), "agre");
 /// ```
 pub fn porter_stem(word: &str) -> String {
+    let mut stem = word.to_string();
+    stem_in_place(&mut stem);
+    stem
+}
+
+/// [`porter_stem`] in place: `word`'s buffer is the stemmer's, so a caller
+/// that reuses it allocates nothing.
+pub(crate) fn stem_in_place(word: &mut String) {
     if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-        return word.to_string();
+        return;
     }
+    let k = word.len() - 1;
     let mut s = Stemmer {
-        b: word.as_bytes().to_vec(),
-        k: word.len() - 1,
+        b: std::mem::take(word).into_bytes(),
+        k,
     };
     s.step1ab();
     s.step1c();
@@ -33,7 +42,7 @@ pub fn porter_stem(word: &str) -> String {
     s.step5();
     s.b.truncate(s.k + 1);
     // The buffer is mutated in place and always stays ASCII.
-    String::from_utf8(s.b).expect("porter stemmer output is ASCII")
+    *word = String::from_utf8(s.b).expect("porter stemmer output is ASCII");
 }
 
 struct Stemmer {

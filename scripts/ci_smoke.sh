@@ -58,6 +58,12 @@ if "$DBSELECT" route --catalog x --queries y --bogus 2> "$WORK/bogus.err"; then
     echo "an unknown flag must fail"; exit 1
 fi
 grep 'dbselect route: unknown option `--bogus`' "$WORK/bogus.err"
+# A flag that applies only beside another fails without it instead of being
+# accepted and ignored.
+if "$DBSELECT" freeze --catalog x --out y --weighting uniform 2> "$WORK/only_with.err"; then
+    echo "--weighting without --store must fail"; exit 1
+fi
+grep 'dbselect freeze: --weighting applies only with --store' "$WORK/only_with.err"
 
 # --- freeze the v4 serving snapshot, the one form that is served ----------
 "$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"
