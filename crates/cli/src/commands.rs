@@ -19,9 +19,7 @@ use crate::{
 };
 
 /// Every command, in the order `dbselect --help` lists them.
-static COMMANDS: [&dyn Invoke; 8] = [
-    &INDEX, &SELECT, &CATALOG, &FREEZE, &REFRESH, &ROUTE, &SERVE, &INSPECT,
-];
+static COMMANDS: [&dyn Invoke; 7] = [&INDEX, &SELECT, &FREEZE, &REFRESH, &ROUTE, &SERVE, &INSPECT];
 
 /// Run `dbselect` on its arguments (the program name left out).
 pub fn run(args: &[String]) -> Outcome {
@@ -42,21 +40,22 @@ fn help() -> String {
 }
 
 const ABOUT: &str = "
-`catalog` runs the shrinkage EM once and records the fitted λ weights in
-a v1 catalog, the input of `freeze` and `refresh`. `freeze` writes the
-v4 serving snapshot (sample columns, fitted λ pairs, the category
-aggregates the shrunk summaries mix, posting index, γ exponents, LM
-global model), which loads by a checksummed array read with no EM and
-no mixing. `route` and `serve` serve only what `freeze` and `refresh`
-write, a v4 snapshot or a chain directory; a v1 catalog or a retired
-v2/v3 snapshot is refused, naming the `freeze` that migrates it.
+`freeze --store` runs the shrinkage EM once and writes the v4 serving
+snapshot (sample columns, fitted λ pairs, the category aggregates the
+shrunk summaries mix, posting index, γ exponents, LM global model),
+which loads by a checksummed array read with no EM and no mixing.
+`route` and `serve` serve only what `freeze` and `refresh` write, a v4
+snapshot or a chain directory; a v1 catalog or a retired v2/v3 snapshot
+is refused, naming `freeze --catalog`, which migrates a v1 catalog.
 Rankings are independent of the thread count.
 
-Each `refresh` round re-probes the stalest databases named by a spec,
-re-fits only their shrinkage mixtures against the pinned base, and
-appends the touched rows to the chain (base.snap + numbered deltas);
-replaying it is bit-identical to a full freeze of the same state. A
-chain that holds deltas cannot be resumed: re-base with `freeze`.
+A chain starts as `freeze --store STORE --out DIR/base.snap`. Each
+`refresh --chain DIR` resumes at the chain's tip: every round re-probes
+the stalest databases named by a spec, re-fits only their shrinkage
+mixtures against the components the base pinned, and appends the
+touched rows as the next numbered delta; replaying the chain is
+bit-identical to a full freeze of the same state. Re-basing (folding
+refreshed samples into the category aggregates) is a new `freeze`.
 
 `serve` answers POST /route and /route_batch (bit-identical to `route`),
 GET /healthz, /readyz and /metrics, POST /admin/reload (a hot swap) and
@@ -147,7 +146,7 @@ static SELECT: Command<SelectArgs> = Command {
     },
 };
 
-/// The options of `catalog` and `freeze`.
+/// The options of `freeze`.
 #[derive(Default)]
 struct FreezeArgs {
     catalog: Option<String>,
@@ -157,32 +156,11 @@ struct FreezeArgs {
 }
 
 #[rustfmt::skip]
-static CATALOG: Command<FreezeArgs> = Command {
-    name: "catalog",
-    about: "run the shrinkage EM once and record the fitted λs in a v1 catalog",
-    flags: &[
-        (Required, &["--store"], "STORE", "the collection store to fit", |o, v| put(&mut o.store, Some(v.into()))),
-        (Required, &["--out"], "CATALOG", "the catalog to write", |o, v| put(&mut o.out, v.into())),
-        (Optional, &["--weighting"], "bysize|uniform", "category aggregation (default bysize)", |o, v| put(&mut o.weighting, weighting(v)?)),
-    ],
-    positional: None,
-    run: |a| {
-        let store = CollectionStore::load(a.store.unwrap_or_default())?;
-        let frozen = StoredCatalog::freeze(store, a.weighting);
-        frozen.save(&a.out)?;
-        let (databases, terms) = (frozen.store.databases.len(), frozen.store.dict.len());
-        let weighting = frozen.weighting;
-        println!("froze {databases} databases ({terms} terms, {weighting:?} weighting, λ fit recorded) -> {}", a.out);
-        Ok(())
-    },
-};
-
-#[rustfmt::skip]
 static FREEZE: Command<FreezeArgs> = Command {
     name: "freeze",
     about: "write the v4 serving snapshot `route` and `serve` read",
     flags: &[
-        (OneOf, &["--catalog"], "CATALOG", "freeze a v1 catalog", |o, v| put(&mut o.catalog, Some(v.into()))),
+        (OneOf, &["--catalog"], "CATALOG", "migrate a v1 catalog file", |o, v| put(&mut o.catalog, Some(v.into()))),
         (OneOf, &["--store"], "STORE", "fit a store's λs, then freeze it", |o, v| put(&mut o.store, Some(v.into()))),
         (Required, &["--out"], "SNAPSHOT", "the snapshot to write", |o, v| put(&mut o.out, v.into())),
         (With("--store"), &["--weighting"], "bysize|uniform", "category aggregation of a store (default bysize)", |o, v| put(&mut o.weighting, weighting(v)?)),
@@ -208,7 +186,6 @@ static FREEZE: Command<FreezeArgs> = Command {
 
 #[derive(Default)]
 struct RefreshArgs {
-    catalog: String,
     chain: String,
     options: RefreshOptions,
     specs: Vec<DbSpec>,
@@ -219,8 +196,7 @@ static REFRESH: Command<RefreshArgs> = Command {
     name: "refresh",
     about: "re-probe the stalest databases and append each round to a snapshot chain",
     flags: &[
-        (Required, &["--catalog"], "CATALOG", "the v1 catalog the chain's base freezes", |o, v| put(&mut o.catalog, v.into())),
-        (Required, &["--chain"], "DIR", "the chain directory (base.snap + deltas)", |o, v| put(&mut o.chain, v.into())),
+        (Required, &["--chain"], "DIR", "an existing chain; refresh resumes at its tip", |o, v| put(&mut o.chain, v.into())),
         (Optional, &["--rounds"], "N", "refresh rounds, one delta each (default 1)", |o, v| put(&mut o.options.rounds, int(v)?)),
         (Optional, &["--budget"], "K", "databases re-probed per round (default 2)", |o, v| put(&mut o.options.budget, int(v)?)),
         (Optional, &["--seed"], "N", "scheduler and sampling seed (default 42)", |o, v| put(&mut o.options.probe.seed, int(v)?)),
@@ -231,7 +207,7 @@ static REFRESH: Command<RefreshArgs> = Command {
     ],
     positional: Some(("NAME=CATEGORY/PATH=DIR", |o, v| push(&mut o.specs, DbSpec::parse(v)?))),
     run: |a| {
-        let report = refresh(&a.catalog, Path::new(&a.chain), &a.specs, &a.options)?;
+        let report = refresh(Path::new(&a.chain), &a.specs, &a.options)?;
         print!("{report}");
         Ok(())
     },

@@ -481,14 +481,12 @@ impl Default for RefreshOptions {
 /// `dbselect refresh`: re-probe a few stale databases per round and
 /// append each round as a delta to a snapshot chain.
 ///
-/// The chain directory either does not hold a base yet (one is frozen
-/// from the catalog) or holds exactly the base this catalog freezes to —
-/// a chain that already has delta rounds cannot be resumed, because the
-/// session that wrote them owned the dictionary growth; re-base with a
-/// fresh `dbselect freeze` instead. Databases named by a spec are
-/// eligible for re-probing (their directories are re-read each round, so
-/// drifted content is picked up); catalog databases without a spec stay
-/// frozen at their base summaries.
+/// The chain directory holds a base (`dbselect freeze --store STORE --out
+/// DIR/base.snap` starts one) and any number of deltas; the session
+/// resumes at the tip, so any number of `refresh` runs continue one
+/// chain. Databases named by a spec are eligible for re-probing (their
+/// directories are re-read each round, so drifted content is picked up);
+/// chain databases without a spec keep their summaries.
 ///
 /// A picked database whose directory cannot be read (or holds no
 /// document) is skipped for the round and reported; it stays eligible
@@ -499,21 +497,29 @@ impl Default for RefreshOptions {
 /// skipped), the round's wall time, and the delta's size on disk — the
 /// evidence that refresh cost scales with the touched set, not the
 /// catalog.
-pub fn refresh(
-    catalog_path: &str,
-    chain_dir: &Path,
-    specs: &[DbSpec],
-    options: &RefreshOptions,
-) -> io::Result<String> {
+pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> io::Result<String> {
     let probe = &options.probe;
-    let stored = StoredCatalog::load(catalog_path)?;
-    let mut session = RefreshSession::new(stored);
+    let base = chain_dir.join(store::delta::BASE_FILE);
+    if !base.is_file() {
+        let base = base.display();
+        let message = format!(
+            "{base}: no chain to refresh; start one with `dbselect freeze --store STORE --out {base}`"
+        );
+        return Err(io::Error::new(io::ErrorKind::NotFound, message));
+    }
+    let chain = store::delta::load_chain(chain_dir)?;
+    let mut writer = ChainWriter::resume(chain_dir, &chain)?;
+    let mut session = RefreshSession::resume(chain);
 
-    // Map specs onto catalog indices by database name.
+    // Map specs onto chain indices by database name.
     let mut spec_for_db: Vec<Option<&DbSpec>> = vec![None; session.len()];
     for spec in specs {
         let Some(db) = session.names().iter().position(|n| *n == spec.name) else {
-            let unknown = format!("{}: no such database in {catalog_path}", spec.name);
+            let unknown = format!(
+                "{}: no such database in chain {}",
+                spec.name,
+                chain_dir.display()
+            );
             return Err(io::Error::new(io::ErrorKind::InvalidInput, unknown));
         };
         spec_for_db[db] = Some(spec);
@@ -524,16 +530,6 @@ pub fn refresh(
             "refresh requires at least one NAME=CATEGORY/PATH=DIR spec",
         ));
     }
-
-    // Create the chain base, or verify an existing base (e.g. one written
-    // by `dbselect freeze` into the chain directory) matches the catalog.
-    let reference = session.freeze_full();
-    let mut writer = if chain_dir.join(store::delta::BASE_FILE).exists() {
-        ChainWriter::open_base_only(chain_dir, &reference)?
-    } else {
-        ChainWriter::create(chain_dir, &reference)?
-    };
-    drop(reference);
 
     let mut scheduler = RefreshScheduler::new(session.len(), options.budget, probe.seed);
     for (db, spec) in spec_for_db.iter().enumerate().take(session.len()) {
@@ -547,10 +543,11 @@ pub fn refresh(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "refreshing {} of {} databases per round over {} ({} rounds, seed {})",
+        "refreshing {} of {} databases per round over {} from generation {} ({} rounds, seed {})",
         options.budget.min(specs.len()),
         session.len(),
         chain_dir.display(),
+        writer.generation(),
         options.rounds,
         probe.seed,
     );
@@ -645,6 +642,12 @@ pub fn refresh(
 mod tests {
     use super::*;
     use store::catalog::StoredCatalog;
+
+    /// A v1 catalog of three databases, written by the retired v1 writer.
+    const V1_FIXTURE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../store/tests/fixtures/v1-tiny.catalog"
+    );
 
     fn write_corpus(root: &Path) {
         let heart = root.join("heart");
@@ -769,18 +772,13 @@ mod tests {
         )
         .unwrap();
 
-        // Freeze the shrinkage fit into a v1 catalog, freeze that into the
-        // v4 snapshot on disk (as `dbselect freeze --catalog` does), and
-        // serve the snapshot.
-        let path = root.join("collection.catalog");
-        StoredCatalog::freeze(store, CategoryWeighting::BySize)
-            .save(&path)
+        // Fit the shrinkage λs, write the v4 snapshot (as `dbselect
+        // freeze --store` does), and serve the snapshot.
+        let v4_path = root.join("collection.snapshot");
+        ServingSnapshot::from_stored(&StoredCatalog::freeze(store, CategoryWeighting::BySize))
+            .save(&v4_path)
             .unwrap();
-        let v2_path = root.join("collection.snapshot");
-        ServingSnapshot::from_stored(&StoredCatalog::load(&path).unwrap())
-            .save(&v2_path)
-            .unwrap();
-        let frozen = ServingState::load(v2_path.to_str().unwrap(), 0).unwrap();
+        let frozen = ServingState::load(v4_path.to_str().unwrap(), 0).unwrap();
 
         let lines = vec![
             "heart blood pressure".to_string(),
@@ -831,9 +829,8 @@ mod tests {
         assert_eq!(strip(&single, "1 threads"), strip(&many, "8 threads"));
         assert!(single.contains("latency per query: p50"), "{single}");
 
-        // The v1 catalog itself is not served: loading it names the
-        // migration.
-        let Err(err) = ServingState::load(path.to_str().unwrap(), 0) else {
+        // A v1 catalog is not served: loading it names the migration.
+        let Err(err) = ServingState::load(V1_FIXTURE, 0) else {
             panic!("a v1 catalog must not load for serving");
         };
         assert!(
@@ -844,25 +841,65 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// `freeze --catalog` migrates a v1 catalog into exactly the snapshot
+    /// `freeze --store` writes of the store it embeds.
+    #[test]
+    fn freeze_migrates_a_v1_catalog_to_the_snapshot_of_its_store() {
+        let root = temp_root("migrate");
+        let (store, migrated, fitted) = (
+            root.join("embedded.store"),
+            root.join("migrated.snap"),
+            root.join("fitted.snap"),
+        );
+        let v1 = StoredCatalog::load(V1_FIXTURE).unwrap();
+        v1.store.save(&store).unwrap();
+        let freeze = |from: &str, input: &Path, out: &Path| {
+            let line = format!("freeze {from} {} --out {}", input.display(), out.display());
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            commands::run(&args).unwrap();
+        };
+        freeze("--catalog", Path::new(V1_FIXTURE), &migrated);
+        freeze("--store", &store, &fitted);
+        let bytes = std::fs::read(&migrated).unwrap();
+        assert_eq!(&bytes[..8], b"DBSSNP\x00\x04");
+        assert!(bytes == std::fs::read(&fitted).unwrap());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Index the corpus under `root` and start a chain in `root/<chain>`
+    /// the way the pipeline does: `dbselect freeze --store STORE --out
+    /// <chain>/base.snap`.
+    fn start_chain(root: &Path, specs: &[DbSpec], chain: &str) -> std::path::PathBuf {
+        let store_path = root.join("collection.store");
+        if !store_path.exists() {
+            let full = IndexOptions {
+                full: true,
+                ..Default::default()
+            };
+            build_store(specs, &full)
+                .unwrap()
+                .save(&store_path)
+                .unwrap();
+        }
+        let dir = root.join(chain);
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join(store::delta::BASE_FILE);
+        let line = format!(
+            "freeze --store {} --out {}",
+            store_path.display(),
+            base.display()
+        );
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        commands::run(&args).unwrap();
+        dir
+    }
+
     #[test]
     fn refresh_appends_deltas_that_replay_bit_identically() {
         let root = temp_root("refresh");
         write_corpus(&root);
         let specs = specs(&root);
-        let store = build_store(
-            &specs,
-            &IndexOptions {
-                full: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let catalog_path = root.join("collection.catalog");
-        StoredCatalog::freeze(store, CategoryWeighting::BySize)
-            .save(&catalog_path)
-            .unwrap();
-        let catalog_path = catalog_path.to_string_lossy().into_owned();
-        let chain = root.join("chain");
+        let chain = start_chain(&root, &specs, "chain");
 
         // Drift the heart database before the first refresh round.
         std::fs::write(
@@ -882,7 +919,8 @@ mod tests {
             probe,
             ..Default::default()
         };
-        let report = refresh(&catalog_path, &chain, &specs, &options).unwrap();
+        let report = refresh(&chain, &specs, &options).unwrap();
+        assert!(report.contains("from generation 0"), "{report}");
         assert!(report.contains("round 1 -> generation 1"), "{report}");
         assert!(report.contains("round 2 -> generation 2"), "{report}");
         assert_eq!(store::delta::chain_tip_generation(&chain).unwrap(), 2);
@@ -900,50 +938,33 @@ mod tests {
         );
         assert!(report.contains("heart-db"), "{report}");
 
-        // A chain with deltas cannot be resumed (re-base instead).
-        let err = refresh(&catalog_path, &chain, &specs, &options).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
-        assert!(err.to_string().contains("re-base"), "{err}");
+        // A chain that holds deltas resumes at its tip.
+        let report = refresh(&chain, &specs, &options).unwrap();
+        assert!(report.contains("from generation 2"), "{report}");
+        assert!(report.contains("round 1 -> generation 3"), "{report}");
+        assert!(report.contains("round 2 -> generation 4"), "{report}");
+        let replayed = store::delta::load_chain(&chain).unwrap();
+        assert_eq!(replayed.generation, 4);
+        let tip = format!(
+            "chain tip: generation 4 (checksum {:016x})",
+            replayed.checksum
+        );
+        assert!(report.contains(&tip), "{report}");
 
-        // A base written by `dbselect freeze` is accepted as-is...
-        let fresh = root.join("fresh-chain");
-        std::fs::create_dir_all(&fresh).unwrap();
-        let frozen = StoredCatalog::load(&catalog_path).unwrap();
-        ServingSnapshot::from_stored(&frozen)
-            .save(fresh.join(store::delta::BASE_FILE))
-            .unwrap();
-        let report = refresh(
-            &catalog_path,
-            &fresh,
-            &specs,
-            &RefreshOptions {
-                rounds: 1,
-                ..options
-            },
-        )
-        .unwrap();
-        assert!(report.contains("generation 1"), "{report}");
+        // A directory without a base names the freeze that starts one.
+        let err = refresh(&root.join("x-chain"), &specs, &options).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().contains("dbselect freeze --store"), "{err}");
 
-        // ...but a base from a *different* catalog is rejected.
-        let other = root.join("other-chain");
-        std::fs::create_dir_all(&other).unwrap();
-        std::fs::copy(
-            chain.join(store::delta::delta_file_name(1)),
-            other.join(store::delta::BASE_FILE),
-        )
-        .unwrap();
-        let err = refresh(&catalog_path, &other, &specs, &options).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("does not match"), "{err}");
-
-        // Unknown spec names fail fast.
+        // Unknown spec names fail fast, naming the chain.
         let bogus = DbSpec {
             name: "no-such-db".into(),
             category: "X".into(),
             dir: root.join("heart").to_string_lossy().into_owned(),
         };
-        let err = refresh(&catalog_path, &root.join("x-chain"), &[bogus], &options).unwrap_err();
+        let err = refresh(&chain, &[bogus], &options).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(chain.to_str().unwrap()), "{err}");
 
         std::fs::remove_dir_all(&root).ok();
     }
@@ -953,19 +974,11 @@ mod tests {
         let root = temp_root("refresh-skip");
         write_corpus(&root);
         let specs = specs(&root);
-        let store = build_store(
-            &specs,
-            &IndexOptions {
-                full: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let catalog_path = root.join("collection.catalog");
-        StoredCatalog::freeze(store, CategoryWeighting::BySize)
-            .save(&catalog_path)
-            .unwrap();
-        let catalog_path = catalog_path.to_string_lossy().into_owned();
+        let (reference, chain, empty) = (
+            start_chain(&root, &specs, "reference-chain"),
+            start_chain(&root, &specs, "chain"),
+            start_chain(&root, &specs, "empty-chain"),
+        );
         std::fs::write(root.join("heart/doc9.txt"), "Arrhythmia monitoring").unwrap();
         let probe = IndexOptions {
             seed: 3,
@@ -985,16 +998,14 @@ mod tests {
             .filter(|s| s.name == "heart-db")
             .cloned()
             .collect();
-        let reference = root.join("reference-chain");
-        refresh(&catalog_path, &reference, &heart_only, &options).unwrap();
+        refresh(&reference, &heart_only, &options).unwrap();
 
         // Both databases picked, but the soccer directory is gone after the
         // base was written: the round refreshes heart-db, reports the skip,
         // and appends the very delta the heart-only run appended — the
         // failed read interned nothing.
         std::fs::remove_dir_all(root.join("soccer")).unwrap();
-        let chain = root.join("chain");
-        let report = refresh(&catalog_path, &chain, &specs, &options).unwrap();
+        let report = refresh(&chain, &specs, &options).unwrap();
         assert!(report.contains("round 1: skipped soccer-db"), "{report}");
         assert!(report.contains("refreshed heart-db in"), "{report}");
         let replayed = store::delta::load_chain(&chain).unwrap();
@@ -1008,8 +1019,7 @@ mod tests {
 
         // Every pick failing appends nothing.
         std::fs::remove_dir_all(root.join("heart")).unwrap();
-        let empty = root.join("empty-chain");
-        let report = refresh(&catalog_path, &empty, &specs, &options).unwrap();
+        let report = refresh(&empty, &specs, &options).unwrap();
         assert!(report.contains("skipped heart-db"), "{report}");
         assert!(report.contains("every pick skipped"), "{report}");
         assert_eq!(store::delta::chain_tip_generation(&empty).unwrap(), 0);

@@ -25,8 +25,9 @@ use std::sync::{Arc, OnceLock};
 
 use textindex::TermId;
 
+use crate::frozen::Basis;
 use crate::hierarchy::{CategoryId, Hierarchy};
-use crate::summary::{ContentSummary, WordStats};
+use crate::summary::{ratio, ContentSummary, WordStats};
 
 /// How database summaries are combined into a category summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,6 +141,23 @@ impl Aggregate {
         let denoms = contributions(summary, weighting, |t, df, tf| rows.push((t, df, tf)));
         rows.sort_unstable_by_key(|&(t, _, _)| t);
         self.subtract(rows.into_iter(), denoms)
+    }
+
+    /// [`Self::minus_database`] of the sample `basis` holds the raw
+    /// columns of: the same rows (already term-sorted) and denominators.
+    fn minus_basis(&self, basis: &Basis, weighting: CategoryWeighting) -> SummaryComponent {
+        let (db_size, word_count) = (basis.db_size(), basis.word_count());
+        let words = basis.terms().iter().zip(basis.raw());
+        match weighting {
+            CategoryWeighting::BySize => self.subtract(
+                words.map(|(&t, &(df, tf))| (t, df, tf)),
+                (db_size, word_count),
+            ),
+            CategoryWeighting::Uniform => self.subtract(
+                words.map(|(&t, &(df, tf))| (t, ratio(df, db_size), ratio(tf, word_count))),
+                (1.0, 1.0),
+            ),
+        }
     }
 
     /// `self` less `(word, df, tf)` rows (ascending, each word once) and
@@ -496,13 +514,13 @@ impl CategorySummaries {
 /// overlap subtraction, from the path's aggregates alone.
 pub fn path_components(
     path: &[&Aggregate],
-    basis: &ContentSummary,
+    basis: &Basis,
     weighting: CategoryWeighting,
 ) -> Vec<Arc<SummaryComponent>> {
     let leaf = path.last().expect("a category path has a leaf");
     path.windows(2)
         .map(|pair| Arc::new(pair[0].minus(pair[1])))
-        .chain([Arc::new(leaf.minus_database(basis, weighting))])
+        .chain([Arc::new(leaf.minus_basis(basis, weighting))])
         .collect()
 }
 
@@ -686,6 +704,38 @@ mod tests {
             assert_eq!(root.vocabulary_size(), built.vocabulary_size());
             for (term, stats) in built.iter() {
                 assert_eq!(root.word(term), Some(stats));
+            }
+        }
+    }
+
+    #[test]
+    fn path_components_of_a_basis_are_components_for_bit_for_bit() {
+        let (h, health, heart) = two_level_hierarchy();
+        let mut d1 = summary(&[(7, 5), (3, 1)], 10);
+        d1.set_word(
+            9,
+            WordStats {
+                sample_df: 1,
+                df: 0.7,
+                tf: 1.3,
+            },
+        );
+        let d2 = summary(&[(7, 2), (9, 3)], 30);
+        let basis = Basis::of(&crate::frozen::FrozenSummary::from_unshrunk(&d1));
+        for weighting in [CategoryWeighting::BySize, CategoryWeighting::Uniform] {
+            let cs = CategorySummaries::build(&h, &[(heart, &d1), (health, &d2)], weighting);
+            let path: Vec<&Aggregate> = h
+                .path_from_root(heart)
+                .into_iter()
+                .map(|c| &cs.aggregates()[c])
+                .collect();
+            let ours = path_components(&path, &basis, weighting);
+            let theirs = cs.components_for(&h, heart, &d1, true);
+            assert_eq!(ours.len(), theirs.len());
+            let bits = |c: &Column| c.iter().map(|(t, p)| (t, p.to_bits())).collect::<Vec<_>>();
+            for (a, b) in ours.iter().zip(&theirs) {
+                assert_eq!(bits(&a.p_df), bits(&b.p_df), "{weighting:?}");
+                assert_eq!(bits(&a.p_tf), bits(&b.p_tf), "{weighting:?}");
             }
         }
     }

@@ -833,8 +833,8 @@ impl ShrunkSummaries {
     }
 
     /// Database `db`'s pinned leaf basis, when it is not its own sample.
-    pub fn basis(&self, db: usize) -> Option<&Basis> {
-        self.heads[db].basis.as_deref()
+    pub fn basis(&self, db: usize) -> Option<&Arc<Basis>> {
+        self.heads[db].basis.as_ref()
     }
 
     /// Replace database `db`'s λs after its sample changed from `old`:

@@ -12,6 +12,8 @@ use std::collections::HashMap;
 
 use textindex::{Document, IndexedDatabase, TermId};
 
+use crate::frozen::FrozenSummary;
+
 /// Per-word statistics of a content summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WordStats {
@@ -54,6 +56,24 @@ impl ContentSummary {
             total_tf,
             gamma: None,
             words,
+        }
+    }
+
+    /// Thaw a frozen sample summary without re-summing: its `word_count`
+    /// is the `Σ tf` every stored `p_tf` was divided by, so it is carried
+    /// as the total (a re-sum may differ in the last bits). No γ.
+    pub fn from_frozen(frozen: &FrozenSummary) -> Self {
+        let words = frozen.terms().iter().zip(frozen.raw_column());
+        let words = words.enumerate().map(|(i, (&t, &(df, tf)))| {
+            let sample_df = frozen.sample_df_at(i);
+            (t, WordStats { sample_df, df, tf })
+        });
+        ContentSummary {
+            db_size: frozen.db_size(),
+            sample_size: frozen.sample_size(),
+            total_tf: frozen.word_count(),
+            gamma: None,
+            words: words.collect(),
         }
     }
 
@@ -348,6 +368,28 @@ mod tests {
             },
         );
         assert!((s.total_tf() - (before - 1.0 + 7.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_frozen_carries_the_total_every_p_tf_was_divided_by() {
+        let stats = |sample_df, tf| WordStats {
+            sample_df,
+            df: 2.0,
+            tf,
+        };
+        let mut s = ContentSummary::new(10.0, 3, [(1, stats(1, 0.1)), (2, stats(2, 0.2))].into());
+        s.set_word(1, stats(3, 0.7));
+        let resummed = ContentSummary::new(10.0, 3, s.iter().map(|(t, w)| (t, *w)).collect());
+        assert_ne!(resummed.total_tf().to_bits(), s.total_tf().to_bits());
+        let frozen = FrozenSummary::from_unshrunk(&s);
+        let thawed = ContentSummary::from_frozen(&frozen);
+        assert_eq!(thawed.total_tf().to_bits(), s.total_tf().to_bits());
+        assert_eq!(FrozenSummary::from_unshrunk(&thawed), frozen);
+        for t in [1, 2, 3] {
+            assert_eq!(thawed.word(t), s.word(t));
+            assert_eq!(thawed.p_tf(t).to_bits(), s.p_tf(t).to_bits());
+        }
+        assert_eq!(thawed.gamma(), None);
     }
 
     #[test]

@@ -1228,9 +1228,12 @@ fn failed_reloads_answer_4xx_and_keep_serving_the_old_generation() {
 /// migration, and the old generation keeps serving.
 #[test]
 fn v1_catalogs_are_refused_naming_the_freeze_migration() {
-    let path = std::env::temp_dir().join(format!("dbselectd-test-v1-{}.cat", std::process::id()));
-    fixture_catalog(1.0).save(&path).unwrap();
-    let Err(err) = ServingState::load(path.to_str().unwrap(), 0) else {
+    // A v1 catalog written by the retired v1 writer.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../store/tests/fixtures/v1-tiny.catalog"
+    );
+    let Err(err) = ServingState::load(path, 0) else {
         panic!("a v1 catalog must not load for serving");
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -1241,11 +1244,7 @@ fn v1_catalogs_are_refused_naming_the_freeze_migration() {
 
     let state = serving_state(&fixture_catalog(1.0), "mem");
     let (addr, handle) = start(ServerConfig::default(), state);
-    let (status, _, body) = post(
-        addr,
-        "/admin/reload",
-        &format!(r#"{{"path":"{}"}}"#, path.display()),
-    );
+    let (status, _, body) = post(addr, "/admin/reload", &format!(r#"{{"path":"{path}"}}"#));
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("dbselect freeze --catalog"), "{body}");
     let (_, _, health) = get(addr, "/healthz");
@@ -1255,7 +1254,6 @@ fn v1_catalogs_are_refused_naming_the_freeze_migration() {
         .unwrap()
         .as_u64();
     assert_eq!(generation, Some(1), "{health}");
-    std::fs::remove_file(&path).ok();
     shutdown(addr, handle);
 }
 

@@ -1,31 +1,28 @@
-//! Persistence for the broker's frozen [`Catalog`].
+//! The shrinkage fit of a profiled collection, and the v1 catalog file.
 //!
-//! A [`CollectionStore`] persists what profiling *measured*; this module
-//! persists what the broker *serves*. The expensive part of going from one
-//! to the other is the shrinkage EM (Section 3.2 of the paper — "the λi
-//! weights are computed off-line for each database"). [`StoredCatalog`]
-//! therefore embeds the collection store and records, per database, the
-//! fitted mixture weights under both probability models plus the weighting
-//! policy they were fit under. Freezing a loaded catalog aggregates the
-//! categories once (deterministic, EM-free: one pass over every database's
-//! vocabulary per level of its category path) and serves every shrunk
-//! summary as its mixture of those aggregates under the recorded λs —
-//! **no EM re-run**.
+//! A [`CollectionStore`] persists what profiling *measured*; the broker
+//! serves what the shrinkage EM makes of it (Section 3.2 of the paper —
+//! "the λi weights are computed off-line for each database"). That EM is
+//! the expensive step, and [`StoredCatalog::freeze`] runs it once:
+//! the collection store plus, per database, the fitted mixture weights
+//! under both probability models and the weighting policy they were fit
+//! under. `dbselect freeze --store`, `dbselect select` and the benchmark
+//! freeze through it into a [`ServingSnapshot`](crate::snapshot::ServingSnapshot).
 //!
-//! The round trip is bit-exact: mixing with the recorded λs reproduces the
-//! same probabilities `shrink` produced, so a routed query against a
-//! loaded catalog ranks identically to one against the freshly built
-//! catalog.
+//! The v1 catalog file (`DBSCAT`) once persisted this fit between those
+//! steps. It is read-only now: [`StoredCatalog::load`] reads an existing
+//! file as the input of `dbselect freeze --catalog`, the one migration
+//! into a v4 snapshot, and nothing in the build writes one. The snapshot
+//! it freezes to is the one `freeze --store` writes of the embedded
+//! store, because the recorded λs are the ones the EM re-fits.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
-use broker::Catalog;
 use dbselect_core::category_summary::CategoryWeighting;
-use dbselect_core::shrinkage::{LambdaFitter, ShrunkSummary};
+use dbselect_core::shrinkage::LambdaFitter;
 
-use crate::codec::{corrupt, read_f64, read_u32, write_f64, write_u32};
-use crate::refresh::Epoch;
+use crate::codec::{corrupt, read_f64, read_u32};
 use crate::CollectionStore;
 
 /// Magic bytes + format version for catalog files.
@@ -49,9 +46,8 @@ pub struct StoredCatalog {
 impl StoredCatalog {
     /// Run the shrinkage EM once over `store` and record the fitted
     /// weights — the λs [`CollectionStore::shrink_all`] fits, without its
-    /// shrunk summaries. This is the offline step; everything downstream
-    /// ([`save`](Self::save), [`load`](Self::load),
-    /// [`to_catalog`](Self::to_catalog)) reuses the recorded fit.
+    /// shrunk summaries. This is the offline step; every freeze
+    /// downstream reuses the recorded fit.
     pub fn freeze(store: CollectionStore, weighting: CategoryWeighting) -> Self {
         let categories = store.categories(weighting);
         let config = store.shrinkage_config();
@@ -69,72 +65,11 @@ impl StoredCatalog {
         }
     }
 
-    /// Reassemble the lazy shrunk summaries from the recorded λs —
-    /// component aggregation only, no EM. Bit-identical to
-    /// [`CollectionStore::shrink_all`] with the frozen weighting.
-    pub fn rebuild_shrunk(&self) -> Vec<ShrunkSummary> {
-        let categories = self.store.categories(self.weighting);
-        let uniform_p = self.store.shrinkage_config().uniform_p;
-        self.store
-            .databases
-            .iter()
-            .zip(self.lambdas_df.iter().zip(&self.lambdas_tf))
-            .map(|(db, (ldf, ltf))| {
-                let comps = self.store.components(&categories, db);
-                ShrunkSummary::from_parts(&db.summary, &comps, ldf.clone(), ltf.clone(), uniform_p)
-            })
-            .collect()
-    }
-
-    /// Freeze into a serving [`Catalog`].
-    pub fn to_catalog(&self) -> Catalog {
-        Epoch::pin(self).catalog(self, &[])
-    }
-
-    /// Serialize into `w`: catalog magic, embedded collection store,
-    /// weighting tag, then the per-database λ vectors.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let n = self.store.databases.len();
-        if self.lambdas_df.len() != n || self.lambdas_tf.len() != n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "one λ vector pair per database required",
-            ));
-        }
-        for (db, (ldf, ltf)) in self.lambdas_df.iter().zip(&self.lambdas_tf).enumerate() {
-            if ldf.len() != ltf.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "df/tf λ vectors must have equal length",
-                ));
-            }
-            if Some(ldf.len()) != lambda_len(&self.store, db) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "λ vector length disagrees with the database's category path",
-                ));
-            }
-        }
-        w.write_all(CATALOG_MAGIC)?;
-        self.store.write_to(w)?;
-        let tag = match self.weighting {
-            CategoryWeighting::BySize => 0,
-            CategoryWeighting::Uniform => 1,
-        };
-        write_u32(w, tag)?;
-        for (ldf, ltf) in self.lambdas_df.iter().zip(&self.lambdas_tf) {
-            write_u32(w, ldf.len() as u32)?;
-            for &l in ldf {
-                write_f64(w, l)?;
-            }
-            for &l in ltf {
-                write_f64(w, l)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Deserialize from `r`, validating structure as it goes.
+    /// Deserialize a v1 catalog from `r`, validating structure as it
+    /// goes: catalog magic, the embedded collection store, a `u32`
+    /// weighting tag (0 `BySize`, 1 `Uniform`), then per database a `u32`
+    /// λ count (its category path's length + 2) and that many `λ_df`,
+    /// then `λ_tf`, `f64`s, each in `[0, 1]`.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -178,12 +113,6 @@ impl StoredCatalog {
         })
     }
 
-    /// Save to a file through a temporary sibling and a rename, so a
-    /// failed or interrupted save leaves the previous file as it was.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        crate::delta::write_atomically(path.as_ref(), |w| self.write_to(w))
-    }
-
     /// Load from a file (buffered), rejecting trailing bytes.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let mut r = BufReader::new(std::fs::File::open(path)?);
@@ -207,9 +136,10 @@ fn lambda_len(store: &CollectionStore, db: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::ServingSnapshot;
     use crate::StoredDatabase;
     use dbselect_core::hierarchy::Hierarchy;
-    use dbselect_core::summary::{ContentSummary, SummaryView};
+    use dbselect_core::summary::ContentSummary;
     use textindex::{Document, TermDict};
 
     fn profiled_store() -> CollectionStore {
@@ -264,66 +194,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rebuild_shrunk_is_bit_identical_to_shrink_all() {
-        let store = profiled_store();
-        let fresh = store.shrink_all(CategoryWeighting::BySize);
-        let frozen = StoredCatalog::freeze(store, CategoryWeighting::BySize);
-        let rebuilt = frozen.rebuild_shrunk();
-        assert_eq!(rebuilt.len(), fresh.len());
-        for (a, b) in rebuilt.iter().zip(&fresh) {
-            assert_eq!(a.db_size().to_bits(), b.db_size().to_bits());
-            assert_eq!(a.word_count().to_bits(), b.word_count().to_bits());
-            for t in a.vocabulary() {
-                assert_eq!(a.p_df(t).to_bits(), b.p_df(t).to_bits(), "p_df({t})");
-                assert_eq!(a.p_tf(t).to_bits(), b.p_tf(t).to_bits(), "p_tf({t})");
-            }
-        }
+    /// A v1 catalog of three databases (Root/Health/Heart,
+    /// Root/Sports/Soccer, Root/Health/Immunology) over 25 terms, `BySize`,
+    /// written by the retired v1 writer: every λ vector has 5 weights.
+    const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v1-tiny.catalog");
+
+    /// Bytes per database of the fixture's λ block: a `u32` count, then
+    /// 5 `λ_df` and 5 `λ_tf`.
+    const LAMBDA_BLOCK: usize = 4 + 2 * 5 * 8;
+
+    /// Offset of the weighting tag: the λ blocks of the three databases
+    /// end the file.
+    const TAG: usize = FIXTURE.len() - 3 * LAMBDA_BLOCK - 4;
+
+    fn read(bytes: &[u8]) -> io::Result<StoredCatalog> {
+        StoredCatalog::read_from(&mut &bytes[..])
     }
 
     #[test]
     fn round_trip_preserves_catalog_routing_inputs() {
-        let frozen = StoredCatalog::freeze(profiled_store(), CategoryWeighting::BySize);
-        let mut bytes = Vec::new();
-        frozen.write_to(&mut bytes).unwrap();
-        let restored = StoredCatalog::read_from(&mut bytes.as_slice()).unwrap();
-        assert_eq!(restored.weighting, frozen.weighting);
-        assert_eq!(restored.lambdas_df, frozen.lambdas_df);
-        assert_eq!(restored.lambdas_tf, frozen.lambdas_tf);
-        let original = frozen.to_catalog();
-        let loaded = restored.to_catalog();
-        assert_eq!(loaded.len(), original.len());
-        assert_eq!(loaded.names(), original.names());
-        assert_eq!(loaded.mcw().to_bits(), original.mcw().to_bits());
-        for db in 0..original.len() {
-            assert_eq!(loaded.gamma(db).to_bits(), original.gamma(db).to_bits());
-            for t in 0..frozen.store.dict.len() as u32 {
-                assert_eq!(
-                    loaded.shrunk(db).p_df(t).to_bits(),
-                    original.shrunk(db).p_df(t).to_bits()
-                );
-            }
+        // The recorded fit is the one the EM makes of the embedded store,
+        // so the file freezes to the snapshot a fresh fit freezes to.
+        let restored = read(FIXTURE).unwrap();
+        assert_eq!(restored.weighting, CategoryWeighting::BySize);
+        let names: Vec<&str> = (restored.store.databases.iter())
+            .map(|db| db.name.as_str())
+            .collect();
+        assert_eq!(names, ["heart", "soccer", "virus"]);
+        let refit = StoredCatalog::freeze(restored.store.clone(), restored.weighting);
+        for (recorded, fresh) in [
+            (&restored.lambdas_df, &refit.lambdas_df),
+            (&restored.lambdas_tf, &refit.lambdas_tf),
+        ] {
+            let bits = |l: &Vec<Vec<f64>>| -> Vec<u64> {
+                l.iter().flatten().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(recorded), bits(fresh));
         }
+        let snapshot = |c: &StoredCatalog| ServingSnapshot::from_stored(c).value_digest();
+        assert_eq!(snapshot(&restored), snapshot(&refit));
     }
 
     #[test]
-    fn save_and_load_via_filesystem() {
+    fn load_reads_the_fixture_and_rejects_trailing_bytes() {
         let path =
             std::env::temp_dir().join(format!("dbsel-catalog-test-{}.bin", std::process::id()));
-        let frozen = StoredCatalog::freeze(profiled_store(), CategoryWeighting::Uniform);
-        frozen.save(&path).unwrap();
+        std::fs::write(&path, FIXTURE).unwrap();
         let restored = StoredCatalog::load(&path).unwrap();
-        assert_eq!(restored.weighting, CategoryWeighting::Uniform);
-        assert_eq!(restored.store.databases[1].name, "soccer-db");
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(b"junk").unwrap();
-        }
-        assert!(StoredCatalog::load(&path).is_err());
+        assert_eq!(restored.store.databases[1].name, "soccer");
+        let mut junk = FIXTURE.to_vec();
+        junk.extend_from_slice(b"junk");
+        std::fs::write(&path, &junk).unwrap();
+        let err = StoredCatalog::load(&path).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -332,35 +255,26 @@ mod tests {
         let mut bytes = Vec::new();
         profiled_store().write_to(&mut bytes).unwrap();
         assert!(StoredCatalog::read_from(&mut bytes.as_slice()).is_err());
+        let mut bytes = FIXTURE.to_vec();
+        bytes[0] ^= 0x01;
+        let err = read(&bytes).unwrap_err();
+        assert!(err.to_string().contains("bad catalog magic"), "{err}");
     }
 
     #[test]
     fn lambda_vectors_must_fit_the_category_path() {
-        let mut frozen = StoredCatalog::freeze(profiled_store(), CategoryWeighting::BySize);
-        // One weight too many for Root/Health/Heart, set through the public
-        // fields: the writer refuses to persist it...
-        frozen.lambdas_df[0].push(0.0);
-        frozen.lambdas_tf[0].push(0.0);
-        let err = frozen.write_to(&mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        // ...and a file that carries it anyway (the writer's layout, encoded
-        // by hand) is refused by every loader instead of panicking when the
-        // shrunk summaries are mixed.
-        let mut bytes = CATALOG_MAGIC.to_vec();
-        frozen.store.write_to(&mut bytes).unwrap();
-        write_u32(&mut bytes, 0).unwrap();
-        for (ldf, ltf) in frozen.lambdas_df.iter().zip(&frozen.lambdas_tf) {
-            write_u32(&mut bytes, ldf.len() as u32).unwrap();
-            for &l in ldf.iter().chain(ltf) {
-                write_f64(&mut bytes, l).unwrap();
-            }
-        }
+        // One weight more than Root/Health/Heart has room for, in the
+        // first database's count: refused before the weights are read,
+        // instead of panicking when the shrunk summaries are mixed — by
+        // the v1 reader and by the serving loader alike.
+        let mut bytes = FIXTURE.to_vec();
+        bytes[TAG + 4..TAG + 8].copy_from_slice(&6u32.to_le_bytes());
+        let err = read(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("category path"), "{err}");
         let path =
             std::env::temp_dir().join(format!("dbsel-lambda-len-{}.cat", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let err = StoredCatalog::load(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("category path"), "{err}");
         let err = crate::delta::load_served(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
@@ -368,18 +282,22 @@ mod tests {
 
     #[test]
     fn corrupt_weighting_and_lambdas_are_rejected() {
-        let frozen = StoredCatalog::freeze(profiled_store(), CategoryWeighting::BySize);
-        let mut bytes = Vec::new();
-        frozen.write_to(&mut bytes).unwrap();
-        // The weighting tag sits right after the embedded store; flip it to
-        // an unknown value by locating it from the end: per db, 1 length u32
-        // + 2·len f64s. Easier: truncate inside the λ block.
-        let cut = bytes.len() - 4;
-        let mut slice = &bytes[..cut];
-        assert!(StoredCatalog::read_from(&mut slice).is_err());
-        // Out-of-range mixture weight.
+        assert!(read(FIXTURE).is_ok());
+        // Truncated inside the λ block.
+        assert!(read(&FIXTURE[..FIXTURE.len() - 4]).is_err());
+        // An unknown weighting tag.
+        let mut bytes = FIXTURE.to_vec();
+        bytes[TAG..TAG + 4].copy_from_slice(&7u32.to_le_bytes());
+        let err = read(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown category weighting"),
+            "{err}"
+        );
+        // Out-of-range mixture weight: the last database's last λ_tf.
+        let mut bytes = FIXTURE.to_vec();
         let tail = bytes.len() - 8;
         bytes[tail..].copy_from_slice(&2.5f64.to_le_bytes());
-        assert!(StoredCatalog::read_from(&mut bytes.as_slice()).is_err());
+        let err = read(&bytes).unwrap_err();
+        assert!(err.to_string().contains("outside [0, 1]"), "{err}");
     }
 }

@@ -61,8 +61,10 @@
 //! to a full freeze of the post-refresh store (asserted by the refresh
 //! proptests).
 
+use std::fs::OpenOptions;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use broker::DbUpdate;
 use dbselect_core::frozen::FrozenSummary;
@@ -391,9 +393,11 @@ pub fn load_served(path: impl AsRef<Path>) -> io::Result<ChainLoad> {
     })
 }
 
-/// Appends refresh rounds to a chain directory. Files are written to a
-/// temporary name and renamed into place, so a concurrently polling
-/// daemon never observes a half-written delta.
+/// Appends refresh rounds to a chain directory. Each file is written
+/// under a temporary name of its own, synced, and linked into place only
+/// if its name is still free, so a concurrently polling daemon never
+/// observes a half-written delta and a second writer at the same tip
+/// fails with `AlreadyExists` instead of replacing the first one's round.
 #[derive(Debug)]
 pub struct ChainWriter {
     dir: PathBuf,
@@ -409,13 +413,7 @@ impl ChainWriter {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(BASE_FILE);
-        if path.exists() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("{}: chain base already exists", path.display()),
-            ));
-        }
-        write_atomically(&path, |w| base.write_to(w))?;
+        write_atomically(&path, Publish::New, |w| base.write_to(w))?;
         let tip = read_trailing_digest(&path)?;
         Ok(ChainWriter {
             dir,
@@ -425,51 +423,28 @@ impl ChainWriter {
         })
     }
 
-    /// Resume a chain directory that holds only a base (no deltas yet),
-    /// verifying the on-disk base is bit-identical to `expected` — the
-    /// caller's reconstruction of the pre-refresh catalog. A chain with
-    /// deltas cannot be resumed (the session that wrote them owned the
-    /// dictionary growth); re-base with a fresh full freeze instead.
-    pub fn open_base_only(
-        dir: impl AsRef<Path>,
-        expected: &ServingSnapshot,
-    ) -> io::Result<ChainWriter> {
+    /// Continue the chain in `dir` at the tip `chain` was replayed to
+    /// (see [`load_chain`]): the next append is generation
+    /// `chain.generation + 1`, parented on the tip's digest. Fails with
+    /// `InvalidData` when `dir`'s file at that generation is not the one
+    /// `chain` ends in.
+    pub fn resume(dir: impl AsRef<Path>, chain: &ChainLoad) -> io::Result<ChainWriter> {
         let dir = dir.as_ref().to_path_buf();
-        let tip_generation = chain_tip_generation(&dir)?;
-        if tip_generation != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!(
-                    "{}: chain already holds {tip_generation} delta round(s); \
-                     re-base with a fresh full freeze to start a new chain",
-                    dir.display()
-                ),
-            ));
-        }
-        let path = dir.join(BASE_FILE);
-        let mut buf = Vec::new();
-        expected.write_to(&mut buf)?;
-        let expected_digest = u64::from_le_bytes(
-            buf[buf.len() - 8..]
-                .try_into()
-                .expect("snapshot serialization always ends in a digest"),
-        );
-        let on_disk = read_trailing_digest(&path)?;
-        if on_disk != expected_digest {
+        let tip = match chain.generation {
+            0 => dir.join(BASE_FILE),
+            generation => dir.join(delta_file_name(generation)),
+        };
+        if read_trailing_digest(&tip)? != chain.checksum {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "{}: existing chain base (checksum {on_disk:016x}) does not match \
-                     the catalog being refreshed (checksum {expected_digest:016x})",
-                    path.display()
-                ),
+                format!("{}: not the tip the chain was loaded at", tip.display()),
             ));
         }
         Ok(ChainWriter {
             dir,
-            tip: on_disk,
-            generation: 0,
-            dict_len: expected.dict.len(),
+            tip: chain.checksum,
+            generation: chain.generation,
+            dict_len: chain.snapshot.dict.len(),
         })
     }
 
@@ -500,7 +475,8 @@ impl ChainWriter {
     /// Append one refresh round: `appended_terms` are the dictionary
     /// terms interned since the previous chain file (id order), and
     /// `patches` the touched databases, ascending. Returns the new tip
-    /// generation.
+    /// generation; fails with `AlreadyExists`, writing nothing, when
+    /// another writer published that generation first.
     pub fn append(
         &mut self,
         appended_terms: Vec<String>,
@@ -515,7 +491,7 @@ impl ChainWriter {
             patches,
         };
         let path = self.dir.join(delta_file_name(record.generation));
-        let digest = write_atomically(&path, |w| record.write_to(w))?;
+        let digest = write_atomically(&path, Publish::New, |w| record.write_to(w))?;
         self.generation = record.generation;
         self.tip = digest;
         self.dict_len += record.appended_terms.len();
@@ -523,22 +499,56 @@ impl ChainWriter {
     }
 }
 
-/// Write through a sibling temp file + rename, so readers only ever see
-/// complete files and a failed write leaves the previous file as it was.
-/// The temp file is removed when the write fails.
+/// How [`write_atomically`] gives the finished file its name.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Publish {
+    /// Rename over whatever file holds the name (single-file saves).
+    Replace,
+    /// Link into the name only while nothing holds it (chain files,
+    /// which are never replaced); `AlreadyExists` otherwise.
+    New,
+}
+
+/// Write through a temporary sibling of this write's own, synced before
+/// it is published under `path` and the directory synced after, so
+/// readers only ever see complete files, a failed write leaves the
+/// previous file as it was, and a published file survives a crash. The
+/// temporary file is removed when the write fails.
 pub(crate) fn write_atomically<T>(
     path: &Path,
+    publish: Publish,
     write: impl FnOnce(&mut BufWriter<std::fs::File>) -> io::Result<T>,
 ) -> io::Result<T> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    let write_id = WRITES.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".{}-{write_id}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp);
     let written = (|| {
-        let mut w = BufWriter::new(std::fs::File::create(&tmp)?);
+        let file = OpenOptions::new().write(true).create_new(true).open(&tmp)?;
+        let mut w = BufWriter::new(file);
         let out = write(&mut w)?;
-        w.flush()?;
-        drop(w);
-        std::fs::rename(&tmp, path)?;
+        w.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
+        match publish {
+            Publish::Replace => std::fs::rename(&tmp, path)?,
+            Publish::New => {
+                std::fs::hard_link(&tmp, path).map_err(|e| match e.kind() {
+                    io::ErrorKind::AlreadyExists => io::Error::new(
+                        e.kind(),
+                        format!(
+                            "{}: already exists; chain files are never replaced",
+                            path.display()
+                        ),
+                    ),
+                    _ => e,
+                })?;
+                std::fs::remove_file(&tmp)?;
+            }
+        }
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
         Ok(out)
     })();
     if written.is_err() {
@@ -568,7 +578,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("catalog.snap");
         std::fs::write(&path, b"the previous generation").unwrap();
-        let err = write_atomically(&path, |w| {
+        let err = write_atomically(&path, Publish::Replace, |w| {
             w.write_all(&[7u8; 100_000])?;
             Err::<(), _>(io::Error::other("disk full"))
         })
@@ -582,7 +592,7 @@ mod tests {
         assert_eq!(left, ["catalog.snap"], "no temporary file");
 
         // A completed write replaces the file whole.
-        write_atomically(&path, |w| w.write_all(b"the next one")).unwrap();
+        write_atomically(&path, Publish::Replace, |w| w.write_all(b"the next one")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"the next one");
 
         // `ServingSnapshot::save` goes through it: a snapshot the writer

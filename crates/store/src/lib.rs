@@ -17,8 +17,10 @@
 //! serves from: sample columns, λ pairs and the category aggregates, with
 //! every shrunk summary left in factored form — a mixture computed when a
 //! request reads it, never a database × vocabulary matrix — and
-//! [`delta`] chains refresh rounds onto it. Every `save` writes a sibling
-//! temporary file and renames it into place.
+//! [`delta`] chains refresh rounds onto it; a chain is all the state a
+//! [`refresh::RefreshSession`] resumes from. Every `save` writes a
+//! temporary sibling, syncs it and renames it into place; chain files are
+//! linked into place instead, never over an existing one.
 //!
 //! ```
 //! use store::{CollectionStore, StoredDatabase};
@@ -214,7 +216,7 @@ impl CollectionStore {
     /// Save to a file through a temporary sibling and a rename, so a
     /// failed or interrupted save leaves the previous file as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        delta::write_atomically(path.as_ref(), |w| self.write_to(w))
+        delta::write_atomically(path.as_ref(), delta::Publish::Replace, |w| self.write_to(w))
     }
 
     /// Load from a file (buffered).

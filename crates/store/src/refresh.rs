@@ -11,8 +11,8 @@
 //! leaks into every shared aggregate). That would make "delta" snapshots
 //! as large as full ones and refresh cost proportional to the catalog.
 //!
-//! A [`RefreshSession`] instead **pins the epoch model** at session
-//! start:
+//! A [`RefreshSession`] instead **pins the epoch model** when its chain
+//! starts:
 //!
 //! * the category aggregates, from which every database's components
 //!   (path-edge remainders plus the leaf remainder, exactly as
@@ -32,13 +32,24 @@
 //! shared aggregates) is a full `dbselect freeze`, which starts a new
 //! chain.
 //!
+//! ## The chain is the state
+//!
+//! A chain's base stores the whole epoch (category columns, `uniform_p`,
+//! LM's global model, category paths) and, per database, its sample
+//! column, γ, λ pair and pinned basis; every delta replaces those of the
+//! databases it touched. So [`RefreshSession::resume`] rebuilds a session
+//! from the replayed tip alone — no v1 catalog, no EM over the store —
+//! and a session resumed after `k` rounds appends the very bytes one
+//! session of `k + 1` rounds would have. [`RefreshSession::new`] is the
+//! fresh-fit entry that writes a chain's base in process.
+//!
 //! [`CategorySummaries::components_for`]: dbselect_core::category_summary::CategorySummaries::components_for
 
 use std::sync::Arc;
 
 use dbselect_core::category_summary::{path_components, CategoryWeighting, SummaryComponent};
 use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary};
-use dbselect_core::hierarchy::Hierarchy;
+use dbselect_core::hierarchy::{CategoryId, Hierarchy};
 use dbselect_core::shrinkage::{LambdaFitter, ShrinkageConfig};
 use dbselect_core::summary::ContentSummary;
 use textindex::{TermDict, TermId};
@@ -46,21 +57,22 @@ use textindex::{TermDict, TermId};
 use broker::{Catalog, ProfiledDb};
 
 use crate::catalog::StoredCatalog;
-use crate::delta::DbPatch;
+use crate::delta::{ChainLoad, DbPatch};
 use crate::snapshot::ServingSnapshot;
 
-/// The model a freeze pins from a stored catalog, built from **one**
-/// category aggregation: the category columns (Eq. 1's aggregates,
-/// shared by every catalog frozen under the epoch), the EM configuration
-/// (`uniform_p` = `1/|V|` of the stored dictionary), LM's global model and
-/// the category paths. [`ServingSnapshot::from_stored`] pins one and
-/// freezes through it once; a [`RefreshSession`] keeps it.
+/// The model a freeze pins, built from **one** category aggregation: the
+/// category columns (Eq. 1's aggregates, shared by every catalog frozen
+/// under the epoch), the EM configuration (`uniform_p` = `1/|V|` of the
+/// dictionary the λs were first fitted under), LM's global model and the
+/// category paths. [`ServingSnapshot::from_stored`] pins one and freezes
+/// through it once; a [`RefreshSession`] keeps it, pinned from a stored
+/// catalog or read back from a chain's snapshot.
 #[derive(Debug)]
 pub(crate) struct Epoch {
     /// The category aggregates, term-major.
     categories: Arc<CategoryColumns>,
     /// The EM configuration of every fit under this epoch.
-    pub(crate) config: ShrinkageConfig,
+    config: ShrinkageConfig,
     /// `(term, p̂(w|G))` of the Root summary under `BySize` weighting,
     /// ascending — whatever weighting the λs were fitted under.
     lm_global: Vec<(TermId, f64)>,
@@ -95,114 +107,167 @@ impl Epoch {
         }
     }
 
-    /// The components `db`'s λs are fitted against: its path-edge
-    /// remainders plus its leaf remainder of `basis`, exactly as
-    /// `CategorySummaries::components_for` computes them.
-    fn components(&self, category: usize, basis: &ContentSummary) -> Vec<Arc<SummaryComponent>> {
+    /// The components `category`'s databases fit their λs against: the
+    /// path-edge remainders plus the leaf remainder of `basis`, exactly
+    /// as `CategorySummaries::components_for` computes them.
+    fn components(&self, category: CategoryId, basis: &Basis) -> Vec<Arc<SummaryComponent>> {
         let path = self.categories.path_from_root(category);
         let aggregates = self.categories.aggregates_of(&path);
         let path: Vec<_> = aggregates.iter().collect();
         path_components(&path, basis, self.categories.weighting())
     }
 
-    /// The serving catalog of `stored` under this epoch: sample summaries
+    /// The serving snapshot of `dbs` under this epoch: sample summaries
     /// frozen, shrunk summaries factored over the pinned category columns
-    /// (nothing is mixed), each leaf remainder subtracting `bases[db]`
-    /// where a refresh replaced the sample it was pinned with.
-    pub(crate) fn catalog(&self, stored: &StoredCatalog, bases: &[Option<Arc<Basis>>]) -> Catalog {
-        let databases = stored.store.databases.iter().enumerate();
-        let dbs = databases.map(|(i, db)| ProfiledDb {
-            name: db.name.clone(),
-            summary: &db.summary,
-            category: db.classification,
-            lambdas: (stored.lambdas_df[i].clone(), stored.lambdas_tf[i].clone()),
-            basis: bases.get(i).cloned().flatten(),
-        });
-        Catalog::freeze(Arc::clone(&self.categories), self.config.uniform_p, dbs)
-            .expect("a stored catalog's λs fit its category paths")
-    }
-
-    /// The full serving snapshot of `stored` under this epoch.
-    pub(crate) fn snapshot(
+    /// (nothing is mixed).
+    pub(crate) fn snapshot<'a>(
         &self,
-        stored: &StoredCatalog,
-        bases: &[Option<Arc<Basis>>],
+        dict: TermDict,
+        dbs: impl IntoIterator<Item = ProfiledDb<'a>>,
     ) -> ServingSnapshot {
+        let catalog = Catalog::freeze(Arc::clone(&self.categories), self.config.uniform_p, dbs)
+            .expect("every database's λs fit its category path");
         ServingSnapshot {
-            dict: stored.store.dict.clone(),
+            dict,
             categories: self.paths.clone(),
             lm_global: self.lm_global.clone(),
-            catalog: self.catalog(stored, bases),
+            catalog,
         }
     }
 }
 
-/// A refresh epoch over a frozen v1 catalog: applies re-probe results
-/// one database at a time and can freeze the full current state for
-/// reference (or as a chain base).
+/// One database under refresh: what a fit and a freeze read of it.
+#[derive(Debug)]
+struct SessionDb {
+    name: String,
+    category: CategoryId,
+    /// The base sample, or the last probe applied.
+    summary: ContentSummary,
+    lambdas: (Vec<f64>, Vec<f64>),
+    /// The sample its leaf remainder subtracts, once that is no longer
+    /// `summary`: the one the epoch pinned, which every later fit and
+    /// freeze keeps subtracting.
+    basis: Option<Arc<Basis>>,
+}
+
+/// A refresh epoch: applies re-probe results one database at a time and
+/// can freeze the full current state for reference (or as a chain base).
+/// It starts from a fresh fit ([`new`](Self::new)) or from a chain's tip
+/// ([`resume`](Self::resume)); either way it holds summaries, λs and
+/// pinned bases, never sample documents.
 #[derive(Debug)]
 pub struct RefreshSession {
-    stored: StoredCatalog,
-    /// Pinned at session start. `uniform_p` stays `1/|V|` of the *base*
-    /// dictionary even after probes grow the dictionary.
+    /// The shared dictionary; probes intern new terms into it.
+    dict: TermDict,
+    /// Pinned at the chain's start. `uniform_p` stays `1/|V|` of the
+    /// *base* dictionary even after probes grow the dictionary.
     epoch: Epoch,
-    /// Per database, once a probe replaced it: the sample its leaf
-    /// remainder was pinned with (the base sample), which every later fit
-    /// and freeze keeps subtracting.
-    bases: Vec<Option<ContentSummary>>,
+    dbs: Vec<SessionDb>,
 }
 
 impl RefreshSession {
-    /// Pin the epoch model of `stored` and start a session. The session
-    /// works on summaries only: the databases' sample documents are
+    /// Pin the epoch model of a freshly fitted `stored` and start a
+    /// session at generation 0. The databases' sample documents are
     /// dropped here (no freeze reads them, and a probe would leave them
-    /// stale).
+    /// stale), before the epoch's category aggregation allocates, so its
+    /// peak memory does not stack on theirs.
     pub fn new(mut stored: StoredCatalog) -> RefreshSession {
         for db in &mut stored.store.databases {
             db.sample_docs = Vec::new();
         }
         let epoch = Epoch::pin(&stored);
-        let bases = vec![None; stored.store.databases.len()];
+        let StoredCatalog {
+            store,
+            lambdas_df,
+            lambdas_tf,
+            ..
+        } = stored;
+        let lambdas = lambdas_df.into_iter().zip(lambdas_tf);
+        let dbs = store.databases.into_iter().zip(lambdas);
+        let dbs = dbs.map(|(db, lambdas)| SessionDb {
+            name: db.name,
+            category: db.classification,
+            summary: db.summary,
+            lambdas,
+            basis: None,
+        });
         RefreshSession {
-            stored,
+            dict: store.dict,
             epoch,
-            bases,
+            dbs: dbs.collect(),
+        }
+    }
+
+    /// Continue the chain `chain` was replayed from, at its tip. The epoch
+    /// is the one the chain's base pinned (its category columns,
+    /// `uniform_p`, LM global model and category paths, read back, never
+    /// re-aggregated from the refreshed samples); per database the
+    /// session takes the tip's sample column (its `word_count` carried as
+    /// `Σ tf`), γ, λ pair and pinned basis; the dictionary is the
+    /// replayed one, so probes keep growing it in chain order.
+    pub fn resume(chain: ChainLoad) -> RefreshSession {
+        let ServingSnapshot {
+            dict,
+            categories,
+            lm_global,
+            catalog,
+        } = chain.snapshot;
+        let shrunk = catalog.shrunk_summaries();
+        let epoch = Epoch {
+            categories: Arc::clone(shrunk.categories()),
+            config: ShrinkageConfig {
+                uniform_p: shrunk.uniform_p(),
+                ..Default::default()
+            },
+            lm_global,
+            paths: categories,
+        };
+        let dbs = catalog.names().iter().enumerate().map(|(db, name)| {
+            let mut summary = ContentSummary::from_frozen(catalog.unshrunk(db));
+            summary.set_gamma(catalog.gamma(db));
+            SessionDb {
+                name: name.clone(),
+                category: shrunk.category(db),
+                summary,
+                lambdas: shrunk.lambdas(db),
+                basis: shrunk.basis(db).cloned(),
+            }
+        });
+        RefreshSession {
+            dbs: dbs.collect(),
+            dict,
+            epoch,
         }
     }
 
     /// Number of databases under refresh.
     pub fn len(&self) -> usize {
-        self.stored.store.databases.len()
+        self.dbs.len()
     }
 
     /// True when the session manages no databases.
     pub fn is_empty(&self) -> bool {
-        self.stored.store.databases.is_empty()
+        self.dbs.is_empty()
     }
 
     /// Database names, index order.
     pub fn names(&self) -> Vec<&str> {
-        self.stored
-            .store
-            .databases
-            .iter()
-            .map(|db| db.name.as_str())
-            .collect()
+        self.dbs.iter().map(|db| db.name.as_str()).collect()
     }
 
     /// The shared term dictionary (probes intern new terms into it).
     pub fn dict(&self) -> &TermDict {
-        &self.stored.store.dict
+        &self.dict
     }
 
     /// Mutable dictionary access for re-probe document ingestion.
     pub fn dict_mut(&mut self) -> &mut TermDict {
-        &mut self.stored.store.dict
+        &mut self.dict
     }
 
     /// The current content summary of `db` (base, or last probe applied).
     pub fn summary(&self, db: usize) -> &ContentSummary {
-        &self.stored.store.databases[db].summary
+        &self.dbs[db].summary
     }
 
     /// Sample coverage of `db` — `sample_size / |D̂|`, the uncertainty
@@ -223,21 +288,20 @@ impl RefreshSession {
     /// delta patch that takes a serving catalog from the previous state
     /// to this one.
     pub fn apply_probe(&mut self, db: usize, summary: ContentSummary) -> DbPatch {
-        let current = &self.stored.store.databases[db];
-        let basis = self.bases[db].as_ref().unwrap_or(&current.summary);
-        let components = self.epoch.components(current.classification, basis);
-        let (lambdas_df, lambdas_tf) =
-            LambdaFitter::default().fit(&summary, &components, &self.epoch.config);
+        let entry = &mut self.dbs[db];
+        let basis = entry.basis.get_or_insert_with(|| {
+            Arc::new(Basis::of(&FrozenSummary::from_unshrunk(&entry.summary)))
+        });
+        let components = self.epoch.components(entry.category, basis);
+        let lambdas = LambdaFitter::default().fit(&summary, &components, &self.epoch.config);
         let patch = DbPatch {
             db: db as u32,
             gamma: summary.gamma().unwrap_or(-2.0),
-            lambdas: (lambdas_df.clone(), lambdas_tf.clone()),
+            lambdas: lambdas.clone(),
             unshrunk: FrozenSummary::from_unshrunk(&summary),
         };
-        self.stored.lambdas_df[db] = lambdas_df;
-        self.stored.lambdas_tf[db] = lambdas_tf;
-        let old = std::mem::replace(&mut self.stored.store.databases[db].summary, summary);
-        self.bases[db].get_or_insert(old);
+        entry.lambdas = lambdas;
+        entry.summary = summary;
         patch
     }
 
@@ -247,15 +311,14 @@ impl RefreshSession {
     /// [`ServingSnapshot::from_stored`], so a `dbselect freeze` output
     /// can serve as a chain base.
     pub fn freeze_full(&self) -> ServingSnapshot {
-        let bases: Vec<Option<Arc<Basis>>> = self
-            .bases
-            .iter()
-            .map(|b| {
-                let basis = |s| Arc::new(Basis::of(&FrozenSummary::from_unshrunk(s)));
-                b.as_ref().map(basis)
-            })
-            .collect();
-        self.epoch.snapshot(&self.stored, &bases)
+        let dbs = self.dbs.iter().map(|db| ProfiledDb {
+            name: db.name.clone(),
+            summary: &db.summary,
+            category: db.category,
+            lambdas: db.lambdas.clone(),
+            basis: db.basis.clone(),
+        });
+        self.epoch.snapshot(self.dict.clone(), dbs)
     }
 }
 
@@ -297,9 +360,9 @@ mod tests {
         };
         let stored = StoredCatalog::freeze(store, CategoryWeighting::BySize);
         let reference = ServingSnapshot::from_stored(&stored).value_digest();
+        // A session database has no field for sample documents: the
+        // session freezes the same values from summaries alone.
         let session = RefreshSession::new(stored);
-        let dbs = &session.stored.store.databases;
-        assert!(dbs.iter().all(|db| db.sample_docs.is_empty()));
         assert_eq!(session.freeze_full().value_digest(), reference);
     }
 }

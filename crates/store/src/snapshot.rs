@@ -1,10 +1,10 @@
 //! The v4 serving snapshot: the columnar catalog on disk, its shrunk
 //! summaries in factored form, loadable with no EM and no mixing.
 //!
-//! The v1 [`StoredCatalog`] persists profiling output (the embedded sample
-//! store plus the fitted λ weights): it is the input `dbselect freeze` and
-//! `dbselect refresh` read, and nothing serves it. A [`ServingSnapshot`]
-//! instead serializes **the arrays the broker serves from**: per
+//! A [`StoredCatalog`] is profiling output plus the fitted λ weights, the
+//! in-memory input of a freeze; its v1 file is read only as the input of
+//! the `dbselect freeze --catalog` migration, and nothing serves it. A
+//! [`ServingSnapshot`] instead serializes **the arrays the broker serves from**: per
 //! database its raw sample column, γ and λ pair; the category aggregates
 //! of Eq. 1 once per catalog; the CSR posting index with its kernel aux
 //! columns; plus the sidecar tables a daemon needs (term dictionary,
@@ -75,7 +75,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use broker::{Catalog, PostingIndex};
+use broker::{Catalog, PostingIndex, ProfiledDb};
 use dbselect_core::category_summary::{Aggregate, CategoryWeighting};
 use dbselect_core::frozen::{Basis, CategoryColumns, FrozenSummary, ShrunkSummaries};
 use textindex::{TermDict, TermId};
@@ -85,7 +85,7 @@ use crate::codec::{
     corrupt, decode_f64, read_column, read_f64, read_len, read_str, read_u32, read_u64,
     write_column, write_f64, write_str, write_u32, write_u64, ChecksumReader, ChecksumWriter,
 };
-use crate::delta::write_atomically;
+use crate::delta::{write_atomically, Publish};
 use crate::refresh::Epoch;
 
 /// Magic bytes + format version for serving snapshots.
@@ -127,12 +127,21 @@ pub struct ServingSnapshot {
 }
 
 impl ServingSnapshot {
-    /// Freeze a v1 [`StoredCatalog`] into serving form — the one-time
-    /// migration / `dbselect freeze` path. Aggregates the categories once
+    /// Freeze a [`StoredCatalog`] into serving form — the `dbselect
+    /// freeze` path, from a fresh fit or a migrated v1 file. Aggregates the categories once
     /// and records the fitted λs (no EM, no mixing), then builds the
     /// posting index; everything downstream reads arrays.
     pub fn from_stored(stored: &StoredCatalog) -> ServingSnapshot {
-        Epoch::pin(stored).snapshot(stored, &[])
+        let lambdas = stored.lambdas_df.iter().zip(&stored.lambdas_tf);
+        let dbs = stored.store.databases.iter().zip(lambdas);
+        let dbs = dbs.map(|(db, (df, tf))| ProfiledDb {
+            name: db.name.clone(),
+            summary: &db.summary,
+            category: db.classification,
+            lambdas: (df.clone(), tf.clone()),
+            basis: None,
+        });
+        Epoch::pin(stored).snapshot(stored.store.dict.clone(), dbs)
     }
 
     /// Serialize into `w` (magic, checksummed payload, trailing digest).
@@ -257,7 +266,7 @@ impl ServingSnapshot {
     /// Save to a file through a temporary sibling and a rename, so a
     /// failed or interrupted save leaves the previous file as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        write_atomically(path.as_ref(), |w| self.write_to(w))
+        write_atomically(path.as_ref(), Publish::Replace, |w| self.write_to(w))
     }
 
     /// Load from a file (buffered), rejecting trailing bytes. Errors
@@ -728,11 +737,17 @@ mod tests {
 
     #[test]
     fn snapshot_catalog_matches_v1_rebuild() {
-        // The frozen catalog inside the snapshot must be the same catalog
-        // the v1 path builds — same arrays, same bits.
-        let frozen = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
-        let snapshot = ServingSnapshot::from_stored(&frozen);
-        assert_catalogs_bit_identical(&snapshot.catalog, &frozen.to_catalog());
+        // Migrating a v1 catalog (`freeze --catalog`) freezes the same
+        // catalog a fresh fit of its embedded store does (`freeze
+        // --store`) — same arrays, same bits.
+        let v1 = include_bytes!("../tests/fixtures/v1-tiny.catalog");
+        let migrated = StoredCatalog::read_from(&mut &v1[..]).unwrap();
+        let refit = StoredCatalog::freeze(migrated.store.clone(), migrated.weighting);
+        let snapshot = ServingSnapshot::from_stored(&migrated);
+        assert_catalogs_bit_identical(
+            &snapshot.catalog,
+            &ServingSnapshot::from_stored(&refit).catalog,
+        );
     }
 
     #[test]
@@ -743,7 +758,7 @@ mod tests {
         let frozen = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
         let snapshot = ServingSnapshot::from_stored(&frozen);
         snapshot.save(&v4).unwrap();
-        frozen.save(&v1).unwrap();
+        std::fs::write(&v1, include_bytes!("../tests/fixtures/v1-tiny.catalog")).unwrap();
         // The snapshot loads back to the catalog it froze; the v1 catalog
         // it was frozen from is recognised by its magic and not served.
         let from_v4 = ServingSnapshot::load(&v4).unwrap();

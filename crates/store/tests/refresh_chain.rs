@@ -123,28 +123,184 @@ fn assert_catalogs_bit_identical(a: &Catalog, b: &Catalog) {
     assert_eq!(a.posting_index(), b.posting_index());
 }
 
+/// The patches of refresh round `round` (1-based), touching `budget`
+/// databases round-robin; every round interns new terms.
+fn round_patches(session: &mut RefreshSession, round: u64, budget: usize) -> Vec<DbPatch> {
+    let n = session.len();
+    let picks = (0..budget).map(|i| ((round as usize - 1) * budget + i) % n);
+    let mut patches: Vec<DbPatch> = Vec::new();
+    for db in picks {
+        let summary = probe(session, db, round);
+        patches.push(session.apply_probe(db, summary));
+    }
+    patches.sort_by_key(|p| p.db);
+    patches
+}
+
+/// Start a chain in `dir` from a fresh fit of the fixture and append
+/// `rounds` refresh rounds, returning the session and its writer.
+fn start_chain(dir: &Path, rounds: u64, budget: usize) -> (RefreshSession, ChainWriter) {
+    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
+    let mut session = RefreshSession::new(stored);
+    let mut writer = ChainWriter::create(dir, &session.freeze_full()).unwrap();
+    for round in 1..=rounds {
+        let patches = round_patches(&mut session, round, budget);
+        writer.append_round(session.dict(), patches).unwrap();
+    }
+    (session, writer)
+}
+
+/// Resume the chain in `dir` at its tip, as `dbselect refresh` does.
+fn resume_chain(dir: &Path) -> (RefreshSession, ChainWriter) {
+    let chain = delta::load_chain(dir).unwrap();
+    let writer = ChainWriter::resume(dir, &chain).unwrap();
+    (RefreshSession::resume(chain), writer)
+}
+
 /// Build a 3-round chain in `dir`, touching `budget` databases per round
 /// round-robin, and return the session (whose state is the post-refresh
 /// reference).
 fn build_chain(dir: &Path, budget: usize) -> RefreshSession {
-    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
-    let mut session = RefreshSession::new(stored);
-    let mut writer = ChainWriter::create(dir, &session.freeze_full()).unwrap();
-    let n = session.len();
-    for round in 1u64..=3 {
-        let picks: Vec<usize> = (0..budget)
-            .map(|i| ((round as usize - 1) * budget + i) % n)
-            .collect();
-        let mut patches: Vec<DbPatch> = Vec::new();
-        for &db in &picks {
-            let summary = probe(&mut session, db, round);
-            patches.push(session.apply_probe(db, summary));
-        }
-        patches.sort_by_key(|p| p.db);
-        writer.append_round(session.dict(), patches).unwrap();
-    }
+    let (session, writer) = start_chain(dir, 3, budget);
     assert_eq!(writer.generation(), 3);
     session
+}
+
+fn assert_patches_bit_identical(a: &[DbPatch], b: &[DbPatch]) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.db, b.db);
+        assert_eq!(a.gamma.to_bits(), b.gamma.to_bits());
+        assert_eq!(bits(&a.lambdas.0), bits(&b.lambdas.0), "λ_df of #{}", a.db);
+        assert_eq!(bits(&a.lambdas.1), bits(&b.lambdas.1), "λ_tf of #{}", a.db);
+        let (a, b) = (&a.unshrunk, &b.unshrunk);
+        assert_eq!(a.db_size().to_bits(), b.db_size().to_bits());
+        assert_eq!(a.word_count().to_bits(), b.word_count().to_bits());
+        assert_eq!(a.sample_size(), b.sample_size());
+        assert_eq!(a.terms(), b.terms());
+        let raw = |s: &dbselect_core::frozen::FrozenSummary| {
+            let column = s.raw_column().iter();
+            column
+                .map(|(df, tf)| (df.to_bits(), tf.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(raw(a), raw(b));
+        let sample_df = |s: &dbselect_core::frozen::FrozenSummary| {
+            (0..s.len()).map(|i| s.sample_df_at(i)).collect::<Vec<_>>()
+        };
+        assert_eq!(sample_df(a), sample_df(b));
+    }
+}
+
+/// The files of a chain directory, sorted by name.
+fn chain_files(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).unwrap();
+    let mut names: Vec<String> = names
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A session resumed from a base-only chain written at a fresh
+/// fit is that fit's session — the same freeze, and the same patches
+/// from the same probes, bit for bit.
+#[test]
+fn resuming_a_base_only_chain_equals_the_fresh_session() {
+    let dir = temp_chain("resume-base");
+    let (mut fresh, _) = start_chain(&dir, 0, 2);
+    let (mut resumed, writer) = resume_chain(&dir);
+    assert_eq!(writer.generation(), 0);
+    assert_eq!(resumed.names(), fresh.names());
+    assert_eq!(
+        resumed.freeze_full().value_digest(),
+        fresh.freeze_full().value_digest()
+    );
+    for round in 1..=4 {
+        let a = round_patches(&mut fresh, round, 2);
+        let b = round_patches(&mut resumed, round, 2);
+        assert_patches_bit_identical(&a, &b);
+        assert_eq!(resumed.dict().len(), fresh.dict().len());
+    }
+    assert_eq!(
+        resumed.freeze_full().value_digest(),
+        fresh.freeze_full().value_digest()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resuming after `k` deltas and appending one more round writes
+/// the very files one session writing `k + 1` rounds writes.
+#[test]
+fn a_round_appended_after_resuming_is_byte_identical_to_one_session() {
+    for k in [0u64, 1, 3] {
+        let reference = temp_chain(&format!("one-session-{k}"));
+        start_chain(&reference, k + 1, 2);
+        let dir = temp_chain(&format!("resumed-{k}"));
+        start_chain(&dir, k, 2);
+        let (mut session, mut writer) = resume_chain(&dir);
+        assert_eq!(writer.generation(), k);
+        let patches = round_patches(&mut session, k + 1, 2);
+        assert_eq!(writer.append_round(session.dict(), patches).unwrap(), k + 1);
+
+        let files = chain_files(&dir);
+        assert_eq!(files, chain_files(&reference), "k = {k}");
+        assert_eq!(files.len() as u64, k + 2, "base + {} deltas", k + 1);
+        for name in &files {
+            let (ours, theirs) = (dir.join(name), reference.join(name));
+            let same = std::fs::read(ours).unwrap() == std::fs::read(theirs).unwrap();
+            assert!(same, "k = {k}: {name} differs");
+        }
+        // The resumed session's state is the one-session reference too.
+        let replayed = delta::load_chain(&reference).unwrap().snapshot;
+        assert_eq!(
+            session.freeze_full().value_digest(),
+            replayed.value_digest()
+        );
+        std::fs::remove_dir_all(&reference).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Two writers resumed at the same tip: the first publishes the next
+/// delta; the second fails with `AlreadyExists`, replaces nothing and
+/// leaves no temporary file behind.
+#[test]
+fn a_second_writer_at_the_same_tip_cannot_replace_the_first_delta() {
+    let dir = temp_chain("two-writers");
+    start_chain(&dir, 1, 1);
+    let (mut first, mut first_writer) = resume_chain(&dir);
+    let (mut second, mut second_writer) = resume_chain(&dir);
+    let patches = round_patches(&mut first, 2, 1);
+    assert_eq!(first_writer.append_round(first.dict(), patches).unwrap(), 2);
+    let published = std::fs::read(dir.join(delta::delta_file_name(2))).unwrap();
+
+    let patches = round_patches(&mut second, 3, 1);
+    let err = second_writer
+        .append_round(second.dict(), patches)
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    assert!(err.to_string().contains("delta-000002.snap"), "{err}");
+    assert_eq!(second_writer.generation(), 1);
+    let now = std::fs::read(dir.join(delta::delta_file_name(2))).unwrap();
+    assert!(now == published, "the first writer's delta was replaced");
+    let expected = [delta::BASE_FILE, "delta-000001.snap", "delta-000002.snap"];
+    assert_eq!(chain_files(&dir), expected);
+    assert_eq!(delta::load_chain(&dir).unwrap().generation, 2);
+
+    // A base is never replaced either, and a writer resumed at a tip the
+    // directory no longer ends in is refused.
+    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
+    let err = ChainWriter::create(&dir, &ServingSnapshot::from_stored(&stored)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    let other = temp_chain("two-writers-other");
+    start_chain(&other, 2, 2);
+    let chain = delta::load_chain(&other).unwrap();
+    let err = ChainWriter::resume(&dir, &chain).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&other).ok();
 }
 
 #[test]
@@ -349,10 +505,8 @@ fn non_finite_patches_are_refused_before_writing() {
         .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("database #0"), "{err}");
-    let delta = dir.join(delta::delta_file_name(1));
-    let mut tmp = delta.clone().into_os_string();
-    tmp.push(".tmp");
-    assert!(!delta.exists() && !Path::new(&tmp).exists());
+    // Neither the delta nor a temporary file is left in the directory.
+    assert_eq!(chain_files(&dir), [delta::BASE_FILE]);
     let chain = delta::load_chain(&dir).unwrap();
     assert_eq!(chain.generation, 0);
     assert_eq!(writer.generation(), 0);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI smoke test for dbselectd: index a tiny fixture, freeze a catalog,
+# CI smoke test for dbselectd: index a tiny fixture, freeze a snapshot,
 # run the full serve/route/fault/reload/shutdown battery, then top-k,
 # a 10k idle-connection soak, multi-tenant, federated-proxy and
 # live-refresh passes.
@@ -28,28 +28,22 @@ printf 'the keeper saved a goal before the stadium crowd\n'   > "$WORK/soccer/b.
 "$DBSELECT" index --out "$WORK/col.store" --full \
     med=Health/Medicine="$WORK/med" \
     soccer=Sports/Soccer="$WORK/soccer"
-"$DBSELECT" catalog --store "$WORK/col.store" --out "$WORK/col.catalog"
-# Fitting the λs (the EM over the category columns) is a pure function of
-# the store: a second process, with its own hash seeds, must write the same
-# catalog bytes.
-"$DBSELECT" catalog --store "$WORK/col.store" --out "$WORK/col.catalog.again"
-cmp "$WORK/col.catalog" "$WORK/col.catalog.again"
 
 # Profiling by sampling (QBS, size and frequency estimation) is a pure
 # function of the files and the seed, whatever the thread count: one
 # profiling thread and two, in separate processes with their own hash
-# seeds, must write the same store, and the store must fit a catalog.
+# seeds, must write the same store, and the store must freeze.
 for threads in 1 2; do
     "$DBSELECT" index --out "$WORK/qbs$threads.store" --threads "$threads" \
         med=Health/Medicine="$WORK/med" \
         soccer=Sports/Soccer="$WORK/soccer"
 done
 cmp "$WORK/qbs1.store" "$WORK/qbs2.store"
-"$DBSELECT" catalog --store "$WORK/qbs1.store" --out "$WORK/qbs.catalog"
+"$DBSELECT" freeze --store "$WORK/qbs1.store" --out "$WORK/qbs.snapshot"
 
 # --- every command documents itself; a bad flag names its command -------
 "$DBSELECT" --help > "$WORK/help.txt"
-for cmd in index select catalog freeze refresh route serve inspect; do
+for cmd in index select freeze refresh route serve inspect; do
     "$DBSELECT" "$cmd" --help > "$WORK/help_$cmd.txt"
     grep -q "dbselect $cmd" "$WORK/help_$cmd.txt"
     grep -q "dbselect $cmd" "$WORK/help.txt"
@@ -66,11 +60,11 @@ fi
 grep 'dbselect freeze: --weighting applies only with --store' "$WORK/only_with.err"
 
 # --- freeze the v4 serving snapshot, the one form that is served ----------
-"$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot"
-# Freezing is a pure function of the catalog: a second process, with its
-# own hash seeds, must write the same bytes (no hash-map order may leak
-# into a snapshot).
-"$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/col.snapshot.again"
+"$DBSELECT" freeze --store "$WORK/col.store" --out "$WORK/col.snapshot"
+# Freezing (the EM over the category columns, then the serving arrays) is
+# a pure function of the store: a second process, with its own hash seeds,
+# must write the same bytes (no hash-map order may leak into a snapshot).
+"$DBSELECT" freeze --store "$WORK/col.store" --out "$WORK/col.snapshot.again"
 cmp "$WORK/col.snapshot" "$WORK/col.snapshot.again"
 head -c 8 "$WORK/col.snapshot" | od -c | grep -q 'D   B   S   S   N   P  \\0 004'
 
@@ -97,13 +91,15 @@ for missing in "$WORK/missing.snapshot" "$WORK/empty"; do
     [ "$(grep -o -F "$missing" "$WORK/missing.err" | wc -l)" -eq 1 ] \
         || { echo "the error must name $missing exactly once"; exit 1; }
 done
-# The v1 catalog is the input of `freeze` and `refresh`, never served:
-# routing or serving it exits non-zero, naming the migration, and so
-# does a tenant directory holding one.
+# A v1 catalog (nothing writes one now; the committed fixture was written
+# by the retired v1 writer) is a migration input, never served: routing
+# or serving it exits non-zero, naming the migration, and so does a
+# tenant directory holding one. `freeze --catalog` migrates it.
+V1="$(dirname "$0")/../crates/store/tests/fixtures/v1-tiny.catalog"
 mkdir "$WORK/v1_tenants"
-cp "$WORK/col.catalog" "$WORK/v1_tenants/old.cat"
-for serve_v1 in "route --catalog $WORK/col.catalog --queries $WORK/queries.txt" \
-    "serve --catalog $WORK/col.catalog --addr 127.0.0.1:0" \
+cp "$V1" "$WORK/v1_tenants/old.cat"
+for serve_v1 in "route --catalog $V1 --queries $WORK/queries.txt" \
+    "serve --catalog $V1 --addr 127.0.0.1:0" \
     "serve --tenants $WORK/v1_tenants --addr 127.0.0.1:0"; do
     # shellcheck disable=SC2086 # the words of each command line
     if "$DBSELECT" $serve_v1 > /dev/null 2> "$WORK/v1.err"; then
@@ -111,6 +107,8 @@ for serve_v1 in "route --catalog $WORK/col.catalog --queries $WORK/queries.txt" 
     fi
     grep 'dbselect freeze --catalog' "$WORK/v1.err"
 done
+"$DBSELECT" freeze --catalog "$V1" --out "$WORK/v1.snapshot"
+"$DBSELECT" route --catalog "$WORK/v1.snapshot" --queries "$WORK/queries.txt" > /dev/null
 "$DBSELECT" route --catalog "$WORK/col.snapshot" --queries "$WORK/queries.txt" \
     | tee "$WORK/cli.txt"
 # `select` freezes the store itself and routes the same query through the
@@ -255,8 +253,7 @@ done
     k3=Health/Medicine="$WORK/kdb3" \
     k4=Health/Medicine="$WORK/kdb4" \
     k5=Health/Medicine="$WORK/kdb5"
-"$DBSELECT" catalog --store "$WORK/k.store" --out "$WORK/k.catalog"
-"$DBSELECT" freeze --catalog "$WORK/k.catalog" --out "$WORK/k.snapshot"
+"$DBSELECT" freeze --store "$WORK/k.store" --out "$WORK/k.snapshot"
 printf 'heart blood\n' > "$WORK/kq.txt"
 "$DBSELECT" route --catalog "$WORK/k.snapshot" --queries "$WORK/kq.txt" -k 3 \
     | tee "$WORK/cli_k3.txt"
@@ -309,8 +306,7 @@ ADDR4=${ADDR4:-127.0.0.1:7734}
 mkdir -p "$WORK/tenants"
 cp "$WORK/col.snapshot" "$WORK/tenants/alpha.snap"
 "$DBSELECT" index --out "$WORK/med.store" --full med=Health/Medicine="$WORK/med"
-"$DBSELECT" catalog --store "$WORK/med.store" --out "$WORK/med.catalog"
-"$DBSELECT" freeze --catalog "$WORK/med.catalog" --out "$WORK/tenants/beta.snap"
+"$DBSELECT" freeze --store "$WORK/med.store" --out "$WORK/tenants/beta.snap"
 
 "$DBSELECT" serve --tenants "$WORK/tenants" --addr "$ADDR4" &
 SERVE_PID=$!
@@ -483,14 +479,15 @@ wait "$PROXY_PID" "$B0_PID" "$MONO_PID" 2>/dev/null || true
 EXTRA_PIDS=
 
 # --- live refresh: a 3-delta chain swapped in under client load -----------
-# The daemon serves a chain directory and polls it; `dbselect refresh`
-# appends three deltas while a client hammers /route. Every in-flight
-# request must succeed across the swaps (curl -sf + set -e), the served
-# chain generation must reach the tip, and a corrupted delta must roll
-# back atomically — old generation keeps serving, failure counted.
+# The daemon serves a chain directory and polls it; two `dbselect refresh`
+# runs (2 rounds, then 1 more resumed at the tip) append three deltas
+# while a client hammers /route. Every in-flight request must succeed
+# across the swaps (curl -sf + set -e), the served chain generation must
+# reach the tip, and a corrupted delta must roll back atomically — old
+# generation keeps serving, failure counted.
 ADDR_R=${ADDR_R:-127.0.0.1:7743}
 mkdir -p "$WORK/chain"
-"$DBSELECT" freeze --catalog "$WORK/col.catalog" --out "$WORK/chain/base.snap"
+"$DBSELECT" freeze --store "$WORK/col.store" --out "$WORK/chain/base.snap"
 
 "$DBSELECT" serve --catalog "$WORK/chain" --addr "$ADDR_R" --refresh-interval-ms 100 &
 SERVE_PID=$!
@@ -505,14 +502,21 @@ curl -sf "http://$ADDR_R/metrics" | grep '^dbselectd_catalog_generation 1$'
 ) &
 LOAD_PID=$!
 
-# Drift the med database, then append three delta rounds, paced so the
-# 100ms poller swaps mid-load.
+# Drift the med database, then append three delta rounds in two refresh
+# processes, paced so the 100ms poller swaps mid-load. The second run
+# resumes at the tip the first one left.
 printf 'arrhythmia electrocardiogram monitoring of the heart\n' > "$WORK/med/d.txt"
-"$DBSELECT" refresh --catalog "$WORK/col.catalog" --chain "$WORK/chain" \
-    --rounds 3 --budget 1 --full --round-interval-ms 300 \
+"$DBSELECT" refresh --chain "$WORK/chain" \
+    --rounds 2 --budget 1 --full --round-interval-ms 300 \
     med=Health/Medicine="$WORK/med" \
     soccer=Sports/Soccer="$WORK/soccer" | tee "$WORK/refresh.txt"
-grep 'round 3 -> generation 3' "$WORK/refresh.txt"
+grep 'round 2 -> generation 2' "$WORK/refresh.txt"
+sleep 0.3
+"$DBSELECT" refresh --chain "$WORK/chain" --rounds 1 --budget 1 --full \
+    med=Health/Medicine="$WORK/med" \
+    soccer=Sports/Soccer="$WORK/soccer" | tee "$WORK/refresh2.txt"
+grep 'from generation 2' "$WORK/refresh2.txt"
+grep 'round 1 -> generation 3' "$WORK/refresh2.txt"
 ls "$WORK/chain/delta-000001.snap" "$WORK/chain/delta-000002.snap" \
    "$WORK/chain/delta-000003.snap" > /dev/null
 
@@ -566,7 +570,8 @@ echo "=== live refresh pass: ok ==="
 # The missing database sits the round out and is reported; the round still
 # refreshes the other one and appends its delta.
 mkdir -p "$WORK/chain_skip"
-"$DBSELECT" refresh --catalog "$WORK/col.catalog" --chain "$WORK/chain_skip" \
+"$DBSELECT" freeze --store "$WORK/col.store" --out "$WORK/chain_skip/base.snap"
+"$DBSELECT" refresh --chain "$WORK/chain_skip" \
     --rounds 1 --budget 2 --full \
     med=Health/Medicine="$WORK/med" \
     soccer=Sports/Soccer="$WORK/no-such-dir" | tee "$WORK/refresh_skip.txt"

@@ -252,11 +252,13 @@ fn generated_testbed_store() -> store::CollectionStore {
 /// databases in catalog order (visiting them in any other order moves
 /// this digest) and EM runs over long rows; the hand-built store fixtures
 /// have a handful of words. What the snapshot frozen from it serves is
-/// pinned value by value below.
+/// pinned value by value below. Nothing writes v1 catalogs any more, so
+/// the bytes are laid out here, as `StoredCatalog::read_from` reads them.
 #[test]
 fn generated_testbed_catalog_and_snapshot_bytes_match_their_recorded_digests() {
+    use std::io::Write;
     use store::catalog::StoredCatalog;
-    use store::codec::ChecksumWriter;
+    use store::codec::{write_f64, write_u32, ChecksumWriter};
 
     let store = generated_testbed_store();
     let digests: Vec<u64> = [CategoryWeighting::BySize, CategoryWeighting::Uniform]
@@ -264,7 +266,16 @@ fn generated_testbed_catalog_and_snapshot_bytes_match_their_recorded_digests() {
         .map(|weighting| {
             let frozen = StoredCatalog::freeze(store.clone(), weighting);
             let mut catalog = ChecksumWriter::new(std::io::sink());
-            frozen.write_to(&mut catalog).unwrap();
+            catalog.write_all(b"DBSCAT\x00\x01").unwrap();
+            frozen.store.write_to(&mut catalog).unwrap();
+            let tag = u32::from(weighting == CategoryWeighting::Uniform);
+            write_u32(&mut catalog, tag).unwrap();
+            for (df, tf) in frozen.lambdas_df.iter().zip(&frozen.lambdas_tf) {
+                write_u32(&mut catalog, df.len() as u32).unwrap();
+                for &l in df.iter().chain(tf) {
+                    write_f64(&mut catalog, l).unwrap();
+                }
+            }
             catalog.digest()
         })
         .collect();
