@@ -199,7 +199,7 @@ static REFRESH: Command<RefreshArgs> = Command {
         (Required, &["--chain"], "DIR", "an existing chain; refresh resumes at its tip", |o, v| put(&mut o.chain, v.into())),
         (Optional, &["--rounds"], "N", "refresh rounds, one delta each (default 1)", |o, v| put(&mut o.options.rounds, int(v)?)),
         (Optional, &["--budget"], "K", "databases re-probed per round (default 2)", |o, v| put(&mut o.options.budget, int(v)?)),
-        (Optional, &["--seed"], "N", "scheduler and sampling seed (default 42)", |o, v| put(&mut o.options.probe.seed, int(v)?)),
+        (Optional, &["--seed"], "N", "pick tie-break and sampling seed (default 42)", |o, v| put(&mut o.options.probe.seed, int(v)?)),
         (Optional, &["--sample"], "N", "target QBS sample size per re-probe (default 300)", |o, v| put(&mut o.options.probe.sample_size, int(v)?)),
         (Optional, &["--full"], "", "re-read every document instead of sampling", |o, _| put(&mut o.options.probe.full, true)),
         (Optional, &["--threads"], "N", "profiling threads (default: every CPU)", |o, v| put(&mut o.options.probe.threads, int(v)?)),

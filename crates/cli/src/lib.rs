@@ -18,7 +18,8 @@ use std::time::Instant;
 use dbselect_core::category_summary::CategoryWeighting;
 use dbselect_core::hierarchy::Hierarchy;
 use dbselect_core::summary::ContentSummary;
-use sampling::{profile_qbs_many, PipelineConfig, QbsConfig, RefreshScheduler};
+use sampling::refresh::{pick_round, Standing};
+use sampling::{profile_qbs_many, PipelineConfig, QbsConfig};
 use selection::{AdaptiveOutcome, ShrinkageMode};
 use server::state::{Algo, ServingState};
 use store::catalog::StoredCatalog;
@@ -461,7 +462,8 @@ pub struct RefreshOptions {
     pub rounds: usize,
     /// Databases re-probed per round.
     pub budget: usize,
-    /// How each re-probe profiles; its seed also seeds the scheduler.
+    /// How each re-probe profiles; its seed also rotates the pick
+    /// tie-break.
     pub probe: IndexOptions,
     /// Pause between rounds (live-refresh pacing for a polling daemon).
     pub round_interval: Option<std::time::Duration>,
@@ -488,9 +490,16 @@ impl Default for RefreshOptions {
 /// directories are re-read each round, so drifted content is picked up);
 /// chain databases without a spec keep their summaries.
 ///
+/// Each round's picks are [`pick_round`] of the chain tip: its
+/// generation, the generation each database was last patched at, and
+/// the session's coverages. Nothing else carries over between rounds,
+/// so `k` runs of one round append the deltas one run of `k` rounds
+/// would.
+///
 /// A picked database whose directory cannot be read (or holds no
-/// document) is skipped for the round and reported; it stays eligible
-/// and keeps aging, and a round whose every pick is skipped appends
+/// document) is skipped and reported, and sits out the rest of the run;
+/// unpatched, it stays the stalest database of the chain, so the next
+/// run tries it first. A round whose every pick is skipped appends
 /// nothing.
 ///
 /// Returns the per-round report: which databases each round touched (and
@@ -507,8 +516,9 @@ pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> 
         );
         return Err(io::Error::new(io::ErrorKind::NotFound, message));
     }
-    let chain = store::delta::load_chain(chain_dir)?;
+    let mut chain = store::delta::load_chain(chain_dir)?;
     let mut writer = ChainWriter::resume(chain_dir, &chain)?;
+    let mut patched_at = std::mem::take(&mut chain.patched_at);
     let mut session = RefreshSession::resume(chain);
 
     // Map specs onto chain indices by database name.
@@ -531,12 +541,6 @@ pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> 
         ));
     }
 
-    let mut scheduler = RefreshScheduler::new(session.len(), options.budget, probe.seed);
-    for (db, spec) in spec_for_db.iter().enumerate().take(session.len()) {
-        scheduler.set_eligible(db, spec.is_some());
-        scheduler.set_coverage(db, session.coverage(db));
-    }
-
     let analyzer = Analyzer::english();
     let pipeline = qbs_pipeline(probe.sample_size);
 
@@ -553,7 +557,14 @@ pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> 
     );
     for round in 0..options.rounds {
         let started = Instant::now();
-        let picks = scheduler.next_round();
+        let standings: Vec<Standing> = (0..session.len())
+            .map(|db| Standing {
+                patched_at: patched_at[db],
+                coverage: session.coverage(db),
+                eligible: spec_for_db[db].is_some(),
+            })
+            .collect();
+        let picks = pick_round(&standings, writer.generation(), options.budget, probe.seed);
         if picks.is_empty() {
             let _ = writeln!(out, "round {}: nothing eligible to refresh", round + 1);
             continue;
@@ -562,11 +573,11 @@ pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> 
         // Re-read the picked databases' directories (content may have
         // drifted since the last probe), interning new vocabulary into
         // the session dictionary. A database whose directory cannot be
-        // read, or holds no document, sits this round out: it is reported
-        // and keeps aging, and the rest of the round goes ahead.
+        // read, or holds no document, is reported and sits out the rest
+        // of the run; the rest of the round goes ahead.
         let (mut refreshed, mut reloaded, mut names) = (Vec::new(), Vec::new(), Vec::new());
         for &db in &picks {
-            let spec = spec_for_db[db].expect("scheduler only picks eligible databases");
+            let spec = spec_for_db[db].expect("only databases with a spec are picked");
             let texts = read_texts(Path::new(&spec.dir)).and_then(|texts| match texts.is_empty() {
                 true => Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -582,7 +593,7 @@ pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> 
                     names.push(spec.name.as_str());
                 }
                 Err(e) => {
-                    scheduler.defer(db);
+                    spec_for_db[db] = None;
                     let _ = writeln!(out, "round {}: skipped {}: {e}", round + 1, spec.name);
                 }
             }
@@ -613,9 +624,11 @@ pub fn refresh(chain_dir: &Path, specs: &[DbSpec], options: &RefreshOptions) -> 
         let mut patches = Vec::with_capacity(refreshed.len());
         for (&db, summary) in refreshed.iter().zip(summaries) {
             patches.push(session.apply_probe(db, summary));
-            scheduler.set_coverage(db, session.coverage(db));
         }
         let generation = writer.append_round(session.dict(), patches)?;
+        for &db in &refreshed {
+            patched_at[db] = generation;
+        }
         let delta_path = chain_dir.join(store::delta::delta_file_name(generation));
         let bytes = std::fs::metadata(&delta_path).map(|m| m.len()).unwrap_or(0);
         let _ = writeln!(
@@ -1024,6 +1037,114 @@ mod tests {
         assert!(report.contains("every pick skipped"), "{report}");
         assert_eq!(store::delta::chain_tip_generation(&empty).unwrap(), 0);
 
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The files of a chain directory, sorted by name, with their bytes.
+    fn chain_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let bytes = std::fs::read(e.path()).unwrap();
+                (e.file_name().into_string().unwrap(), bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Which databases a round re-probes is read off the chain, so four
+    /// one-round runs write, byte for byte, the deltas one four-round
+    /// run writes — with exact re-reads and with sampled re-probes.
+    #[test]
+    fn one_round_runs_append_the_deltas_of_one_long_run() {
+        let root = temp_root("refresh-compose");
+        write_corpus(&root);
+        let specs = specs(&root);
+        for full in [true, false] {
+            let (runs, session) = (format!("runs-{full}"), format!("session-{full}"));
+            let (runs, session) = (
+                start_chain(&root, &specs, &runs),
+                start_chain(&root, &specs, &session),
+            );
+            let probe = IndexOptions {
+                sample_size: 3,
+                full,
+                seed: 5,
+                threads: 1,
+            };
+            let one = RefreshOptions {
+                rounds: 1,
+                budget: 1,
+                probe,
+                ..Default::default()
+            };
+            let mut picked = Vec::new();
+            for generation in 1..=4 {
+                let report = refresh(&runs, &specs, &one).unwrap();
+                let round = format!("round 1 -> generation {generation}: refreshed ");
+                let at = report.find(&round).expect(&report) + round.len();
+                picked.push(report[at..].split(' ').next().unwrap().to_string());
+            }
+            // Both databases come up, in turn.
+            assert_eq!(picked[0], picked[2], "full = {full}");
+            assert_eq!(picked[1], picked[3], "full = {full}");
+            assert_ne!(picked[0], picked[1], "full = {full}");
+
+            let long = RefreshOptions { rounds: 4, ..one };
+            refresh(&session, &specs, &long).unwrap();
+            let (ours, theirs) = (chain_bytes(&runs), chain_bytes(&session));
+            assert_eq!((ours.len(), theirs.len()), (5, 5), "base + 4 deltas");
+            for ((name, a), (other, b)) in ours.iter().zip(&theirs) {
+                assert_eq!(name, other);
+                assert!(a == b, "full = {full}: {name} differs");
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A database whose directory cannot be read is skipped once and sits
+    /// out the rest of the run; unpatched, it is the stalest database of
+    /// the chain, so the next run picks it first.
+    #[test]
+    fn an_unreadable_database_sits_out_the_run_and_leads_the_next() {
+        let root = temp_root("refresh-sit-out");
+        write_corpus(&root);
+        let specs = specs(&root);
+        let chain = start_chain(&root, &specs, "chain");
+        let probe = IndexOptions {
+            seed: 1,
+            full: true,
+            ..Default::default()
+        };
+        let options = RefreshOptions {
+            rounds: 2,
+            budget: 1,
+            probe,
+            ..Default::default()
+        };
+        // Seed 1 puts soccer-db first among equals.
+        std::fs::rename(root.join("soccer"), root.join("soccer-away")).unwrap();
+        let report = refresh(&chain, &specs, &options).unwrap();
+        assert_eq!(report.matches("skipped soccer-db").count(), 1, "{report}");
+        assert!(report.contains("round 1: every pick skipped"), "{report}");
+        assert!(
+            report.contains("round 2 -> generation 1: refreshed heart-db in"),
+            "{report}"
+        );
+        assert_eq!(store::delta::load_chain(&chain).unwrap().patched_at, [1, 0]);
+
+        std::fs::rename(root.join("soccer-away"), root.join("soccer")).unwrap();
+        let once = RefreshOptions {
+            rounds: 1,
+            ..options
+        };
+        let report = refresh(&chain, &specs, &once).unwrap();
+        assert!(
+            report.contains("round 1 -> generation 2: refreshed soccer-db in"),
+            "{report}"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

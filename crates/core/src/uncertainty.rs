@@ -249,14 +249,6 @@ pub struct ScoreDistribution {
     pub draws: usize,
 }
 
-impl ScoreDistribution {
-    /// The Content Summary Selection rule of Figure 3: use the shrunk
-    /// summary when the score's standard deviation exceeds its mean.
-    pub fn should_use_shrinkage(&self) -> bool {
-        self.std_dev > self.mean
-    }
-}
-
 /// Monte-Carlo estimate of the score distribution.
 ///
 /// `score_fn` receives one `p_k = d_k/|D|` per query word and returns the
@@ -383,7 +375,7 @@ mod tests {
         );
         assert!((dist.mean - 7.5).abs() < 1e-12);
         assert!(dist.std_dev < 1e-12);
-        assert!(!dist.should_use_shrinkage());
+        assert!(dist.std_dev <= dist.mean);
         assert!(dist.draws < 2000, "constant score converges early");
     }
 
@@ -400,7 +392,7 @@ mod tests {
             &UncertaintyConfig::default(),
         );
         assert!(
-            dist.should_use_shrinkage(),
+            dist.std_dev > dist.mean,
             "std {} vs mean {}",
             dist.std_dev,
             dist.mean
@@ -420,7 +412,7 @@ mod tests {
             &UncertaintyConfig::default(),
         );
         assert!(
-            !dist.should_use_shrinkage(),
+            dist.std_dev <= dist.mean,
             "std {} vs mean {}",
             dist.std_dev,
             dist.mean

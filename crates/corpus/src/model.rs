@@ -197,21 +197,6 @@ impl CorpusModel {
         self.background.sample(rng)
     }
 
-    /// Draw one topical token for a document focused on `leaf`: a word from
-    /// the leaf's or one of its ancestors' topic vocabularies.
-    pub fn sample_topic_token<R: Rng + ?Sized>(&self, leaf: CategoryId, rng: &mut R) -> TermId {
-        match &self.path_dists[leaf] {
-            Some(dist) => {
-                let node = dist.sample(rng);
-                self.node_lms[node]
-                    .as_ref()
-                    .expect("non-root nodes have topic vocabularies")
-                    .sample(rng)
-            }
-            None => self.background.sample(rng),
-        }
-    }
-
     /// Draw a topical *query* token for topic `leaf`. With probability
     /// `tail_bias`, the word is picked uniformly from the chosen node's
     /// vocabulary — landing mostly in the Zipf tail. Real information-need

@@ -37,7 +37,6 @@ pub use pipeline::{
 };
 pub use probes::ProbeSource;
 pub use qbs::{qbs_sample, QbsConfig};
-pub use refresh::RefreshScheduler;
 pub use rules::{Rule, RuleClassifier, RuleLearnerConfig};
 pub use sample::DocumentSample;
 pub use scheduler::{db_rng, fan_out};

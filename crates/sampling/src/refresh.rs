@@ -4,157 +4,115 @@
 //! Content summaries are estimates from samples (Section 2 of the paper)
 //! and decay as the underlying databases drift, so the serving tier
 //! re-probes a few databases per round instead of re-freezing the world.
-//! The scheduler decides *which* few. The policy blends
+//! [`pick_round`] decides *which* few. The policy blends
 //!
-//! * **staleness** — rounds since a database was last re-probed; every
-//!   database eventually comes up (no starvation), and
+//! * **staleness** — chain generations since a database was last
+//!   patched; every database eventually comes up (no starvation), and
 //! * **uncertainty** — databases whose sample covers a smaller fraction
 //!   of the estimated database size get priority, in the spirit of
 //!   stratified utility sampling: the worse the current estimate, the
 //!   more a probe buys.
 //!
-//! Ties break round-robin from a rotating cursor, so a cold start (all
-//! priorities equal) degrades to exact round-robin coverage. The whole
-//! schedule is a pure function of `(seed, budget, coverage inputs)` —
-//! no RNG is consumed here, the seed only rotates the starting cursor —
-//! so a replayed refresh run picks the same databases in the same order,
-//! which is what keeps delta chains reproducible.
+//! Ties break by database index, rotated by the seed and the chain
+//! generation, so a cold start (all priorities equal) degrades to exact
+//! round-robin coverage. A round's picks are a pure function of the
+//! chain tip — its generation, the generation each database was last
+//! patched at, the sample coverages — plus the seed, the budget and
+//! which databases can be re-probed. Nothing is carried between rounds
+//! but the chain itself, so `k` refresh runs of one round pick what one
+//! run of `k` rounds picks, and a replayed refresh writes the same
+//! deltas.
 
-/// Deterministic, budgeted picker of databases to re-probe.
-#[derive(Debug, Clone)]
-pub struct RefreshScheduler {
-    /// Databases re-probed per round (at most).
-    budget: usize,
-    /// Round-robin tie-break cursor; rotated past each round's picks.
-    cursor: usize,
-    /// Rounds issued so far; `next_round` pre-increments, so the first
-    /// round is 1 and `last[db] == 0` means "never re-probed".
-    round: u64,
-    /// Round each database was last picked (0 = never).
-    last: Vec<u64>,
-    /// Sample coverage estimate per database, clamped to `[0, 1]`;
-    /// lower coverage → higher priority.
-    coverage: Vec<f64>,
-    /// Databases the caller can actually re-probe (has a probe source).
-    eligible: Vec<bool>,
-    /// This round's picks with the round each was last picked before it,
-    /// so a probe that fails can be [`deferred`](Self::defer).
-    previous: Vec<(usize, u64)>,
+/// One database's standing when a round is picked.
+#[derive(Debug, Clone, Copy)]
+pub struct Standing {
+    /// Generation of the last chain file that patched the database
+    /// (0 for the base).
+    pub patched_at: u64,
+    /// Sample coverage — `sample_size / |D̂|`, or any other
+    /// fraction-of-database-seen estimate. Clamped to `[0, 1]`; a
+    /// non-finite value counts as full coverage (no uncertainty bonus).
+    pub coverage: f64,
+    /// Whether the caller can re-probe the database this round.
+    pub eligible: bool,
 }
 
-impl RefreshScheduler {
-    /// A scheduler over `n` databases picking at most `budget` per
-    /// round. The seed only chooses where the round-robin cursor starts,
-    /// so two runs with the same seed replay the same schedule.
-    pub fn new(n: usize, budget: usize, seed: u64) -> RefreshScheduler {
-        let cursor = if n == 0 {
-            0
-        } else {
-            (seed % n as u64) as usize
-        };
-        RefreshScheduler {
-            budget,
-            cursor,
-            round: 0,
-            last: vec![0; n],
-            coverage: vec![0.0; n],
-            eligible: vec![true; n],
-            previous: Vec::new(),
-        }
+/// Pick the round that would extend a chain at tip `generation`: the
+/// `budget` eligible databases of highest priority `staleness × (2 −
+/// coverage)`, where staleness is `generation + 1 − patched_at`. Ties
+/// break by index, rotated so that `(seed + generation × budget) mod n`
+/// comes first. Returned ascending by database index.
+pub fn pick_round(dbs: &[Standing], generation: u64, budget: usize, seed: u64) -> Vec<usize> {
+    let n = dbs.len();
+    if n == 0 || budget == 0 {
+        return Vec::new();
     }
-
-    /// Number of databases under management.
-    pub fn len(&self) -> usize {
-        self.last.len()
-    }
-
-    /// True when the scheduler manages no databases.
-    pub fn is_empty(&self) -> bool {
-        self.last.is_empty()
-    }
-
-    /// Rounds issued so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
-    /// Mark whether `db` can be re-probed at all (defaults to true).
-    pub fn set_eligible(&mut self, db: usize, eligible: bool) {
-        self.eligible[db] = eligible;
-    }
-
-    /// Record `db`'s sample coverage — `sample_size / |D̂|`, or any
-    /// other fraction-of-database-seen estimate. Non-finite values are
-    /// treated as full coverage (no uncertainty bonus).
-    pub fn set_coverage(&mut self, db: usize, coverage: f64) {
-        self.coverage[db] = if coverage.is_finite() {
-            coverage.clamp(0.0, 1.0)
+    let start = (u128::from(seed) + u128::from(generation) * budget as u128) % n as u128;
+    let rotated = |db: usize| (db + n - start as usize) % n;
+    let priority = |db: usize| {
+        let s = &dbs[db];
+        let coverage = if s.coverage.is_finite() {
+            s.coverage.clamp(0.0, 1.0)
         } else {
             1.0
         };
-    }
-
-    /// The priority `db` would carry in the *next* round: staleness
-    /// scaled up by estimate uncertainty. Strictly positive, strictly
-    /// increasing in rounds-since-refresh.
-    pub fn priority(&self, db: usize) -> f64 {
-        let staleness = (self.round + 1 - self.last[db]) as f64;
-        staleness * (2.0 - self.coverage[db])
-    }
-
-    /// Pick this round's databases: the `budget` highest-priority
-    /// eligible databases, ties broken round-robin from the cursor.
-    /// Returned ascending by database index. Picked databases have
-    /// their staleness reset; the cursor rotates past the picks.
-    pub fn next_round(&mut self) -> Vec<usize> {
-        self.round += 1;
-        let n = self.len();
-        if n == 0 || self.budget == 0 {
-            return Vec::new();
-        }
-        let rotated = |db: usize| (db + n - self.cursor) % n;
-        // `self.round` is already the round being scheduled, so staleness
-        // is `round - last` here (a database picked last round carries 1).
-        let prio = |db: usize| ((self.round - self.last[db]) as f64) * (2.0 - self.coverage[db]);
-        let mut order: Vec<usize> = (0..n).filter(|&db| self.eligible[db]).collect();
-        order.sort_by(|&a, &b| {
-            prio(b)
-                .partial_cmp(&prio(a))
-                .expect("priorities are finite")
-                .then_with(|| rotated(a).cmp(&rotated(b)))
-        });
-        order.truncate(self.budget);
-        let mut picks = order;
-        if let Some(&next_cursor) = picks.iter().max_by_key(|&&db| rotated(db)) {
-            self.cursor = (next_cursor + 1) % n;
-        }
-        self.previous.clear();
-        for &db in &picks {
-            self.previous.push((db, self.last[db]));
-            self.last[db] = self.round;
-        }
-        picks.sort_unstable();
-        picks
-    }
-
-    /// Undo this round's pick of `db` because its probe failed: its
-    /// staleness is restored and keeps growing, so it stays eligible and
-    /// comes up again with the priority it had earned. No-op for a
-    /// database this round did not pick.
-    pub fn defer(&mut self, db: usize) {
-        if let Some(&(_, last)) = self.previous.iter().find(|&&(d, _)| d == db) {
-            self.last[db] = last;
-        }
-    }
+        ((generation + 1).saturating_sub(s.patched_at)) as f64 * (2.0 - coverage)
+    };
+    let mut picks: Vec<usize> = (0..n).filter(|&db| dbs[db].eligible).collect();
+    picks.sort_by(|&a, &b| {
+        priority(b)
+            .total_cmp(&priority(a))
+            .then_with(|| rotated(a).cmp(&rotated(b)))
+    });
+    picks.truncate(budget);
+    picks.sort_unstable();
+    picks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Drives [`pick_round`] the way `dbselect refresh` does: every round
+    /// that picks something appends a generation and records it as the
+    /// picks' `patched_at`.
+    struct Chain {
+        dbs: Vec<Standing>,
+        generation: u64,
+        budget: usize,
+        seed: u64,
+    }
+
+    impl Chain {
+        fn new(n: usize, budget: usize, seed: u64) -> Chain {
+            let fresh = Standing {
+                patched_at: 0,
+                coverage: 0.0,
+                eligible: true,
+            };
+            Chain {
+                dbs: vec![fresh; n],
+                generation: 0,
+                budget,
+                seed,
+            }
+        }
+
+        fn next_round(&mut self) -> Vec<usize> {
+            let picks = pick_round(&self.dbs, self.generation, self.budget, self.seed);
+            if !picks.is_empty() {
+                self.generation += 1;
+                for &db in &picks {
+                    self.dbs[db].patched_at = self.generation;
+                }
+            }
+            picks
+        }
+    }
+
     #[test]
     fn cold_start_is_exact_round_robin() {
-        let mut s = RefreshScheduler::new(5, 2, 0);
+        let mut s = Chain::new(5, 2, 0);
         let mut seen = Vec::new();
         for _ in 0..5 {
             let picks = s.next_round();
@@ -174,51 +132,45 @@ mod tests {
     #[test]
     fn same_seed_replays_the_same_schedule() {
         let run = |seed| {
-            let mut s = RefreshScheduler::new(7, 3, seed);
+            let mut s = Chain::new(7, 3, seed);
             (0..4).map(|_| s.next_round()).collect::<Vec<_>>()
         };
         assert_eq!(run(42), run(42));
-        // A different seed rotates the cursor differently on the first
+        // A different seed rotates the tie-break differently on the first
         // (all-ties) round.
         assert_ne!(run(0)[0], run(3)[0]);
     }
 
     #[test]
     fn low_coverage_jumps_the_queue() {
-        let mut s = RefreshScheduler::new(4, 1, 0);
+        let mut s = Chain::new(4, 1, 0);
         // db 3 has seen almost none of its database; the rest are fully
         // covered. Staleness ties, so uncertainty decides.
         for db in 0..3 {
-            s.set_coverage(db, 1.0);
+            s.dbs[db].coverage = 1.0;
         }
-        s.set_coverage(3, 0.01);
+        s.dbs[3].coverage = 0.01;
         assert_eq!(s.next_round(), vec![3]);
         // Once refreshed, its staleness resets and the stale full-coverage
         // databases overtake it again.
-        assert_eq!(s.next_round(), vec![0]);
-    }
-
-    #[test]
-    fn a_deferred_pick_keeps_aging() {
-        let mut s = RefreshScheduler::new(3, 1, 0);
-        assert_eq!(s.next_round(), vec![0]);
-        s.defer(0);
-        // Database 0's probe failed: it is as stale as everything else
-        // and, ties breaking past the cursor, waits its turn...
         assert_eq!(s.next_round(), vec![1]);
-        assert_eq!(s.next_round(), vec![2]);
-        // ...but with two rounds more staleness than the others it comes
-        // up next, where a completed pick would have waited a full cycle.
-        assert!((s.priority(0) - 4.0 * 2.0).abs() < 1e-12);
-        assert_eq!(s.next_round(), vec![0]);
-        s.defer(2); // not picked this round: nothing to undo
-        assert!((s.priority(2) - 2.0 * 2.0).abs() < 1e-12);
+        // Out-of-range and non-finite coverages are clamped: below zero
+        // counts as zero, NaN as full coverage.
+        let standing = |coverage| Standing {
+            patched_at: 0,
+            coverage,
+            eligible: true,
+        };
+        let dbs = [standing(f64::NAN), standing(-3.0), standing(0.0)];
+        assert_eq!(pick_round(&dbs, 0, 2, 0), vec![1, 2]);
+        let dbs = [standing(0.0), standing(f64::INFINITY), standing(1.0)];
+        assert_eq!(pick_round(&dbs, 0, 1, 1), vec![0]);
     }
 
     #[test]
     fn ineligible_databases_are_never_picked() {
-        let mut s = RefreshScheduler::new(3, 3, 0);
-        s.set_eligible(1, false);
+        let mut s = Chain::new(3, 3, 0);
+        s.dbs[1].eligible = false;
         for _ in 0..5 {
             assert!(!s.next_round().contains(&1));
         }
@@ -226,10 +178,10 @@ mod tests {
 
     #[test]
     fn no_starvation_under_skewed_coverage() {
-        let mut s = RefreshScheduler::new(6, 1, 1);
-        s.set_coverage(0, 0.0); // permanently most-uncertain
+        let mut s = Chain::new(6, 1, 1);
+        s.dbs[0].coverage = 0.0; // permanently most-uncertain
         for db in 1..6 {
-            s.set_coverage(db, 0.9);
+            s.dbs[db].coverage = 0.9;
         }
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..30 {
@@ -244,9 +196,11 @@ mod tests {
 
     #[test]
     fn empty_and_zero_budget_schedulers_yield_nothing() {
-        assert!(RefreshScheduler::new(0, 4, 9).next_round().is_empty());
-        assert!(RefreshScheduler::new(4, 0, 9).next_round().is_empty());
-        let mut s = RefreshScheduler::new(3, 8, 0);
+        assert!(Chain::new(0, 4, 9).next_round().is_empty());
+        assert!(Chain::new(4, 0, 9).next_round().is_empty());
+        let mut s = Chain::new(3, 8, 0);
         assert_eq!(s.next_round(), vec![0, 1, 2], "budget beyond n picks all");
+        s.dbs.iter_mut().for_each(|db| db.eligible = false);
+        assert!(s.next_round().is_empty(), "nothing eligible picks nothing");
     }
 }

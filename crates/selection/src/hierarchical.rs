@@ -17,7 +17,7 @@ use dbselect_core::hierarchy::{CategoryId, Hierarchy};
 use dbselect_core::summary::{ContentSummary, SummaryView};
 use textindex::TermId;
 
-use crate::context::{rank_databases, CollectionContext, RankedDatabase, SelectionAlgorithm};
+use crate::context::{rank_databases, RankedDatabase, SelectionAlgorithm};
 
 /// Hierarchical selector over a classified database collection.
 pub struct HierarchicalSelector<'a> {
@@ -156,17 +156,6 @@ impl<'a> HierarchicalSelector<'a> {
             }
             out.push(db);
         }
-    }
-
-    /// The scoring context over the flat database collection (exposed for
-    /// parity checks in tests).
-    pub fn flat_context(&self, query: &[TermId]) -> CollectionContext {
-        let views: Vec<&dyn SummaryView> = self
-            .db_summaries
-            .iter()
-            .map(|s| s as &dyn SummaryView)
-            .collect();
-        CollectionContext::build(query, &views)
     }
 }
 

@@ -126,14 +126,20 @@ impl DeltaRecord {
     /// Serialize (magic, checksummed payload, trailing digest); returns
     /// the payload digest — the `parent` value of the next delta.
     /// Refuses, naming the database, a patch whose sample column holds a
-    /// non-finite size or estimate: the chain loader would reject it.
+    /// non-finite size or estimate, or whose γ is NaN: the chain loader
+    /// would reject it.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<u64> {
         for p in &self.patches {
             let s = &p.unshrunk;
-            if !finite(s.db_size(), s.word_count(), s.raw_column()) {
-                let error = format!("database #{}: non-finite size or estimate", p.db);
-                return Err(io::Error::new(io::ErrorKind::InvalidInput, error));
-            }
+            let error = if !finite(s.db_size(), s.word_count(), s.raw_column()) {
+                "non-finite size or estimate"
+            } else if p.gamma.is_nan() {
+                "NaN gamma"
+            } else {
+                continue;
+            };
+            let error = format!("database #{}: {error}", p.db);
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, error));
         }
         w.write_all(DELTA_MAGIC)?;
         let mut cw = ChecksumWriter::new(&mut *w);
@@ -195,8 +201,8 @@ impl DeltaRecord {
                     return Err(corrupt("delta patches not strictly ascending by database"));
                 }
             }
-            let gamma = read_f64(&mut cr)?;
             let numbered = |e: io::Error| io::Error::new(e.kind(), format!("database #{db}: {e}"));
+            let gamma = read_f64(&mut cr).map_err(numbered)?;
             let lambdas = read_lambdas(&mut cr).map_err(numbered)?;
             let unshrunk = read_sample_column(&mut cr, dict_len).map_err(numbered)?;
             patches.push(DbPatch {
@@ -247,6 +253,9 @@ pub struct ChainLoad {
     pub checksum: u64,
     /// Total on-disk size of base + deltas.
     pub bytes: u64,
+    /// Per database, the generation of the last chain file that patched
+    /// it (0 for the base): what the refresh policy reads staleness from.
+    pub patched_at: Vec<u64>,
 }
 
 /// Prefix load errors with the failing file and its chain role, keeping
@@ -313,6 +322,7 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
 
     let deltas = scan_deltas(dir)?;
     let mut generation = 0u64;
+    let mut patched_at = vec![0; snapshot.catalog.len()];
     for (number, path) in deltas {
         let role = format!("chain delta {number}");
         let wrap = |e: io::Error| chain_context(&path, &role, e);
@@ -358,6 +368,9 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
             .apply_updates(&updates)
             .map_err(corrupt)
             .map_err(wrap)?;
+        for update in &updates {
+            patched_at[update.db] = number;
+        }
         bytes += std::fs::metadata(&path).map_err(wrap)?.len();
         tip = digest;
         generation = number;
@@ -368,6 +381,7 @@ pub fn load_chain(dir: impl AsRef<Path>) -> io::Result<ChainLoad> {
         generation,
         checksum: tip,
         bytes,
+        patched_at,
     })
 }
 
@@ -386,6 +400,7 @@ pub fn load_served(path: impl AsRef<Path>) -> io::Result<ChainLoad> {
     let (snapshot, checksum) = ServingSnapshot::load_with_digest(path).map_err(context)?;
     let bytes = std::fs::metadata(path).map_err(context)?.len();
     Ok(ChainLoad {
+        patched_at: vec![0; snapshot.catalog.len()],
         snapshot,
         generation: 0,
         checksum,

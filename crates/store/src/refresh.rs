@@ -271,8 +271,8 @@ impl RefreshSession {
     }
 
     /// Sample coverage of `db` — `sample_size / |D̂|`, the uncertainty
-    /// signal the refresh scheduler prioritizes on (0 when the size
-    /// estimate is degenerate).
+    /// signal `sampling::refresh::pick_round` prioritizes on (1, no
+    /// uncertainty bonus, when the size estimate is degenerate).
     pub fn coverage(&self, db: usize) -> f64 {
         let s = self.summary(db);
         if s.db_size() > 0.0 {

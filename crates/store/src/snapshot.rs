@@ -146,7 +146,8 @@ impl ServingSnapshot {
 
     /// Serialize into `w` (magic, checksummed payload, trailing digest).
     /// Refuses, naming the database, a non-finite size or estimate in a
-    /// sample column or a pinned basis: the loader would reject the file.
+    /// sample column or a pinned basis, or a NaN γ: the loader would
+    /// reject the file.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let invalid = |m: &str| io::Error::new(io::ErrorKind::InvalidInput, m.to_string());
         let n = self.catalog.len();
@@ -157,12 +158,16 @@ impl ServingSnapshot {
         for (db, name) in self.catalog.names().iter().enumerate() {
             let own = self.catalog.unshrunk(db);
             let basis = shrunk.basis(db);
-            if !finite(own.db_size(), own.word_count(), own.raw_column())
+            let error = if !finite(own.db_size(), own.word_count(), own.raw_column())
                 || !basis.is_none_or(|b| finite(b.db_size(), b.word_count(), b.raw()))
             {
-                let error = format!("database `{name}`: non-finite size or estimate");
-                return Err(invalid(&error));
-            }
+                "non-finite size or estimate"
+            } else if self.catalog.gamma(db).is_nan() {
+                "NaN gamma"
+            } else {
+                continue;
+            };
+            return Err(invalid(&format!("database `{name}`: {error}")));
         }
         let index = self.catalog.posting_index();
         w.write_all(SNAPSHOT_MAGIC)?;
@@ -544,7 +549,7 @@ fn read_payload<R: Read>(r: &mut R) -> io::Result<ServingSnapshot> {
         // A database that fails validation is reported by name.
         let named = |e: io::Error| io::Error::new(e.kind(), format!("database `{name}`: {e}"));
         let category = read_u32(r)? as usize;
-        let gamma = read_f64(r)?;
+        let gamma = read_f64(r).map_err(named)?;
         let lambdas = read_lambdas(r).map_err(named)?;
         let own = read_sample_column(r, dict.len()).map_err(named)?;
         let mut flag = [0u8; 1];
@@ -714,6 +719,39 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("`soccer-db`"), "{err}");
         assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+
+    /// A NaN γ is refused by the loader, naming the database, so the
+    /// writer refuses one too: `save` fails and leaves no file behind.
+    #[test]
+    fn a_nan_gamma_is_refused_on_save_and_named_on_load() {
+        let mut store = fixture_store();
+        store.databases[1].summary.set_gamma(f64::NAN);
+        let frozen = StoredCatalog::freeze(store, CategoryWeighting::BySize);
+        let snapshot = ServingSnapshot::from_stored(&frozen);
+        assert!(snapshot.catalog.gamma(1).is_nan());
+        let dir = std::env::temp_dir().join(format!("dbsel-nan-gamma-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = snapshot.save(dir.join("nan.snap")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("`soccer-db`: NaN gamma"), "{err}");
+        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A file that holds one anyway fails to load, naming the database.
+        let mut bytes = Vec::new();
+        fixture_snapshot().write_to(&mut bytes).unwrap();
+        let gamma = (-1.9f64).to_le_bytes();
+        let at = bytes.windows(8).position(|w| w == gamma).unwrap();
+        bytes[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        reseal(&mut bytes);
+        let err = ServingSnapshot::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("`heart-db`: corrupt store: NaN"),
+            "{err}"
+        );
     }
 
     /// Golden values: every served value's bits, recorded from the v3

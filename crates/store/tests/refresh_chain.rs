@@ -513,6 +513,74 @@ fn non_finite_patches_are_refused_before_writing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A γ the loader would refuse (NaN) is refused before the delta is
+/// written, naming the database: the chain keeps loading at its old tip.
+#[test]
+fn a_nan_gamma_is_refused_before_appending() {
+    let dir = temp_chain("nan-gamma");
+    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
+    let mut session = RefreshSession::new(stored);
+    let mut writer = ChainWriter::create(&dir, &session.freeze_full()).unwrap();
+    let summary = probe(&mut session, 1, 1);
+    let patch = session.apply_probe(1, summary);
+    writer.append_round(session.dict(), vec![patch]).unwrap();
+
+    let mut summary = probe(&mut session, 3, 2);
+    summary.set_gamma(f64::NAN);
+    let patch = session.apply_probe(3, summary);
+    assert!(patch.gamma.is_nan());
+    let err = writer
+        .append_round(session.dict(), vec![patch])
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("database #3: NaN gamma"), "{err}");
+    let expected = [delta::BASE_FILE.to_string(), delta::delta_file_name(1)];
+    assert_eq!(chain_files(&dir), expected);
+    assert_eq!(delta::load_chain(&dir).unwrap().generation, 1);
+    assert_eq!(writer.generation(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replay records, per database, the last generation that patched it
+/// (0 for databases no delta touched); a single snapshot file is all
+/// base, and a chain that fails to load yields no record at all.
+#[test]
+fn patched_at_is_the_last_generation_that_patched_each_database() {
+    let dir = temp_chain("patched-at");
+    let stored = StoredCatalog::freeze(fixture_store(), CategoryWeighting::BySize);
+    let mut session = RefreshSession::new(stored);
+    let mut writer = ChainWriter::create(&dir, &session.freeze_full()).unwrap();
+    assert_eq!(delta::load_chain(&dir).unwrap().patched_at, [0; 6]);
+    let rounds: [&[usize]; 4] = [&[0, 2], &[2], &[0, 4], &[2]];
+    for (round, dbs) in (1u64..).zip(rounds) {
+        let patches = dbs
+            .iter()
+            .map(|&db| {
+                let summary = probe(&mut session, db, round);
+                session.apply_probe(db, summary)
+            })
+            .collect();
+        assert_eq!(writer.append_round(session.dict(), patches).unwrap(), round);
+    }
+    let chain = delta::load_chain(&dir).unwrap();
+    assert_eq!(chain.generation, 4);
+    assert_eq!(chain.patched_at, [3, 0, 4, 0, 3, 0]);
+    assert_eq!(
+        delta::load_served(&dir).unwrap().patched_at,
+        chain.patched_at
+    );
+
+    let base = delta::load_served(dir.join(delta::BASE_FILE)).unwrap();
+    assert_eq!((base.generation, base.patched_at), (0, vec![0; 6]));
+
+    let last = dir.join(delta::delta_file_name(4));
+    let bytes = std::fs::read(&last).unwrap();
+    std::fs::write(&last, &bytes[..bytes.len() - 1]).unwrap();
+    let err = delta::load_chain(&dir).unwrap_err();
+    assert!(err.to_string().contains("chain delta 4"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     /// The single-byte-mutation fuzz, extended to chains: flipping any
     /// byte of any chain member (base or any delta) makes the chain load

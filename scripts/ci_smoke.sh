@@ -579,4 +579,25 @@ grep 'round 1: skipped soccer' "$WORK/refresh_skip.txt"
 grep 'round 1 -> generation 1: refreshed med' "$WORK/refresh_skip.txt"
 ls "$WORK/chain_skip/delta-000001.snap" > /dev/null
 
+# --- refresh runs compose: the chain is the schedule -----------------------
+# A round's picks are read off the chain (its generation, the generation
+# each database was last patched at, the sample coverages), so three
+# one-round runs append, byte for byte, the deltas one three-round run
+# appends.
+mkdir -p "$WORK/chain_long" "$WORK/chain_runs"
+"$DBSELECT" freeze --store "$WORK/col.store" --out "$WORK/chain_long/base.snap"
+cp "$WORK/chain_long/base.snap" "$WORK/chain_runs/base.snap"
+"$DBSELECT" refresh --chain "$WORK/chain_long" --rounds 3 --budget 1 --full \
+    med=Health/Medicine="$WORK/med" \
+    soccer=Sports/Soccer="$WORK/soccer"
+for _ in 1 2 3; do
+    "$DBSELECT" refresh --chain "$WORK/chain_runs" --rounds 1 --budget 1 --full \
+        med=Health/Medicine="$WORK/med" \
+        soccer=Sports/Soccer="$WORK/soccer"
+done
+for g in 000001 000002 000003; do
+    cmp "$WORK/chain_long/delta-$g.snap" "$WORK/chain_runs/delta-$g.snap"
+done
+echo "=== refresh runs compose: ok ==="
+
 echo "smoke test passed"
