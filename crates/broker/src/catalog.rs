@@ -927,11 +927,6 @@ impl Catalog {
         self.index.get(term)
     }
 
-    /// Number of distinct terms with postings.
-    pub fn indexed_terms(&self) -> usize {
-        self.index.len()
-    }
-
     /// Look every word of `query` up in the posting index — the only
     /// search a request makes there; everything below reads `plan`.
     pub(crate) fn plan(&self, query: &[TermId], plan: &mut QueryPlan) {
@@ -1140,7 +1135,6 @@ mod tests {
         assert_eq!(p.dbs, &[0, 1]);
         assert_eq!(p.effective_count, 2);
         assert!(c.postings(99).is_none());
-        assert_eq!(c.indexed_terms(), 2);
         let index = c.posting_index();
         assert_eq!(index.terms(), &[1, 2]);
         assert_eq!(index.offsets(), &[0, 2, 3]);

@@ -462,11 +462,6 @@ impl CategorySummaries {
         self.weighting
     }
 
-    /// Number of databases classified under `category`'s subtree.
-    pub fn database_count(&self, category: CategoryId) -> usize {
-        self.aggregates[category].n_dbs
-    }
-
     /// Materialize the category summary as a [`ContentSummary`] so the
     /// hierarchical selection baseline can score categories exactly like
     /// databases. Always uses Equation-1 semantics (`df` sums, size sums),
@@ -568,9 +563,9 @@ mod tests {
         // Eq 1: (0.5*10 + 2/30*30) / (10+30) = 7/40.
         assert!((health_summary.p_df(7) - 7.0 / 40.0).abs() < 1e-12);
         assert_eq!(health_summary.db_size(), 40.0);
-        assert_eq!(cs.database_count(health), 2);
-        assert_eq!(cs.database_count(heart), 1);
-        assert_eq!(cs.database_count(Hierarchy::ROOT), 2);
+        assert_eq!(cs.aggregates[health].n_dbs(), 2);
+        assert_eq!(cs.aggregates[heart].n_dbs(), 1);
+        assert_eq!(cs.aggregates[Hierarchy::ROOT].n_dbs(), 2);
     }
 
     #[test]
@@ -657,7 +652,7 @@ mod tests {
         let sports = h.add_child(Hierarchy::ROOT, "Sports");
         let d1 = summary(&[(7, 5)], 10);
         let cs = CategorySummaries::build(&h, &[(heart, &d1)], CategoryWeighting::BySize);
-        assert_eq!(cs.database_count(sports), 0);
+        assert_eq!(cs.aggregates[sports].n_dbs(), 0);
         assert_eq!(cs.category_summary(sports).vocabulary_size(), 0);
         assert_eq!(cs.category_summary(sports).db_size(), 0.0);
         // Raw: Root, then the empty Sports summary.

@@ -72,12 +72,6 @@ pub struct MandelbrotCheckpoint {
     pub log_beta: f64,
 }
 
-/// Compute the rank/frequency curve of a sample summary: words sorted by
-/// descending sample document frequency, rank starting at 1.
-pub fn sample_rank_frequency(summary: &ContentSummary) -> Vec<(f64, f64)> {
-    rank_frequency(summary.iter().map(|(_, s)| s.sample_df))
-}
-
 /// The rank/frequency curve of sample document frequencies given in any
 /// order: sorted descending, rank starting at 1.
 fn rank_frequency(sample_dfs: impl IntoIterator<Item = u32>) -> Vec<(f64, f64)> {
@@ -349,7 +343,7 @@ mod tests {
             Document::from_tokens(1, vec![1]),
         ];
         let summary = ContentSummary::from_sample(docs.iter(), 2.0);
-        let curve = sample_rank_frequency(&summary);
+        let curve = rank_frequency(summary.iter().map(|(_, s)| s.sample_df));
         assert_eq!(curve, vec![(1.0, 2.0), (2.0, 1.0)]);
     }
 }

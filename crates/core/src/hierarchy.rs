@@ -126,18 +126,6 @@ impl Hierarchy {
         path
     }
 
-    /// Is `ancestor` an ancestor of (or equal to) `id`?
-    pub fn is_ancestor_or_self(&self, ancestor: CategoryId, id: CategoryId) -> bool {
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            if c == ancestor {
-                return true;
-            }
-            cur = self.nodes[c].parent;
-        }
-        false
-    }
-
     /// All categories in the subtree rooted at `id` (including `id`),
     /// in pre-order.
     pub fn subtree(&self, id: CategoryId) -> Vec<CategoryId> {
@@ -315,19 +303,6 @@ mod tests {
         let h = Hierarchy::odp_like();
         let aids = h.find("AIDS").unwrap();
         assert_eq!(h.full_name(aids), "Root/Health/Diseases/AIDS");
-    }
-
-    #[test]
-    fn ancestors() {
-        let h = Hierarchy::odp_like();
-        let health = h.find("Health").unwrap();
-        let aids = h.find("AIDS").unwrap();
-        let sports = h.find("Sports").unwrap();
-        assert!(h.is_ancestor_or_self(Hierarchy::ROOT, aids));
-        assert!(h.is_ancestor_or_self(health, aids));
-        assert!(h.is_ancestor_or_self(aids, aids));
-        assert!(!h.is_ancestor_or_self(sports, aids));
-        assert!(!h.is_ancestor_or_self(aids, health));
     }
 
     #[test]

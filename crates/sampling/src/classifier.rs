@@ -180,7 +180,9 @@ mod tests {
             // Credit if the prediction lies on the true path (top-level
             // agreement is what FPS needs to descend correctly).
             let path = bed.hierarchy.path_from_root(*leaf);
-            if path.contains(&predicted) || bed.hierarchy.is_ancestor_or_self(path[1], predicted) {
+            if path.contains(&predicted)
+                || bed.hierarchy.path_from_root(predicted).contains(&path[1])
+            {
                 correct_top += 1;
             }
         }

@@ -347,7 +347,9 @@ mod tests {
         for (leaf, doc) in &fresh {
             let predicted = classifier.classify_document(&bed.hierarchy, doc);
             let path = bed.hierarchy.path_from_root(*leaf);
-            if path.contains(&predicted) || bed.hierarchy.is_ancestor_or_self(path[1], predicted) {
+            if path.contains(&predicted)
+                || bed.hierarchy.path_from_root(predicted).contains(&path[1])
+            {
                 consistent += 1;
             }
         }

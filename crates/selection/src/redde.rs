@@ -102,11 +102,6 @@ impl Redde {
         }
     }
 
-    /// Number of documents in the centralized sample index.
-    pub fn central_size(&self) -> usize {
-        self.doc_db.len()
-    }
-
     /// Rank databases for `query` by estimated relevant-document count.
     /// Databases with zero estimated relevant documents are not selected.
     pub fn rank(&self, query: &[TermId]) -> Vec<RankedDatabase> {
@@ -231,7 +226,8 @@ mod tests {
     #[test]
     fn central_index_pools_all_samples() {
         let redde = fixture();
-        assert_eq!(redde.central_size(), 8);
+        assert_eq!(redde.doc_db.len(), 8);
+        assert_eq!(redde.index.num_docs(), 8);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the paper's metasearcher makes — runs to completion on the thread that
 //! read it; everything else is handed to a worker pool:
 //!
-//! - **Reactors** ([`reactor`]): `workers` readiness loops ([`poller`]:
-//!   epoll on Linux, `poll(2)` elsewhere), each registered on its own
+//! - **Reactors** ([`reactor`]): `workers` readiness loops, each waiting
+//!   on its own `epoll(7)` instance ([`poller`]) and registered on its own
 //!   clone of the nonblocking listener. Whichever reactor accepts a
 //!   connection places it on the reactor holding the fewest (itself on a
 //!   tie), so keep-alive connections, which stay on their reactor for
@@ -31,7 +31,7 @@
 //!   request to a [`queue::BoundedQueue`] (a full queue is answered with
 //!   `503` and `Retry-After` — admission control at the parse boundary),
 //!   a worker runs it and posts the response to its reactor's
-//!   [`queue::CompletionQueue`], ringing that reactor's wakeup pipe.
+//!   [`queue::CompletionQueue`], ringing that reactor's wakeup eventfd.
 //! - Routing endpoints resolve the current [`state::ServingState`] and
 //!   its generation as one pair under one `RwLock`. `/admin/reload`
 //!   builds the *next* state off to the side and swaps the pair, so
@@ -49,6 +49,11 @@
 //! [`json::Json`] tree. The engines decide by the closed-form uncertainty
 //! test and draw no random numbers, so the `seed` and `index` request
 //! fields are validated and otherwise ignored.
+//!
+//! The crate builds only on Linux: the reactors wait on epoll.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the dbselectd server needs Linux: its reactors wait on epoll(7)");
 
 pub mod client;
 pub mod http;
@@ -110,8 +115,11 @@ pub struct ServerConfig {
     /// Inert: it bounded the posterior cache that [`broker::MomentTable`]
     /// replaced, and stays only until the benchmark harness stops reading it.
     pub cache_capacity: usize,
-    /// Honor the `X-Debug-Sleep-Ms` request header (tests and load
-    /// generators only — lets a client hold a worker deterministically).
+    /// Honor the `X-Debug-Sleep-Ms`, `X-Debug-Route-Sleep-Ms` and
+    /// `X-Debug-Panic` request headers (tests only). `X-Debug-Sleep-Ms`
+    /// sleeps before dispatch on whichever thread runs the request — a pool
+    /// worker, or a catalog `/route`'s reactor — so a client can hold either
+    /// deterministically.
     pub debug_sleep: bool,
     /// Per-tenant admission quota: maximum in-flight routing requests per
     /// tenant before the daemon answers `503` + `Retry-After` (0 =
@@ -333,20 +341,18 @@ impl Shared {
     }
 
     /// Whether `request` runs to completion on the reactor that parsed it:
-    /// a catalog `POST /route` or `POST /t/<tenant>/route`. The pool takes
-    /// the rest — and a `/route` carrying `X-Debug-Sleep-Ms`, whose point is
-    /// to hold a pool thread.
+    /// every catalog `POST /route` or `POST /t/<tenant>/route` does. The
+    /// pool takes the rest.
     pub(crate) fn runs_inline(&self, request: &Request) -> bool {
         if self.proxy.is_some() || request.method != "POST" {
             return false;
         }
         let path = request.path();
-        let route = path == "/route"
+        path == "/route"
             || path
                 .strip_prefix("/t/")
                 .and_then(|rest| rest.split_once('/'))
-                .is_some_and(|(_, sub)| sub == "route");
-        route && !(self.config.debug_sleep && request.header("x-debug-sleep-ms").is_some())
+                .is_some_and(|(_, sub)| sub == "route")
     }
 }
 
@@ -459,7 +465,7 @@ impl Server {
     /// ([`reactor::run`], the first on the calling thread), each serving
     /// the connections placed on it and the `/route`s they carry, and a
     /// pool of as many workers for every other request, whose completions
-    /// go back through the owning reactor's wakeup pipe. Spawns the
+    /// go back through the owning reactor's wakeup eventfd. Spawns the
     /// reactors, the pool (and the backend health checker or the
     /// background refresher, when configured) and joins them before
     /// returning, so when `run` returns every admitted request has been
@@ -1111,8 +1117,8 @@ fn handle_route(
         Err(response) => return response,
     };
     // Post-admission sleep hook (tests only): unlike `X-Debug-Sleep-Ms`,
-    // which sends the request to the pool and sleeps before dispatch, this
-    // holds the tenant's quota slot — and the reactor running it.
+    // which sleeps before dispatch, this holds the tenant's quota slot —
+    // and the reactor running it.
     if shared.config.debug_sleep {
         if let Some(ms) = request
             .header("x-debug-route-sleep-ms")

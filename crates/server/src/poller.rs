@@ -1,20 +1,17 @@
-//! Readiness polling for the reactor: a [`Poller`] trait over a raw
-//! `epoll(7)` backend (Linux) and a portable `poll(2)` fallback, plus the
-//! [`Wakeup`] pipe workers use to interrupt a blocked wait.
+//! Readiness polling for the reactor: a level-triggered `epoll(7)`
+//! [`EpollPoller`], plus the [`Wakeup`] eventfd workers use to interrupt a
+//! blocked wait.
 //!
 //! The workspace is std-only, so the syscalls are declared directly as
 //! `extern "C"` items — the symbols resolve through the same libc that
 //! std already links, no crate needed. Only the handful of constants the
-//! reactor uses are defined, for the platforms the daemon targets
-//! (x86_64/aarch64 Linux for epoll; any POSIX for the fallback).
+//! reactor uses are defined, with their values on x86_64 and aarch64
+//! Linux, the platforms the daemon targets.
 
 use std::io;
-use std::os::raw::{c_int, c_void};
+use std::os::fd::RawFd;
+use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
-
-/// Raw file descriptor (mirrors `std::os::fd::RawFd` without the unix-only
-/// import path).
-pub type RawFd = c_int;
 
 /// What the owner of a registration wants to be told about.
 ///
@@ -27,7 +24,7 @@ pub enum Interest {
     Write,
 }
 
-/// One readiness event out of [`Poller::wait`].
+/// One readiness event out of [`EpollPoller::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered with.
@@ -39,32 +36,7 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A level-triggered readiness poller.
-pub trait Poller: Send {
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-    /// Block up to `timeout` (`None` = indefinitely) and fill `events`
-    /// with whatever is ready. Returns the number of events.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize>;
-    /// Backend name, exported for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// Pick the best backend for this platform: epoll on Linux, `poll(2)`
-/// elsewhere. Setting `DBSELECTD_FORCE_POLL=1` forces the fallback so CI
-/// can exercise it on Linux too.
-pub fn new_poller() -> io::Result<Box<dyn Poller>> {
-    #[cfg(target_os = "linux")]
-    {
-        if std::env::var("DBSELECTD_FORCE_POLL").ok().as_deref() != Some("1") {
-            return Ok(Box::new(EpollPoller::new()?));
-        }
-    }
-    Ok(Box::new(PollPoller::new()))
-}
-
-/// Clamp a timeout to the millisecond `c_int` the syscalls take, rounding
+/// Clamp a timeout to the millisecond `c_int` the syscall takes, rounding
 /// up so a 0.4ms deadline does not spin at 0ms.
 fn timeout_ms(timeout: Option<Duration>) -> c_int {
     match timeout {
@@ -81,371 +53,182 @@ fn timeout_ms(timeout: Option<Duration>) -> c_int {
     }
 }
 
-fn last_os_error_is(kind: io::ErrorKind) -> bool {
-    io::Error::last_os_error().kind() == kind
+const EFD_CLOEXEC: c_int = 0o2000000;
+const EFD_NONBLOCK: c_int = 0o4000;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+
+/// Kernel ABI: packed on x86_64 (the one architecture where the struct is
+/// not naturally aligned), natural layout elsewhere.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Shared FFI: pipe + fcntl (used by Wakeup on every platform).
-// ---------------------------------------------------------------------------
-
-const F_SETFL: c_int = 4;
-const F_GETFL: c_int = 3;
-const O_NONBLOCK: c_int = 0o4000;
-
 extern "C" {
-    fn pipe(fds: *mut c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
 }
 
-fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
-    // SAFETY: plain fcntl on an fd we own; no pointers involved.
-    unsafe {
-        let flags = fcntl(fd, F_GETFL);
-        if flags < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0 {
-            return Err(io::Error::last_os_error());
-        }
-    }
-    Ok(())
-}
-
 /// The reactor's doorbell: workers [`notify`](Wakeup::notify) after
-/// posting a completion, which makes the read end readable and pops the
-/// reactor out of its `wait`. Both ends are nonblocking — a full pipe on
-/// notify is fine (the reactor is already guaranteed to wake), and the
-/// reactor drains until `EAGAIN`.
+/// posting a completion, which makes the eventfd readable and pops the
+/// reactor out of its `wait`. Notifies add to one kernel counter, so any
+/// number of them before a [`drain`](Wakeup::drain) cost the reactor one
+/// event, and one read resets the counter.
 #[derive(Debug)]
 pub struct Wakeup {
-    read_fd: RawFd,
-    write_fd: RawFd,
+    fd: RawFd,
 }
-
-// SAFETY: the fds are plain ints; read/write on a pipe are thread-safe.
-unsafe impl Sync for Wakeup {}
 
 impl Wakeup {
     pub fn new() -> io::Result<Wakeup> {
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: fds points at two writable c_ints.
-        if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
+        // SAFETY: no pointers; returns a new fd or -1.
+        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
+        if fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        let wakeup = Wakeup {
-            read_fd: fds[0],
-            write_fd: fds[1],
-        };
-        set_nonblocking_fd(wakeup.read_fd)?;
-        set_nonblocking_fd(wakeup.write_fd)?;
-        Ok(wakeup)
+        Ok(Wakeup { fd })
     }
 
     /// The fd the reactor registers for `Read` interest.
-    pub fn read_fd(&self) -> RawFd {
-        self.read_fd
+    pub fn fd(&self) -> RawFd {
+        self.fd
     }
 
-    /// Ring the doorbell. Never blocks; a full pipe already guarantees a
-    /// pending wakeup, so `EAGAIN` is success.
+    /// Ring the doorbell. Never blocks; `EAGAIN` (a counter at its
+    /// maximum) already guarantees a pending wakeup, so it is success.
     pub fn notify(&self) {
-        let byte = 1u8;
-        // SAFETY: one byte from a live stack slot into an fd we own.
-        let _ = unsafe { write(self.write_fd, (&byte as *const u8).cast(), 1) };
+        let one = 1u64;
+        // SAFETY: eight bytes from a live stack slot into an fd we own.
+        let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
-    /// Swallow all pending doorbell bytes.
+    /// Swallow every pending ring: one read resets the counter to zero.
     pub fn drain(&self) {
-        let mut scratch = [0u8; 64];
-        loop {
-            // SAFETY: scratch is a live writable buffer of the given len.
-            let n = unsafe { read(self.read_fd, scratch.as_mut_ptr().cast(), scratch.len()) };
-            if n <= 0 {
-                return;
-            }
-        }
+        let mut count = 0u64;
+        // SAFETY: count is a live, writable eight-byte slot.
+        let _ = unsafe { read(self.fd, (&mut count as *mut u64).cast(), 8) };
     }
 }
 
 impl Drop for Wakeup {
     fn drop(&mut self) {
-        // SAFETY: closing fds this struct owns, exactly once.
-        unsafe {
-            close(self.read_fd);
-            close(self.write_fd);
-        }
+        // SAFETY: closing the fd this struct owns, exactly once.
+        unsafe { close(self.fd) };
     }
 }
 
-// ---------------------------------------------------------------------------
-// epoll backend (Linux).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod epoll {
-    use super::*;
-
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// Kernel ABI: packed on x86_64 (the one architecture where the
-    /// struct is not naturally aligned), natural layout elsewhere.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub(super) struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout_ms: c_int,
-        ) -> c_int;
-    }
-
-    pub struct EpollPoller {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl EpollPoller {
-        pub fn new() -> io::Result<EpollPoller> {
-            // SAFETY: no pointers; returns a new fd or -1.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(EpollPoller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut event = EpollEvent {
-                events: match interest {
-                    Interest::Read => EPOLLIN | EPOLLRDHUP,
-                    Interest::Write => EPOLLOUT,
-                },
-                data: token,
-            };
-            // SAFETY: event is a live, properly laid out EpollEvent.
-            if unsafe { epoll_ctl(self.epfd, op, fd, &mut event) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-    }
-
-    impl Poller for EpollPoller {
-        fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let mut unused = EpollEvent { events: 0, data: 0 };
-            // SAFETY: pre-2.6.9 kernels demand a non-null event for DEL;
-            // passing one is harmless everywhere.
-            if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut unused) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            let n = loop {
-                // SAFETY: buf is a live array of EpollEvents of the given
-                // capacity; the kernel fills the first n.
-                let n = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as c_int,
-                        timeout_ms(timeout),
-                    )
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                if !last_os_error_is(io::ErrorKind::Interrupted) {
-                    return Err(io::Error::last_os_error());
-                }
-            };
-            for raw in &self.buf[..n] {
-                let bits = raw.events;
-                events.push(Event {
-                    token: raw.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(n)
-        }
-
-        fn name(&self) -> &'static str {
-            "epoll"
-        }
-    }
-
-    impl Drop for EpollPoller {
-        fn drop(&mut self) {
-            // SAFETY: closing the epoll fd we created.
-            unsafe { close(self.epfd) };
-        }
-    }
+/// A level-triggered `epoll(7)` instance.
+pub struct EpollPoller {
+    epfd: RawFd,
+    buf: Vec<EpollEvent>,
 }
 
-#[cfg(target_os = "linux")]
-pub use epoll::EpollPoller;
-
-// ---------------------------------------------------------------------------
-// poll(2) fallback (any POSIX).
-// ---------------------------------------------------------------------------
-
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: c_int,
-    events: i16,
-    revents: i16,
-}
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout_ms: c_int) -> c_int;
-}
-
-/// Portable fallback: rebuilds the `pollfd` array every wait. O(n) per
-/// call, which is fine for the scales where epoll is unavailable.
-pub struct PollPoller {
-    entries: Vec<(RawFd, u64, Interest)>,
-    fds: Vec<PollFd>,
-}
-
-impl PollPoller {
-    pub fn new() -> PollPoller {
-        PollPoller {
-            entries: Vec::new(),
-            fds: Vec::new(),
+impl EpollPoller {
+    pub fn new() -> io::Result<EpollPoller> {
+        // SAFETY: no pointers; returns a new fd or -1.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(EpollPoller {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    fn position(&self, fd: RawFd) -> Option<usize> {
-        self.entries.iter().position(|&(f, _, _)| f == fd)
-    }
-}
-
-impl Default for PollPoller {
-    fn default() -> Self {
-        PollPoller::new()
-    }
-}
-
-impl Poller for PollPoller {
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        if self.position(fd).is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut event = EpollEvent {
+            events: match interest {
+                Interest::Read => EPOLLIN | EPOLLRDHUP,
+                Interest::Write => EPOLLOUT,
+            },
+            data: token,
+        };
+        // SAFETY: event is a live, properly laid out EpollEvent.
+        if unsafe { epoll_ctl(self.epfd, op, fd, &mut event) } < 0 {
+            return Err(io::Error::last_os_error());
         }
-        self.entries.push((fd, token, interest));
         Ok(())
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let ix = self
-            .position(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.entries[ix] = (fd, token, interest);
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        let mut unused = EpollEvent { events: 0, data: 0 };
+        // SAFETY: pre-2.6.9 kernels demand a non-null event for DEL;
+        // passing one is harmless everywhere.
+        if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut unused) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
         Ok(())
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let ix = self
-            .position(fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.entries.swap_remove(ix);
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    /// Block up to `timeout` (`None` = indefinitely) and fill `events`
+    /// with whatever is ready. Returns the number of events.
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
-        self.fds.clear();
-        for &(fd, _, interest) in &self.entries {
-            self.fds.push(PollFd {
-                fd,
-                events: match interest {
-                    Interest::Read => POLLIN,
-                    Interest::Write => POLLOUT,
-                },
-                revents: 0,
-            });
-        }
         let n = loop {
-            // SAFETY: fds is a live array matching nfds.
+            // SAFETY: buf is a live array of EpollEvents of the given
+            // capacity; the kernel fills the first n.
             let n = unsafe {
-                poll(
-                    self.fds.as_mut_ptr(),
-                    self.fds.len() as std::os::raw::c_ulong,
+                epoll_wait(
+                    self.epfd,
+                    self.buf.as_mut_ptr(),
+                    self.buf.len() as c_int,
                     timeout_ms(timeout),
                 )
             };
             if n >= 0 {
                 break n as usize;
             }
-            if !last_os_error_is(io::ErrorKind::Interrupted) {
-                return Err(io::Error::last_os_error());
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
         };
-        for (pollfd, &(_, token, _)) in self.fds.iter().zip(&self.entries) {
-            let bits = pollfd.revents;
-            if bits == 0 {
-                continue;
-            }
+        for raw in &self.buf[..n] {
+            let bits = raw.events;
             events.push(Event {
-                token,
-                readable: bits & (POLLIN | POLLHUP | POLLERR) != 0,
-                writable: bits & (POLLOUT | POLLHUP | POLLERR) != 0,
-                hangup: bits & (POLLHUP | POLLERR) != 0,
+                token: raw.data,
+                readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
+                writable: bits & EPOLLOUT != 0,
+                hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
             });
         }
         Ok(n)
     }
+}
 
-    fn name(&self) -> &'static str {
-        "poll"
+impl Drop for EpollPoller {
+    fn drop(&mut self) {
+        // SAFETY: closing the epoll fd we created.
+        unsafe { close(self.epfd) };
     }
 }
 
@@ -454,113 +237,117 @@ mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsRawFd as _;
 
-    #[cfg(unix)]
-    fn raw_fd<T: std::os::unix::io::AsRawFd>(v: &T) -> RawFd {
-        v.as_raw_fd()
-    }
-
-    fn backends() -> Vec<Box<dyn Poller>> {
-        let mut backends: Vec<Box<dyn Poller>> = vec![Box::new(PollPoller::new())];
-        #[cfg(target_os = "linux")]
-        backends.push(Box::new(EpollPoller::new().expect("epoll_create1")));
-        backends
+    fn poller() -> EpollPoller {
+        EpollPoller::new().expect("epoll_create1")
     }
 
     #[test]
     fn wakeup_notify_unblocks_and_drains() {
-        for mut poller in backends() {
-            let wakeup = Wakeup::new().expect("pipe");
-            poller
-                .register(wakeup.read_fd(), 7, Interest::Read)
-                .expect("register");
-            let mut events = Vec::new();
-            // No doorbell: times out empty.
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .expect("wait");
-            assert_eq!(n, 0, "{}: spurious event", poller.name());
+        let mut poller = poller();
+        let wakeup = Wakeup::new().expect("eventfd");
+        poller
+            .register(wakeup.fd(), 7, Interest::Read)
+            .expect("register");
+        let mut events = Vec::new();
+        // No doorbell: times out empty.
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert_eq!(n, 0, "spurious event");
 
-            wakeup.notify();
-            wakeup.notify();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .expect("wait");
-            assert_eq!(n, 1, "{}", poller.name());
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        wakeup.notify();
+        wakeup.notify();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .expect("wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            // Drained, the doorbell goes quiet again.
-            wakeup.drain();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .expect("wait");
-            assert_eq!(n, 0, "{}: drain left residue", poller.name());
+        // Drained, the doorbell goes quiet again.
+        wakeup.drain();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert_eq!(n, 0, "drain left residue");
+
+        // Rings coalesce: ten thousand of them are one event, and one
+        // drain silences them all.
+        for _ in 0..10_000 {
+            wakeup.notify();
         }
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .expect("wait");
+        assert_eq!(n, 1, "coalesced rings are one event");
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
+        wakeup.drain();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert_eq!(n, 0, "one drain resets every ring");
     }
 
-    #[cfg(unix)]
     #[test]
     fn sockets_report_read_and_write_readiness() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().unwrap();
-            let mut client = TcpStream::connect(addr).expect("connect");
-            let (mut served, _) = listener.accept().expect("accept");
-            served.set_nonblocking(true).expect("nonblocking");
+        let mut poller = poller();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let (mut served, _) = listener.accept().expect("accept");
+        served.set_nonblocking(true).expect("nonblocking");
 
-            // A fresh socket with empty buffers: writable, not readable.
-            poller
-                .register(raw_fd(&served), 1, Interest::Write)
-                .expect("register");
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .expect("wait");
-            assert!(
-                events.iter().any(|e| e.token == 1 && e.writable),
-                "{}: fresh socket must be writable",
-                poller.name()
-            );
+        // A fresh socket with empty buffers: writable, not readable.
+        poller
+            .register(served.as_raw_fd(), 1, Interest::Write)
+            .expect("register");
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .expect("wait");
+        assert!(
+            events.iter().any(|e| e.token == 1 && e.writable),
+            "fresh socket must be writable"
+        );
 
-            // Flip to read interest; quiet until the peer sends.
-            poller
-                .modify(raw_fd(&served), 1, Interest::Read)
-                .expect("modify");
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .expect("wait");
-            assert_eq!(n, 0, "{}: nothing to read yet", poller.name());
+        // Flip to read interest; quiet until the peer sends.
+        poller
+            .modify(served.as_raw_fd(), 1, Interest::Read)
+            .expect("modify");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert_eq!(n, 0, "nothing to read yet");
 
-            client.write_all(b"ping").expect("write");
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .expect("wait");
-            assert!(
-                events.iter().any(|e| e.token == 1 && e.readable),
-                "{}: sent bytes must wake read interest",
-                poller.name()
-            );
-            let mut buf = [0u8; 8];
-            assert_eq!(served.read(&mut buf).expect("read"), 4);
+        client.write_all(b"ping").expect("write");
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .expect("wait");
+        assert!(
+            events.iter().any(|e| e.token == 1 && e.readable),
+            "sent bytes must wake read interest"
+        );
+        let mut buf = [0u8; 8];
+        assert_eq!(served.read(&mut buf).expect("read"), 4);
 
-            // Peer hangup surfaces as readable (EOF) and/or hangup.
-            drop(client);
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .expect("wait");
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.token == 1 && (e.readable || e.hangup)),
-                "{}: hangup must surface",
-                poller.name()
-            );
-            poller.deregister(raw_fd(&served)).expect("deregister");
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .expect("wait");
-            assert_eq!(n, 0, "{}: deregistered fd must go silent", poller.name());
-        }
+        // Peer hangup surfaces as readable (EOF) and/or hangup.
+        drop(client);
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .expect("wait");
+        assert!(
+            events
+                .iter()
+                .any(|e| e.token == 1 && (e.readable || e.hangup)),
+            "hangup must surface"
+        );
+        poller.deregister(served.as_raw_fd()).expect("deregister");
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert_eq!(n, 0, "deregistered fd must go silent");
     }
 }

@@ -8,7 +8,7 @@
 //! already admitted, then return `None` so they can exit.
 //!
 //! [`CompletionQueue`] carries finished work the other way: workers push
-//! (then ring the reactor's wakeup pipe), the reactor drains without ever
+//! (then ring the reactor's wakeup eventfd), the reactor drains without ever
 //! blocking. It is unbounded because its depth is already bounded by the
 //! admission queue's capacity — every completion corresponds to an
 //! admitted task.

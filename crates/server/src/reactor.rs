@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 
 use crate::http::{parse_request, serialize_into, Request, Response};
 use crate::metrics::ConnState;
-use crate::poller::{new_poller, Event, Interest, Poller};
+use crate::poller::{EpollPoller, Event, Interest};
 use crate::timer::TimerWheel;
 use crate::{
     execute_caught, retry_after_value, Completion, Shared, Task, ERROR_WRITE_GRACE, LINGER_DRAIN,
@@ -217,7 +217,7 @@ struct Reactor<'a> {
     shared: &'a Shared,
     /// This reactor's index: its mailbox, and what its pool tasks carry.
     index: usize,
-    poller: Box<dyn Poller>,
+    poller: EpollPoller,
     conns: Vec<Option<Conn>>,
     /// Per-slot state that outlives a connection, indexed like `conns`.
     slots: Vec<Slot>,
@@ -240,9 +240,9 @@ struct Reactor<'a> {
 pub(crate) fn run(listener: TcpListener, shared: &Shared, index: usize) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let mailbox = &shared.mailboxes[index];
-    let mut poller = new_poller()?;
+    let mut poller = EpollPoller::new()?;
     poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::Read)?;
-    poller.register(mailbox.wakeup.read_fd(), WAKE_TOKEN, Interest::Read)?;
+    poller.register(mailbox.wakeup.fd(), WAKE_TOKEN, Interest::Read)?;
 
     let mut reactor = Reactor {
         shared,

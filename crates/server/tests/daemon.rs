@@ -706,20 +706,14 @@ fn full_queue_answers_503_with_retry_after() {
         serving_state(&fixture_catalog(1.0), "mem"),
     );
 
-    // Occupy the single worker: this request sleeps server-side.
-    let busy = {
-        std::thread::spawn(move || {
-            let (status, _, _) = exchange(
-                addr,
-                &format!(
-                    "POST /route HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Debug-Sleep-Ms: 600\r\nContent-Length: {}\r\n\r\n{}",
-                    r#"{"query":"heart"}"#.len(),
-                    r#"{"query":"heart"}"#
-                ),
-            );
-            status
-        })
-    };
+    // Occupy the single worker: this pool request sleeps server-side.
+    let busy = std::thread::spawn(move || {
+        let (status, _, _) = exchange(
+            addr,
+            "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Debug-Sleep-Ms: 600\r\n\r\n",
+        );
+        status
+    });
     std::thread::sleep(Duration::from_millis(200)); // worker popped it, now asleep
 
     // Fill the queue's single slot with a second held connection …
@@ -733,6 +727,18 @@ fn full_queue_answers_503_with_retry_after() {
     let (status, head, _) = get(addr, "/healthz");
     assert_eq!(status, 503, "admission control must shed load");
     assert!(head.contains("Retry-After:"), "503 must carry Retry-After");
+
+    // A `/route` runs on its reactor, never in the pool, so the full queue
+    // does not touch it — `X-Debug-Sleep-Ms` included.
+    let body = r#"{"query":"heart"}"#;
+    let (status, _, response) = exchange(
+        addr,
+        &format!(
+            "POST /route HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Debug-Sleep-Ms: 1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 200, "a /route skips the saturated pool: {response}");
 
     assert_eq!(busy.join().unwrap(), 200, "the slow request still succeeds");
     assert_eq!(

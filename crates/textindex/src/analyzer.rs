@@ -37,14 +37,6 @@ impl Analyzer {
         }
     }
 
-    /// Stopword elimination without stemming.
-    pub fn no_stem() -> Self {
-        Analyzer {
-            remove_stopwords: true,
-            stem: false,
-        }
-    }
-
     /// Run the pipeline over raw text.
     ///
     /// ```
@@ -118,12 +110,6 @@ mod tests {
             a.analyze("the running dogs"),
             vec!["the", "running", "dogs"]
         );
-    }
-
-    #[test]
-    fn no_stem_only_removes_stopwords() {
-        let a = Analyzer::no_stem();
-        assert_eq!(a.analyze("the running dogs"), vec!["running", "dogs"]);
     }
 
     #[test]

@@ -25,8 +25,7 @@ impl PostingList {
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     terms: HashMap<TermId, PostingList>,
-    doc_lengths: Vec<u32>,
-    total_tokens: u64,
+    num_docs: usize,
 }
 
 impl InvertedIndex {
@@ -40,13 +39,9 @@ impl InvertedIndex {
     /// Panics if a document's `id` differs from its position.
     pub fn build(docs: &[Document]) -> Self {
         let mut terms: HashMap<TermId, PostingList> = HashMap::new();
-        let mut doc_lengths = Vec::with_capacity(docs.len());
-        let mut total_tokens = 0u64;
         let mut tf_scratch: HashMap<TermId, u32> = HashMap::new();
         for (pos, doc) in docs.iter().enumerate() {
             assert_eq!(doc.id as usize, pos, "document id must equal its position");
-            doc_lengths.push(doc.len() as u32);
-            total_tokens += doc.len() as u64;
             tf_scratch.clear();
             for &token in &doc.tokens {
                 *tf_scratch.entry(token).or_insert(0) += 1;
@@ -59,19 +54,13 @@ impl InvertedIndex {
         }
         InvertedIndex {
             terms,
-            doc_lengths,
-            total_tokens,
+            num_docs: docs.len(),
         }
     }
 
     /// Number of documents in the collection.
     pub fn num_docs(&self) -> usize {
-        self.doc_lengths.len()
-    }
-
-    /// Total number of token occurrences in the collection.
-    pub fn total_tokens(&self) -> u64 {
-        self.total_tokens
+        self.num_docs
     }
 
     /// Number of distinct terms.
@@ -99,11 +88,6 @@ impl InvertedIndex {
     /// Total occurrences of `term` in the collection.
     pub fn collection_frequency(&self, term: TermId) -> u64 {
         self.terms.get(&term).map_or(0, |p| p.collection_frequency)
-    }
-
-    /// Length (token count) of document `id`.
-    pub fn doc_length(&self, id: DocId) -> u32 {
-        self.doc_lengths[id as usize]
     }
 
     /// Ids of documents containing *all* of `terms` (conjunctive match),
@@ -179,9 +163,7 @@ mod tests {
     fn collection_stats() {
         let idx = sample_index();
         assert_eq!(idx.num_docs(), 4);
-        assert_eq!(idx.total_tokens(), 10);
         assert_eq!(idx.vocabulary_size(), 6);
-        assert_eq!(idx.doc_length(0), 3);
     }
 
     #[test]

@@ -55,6 +55,6 @@ pub use dict::{TermDict, TermId};
 pub use document::{DocId, Document};
 pub use index::InvertedIndex;
 pub use remote::{IndexedDatabase, RemoteDatabase, SearchOutcome};
-pub use search::{RankingModel, SearchEngine, SearchResult};
+pub use search::{SearchEngine, SearchResult};
 pub use stem::porter_stem;
 pub use tokenize::tokenize;

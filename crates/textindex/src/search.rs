@@ -37,48 +37,18 @@ pub struct SearchResult {
     pub scores: Vec<f64>,
 }
 
-/// How matched documents are scored.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum RankingModel {
-    /// `Σ tf(w,d) · ln(1 + N/df(w))` — simple, length-insensitive.
-    #[default]
-    TfIdf,
-    /// Okapi BM25 with the usual `k1`/`b` saturation and length
-    /// normalization.
-    Bm25 {
-        /// Term-frequency saturation (typical: 1.2).
-        k1: f64,
-        /// Length-normalization strength (typical: 0.75).
-        b: f64,
-    },
-}
-
-impl RankingModel {
-    /// The standard BM25 parameterization.
-    pub fn bm25() -> Self {
-        RankingModel::Bm25 { k1: 1.2, b: 0.75 }
-    }
-}
-
-/// A ranked search engine over a borrowed index.
+/// A ranked search engine over a borrowed index. A matched document
+/// scores `Σ tf(w,d) · ln(1 + N/df(w))` over the query words — tf·idf,
+/// simple and length-insensitive.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchEngine<'a> {
     index: &'a InvertedIndex,
-    ranking: RankingModel,
 }
 
 impl<'a> SearchEngine<'a> {
     /// Wrap `index` in a tf·idf search engine.
     pub fn new(index: &'a InvertedIndex) -> Self {
-        SearchEngine {
-            index,
-            ranking: RankingModel::TfIdf,
-        }
-    }
-
-    /// Wrap `index` with an explicit ranking model.
-    pub fn with_ranking(index: &'a InvertedIndex, ranking: RankingModel) -> Self {
-        SearchEngine { index, ranking }
+        SearchEngine { index }
     }
 
     /// The underlying index.
@@ -98,7 +68,6 @@ impl<'a> SearchEngine<'a> {
                 scores: Vec::new(),
             };
         }
-        let avg_len = self.avg_len();
         let mut scores = vec![0.0; matches.len()];
         for &term in terms {
             let list = self
@@ -111,7 +80,7 @@ impl<'a> SearchEngine<'a> {
                 let &(_, tf) = postings
                     .find(|&&(d, _)| d == doc)
                     .expect("a match is in every query term's postings");
-                *score += self.weight(idf, tf, doc, avg_len);
+                *score += f64::from(tf) * idf;
             }
         }
         let mut ranked: Vec<(DocId, f64)> = matches.into_iter().zip(scores).collect();
@@ -128,40 +97,11 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Mean document length, BM25's normaliser (1 for an empty index).
-    fn avg_len(&self) -> f64 {
-        let n = self.index.num_docs() as f64;
-        if n > 0.0 {
-            self.index.total_tokens() as f64 / n
-        } else {
-            1.0
-        }
-    }
-
     /// The idf of the term whose postings are `list`.
     fn idf(&self, list: &PostingList) -> f64 {
         let n = self.index.num_docs() as f64;
         let df = list.document_frequency() as f64;
-        match self.ranking {
-            RankingModel::TfIdf => (1.0 + n / df).ln(),
-            // The non-negative "plus" idf variant, standard in practice
-            // (plain Robertson idf can go negative for very common terms).
-            RankingModel::Bm25 { .. } => ((n - df + 0.5) / (df + 0.5) + 1.0).ln(),
-        }
-    }
-
-    /// What one posting `(doc, tf)` of a term with `idf` adds to the
-    /// document's score.
-    fn weight(&self, idf: f64, tf: u32, doc: DocId, avg_len: f64) -> f64 {
-        let tf = f64::from(tf);
-        match self.ranking {
-            RankingModel::TfIdf => tf * idf,
-            RankingModel::Bm25 { k1, b } => {
-                let doc_len = f64::from(self.index.doc_length(doc));
-                let norm = k1 * (1.0 - b + b * doc_len / avg_len);
-                idf * tf * (k1 + 1.0) / (tf + norm)
-            }
-        }
+        (1.0 + n / df).ln()
     }
 
     /// Evaluate a *disjunctive* (OR) query: rank every document containing
@@ -170,7 +110,6 @@ impl<'a> SearchEngine<'a> {
     /// query in one document (the conjunctive `search`) would return almost
     /// nothing.
     pub fn search_disjunctive(&self, terms: &[TermId], k: usize) -> SearchResult {
-        let avg_len = self.avg_len();
         let mut scores: HashMap<DocId, f64> = HashMap::new();
         let mut distinct_terms: Vec<TermId> = terms.to_vec();
         distinct_terms.sort_unstable();
@@ -181,7 +120,7 @@ impl<'a> SearchEngine<'a> {
             };
             let idf = self.idf(list);
             for &(doc, tf) in &list.postings {
-                *scores.entry(doc).or_insert(0.0) += self.weight(idf, tf, doc, avg_len);
+                *scores.entry(doc).or_insert(0.0) += f64::from(tf) * idf;
             }
         }
         let total_matches = scores.len();
@@ -281,73 +220,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod bm25_tests {
-    use super::*;
-    use crate::document::Document;
-
-    fn doc(id: DocId, terms: &[TermId]) -> Document {
-        Document::from_tokens(id, terms.to_vec())
-    }
-
-    #[test]
-    fn bm25_saturates_term_frequency() {
-        // Doc 1 has tf=12 for term 0, doc 0 has tf=3; under tf·idf doc 1
-        // scores 4× doc 0, under BM25 far less than 4×.
-        let mut d0 = vec![0; 3];
-        d0.extend([1, 2, 3]);
-        let mut d1 = vec![0; 12];
-        d1.extend([4, 5, 6]); // keep lengths comparable-ish
-        let idx = InvertedIndex::build(&[doc(0, &d0), doc(1, &d1)]);
-        let tfidf = SearchEngine::new(&idx).search(&[0], 2);
-        let bm25 = SearchEngine::with_ranking(&idx, RankingModel::bm25()).search(&[0], 2);
-        let tfidf_ratio = tfidf.scores[0] / tfidf.scores[1];
-        let bm25_ratio = bm25.scores[0] / bm25.scores[1];
-        assert!(
-            bm25_ratio < tfidf_ratio,
-            "bm25 {bm25_ratio} vs tfidf {tfidf_ratio}"
-        );
-        assert!(bm25_ratio > 1.0, "more occurrences still rank higher");
-    }
-
-    #[test]
-    fn bm25_penalizes_long_documents() {
-        // Same tf for term 0, but doc 1 is much longer.
-        let mut long = vec![0; 2];
-        long.extend(std::iter::repeat_n(9, 200));
-        let short: Vec<TermId> = vec![0, 0, 1, 2];
-        let idx = InvertedIndex::build(&[doc(0, &short), doc(1, &long)]);
-        let result = SearchEngine::with_ranking(&idx, RankingModel::bm25()).search(&[0], 2);
-        assert_eq!(result.doc_ids[0], 0, "short document wins at equal tf");
-        assert!(result.scores[0] > result.scores[1]);
-    }
-
-    #[test]
-    fn bm25_scores_are_non_negative() {
-        // Term 0 appears in every document — the "plus" idf keeps scores
-        // positive where plain Robertson idf would go negative.
-        let docs: Vec<Document> = (0..5).map(|i| doc(i, &[0, i + 10])).collect();
-        let idx = InvertedIndex::build(&docs);
-        let result = SearchEngine::with_ranking(&idx, RankingModel::bm25()).search(&[0], 5);
-        assert_eq!(result.total_matches, 5);
-        assert!(result.scores.iter().all(|&s| s > 0.0));
-    }
-
-    #[test]
-    fn match_set_is_ranking_independent() {
-        let docs: Vec<Document> = (0..20).map(|i| doc(i, &[i % 3, i % 5, 7])).collect();
-        let idx = InvertedIndex::build(&docs);
-        let a = SearchEngine::new(&idx).search(&[7, 0], 20);
-        let b = SearchEngine::with_ranking(&idx, RankingModel::bm25()).search(&[7, 0], 20);
-        assert_eq!(a.total_matches, b.total_matches);
-        let mut ia = a.doc_ids.clone();
-        let mut ib = b.doc_ids.clone();
-        ia.sort_unstable();
-        ib.sort_unstable();
-        assert_eq!(ia, ib);
-    }
-}
-
-#[cfg(test)]
 mod disjunctive_tests {
     use super::*;
     use crate::document::Document;
@@ -413,11 +285,6 @@ mod oracle_tests {
             };
         }
         let n = index.num_docs() as f64;
-        let avg_len = if n > 0.0 {
-            index.total_tokens() as f64 / n
-        } else {
-            1.0
-        };
         let mut scores: HashMap<DocId, f64> = matches.iter().map(|&d| (d, 0.0)).collect();
         for &term in terms {
             let Some(list) = index.posting_list(term) else {
@@ -428,16 +295,7 @@ mod oracle_tests {
                 let Some(score) = scores.get_mut(&doc) else {
                     continue;
                 };
-                let tf = f64::from(tf);
-                *score += match engine.ranking {
-                    RankingModel::TfIdf => tf * (1.0 + n / df).ln(),
-                    RankingModel::Bm25 { k1, b } => {
-                        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-                        let doc_len = f64::from(index.doc_length(doc));
-                        let norm = k1 * (1.0 - b + b * doc_len / avg_len);
-                        idf * tf * (k1 + 1.0) / (tf + norm)
-                    }
-                };
+                *score += f64::from(tf) * (1.0 + n / df).ln();
             }
         }
         let mut ranked: Vec<(DocId, f64)> = scores.into_iter().collect();
@@ -455,8 +313,8 @@ mod oracle_tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random indexes over six words (so many documents tie), queries
-        /// with absent and repeated words, both ranking models, and `k`
-        /// below, at and above the match count.
+        /// with absent and repeated words, and `k` below, at and above the
+        /// match count.
         #[test]
         fn search_equals_the_map_and_full_sort_it_replaced(
             docs in prop::collection::vec(prop::collection::vec(0u32..6, 0..8), 1..40),
@@ -470,19 +328,13 @@ mod oracle_tests {
             let index = InvertedIndex::build(&documents);
             let m = index.conjunctive_match(&query).len();
             let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            for ranking in [
-                RankingModel::TfIdf,
-                RankingModel::bm25(),
-                RankingModel::Bm25 { k1: 2.0, b: 0.3 },
-            ] {
-                let engine = SearchEngine::with_ranking(&index, ranking);
-                for k in [0, 1, m.saturating_sub(1), m, m + 5] {
-                    let got = engine.search(&query, k);
-                    let want = search_with_a_map(&engine, &query, k);
-                    prop_assert_eq!(got.total_matches, want.total_matches);
-                    prop_assert_eq!(&got.doc_ids, &want.doc_ids);
-                    prop_assert_eq!(bits(&got.scores), bits(&want.scores));
-                }
+            let engine = SearchEngine::new(&index);
+            for k in [0, 1, m.saturating_sub(1), m, m + 5] {
+                let got = engine.search(&query, k);
+                let want = search_with_a_map(&engine, &query, k);
+                prop_assert_eq!(got.total_matches, want.total_matches);
+                prop_assert_eq!(&got.doc_ids, &want.doc_ids);
+                prop_assert_eq!(bits(&got.scores), bits(&want.scores));
             }
         }
     }

@@ -72,8 +72,10 @@ proptest! {
             prop_assert!(list.collection_frequency >= df as u64);
             prop_assert_eq!(index.document_frequency(term), df);
         }
+        // Every token is one occurrence of its term.
         let total: u64 = documents.iter().map(|d| d.len() as u64).sum();
-        prop_assert_eq!(index.total_tokens(), total);
+        let occurrences: u64 = index.terms().map(|(_, l)| l.collection_frequency).sum();
+        prop_assert_eq!(occurrences, total);
     }
 
     /// A conjunctive search returns exactly the documents containing every
